@@ -19,6 +19,12 @@ Pump-power bookkeeping uses the average-peak-field relation
 I = P / (pi (MFD/2)^2), which is the convention that reproduces the
 88.4 kW/cm^2 benchmark at 1 mW through a 1.2 um mode-field diameter (the
 Gaussian peak convention 2P/(pi w^2) would be a factor 2 higher).
+
+Unit composition is checked per design for the chain: eta2, q_eff and the
+damage-limited power go through ``units.Quantity`` and assert their
+dimension.  The per-point formulas (peak field, intensity, p_virt) are plain
+float arithmetic in the same operand order, so they give the same bits; their
+dimensional composition is checked in the tests.
 """
 
 from __future__ import annotations
@@ -31,10 +37,10 @@ import numpy as np
 from .errors import DataError, SingularityError
 from .materials import Material, refractive_index
 from .tensors import voigt_index
-from .units import (C_LIGHT, C_LIGHT_Q, DIMENSIONLESS, EPS0_Q,
+from .units import (C_LIGHT, DIMENSIONLESS, EPS0, EPS0_Q,
                     COULOMB_PER_M2, JOULE_PER_M3, M2_PER_COULOMB,
                     METER, METER_PER_VOLT, Quantity,
-                    VOLT_PER_METER, WATT, WATT_PER_M2, ETA2)
+                    WATT, WATT_PER_M2, ETA2)
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,10 +70,16 @@ class MixingBands:
     acoustic_mode: str = "longitudinal"
     strain_voigt: int = 2
     omega_t: float = field(init=False)
+    wavelengths: tuple[float, float, float] = field(init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
-        if min(self.omega_p1, self.omega_p2) <= 0 or self.omega_m < 0:
-            raise ValueError("pump frequencies must be positive, omega_m >= 0")
+        for name in ("omega_p1", "omega_p2"):
+            w = getattr(self, name)
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"{name} must be positive and finite, got {w}")
+        if not (self.omega_m >= 0 and math.isfinite(self.omega_m)):
+            raise ValueError(f"omega_m must be finite and >= 0, got {self.omega_m}")
         if len(self.axes) != 3 or any(a not in (0, 1, 2) for a in self.axes):
             raise ValueError(f"axes must be three indices in 0..2, got {self.axes}")
         if self.strain_voigt not in range(6):
@@ -75,22 +87,26 @@ class MixingBands:
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "omega_t",
                            self.omega_p1 + self.omega_p2 + self.omega_m)
+        # Vacuum wavelengths (m) of (pump1, pump2, transduced).
+        object.__setattr__(self, "wavelengths",
+                           tuple(TWO_PI * C_LIGHT / w for w in self.omegas_optical))
 
     @classmethod
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
                                 phonon_hz: float, **kw) -> "MixingBands":
         """Build from pump vacuum wavelengths (m) and a phonon frequency (Hz)."""
+        for name, lam in (("lambda_p1", lambda_p1), ("lambda_p2", lambda_p2)):
+            if not (lam > 0 and math.isfinite(lam)):
+                raise ValueError(
+                    f"{name} must be a positive finite wavelength, got {lam}")
+        if not (phonon_hz >= 0 and math.isfinite(phonon_hz)):
+            raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
         return cls(TWO_PI * C_LIGHT / lambda_p1, TWO_PI * C_LIGHT / lambda_p2,
                    TWO_PI * phonon_hz, **kw)
 
     @property
     def omegas_optical(self) -> tuple[float, float, float]:
         return (self.omega_p1, self.omega_p2, self.omega_t)
-
-    @property
-    def wavelengths(self) -> tuple[float, float, float]:
-        """Vacuum wavelengths (m) of (pump1, pump2, transduced)."""
-        return tuple(TWO_PI * C_LIGHT / w for w in self.omegas_optical)
 
 
 @dataclass(frozen=True)
@@ -249,21 +265,17 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
 
 def peak_field_from_power(g: PumpGeometry) -> float:
     """Average peak field |E| = sqrt(16 P / (n pi eps0 c MFD^2)), in V/m."""
-    e2 = (16.0 * Quantity(g.power, WATT)) / (
-        g.n_mode * math.pi * EPS0_Q * C_LIGHT_Q
-        * Quantity(g.mfd, METER) * Quantity(g.mfd, METER))
-    return e2.sqrt().expect(VOLT_PER_METER, "peak field")
+    return math.sqrt(16.0 * g.power / (
+        g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd))
 
 
 def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    if not mfd > 0:
-        raise ValueError(f"mode-field diameter must be positive, got {mfd}")
-    area = math.pi * (mfd / 2.0) ** 2
-    return (Quantity(power, WATT) / Quantity(area, METER * METER)
-            ).expect(WATT_PER_M2, "intensity")
+    if not (power >= 0 and math.isfinite(power)):
+        raise ValueError(f"power must be finite and >= 0, got {power}")
+    if not (mfd > 0 and math.isfinite(mfd)):
+        raise ValueError(f"mode-field diameter must be positive and finite, got {mfd}")
+    return power / (math.pi * (mfd / 2.0) ** 2)
 
 
 def damage_limited_power(m: Material, mfd: float) -> float:
@@ -281,11 +293,13 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
     ``field`` is the pump field magnitude (V/m, >= 0); the result is
     dimensionless and carries the sign of q_eff.
     """
-    if field < 0:
-        raise ValueError(f"field magnitude must be >= 0, got {field}")
-    p = ((2.0 / 3.0) * EPS0_Q * Quantity(q_eff, M2_PER_COULOMB)
-         * eps_r * Quantity(field, VOLT_PER_METER))
-    return p.expect(DIMENSIONLESS, "virtual photoelasticity")
+    if not math.isfinite(q_eff):
+        raise ValueError(f"q_eff must be finite, got {q_eff}")
+    if not math.isfinite(eps_r):
+        raise ValueError(f"eps_r must be finite, got {eps_r}")
+    if not (field >= 0 and math.isfinite(field)):
+        raise ValueError(f"field magnitude must be finite and >= 0, got {field}")
+    return (2.0 / 3.0) * EPS0 * q_eff * eps_r * field
 
 
 def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> float:

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -60,8 +61,21 @@ class DispersionModel:
 
     kind: str
     valid_range_m: tuple[float, float]
-    points: np.ndarray | None = None          # shape (npts, 4)
+    points: np.ndarray | None = None          # shape (npts, 4), stored read-only
     sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None
+    # The table as Python lists (wavelengths, then n per axis): a scalar
+    # lookup on lists costs far less than one np.interp call.
+    _columns: tuple[list[float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = ()
+        if self.points is not None:
+            # A private read-only copy, so the lists below cannot go stale.
+            points = np.array(self.points, dtype=float)
+            points.setflags(write=False)
+            object.__setattr__(self, "points", points)
+            columns = tuple(points.T.tolist())
+        object.__setattr__(self, "_columns", columns)
 
     def index(self, wavelength: float, axis: int) -> float:
         if axis not in (0, 1, 2):
@@ -72,12 +86,26 @@ class DispersionModel:
                 f"wavelength {wavelength:.6g} m outside declared validity "
                 f"range [{lo:.6g}, {hi:.6g}] m", lo=lo, hi=hi)
         if self.kind == "tabulated-points":
-            lams = self.points[:, 0]
-            ns = self.points[:, 1 + axis]
-            # np.interp clamps to the end values outside the table, which is
-            # the documented behaviour inside the validity window.
-            return float(np.interp(wavelength, lams, ns))
+            return self._tabulated_index(wavelength, axis)
         return self._sellmeier_index(wavelength, axis)
+
+    def _tabulated_index(self, wavelength: float, axis: int) -> float:
+        """Piecewise-linear lookup with np.interp's arithmetic, step for step.
+
+        Outside the table the end values are returned (the documented clamp
+        inside the validity window); at a node its value is returned exactly.
+        """
+        lams = self._columns[0]
+        ns = self._columns[1 + axis]
+        j = bisect_right(lams, wavelength) - 1
+        if j < 0:
+            return ns[0]
+        if j >= len(lams) - 1:
+            return ns[-1]
+        if lams[j] == wavelength:
+            return ns[j]
+        slope = (ns[j + 1] - ns[j]) / (lams[j + 1] - lams[j])
+        return float(slope * (wavelength - lams[j]) + ns[j])
 
     def _sellmeier_index(self, wavelength: float, axis: int) -> float:
         n2 = 1.0

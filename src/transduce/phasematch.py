@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DataError
 from .estimator import MixingBands
 from .materials import Material, refractive_index
@@ -101,12 +99,17 @@ def pm_efficiency(delta_k: float, length: float) -> float:
     """Normalized phase-matching efficiency sinc^2(delta_k * length / 2).
 
     Equals 1 exactly at delta_k = 0 (removable singularity) and is an even
-    function of delta_k bounded by 1/(delta_k L / 2)^2.
+    function of delta_k bounded by 1/(delta_k L / 2)^2.  The arithmetic is
+    np.sinc's, on one float: x = u/pi, y = pi*x with 1e-20 standing in for
+    x = 0, sin(y)/y.
     """
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
-    u = delta_k * length / 2.0
-    return float(np.sinc(u / math.pi) ** 2)
+    if not math.isfinite(delta_k):
+        raise ValueError(f"delta_k must be finite, got {delta_k}")
+    if not (length > 0 and math.isfinite(length)):
+        raise ValueError(f"length must be positive and finite, got {length}")
+    x = float(delta_k * length / 2.0 / math.pi)
+    y = math.pi * (x if x != 0 else 1.0e-20)
+    return (math.sin(y) / y) ** 2
 
 
 def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:

@@ -7,6 +7,13 @@ vacuum permittivity (F/m) can assert that the result is dimensionless instead
 of silently absorbing a unit bug.  Dimensions are exponent vectors over the
 four SI base quantities this domain needs (m, kg, s, A); there is no string
 parsing and no unit conversion, SI in and SI out.
+
+Where the check runs: the once-per-design formulas of the estimation chain
+(eta2, q_eff, damage-limited power, interaction densities) compose
+``Quantity`` objects on every call.  The per-point formulas (pump field,
+intensity, virtual photoelasticity) compute on plain floats, because they run
+once per sweep point; their composition is checked in the tests, which build
+the same expression from ``Quantity`` objects and assert its dimension.
 """
 
 from __future__ import annotations

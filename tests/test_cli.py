@@ -49,6 +49,17 @@ class TestUsage:
         assert cp.returncode == 1
         assert "Unobtainium" in cp.stderr
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--pump1", "0", "lambda_p1"), ("--pump2", "-2.6e-6", "lambda_p2"),
+        ("--pump1", "inf", "lambda_p1"), ("--phonon-ghz", "nan", "phonon_hz")])
+    def test_bad_band_value_is_data_error(self, flag, value, name):
+        args = {"--pump1": "2.6e-6", "--pump2": "2.6e-6", "--phonon-ghz": "5", flag: value}
+        cp = run_cli("phasematch", "--material", "BaTiO3", "--length", "1e-3",
+                     *(f"{k}={v}" for k, v in args.items()))
+        assert cp.returncode == 1
+        assert name in cp.stderr
+        assert "Traceback" not in cp.stderr
+
     def test_out_of_range_wavelength_is_data_error(self):
         cp = run_cli("estimate-q", "--material", "BaTiO3", "--pump1", "5e-6",
                      "--pump2", "5e-6", "--phonon-ghz", "2")

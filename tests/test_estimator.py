@@ -14,7 +14,9 @@ from transduce.estimator import (MixingBands, PIEZO_OPTOMECHANICAL_BENCHMARK,
                                  power_sweep, q_eff_from_deff, q_eff_from_eta2,
                                  second_order_photoelasticity,
                                  virtual_photoelasticity)
-from transduce.units import EPS0
+from transduce.units import (C_LIGHT_Q, DIMENSIONLESS, EPS0, EPS0_Q, METER,
+                             M2_PER_COULOMB, Quantity, VOLT_PER_METER, WATT,
+                             WATT_PER_M2)
 
 from conftest import make_material
 
@@ -31,6 +33,23 @@ class TestMixingBands:
         lam_p1, lam_p2, lam_t = b.wavelengths
         assert lam_p1 == pytest.approx(2600e-9, rel=1e-12)
         assert lam_t == pytest.approx(1.29999e-6, rel=1e-4)   # just under 1300 nm
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"omega_p1": math.inf}, "omega_p1"), ({"omega_p2": math.nan}, "omega_p2"),
+        ({"omega_p2": 0.0}, "omega_p2"), ({"omega_m": math.nan}, "omega_m"),
+        ({"omega_m": math.inf}, "omega_m")])
+    def test_bad_frequency_rejected_by_name(self, kw, name):
+        args = dict({"omega_p1": 1.0e15, "omega_p2": 0.9e15, "omega_m": 1.2e10}, **kw)
+        with pytest.raises(ValueError, match=name):
+            MixingBands(**args)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, 2.6e-6, 2e9), "lambda_p1"), ((2.6e-6, -2.6e-6, 2e9), "lambda_p2"),
+        ((math.inf, 2.6e-6, 2e9), "lambda_p1"), ((2.6e-6, math.nan, 2e9), "lambda_p2"),
+        ((2.6e-6, 2.6e-6, math.nan), "phonon_hz"), ((2.6e-6, 2.6e-6, -1.0), "phonon_hz")])
+    def test_bad_wavelength_or_phonon_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            MixingBands.from_vacuum_wavelengths(*args)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +179,13 @@ class TestFieldAndIntensity:
         assert peak_intensity(1.0, 2.4e-6) == pytest.approx(
             peak_intensity(1.0, 1.2e-6) / 4, rel=1e-12)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 1.2e-6), "power"), ((math.inf, 1.2e-6), "power"),
+        ((1e-3, math.nan), "mode-field diameter"), ((1e-3, math.inf), "mode-field diameter")])
+    def test_intensity_nonfinite_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            peak_intensity(*args)
+
     def test_golden_damage_limited_power(self, bto):
         assert damage_limited_power(bto, 1.2e-6) == pytest.approx(6.11, rel=0.02)
 
@@ -176,6 +202,43 @@ class TestFieldAndIntensity:
             PumpGeometry(1.0, 0.0, 2.26)
 
 
+class TestDimensionedReferences:
+    """The float-only per-point formulas against their Quantity composition.
+
+    Each reference asserts the dimension its composition closes to, so a
+    unit slip in the formula's operands shows up here.
+    """
+
+    @staticmethod
+    def assert_close(got, want):
+        assert type(got) is float
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    @given(st.floats(0.0, 1e3), st.floats(1e-7, 1e-4), st.floats(1.0, 4.0))
+    def test_peak_field(self, power, mfd, n_mode):
+        e2 = (16.0 * Quantity(power, WATT)) / (
+            n_mode * math.pi * EPS0_Q * C_LIGHT_Q
+            * Quantity(mfd, METER) * Quantity(mfd, METER))
+        ref = e2.sqrt()
+        assert ref.dim == VOLT_PER_METER
+        self.assert_close(peak_field_from_power(PumpGeometry(power, mfd, n_mode)),
+                          ref.value)
+
+    @given(st.floats(0.0, 1e3), st.floats(1e-7, 1e-4))
+    def test_peak_intensity(self, power, mfd):
+        area = math.pi * (mfd / 2.0) ** 2
+        ref = Quantity(power, WATT) / Quantity(area, METER * METER)
+        assert ref.dim == WATT_PER_M2
+        self.assert_close(peak_intensity(power, mfd), ref.value)
+
+    @given(st.floats(-1.0, 1.0), st.floats(1e-9, 1e9), st.floats(0.0, 1e9))
+    def test_virtual_photoelasticity(self, q_eff, eps_r, field):
+        ref = ((2.0 / 3.0) * EPS0_Q * Quantity(q_eff, M2_PER_COULOMB)
+               * eps_r * Quantity(field, VOLT_PER_METER))
+        assert ref.dim == DIMENSIONLESS
+        self.assert_close(virtual_photoelasticity(q_eff, eps_r, field), ref.value)
+
+
 class TestVirtualPhotoelasticity:
     def test_golden_coefficient(self):
         assert virtual_photoelasticity(2.45e-2, 5.09, 1.0) == pytest.approx(
@@ -187,6 +250,14 @@ class TestVirtualPhotoelasticity:
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             virtual_photoelasticity(2.45e-2, 5.09, -1.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 5.09, 1.0), "q_eff"), ((math.inf, 5.09, 1.0), "q_eff"),
+        ((2.45e-2, math.nan, 1.0), "eps_r"), ((2.45e-2, -math.inf, 1.0), "eps_r"),
+        ((2.45e-2, 5.09, math.nan), "field"), ((2.45e-2, 5.09, math.inf), "field")])
+    def test_nonfinite_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            virtual_photoelasticity(*args)
 
     def test_golden_power_law(self, bto, bto_bands):
         chain = second_order_photoelasticity(bto, bto_bands)

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from transduce.errors import MaterialFileError, RangeError
-from transduce.materials import (dumps_materials, load_materials,
+from transduce.materials import (DispersionModel, dumps_materials, load_materials,
                                  loads_materials, refractive_index,
                                  save_materials, validate_material)
 
@@ -116,6 +117,46 @@ class TestRefractiveIndex:
     def test_bad_axis(self, bto):
         with pytest.raises(ValueError):
             refractive_index(bto, 1310e-9, axis=3)
+
+
+@st.composite
+def table_and_query(draw):
+    """A strictly increasing table, a validity window around it, one query.
+
+    The query is a table node, a point between nodes, a point in the clamped
+    margin beyond either end, or a window end.
+    """
+    lams = sorted(draw(st.lists(st.floats(1e-7, 1e-5), min_size=1, max_size=10,
+                                unique=True)))
+    ns = draw(st.lists(st.floats(1.0, 4.0), min_size=len(lams), max_size=len(lams)))
+    lo, hi = lams[0] * 0.5, lams[-1] * 1.5
+    lam = draw(st.one_of(st.sampled_from(lams + [lo, hi]), st.floats(lo, hi)))
+    return lams, ns, (lo, hi), lam
+
+
+class TestTabulatedLookup:
+    """The list-based lookup against np.interp, which it replaces."""
+
+    @given(table_and_query(), st.integers(0, 2))
+    def test_matches_np_interp(self, case, axis):
+        lams, ns, window, lam = case
+        points = np.array([[x, n, n, n] for x, n in zip(lams, ns)])
+        points[:, 1 + axis] = ns[::-1]      # a different column per axis
+        d = DispersionModel(kind="tabulated-points", valid_range_m=window, points=points)
+        want = float(np.interp(lam, points[:, 0], points[:, 1 + axis]))
+        got = d.index(lam, axis)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_points_are_a_read_only_copy(self):
+        points = np.array([[1e-6, 2.0, 2.0, 2.0], [2e-6, 3.0, 3.0, 3.0]])
+        d = DispersionModel(kind="tabulated-points", valid_range_m=(0.5e-6, 3e-6),
+                            points=points)
+        points[:, 1:] = 9.0
+        assert d.index(1.5e-6, 0) == 2.5
+        assert not d.points.flags.writeable
+        with pytest.raises(ValueError):
+            d.points[0, 1] = 9.0
 
 
 class TestBundledFixture:

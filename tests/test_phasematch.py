@@ -172,6 +172,21 @@ class TestEfficiency:
         with pytest.raises(ValueError):
             pm_efficiency(1.0, 0.0)
 
+    @given(st.one_of(st.just(0.0), st.floats(-1e9, 1e9)), st.floats(1e-7, 1e-1))
+    def test_matches_np_sinc(self, dk, L):
+        want = float(np.sinc(dk * L / 2.0 / math.pi) ** 2)
+        got = pm_efficiency(dk, L)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("dk, L, name", [
+        (math.nan, 1e-3, "delta_k"), (math.inf, 1e-3, "delta_k"),
+        (-math.inf, 1e-3, "delta_k"), (1.0, math.nan, "length"),
+        (1.0, math.inf, "length")])
+    def test_nonfinite_rejected_by_name(self, dk, L, name):
+        with pytest.raises(ValueError, match=name):
+            pm_efficiency(dk, L)
+
 
 class TestThreeWaveResidual:
     def _poled(self, bto, bands, length=100e-6):
