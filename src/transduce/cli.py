@@ -12,6 +12,10 @@ variable, then the bundled default.  Values printed as ``name = value`` use
 full float precision (repr), so they are bit-identical to the corresponding
 library call; wide sweep tables are formatted to 9 significant digits and
 --csv switches to full-precision CSV.
+
+numpy is imported inside the array commands only (sweep-power, phasematch
+--sweep, verify-thermo); the single-point commands run on Python floats, so
+this module and its imports must not import numpy at module level.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import TransduceError
@@ -33,8 +35,9 @@ from .estimator import (CouplingBenchmark, MixingBands,
 from .materials import MaterialDb, default_db, dumps_materials, load_materials
 from .phasematch import (PhaseMatchInput, delta_k, poling_period, sweep,
                          sweep_to_csv, three_wave_residual)
-from .thermo import (FreeEnergyModel, verify_relations, verify_relations_pair,
-                     verify_relations_vector, VectorFreeEnergyModel)
+from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, efield_of,
+                     stress_of, verify_relations, verify_relations_pair,
+                     verify_relations_vector)
 
 ENV_DB = "TRANSDUCE_DB"
 
@@ -143,6 +146,7 @@ def _cmd_field(args) -> int:
 # --------------------------------------------------------------- sweep-power
 
 def _cmd_sweep_power(args) -> int:
+    import numpy as np
     db = _resolve_db(args)
     m = db.get(args.material)
     bands = _bands_from_args(args)
@@ -190,6 +194,9 @@ def _cmd_phasematch(args) -> int:
     if args.sweep:
         if args.sweep_start is None or args.sweep_stop is None:
             raise ValueError("--sweep requires --sweep-start and --sweep-stop")
+        if args.sweep_points < 1:
+            raise ValueError("--sweep-points must be >= 1")
+        import numpy as np
         values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
         rows = sweep(pm_in, args.sweep, values)
         if args.csv:
@@ -251,6 +258,9 @@ def _cmd_poling(args) -> int:
 # -------------------------------------------------------------- verify-thermo
 
 def _cmd_verify_thermo(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    import numpy as np
     rng = np.random.default_rng(args.seed)
     worst = {"order1": 0.0, "order2": 0.0, "order3": 0.0, "factor2": 0.0}
     n_failed = 0
@@ -286,7 +296,6 @@ def _cmd_verify_thermo(args) -> int:
     if args.adversarial:
         m1 = FreeEnergyModel(c=1.0, h=1.0, eta1=2.0, eta2=3.0, p=4.0, q=5.0)
         m2 = FreeEnergyModel(c=1.0, h=2.0, eta1=2.0, eta2=3.0, p=4.0, q=5.0)
-        from .thermo import efield_of, stress_of
         rep = verify_relations_pair(
             lambda x, D: stress_of(m1, x, D),
             lambda x, D: efield_of(m2, x, D), tol=args.tol)

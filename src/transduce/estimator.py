@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError, SingularityError
 from .materials import Material, refractive_index
 from .tensors import voigt_index
@@ -202,10 +200,19 @@ def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     return -Q * prod
 
 
+def _band_sum(ns: tuple[float, float, float],
+              ps: tuple[float, float, float]) -> float:
+    """sum_n p_n / (1 - 1/n_n^2), the band sum shared by both q_eff routes."""
+    denoms = [1.0 - eta1_rel(n) for n in ns]
+    if 0.0 in denoms:
+        raise SingularityError("q_eff is singular for a vacuum band (n = 1)")
+    return sum(p / d for p, d in zip(ps, denoms))
+
+
 def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
-    s = sum(p / (1.0 - eta1_rel(n)) for p, n in zip(ps, ns))
+    s = _band_sum(ns, ps)
     q = -(EPS0_Q * Quantity(eta2, ETA2)) * s
     return q.expect(M2_PER_COULOMB, "q_eff")
 
@@ -214,7 +221,7 @@ def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Closed form: q = -(2 d_eff/(eps0 n1^2 n2^2 n3^2)) sum_n p_n/(1 - 1/n_n^2)."""
     n1, n2, n3 = ns
-    s = sum(p / (1.0 - eta1_rel(n)) for p, n in zip(ps, ns))
+    s = _band_sum(ns, ps)
     q = -(2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
         EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3)) * s
     return q.expect(M2_PER_COULOMB, "q_eff")
@@ -242,7 +249,7 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     ps = []
     for axis in bands.axes:
         v = voigt_index(axis, axis)
-        entry = float(m.photoelastic.entries[v, bands.strain_voigt])
+        entry = m.photoelastic.entries[v][bands.strain_voigt]
         if math.isnan(entry):
             raise DataError(
                 f"material '{m.name}' has no photoelastic entry "
@@ -408,8 +415,8 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
     if benchmark is None:
         benchmark = PIEZO_OPTOMECHANICAL_BENCHMARK
     if p_nominal is None:
-        with np.errstate(invalid="ignore"):
-            p_nominal = float(np.nanmax(np.abs(m.photoelastic.entries)))
+        p_nominal = max((abs(e) for row in m.photoelastic.entries for e in row
+                         if not math.isnan(e)), default=math.nan)
     if not p_nominal > 0:
         raise ValueError("p_nominal must be positive to form ratios")
 

@@ -40,10 +40,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .errors import MaterialFileError, RangeError
-from .tensors import PhotoelasticTensor
+from .tensors import PhotoelasticTensor, _float_rows
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
@@ -61,7 +59,7 @@ class DispersionModel:
 
     kind: str
     valid_range_m: tuple[float, float]
-    points: np.ndarray | None = None          # shape (npts, 4), stored read-only
+    points: tuple[tuple[float, float, float, float], ...] | None = None
     sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None
     # The table as Python lists (wavelengths, then n per axis): a scalar
     # lookup on lists costs far less than one np.interp call.
@@ -70,11 +68,15 @@ class DispersionModel:
     def __post_init__(self):
         columns = ()
         if self.points is not None:
-            # A private read-only copy, so the lists below cannot go stale.
-            points = np.array(self.points, dtype=float)
-            points.setflags(write=False)
+            # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
+            # array; a tuple is immutable, so the columns cannot go stale.
+            try:
+                points = _float_rows(self.points, 4)
+            except ValueError as exc:
+                raise ValueError("dispersion points must be rows of "
+                                 f"[lambda_m, nx, ny, nz] ({exc})") from None
             object.__setattr__(self, "points", points)
-            columns = tuple(points.T.tolist())
+            columns = tuple(list(c) for c in zip(*points))
         object.__setattr__(self, "_columns", columns)
 
     def index(self, wavelength: float, axis: int) -> float:
@@ -177,26 +179,33 @@ def validate_material(m: Material) -> list[Violation]:
         out.append(Violation("dispersion.valid_range_m", "0 < lo < hi", (lo, hi)))
         return out
     if d.kind == "tabulated-points":
-        lams = d.points[:, 0]
-        if np.any(np.diff(lams) <= 0):
+        lams = [row[0] for row in d.points]
+        if any(b - a <= 0 for a, b in zip(lams, lams[1:])):
             out.append(Violation("dispersion.points", "wavelengths strictly increasing",
-                                 lams.tolist()))
-        if np.any(d.points[:, 1:] < 1.0):
-            out.append(Violation("dispersion.points", "n >= 1", float(d.points[:, 1:].min())))
-        if not np.all(np.isfinite(d.points)):
+                                 lams))
+        below = [n for row in d.points for n in row[1:] if n < 1.0]
+        if below:
+            out.append(Violation("dispersion.points", "n >= 1", min(below)))
+        if not all(math.isfinite(v) for row in d.points for v in row):
             out.append(Violation("dispersion.points", "finite", None))
     else:
+        # The scan grid of np.linspace(lo, hi, 64): lo + i*step, ending at hi.
+        step = (hi - lo) / (_N_VALIDATION_SAMPLES - 1)
+        grid = [lo + i * step for i in range(_N_VALIDATION_SAMPLES - 1)] + [hi]
         for axis in range(3):
+            # A pole at lam^2 = C is checked exactly; sampling could miss it.
+            if any(b != 0 and lo * lo <= c <= hi * hi for b, c in d.sellmeier[axis]):
+                out.append(Violation("dispersion.sellmeier", "pole inside validity range", axis))
+                continue
             try:
-                nmin = min(d.index(lam, axis) for lam in
-                           np.linspace(lo, hi, _N_VALIDATION_SAMPLES))
+                nmin = min(d.index(lam, axis) for lam in grid)
             except RangeError:
                 out.append(Violation("dispersion.sellmeier", "pole inside validity range", axis))
                 continue
             if nmin < 1.0:
                 out.append(Violation("dispersion.sellmeier", "n >= 1 over validity range",
                                      nmin))
-    if not np.all(np.isfinite(m.photoelastic.entries)):
+    if not all(math.isfinite(e) for row in m.photoelastic.entries for e in row):
         out.append(Violation("photoelastic.entries", "finite 6x6", None))
     if not math.isfinite(m.d_eff):
         out.append(Violation("d_eff_m_per_v", "finite", m.d_eff))
@@ -227,24 +236,22 @@ def _parse_dispersion(obj: dict, where: str) -> DispersionModel:
     rng = obj.get("valid_range_m")
     if not (isinstance(rng, list) and len(rng) == 2):
         raise MaterialFileError(f"{where}: dispersion.valid_range_m must be [lo, hi]")
+    valid = (float(rng[0]), float(rng[1]))
     if kind == "tabulated-points":
         pts = obj.get("points")
         if not pts:
             raise MaterialFileError(f"{where}: tabulated dispersion needs 'points'")
-        arr = np.asarray(pts, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise MaterialFileError(
-                f"{where}: dispersion points must be rows of [lambda_m, nx, ny, nz]")
-        return DispersionModel(kind=kind, valid_range_m=(float(rng[0]), float(rng[1])),
-                               points=arr)
+        try:
+            return DispersionModel(kind=kind, valid_range_m=valid, points=pts)
+        except ValueError as exc:
+            raise MaterialFileError(f"{where}: {exc}") from None
     if kind == "sellmeier":
         terms = obj.get("sellmeier")
         if terms is None or len(terms) != 3:
             raise MaterialFileError(f"{where}: sellmeier dispersion needs 3 axis term lists")
         packed = tuple(tuple((float(b), float(c)) for b, c in axis_terms)
                        for axis_terms in terms)
-        return DispersionModel(kind=kind, valid_range_m=(float(rng[0]), float(rng[1])),
-                               sellmeier=packed)
+        return DispersionModel(kind=kind, valid_range_m=valid, sellmeier=packed)
     raise MaterialFileError(
         f"{where}: dispersion.kind must be 'tabulated-points' or 'sellmeier', got {kind!r}")
 
@@ -269,10 +276,10 @@ def _parse_material(obj: dict) -> Material:
         raise MaterialFileError(f"{where}: photoelastic.entries missing")
     # null entries mark unmeasured tensor elements; they surface as NaN and
     # raise a DataError only if the estimation chain actually needs them.
-    arr = np.asarray([[math.nan if e is None else float(e) for e in row]
-                      for row in entries], dtype=float)
-    if arr.shape != (6, 6):
-        raise MaterialFileError(f"{where}: photoelastic.entries must be 6x6")
+    try:
+        photoelastic = PhotoelasticTensor(entries)
+    except ValueError as exc:
+        raise MaterialFileError(f"{where}: {exc}") from None
     eps_r = obj["eps_r"]
     if not (isinstance(eps_r, list) and len(eps_r) == 3):
         raise MaterialFileError(f"{where}: eps_r must be a 3-vector diagonal")
@@ -282,7 +289,7 @@ def _parse_material(obj: dict) -> Material:
     return Material(
         name=name,
         dispersion=dispersion,
-        photoelastic=PhotoelasticTensor(arr),
+        photoelastic=photoelastic,
         photoelastic_note=str(pe.get("note", "")),
         d_eff=float(obj["d_eff_m_per_v"]),
         eps_r=tuple(float(e) for e in eps_r),
@@ -328,7 +335,7 @@ def load_materials(path: str | Path) -> MaterialDb:
 def _dispersion_to_dict(d: DispersionModel) -> dict:
     out: dict[str, Any] = {"kind": d.kind, "valid_range_m": list(d.valid_range_m)}
     if d.kind == "tabulated-points":
-        out["points"] = [[float(v) for v in row] for row in d.points]
+        out["points"] = [list(row) for row in d.points]
     else:
         out["sellmeier"] = [[[b, c] for b, c in axis] for axis in d.sellmeier]
     return out

@@ -200,6 +200,7 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     """
     out = []
     for v in values:
+        v = float(v)
         if variable == "pump-wavelength":
             bands = MixingBands.from_vacuum_wavelengths(
                 v, v, pm_in.bands.omega_m / TWO_PI,
@@ -211,12 +212,12 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
                                     poling_sign=pm_in.poling_sign)
         elif variable == "poling-period":
             probe = PhaseMatchInput(bands=pm_in.bands, material=pm_in.material,
-                                    length=pm_in.length, poling_period=float(v),
+                                    length=pm_in.length, poling_period=v,
                                     poling_sign=pm_in.poling_sign)
         else:
             raise ValueError(
                 f"variable must be 'pump-wavelength' or 'poling-period', got {variable!r}")
-        out.append((float(v), delta_k(probe)))
+        out.append((v, delta_k(probe)))
     return out
 
 

@@ -1,21 +1,28 @@
 """Voigt-notation tensor containers for photoelasticity.
 
-Rank-4 photoelastic tensors are stored 6x6 and rank-5 second-order
-photoelastic tensors 6x3x6, with symmetric index pairs packed in the standard
-crystallographic order (00, 11, 22, 12, 02, 01).  Strain is packed as tensor
-strain (no factor of 2 on the shear components): the contractions here are
-written in full tensor indices, so the packed product must not double-count
-shear.  Loaders that ingest engineering-strain data are responsible for
-converting before constructing :class:`StrainVoigt`.
+Rank-4 photoelastic tensors are stored 6x6, as a tuple of float rows, and
+rank-5 second-order photoelastic tensors 6x3x6, as an ndarray, with symmetric
+index pairs packed in the standard crystallographic order (00, 11, 22, 12,
+02, 01).  Strain is packed as tensor strain (no factor of 2 on the shear
+components): the contractions here are written in full tensor indices, so the
+packed product must not double-count shear.  Loaders that ingest
+engineering-strain data are responsible for converting before constructing
+:class:`StrainVoigt`.
+
+numpy is imported only inside the functions that build or contract arrays,
+so loading a material database does not import it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Voigt pair for each packed index, in standard crystallographic order.
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
@@ -42,8 +49,28 @@ def voigt_pair(v: int) -> tuple[int, int]:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
+    import numpy as np
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite entries")
+
+
+def _float_rows(table, width: int, nrows: int | None = None
+                ) -> tuple[tuple[float, ...], ...]:
+    """``table`` (a nested sequence or 2-D array) as a tuple of float rows.
+
+    Entries are read as ``np.asarray(table, dtype=float)`` reads them, with
+    None as NaN.  Raises ValueError, with what was found, unless the table has
+    at least one row (exactly ``nrows`` if given) of ``width`` numbers each.
+    """
+    try:
+        rows = tuple(tuple(math.nan if v is None else float(v) for v in row)
+                     for row in table)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(str(exc)) from None
+    widths = sorted({len(r) for r in rows})
+    if widths != [width] or nrows not in (None, len(rows)):
+        raise ValueError(f"got {len(rows)} rows of widths {widths}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -52,18 +79,21 @@ class PhotoelasticTensor:
 
     ``entries[V][W]`` couples the optical index pair packed as V to the strain
     pair packed as W; both pair symmetries hold by construction of the packing.
+    The entries are stored as a tuple of six row tuples of floats.
     """
 
-    entries: np.ndarray
+    entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.shape != (6, 6):
-            raise ValueError(f"photoelastic tensor must be 6x6, got {arr.shape}")
-        object.__setattr__(self, "entries", arr)
+        try:
+            rows = _float_rows(self.entries, 6, nrows=6)
+        except ValueError as exc:
+            raise ValueError(f"photoelastic tensor must be 6x6 numbers ({exc})") from None
+        object.__setattr__(self, "entries", rows)
 
     def require_finite(self) -> None:
-        _require_finite(self.entries, "photoelastic tensor")
+        if not all(math.isfinite(e) for row in self.entries for e in row):
+            raise ValueError("photoelastic tensor must contain only finite entries")
 
 
 @dataclass(frozen=True)
@@ -77,6 +107,7 @@ class SecondOrderPhotoelastic:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         arr = np.asarray(self.entries, dtype=float)
         if arr.shape != (6, 3, 6):
             raise ValueError(f"second-order tensor must be 6x3x6, got {arr.shape}")
@@ -93,6 +124,7 @@ class StrainVoigt:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         arr = np.asarray(self.entries, dtype=float)
         if arr.shape != (6,):
             raise ValueError(f"strain vector must have 6 components, got {arr.shape}")
@@ -111,8 +143,9 @@ def contract_photoelastic(p: PhotoelasticTensor, x: StrainVoigt) -> np.ndarray:
     Returns the 6-vector ``delta[V] = sum_W p[V][W] * x[W]``, exactly linear
     in the strain.
     """
+    import numpy as np
     p.require_finite()
-    return p.entries @ x.entries
+    return np.array(p.entries) @ x.entries
 
 
 @dataclass(frozen=True)
@@ -145,6 +178,7 @@ def check_pair_symmetry(t: SecondOrderPhotoelastic, tol: float) -> SymmetryRepor
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    import numpy as np
     t.require_finite()
     full = np.empty((3, 3, 3, 6))
     for v, (h, i) in enumerate(VOIGT_PAIRS):
@@ -177,6 +211,7 @@ def check_pair_symmetry(t: SecondOrderPhotoelastic, tol: float) -> SymmetryRepor
 def symmetrize(t: SecondOrderPhotoelastic) -> SecondOrderPhotoelastic:
     """Average each (h, i, j) permutation orbit, yielding a tensor that
     passes :func:`check_pair_symmetry` at machine precision."""
+    import numpy as np
     full = np.empty((3, 3, 3, 6))
     for v, (h, i) in enumerate(VOIGT_PAIRS):
         for j in range(3):

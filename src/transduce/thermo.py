@@ -39,14 +39,17 @@ linear coefficient (the piezoelectric term in dX/dD).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .units import EPS0
 
-_EPS_MACHINE = float(np.finfo(float).eps)
+if TYPE_CHECKING:
+    import numpy as np
+
+_EPS_MACHINE = sys.float_info.epsilon
 
 # Step scales.  The large scale is the default: within the degree caps the
 # stencils are exact for polynomials, so bigger steps only reduce rounding
@@ -266,6 +269,7 @@ def _sym2(a: np.ndarray) -> np.ndarray:
 
 
 def _sym3(a: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.zeros_like(a)
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         out += np.transpose(a, perm)
@@ -291,6 +295,7 @@ class VectorFreeEnergyModel:
     q: np.ndarray        # (2, 2, 2) fully symmetric
 
     def __post_init__(self):
+        import numpy as np
         h = np.asarray(self.h, dtype=float).reshape(2)
         e1 = _sym2(np.asarray(self.eta1, dtype=float).reshape(2, 2))
         e2 = _sym3(np.asarray(self.eta2, dtype=float).reshape(2, 2, 2))
@@ -308,6 +313,7 @@ class VectorFreeEnergyModel:
 
 def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float,
                             D: np.ndarray) -> float:
+    import numpy as np
     D = np.asarray(D, dtype=float).reshape(2)
     return float(
         0.5 * m.c * x * x
@@ -319,6 +325,7 @@ def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float,
 
 
 def stress_of_vector(m: VectorFreeEnergyModel, x: float, D: np.ndarray) -> float:
+    import numpy as np
     D = np.asarray(D, dtype=float).reshape(2)
     return float(
         m.c * x + m.h @ D + (D @ m.p @ D) / (2.0 * EPS0)
@@ -327,6 +334,7 @@ def stress_of_vector(m: VectorFreeEnergyModel, x: float, D: np.ndarray) -> float
 
 def efield_of_vector(m: VectorFreeEnergyModel, x: float,
                      D: np.ndarray) -> np.ndarray:
+    import numpy as np
     D = np.asarray(D, dtype=float).reshape(2)
     return (m.h * x + m.eta1 @ D + np.einsum("mjk,j,k->m", m.eta2, D, D)
             + x * (m.p @ D) / EPS0
@@ -366,6 +374,7 @@ def verify_relations_vector(m: VectorFreeEnergyModel,
     Residuals are the worst over all index combinations; the factor-2 route
     uses eta2[m, k, l](x) = (1/2) d2 E_m / dD_k dD_l at D = 0.
     """
+    import numpy as np
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     zero = np.zeros(2)

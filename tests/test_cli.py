@@ -178,6 +178,25 @@ class TestPhasematchAndPoling:
         assert lines[0].startswith("sweep_value,")
         assert len(lines) == 6
 
+    def test_pump_wavelength_sweep_csv_fields_are_plain_floats(self):
+        cp = run_cli("phasematch", *BANDS_ARGS, "--length", "100e-6",
+                     "--sweep", "pump-wavelength", "--sweep-start", "2.45e-6",
+                     "--sweep-stop", "2.6e-6", "--sweep-points", "4", "--csv")
+        assert cp.returncode == 0
+        lines = cp.stdout.strip().splitlines()
+        assert len(lines) == 5
+        for line in lines[1:]:
+            for field in line.split(","):
+                float(field)
+
+    def test_zero_sweep_points_is_data_error(self):
+        cp = run_cli("phasematch", *BANDS_ARGS, "--length", "100e-6",
+                     "--sweep", "poling-period", "--sweep-start", "2e-6",
+                     "--sweep-stop", "3e-6", "--sweep-points", "0")
+        assert cp.returncode == 1
+        assert cp.stderr == "error: --sweep-points must be >= 1\n"
+        assert cp.stdout == ""
+
     def test_degenerate_warning(self, tmp_path):
         # dispersionless entry: 3WM matched together with 4WM
         doc = json.loads(dumps_materials(default_db()))
@@ -202,7 +221,52 @@ class TestVerifyThermo:
         assert cp.stdout.count("PASS") >= 4
         assert "detected" in cp.stdout
 
+    def test_zero_trials_is_data_error(self):
+        cp = run_cli("verify-thermo", "--trials", "0")
+        assert cp.returncode == 1
+        assert "--trials" in cp.stderr
+        assert "PASS" not in cp.stdout and "Traceback" not in cp.stderr
+
     def test_deterministic_given_seed(self):
         a = run_cli("verify-thermo", "--trials", "10", "--seed", "7")
         b = run_cli("verify-thermo", "--trials", "10", "--seed", "7")
         assert a.stdout == b.stdout
+
+
+WORKED_ARGVS = [
+    ["materials"],
+    ["materials", "--show", "BaTiO3"],
+    ["estimate-q", *BANDS_ARGS],
+    ["field", "--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "2.26",
+     "--material", "BaTiO3"],
+    ["phasematch", *BANDS_ARGS, "--length", "100e-6", "--three-wave"],
+    ["poling", *BANDS_ARGS, "--length", "100e-6"],
+]
+
+
+class TestImportPath:
+    """Only the array commands (sweeps, verify-thermo) load numpy."""
+
+    def test_single_point_commands_do_not_import_numpy(self):
+        code = (
+            "import sys\n"
+            "import transduce\n"
+            "from transduce import cli\n"
+            "transduce.default_db()\n"
+            f"for argv in {WORKED_ARGVS!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "assert not loaded, loaded\n")
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert "q_eff = " in cp.stdout and "poling_period = " in cp.stdout
+
+    def test_sweep_power_csv_matches_geomspace_library_call(self, bto, bto_bands):
+        import numpy as np
+        from transduce import power_sweep
+        cp = run_cli("sweep-power", *BANDS_ARGS, "--mfd", "1.2e-6", "--n-mode", "2.26",
+                     "--pmin", "1e-4", "--pmax", "0.5", "--log", "--points", "17",
+                     "--csv")
+        assert cp.returncode == 0
+        report = power_sweep(bto, bto_bands, np.geomspace(1e-4, 0.5, 17), 1.2e-6, 2.26)
+        assert cp.stdout == report.to_csv()

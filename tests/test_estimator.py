@@ -100,6 +100,13 @@ class TestEta2AndMiller:
         with pytest.raises(SingularityError):
             miller_Q(1.0, 1.0, 2.0, 2.0)
 
+    @pytest.mark.parametrize("route, first", [(q_eff_from_deff, 1e-11),
+                                              (q_eff_from_eta2, 1.9e9)])
+    @pytest.mark.parametrize("ns", [(1.0, 2.0, 2.0), (2.0, 2.0, 1.0)])
+    def test_q_eff_vacuum_band_is_singular(self, route, first, ns):
+        with pytest.raises(SingularityError, match="vacuum band"):
+            route(first, ns, (0.2, 0.2, 0.77))
+
     @given(st.floats(1e6, 1e12), st.floats(1.1, 3.5), st.floats(1.1, 3.5),
            st.floats(1.1, 3.5))
     def test_roundtrip_eta2_Q(self, eta2, n1, n2, n3):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,9 +156,11 @@ class TestTabulatedLookup:
                             points=points)
         points[:, 1:] = 9.0
         assert d.index(1.5e-6, 0) == 2.5
-        assert not d.points.flags.writeable
-        with pytest.raises(ValueError):
-            d.points[0, 1] = 9.0
+        assert d.points == ((1e-6, 2.0, 2.0, 2.0), (2e-6, 3.0, 3.0, 3.0))
+        with pytest.raises(TypeError):
+            d.points[0] = (1e-6, 9.0, 9.0, 9.0)
+        with pytest.raises(TypeError):
+            d.points[0][1] = 9.0
 
 
 class TestBundledFixture:
@@ -171,10 +175,11 @@ class TestBundledFixture:
 
     def test_photoelastic_entries(self, bto):
         e = bto.photoelastic.entries
-        assert e[0, 2] == 0.2 and e[1, 2] == 0.2 and e[2, 2] == 0.77
-        mask = np.ones((6, 6), dtype=bool)
-        mask[0, 2] = mask[1, 2] = mask[2, 2] = False
-        assert np.all(e[mask] == 0.0)
+        assert e[0][2] == 0.2 and e[1][2] == 0.2 and e[2][2] == 0.77
+        for v in range(6):
+            for w in range(6):
+                if (v, w) not in ((0, 2), (1, 2), (2, 2)):
+                    assert e[v][w] == 0.0
         assert "633" in bto.photoelastic_note
 
     def test_scalar_parameters(self, bto):
@@ -193,8 +198,8 @@ class TestValidate:
     def test_dip_below_one_is_one_violation(self):
         db = loads_materials(json.dumps(MINIMAL))
         m = db.get("demo")
-        bad_points = m.dispersion.points.copy()
-        bad_points[1, 1:] = 0.9
+        bad_points = [list(row) for row in m.dispersion.points]
+        bad_points[1][1:] = [0.9, 0.9, 0.9]
         from dataclasses import replace
         bad = replace(m, dispersion=replace(m.dispersion, points=bad_points))
         violations = validate_material(bad)
@@ -202,9 +207,75 @@ class TestValidate:
         assert violations[0].field == "dispersion.points"
         assert violations[0].rule == "n >= 1"
 
+    def test_narrow_sellmeier_pole_between_scan_samples_rejected(self):
+        lo, hi = 0.5e-6, 2.0e-6
+        grid = np.linspace(lo, hi, 64)
+        pole = (grid[10] + grid[11]) / 2        # halfway between two samples
+        terms = [[1.0, 1e-14], [1e-4, pole ** 2]]
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["materials"][0]["dispersion"] = {
+            "kind": "sellmeier", "sellmeier": [terms] * 3, "valid_range_m": [lo, hi]}
+        # The scan alone sees nothing: n stays finite and near sqrt(2).
+        d = DispersionModel(kind="sellmeier", valid_range_m=(lo, hi),
+                            sellmeier=(tuple(map(tuple, terms)),) * 3)
+        assert all(1.4 < d.index(lam, 0) < 1.5 for lam in grid)
+        with pytest.raises(MaterialFileError, match="pole inside validity range"):
+            loads_materials(json.dumps(doc))
+
+    @pytest.mark.parametrize("c", [0.5e-6 ** 2, 2.0e-6 ** 2])
+    def test_sellmeier_pole_at_window_edge_rejected(self, c):
+        m = loads_materials(json.dumps(MINIMAL)).get("demo")
+        from dataclasses import replace
+        disp = DispersionModel(kind="sellmeier", valid_range_m=(0.5e-6, 2.0e-6),
+                               sellmeier=(((1.0, 1e-14), (1e-4, c)),) * 3)
+        violations = validate_material(replace(m, dispersion=disp))
+        assert [v.rule for v in violations] == ["pole inside validity range"] * 3
+
     def test_missing_v_sound_mode_is_not_a_validation_issue(self):
         db = loads_materials(_with(v_sound_m_per_s={}))
         assert validate_material(db.get("demo")) == []
+
+
+GOOD_POINTS = [[1.0e-6, 1.5, 1.5, 1.5], [2.0e-6, 1.4, 1.4, 1.4]]
+
+
+def _malformed(field, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    entry = doc["materials"][0]
+    if field == "points":
+        entry["dispersion"]["points"] = value
+    else:
+        entry["photoelastic"]["entries"] = value
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "ragged points rows": ("points", [GOOD_POINTS[0], [2.0e-6, 1.4, 1.4]]),
+    "points rows 3 wide": ("points", [row[:3] for row in GOOD_POINTS]),
+    "points rows 5 wide": ("points", [row + [1.4] for row in GOOD_POINTS]),
+    "points row not a list": ("points", [GOOD_POINTS[0], 2.0e-6]),
+    "non-numeric point": ("points", [GOOD_POINTS[0], [2.0e-6, "n", 1.4, 1.4]]),
+    "photoelastic 5x6": ("entries", [[0.0] * 6 for _ in range(5)]),
+    "photoelastic 6x5": ("entries", [[0.0] * 5 for _ in range(6)]),
+    "ragged photoelastic": ("entries", [[0.0] * 6 for _ in range(5)] + [[0.0] * 7]),
+    "photoelastic row not a list": ("entries", [[0.0] * 6 for _ in range(5)] + [0.0]),
+    "non-numeric photoelastic": ("entries", [[0.0] * 6 for _ in range(5)]
+                                 + [[0.0] * 5 + ["p"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_table_rejected_by_material_name(case, tmp_path):
+    text = _malformed(*MALFORMED[case])
+    with pytest.raises(MaterialFileError, match="material 'demo'"):
+        loads_materials(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    cp = subprocess.run([sys.executable, "-m", "transduce", "materials", "--db", str(path)],
+                        capture_output=True, text=True)
+    assert cp.returncode == 1
+    assert "material 'demo'" in cp.stderr
+    assert "Traceback" not in cp.stderr
 
 
 class TestRoundTrip:
