@@ -35,9 +35,9 @@ from .estimator import (CouplingBenchmark, MixingBands,
 from .materials import MaterialDb, default_db, dumps_materials, load_materials
 from .phasematch import (PhaseMatchInput, delta_k, poling_period, sweep,
                          sweep_to_csv, three_wave_residual)
-from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, efield_of,
-                     stress_of, verify_relations, verify_relations_pair,
-                     verify_relations_vector)
+from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, _nan_first,
+                     efield_of, stress_of, verify_relations,
+                     verify_relations_pair, verify_relations_vector)
 
 ENV_DB = "TRANSDUCE_DB"
 
@@ -263,16 +263,12 @@ def _cmd_verify_thermo(args) -> int:
     import numpy as np
     rng = np.random.default_rng(args.seed)
     worst = {"order1": 0.0, "order2": 0.0, "order3": 0.0, "factor2": 0.0}
-    n_failed = 0
     for _ in range(args.trials):
         coefs = rng.uniform(-args.coef_range, args.coef_range, size=6)
         rep = verify_relations(FreeEnergyModel(*coefs), tol=args.tol)
-        worst["order1"] = max(worst["order1"], rep.order1_residual)
-        worst["order2"] = max(worst["order2"], rep.order2_residual)
-        worst["order3"] = max(worst["order3"], rep.order3_residual)
-        worst["factor2"] = max(worst["factor2"], rep.factor2_residual)
-        if not rep.all_passed:
-            n_failed += 1
+        for name in worst:
+            worst[name] = max(worst[name], getattr(rep, f"{name}_residual"),
+                              key=_nan_first)
     print(f"{args.trials} random scalar models, coefficients in "
           f"[-{args.coef_range:g}, {args.coef_range:g}], tol {args.tol:g}")
     print(f"{'relation':>10s} {'worst residual':>16s} {'status':>8s}")
@@ -288,8 +284,9 @@ def _cmd_verify_thermo(args) -> int:
                                 p=rng.uniform(-10, 10, (2, 2)),
                                 q=rng.uniform(-10, 10, (2, 2, 2)))
     vrep = verify_relations_vector(vec, tol=args.tol)
-    print(f"two-component spot check: worst residual "
-          f"{max(vrep.order1_residual, vrep.order2_residual, vrep.order3_residual, vrep.factor2_residual):.6e} "
+    vworst = max(vrep.order1_residual, vrep.order2_residual,
+                 vrep.order3_residual, vrep.factor2_residual, key=_nan_first)
+    print(f"two-component spot check: worst residual {vworst:.6e} "
           f"{'PASS' if vrep.all_passed else 'FAIL'}")
     ok = ok and vrep.all_passed
 
@@ -400,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TransduceError, ValueError) as exc:
+    except (TransduceError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ dimensional composition is checked in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DataError, SingularityError
@@ -120,6 +121,16 @@ class MillerChain:
     q_eff: float
 
 
+_MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
+
+
+def _check_mfd(mfd: float) -> None:
+    """Reject an MFD whose square would overflow or underflow the area formulas."""
+    if not (mfd > 0 and _MIN_NORMAL <= mfd * mfd <= _MAX_FLOAT):
+        raise ValueError("mode-field diameter must be positive and its square "
+                         f"a finite normal float, got {mfd}")
+
+
 @dataclass(frozen=True)
 class PumpGeometry:
     """Guided pump: power (W), mode-field diameter (m), modal index."""
@@ -131,8 +142,7 @@ class PumpGeometry:
     def __post_init__(self):
         if not (self.power >= 0 and math.isfinite(self.power)):
             raise ValueError(f"power must be finite and >= 0, got {self.power}")
-        if not (self.mfd > 0 and math.isfinite(self.mfd)):
-            raise ValueError(f"mode-field diameter must be positive, got {self.mfd}")
+        _check_mfd(self.mfd)
         if not (self.n_mode > 0 and math.isfinite(self.n_mode)):
             raise ValueError(f"modal index must be positive, got {self.n_mode}")
 
@@ -280,15 +290,13 @@ def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
     if not (power >= 0 and math.isfinite(power)):
         raise ValueError(f"power must be finite and >= 0, got {power}")
-    if not (mfd > 0 and math.isfinite(mfd)):
-        raise ValueError(f"mode-field diameter must be positive and finite, got {mfd}")
+    _check_mfd(mfd)
     return power / (math.pi * (mfd / 2.0) ** 2)
 
 
 def damage_limited_power(m: Material, mfd: float) -> float:
     """Largest power (W) keeping the peak intensity at the damage threshold."""
-    if not mfd > 0:
-        raise ValueError(f"mode-field diameter must be positive, got {mfd}")
+    _check_mfd(mfd)
     area = math.pi * (mfd / 2.0) ** 2
     return (Quantity(m.damage_threshold, WATT_PER_M2)
             * Quantity(area, METER * METER)).expect(WATT, "power")

@@ -28,6 +28,9 @@ File schema (all numbers SI):
 
 Unit bookkeeping lives in the key names; the loader rejects unknown or
 missing keys by name, which is what "units validated on load" means here.
+A null photoelastic entry means "unmeasured": it loads as NaN, and the
+estimation chain raises DataError only if the bands need it.  Infinite
+entries, and scalar fields that are not JSON numbers, are rejected by name.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class DispersionModel:
         n2 = 1.0
         lam2 = wavelength * wavelength
         for b, c in self.sellmeier[axis]:
-            n2 += b * lam2 / (lam2 - c)
+            if b:   # a B = 0 term adds nothing, even with its C at lam^2
+                n2 += b * lam2 / (lam2 - c)
         if n2 < 0:
             raise RangeError(
                 f"Sellmeier n^2 negative at {wavelength:.6g} m (pole inside "
@@ -193,6 +197,9 @@ def validate_material(m: Material) -> list[Violation]:
         step = (hi - lo) / (_N_VALIDATION_SAMPLES - 1)
         grid = [lo + i * step for i in range(_N_VALIDATION_SAMPLES - 1)] + [hi]
         for axis in range(3):
+            if not all(math.isfinite(v) for term in d.sellmeier[axis] for v in term):
+                out.append(Violation("dispersion.sellmeier", "finite B and C", axis))
+                continue
             # A pole at lam^2 = C is checked exactly; sampling could miss it.
             if any(b != 0 and lo * lo <= c <= hi * hi for b, c in d.sellmeier[axis]):
                 out.append(Violation("dispersion.sellmeier", "pole inside validity range", axis))
@@ -205,8 +212,9 @@ def validate_material(m: Material) -> list[Violation]:
             if nmin < 1.0:
                 out.append(Violation("dispersion.sellmeier", "n >= 1 over validity range",
                                      nmin))
-    if not all(math.isfinite(e) for row in m.photoelastic.entries for e in row):
-        out.append(Violation("photoelastic.entries", "finite 6x6", None))
+    # NaN (null in a file) marks an unmeasured entry; only infinities are bad.
+    if any(math.isinf(e) for row in m.photoelastic.entries for e in row):
+        out.append(Violation("photoelastic.entries", "finite or null 6x6", None))
     if not math.isfinite(m.d_eff):
         out.append(Violation("d_eff_m_per_v", "finite", m.d_eff))
     if len(m.eps_r) != 3 or any(not math.isfinite(e) or e <= 0 for e in m.eps_r):
@@ -231,12 +239,28 @@ _MATERIAL_KEYS = {"name", "dispersion", "photoelastic", "d_eff_m_per_v",
 _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
-def _parse_dispersion(obj: dict, where: str) -> DispersionModel:
+def _number(value, where: str, field: str) -> float:
+    """JSON number ``value`` as a float; MaterialFileError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MaterialFileError(f"{where}: {field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, where: str, field: str) -> dict:
+    """``value`` if it is a JSON object; MaterialFileError naming ``field``."""
+    if not isinstance(value, dict):
+        raise MaterialFileError(f"{where}: {field} must be an object, got {value!r}")
+    return value
+
+
+def _parse_dispersion(obj, where: str) -> DispersionModel:
+    obj = _object(obj, where, "dispersion")
     kind = obj.get("kind")
     rng = obj.get("valid_range_m")
     if not (isinstance(rng, list) and len(rng) == 2):
         raise MaterialFileError(f"{where}: dispersion.valid_range_m must be [lo, hi]")
-    valid = (float(rng[0]), float(rng[1]))
+    valid = tuple(_number(v, where, f"dispersion.valid_range_m[{i}]")
+                  for i, v in enumerate(rng))
     if kind == "tabulated-points":
         pts = obj.get("points")
         if not pts:
@@ -246,18 +270,21 @@ def _parse_dispersion(obj: dict, where: str) -> DispersionModel:
         except ValueError as exc:
             raise MaterialFileError(f"{where}: {exc}") from None
     if kind == "sellmeier":
-        terms = obj.get("sellmeier")
-        if terms is None or len(terms) != 3:
-            raise MaterialFileError(f"{where}: sellmeier dispersion needs 3 axis term lists")
-        packed = tuple(tuple((float(b), float(c)) for b, c in axis_terms)
-                       for axis_terms in terms)
+        try:
+            packed = tuple(tuple((float(b), float(c)) for b, c in axis_terms)
+                           for axis_terms in obj.get("sellmeier"))
+        except (TypeError, ValueError):
+            packed = ()
+        if len(packed) != 3:
+            raise MaterialFileError(f"{where}: dispersion.sellmeier must be 3 axis "
+                                    "lists of [B, C] number pairs")
         return DispersionModel(kind=kind, valid_range_m=valid, sellmeier=packed)
     raise MaterialFileError(
         f"{where}: dispersion.kind must be 'tabulated-points' or 'sellmeier', got {kind!r}")
 
 
-def _parse_material(obj: dict) -> Material:
-    name = obj.get("name")
+def _parse_material(obj) -> Material:
+    name = obj.get("name") if isinstance(obj, dict) else None
     if not isinstance(name, str) or not name:
         raise MaterialFileError("material entry without a 'name'")
     where = f"material '{name}'"
@@ -270,7 +297,7 @@ def _parse_material(obj: dict) -> Material:
         raise MaterialFileError(f"{where}: missing required keys {sorted(missing)}")
 
     dispersion = _parse_dispersion(obj["dispersion"], where)
-    pe = obj["photoelastic"]
+    pe = _object(obj["photoelastic"], where, "photoelastic")
     entries = pe.get("entries")
     if entries is None:
         raise MaterialFileError(f"{where}: photoelastic.entries missing")
@@ -286,15 +313,18 @@ def _parse_material(obj: dict) -> Material:
     qpm = obj.get("qpm_order", 1)
     if not isinstance(qpm, int):
         raise MaterialFileError(f"{where}: qpm_order must be an integer")
+    v_sound = _object(obj["v_sound_m_per_s"], where, "v_sound_m_per_s")
     return Material(
         name=name,
         dispersion=dispersion,
         photoelastic=photoelastic,
         photoelastic_note=str(pe.get("note", "")),
-        d_eff=float(obj["d_eff_m_per_v"]),
-        eps_r=tuple(float(e) for e in eps_r),
-        v_sound={str(k): float(v) for k, v in obj["v_sound_m_per_s"].items()},
-        damage_threshold=float(obj["damage_threshold_w_per_m2"]),
+        d_eff=_number(obj["d_eff_m_per_v"], where, "d_eff_m_per_v"),
+        eps_r=tuple(_number(e, where, f"eps_r[{i}]") for i, e in enumerate(eps_r)),
+        v_sound={str(k): _number(v, where, f"v_sound_m_per_s.{k}")
+                 for k, v in v_sound.items()},
+        damage_threshold=_number(obj["damage_threshold_w_per_m2"], where,
+                                 "damage_threshold_w_per_m2"),
         qpm_order=qpm,
     )
 
@@ -308,8 +338,11 @@ def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
         raise MaterialFileError(
             f"{source}: expected top level {{'schema': {SCHEMA_VERSION}, 'materials': [...]}}")
+    entries = doc.get("materials", [])
+    if not isinstance(entries, list):
+        raise MaterialFileError(f"{source}: 'materials' must be a list")
     mats: dict[str, Material] = {}
-    for obj in doc.get("materials", []):
+    for obj in entries:
         m = _parse_material(obj)
         if m.name in mats:
             raise MaterialFileError(f"{source}: duplicate material name '{m.name}'")

@@ -161,6 +161,16 @@ class SymmetryReport:
         return not self.flagged
 
 
+def _perm_average(a: np.ndarray, k: int) -> np.ndarray:
+    """Average of ``a`` over every permutation of its first ``k`` axes,
+    summed from zero in ``itertools.permutations`` order."""
+    import numpy as np
+    out = np.zeros_like(a)
+    for perm in permutations(range(k)):
+        out += np.transpose(a, (*perm, *range(k, a.ndim)))
+    return out / math.factorial(k)
+
+
 def _orbit_values(full: np.ndarray, h: int, i: int, j: int, w: int) -> list[float]:
     return [float(full[a, b, c, w]) for (a, b, c) in set(permutations((h, i, j)))]
 
@@ -217,10 +227,7 @@ def symmetrize(t: SecondOrderPhotoelastic) -> SecondOrderPhotoelastic:
         for j in range(3):
             full[h, i, j, :] = t.entries[v, j, :]
             full[i, h, j, :] = t.entries[v, j, :]
-    sym = np.zeros_like(full)
-    for perm in permutations((0, 1, 2)):
-        sym += np.transpose(full, axes=(*perm, 3))
-    sym /= 6.0
+    sym = _perm_average(full, 3)
     packed = np.empty((6, 3, 6))
     for v, (h, i) in enumerate(VOIGT_PAIRS):
         packed[v, :, :] = sym[h, i, :, :]

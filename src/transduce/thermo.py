@@ -27,13 +27,15 @@ eps0 * d(eta1)/dx and eps0 * d(eta2)/dx of the model, and the third stress
 derivative is 2q/eps0.
 
 Everything is verified by central finite differences with one level of
-Richardson refinement.  Within the degree caps (quadratic in x, cubic in D)
-truncation vanishes identically, so step sizes are chosen purely against
-rounding.  The default step is large (0.25 times the coordinate scale),
-which keeps the differenced signal far above the cancellation floor; the one
-exception is an un-nested first D-derivative, which uses eps_machine^(1/3)
-so that the 1/eps0-scaled quadratic and cubic terms cannot pollute an O(1)
-linear coefficient (the piezoelectric term in dX/dD).
+Richardson refinement, by one ladder that walks the index combinations of an
+n-component D: the scalar model is its one-component case.  Within the degree
+caps (quadratic in x, cubic in D) truncation vanishes identically, so step
+sizes are chosen purely against rounding, by one rule: the step is large
+(0.25 times the coordinate scale), which keeps the differenced signal far
+above the cancellation floor, except for an un-nested first D-derivative,
+which uses eps_machine^(1/3) so that the 1/eps0-scaled quadratic and cubic
+terms cannot pollute an O(1) linear coefficient (the piezoelectric term in
+dX/dD).  A residual that is NaN (a difference that overflowed) fails.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
+from .tensors import _perm_average
 from .units import EPS0
 
 if TYPE_CHECKING:
@@ -51,8 +54,8 @@ if TYPE_CHECKING:
 
 _EPS_MACHINE = sys.float_info.epsilon
 
-# Step scales.  The large scale is the default: within the degree caps the
-# stencils are exact for polynomials, so bigger steps only reduce rounding
+# The one step rule.  The large scale is the default: within the degree caps
+# the stencils are exact for polynomials, so bigger steps only reduce rounding
 # noise.  The one exception is an un-nested first D-derivative, where a small
 # O(1) target (the piezoelectric coefficient) must be separated from
 # 1/eps0-scaled quadratic and cubic terms; there a small step shrinks the
@@ -61,18 +64,14 @@ _EPS_MACHINE = sys.float_info.epsilon
 # and a small inner step would poison the outer stencil with amplified noise.
 FD_STEP_LARGE = 0.25
 FD_STEP_SMALL = _EPS_MACHINE ** (1.0 / 3.0)
-FD_STEP_SCALES: dict[int, float] = {1: FD_STEP_SMALL, 2: FD_STEP_LARGE,
-                                    3: FD_STEP_LARGE}
 
 MAX_ORDER_X = 1
 MAX_ORDER_D = 3
 
 
-def _diff(f, at: float, order: int, scale: float | None = None) -> float:
+def _diff(f, at: float, order: int, scale: float) -> float:
     """Central difference of ``order`` with one Richardson level at ``at``."""
-    if order == 0:
-        return f(at)
-    h = (FD_STEP_SCALES[order] if scale is None else scale) * max(1.0, abs(at))
+    h = scale * max(1.0, abs(at))
 
     def base(hh: float) -> float:
         if order == 1:
@@ -83,6 +82,33 @@ def _diff(f, at: float, order: int, scale: float | None = None) -> float:
                 + 2.0 * f(at - hh) - f(at - 2.0 * hh)) / (2.0 * hh ** 3)
 
     return (4.0 * base(h) - base(2.0 * h)) / 3.0
+
+
+def _partial(f, point: list[float], axes: tuple[int, ...],
+             nested: bool = False) -> float:
+    """Nested central differences of f(*point) along the sorted ``axes``.
+
+    ``point`` is [x, D_1, ..., D_n]: axis 0 is the strain, axis k > 0 the
+    D-component k.  Each pass moves its coordinate in place and restores it.
+    A run of repeated axes is one higher-order stencil, so (1, 1, 2) costs a
+    second-order pass along D_1 around a first-order pass along D_2.  Only an
+    un-nested first-order D pass takes the small step.
+    """
+    if not axes:
+        return f(*point)
+    axis = axes[0]
+    order = axes.count(axis)
+    rest = axes[order:]
+    at = point[axis]
+
+    def along(val: float) -> float:
+        point[axis] = val
+        return _partial(f, point, rest, nested=True) if rest else f(*point)
+
+    small = axis > 0 and order == 1 and not (nested or rest)
+    d = _diff(along, at, order, FD_STEP_SMALL if small else FD_STEP_LARGE)
+    point[axis] = at
+    return d
 
 
 def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
@@ -98,14 +124,7 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     if not (0 <= nd <= MAX_ORDER_D):
         raise ValueError(f"D-derivative order must be 0..{MAX_ORDER_D}, got {nd}")
     x0, d0 = point
-    if nx == 0 and nd == 0:
-        return f(x0, d0)
-    if nx == 0:
-        return _diff(lambda d: f(x0, d), d0, nd)
-    if nd == 0:
-        return _diff(lambda x: f(x, d0), x0, nx, scale=FD_STEP_LARGE)
-    return _diff(lambda x: _diff(lambda d: f(x, d), d0, nd, scale=FD_STEP_LARGE),
-                 x0, nx, scale=FD_STEP_LARGE)
+    return _partial(f, [x0, d0], (0,) * nx + (1,) * nd)
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,8 @@ class RelationReport:
 
     Residuals are relative (|lhs - rhs| / max magnitude, 0 for 0 = 0).
     ``fd_step_used`` records the step scale of the high-order differences
-    that dominate the residuals; first-order passes use the smaller
-    eps_machine^(1/3) scale (see FD_STEP_SCALES).
+    that dominate the residuals; an un-nested first D-derivative uses the
+    smaller eps_machine^(1/3) scale (FD_STEP_SMALL).  A NaN residual fails.
     """
 
     order1_residual: float
@@ -208,41 +227,54 @@ class RelationReport:
         }
 
 
-def _report(resids: tuple[float, float, float, float], tol: float) -> RelationReport:
-    r1, r2, r3, rf = resids
+def _nan_first(r: float) -> tuple[bool, float]:
+    """Sort key under which max() is NaN if any residual is NaN."""
+    return math.isnan(r), r
+
+
+def _ladder(stress, efield, tol: float) -> RelationReport:
+    """The relation ladder for an n-component D, worst residual per rung.
+
+    ``stress(x, D_1, ..., D_n)`` is X and ``efield[m](x, D_1, ..., D_n)`` is
+    E_m, with n = len(efield).  Order r compares d^r X / dD_k...dD_m with
+    d/dx d^(r-1) E_m / dD_k... for every sorted index combination (k, ..., m);
+    the factor-2 route differentiates eta2_mkl(x) = (1/2) d2 E_m / dD_k dD_l
+    at D = 0 in x.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    n = len(efield)
+    origin = [0.0] * (n + 1)
+    resids: tuple[list[float], ...] = ([], [], [], [])
+    for order in (1, 2, 3):
+        for axes in combinations_with_replacement(range(1, n + 1), order):
+            inner, e_m = axes[:-1], efield[axes[-1] - 1]
+            lhs = _partial(stress, origin, axes)
+            rhs = _partial(e_m, origin, (0, *inner))
+            resids[order - 1].append(_relative(lhs, rhs))
+            if order == 3:
+                rhs_f2 = 2.0 * _partial(
+                    lambda *p: 0.5 * _partial(e_m, list(p), inner, nested=True),
+                    origin, (0,))
+                resids[3].append(_relative(lhs, rhs_f2))
+    r1, r2, r3, rf = (max(r, key=_nan_first) for r in resids)
     return RelationReport(
         order1_residual=r1, order2_residual=r2, order3_residual=r3,
-        factor2_residual=rf, fd_step_used=FD_STEP_SCALES[3], tol=tol,
+        factor2_residual=rf, fd_step_used=FD_STEP_LARGE, tol=tol,
         order1_passed=r1 < tol, order2_passed=r2 < tol,
         order3_passed=r3 < tol, factor2_passed=rf < tol)
 
 
-def verify_relations_pair(stress_fn, efield_fn, tol: float = 1e-6,
-                          eta2_fn=None) -> RelationReport:
+def verify_relations_pair(stress_fn, efield_fn, tol: float = 1e-6) -> RelationReport:
     """Check the relation ladder between arbitrary stress/field callables.
 
     Both callables take (x, D).  When they are the two first derivatives of
     one potential, every residual is at the finite-difference rounding floor;
     mismatched callables (not derivable from a single potential) show up as
-    residuals of order the coefficient disagreement.  ``eta2_fn`` overrides
-    the strain-resolved eta2 used by the factor-2 route; by default it is
-    recovered from ``efield_fn`` by differentiation.
+    residuals of order the coefficient disagreement.  The strain-resolved
+    eta2 of the factor-2 route is recovered from ``efield_fn``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    origin = (0.0, 0.0)
-    lhs1 = fd_partial(stress_fn, origin, (0, 1))
-    rhs1 = fd_partial(efield_fn, origin, (1, 0))
-    lhs2 = fd_partial(stress_fn, origin, (0, 2))
-    rhs2 = fd_partial(efield_fn, origin, (1, 1))
-    lhs3 = fd_partial(stress_fn, origin, (0, 3))
-    rhs3 = fd_partial(efield_fn, origin, (1, 2))
-    if eta2_fn is None:
-        def eta2_fn(x):
-            return 0.5 * fd_partial(efield_fn, (x, 0.0), (0, 2))
-    rhs_f2 = 2.0 * _diff(eta2_fn, 0.0, 1, scale=FD_STEP_LARGE)
-    return _report((_relative(lhs1, rhs1), _relative(lhs2, rhs2),
-                    _relative(lhs3, rhs3), _relative(lhs3, rhs_f2)), tol)
+    return _ladder(stress_fn, [efield_fn], tol)
 
 
 def verify_relations(m: FreeEnergyModel, tol: float = 1e-6) -> RelationReport:
@@ -256,25 +288,12 @@ def verify_relations(m: FreeEnergyModel, tol: float = 1e-6) -> RelationReport:
     return verify_relations_pair(
         lambda x, D: stress_of(m, x, D),
         lambda x, D: efield_of(m, x, D),
-        tol=tol,
-        eta2_fn=lambda x: extract_eta2(m, x))
+        tol=tol)
 
 
 # --------------------------------------------------------------------------
 # Two-component mode: D is a 2-vector, exercising index symmetry
 # --------------------------------------------------------------------------
-
-def _sym2(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-def _sym3(a: np.ndarray) -> np.ndarray:
-    import numpy as np
-    out = np.zeros_like(a)
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        out += np.transpose(a, perm)
-    return out / 6.0
-
 
 @dataclass(frozen=True)
 class VectorFreeEnergyModel:
@@ -296,19 +315,12 @@ class VectorFreeEnergyModel:
 
     def __post_init__(self):
         import numpy as np
-        h = np.asarray(self.h, dtype=float).reshape(2)
-        e1 = _sym2(np.asarray(self.eta1, dtype=float).reshape(2, 2))
-        e2 = _sym3(np.asarray(self.eta2, dtype=float).reshape(2, 2, 2))
-        p = _sym2(np.asarray(self.p, dtype=float).reshape(2, 2))
-        q = _sym3(np.asarray(self.q, dtype=float).reshape(2, 2, 2))
-        for name, arr in (("h", h), ("eta1", e1), ("eta2", e2), ("p", p), ("q", q)):
+        for name, rank in (("h", 1), ("eta1", 2), ("eta2", 3), ("p", 2), ("q", 3)):
+            arr = np.asarray(getattr(self, name), dtype=float).reshape((2,) * rank)
+            arr = _perm_average(arr, rank) if rank > 1 else arr
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"coefficient {name} must be finite")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "eta1", e1)
-        object.__setattr__(self, "eta2", e2)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+            object.__setattr__(self, name, arr)
 
 
 def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float,
@@ -341,32 +353,6 @@ def efield_of_vector(m: VectorFreeEnergyModel, x: float,
             + x * np.einsum("mjk,j,k->m", m.q, D, D) / EPS0)
 
 
-def _diff_along(f, D0: np.ndarray, axes: tuple[int, ...],
-                nested: bool = False) -> float:
-    """Nested directional differences of f(D) along D-component axes.
-
-    Repeated axes collapse into one higher-order stencil so that, e.g.,
-    (0, 0, 1) costs a second-order pass along axis 0 and a first-order pass
-    along axis 1.  The small first-derivative step applies only to a single
-    un-nested pass, mirroring the scalar policy.
-    """
-    if not axes:
-        return f(D0)
-    axis = axes[0]
-    order = 1
-    while order < len(axes) and axes[order] == axis:
-        order += 1
-    rest = axes[order:]
-
-    def along(val: float) -> float:
-        D = D0.copy()
-        D[axis] = val
-        return _diff_along(f, D, rest, nested=True) if rest else f(D)
-
-    scale = None if (order == 1 and not nested and not rest) else FD_STEP_LARGE
-    return _diff(along, float(D0[axis]), order, scale=scale)
-
-
 def verify_relations_vector(m: VectorFreeEnergyModel,
                             tol: float = 1e-6) -> RelationReport:
     """Componentwise relation ladder for the two-component model.
@@ -374,39 +360,6 @@ def verify_relations_vector(m: VectorFreeEnergyModel,
     Residuals are the worst over all index combinations; the factor-2 route
     uses eta2[m, k, l](x) = (1/2) d2 E_m / dD_k dD_l at D = 0.
     """
-    import numpy as np
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    zero = np.zeros(2)
-
-    def stress_x(x, D):
-        return stress_of_vector(m, x, D)
-
-    def efield_comp(mm):
-        return lambda x, D: float(efield_of_vector(m, x, D)[mm])
-
-    r1 = r2 = r3 = rf = 0.0
-    for k in range(2):
-        lhs = _diff_along(lambda D: stress_x(0.0, D), zero, (k,))
-        rhs = _diff(lambda x: efield_comp(k)(x, zero), 0.0, 1, scale=FD_STEP_LARGE)
-        r1 = max(r1, _relative(lhs, rhs))
-    for k, l in combinations_with_replacement(range(2), 2):
-        lhs = _diff_along(lambda D: stress_x(0.0, D), zero, (k, l), nested=True)
-        rhs = _diff(lambda x: _diff_along(lambda D: efield_comp(l)(x, D), zero,
-                                          (k,), nested=True),
-                    0.0, 1, scale=FD_STEP_LARGE)
-        r2 = max(r2, _relative(lhs, rhs))
-    for k, l, mm in combinations_with_replacement(range(2), 3):
-        lhs = _diff_along(lambda D: stress_x(0.0, D), zero, (k, l, mm), nested=True)
-        rhs = _diff(lambda x: _diff_along(lambda D: efield_comp(mm)(x, D), zero,
-                                          (k, l), nested=True),
-                    0.0, 1, scale=FD_STEP_LARGE)
-        r3 = max(r3, _relative(lhs, rhs))
-
-        def eta2_comp(x, k=k, l=l, mm=mm):
-            return 0.5 * _diff_along(lambda D: efield_comp(mm)(x, D), zero,
-                                     (k, l), nested=True)
-
-        rhs_f2 = 2.0 * _diff(eta2_comp, 0.0, 1, scale=FD_STEP_LARGE)
-        rf = max(rf, _relative(lhs, rhs_f2))
-    return _report((r1, r2, r3, rf), tol)
+    return _ladder(lambda x, *D: stress_of_vector(m, x, D),
+                   [lambda x, *D, k=k: float(efield_of_vector(m, x, D)[k])
+                    for k in range(2)], tol)

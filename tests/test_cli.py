@@ -1,9 +1,14 @@
+import io
 import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
+
+from transduce import cli
 
 from transduce import (PumpGeometry, default_db, dumps_materials,
                        peak_field_from_power, second_order_photoelasticity)
@@ -116,6 +121,29 @@ class TestMaterials:
         cp = run_cli("materials", "--db", str(flag_db), env=env)
         assert "FlagMaterial" in cp.stdout and "EnvMaterial" not in cp.stdout
 
+    @staticmethod
+    def _batio3_with_null_entry(tmp_path, v, w):
+        doc = json.loads(dumps_materials(default_db()))
+        doc["materials"] = [m for m in doc["materials"] if m["name"] == "BaTiO3"]
+        doc["materials"][0]["photoelastic"]["entries"][v][w] = None
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_null_photoelastic_entry_needed_by_the_bands_is_named(self, tmp_path):
+        path = self._batio3_with_null_entry(tmp_path, 0, 2)
+        cp = run_cli("estimate-q", "--db", path, *BANDS_ARGS)
+        assert cp.returncode == 1
+        assert "[0][2]" in cp.stderr and "Traceback" not in cp.stderr
+
+    def test_null_photoelastic_entry_not_needed_is_unmeasured(self, tmp_path):
+        path = self._batio3_with_null_entry(tmp_path, 3, 3)
+        assert run_cli("estimate-q", "--db", path, *BANDS_ARGS).returncode == 0
+        shown = run_cli("materials", "--db", path, "--show", "BaTiO3")
+        assert shown.returncode == 0
+        entries = json.loads(shown.stdout)["materials"][0]["photoelastic"]["entries"]
+        assert entries[3][3] is None
+
     def test_broken_db_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -131,6 +159,18 @@ class TestField:
         lib = peak_field_from_power(PumpGeometry(1e-3, 1.2e-6, 2.26))
         assert grab(cp.stdout, "peak_field") == lib
         assert grab(cp.stdout, "damage_limited_power") == pytest.approx(6.11, rel=0.02)
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--power", "1e-3", "--mfd", "1e300", "--n-mode", "1.2e-6",
+         "--material", "BaTiO3"],
+        ["field", "--power", "2.6e-6", "--mfd", "1e-300", "--n-mode", "1.2e-6"],
+        ["sweep-power", *BANDS_ARGS, "--mfd", "1e300", "--n-mode", "2.26",
+         "--pmin", "1e-3", "--pmax", "6"]])
+    def test_mfd_overflow_or_underflow_is_data_error(self, argv):
+        cp = run_cli(*argv)
+        assert cp.returncode == 1
+        assert "error: mode-field diameter" in cp.stderr
+        assert "Traceback" not in cp.stderr
 
 
 class TestSweepPower:
@@ -215,6 +255,12 @@ class TestPhasematchAndPoling:
 
 
 class TestVerifyThermo:
+    def test_nan_residual_fails(self):
+        # 1e300 coefficients overflow the differences to NaN residuals.
+        cp = run_cli("verify-thermo", "--trials", "3", "--coef-range", "1e300")
+        assert cp.returncode == 1
+        assert re.search(r"order2 +nan +FAIL", cp.stdout)
+
     def test_small_run_passes(self):
         cp = run_cli("verify-thermo", "--trials", "25", "--adversarial")
         assert cp.returncode == 0
@@ -270,3 +316,51 @@ class TestImportPath:
         assert cp.returncode == 0
         report = power_sweep(bto, bto_bands, np.geomspace(1e-4, 0.5, 17), 1.2e-6, 2.26)
         assert cp.stdout == report.to_csv()
+
+
+# Fuzzed flags and their typical values; every numeric flag is drawn from
+# these and the special values below.
+_BANDS_FUZZ = {"--pump1": "2600e-9", "--pump2": "2600e-9", "--phonon-ghz": "2",
+               "--strain-voigt": "2"}
+FUZZ_FLAGS = {
+    "field": {"--power": "1e-3", "--mfd": "1.2e-6", "--n-mode": "2.26"},
+    "estimate-q": _BANDS_FUZZ,
+    "phasematch": {**_BANDS_FUZZ, "--length": "100e-6", "--poling-period": "3e-6",
+                   "--sweep-start": "2e-6", "--sweep-stop": "4e-6",
+                   "--sweep-points": "5"},
+    "poling": {**_BANDS_FUZZ, "--length": "100e-6"},
+    "sweep-power": {**_BANDS_FUZZ, "--mfd": "1.2e-6", "--n-mode": "2.26",
+                    "--pmin": "1e-3", "--pmax": "6", "--points": "5"},
+}
+FUZZ_SWITCHES = {
+    "estimate-q": ["--qpm"],
+    "phasematch": ["--three-wave", "--sweep=poling-period", "--csv"],
+    "sweep-power": ["--log", "--csv"],
+}
+SPECIAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"]
+
+
+def _fuzzed_argv(sub):
+    flags = st.fixed_dictionaries({flag: st.sampled_from([typical, *SPECIAL_VALUES])
+                                   for flag, typical in FUZZ_FLAGS[sub].items()})
+    switches = st.lists(st.sampled_from(FUZZ_SWITCHES.get(sub, [""])), unique=True)
+    return st.builds(
+        lambda f, on: [sub, "--material=BaTiO3", *(f"{k}={v}" for k, v in f.items()),
+                       *filter(None, on)],
+        flags, switches)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*map(_fuzzed_argv, sorted(FUZZ_FLAGS))))
+@example(["field", "--power=1e-3", "--mfd=1e300", "--n-mode=1.2e-6",
+          "--material=BaTiO3"])
+@example(["field", "--power=2.6e-6", "--mfd=1e-300", "--n-mode=1.2e-6"])
+@example(["sweep-power", *BANDS_ARGS, "--mfd=1e300", "--n-mode=2.26",
+          "--pmin=1e-3", "--pmax=6"])
+def test_fuzzed_cli_exits_0_1_or_2(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            assert cli.main(argv) in (0, 1), argv
+        except SystemExit as exc:   # argparse usage error
+            assert exc.code == 2, argv

@@ -208,6 +208,14 @@ class TestFieldAndIntensity:
         with pytest.raises(ValueError):
             PumpGeometry(1.0, 0.0, 2.26)
 
+    @pytest.mark.parametrize("mfd", [1e300, 1e-300, -1.2e-6])
+    def test_mfd_whose_square_overflows_or_underflows_rejected_by_name(self, bto, mfd):
+        for call in (lambda: PumpGeometry(1e-3, mfd, 2.26),
+                     lambda: peak_intensity(1e-3, mfd),
+                     lambda: damage_limited_power(bto, mfd)):
+            with pytest.raises(ValueError, match="mode-field diameter"):
+                call()
+
 
 class TestDimensionedReferences:
     """The float-only per-point formulas against their Quantity composition.

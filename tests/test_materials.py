@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -74,6 +76,11 @@ class TestLoad:
         del doc["materials"][0]["eps_r"]
         with pytest.raises(MaterialFileError, match="eps_r"):
             loads_materials(json.dumps(doc))
+
+    @pytest.mark.parametrize("materials", [None, [None], [3.0]])
+    def test_entry_list_of_the_wrong_type_rejected(self, materials):
+        with pytest.raises(MaterialFileError, match="material"):
+            loads_materials(json.dumps({"schema": 1, "materials": materials}))
 
     def test_duplicate_names_rejected(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -222,6 +229,15 @@ class TestValidate:
         with pytest.raises(MaterialFileError, match="pole inside validity range"):
             loads_materials(json.dumps(doc))
 
+    def test_nan_sellmeier_coefficient_rejected(self):
+        # It gave n = NaN at every wavelength without a word.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["materials"][0]["dispersion"] = {
+            "kind": "sellmeier", "sellmeier": [[[1.0, math.nan]]] * 3,
+            "valid_range_m": [0.5e-6, 2.0e-6]}
+        with pytest.raises(MaterialFileError, match="dispersion.sellmeier violates 'finite B and C'"):
+            loads_materials(json.dumps(doc))
+
     @pytest.mark.parametrize("c", [0.5e-6 ** 2, 2.0e-6 ** 2])
     def test_sellmeier_pole_at_window_edge_rejected(self, c):
         m = loads_materials(json.dumps(MINIMAL)).get("demo")
@@ -276,6 +292,62 @@ def test_malformed_table_rejected_by_material_name(case, tmp_path):
     assert cp.returncode == 1
     assert "material 'demo'" in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+def _set(path, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    target = doc["materials"][0]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+# Each case: where in the entry, the value put there, the field the error names.
+BAD_SCALARS = {
+    "null d_eff": (("d_eff_m_per_v",), None, "d_eff_m_per_v"),
+    "string d_eff": (("d_eff_m_per_v",), "ten", "d_eff_m_per_v"),
+    "boolean d_eff": (("d_eff_m_per_v",), True, "d_eff_m_per_v"),
+    "numeric-string eps_r entry": (("eps_r", 0), "2.0", "eps_r[0]"),
+    "null damage threshold": (("damage_threshold_w_per_m2",), None,
+                              "damage_threshold_w_per_m2"),
+    "null valid_range_m[0]": (("dispersion", "valid_range_m", 0), None,
+                              "dispersion.valid_range_m[0]"),
+    "null v_sound_m_per_s": (("v_sound_m_per_s",), None, "v_sound_m_per_s"),
+    "null v_sound entry": (("v_sound_m_per_s", "longitudinal"), None,
+                           "v_sound_m_per_s.longitudinal"),
+    "null eps_r entry": (("eps_r", 1), None, "eps_r[1]"),
+    "null dispersion": (("dispersion",), None, "dispersion"),
+    "null photoelastic": (("photoelastic",), None, "photoelastic"),
+    "null Sellmeier B": (("dispersion",), {"kind": "sellmeier",
+                                           "sellmeier": [[[None, 1e-14]]] * 3,
+                                           "valid_range_m": [0.9e-6, 2.1e-6]},
+                         "dispersion.sellmeier"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_bad_scalar_field_rejected_by_name(case, tmp_path):
+    path, value, field = BAD_SCALARS[case]
+    text = _set(path, value)
+    with pytest.raises(MaterialFileError, match=re.escape(f"material 'demo': {field} ")):
+        loads_materials(text)
+    db_path = tmp_path / "bad.json"
+    db_path.write_text(text)
+    cp = subprocess.run([sys.executable, "-m", "transduce", "materials", "--db",
+                         str(db_path)], capture_output=True, text=True)
+    assert cp.returncode == 1
+    assert f"material 'demo': {field} " in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+def test_sellmeier_zero_b_term_at_the_query_adds_nothing():
+    lam = 1.5e-6
+    d = DispersionModel(kind="sellmeier", valid_range_m=(1e-6, 2e-6),
+                        sellmeier=(((1.0, 1e-14), (0.0, lam * lam)),) * 3)
+    ref = DispersionModel(kind="sellmeier", valid_range_m=(1e-6, 2e-6),
+                          sellmeier=(((1.0, 1e-14),),) * 3)
+    assert d.index(lam, 0) == ref.index(lam, 0)
 
 
 class TestRoundTrip:

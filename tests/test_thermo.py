@@ -237,3 +237,15 @@ class TestVectorMode:
         for _ in range(10):
             rep = verify_relations_vector(self._random_vector_model(rng), tol=1e-6)
             assert rep.all_passed, rep.to_dict()
+
+    def test_overflowed_difference_fails_in_both_modes(self):
+        # The differences of h * D overflow to NaN; a fold with max(0.0, nan)
+        # would report 0.0 and PASS.
+        vec = VectorFreeEnergyModel(c=1.0, h=[1e308, 1e308], eta1=np.eye(2),
+                                    eta2=np.zeros((2, 2, 2)), p=np.zeros((2, 2)),
+                                    q=np.zeros((2, 2, 2)))
+        scalar = FreeEnergyModel(c=1.0, h=1e308, eta1=1.0)
+        for rep in (verify_relations_vector(vec), verify_relations(scalar)):
+            assert math.isnan(rep.order1_residual)
+            assert not rep.order1_passed
+            assert not rep.all_passed
