@@ -21,15 +21,17 @@ this module and its imports must not import numpy at module level.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import TransduceError
 from .estimator import (CouplingBenchmark, MixingBands,
                         OPTOMECHANICAL_CRYSTAL_BENCHMARK,
                         PIEZO_OPTOMECHANICAL_BENCHMARK, PumpGeometry,
-                        damage_limited_power, peak_field_from_power,
+                        SweepRow, damage_limited_power, peak_field_from_power,
                         peak_intensity, power_sweep,
                         second_order_photoelasticity)
 from .materials import MaterialDb, default_db, dumps_materials, load_materials
@@ -173,12 +175,9 @@ def _cmd_sweep_power(args) -> int:
           f"(g0_ref = {report.benchmark.g0_ref!r} rad/s)")
     for note in report.notes:
         print(f"note: {note}")
-    cols = ("power_w", "peak_field_v_per_m", "intensity_w_per_m2", "p_virt",
-            "p_virt_over_p_nominal", "intensity_over_threshold",
-            "g_scaled_rad_per_s")
-    print("  ".join(f"{c:>24s}" for c in cols))
+    print("  ".join(f"{f.name:>24s}" for f in fields(SweepRow)))
     for r in report.rows:
-        print("  ".join(f"{getattr(r, c):>24.9e}" for c in cols))
+        print("  ".join(f"{v:>24.9e}" for v in vars(r).values()))
     return 0
 
 
@@ -216,13 +215,17 @@ def _cmd_phasematch(args) -> int:
     _kv("delta_k", res.delta_k, "rad/m")
     _kv("efficiency", res.efficiency)
     if args.three_wave:
-        tw = three_wave_residual(pm_in, pump_choice=args.pump_choice)
-        _kv("delta_k_3wm", tw.delta_k_3wm, "rad/m")
-        _kv("suppression_3wm", tw.suppression)
-        if tw.phase_matched:
-            print("warning: three-wave channel is phase matched too "
-                  "(degenerate configuration)")
+        _print_three_wave(pm_in, args.pump_choice)
     return 0
+
+
+def _print_three_wave(pm_in: PhaseMatchInput, pump_choice: int) -> None:
+    tw = three_wave_residual(pm_in, pump_choice=pump_choice)
+    _kv("delta_k_3wm", tw.delta_k_3wm, "rad/m")
+    _kv("suppression_3wm", tw.suppression)
+    if tw.phase_matched:
+        print("warning: three-wave channel is phase matched too "
+              "(degenerate configuration)")
 
 
 # -------------------------------------------------------------------- poling
@@ -246,12 +249,7 @@ def _cmd_poling(args) -> int:
     res = delta_k(poled)
     _kv("delta_k_poled", res.delta_k, "rad/m")
     _kv("efficiency", res.efficiency)
-    tw = three_wave_residual(poled, pump_choice=args.pump_choice)
-    _kv("delta_k_3wm", tw.delta_k_3wm, "rad/m")
-    _kv("suppression_3wm", tw.suppression)
-    if tw.phase_matched:
-        print("warning: three-wave channel is phase matched too "
-              "(degenerate configuration)")
+    _print_three_wave(poled, args.pump_choice)
     return 0
 
 
@@ -260,11 +258,16 @@ def _cmd_poling(args) -> int:
 def _cmd_verify_thermo(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if not 0 <= 2.0 * args.coef_range < math.inf:
+        raise ValueError("--coef-range must be >= 0 with a finite span, "
+                         f"got {args.coef_range}")
     import numpy as np
     rng = np.random.default_rng(args.seed)
     worst = {"order1": 0.0, "order2": 0.0, "order3": 0.0, "factor2": 0.0}
     for _ in range(args.trials):
-        coefs = rng.uniform(-args.coef_range, args.coef_range, size=6)
+        # Python floats: an overflow gives inf or NaN (and a FAIL), not a
+        # numpy RuntimeWarning on stderr.
+        coefs = rng.uniform(-args.coef_range, args.coef_range, size=6).tolist()
         rep = verify_relations(FreeEnergyModel(*coefs), tol=args.tol)
         for name in worst:
             worst[name] = max(worst[name], getattr(rep, f"{name}_residual"),

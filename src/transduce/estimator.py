@@ -24,7 +24,9 @@ Unit composition is checked per design for the chain: eta2, q_eff and the
 damage-limited power go through ``units.Quantity`` and assert their
 dimension.  The per-point formulas (peak field, intensity, p_virt) are plain
 float arithmetic in the same operand order, so they give the same bits; their
-dimensional composition is checked in the tests.
+dimensional composition is checked in the tests.  A peak field, intensity,
+eta2 or q_eff that overflows raises ValueError naming the inputs, so no
+infinity reaches a report.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ from .materials import Material, refractive_index
 from .tensors import voigt_index
 from .units import (C_LIGHT, DIMENSIONLESS, EPS0, EPS0_Q,
                     COULOMB_PER_M2, JOULE_PER_M3, M2_PER_COULOMB,
-                    METER, METER_PER_VOLT, Quantity,
+                    METER, METER_PER_VOLT, Quantity, TWO_PI,
                     WATT, WATT_PER_M2, ETA2)
-
-TWO_PI = 2.0 * math.pi
 
 # Published single-photon optomechanical coupling rates used as proportional-
 # scaling anchors by power_sweep.  These are literature reference points, not
@@ -124,11 +124,24 @@ class MillerChain:
 _MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
 
 
-def _check_mfd(mfd: float) -> None:
-    """Reject an MFD whose square would overflow or underflow the area formulas."""
+def _overflow(what: str, **args) -> ValueError:
+    """The error for a result that is not finite, naming the arguments."""
+    named = ", ".join(f"{k}={v!r}" for k, v in args.items())
+    return ValueError(f"{what} overflows for {named}")
+
+
+def _check_power(power: float) -> None:
+    if not (power >= 0 and math.isfinite(power)):
+        raise ValueError(f"power must be finite and >= 0, got {power}")
+
+
+def _mode_area(mfd: float) -> float:
+    """Top-hat mode area pi (MFD/2)^2 in m^2, for an MFD whose square is a
+    finite normal float (so the area formulas cannot overflow or underflow)."""
     if not (mfd > 0 and _MIN_NORMAL <= mfd * mfd <= _MAX_FLOAT):
         raise ValueError("mode-field diameter must be positive and its square "
                          f"a finite normal float, got {mfd}")
+    return math.pi * (mfd / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -140,9 +153,8 @@ class PumpGeometry:
     n_mode: float
 
     def __post_init__(self):
-        if not (self.power >= 0 and math.isfinite(self.power)):
-            raise ValueError(f"power must be finite and >= 0, got {self.power}")
-        _check_mfd(self.mfd)
+        _check_power(self.power)
+        _mode_area(self.mfd)
         if not (self.n_mode > 0 and math.isfinite(self.n_mode)):
             raise ValueError(f"modal index must be positive, got {self.n_mode}")
 
@@ -186,7 +198,10 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
             raise ValueError(f"refractive index must be >= 1, got {n}")
     q = (2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
         EPS0_Q * EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3))
-    return q.expect(ETA2, "eta2")
+    eta2 = q.expect(ETA2, "eta2")
+    if not math.isfinite(eta2):
+        raise _overflow("eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
+    return eta2
 
 
 def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
@@ -234,7 +249,10 @@ def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
     s = _band_sum(ns, ps)
     q = -(2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
         EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3)) * s
-    return q.expect(M2_PER_COULOMB, "q_eff")
+    q_eff = q.expect(M2_PER_COULOMB, "q_eff")
+    if not math.isfinite(q_eff):
+        raise _overflow("q_eff", d_eff=d_eff, ns=ns, ps=ps)
+    return q_eff
 
 
 def qpm_deff_reduction(order: int) -> float:
@@ -282,24 +300,26 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
 
 def peak_field_from_power(g: PumpGeometry) -> float:
     """Average peak field |E| = sqrt(16 P / (n pi eps0 c MFD^2)), in V/m."""
-    return math.sqrt(16.0 * g.power / (
-        g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd))
+    denom = g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd
+    field = math.sqrt(16.0 * g.power / denom) if denom else math.inf
+    if not math.isfinite(field):
+        raise _overflow("peak field", power=g.power, mfd=g.mfd, n_mode=g.n_mode)
+    return field
 
 
 def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
-    if not (power >= 0 and math.isfinite(power)):
-        raise ValueError(f"power must be finite and >= 0, got {power}")
-    _check_mfd(mfd)
-    return power / (math.pi * (mfd / 2.0) ** 2)
+    _check_power(power)
+    intensity = power / _mode_area(mfd)
+    if not math.isfinite(intensity):
+        raise _overflow("peak intensity", power=power, mfd=mfd)
+    return intensity
 
 
 def damage_limited_power(m: Material, mfd: float) -> float:
     """Largest power (W) keeping the peak intensity at the damage threshold."""
-    _check_mfd(mfd)
-    area = math.pi * (mfd / 2.0) ** 2
     return (Quantity(m.damage_threshold, WATT_PER_M2)
-            * Quantity(area, METER * METER)).expect(WATT, "power")
+            * Quantity(_mode_area(mfd), METER * METER)).expect(WATT, "power")
 
 
 def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
@@ -372,10 +392,7 @@ class DesignReport:
     def to_csv(self) -> str:
         lines = [SWEEP_CSV_HEADER]
         for r in self.rows:
-            lines.append(",".join(repr(v) for v in (
-                r.power_w, r.peak_field_v_per_m, r.intensity_w_per_m2,
-                r.p_virt, r.p_virt_over_p_nominal, r.intensity_over_threshold,
-                r.g_scaled_rad_per_s)))
+            lines.append(",".join(repr(v) for v in vars(r).values()))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:

@@ -30,7 +30,9 @@ Unit bookkeeping lives in the key names; the loader rejects unknown or
 missing keys by name, which is what "units validated on load" means here.
 A null photoelastic entry means "unmeasured": it loads as NaN, and the
 estimation chain raises DataError only if the bands need it.  Infinite
-entries, and scalar fields that are not JSON numbers, are rejected by name.
+entries, and fields or table cells that are not JSON numbers (a string or a
+boolean, or null outside the photoelastic table), are rejected by name, as
+is a ``qpm_order`` that is not an integer (a boolean included).
 """
 
 from __future__ import annotations
@@ -239,11 +241,30 @@ _MATERIAL_KEYS = {"name", "dispersion", "photoelastic", "d_eff_m_per_v",
 _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
+def _json_float(value) -> float:
+    """JSON number ``value`` (not a boolean) as a float; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _number(value, where: str, field: str) -> float:
     """JSON number ``value`` as a float; MaterialFileError naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MaterialFileError(f"{where}: {field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return _json_float(value)
+    except TypeError:
+        raise MaterialFileError(
+            f"{where}: {field} must be a number, got {value!r}") from None
+
+
+def _table(rows, where: str, field: str):
+    """``rows`` after rejecting, by cell, an entry of a row that is neither a
+    JSON number nor null; shapes and null cells are checked after parsing."""
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        for j, v in enumerate(row if isinstance(row, list) else ()):
+            if type(v) not in (float, int) and v is not None:   # JSON types
+                _number(v, where, f"{field}[{i}][{j}]")
+    return rows
 
 
 def _object(value, where: str, field: str) -> dict:
@@ -266,12 +287,13 @@ def _parse_dispersion(obj, where: str) -> DispersionModel:
         if not pts:
             raise MaterialFileError(f"{where}: tabulated dispersion needs 'points'")
         try:
-            return DispersionModel(kind=kind, valid_range_m=valid, points=pts)
+            return DispersionModel(kind=kind, valid_range_m=valid,
+                                   points=_table(pts, where, "dispersion.points"))
         except ValueError as exc:
             raise MaterialFileError(f"{where}: {exc}") from None
     if kind == "sellmeier":
         try:
-            packed = tuple(tuple((float(b), float(c)) for b, c in axis_terms)
+            packed = tuple(tuple((_json_float(b), _json_float(c)) for b, c in axis_terms)
                            for axis_terms in obj.get("sellmeier"))
         except (TypeError, ValueError):
             packed = ()
@@ -304,15 +326,15 @@ def _parse_material(obj) -> Material:
     # null entries mark unmeasured tensor elements; they surface as NaN and
     # raise a DataError only if the estimation chain actually needs them.
     try:
-        photoelastic = PhotoelasticTensor(entries)
+        photoelastic = PhotoelasticTensor(_table(entries, where, "photoelastic.entries"))
     except ValueError as exc:
         raise MaterialFileError(f"{where}: {exc}") from None
     eps_r = obj["eps_r"]
     if not (isinstance(eps_r, list) and len(eps_r) == 3):
         raise MaterialFileError(f"{where}: eps_r must be a 3-vector diagonal")
     qpm = obj.get("qpm_order", 1)
-    if not isinstance(qpm, int):
-        raise MaterialFileError(f"{where}: qpm_order must be an integer")
+    if isinstance(qpm, bool) or not isinstance(qpm, int):
+        raise MaterialFileError(f"{where}: qpm_order must be an integer, got {qpm!r}")
     v_sound = _object(obj["v_sound_m_per_s"], where, "v_sound_m_per_s")
     return Material(
         name=name,

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from .errors import DataError
 from .estimator import MixingBands
 from .materials import Material, refractive_index
-from .units import C_LIGHT
-
-TWO_PI = 2.0 * math.pi
+from .units import C_LIGHT, TWO_PI
 
 
 def wavevector_optical(n: float, omega: float) -> float:
@@ -85,14 +83,23 @@ class PhaseMatchResult:
     efficiency: float                 # sinc^2(delta_k L / 2), in [0, 1]
 
 
-def _sound_speed(m: Material, mode: str) -> float:
-    try:
-        return m.v_sound[mode]
-    except KeyError:
+def _k_optical(m: Material, omega: float, axis: int) -> float:
+    """Wavevector of the optical band at ``omega`` polarized along ``axis``."""
+    return wavevector_optical(refractive_index(m, TWO_PI * C_LIGHT / omega, axis), omega)
+
+
+def _k_phonon_grating(pm_in: PhaseMatchInput) -> tuple[float, float]:
+    """The acoustic wavevector and the signed grating term (0 without one)."""
+    m, mode = pm_in.material, pm_in.bands.acoustic_mode
+    if mode not in m.v_sound:
         have = ", ".join(sorted(m.v_sound)) or "<none>"
         raise DataError(
             f"material '{m.name}' has no sound speed for acoustic mode "
-            f"'{mode}' (have: {have})") from None
+            f"'{mode}' (have: {have})")
+    k_m = wavevector_acoustic(pm_in.bands.omega_m, m.v_sound[mode])
+    if pm_in.poling_period is None:
+        return k_m, 0.0
+    return k_m, pm_in.poling_sign * TWO_PI / pm_in.poling_period
 
 
 def pm_efficiency(delta_k: float, length: float) -> float:
@@ -114,18 +121,11 @@ def pm_efficiency(delta_k: float, length: float) -> float:
 
 def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     """Evaluate the four-wave mismatch and its components for ``pm_in``."""
-    b = pm_in.bands
-    m = pm_in.material
-    lam_p1, lam_p2, lam_t = b.wavelengths
-    k_p1 = wavevector_optical(refractive_index(m, lam_p1, b.axes[0]), b.omega_p1)
-    k_p2 = wavevector_optical(refractive_index(m, lam_p2, b.axes[1]), b.omega_p2)
-    k_t = wavevector_optical(refractive_index(m, lam_t, b.axes[2]), b.omega_t)
-    v_s = _sound_speed(m, b.acoustic_mode)
-    k_m = wavevector_acoustic(b.omega_m, v_s)
-    if pm_in.poling_period is not None:
-        k_pol = pm_in.poling_sign * TWO_PI / pm_in.poling_period
-    else:
-        k_pol = 0.0
+    b, m = pm_in.bands, pm_in.material
+    k_p1 = _k_optical(m, b.omega_p1, b.axes[0])
+    k_p2 = _k_optical(m, b.omega_p2, b.axes[1])
+    k_t = _k_optical(m, b.omega_t, b.axes[2])
+    k_m, k_pol = _k_phonon_grating(pm_in)
     dk = k_t - k_p1 - k_p2 - k_m - k_pol
     return PhaseMatchResult(
         k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_pol, delta_k=dk,
@@ -171,18 +171,11 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     """
     if pump_choice not in (1, 2):
         raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
-    b = pm_in.bands
-    m = pm_in.material
+    b, m = pm_in.bands, pm_in.material
     omega_p = b.omega_p1 if pump_choice == 1 else b.omega_p2
-    axis_p = b.axes[0] if pump_choice == 1 else b.axes[1]
-    lam_p = TWO_PI * C_LIGHT / omega_p
-    omega_t3 = omega_p + b.omega_m
-    lam_t3 = TWO_PI * C_LIGHT / omega_t3
-    k_p = wavevector_optical(refractive_index(m, lam_p, axis_p), omega_p)
-    k_t3 = wavevector_optical(refractive_index(m, lam_t3, b.axes[2]), omega_t3)
-    k_m = wavevector_acoustic(b.omega_m, _sound_speed(m, b.acoustic_mode))
-    k_pol = (pm_in.poling_sign * TWO_PI / pm_in.poling_period
-             if pm_in.poling_period is not None else 0.0)
+    k_p = _k_optical(m, omega_p, b.axes[pump_choice - 1])
+    k_t3 = _k_optical(m, omega_p + b.omega_m, b.axes[2])
+    k_m, k_pol = _k_phonon_grating(pm_in)
     dk3 = k_t3 - k_p - k_m - k_pol
     supp = pm_efficiency(dk3, pm_in.length)
     return ThreeWaveResidual(

@@ -171,8 +171,15 @@ def _perm_average(a: np.ndarray, k: int) -> np.ndarray:
     return out / math.factorial(k)
 
 
-def _orbit_values(full: np.ndarray, h: int, i: int, j: int, w: int) -> list[float]:
-    return [float(full[a, b, c, w]) for (a, b, c) in set(permutations((h, i, j)))]
+def _unpack(t: SecondOrderPhotoelastic) -> np.ndarray:
+    """The packed 6x3x6 tensor as full[h, i, j, W], symmetric in (h, i)."""
+    import numpy as np
+    full = np.empty((3, 3, 3, 6))
+    for v, (h, i) in enumerate(VOIGT_PAIRS):
+        for j in range(3):
+            full[h, i, j, :] = t.entries[v, j, :]
+            full[i, h, j, :] = t.entries[v, j, :]
+    return full
 
 
 def check_pair_symmetry(t: SecondOrderPhotoelastic, tol: float) -> SymmetryReport:
@@ -188,14 +195,8 @@ def check_pair_symmetry(t: SecondOrderPhotoelastic, tol: float) -> SymmetryRepor
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    import numpy as np
     t.require_finite()
-    full = np.empty((3, 3, 3, 6))
-    for v, (h, i) in enumerate(VOIGT_PAIRS):
-        for j in range(3):
-            full[h, i, j, :] = t.entries[v, j, :]
-            full[i, h, j, :] = t.entries[v, j, :]
-
+    full = _unpack(t)
     max_asym = 0.0
     flagged: list[tuple[tuple[int, int, int], int]] = []
     seen: set[tuple[tuple[int, int, int], int]] = set()
@@ -207,7 +208,8 @@ def check_pair_symmetry(t: SecondOrderPhotoelastic, tol: float) -> SymmetryRepor
                     if (key, w) in seen:
                         continue
                     seen.add((key, w))
-                    vals = _orbit_values(full, h, i, j, w)
+                    vals = [float(full[a, b, c, w])
+                            for a, b, c in set(permutations((h, i, j)))]
                     scale = max(abs(v) for v in vals)
                     if scale == 0.0:
                         continue
@@ -222,12 +224,7 @@ def symmetrize(t: SecondOrderPhotoelastic) -> SecondOrderPhotoelastic:
     """Average each (h, i, j) permutation orbit, yielding a tensor that
     passes :func:`check_pair_symmetry` at machine precision."""
     import numpy as np
-    full = np.empty((3, 3, 3, 6))
-    for v, (h, i) in enumerate(VOIGT_PAIRS):
-        for j in range(3):
-            full[h, i, j, :] = t.entries[v, j, :]
-            full[i, h, j, :] = t.entries[v, j, :]
-    sym = _perm_average(full, 3)
+    sym = _perm_average(_unpack(t), 3)
     packed = np.empty((6, 3, 6))
     for v, (h, i) in enumerate(VOIGT_PAIRS):
         packed[v, :, :] = sym[h, i, :, :]

@@ -212,19 +212,7 @@ class RelationReport:
                 and self.order3_passed and self.factor2_passed)
 
     def to_dict(self) -> dict:
-        return {
-            "order1_residual": self.order1_residual,
-            "order2_residual": self.order2_residual,
-            "order3_residual": self.order3_residual,
-            "factor2_residual": self.factor2_residual,
-            "fd_step_used": self.fd_step_used,
-            "tol": self.tol,
-            "order1_passed": self.order1_passed,
-            "order2_passed": self.order2_passed,
-            "order3_passed": self.order3_passed,
-            "factor2_passed": self.factor2_passed,
-            "all_passed": self.all_passed,
-        }
+        return {**vars(self), "all_passed": self.all_passed}
 
 
 def _nan_first(r: float) -> tuple[bool, float]:
@@ -241,8 +229,8 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
     the factor-2 route differentiates eta2_mkl(x) = (1/2) d2 E_m / dD_k dD_l
     at D = 0 in x.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):   # an infinite tol passes anything
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(efield)
     origin = [0.0] * (n + 1)
     resids: tuple[list[float], ...] = ([], [], [], [])

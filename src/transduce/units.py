@@ -35,6 +35,7 @@ class Constants:
 CONSTANTS = Constants()
 EPS0 = CONSTANTS.eps0
 C_LIGHT = CONSTANTS.c_light
+TWO_PI = 2.0 * math.pi      # angular frequency = TWO_PI * C_LIGHT / vacuum wavelength
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class Dimension:
             raise UnitError(f"dimension {self} has no integer {n}-th root")
         return Dimension(self.m // n, self.kg // n, self.s // n, self.a // n)
 
-    @property
-    def dimensionless(self) -> bool:
-        return self == DIMENSIONLESS
-
     def __str__(self) -> str:
         parts = [f"{name}^{e}" for name, e in
                  (("m", self.m), ("kg", self.kg), ("s", self.s), ("A", self.a)) if e]
@@ -74,13 +71,10 @@ class Dimension:
 
 DIMENSIONLESS = Dimension()
 METER = Dimension(m=1)
-PER_METER = Dimension(m=-1)           # wavevectors (rad/m)
-PER_SECOND = Dimension(s=-1)          # angular frequencies (rad/s)
 METER_PER_SECOND = Dimension(m=1, s=-1)
 WATT = Dimension(m=2, kg=1, s=-3)
 WATT_PER_M2 = Dimension(kg=1, s=-3)
 JOULE_PER_M3 = Dimension(m=-1, kg=1, s=-2)
-PASCAL = JOULE_PER_M3
 VOLT_PER_METER = Dimension(m=1, kg=1, s=-3, a=-1)
 FARAD_PER_METER = Dimension(m=-3, kg=-1, s=4, a=2)
 COULOMB_PER_M2 = Dimension(m=-2, s=1, a=1)    # electric displacement D

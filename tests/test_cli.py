@@ -144,6 +144,16 @@ class TestMaterials:
         entries = json.loads(shown.stdout)["materials"][0]["photoelastic"]["entries"]
         assert entries[3][3] is None
 
+    def test_overflowing_d_eff_is_data_error(self, tmp_path):
+        doc = json.loads(dumps_materials(default_db()))
+        doc["materials"][0]["d_eff_m_per_v"] = 1e300
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(doc))
+        cp = run_cli("estimate-q", "--db", str(path), *BANDS_ARGS)
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: eta2 overflows for d_eff=1e+300")
+
     def test_broken_db_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -171,6 +181,15 @@ class TestField:
         assert cp.returncode == 1
         assert "error: mode-field diameter" in cp.stderr
         assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--power", "1e300", "--mfd", "1.2e-6", "--n-mode", "2.26"], "power=1e+300"),
+        (["--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "1e-300"], "n_mode=1e-300")])
+    def test_overflowing_field_is_data_error(self, flags, name):
+        cp = run_cli("field", *flags)
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: peak field overflows") and name in cp.stderr
 
 
 class TestSweepPower:
@@ -260,6 +279,20 @@ class TestVerifyThermo:
         cp = run_cli("verify-thermo", "--trials", "3", "--coef-range", "1e300")
         assert cp.returncode == 1
         assert re.search(r"order2 +nan +FAIL", cp.stdout)
+
+    def test_overflowing_coefficients_write_nothing_to_stderr(self):
+        cp = run_cli("verify-thermo", "--trials", "3", "--coef-range", "1e300")
+        assert cp.returncode == 1
+        assert cp.stderr == ""
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tol", "inf", "tol"), ("--coef-range", "1e308", "--coef-range"),
+        ("--coef-range", "nan", "--coef-range")])
+    def test_non_finite_tol_or_coefficient_span_is_data_error(self, flag, value, name):
+        cp = run_cli("verify-thermo", "--trials", "2", f"{flag}={value}")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr.startswith(f"error: {name} must be")
 
     def test_small_run_passes(self):
         cp = run_cli("verify-thermo", "--trials", "25", "--adversarial")
@@ -358,9 +391,90 @@ def _fuzzed_argv(sub):
 @example(["field", "--power=2.6e-6", "--mfd=1e-300", "--n-mode=1.2e-6"])
 @example(["sweep-power", *BANDS_ARGS, "--mfd=1e300", "--n-mode=2.26",
           "--pmin=1e-3", "--pmax=6"])
+@example(["field", "--power=1e300", "--mfd=1.2e-6", "--n-mode=2.26"])
+@example(["field", "--power=1e-3", "--mfd=1.2e-6", "--n-mode=1e-300"])
+@example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=1e-300",
+          "--pmin=1e-3", "--pmax=6"])
 def test_fuzzed_cli_exits_0_1_or_2(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    check_cli_oracle(argv)
+
+
+NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+
+
+def check_cli_oracle(argv):
+    """Exit 0, 1 or 2 with no traceback, and a success prints no inf or NaN."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
-            assert cli.main(argv) in (0, 1), argv
+            code = cli.main(argv)
         except SystemExit as exc:   # argparse usage error
-            assert exc.code == 2, argv
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == ("usage:" in err.getvalue()), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([[], ["--show=BaTiO3"], ["--show=vacuum"],
+                        ["--show=Unobtainium"], ["--show="]]))
+def test_fuzzed_materials(show):
+    check_cli_oracle(["materials", *show])
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(st.fixed_dictionaries({
+           "--trials": st.sampled_from(["1", "3", "0", "-1", "nan", "1e300"]),
+           "--seed": st.sampled_from(["1", "7", "-1"]),
+           "--coef-range": st.sampled_from(["10", *SPECIAL_VALUES, "1e154", "8e307"]),
+           "--tol": st.sampled_from(["1e-6", *SPECIAL_VALUES])}),
+       st.booleans())
+@example({"--trials": "2", "--seed": "1", "--coef-range": "10", "--tol": "inf"}, False)
+def test_fuzzed_verify_thermo(flags, adversarial):
+    check_cli_oracle(["verify-thermo", *(f"{k}={v}" for k, v in flags.items()),
+                      *(["--adversarial"] if adversarial else [])])
+
+
+def _json_paths(node, path=()):
+    """Every path into the JSON document ``node``, containers included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
+
+
+BUNDLED_DOC = json.loads(dumps_materials(default_db()))
+DB_PATHS = [p for p in _json_paths(BUNDLED_DOC) if p]
+DB_VALUES = [None, "x", True, 0, -1, 1e300]
+DB_COMMANDS = [
+    ["materials"], ["materials", "--show=BaTiO3"], ["estimate-q", *BANDS_ARGS],
+    ["estimate-q", *BANDS_ARGS, "--qpm"],
+    ["field", "--power=1e-3", "--mfd=1.2e-6", "--n-mode=2.26", "--material=BaTiO3"],
+    ["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=2.26", "--pmin=1e-3",
+     "--pmax=6", "--points=3"],
+    ["phasematch", *BANDS_ARGS, "--length=100e-6", "--three-wave"],
+    ["poling", *BANDS_ARGS, "--length=100e-6"],
+]
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DB_PATHS), st.sampled_from(DB_VALUES),
+       st.sampled_from(DB_COMMANDS))
+@example(("materials", 0, "d_eff_m_per_v"), 1e300, DB_COMMANDS[2])
+@example(("materials", 0, "dispersion", "points", 0, 1), "2.27", DB_COMMANDS[0])
+@example(("materials", 0, "qpm_order"), True, DB_COMMANDS[1])
+def test_fuzzed_db_file(tmp_path_factory, path, value, argv):
+    doc = json.loads(json.dumps(BUNDLED_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    db = tmp_path_factory.mktemp("db") / "db.json"
+    db.write_text(json.dumps(doc))
+    check_cli_oracle([*argv, f"--db={db}"])

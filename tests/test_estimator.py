@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestEta2AndMiller:
         one = eta2_from_deff(1e-11, 2.26, 2.26, 2.27)
         two = eta2_from_deff(2e-11, 2.26, 2.26, 2.27)
         assert two == pytest.approx(2 * one, rel=1e-15)
+
+    @pytest.mark.parametrize("route", [
+        lambda d: eta2_from_deff(d, 2.0, 2.0, 2.0),
+        lambda d: q_eff_from_deff(d, (2.0, 2.0, 2.0), (0.5, 0.5, 0.5))],
+        ids=["eta2", "q_eff"])
+    def test_overflow_rejected_naming_d_eff(self, route):
+        with pytest.raises(ValueError, match=r"overflows for d_eff=1e\+300"):
+            route(1e300)
 
     def test_miller_q_zero(self):
         assert miller_Q(0.0, 2.0, 2.0, 2.0) == 0.0
@@ -188,7 +197,8 @@ class TestFieldAndIntensity:
 
     @pytest.mark.parametrize("args, name", [
         ((math.nan, 1.2e-6), "power"), ((math.inf, 1.2e-6), "power"),
-        ((1e-3, math.nan), "mode-field diameter"), ((1e-3, math.inf), "mode-field diameter")])
+        ((1e-3, math.nan), "mode-field diameter"), ((1e-3, math.inf), "mode-field diameter"),
+        ((1e300, 1.2e-6), r"peak intensity overflows for power=1e\+300")])
     def test_intensity_nonfinite_rejected_by_name(self, args, name):
         with pytest.raises(ValueError, match=name):
             peak_intensity(*args)
@@ -207,6 +217,14 @@ class TestFieldAndIntensity:
             PumpGeometry(-1.0, 1.2e-6, 2.26)
         with pytest.raises(ValueError):
             PumpGeometry(1.0, 0.0, 2.26)
+
+    @pytest.mark.parametrize("power, mfd, n_mode, name", [
+        (1e300, 1.2e-6, 2.26, "power=1e+300"),
+        (1e-3, 1.2e-6, 1e-300, "n_mode=1e-300"),
+        (1e-3, 1e-150, 1e-300, "n_mode=1e-300")])    # denominator underflows to 0
+    def test_overflowing_peak_field_rejected_by_name(self, power, mfd, n_mode, name):
+        with pytest.raises(ValueError, match=f"peak field overflows .*{re.escape(name)}"):
+            peak_field_from_power(PumpGeometry(power, mfd, n_mode))
 
     @pytest.mark.parametrize("mfd", [1e300, 1e-300, -1.2e-6])
     def test_mfd_whose_square_overflows_or_underflows_rejected_by_name(self, bto, mfd):

@@ -323,6 +323,22 @@ BAD_SCALARS = {
                                            "sellmeier": [[[None, 1e-14]]] * 3,
                                            "valid_range_m": [0.9e-6, 2.1e-6]},
                          "dispersion.sellmeier"),
+    "numeric-string point": (("dispersion", "points", 1, 1), "1.4",
+                             "dispersion.points[1][1]"),
+    "boolean point": (("dispersion", "points", 0, 0), True, "dispersion.points[0][0]"),
+    "boolean photoelastic entry": (("photoelastic", "entries", 0, 0), True,
+                                   "photoelastic.entries[0][0]"),
+    "numeric-string photoelastic entry": (("photoelastic", "entries", 5, 2), "0.2",
+                                          "photoelastic.entries[5][2]"),
+    "boolean Sellmeier B": (("dispersion",), {"kind": "sellmeier",
+                                              "sellmeier": [[[True, 1e-14]]] * 3,
+                                              "valid_range_m": [0.9e-6, 2.1e-6]},
+                            "dispersion.sellmeier"),
+    "numeric-string Sellmeier C": (("dispersion",), {"kind": "sellmeier",
+                                                     "sellmeier": [[[1.0, "1e-14"]]] * 3,
+                                                     "valid_range_m": [0.9e-6, 2.1e-6]},
+                                   "dispersion.sellmeier"),
+    "boolean qpm_order": (("qpm_order",), True, "qpm_order"),
 }
 
 

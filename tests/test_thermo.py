@@ -190,6 +190,12 @@ class TestVerifyRelations:
         with pytest.raises(ValueError):
             verify_relations(FreeEnergyModel(), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # An infinite tolerance would pass any finite residual.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_relations(FreeEnergyModel(), tol=tol)
+
     def test_third_stress_derivative_is_2q_over_eps0(self):
         q0 = 4.2
         m = FreeEnergyModel(q=q0)
