@@ -30,10 +30,7 @@ from .phasematch import (PhaseMatchInput, PhaseMatchResult, ThreeWaveResidual,
                          delta_k, pm_efficiency, poling_period, sweep,
                          three_wave_residual, wavevector_acoustic,
                          wavevector_optical)
-from .tensors import (PhotoelasticTensor, SecondOrderPhotoelastic,
-                      StrainVoigt, SymmetryReport, check_pair_symmetry,
-                      contract_photoelastic, symmetrize, voigt_index,
-                      voigt_pair)
+from .tensors import PhotoelasticTensor, voigt_index, voigt_pair
 from .thermo import (FreeEnergyModel, RelationReport, VectorFreeEnergyModel,
                      eval_free_energy, eval_free_energy_vector, efield_of,
                      efield_of_vector, extract_eta2, fd_partial, stress_of,

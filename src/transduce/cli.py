@@ -52,7 +52,11 @@ def _resolve_db(args) -> MaterialDb:
 
 
 def _bands_from_args(args) -> MixingBands:
-    axes = tuple(int(a) for a in args.axes.split(","))
+    try:
+        axes = tuple(int(a) for a in args.axes.split(","))
+    except ValueError:
+        raise ValueError("--axes must be comma-separated integers, "
+                         f"got {args.axes!r}") from None
     return MixingBands.from_vacuum_wavelengths(
         args.pump1, args.pump2, args.phonon_ghz * 1e9,
         axes=axes, acoustic_mode=args.acoustic_mode,
@@ -161,7 +165,7 @@ def _cmd_sweep_power(args) -> int:
     else:
         powers = np.linspace(args.pmin, args.pmax, args.points)
     benchmark = (CouplingBenchmark(args.g0_ref, "user-supplied benchmark")
-                 if args.g0_ref else
+                 if args.g0_ref is not None else
                  (OPTOMECHANICAL_CRYSTAL_BENCHMARK if args.benchmark == "crystal"
                   else PIEZO_OPTOMECHANICAL_BENCHMARK))
     report = power_sweep(m, bands, powers, args.mfd, args.n_mode,
@@ -258,6 +262,8 @@ def _cmd_poling(args) -> int:
 def _cmd_verify_thermo(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not 0 <= 2.0 * args.coef_range < math.inf:
         raise ValueError("--coef-range must be >= 0 with a finite span, "
                          f"got {args.coef_range}")

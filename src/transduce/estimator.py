@@ -301,7 +301,7 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
 def peak_field_from_power(g: PumpGeometry) -> float:
     """Average peak field |E| = sqrt(16 P / (n pi eps0 c MFD^2)), in V/m."""
     denom = g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd
-    field = math.sqrt(16.0 * g.power / denom) if denom else math.inf
+    field = math.sqrt(16.0 * g.power / denom) if 0 < denom < math.inf else math.inf
     if not math.isfinite(field):
         raise _overflow("peak field", power=g.power, mfd=g.mfd, n_mode=g.n_mode)
     return field
@@ -373,9 +373,9 @@ class SweepRow:
     g_scaled_rad_per_s: float
 
 
-SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,"
-                    "p_virt_over_p_nominal,intensity_over_threshold,"
-                    "g_scaled_extrapolated_rad_per_s")
+POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,"
+                          "p_virt_over_p_nominal,intensity_over_threshold,"
+                          "g_scaled_extrapolated_rad_per_s")
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ class DesignReport:
     notes: tuple[str, ...]
 
     def to_csv(self) -> str:
-        lines = [SWEEP_CSV_HEADER]
+        lines = [POWER_SWEEP_CSV_HEADER]
         for r in self.rows:
             lines.append(",".join(repr(v) for v in vars(r).values()))
         return "\n".join(lines) + "\n"
@@ -454,6 +454,10 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
         intensity = peak_intensity(p_w, mfd)
         p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
         ratio = abs(p_virt) / p_nominal
+        g_scaled = benchmark.g0_ref * ratio
+        if not math.isfinite(g_scaled):
+            raise _overflow("g_scaled", g0_ref=benchmark.g0_ref, p_virt=p_virt,
+                            p_nominal=p_nominal)
         rows.append(SweepRow(
             power_w=p_w,
             peak_field_v_per_m=field,
@@ -461,7 +465,7 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
             p_virt=p_virt,
             p_virt_over_p_nominal=ratio,
             intensity_over_threshold=intensity / threshold,
-            g_scaled_rad_per_s=benchmark.g0_ref * ratio,
+            g_scaled_rad_per_s=g_scaled,
         ))
     notes = (
         "photoelastic entries are single-wavelength values applied to all bands",

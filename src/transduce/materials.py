@@ -384,7 +384,11 @@ def load_materials(path: str | Path) -> MaterialDb:
     p = Path(path)
     if not p.exists():
         raise MaterialFileError(f"material database not found: {p}")
-    return loads_materials(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MaterialFileError(f"{p}: cannot read material database: {exc}") from None
+    return loads_materials(text, source=str(p))
 
 
 def _dispersion_to_dict(d: DispersionModel) -> dict:

@@ -214,12 +214,13 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     return out
 
 
-SWEEP_CSV_HEADER = ("sweep_value,k_t_rad_per_m,k_p1_rad_per_m,k_p2_rad_per_m,"
-                    "k_m_rad_per_m,k_poling_rad_per_m,delta_k_rad_per_m,efficiency")
+PHASEMATCH_SWEEP_CSV_HEADER = (
+    "sweep_value,k_t_rad_per_m,k_p1_rad_per_m,k_p2_rad_per_m,"
+    "k_m_rad_per_m,k_poling_rad_per_m,delta_k_rad_per_m,efficiency")
 
 
 def sweep_to_csv(rows: list[tuple[float, PhaseMatchResult]]) -> str:
-    lines = [SWEEP_CSV_HEADER]
+    lines = [PHASEMATCH_SWEEP_CSV_HEADER]
     for v, r in rows:
         lines.append(",".join(repr(x) for x in (
             v, r.k_t, r.k_p1, r.k_p2, r.k_m, r.k_poling, r.delta_k, r.efficiency)))

@@ -22,6 +22,15 @@ def bto_bands():
     return MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9)
 
 
+def unreadable_db(tmp_path, kind):
+    """A database path that cannot be read as UTF-8 text."""
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "db.json"
+    path.write_bytes(b"\xff\xfe{}")    # a UTF-16 byte-order mark
+    return path
+
+
 def make_material(name="fix", n_points=((1.0e-6, 2.0), (3.0e-6, 2.0)),
                   valid=(0.5e-6, 3.5e-6), p_entries=None, d_eff=1e-11,
                   eps_r=(5.0, 5.0, 5.0), v_sound=None, damage=5.4e12,

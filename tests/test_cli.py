@@ -13,6 +13,8 @@ from transduce import cli
 from transduce import (PumpGeometry, default_db, dumps_materials,
                        peak_field_from_power, second_order_photoelasticity)
 
+from conftest import unreadable_db
+
 BANDS_ARGS = ["--material", "BaTiO3", "--pump1", "2600e-9", "--pump2", "2600e-9",
               "--phonon-ghz", "2"]
 
@@ -56,7 +58,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--pump1", "0", "lambda_p1"), ("--pump2", "-2.6e-6", "lambda_p2"),
-        ("--pump1", "inf", "lambda_p1"), ("--phonon-ghz", "nan", "phonon_hz")])
+        ("--pump1", "inf", "lambda_p1"), ("--phonon-ghz", "nan", "phonon_hz"),
+        ("--axes", "x,y,z", "--axes must be comma-separated integers, got 'x,y,z'")])
     def test_bad_band_value_is_data_error(self, flag, value, name):
         args = {"--pump1": "2.6e-6", "--pump2": "2.6e-6", "--phonon-ghz": "5", flag: value}
         cp = run_cli("phasematch", "--material", "BaTiO3", "--length", "1e-3",
@@ -160,6 +163,14 @@ class TestMaterials:
         cp = run_cli("materials", "--db", str(bad))
         assert cp.returncode == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_db_is_named(self, tmp_path, kind):
+        path = unreadable_db(tmp_path, kind)
+        cp = run_cli("materials", "--db", str(path))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith(f"error: {path}: cannot read")
+        assert "Traceback" not in cp.stderr
+
 
 class TestField:
     def test_golden_field_bit_for_bit(self):
@@ -184,7 +195,8 @@ class TestField:
 
     @pytest.mark.parametrize("flags, name", [
         (["--power", "1e300", "--mfd", "1.2e-6", "--n-mode", "2.26"], "power=1e+300"),
-        (["--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "1e-300"], "n_mode=1e-300")])
+        (["--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "1e-300"], "n_mode=1e-300"),
+        (["--power", "1e-3", "--mfd", "1e100", "--n-mode", "1e300"], "n_mode=1e+300")])
     def test_overflowing_field_is_data_error(self, flags, name):
         cp = run_cli("field", *flags)
         assert cp.returncode == 1
@@ -203,6 +215,13 @@ class TestSweepPower:
         assert len(lines) == 6
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == 6.0
+
+    def test_zero_g0_ref_is_used_and_rejected(self):
+        cp = run_cli("sweep-power", *BANDS_ARGS, "--mfd", "1.2e-6", "--n-mode", "2.26",
+                     "--pmin", "1e-3", "--pmax", "6", "--g0-ref", "0")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == "error: g0_ref must be positive, got 0.0\n"
 
     def test_table_output_mentions_extrapolation(self):
         cp = run_cli("sweep-power", *BANDS_ARGS, "--mfd", "1.2e-6",
@@ -306,6 +325,12 @@ class TestVerifyThermo:
         assert "--trials" in cp.stderr
         assert "PASS" not in cp.stdout and "Traceback" not in cp.stderr
 
+    def test_negative_seed_is_named(self):
+        cp = run_cli("verify-thermo", "--trials", "2", "--seed", "-1")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == "error: --seed must be >= 0, got -1\n"
+
     def test_deterministic_given_seed(self):
         a = run_cli("verify-thermo", "--trials", "10", "--seed", "7")
         b = run_cli("verify-thermo", "--trials", "10", "--seed", "7")
@@ -351,10 +376,10 @@ class TestImportPath:
         assert cp.stdout == report.to_csv()
 
 
-# Fuzzed flags and their typical values; every numeric flag is drawn from
-# these and the special values below.
+# Fuzzed flags and their typical values; every flag is drawn from these, the
+# special values below and its own bad values in FUZZ_BAD_VALUES.
 _BANDS_FUZZ = {"--pump1": "2600e-9", "--pump2": "2600e-9", "--phonon-ghz": "2",
-               "--strain-voigt": "2"}
+               "--strain-voigt": "2", "--axes": "0,1,2"}
 FUZZ_FLAGS = {
     "field": {"--power": "1e-3", "--mfd": "1.2e-6", "--n-mode": "2.26"},
     "estimate-q": _BANDS_FUZZ,
@@ -363,8 +388,10 @@ FUZZ_FLAGS = {
                    "--sweep-points": "5"},
     "poling": {**_BANDS_FUZZ, "--length": "100e-6"},
     "sweep-power": {**_BANDS_FUZZ, "--mfd": "1.2e-6", "--n-mode": "2.26",
-                    "--pmin": "1e-3", "--pmax": "6", "--points": "5"},
+                    "--pmin": "1e-3", "--pmax": "6", "--points": "5",
+                    "--g0-ref": "2513.27", "--p-nominal": "0.77"},
 }
+FUZZ_BAD_VALUES = {"--axes": ["x,y,z", "0,1", "0,1,3", "2,1,0"]}
 FUZZ_SWITCHES = {
     "estimate-q": ["--qpm"],
     "phasematch": ["--three-wave", "--sweep=poling-period", "--csv"],
@@ -374,8 +401,9 @@ SPECIAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"]
 
 
 def _fuzzed_argv(sub):
-    flags = st.fixed_dictionaries({flag: st.sampled_from([typical, *SPECIAL_VALUES])
-                                   for flag, typical in FUZZ_FLAGS[sub].items()})
+    flags = st.fixed_dictionaries({
+        flag: st.sampled_from([typical, *SPECIAL_VALUES, *FUZZ_BAD_VALUES.get(flag, [])])
+        for flag, typical in FUZZ_FLAGS[sub].items()})
     switches = st.lists(st.sampled_from(FUZZ_SWITCHES.get(sub, [""])), unique=True)
     return st.builds(
         lambda f, on: [sub, "--material=BaTiO3", *(f"{k}={v}" for k, v in f.items()),
@@ -395,6 +423,9 @@ def _fuzzed_argv(sub):
 @example(["field", "--power=1e-3", "--mfd=1.2e-6", "--n-mode=1e-300"])
 @example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=1e-300",
           "--pmin=1e-3", "--pmax=6"])
+@example(["field", "--power=1e-3", "--mfd=1e100", "--n-mode=1e300"])
+@example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=2.26",
+          "--pmin=1e-3", "--pmax=6", "--g0-ref=1e300", "--p-nominal=1e-300"])
 def test_fuzzed_cli_exits_0_1_or_2(argv):
     check_cli_oracle(argv)
 

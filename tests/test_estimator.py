@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transduce.errors import DataError, SingularityError
-from transduce.estimator import (MixingBands, PIEZO_OPTOMECHANICAL_BENCHMARK,
-                                 PumpGeometry, SWEEP_CSV_HEADER,
+from transduce.estimator import (CouplingBenchmark, MixingBands,
+                                 PIEZO_OPTOMECHANICAL_BENCHMARK,
+                                 POWER_SWEEP_CSV_HEADER, PumpGeometry,
                                  damage_limited_power, eta1_rel, eta2_from_Q,
                                  eta2_from_deff, interaction_density_3wm,
                                  interaction_density_4wm, miller_Q,
@@ -221,7 +222,8 @@ class TestFieldAndIntensity:
     @pytest.mark.parametrize("power, mfd, n_mode, name", [
         (1e300, 1.2e-6, 2.26, "power=1e+300"),
         (1e-3, 1.2e-6, 1e-300, "n_mode=1e-300"),
-        (1e-3, 1e-150, 1e-300, "n_mode=1e-300")])    # denominator underflows to 0
+        (1e-3, 1e-150, 1e-300, "n_mode=1e-300"),     # denominator underflows to 0
+        (1e-3, 1e100, 1e300, "n_mode=1e+300")])      # denominator overflows to inf
     def test_overflowing_peak_field_rejected_by_name(self, power, mfd, n_mode, name):
         with pytest.raises(ValueError, match=f"peak field overflows .*{re.escape(name)}"):
             peak_field_from_power(PumpGeometry(power, mfd, n_mode))
@@ -347,6 +349,12 @@ class TestPowerSweep:
             PIEZO_OPTOMECHANICAL_BENCHMARK.g0_ref * row.p_virt_over_p_nominal,
             rel=1e-15)
 
+    def test_overflowing_g_scaled_rejected_by_name(self, bto, bto_bands):
+        benchmark = CouplingBenchmark(1e300, "huge")
+        with pytest.raises(ValueError, match=r"g_scaled overflows .*p_nominal=1e-300"):
+            power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26, benchmark=benchmark,
+                        p_nominal=1e-300)
+
     def test_zero_power_row(self, bto, bto_bands):
         row = power_sweep(bto, bto_bands, [0.0], 1.2e-6, 2.26).rows[0]
         assert row.peak_field_v_per_m == 0.0
@@ -381,7 +389,7 @@ class TestPowerSweep:
     def test_csv_contract(self, bto, bto_bands):
         report = power_sweep(bto, bto_bands, [1e-3, 1.0], 1.2e-6, 2.26)
         lines = report.to_csv().strip().splitlines()
-        assert lines[0] == SWEEP_CSV_HEADER
+        assert lines[0] == POWER_SWEEP_CSV_HEADER
         assert len(lines) == 3
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 1e-3

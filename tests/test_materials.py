@@ -13,6 +13,8 @@ from transduce.materials import (DispersionModel, dumps_materials, load_material
                                  loads_materials, refractive_index,
                                  save_materials, validate_material)
 
+from conftest import unreadable_db
+
 MINIMAL = {
     "schema": 1,
     "materials": [{
@@ -47,6 +49,12 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MaterialFileError, match="not found"):
             load_materials(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_file_is_named(self, tmp_path, kind):
+        path = unreadable_db(tmp_path, kind)
+        with pytest.raises(MaterialFileError, match=re.escape(f"{path}: cannot read")):
+            load_materials(path)
 
     def test_malformed_json(self):
         with pytest.raises(MaterialFileError, match="not valid JSON"):

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from transduce.errors import DataError, RangeError
 from transduce.estimator import MixingBands
-from transduce.phasematch import (PhaseMatchInput, SWEEP_CSV_HEADER, delta_k,
-                                  pm_efficiency, poling_period, sweep,
+from transduce.phasematch import (PHASEMATCH_SWEEP_CSV_HEADER, PhaseMatchInput,
+                                  delta_k, pm_efficiency, poling_period, sweep,
                                   sweep_to_csv, three_wave_residual,
                                   wavevector_acoustic, wavevector_optical)
 
@@ -261,7 +261,7 @@ class TestSweep:
         rows = sweep(pm, "poling-period", [2.0e-6, 3.0e-6])
         text = sweep_to_csv(rows)
         lines = text.strip().splitlines()
-        assert lines[0] == SWEEP_CSV_HEADER
+        assert lines[0] == PHASEMATCH_SWEEP_CSV_HEADER
         parsed = [float(v) for v in lines[1].split(",")]
         assert parsed[0] == 2.0e-6
         assert parsed[6] == rows[0][1].delta_k    # bit-exact via repr

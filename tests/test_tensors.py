@@ -1,11 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from transduce.tensors import (PhotoelasticTensor, SecondOrderPhotoelastic,
-                               StrainVoigt, VOIGT_PAIRS, check_pair_symmetry,
-                               contract_photoelastic, symmetrize, voigt_index,
-                               voigt_pair)
+from transduce.tensors import VOIGT_PAIRS, voigt_index, voigt_pair
 
 
 class TestVoigtPacking:
@@ -34,78 +30,3 @@ class TestVoigtPacking:
             voigt_index(0, -1)
         with pytest.raises(ValueError):
             voigt_pair(6)
-
-
-class TestContract:
-    def test_zero_strain_gives_zero(self):
-        p = PhotoelasticTensor(np.random.default_rng(0).normal(size=(6, 6)))
-        out = contract_photoelastic(p, StrainVoigt(np.zeros(6)))
-        assert np.array_equal(out, np.zeros(6))
-
-    def test_single_entry_hand_contraction(self):
-        entries = np.zeros((6, 6))
-        entries[2, 2] = 0.77
-        x = np.zeros(6)
-        x[2] = 1e-4
-        out = contract_photoelastic(PhotoelasticTensor(entries), StrainVoigt(x))
-        expected = np.zeros(6)
-        expected[2] = 7.7e-5
-        np.testing.assert_allclose(out, expected, rtol=0, atol=0)
-
-    @given(st.floats(-100.0, 100.0, allow_nan=False))
-    def test_linearity_in_strain(self, a):
-        rng = np.random.default_rng(7)
-        p = PhotoelasticTensor(rng.normal(size=(6, 6)))
-        x = rng.uniform(-1e-5, 1e-5, size=6)
-        lhs = contract_photoelastic(p, StrainVoigt(a * x))
-        rhs = a * contract_photoelastic(p, StrainVoigt(x))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
-
-    def test_superposition(self):
-        rng = np.random.default_rng(3)
-        p = PhotoelasticTensor(rng.normal(size=(6, 6)))
-        x1 = rng.uniform(-1e-3, 1e-3, size=6)
-        x2 = rng.uniform(-1e-3, 1e-3, size=6)
-        lhs = contract_photoelastic(p, StrainVoigt(x1 + x2))
-        rhs = (contract_photoelastic(p, StrainVoigt(x1))
-               + contract_photoelastic(p, StrainVoigt(x2)))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        entries = np.zeros((6, 6))
-        entries[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            contract_photoelastic(PhotoelasticTensor(entries), StrainVoigt(np.zeros(6)))
-
-
-def test_large_strain_warns():
-    with pytest.warns(UserWarning, match="strain magnitude"):
-        StrainVoigt(np.array([0.0, 0.0, 0.05, 0.0, 0.0, 0.0]))
-
-
-class TestPairSymmetry:
-    def test_fully_symmetric_fixture_has_zero_asymmetry(self):
-        # constant tensor is invariant under every index permutation
-        t = SecondOrderPhotoelastic(np.full((6, 3, 6), 1.3e-2))
-        rep = check_pair_symmetry(t, tol=1e-3)
-        assert rep.max_asymmetry == 0.0
-        assert rep.passed
-
-    def test_perturbed_entry_is_flagged(self):
-        entries = np.full((6, 3, 6), 1.0)
-        entries[voigt_index(0, 1), 2, 0] *= 1.10   # break the (0,1,2) orbit
-        rep = check_pair_symmetry(SecondOrderPhotoelastic(entries), tol=1e-3)
-        assert not rep.passed
-        assert ((0, 1, 2), 0) in rep.flagged
-        assert rep.max_asymmetry == pytest.approx(0.10 / 1.10, rel=1e-12)
-
-    def test_random_symmetrized_tensor_passes(self):
-        rng = np.random.default_rng(11)
-        t = SecondOrderPhotoelastic(rng.normal(size=(6, 3, 6)))
-        rep = check_pair_symmetry(symmetrize(t), tol=1e-12)
-        assert rep.passed
-
-    def test_tol_must_be_positive(self):
-        t = SecondOrderPhotoelastic(np.zeros((6, 3, 6)))
-        with pytest.raises(ValueError):
-            check_pair_symmetry(t, tol=0.0)
