@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import __version__
 from .errors import TransduceError
@@ -34,7 +34,8 @@ from .estimator import (CouplingBenchmark, MixingBands,
                         SweepRow, damage_limited_power, peak_field_from_power,
                         peak_intensity, power_sweep,
                         second_order_photoelasticity)
-from .materials import MaterialDb, default_db, dumps_materials, load_materials
+from .materials import (Material, MaterialDb, default_db, dumps_materials,
+                        load_materials)
 from .phasematch import (PhaseMatchInput, delta_k, poling_period, sweep,
                          sweep_to_csv, three_wave_residual)
 from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, _nan_first,
@@ -42,25 +43,46 @@ from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, _nan_first,
                      verify_relations_pair, verify_relations_vector)
 
 ENV_DB = "TRANSDUCE_DB"
+_BENCHMARKS = {"piezo": PIEZO_OPTOMECHANICAL_BENCHMARK,
+               "crystal": OPTOMECHANICAL_CRYSTAL_BENCHMARK}
 
 
 def _resolve_db(args) -> MaterialDb:
-    path = getattr(args, "db", None) or os.environ.get(ENV_DB)
-    if path:
-        return load_materials(path)
-    return default_db()
+    path = args.db or os.environ.get(ENV_DB)
+    return load_materials(path) if path else default_db()
 
 
-def _bands_from_args(args) -> MixingBands:
+def _material_and_bands(args) -> tuple[Material, MixingBands]:
+    """The ``--material`` entry and the bands of the band flags, failing in
+    flag order: the database, the material, then ``--axes`` and the bands."""
+    m = _resolve_db(args).get(args.material)
     try:
         axes = tuple(int(a) for a in args.axes.split(","))
     except ValueError:
         raise ValueError("--axes must be comma-separated integers, "
                          f"got {args.axes!r}") from None
-    return MixingBands.from_vacuum_wavelengths(
+    return m, MixingBands.from_vacuum_wavelengths(
         args.pump1, args.pump2, args.phonon_ghz * 1e9,
         axes=axes, acoustic_mode=args.acoustic_mode,
         strain_voigt=args.strain_voigt)
+
+
+def _grid(args, start: str, stop: str, points: str, log: bool = False):
+    """The numpy grid (geometric if ``log``) that the flags named ``start``,
+    ``stop`` and ``points`` ask for, after checking them once, by name."""
+    import numpy as np
+    lo, hi, n = (vars(args)[f[2:].replace("-", "_")] for f in (start, stop, points))
+    if n < 1:
+        raise ValueError(f"{points} must be >= 1")
+    bounds = ((start, lo), (stop, hi))
+    for name, v in bounds if log else ():
+        if not v > 0:
+            raise ValueError(f"--log requires a positive {name}")
+    # A non-finite bound or span would turn into NaN grid values.
+    for name, v in (*bounds, (f"{stop} - {start}", hi - lo)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return (np.geomspace if log else np.linspace)(lo, hi, n)
 
 
 def _kv(name: str, value, unit: str = "") -> None:
@@ -75,6 +97,7 @@ def _add_db_flag(p) -> None:
 
 
 def _add_band_flags(p) -> None:
+    _add_db_flag(p)
     p.add_argument("--material", required=True, help="material name in the database")
     p.add_argument("--pump1", type=float, required=True,
                    help="pump 1 vacuum wavelength in meters")
@@ -96,7 +119,7 @@ def _cmd_materials(args) -> int:
     db = _resolve_db(args)
     if args.show:
         m = db.get(args.show)
-        single = MaterialDb(materials={m.name: m}, source_version=db.source_version)
+        single = MaterialDb(materials={m.name: m})
         print(dumps_materials(single))
         return 0
     for name in db.names():
@@ -112,14 +135,10 @@ def _cmd_materials(args) -> int:
 # ---------------------------------------------------------------- estimate-q
 
 def _cmd_estimate_q(args) -> int:
-    db = _resolve_db(args)
-    m = db.get(args.material)
-    bands = _bands_from_args(args)
+    m, bands = _material_and_bands(args)
     chain = second_order_photoelasticity(m, bands, apply_qpm_reduction=args.qpm)
-    _kv("omega_p1", bands.omega_p1, "rad/s")
-    _kv("omega_p2", bands.omega_p2, "rad/s")
-    _kv("omega_m", bands.omega_m, "rad/s")
-    _kv("omega_t", bands.omega_t, "rad/s")
+    for name in ("omega_p1", "omega_p2", "omega_m", "omega_t"):
+        _kv(name, getattr(bands, name), "rad/s")
     for i, label in enumerate(("pump1", "pump2", "output")):
         _kv(f"n_{label}", chain.n_bands[i])
         _kv(f"eta1_rel_{label}", chain.eta1_rel_bands[i])
@@ -137,37 +156,24 @@ def _cmd_estimate_q(args) -> int:
 def _cmd_field(args) -> int:
     geom = PumpGeometry(power=args.power, mfd=args.mfd, n_mode=args.n_mode)
     _kv("peak_field", peak_field_from_power(geom), "V/m")
-    _kv("peak_intensity", peak_intensity(args.power, args.mfd), "W/m^2")
+    intensity = peak_intensity(args.power, args.mfd)
+    _kv("peak_intensity", intensity, "W/m^2")
     if args.material:
-        db = _resolve_db(args)
-        m = db.get(args.material)
+        m = _resolve_db(args).get(args.material)
         p_max = damage_limited_power(m, args.mfd)
         _kv("damage_threshold", m.damage_threshold, "W/m^2")
         _kv("damage_limited_power", p_max, "W")
-        _kv("intensity_over_threshold",
-            peak_intensity(args.power, args.mfd) / m.damage_threshold)
+        _kv("intensity_over_threshold", intensity / m.damage_threshold)
     return 0
 
 
 # --------------------------------------------------------------- sweep-power
 
 def _cmd_sweep_power(args) -> int:
-    import numpy as np
-    db = _resolve_db(args)
-    m = db.get(args.material)
-    bands = _bands_from_args(args)
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
-    if args.log:
-        if args.pmin <= 0:
-            raise ValueError("--log requires a positive --pmin")
-        powers = np.geomspace(args.pmin, args.pmax, args.points)
-    else:
-        powers = np.linspace(args.pmin, args.pmax, args.points)
+    m, bands = _material_and_bands(args)
+    powers = _grid(args, "--pmin", "--pmax", "--points", log=args.log)
     benchmark = (CouplingBenchmark(args.g0_ref, "user-supplied benchmark")
-                 if args.g0_ref is not None else
-                 (OPTOMECHANICAL_CRYSTAL_BENCHMARK if args.benchmark == "crystal"
-                  else PIEZO_OPTOMECHANICAL_BENCHMARK))
+                 if args.g0_ref is not None else _BENCHMARKS[args.benchmark])
     report = power_sweep(m, bands, powers, args.mfd, args.n_mode,
                          benchmark=benchmark, p_nominal=args.p_nominal)
     if args.csv:
@@ -188,20 +194,15 @@ def _cmd_sweep_power(args) -> int:
 # ---------------------------------------------------------------- phasematch
 
 def _cmd_phasematch(args) -> int:
-    db = _resolve_db(args)
-    m = db.get(args.material)
-    bands = _bands_from_args(args)
+    m, bands = _material_and_bands(args)
     pm_in = PhaseMatchInput(bands=bands, material=m, length=args.length,
                             poling_period=args.poling_period,
                             poling_sign=args.poling_sign)
     if args.sweep:
         if args.sweep_start is None or args.sweep_stop is None:
             raise ValueError("--sweep requires --sweep-start and --sweep-stop")
-        if args.sweep_points < 1:
-            raise ValueError("--sweep-points must be >= 1")
-        import numpy as np
-        values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
-        rows = sweep(pm_in, args.sweep, values)
+        rows = sweep(pm_in, args.sweep,
+                     _grid(args, "--sweep-start", "--sweep-stop", "--sweep-points"))
         if args.csv:
             sys.stdout.write(sweep_to_csv(rows))
         else:
@@ -211,12 +212,8 @@ def _cmd_phasematch(args) -> int:
                 print(f"{v:>16.9e} {r.delta_k:>24.9e} {r.efficiency:>14.6e}")
         return 0
     res = delta_k(pm_in)
-    _kv("k_t", res.k_t, "rad/m")
-    _kv("k_p1", res.k_p1, "rad/m")
-    _kv("k_p2", res.k_p2, "rad/m")
-    _kv("k_m", res.k_m, "rad/m")
-    _kv("k_poling", res.k_poling, "rad/m")
-    _kv("delta_k", res.delta_k, "rad/m")
+    for name in ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k"):
+        _kv(name, getattr(res, name), "rad/m")
     _kv("efficiency", res.efficiency)
     if args.three_wave:
         _print_three_wave(pm_in, args.pump_choice)
@@ -235,9 +232,7 @@ def _print_three_wave(pm_in: PhaseMatchInput, pump_choice: int) -> None:
 # -------------------------------------------------------------------- poling
 
 def _cmd_poling(args) -> int:
-    db = _resolve_db(args)
-    m = db.get(args.material)
-    bands = _bands_from_args(args)
+    m, bands = _material_and_bands(args)
     pm_in = PhaseMatchInput(bands=bands, material=m, length=args.length)
     unpoled = delta_k(pm_in)
     _kv("delta_k_unpoled", unpoled.delta_k, "rad/m")
@@ -248,8 +243,7 @@ def _cmd_poling(args) -> int:
     lam, sign = solved
     _kv("poling_period", lam, "m")
     _kv("poling_sign", float(sign))
-    poled = PhaseMatchInput(bands=bands, material=m, length=args.length,
-                            poling_period=lam, poling_sign=sign)
+    poled = replace(pm_in, poling_period=lam, poling_sign=sign)
     res = delta_k(poled)
     _kv("delta_k_poled", res.delta_k, "rad/m")
     _kv("efficiency", res.efficiency)
@@ -269,7 +263,8 @@ def _cmd_verify_thermo(args) -> int:
                          f"got {args.coef_range}")
     import numpy as np
     rng = np.random.default_rng(args.seed)
-    worst = {"order1": 0.0, "order2": 0.0, "order3": 0.0, "factor2": 0.0}
+    rungs = ("order1", "order2", "order3", "factor2")
+    worst = dict.fromkeys(rungs, 0.0)
     for _ in range(args.trials):
         # Python floats: an overflow gives inf or NaN (and a FAIL), not a
         # numpy RuntimeWarning on stderr.
@@ -282,7 +277,7 @@ def _cmd_verify_thermo(args) -> int:
           f"[-{args.coef_range:g}, {args.coef_range:g}], tol {args.tol:g}")
     print(f"{'relation':>10s} {'worst residual':>16s} {'status':>8s}")
     ok = True
-    for name in ("order1", "order2", "order3", "factor2"):
+    for name in rungs:
         passed = worst[name] < args.tol
         ok = ok and passed
         print(f"{name:>10s} {worst[name]:>16.6e} {'PASS' if passed else 'FAIL':>8s}")
@@ -293,8 +288,7 @@ def _cmd_verify_thermo(args) -> int:
                                 p=rng.uniform(-10, 10, (2, 2)),
                                 q=rng.uniform(-10, 10, (2, 2, 2)))
     vrep = verify_relations_vector(vec, tol=args.tol)
-    vworst = max(vrep.order1_residual, vrep.order2_residual,
-                 vrep.order3_residual, vrep.factor2_residual, key=_nan_first)
+    vworst = max((getattr(vrep, f"{name}_residual") for name in rungs), key=_nan_first)
     print(f"two-component spot check: worst residual {vworst:.6e} "
           f"{'PASS' if vrep.all_passed else 'FAIL'}")
     ok = ok and vrep.all_passed
@@ -329,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-q",
                        help="effective second-order photoelasticity chain")
-    _add_db_flag(p)
     _add_band_flags(p)
     p.add_argument("--qpm", action="store_true",
                    help="apply the 2/(n pi) d_eff reduction for an active poling")
@@ -346,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-power",
                        help="virtual photoelasticity and scalings vs. power")
-    _add_db_flag(p)
     _add_band_flags(p)
     p.add_argument("--mfd", type=float, required=True)
     p.add_argument("--n-mode", type=float, required=True)
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=float, required=True, help="highest power (W)")
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--log", action="store_true", help="logarithmic power grid")
-    p.add_argument("--benchmark", choices=("piezo", "crystal"), default="piezo",
+    p.add_argument("--benchmark", choices=_BENCHMARKS, default="piezo",
                    help="published coupling benchmark for the g_scaled column")
     p.add_argument("--g0-ref", type=float,
                    help="override benchmark coupling (rad/s)")
@@ -364,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_power)
 
     p = sub.add_parser("phasematch", help="wavevector mismatch and efficiency")
-    _add_db_flag(p)
     _add_band_flags(p)
     p.add_argument("--length", type=float, required=True,
                    help="interaction length in meters")
@@ -382,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poling",
                        help="solve the poling period and check the 3WM channel")
-    _add_db_flag(p)
     _add_band_flags(p)
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--pump-choice", type=int, choices=(1, 2), default=1)

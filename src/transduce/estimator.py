@@ -424,10 +424,10 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
     ``powers`` is a nonempty grid of pump powers (W) within ten times the
     damage-limited power for this geometry.  ``p_nominal`` defaults to the
     largest photoelastic entry of the material, the natural yardstick for the
-    p_virt/p_nominal column.  The g_scaled column multiplies the benchmark
-    coupling by p_virt/p_nominal (coupling proportional to the effective
-    photoelasticity with all other device parameters held fixed) and is an
-    extrapolation, not a device prediction.
+    p_virt/p_nominal column, and must be positive and finite.  The g_scaled
+    column multiplies the benchmark coupling by p_virt/p_nominal (coupling
+    proportional to the effective photoelasticity with all other device
+    parameters held fixed) and is an extrapolation, not a device prediction.
     """
     powers = [float(p) for p in powers]
     if not powers:
@@ -442,8 +442,9 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
     if p_nominal is None:
         p_nominal = max((abs(e) for row in m.photoelastic.entries for e in row
                          if not math.isnan(e)), default=math.nan)
-    if not p_nominal > 0:
-        raise ValueError("p_nominal must be positive to form ratios")
+    if not 0 < p_nominal < math.inf:
+        raise ValueError(
+            f"p_nominal must be positive and finite to form ratios, got {p_nominal}")
 
     chain = second_order_photoelasticity(m, bands)
     eps_r = m.eps_r[bands.axes[2]]

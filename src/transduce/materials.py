@@ -148,7 +148,6 @@ class MaterialDb:
     """Immutable name -> Material map loaded from one schema-1 file."""
 
     materials: dict[str, Material]
-    source_version: str = "1"
 
     def get(self, name: str) -> Material:
         try:
@@ -208,10 +207,9 @@ def validate_material(m: Material) -> list[Violation]:
                 continue
             try:
                 nmin = min(d.index(lam, axis) for lam in grid)
-            except RangeError:
-                out.append(Violation("dispersion.sellmeier", "pole inside validity range", axis))
-                continue
-            if nmin < 1.0:
+            except RangeError:   # n^2 < 0 with no pole: n is not even real
+                nmin = None
+            if nmin is None or nmin < 1.0:
                 out.append(Violation("dispersion.sellmeier", "n >= 1 over validity range",
                                      nmin))
     # NaN (null in a file) marks an unmeasured entry; only infinities are bad.
@@ -241,28 +239,21 @@ _MATERIAL_KEYS = {"name", "dispersion", "photoelastic", "d_eff_m_per_v",
 _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
-def _json_float(value) -> float:
-    """JSON number ``value`` (not a boolean) as a float; TypeError otherwise."""
+def _number(value, where: str, field: str) -> float:
+    """JSON number ``value`` (not a boolean) as a float; MaterialFileError
+    naming ``field`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"not a number: {value!r}")
+        raise MaterialFileError(f"{where}: {field} must be a number, got {value!r}")
     return float(value)
 
 
-def _number(value, where: str, field: str) -> float:
-    """JSON number ``value`` as a float; MaterialFileError naming ``field``."""
-    try:
-        return _json_float(value)
-    except TypeError:
-        raise MaterialFileError(
-            f"{where}: {field} must be a number, got {value!r}") from None
-
-
-def _table(rows, where: str, field: str):
-    """``rows`` after rejecting, by cell, an entry of a row that is neither a
-    JSON number nor null; shapes and null cells are checked after parsing."""
+def _table(rows, where: str, field: str, nulls: bool = True):
+    """``rows`` after rejecting, by cell, an entry of a row that is not a JSON
+    number (or null, if ``nulls``); shapes and null cells are checked after
+    parsing."""
     for i, row in enumerate(rows if isinstance(rows, list) else ()):
         for j, v in enumerate(row if isinstance(row, list) else ()):
-            if type(v) not in (float, int) and v is not None:   # JSON types
+            if type(v) not in (float, int) and (v is not None or not nulls):
                 _number(v, where, f"{field}[{i}][{j}]")
     return rows
 
@@ -293,8 +284,10 @@ def _parse_dispersion(obj, where: str) -> DispersionModel:
             raise MaterialFileError(f"{where}: {exc}") from None
     if kind == "sellmeier":
         try:
-            packed = tuple(tuple((_json_float(b), _json_float(c)) for b, c in axis_terms)
-                           for axis_terms in obj.get("sellmeier"))
+            packed = tuple(
+                tuple((float(b), float(c)) for b, c in _table(
+                    terms, where, f"dispersion.sellmeier[{axis}]", nulls=False))
+                for axis, terms in enumerate(obj.get("sellmeier")))
         except (TypeError, ValueError):
             packed = ()
         if len(packed) != 3:
@@ -376,7 +369,7 @@ def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
                 f"'{v.rule}' (value {v.value!r})"
                 + (f" and {len(violations) - 1} more" if len(violations) > 1 else ""))
         mats[m.name] = m
-    return MaterialDb(materials=mats, source_version=str(SCHEMA_VERSION))
+    return MaterialDb(materials=mats)
 
 
 def load_materials(path: str | Path) -> MaterialDb:

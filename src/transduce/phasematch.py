@@ -34,19 +34,21 @@ from .units import C_LIGHT, TWO_PI
 
 def wavevector_optical(n: float, omega: float) -> float:
     """Optical wavevector n * omega / c (rad/m)."""
-    if not n >= 1.0:
-        raise ValueError(f"refractive index must be >= 1, got {n}")
-    if not omega > 0:
-        raise ValueError(f"optical angular frequency must be positive, got {omega}")
+    if not 1.0 <= n < math.inf:
+        raise ValueError(f"refractive index must be finite and >= 1, got {n}")
+    if not 0 < omega < math.inf:
+        raise ValueError(
+            f"optical angular frequency must be positive and finite, got {omega}")
     return n * omega / C_LIGHT
 
 
 def wavevector_acoustic(omega_m: float, v_s: float) -> float:
     """Acoustic wavevector omega_m / v_s (rad/m), linear dispersion."""
-    if not v_s > 0:
-        raise ValueError(f"sound speed must be positive, got {v_s}")
-    if omega_m < 0:
-        raise ValueError(f"phonon angular frequency must be >= 0, got {omega_m}")
+    if not 0 < v_s < math.inf:
+        raise ValueError(f"sound speed must be positive and finite, got {v_s}")
+    if not 0 <= omega_m < math.inf:
+        raise ValueError(
+            f"phonon angular frequency must be finite and >= 0, got {omega_m}")
     return omega_m / v_s
 
 
@@ -65,6 +67,10 @@ class PhaseMatchInput:
             raise ValueError(f"interaction length must be positive, got {self.length}")
         if self.poling_period is not None and not self.poling_period > 0:
             raise ValueError(f"poling period must be positive, got {self.poling_period}")
+        # An infinite period would drop the grating, a subnormal one overflow it.
+        if self.poling_period is not None and not 0 < TWO_PI / self.poling_period < math.inf:
+            raise ValueError("poling period must be finite, with a finite 2 pi / period, "
+                             f"got {self.poling_period}")
         if self.poling_sign not in (-1, 1):
             raise ValueError(f"poling sign must be +-1, got {self.poling_sign}")
 
@@ -79,7 +85,6 @@ class PhaseMatchResult:
     k_m: float
     k_poling: float                   # 0 when no grating
     delta_k: float
-    lambda_qpm: float | None
     efficiency: float                 # sinc^2(delta_k L / 2), in [0, 1]
 
 
@@ -129,7 +134,6 @@ def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     dk = k_t - k_p1 - k_p2 - k_m - k_pol
     return PhaseMatchResult(
         k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_pol, delta_k=dk,
-        lambda_qpm=pm_in.poling_period,
         efficiency=pm_efficiency(dk, pm_in.length))
 
 
@@ -189,29 +193,23 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
 
     ``variable`` is ``"pump-wavelength"`` (both pumps move together, m) or
     ``"poling-period"`` (m).  Returns (value, result) pairs in grid order;
-    evaluations are independent, so order is deterministic.
+    evaluations are independent, so order is deterministic.  Any other
+    ``variable`` raises ValueError, even with an empty grid.
     """
-    out = []
-    for v in values:
-        v = float(v)
-        if variable == "pump-wavelength":
+    b, m, length, sign = pm_in.bands, pm_in.material, pm_in.length, pm_in.poling_sign
+    if variable == "pump-wavelength":
+        def probe(v: float) -> PhaseMatchInput:
             bands = MixingBands.from_vacuum_wavelengths(
-                v, v, pm_in.bands.omega_m / TWO_PI,
-                axes=pm_in.bands.axes, acoustic_mode=pm_in.bands.acoustic_mode,
-                strain_voigt=pm_in.bands.strain_voigt)
-            probe = PhaseMatchInput(bands=bands, material=pm_in.material,
-                                    length=pm_in.length,
-                                    poling_period=pm_in.poling_period,
-                                    poling_sign=pm_in.poling_sign)
-        elif variable == "poling-period":
-            probe = PhaseMatchInput(bands=pm_in.bands, material=pm_in.material,
-                                    length=pm_in.length, poling_period=v,
-                                    poling_sign=pm_in.poling_sign)
-        else:
-            raise ValueError(
-                f"variable must be 'pump-wavelength' or 'poling-period', got {variable!r}")
-        out.append((v, delta_k(probe)))
-    return out
+                v, v, b.omega_m / TWO_PI, axes=b.axes,
+                acoustic_mode=b.acoustic_mode, strain_voigt=b.strain_voigt)
+            return PhaseMatchInput(bands, m, length, pm_in.poling_period, sign)
+    elif variable == "poling-period":
+        def probe(v: float) -> PhaseMatchInput:
+            return PhaseMatchInput(b, m, length, v, sign)
+    else:
+        raise ValueError(
+            f"variable must be 'pump-wavelength' or 'poling-period', got {variable!r}")
+    return [(v, delta_k(probe(v))) for v in map(float, values)]
 
 
 PHASEMATCH_SWEEP_CSV_HEADER = (

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from transduce import cli
 
-from transduce import (PumpGeometry, default_db, dumps_materials,
-                       peak_field_from_power, second_order_photoelasticity)
+from transduce import (MixingBands, PhaseMatchInput, PumpGeometry,
+                       damage_limited_power, default_db, delta_k, dumps_materials,
+                       peak_field_from_power, peak_intensity, poling_period,
+                       second_order_photoelasticity, three_wave_residual)
 
 from conftest import unreadable_db
 
@@ -90,6 +93,56 @@ class TestEstimateQ:
         plain = run_cli("estimate-q", *BANDS_ARGS)
         poled = run_cli("estimate-q", *BANDS_ARGS, "--qpm")
         assert grab(poled.stdout, "d_eff") < grab(plain.stdout, "d_eff")
+
+
+def _library_values(argv) -> dict:
+    """Every ``name = value`` the CLI prints for ``argv``, from the library."""
+    m = default_db().get("BaTiO3")
+    bands = MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9)
+    pm = PhaseMatchInput(bands=bands, material=m, length=100e-6)
+    if argv[0] == "estimate-q":
+        chain = second_order_photoelasticity(m, bands)
+        out = {name: getattr(bands, name)
+               for name in ("omega_p1", "omega_p2", "omega_m", "omega_t")}
+        for i, label in enumerate(("pump1", "pump2", "output")):
+            out.update({f"n_{label}": chain.n_bands[i],
+                        f"eta1_rel_{label}": chain.eta1_rel_bands[i],
+                        f"p_{label}": chain.p_entries[i]})
+        return {**out, "d_eff": chain.d_eff, "eta2": chain.eta2, "miller_Q": chain.Q,
+                "q_eff": chain.q_eff, "abs_q_eff": abs(chain.q_eff)}
+    if argv[0] == "field":
+        intensity = peak_intensity(1e-3, 1.2e-6)
+        return {"peak_field": peak_field_from_power(PumpGeometry(1e-3, 1.2e-6, 2.26)),
+                "peak_intensity": intensity, "damage_threshold": m.damage_threshold,
+                "damage_limited_power": damage_limited_power(m, 1.2e-6),
+                "intensity_over_threshold": intensity / m.damage_threshold}
+    if argv[0] == "phasematch":
+        out = vars(delta_k(pm))
+    else:
+        lam, sign = poling_period(pm)
+        unpoled = delta_k(pm)
+        pm = PhaseMatchInput(bands=bands, material=m, length=100e-6,
+                             poling_period=lam, poling_sign=sign)
+        poled = delta_k(pm)
+        out = {"delta_k_unpoled": unpoled.delta_k, "poling_period": lam,
+               "poling_sign": float(sign), "delta_k_poled": poled.delta_k,
+               "efficiency": poled.efficiency}
+    tw = three_wave_residual(pm)
+    return {**out, "delta_k_3wm": tw.delta_k_3wm, "suppression_3wm": tw.suppression}
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-q", *BANDS_ARGS],
+    ["field", "--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "2.26",
+     "--material", "BaTiO3"],
+    ["phasematch", *BANDS_ARGS, "--length", "100e-6", "--three-wave"],
+    ["poling", *BANDS_ARGS, "--length", "100e-6"]], ids=lambda argv: argv[0])
+def test_every_printed_value_is_the_library_repr(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    printed = dict(re.findall(r"^(\w+) = (\S+)", out.getvalue(), re.MULTILINE))
+    assert printed == {k: repr(v) for k, v in _library_values(argv).items()}
 
 
 class TestMaterials:
@@ -292,6 +345,40 @@ class TestPhasematchAndPoling:
         assert "phase matched too" in cp.stdout
 
 
+SWEEP_ARGS = [*BANDS_ARGS, "--mfd", "1.2e-6", "--n-mode", "2.26"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phasematch", *BANDS_ARGS, "--length", "100e-6", "--poling-period", "inf"],
+     "poling period must be finite, with a finite 2 pi / period, got inf"),
+    (["phasematch", *BANDS_ARGS, "--length", "100e-6", "--poling-period", "1e-320"],
+     "poling period must be finite, with a finite 2 pi / period, got 1e-320"),
+    (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax", "6", "--p-nominal", "inf"],
+     "p_nominal must be positive and finite to form ratios, got inf"),
+    (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax", "inf"],
+     "--pmax must be finite, got inf"),
+    (["sweep-power", *SWEEP_ARGS, "--pmin", "nan", "--pmax", "6"],
+     "--pmin must be finite, got nan"),
+    (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax=-1", "--log"],
+     "--log requires a positive --pmax"),
+    (["phasematch", *BANDS_ARGS, "--length", "100e-6", "--sweep", "poling-period",
+      "--sweep-start", "2e-6", "--sweep-stop", "inf"],
+     "--sweep-stop must be finite, got inf"),
+    (["phasematch", *BANDS_ARGS, "--length", "100e-6", "--sweep", "pump-wavelength",
+      "--sweep-start=-1e308", "--sweep-stop", "1e308"],
+     "--sweep-stop - --sweep-start must be finite, got inf")],
+    ids=["poling-period-inf", "poling-period-1e-320", "p-nominal-inf", "pmax-inf",
+         "pmin-nan", "log-pmax-negative", "sweep-stop-inf", "sweep-span-inf"])
+def test_non_finite_grating_ratio_or_grid_bound_is_named(argv, message):
+    # The first three exited 0 (no grating, 0.0 ratios) or named delta_k; the
+    # grids printed a numpy RuntimeWarning, or named a NaN grid value or no
+    # flag.
+    cp = run_cli(*argv)
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr == f"error: {message}\n"
+
+
 class TestVerifyThermo:
     def test_nan_residual_fails(self):
         # 1e300 coefficients overflow the differences to NaN residuals.
@@ -376,8 +463,9 @@ class TestImportPath:
         assert cp.stdout == report.to_csv()
 
 
-# Fuzzed flags and their typical values; every flag is drawn from these, the
-# special values below and its own bad values in FUZZ_BAD_VALUES.
+# Fuzzed flags and their typical values.  A draw takes every flag from its
+# typical value, the special values below and its own bad values in
+# FUZZ_BAD_VALUES, or varies one flag only and keeps the rest typical.
 _BANDS_FUZZ = {"--pump1": "2600e-9", "--pump2": "2600e-9", "--phonon-ghz": "2",
                "--strain-voigt": "2", "--axes": "0,1,2"}
 FUZZ_FLAGS = {
@@ -397,13 +485,11 @@ FUZZ_SWITCHES = {
     "phasematch": ["--three-wave", "--sweep=poling-period", "--csv"],
     "sweep-power": ["--log", "--csv"],
 }
-SPECIAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"]
+SPECIAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "1e-320"]
 
 
-def _fuzzed_argv(sub):
-    flags = st.fixed_dictionaries({
-        flag: st.sampled_from([typical, *SPECIAL_VALUES, *FUZZ_BAD_VALUES.get(flag, [])])
-        for flag, typical in FUZZ_FLAGS[sub].items()})
+def _argvs(sub, flags):
+    """``sub`` with the flags drawn by ``flags`` and any of its switches."""
     switches = st.lists(st.sampled_from(FUZZ_SWITCHES.get(sub, [""])), unique=True)
     return st.builds(
         lambda f, on: [sub, "--material=BaTiO3", *(f"{k}={v}" for k, v in f.items()),
@@ -411,9 +497,31 @@ def _fuzzed_argv(sub):
         flags, switches)
 
 
+def _unusual(flag):
+    """The special values and ``flag``'s own bad values."""
+    return [*SPECIAL_VALUES, *FUZZ_BAD_VALUES.get(flag, [])]
+
+
+def _fuzzed_argv(sub):
+    return _argvs(sub, st.fixed_dictionaries({
+        flag: st.sampled_from([typical, *_unusual(flag)])
+        for flag, typical in FUZZ_FLAGS[sub].items()}))
+
+
+def _one_unusual_flag_argv(sub):
+    """Typical flags but one, so that its unusual value gets past the band
+    flags to the grating, grid and ratio checks."""
+    def with_unusual(flag):
+        return _argvs(sub, st.fixed_dictionaries({
+            **{k: st.just(v) for k, v in FUZZ_FLAGS[sub].items()},
+            flag: st.sampled_from(_unusual(flag))}))
+    return st.sampled_from(sorted(FUZZ_FLAGS[sub])).flatmap(with_unusual)
+
+
 @seed(20261018)
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(*map(_fuzzed_argv, sorted(FUZZ_FLAGS))))
+@given(st.one_of(*map(_fuzzed_argv, sorted(FUZZ_FLAGS)),
+                 *map(_one_unusual_flag_argv, sorted(FUZZ_FLAGS))))
 @example(["field", "--power=1e-3", "--mfd=1e300", "--n-mode=1.2e-6",
           "--material=BaTiO3"])
 @example(["field", "--power=2.6e-6", "--mfd=1e-300", "--n-mode=1.2e-6"])
@@ -426,6 +534,12 @@ def _fuzzed_argv(sub):
 @example(["field", "--power=1e-3", "--mfd=1e100", "--n-mode=1e300"])
 @example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=2.26",
           "--pmin=1e-3", "--pmax=6", "--g0-ref=1e300", "--p-nominal=1e-300"])
+@example(["phasematch", *BANDS_ARGS, "--length=100e-6", "--poling-period=inf"])
+@example(["phasematch", *BANDS_ARGS, "--length=100e-6", "--poling-period=1e-320"])
+@example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=2.26",
+          "--pmin=1e-3", "--pmax=inf", "--p-nominal=inf"])
+@example(["phasematch", *BANDS_ARGS, "--length=100e-6", "--sweep=poling-period",
+          "--sweep-start=2e-6", "--sweep-stop=inf"])
 def test_fuzzed_cli_exits_0_1_or_2(argv):
     check_cli_oracle(argv)
 
@@ -434,9 +548,12 @@ NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 
 def check_cli_oracle(argv):
-    """Exit 0, 1 or 2 with no traceback, and a success prints no inf or NaN."""
+    """Exit 0, 1 or 2 with no traceback or warning, and a success prints no
+    inf or NaN."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    # Warnings are printed, as a user sees them, rather than raised.
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:   # argparse usage error
@@ -444,6 +561,7 @@ def check_cli_oracle(argv):
     assert code in (0, 1, 2), argv
     assert (code == 2) == ("usage:" in err.getvalue()), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert "Warning" not in err.getvalue(), (argv, err.getvalue())
     if code == 0:
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
 

@@ -355,6 +355,14 @@ class TestPowerSweep:
             power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26, benchmark=benchmark,
                         p_nominal=1e-300)
 
+    @pytest.mark.parametrize("p_nominal", [math.inf, 0.0, -1.0, math.nan])
+    def test_p_nominal_outside_the_positive_reals_is_named(self, bto, bto_bands,
+                                                           p_nominal):
+        # inf gave 0.0 in every p_virt/p_nominal and g_scaled cell.
+        with pytest.raises(ValueError, match=f"^p_nominal must be positive and "
+                                             f"finite to form ratios, got {p_nominal}$"):
+            power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26, p_nominal=p_nominal)
+
     def test_zero_power_row(self, bto, bto_bands):
         row = power_sweep(bto, bto_bands, [0.0], 1.2e-6, 2.26).rows[0]
         assert row.peak_field_v_per_m == 0.0

@@ -40,7 +40,6 @@ def _with(**patch):
 class TestLoad:
     def test_bundled_db_contains_batio3(self, db):
         assert "BaTiO3" in db.names()
-        assert db.source_version == "1"
 
     def test_empty_material_list_is_fine(self):
         db = loads_materials('{"schema": 1, "materials": []}')
@@ -255,6 +254,17 @@ class TestValidate:
         violations = validate_material(replace(m, dispersion=disp))
         assert [v.rule for v in violations] == ["pole inside validity range"] * 3
 
+    def test_negative_n2_without_a_pole_is_named_as_n_below_1(self):
+        # No pole in the window, yet n^2 < 0 throughout: it was reported as
+        # "pole inside validity range".
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["materials"][0]["dispersion"] = {
+            "kind": "sellmeier", "sellmeier": [[[-2.0, 1e-14]]] * 3,
+            "valid_range_m": [1e-6, 2e-6]}
+        with pytest.raises(MaterialFileError,
+                           match="dispersion.sellmeier violates 'n >= 1 over validity range'"):
+            loads_materials(json.dumps(doc))
+
     def test_missing_v_sound_mode_is_not_a_validation_issue(self):
         db = loads_materials(_with(v_sound_m_per_s={}))
         assert validate_material(db.get("demo")) == []
@@ -330,7 +340,7 @@ BAD_SCALARS = {
     "null Sellmeier B": (("dispersion",), {"kind": "sellmeier",
                                            "sellmeier": [[[None, 1e-14]]] * 3,
                                            "valid_range_m": [0.9e-6, 2.1e-6]},
-                         "dispersion.sellmeier"),
+                         "dispersion.sellmeier[0][0][0]"),
     "numeric-string point": (("dispersion", "points", 1, 1), "1.4",
                              "dispersion.points[1][1]"),
     "boolean point": (("dispersion", "points", 0, 0), True, "dispersion.points[0][0]"),
@@ -341,11 +351,19 @@ BAD_SCALARS = {
     "boolean Sellmeier B": (("dispersion",), {"kind": "sellmeier",
                                               "sellmeier": [[[True, 1e-14]]] * 3,
                                               "valid_range_m": [0.9e-6, 2.1e-6]},
-                            "dispersion.sellmeier"),
+                            "dispersion.sellmeier[0][0][0]"),
     "numeric-string Sellmeier C": (("dispersion",), {"kind": "sellmeier",
                                                      "sellmeier": [[[1.0, "1e-14"]]] * 3,
                                                      "valid_range_m": [0.9e-6, 2.1e-6]},
-                                   "dispersion.sellmeier"),
+                                   "dispersion.sellmeier[0][0][1]"),
+    "null Sellmeier C of a later term": (("dispersion",), {
+        "kind": "sellmeier", "valid_range_m": [0.9e-6, 2.1e-6],
+        "sellmeier": [[[1.0, 1e-14]], [[1.0, 1e-14]], [[1.0, 1e-14], [0.5, None]]]},
+        "dispersion.sellmeier[2][1][1]"),
+    "string Sellmeier B": (("dispersion",), {"kind": "sellmeier",
+                                             "sellmeier": [[["1.0", 1e-14]]] * 3,
+                                             "valid_range_m": [0.9e-6, 2.1e-6]},
+                           "dispersion.sellmeier[0][0][0]"),
     "boolean qpm_order": (("qpm_order",), True, "qpm_order"),
 }
 

@@ -55,6 +55,16 @@ class TestWavevectors:
         with pytest.raises(ValueError):
             wavevector_acoustic(1.0, 0.0)
 
+    @pytest.mark.parametrize("fn, args, name", [
+        (wavevector_acoustic, (math.nan, 5000.0), "phonon angular frequency"),
+        (wavevector_acoustic, (1e9, math.inf), "sound speed"),
+        (wavevector_optical, (2.0, math.inf), "optical angular frequency"),
+        (wavevector_optical, (math.inf, 1e15), "refractive index")])
+    def test_non_finite_input_is_named(self, fn, args, name):
+        # They returned nan, 0.0, inf and inf.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fn(*args)
+
 
 class TestDeltaK:
     def test_dispersionless_zero_phonon_is_exactly_zero(self):
@@ -94,6 +104,14 @@ class TestDeltaK:
         m = make_material(v_sound={})
         with pytest.raises(DataError, match="longitudinal"):
             delta_k(PhaseMatchInput(bands=bto_bands, material=m, length=1e-3))
+
+
+    @pytest.mark.parametrize("period", [math.inf, 1e-320])
+    def test_grating_without_a_finite_wavevector_is_named(self, bto, bto_bands, period):
+        # inf gave k_poling = 0.0 (no grating) and 1e-320 a delta_k of -inf.
+        with pytest.raises(ValueError, match="^poling period must be finite"):
+            PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6,
+                            poling_period=period)
 
 
 class TestPolingPeriod:
@@ -255,6 +273,8 @@ class TestSweep:
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
         with pytest.raises(ValueError, match="variable"):
             sweep(pm, "temperature", [1.0])
+        with pytest.raises(ValueError, match="variable"):    # it returned []
+            sweep(pm, "temperature", [])
 
     def test_csv_round_trip(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
