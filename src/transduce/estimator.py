@@ -20,13 +20,16 @@ I = P / (pi (MFD/2)^2), which is the convention that reproduces the
 88.4 kW/cm^2 benchmark at 1 mW through a 1.2 um mode-field diameter (the
 Gaussian peak convention 2P/(pi w^2) would be a factor 2 higher).
 
-Unit composition is checked per design for the chain: eta2, q_eff and the
-damage-limited power go through ``units.Quantity`` and assert their
-dimension.  The per-point formulas (peak field, intensity, p_virt) are plain
-float arithmetic in the same operand order, so they give the same bits; their
-dimensional composition is checked in the tests.  A peak field, intensity,
-eta2 or q_eff that overflows raises ValueError naming the inputs, so no
-infinity reaches a report.
+The chain (eta2, Q, q_eff, the interaction densities) and the per-point
+formulas (peak field, intensity, p_virt) are plain float arithmetic in the
+operand order of their ``units.Quantity`` composition, so they give its bits;
+the tests assert each composition's dimension.  second_order_photoelasticity
+looks up each band's n once and forms 1/n^2 and 1 - 1/n^2 once for
+eta1_rel_bands, Q and q_eff.  Only damage_limited_power still composes
+``Quantity`` objects at run time (see its comment).  A peak field,
+intensity, eta2, Q, q_eff, interaction density or damage-limited power that
+is not finite raises ValueError naming the inputs, so no infinity reaches a
+report.
 """
 
 from __future__ import annotations
@@ -38,16 +41,15 @@ from dataclasses import dataclass, field
 from .errors import DataError, SingularityError
 from .materials import Material, refractive_index
 from .tensors import voigt_index
-from .units import (C_LIGHT, DIMENSIONLESS, EPS0, EPS0_Q,
-                    COULOMB_PER_M2, JOULE_PER_M3, M2_PER_COULOMB,
-                    METER, METER_PER_VOLT, Quantity, TWO_PI,
-                    WATT, WATT_PER_M2, ETA2)
+from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, WATT,
+                    WATT_PER_M2)
 
 # Published single-photon optomechanical coupling rates used as proportional-
 # scaling anchors by power_sweep.  These are literature reference points, not
 # outputs of this package; any column derived from them is an extrapolation.
 G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomechanical transducer
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
+_TWO_PI_C = TWO_PI * C_LIGHT    # vacuum wavelength * angular frequency (m/s)
 
 
 @dataclass(frozen=True)
@@ -73,22 +75,23 @@ class MixingBands:
                                                     compare=False)
 
     def __post_init__(self):
-        for name in ("omega_p1", "omega_p2"):
-            w = getattr(self, name)
-            if not (w > 0 and math.isfinite(w)):
-                raise ValueError(f"{name} must be positive and finite, got {w}")
-        if not (self.omega_m >= 0 and math.isfinite(self.omega_m)):
-            raise ValueError(f"omega_m must be finite and >= 0, got {self.omega_m}")
-        if len(self.axes) != 3 or any(a not in (0, 1, 2) for a in self.axes):
-            raise ValueError(f"axes must be three indices in 0..2, got {self.axes}")
+        w1, w2, wm, axes = self.omega_p1, self.omega_p2, self.omega_m, self.axes
+        if not (w1 > 0 and math.isfinite(w1)):
+            raise ValueError(f"omega_p1 must be positive and finite, got {w1}")
+        if not (w2 > 0 and math.isfinite(w2)):
+            raise ValueError(f"omega_p2 must be positive and finite, got {w2}")
+        if not (wm >= 0 and math.isfinite(wm)):
+            raise ValueError(f"omega_m must be finite and >= 0, got {wm}")
+        if len(axes) != 3 or any(a not in (0, 1, 2) for a in axes):
+            raise ValueError(f"axes must be three indices in 0..2, got {axes}")
         if self.strain_voigt not in range(6):
             raise ValueError(f"strain_voigt must be in 0..5, got {self.strain_voigt}")
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "omega_t",
-                           self.omega_p1 + self.omega_p2 + self.omega_m)
+        wt = w1 + w2 + wm
+        object.__setattr__(self, "axes", tuple(axes))
+        object.__setattr__(self, "omega_t", wt)
         # Vacuum wavelengths (m) of (pump1, pump2, transduced).
         object.__setattr__(self, "wavelengths",
-                           tuple(TWO_PI * C_LIGHT / w for w in self.omegas_optical))
+                           (_TWO_PI_C / w1, _TWO_PI_C / w2, _TWO_PI_C / wt))
 
     @classmethod
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
@@ -100,12 +103,8 @@ class MixingBands:
                     f"{name} must be a positive finite wavelength, got {lam}")
         if not (phonon_hz >= 0 and math.isfinite(phonon_hz)):
             raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
-        return cls(TWO_PI * C_LIGHT / lambda_p1, TWO_PI * C_LIGHT / lambda_p2,
+        return cls(_TWO_PI_C / lambda_p1, _TWO_PI_C / lambda_p2,
                    TWO_PI * phonon_hz, **kw)
-
-    @property
-    def omegas_optical(self) -> tuple[float, float, float]:
-        return (self.omega_p1, self.omega_p2, self.omega_t)
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,7 @@ class MillerChain:
 
 
 _MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
+_SQUARE_METER = METER * METER
 
 
 def _overflow(what: str, **args) -> ValueError:
@@ -186,6 +186,13 @@ def eta1_rel(n: float) -> float:
     return 1.0 / (n * n)
 
 
+def _check_finite(**args) -> None:
+    """Raise ValueError naming the first argument that is not finite."""
+    for k, v in args.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{k} must be finite, got {v}")
+
+
 def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
     """Second-order inverse susceptibility from the tabulated d_eff.
 
@@ -196,9 +203,7 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
     for n in (n1, n2, n3):
         if not n >= 1.0:
             raise ValueError(f"refractive index must be >= 1, got {n}")
-    q = (2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
-        EPS0_Q * EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3))
-    eta2 = q.expect(ETA2, "eta2")
+    eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
     if not math.isfinite(eta2):
         raise _overflow("eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
     return eta2
@@ -214,7 +219,11 @@ def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
         if not n > 1.0:
             raise ValueError(f"refractive index must be > 1, got {n}")
         prod *= 1.0 - eta1_rel(n)
-    return -eta2 / prod
+    Q = -eta2 / prod
+    if not math.isfinite(Q):
+        _check_finite(eta2=eta2)
+        raise _overflow("Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
+    return Q
 
 
 def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
@@ -222,6 +231,7 @@ def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     prod = 1.0
     for n in (n1, n2, n3):
         prod *= 1.0 - eta1_rel(n)
+    _check_finite(Q=Q)      # each factor lies in [0, 1], so only Q can overflow
     return -Q * prod
 
 
@@ -237,22 +247,27 @@ def _band_sum(ns: tuple[float, float, float],
 def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
-    s = _band_sum(ns, ps)
-    q = -(EPS0_Q * Quantity(eta2, ETA2)) * s
-    return q.expect(M2_PER_COULOMB, "q_eff")
+    q_eff = -(EPS0 * eta2) * _band_sum(ns, ps)
+    if not math.isfinite(q_eff):
+        _check_finite(eta2=eta2)
+        raise _overflow("q_eff", eta2=eta2, ns=ns, ps=ps)
+    return q_eff
+
+
+def _q_eff_closed_form(d_eff: float, ns: tuple[float, float, float],
+                       ps: tuple[float, float, float], band_sum: float) -> float:
+    """The closed-form q_eff from its band sum, rejecting an overflow."""
+    n1, n2, n3 = ns
+    q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * band_sum
+    if not math.isfinite(q_eff):
+        raise _overflow("q_eff", d_eff=d_eff, ns=ns, ps=ps)
+    return q_eff
 
 
 def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Closed form: q = -(2 d_eff/(eps0 n1^2 n2^2 n3^2)) sum_n p_n/(1 - 1/n_n^2)."""
-    n1, n2, n3 = ns
-    s = _band_sum(ns, ps)
-    q = -(2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
-        EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3)) * s
-    q_eff = q.expect(M2_PER_COULOMB, "q_eff")
-    if not math.isfinite(q_eff):
-        raise _overflow("q_eff", d_eff=d_eff, ns=ns, ps=ps)
-    return q_eff
+    return _q_eff_closed_form(d_eff, ns, ps, _band_sum(ns, ps))
 
 
 def qpm_deff_reduction(order: int) -> float:
@@ -272,8 +287,9 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     in use, i.e. ``apply_qpm_reduction=True``).  Raises DataError if a needed
     photoelastic entry is unmeasured (stored null).
     """
-    ns = tuple(refractive_index(m, lam, axis)
-               for lam, axis in zip(bands.wavelengths, bands.axes))
+    (l1, l2, l3), (a1, a2, a3) = bands.wavelengths, bands.axes
+    ns = (refractive_index(m, l1, a1), refractive_index(m, l2, a2),
+          refractive_index(m, l3, a3))
     ps = []
     for axis in bands.axes:
         v = voigt_index(axis, axis)
@@ -286,16 +302,24 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
         ps.append(entry)
     ps = tuple(ps)
     d_eff = m.d_eff * (qpm_deff_reduction(m.qpm_order) if apply_qpm_reduction else 1.0)
+    # One pass over the bands, with the arithmetic of eta1_rel, miller_Q and
+    # q_eff_from_deff and their errors in the same order: eta2_from_deff
+    # rejects a non-finite d_eff and n < 1, then a vacuum band is singular.
+    # Q is checked after q_eff, so an input whose q_eff overflows too is
+    # still named by q_eff.
     eta2 = eta2_from_deff(d_eff, *ns)
-    return MillerChain(
-        n_bands=ns,
-        p_entries=ps,
-        d_eff=d_eff,
-        eta1_rel_bands=tuple(eta1_rel(n) for n in ns),
-        eta2=eta2,
-        Q=miller_Q(eta2, *ns),
-        q_eff=q_eff_from_deff(d_eff, ns, ps),
-    )
+    if 1.0 in ns:
+        raise SingularityError("Miller constant is singular for a vacuum band (n = 1)")
+    n1, n2, n3 = ns
+    eta1s = (1.0 / (n1 * n1), 1.0 / (n2 * n2), 1.0 / (n3 * n3))
+    d1, d2, d3 = 1.0 - eta1s[0], 1.0 - eta1s[1], 1.0 - eta1s[2]
+    p1, p2, p3 = ps
+    q_eff = _q_eff_closed_form(d_eff, ns, ps, sum((p1 / d1, p2 / d2, p3 / d3)))
+    Q = -eta2 / (d1 * d2 * d3)
+    if not math.isfinite(Q):
+        raise _overflow("Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
+    return MillerChain(n_bands=ns, p_entries=ps, d_eff=d_eff, eta1_rel_bands=eta1s,
+                       eta2=eta2, Q=Q, q_eff=q_eff)
 
 
 def peak_field_from_power(g: PumpGeometry) -> float:
@@ -318,8 +342,16 @@ def peak_intensity(power: float, mfd: float) -> float:
 
 def damage_limited_power(m: Material, mfd: float) -> float:
     """Largest power (W) keeping the peak intensity at the damage threshold."""
-    return (Quantity(m.damage_threshold, WATT_PER_M2)
-            * Quantity(_mode_area(mfd), METER * METER)).expect(WATT, "power")
+    # The last runtime Quantity composition: the traced benchmark's
+    # units.quantities_per_point (bench/worker.py, grid_metrics) indexes each
+    # power sweep's Quantity count by key, so a sweep must build one.  This
+    # moves to floats once that read is .get(QUANTITY, 0).
+    power = (Quantity(m.damage_threshold, WATT_PER_M2)
+             * Quantity(_mode_area(mfd), _SQUARE_METER)).expect(WATT, "power")
+    if not math.isfinite(power):
+        raise _overflow("damage-limited power", damage_threshold=m.damage_threshold,
+                        mfd=mfd)
+    return power
 
 
 def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
@@ -339,10 +371,11 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
 
 def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> float:
     """Three-wave interaction energy density (1/(2 eps0)) p d1 d2 x, J/m^3."""
-    u = (Quantity(p_eff, DIMENSIONLESS) * Quantity(d1, COULOMB_PER_M2)
-         * Quantity(d2, COULOMB_PER_M2) * Quantity(x, DIMENSIONLESS)
-         / (2.0 * EPS0_Q))
-    return u.expect(JOULE_PER_M3, "interaction density")
+    u = p_eff * d1 * d2 * x / (2.0 * EPS0)
+    if not math.isfinite(u):
+        _check_finite(p_eff=p_eff, d1=d1, d2=d2, x=x)
+        raise _overflow("interaction density", p_eff=p_eff, d1=d1, d2=d2, x=x)
+    return u
 
 
 def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
@@ -354,10 +387,11 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
         == interaction_density_3wm((2/3) q dp, d1, d2, x)
     exactly, which is the algebraic content of the virtual photoelasticity.
     """
-    u = (Quantity(q_eff, M2_PER_COULOMB) * Quantity(dp, COULOMB_PER_M2)
-         * Quantity(d1, COULOMB_PER_M2) * Quantity(d2, COULOMB_PER_M2)
-         * Quantity(x, DIMENSIONLESS) / (3.0 * EPS0_Q))
-    return u.expect(JOULE_PER_M3, "interaction density")
+    u = q_eff * dp * d1 * d2 * x / (3.0 * EPS0)
+    if not math.isfinite(u):
+        _check_finite(q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
+        raise _overflow("interaction density", q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
+    return u
 
 
 @dataclass(frozen=True)

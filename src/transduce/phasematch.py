@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
-from .estimator import MixingBands
+from .estimator import MixingBands, _overflow
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI
 
@@ -49,7 +49,10 @@ def wavevector_acoustic(omega_m: float, v_s: float) -> float:
     if not 0 <= omega_m < math.inf:
         raise ValueError(
             f"phonon angular frequency must be finite and >= 0, got {omega_m}")
-    return omega_m / v_s
+    k_m = omega_m / v_s
+    if not k_m < math.inf:
+        raise _overflow("acoustic wavevector", omega_m=omega_m, v_s=v_s)
+    return k_m
 
 
 @dataclass(frozen=True)
@@ -93,18 +96,31 @@ def _k_optical(m: Material, omega: float, axis: int) -> float:
     return wavevector_optical(refractive_index(m, TWO_PI * C_LIGHT / omega, axis), omega)
 
 
-def _k_phonon_grating(pm_in: PhaseMatchInput) -> tuple[float, float]:
-    """The acoustic wavevector and the signed grating term (0 without one)."""
+def _k_acoustic(pm_in: PhaseMatchInput) -> float:
+    """The acoustic wavevector of the input's phonon mode."""
     m, mode = pm_in.material, pm_in.bands.acoustic_mode
     if mode not in m.v_sound:
         have = ", ".join(sorted(m.v_sound)) or "<none>"
         raise DataError(
             f"material '{m.name}' has no sound speed for acoustic mode "
             f"'{mode}' (have: {have})")
-    k_m = wavevector_acoustic(pm_in.bands.omega_m, m.v_sound[mode])
+    return wavevector_acoustic(pm_in.bands.omega_m, m.v_sound[mode])
+
+
+def _k_grating(pm_in: PhaseMatchInput) -> float:
+    """The signed grating term, 0 without a grating."""
     if pm_in.poling_period is None:
-        return k_m, 0.0
-    return k_m, pm_in.poling_sign * TWO_PI / pm_in.poling_period
+        return 0.0
+    return pm_in.poling_sign * TWO_PI / pm_in.poling_period
+
+
+def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
+    """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating."""
+    b, m = pm_in.bands, pm_in.material
+    k_p1 = _k_optical(m, b.omega_p1, b.axes[0])
+    k_p2 = _k_optical(m, b.omega_p2, b.axes[1])
+    k_t = _k_optical(m, b.omega_t, b.axes[2])
+    return k_t, k_p1, k_p2, _k_acoustic(pm_in)
 
 
 def pm_efficiency(delta_k: float, length: float) -> float:
@@ -126,11 +142,8 @@ def pm_efficiency(delta_k: float, length: float) -> float:
 
 def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     """Evaluate the four-wave mismatch and its components for ``pm_in``."""
-    b, m = pm_in.bands, pm_in.material
-    k_p1 = _k_optical(m, b.omega_p1, b.axes[0])
-    k_p2 = _k_optical(m, b.omega_p2, b.axes[1])
-    k_t = _k_optical(m, b.omega_t, b.axes[2])
-    k_m, k_pol = _k_phonon_grating(pm_in)
+    k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
+    k_pol = _k_grating(pm_in)
     dk = k_t - k_p1 - k_p2 - k_m - k_pol
     return PhaseMatchResult(
         k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_pol, delta_k=dk,
@@ -142,11 +155,13 @@ def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
 
     Returns None when the process is already phase matched (a distinguished
     no-poling-needed outcome, not an error).  Any poling on the input is
-    ignored; the solve always starts from the bare mismatch.
+    ignored; the solve always starts from the bare mismatch, which must be
+    finite, as in :func:`delta_k`.
     """
-    bare = PhaseMatchInput(bands=pm_in.bands, material=pm_in.material,
-                           length=pm_in.length, poling_period=None)
-    dk0 = delta_k(bare).delta_k
+    k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
+    dk0 = k_t - k_p1 - k_p2 - k_m
+    if not math.isfinite(dk0):
+        raise ValueError(f"delta_k must be finite, got {dk0}")
     if dk0 == 0.0:
         return None
     sign = 1 if dk0 > 0 else -1
@@ -179,8 +194,7 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     omega_p = b.omega_p1 if pump_choice == 1 else b.omega_p2
     k_p = _k_optical(m, omega_p, b.axes[pump_choice - 1])
     k_t3 = _k_optical(m, omega_p + b.omega_m, b.axes[2])
-    k_m, k_pol = _k_phonon_grating(pm_in)
-    dk3 = k_t3 - k_p - k_m - k_pol
+    dk3 = k_t3 - k_p - _k_acoustic(pm_in) - _k_grating(pm_in)
     supp = pm_efficiency(dk3, pm_in.length)
     return ThreeWaveResidual(
         delta_k_3wm=dk3,

@@ -8,12 +8,14 @@ of silently absorbing a unit bug.  Dimensions are exponent vectors over the
 four SI base quantities this domain needs (m, kg, s, A); there is no string
 parsing and no unit conversion, SI in and SI out.
 
-Where the check runs: the once-per-design formulas of the estimation chain
-(eta2, q_eff, damage-limited power, interaction densities) compose
-``Quantity`` objects on every call.  The per-point formulas (pump field,
-intensity, virtual photoelasticity) compute on plain floats, because they run
-once per sweep point; their composition is checked in the tests, which build
-the same expression from ``Quantity`` objects and assert its dimension.
+Where the check runs: the estimation chain (eta2, both q_eff routes, the
+interaction densities) and the per-point formulas (pump field, intensity,
+virtual photoelasticity) compute on plain floats.  The tests build each of
+them from ``Quantity`` objects in the same operand order, assert the
+dimension the composition closes to, and compare the float result with it.
+The damage-limited power is the one runtime caller left: the traced
+benchmark's power-sweep metric (``bench/worker.py``, ``grid_metrics``) reads
+the ``Quantity`` count of each sweep by key, so a sweep must build one.
 """
 
 from __future__ import annotations

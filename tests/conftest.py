@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from transduce import MixingBands, default_db
 from transduce.materials import DispersionModel, Material
@@ -56,3 +59,33 @@ def make_material(name="fix", n_points=((1.0e-6, 2.0), (3.0e-6, 2.0)),
         damage_threshold=damage,
         qpm_order=qpm_order,
     )
+
+
+@st.composite
+def designs(draw):
+    """A tabulated or Sellmeier material and bands inside its window.
+
+    The ranges are those of the benchmark generator: pumps in 1.8-3.0 um, a
+    1-10 GHz phonon, Sellmeier poles below and above the 0.6-3.4 um window.
+    """
+    window = (0.6e-6, 3.4e-6)
+    n = st.floats(1.3, 3.0)
+    if draw(st.booleans()):
+        rows = tuple((lam, draw(n), draw(n), draw(n))
+                     for lam in (0.7e-6, 1.5e-6, 2.3e-6, 3.2e-6))
+        dispersion = DispersionModel(kind="tabulated-points",
+                                     valid_range_m=window, points=rows)
+    else:
+        terms = tuple(((draw(st.floats(1.5, 3.5)), draw(st.floats(1e-14, 9e-14))),
+                       (draw(st.floats(0.2, 1.0)), draw(st.floats(6.4e-11, 1.44e-10))))
+                      for _ in range(3))
+        dispersion = DispersionModel(kind="sellmeier", valid_range_m=window,
+                                     sellmeier=terms)
+    m = make_material(p_entries={(v, 2): draw(st.floats(-0.3, 0.8)) for v in range(3)},
+                      d_eff=draw(st.floats(5e-12, 50e-12)),
+                      v_sound={"longitudinal": draw(st.floats(3000.0, 9000.0))})
+    pump = st.floats(1.8e-6, 3.0e-6)
+    bands = MixingBands.from_vacuum_wavelengths(
+        draw(pump), draw(pump), draw(st.floats(1e9, 1e10)),
+        axes=draw(st.tuples(*[st.integers(0, 2)] * 3)))
+    return dataclasses.replace(m, dispersion=dispersion), bands

@@ -249,12 +249,19 @@ class TestField:
     @pytest.mark.parametrize("flags, name", [
         (["--power", "1e300", "--mfd", "1.2e-6", "--n-mode", "2.26"], "power=1e+300"),
         (["--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "1e-300"], "n_mode=1e-300"),
-        (["--power", "1e-3", "--mfd", "1e100", "--n-mode", "1e300"], "n_mode=1e+300")])
+        (["--power", "1e-3", "--mfd", "1e100", "--n-mode", "1e300"], "n_mode=1e+300"),
+        # It printed damage_limited_power = inf and exited 0.
+        (["--power", "1e-3", "--mfd", "1e150", "--n-mode", "2.26", "--material", "BaTiO3"],
+         "damage_threshold=5400000000000.0, mfd=1e+150")])
     def test_overflowing_field_is_data_error(self, flags, name):
         cp = run_cli("field", *flags)
         assert cp.returncode == 1
-        assert cp.stdout == ""
-        assert cp.stderr.startswith("error: peak field overflows") and name in cp.stderr
+        # The damage-limited power comes after the field and intensity lines.
+        damage = "--material" in flags
+        printed = [line.split(" = ")[0] for line in cp.stdout.splitlines()]
+        assert printed == (["peak_field", "peak_intensity"] if damage else [])
+        what = "damage-limited power" if damage else "peak field"
+        assert cp.stderr.startswith(f"error: {what} overflows") and name in cp.stderr
 
 
 class TestSweepPower:
@@ -275,6 +282,15 @@ class TestSweepPower:
         assert cp.returncode == 1
         assert cp.stdout == ""
         assert cp.stderr == "error: g0_ref must be positive, got 0.0\n"
+
+    def test_overflowing_damage_limit_is_data_error(self):
+        # The grid check against 10x an infinite limit passed, and it exited 0.
+        cp = run_cli("sweep-power", *BANDS_ARGS, "--mfd", "1e150", "--n-mode", "2.26",
+                     "--pmin", "1e-3", "--pmax", "6")
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == ("error: damage-limited power overflows for "
+                             "damage_threshold=5400000000000.0, mfd=1e+150\n")
 
     def test_table_output_mentions_extrapolation(self):
         cp = run_cli("sweep-power", *BANDS_ARGS, "--mfd", "1.2e-6",
@@ -532,6 +548,9 @@ def _one_unusual_flag_argv(sub):
 @example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=1e-300",
           "--pmin=1e-3", "--pmax=6"])
 @example(["field", "--power=1e-3", "--mfd=1e100", "--n-mode=1e300"])
+@example(["field", "--power=1e-3", "--mfd=1e150", "--n-mode=2.26", "--material=BaTiO3"])
+@example(["sweep-power", *BANDS_ARGS, "--mfd=1e150", "--n-mode=2.26",
+          "--pmin=1e-3", "--pmax=6"])
 @example(["sweep-power", *BANDS_ARGS, "--mfd=1.2e-6", "--n-mode=2.26",
           "--pmin=1e-3", "--pmax=6", "--g0-ref=1e300", "--p-nominal=1e-300"])
 @example(["phasematch", *BANDS_ARGS, "--length=100e-6", "--poling-period=inf"])

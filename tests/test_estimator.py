@@ -16,11 +16,13 @@ from transduce.estimator import (CouplingBenchmark, MixingBands,
                                  power_sweep, q_eff_from_deff, q_eff_from_eta2,
                                  second_order_photoelasticity,
                                  virtual_photoelasticity)
-from transduce.units import (C_LIGHT_Q, DIMENSIONLESS, EPS0, EPS0_Q, METER,
+from transduce.materials import refractive_index
+from transduce.units import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0,
+                             EPS0_Q, ETA2, JOULE_PER_M3, METER, METER_PER_VOLT,
                              M2_PER_COULOMB, Quantity, VOLT_PER_METER, WATT,
                              WATT_PER_M2)
 
-from conftest import make_material
+from conftest import designs, make_material
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -117,6 +119,31 @@ class TestEta2AndMiller:
         with pytest.raises(SingularityError, match="vacuum band"):
             route(first, ns, (0.2, 0.2, 0.77))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: q_eff_from_eta2(math.inf, (2.0, 2.0, 2.0), (0.5, 0.5, 0.5)),
+         r"eta2 must be finite, got inf"),
+        (lambda: q_eff_from_eta2(math.nan, (2.0, 2.0, 2.0), (0.5, 0.5, 0.5)),
+         r"eta2 must be finite, got nan"),
+        (lambda: q_eff_from_eta2(1e300, (2.0, 2.0, 2.0), (1e300, 1e300, 1e300)),
+         r"q_eff overflows for eta2=1e\+300, ns=\(2.0, 2.0, 2.0\), "
+         r"ps=\(1e\+300, 1e\+300, 1e\+300\)"),
+        (lambda: miller_Q(math.nan, 2, 2, 2), r"eta2 must be finite, got nan"),
+        (lambda: miller_Q(1e300, 1.0000000000000002, 1.0000000000000002, 2.0),
+         r"Miller Q overflows for eta2=1e\+300, n1=1.0000000000000002, "
+         r"n2=1.0000000000000002, n3=2.0"),
+        (lambda: eta2_from_Q(math.inf, 2, 2, 2), r"Q must be finite, got inf"),
+        (lambda: interaction_density_3wm(math.nan, 1, 1, 1),
+         r"p_eff must be finite, got nan"),
+        (lambda: interaction_density_4wm(1e300, 1e300, 1, 1, 1),
+         r"interaction density overflows for q_eff=1e\+300, dp=1e\+300, d1=1, d2=1, x=1")],
+        ids=["q_eff_from_eta2-inf", "q_eff_from_eta2-nan", "q_eff_from_eta2-overflow",
+             "miller_Q-nan", "miller_Q-overflow", "eta2_from_Q-inf",
+             "interaction_density_3wm-nan", "interaction_density_4wm-overflow"])
+    def test_non_finite_result_is_named(self, call, message):
+        # They returned -inf, nan, -inf, nan, -inf, -inf, nan and inf.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     @given(st.floats(1e6, 1e12), st.floats(1.1, 3.5), st.floats(1.1, 3.5),
            st.floats(1.1, 3.5))
     def test_roundtrip_eta2_Q(self, eta2, n1, n2, n3):
@@ -147,6 +174,15 @@ class TestSecondOrderPhotoelasticity:
         with pytest.raises(DataError, match=r"\[2\]\[2\]"):
             second_order_photoelasticity(m, bto_bands)
 
+    def test_overflowing_miller_constant_is_named(self, bto_bands):
+        # Bands at n = 1 + 2^-52 and a huge d_eff: Q was -inf, q_eff finite.
+        n = 1.0000000000000002
+        m = make_material(n_points=((1e-6, n), (3e-6, n)), d_eff=1e250)
+        with pytest.raises(ValueError, match=r"^Miller Q overflows for eta2=.*, "
+                           r"n1=1.0000000000000002, n2=1.0000000000000002, "
+                           r"n3=1.0000000000000002$"):
+            second_order_photoelasticity(m, bto_bands)
+
     def test_qpm_reduction_only_on_request(self, bto, bto_bands):
         plain = second_order_photoelasticity(bto, bto_bands)
         poled = second_order_photoelasticity(bto, bto_bands, apply_qpm_reduction=True)
@@ -161,6 +197,21 @@ class TestSecondOrderPhotoelasticity:
             entries[idx] = entries[idx] * 1.1
             bumped = make_material(p_entries=entries)
             assert abs(second_order_photoelasticity(bumped, bto_bands).q_eff) > q0
+
+
+class TestOnePassChain:
+    @given(designs())
+    @settings(max_examples=200)
+    def test_fields_are_the_per_band_functions(self, design):
+        m, bands = design
+        chain = second_order_photoelasticity(m, bands)
+        ns, ps = chain.n_bands, chain.p_entries
+        assert ns == tuple(refractive_index(m, lam, axis)
+                           for lam, axis in zip(bands.wavelengths, bands.axes))
+        assert chain.eta1_rel_bands == tuple(eta1_rel(n) for n in ns)
+        assert chain.eta2 == eta2_from_deff(chain.d_eff, *ns)
+        assert chain.Q == miller_Q(chain.eta2, *ns)
+        assert chain.q_eff == q_eff_from_deff(chain.d_eff, ns, ps)
 
 
 class TestRouteEquivalence:
@@ -213,6 +264,12 @@ class TestFieldAndIntensity:
         zero = make_material(damage=1e-30)
         assert damage_limited_power(zero, 1.2e-6) == pytest.approx(0.0, abs=1e-35)
 
+    def test_overflowing_damage_limited_power_is_named(self, bto):
+        # It returned inf.
+        with pytest.raises(ValueError, match=r"^damage-limited power overflows for "
+                           r"damage_threshold=5400000000000.0, mfd=1e\+150$"):
+            damage_limited_power(bto, 1e150)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             PumpGeometry(-1.0, 1.2e-6, 2.26)
@@ -238,11 +295,60 @@ class TestFieldAndIntensity:
 
 
 class TestDimensionedReferences:
-    """The float-only per-point formulas against their Quantity composition.
+    """The float-only formulas against their Quantity composition.
 
     Each reference asserts the dimension its composition closes to, so a
-    unit slip in the formula's operands shows up here.
+    unit slip in the formula's operands shows up here.  The chain formulas
+    keep the composition's operand order, so they equal it bit for bit.
     """
+
+    @staticmethod
+    def assert_same(got, ref, dim):
+        assert ref.dim == dim
+        assert type(got) is float
+        assert got == ref.value
+
+    @given(st.floats(-1e-9, 1e-9), st.floats(1.0, 4.0), st.floats(1.0, 4.0),
+           st.floats(1.0, 4.0))
+    def test_eta2_from_deff(self, d_eff, n1, n2, n3):
+        ref = (2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
+            EPS0_Q * EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3))
+        self.assert_same(eta2_from_deff(d_eff, n1, n2, n3), ref, ETA2)
+
+    @staticmethod
+    def band_sum(ns, ps):
+        return sum(p / (1.0 - 1.0 / (n * n)) for p, n in zip(ps, ns))
+
+    @given(st.floats(-1e-9, 1e-9), st.tuples(*[st.floats(1.01, 4.0)] * 3),
+           st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_q_eff_from_deff(self, d_eff, ns, ps):
+        n1, n2, n3 = ns
+        ref = -(2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
+            EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3)) * self.band_sum(ns, ps)
+        self.assert_same(q_eff_from_deff(d_eff, ns, ps), ref, M2_PER_COULOMB)
+
+    @given(st.floats(-1e12, 1e12), st.tuples(*[st.floats(1.01, 4.0)] * 3),
+           st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_q_eff_from_eta2(self, eta2, ns, ps):
+        ref = -(EPS0_Q * Quantity(eta2, ETA2)) * self.band_sum(ns, ps)
+        self.assert_same(q_eff_from_eta2(eta2, ns, ps), ref, M2_PER_COULOMB)
+
+    @given(st.floats(-1.0, 1.0), st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3),
+           st.floats(-1e-6, 1e-6))
+    def test_interaction_density_3wm(self, p_eff, d1, d2, x):
+        ref = (Quantity(p_eff, DIMENSIONLESS) * Quantity(d1, COULOMB_PER_M2)
+               * Quantity(d2, COULOMB_PER_M2) * Quantity(x, DIMENSIONLESS)
+               / (2.0 * EPS0_Q))
+        self.assert_same(interaction_density_3wm(p_eff, d1, d2, x), ref, JOULE_PER_M3)
+
+    @given(st.floats(-1e2, 1e2), st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3),
+           st.floats(-1e-3, 1e-3), st.floats(-1e-6, 1e-6))
+    def test_interaction_density_4wm(self, q_eff, dp, d1, d2, x):
+        ref = (Quantity(q_eff, M2_PER_COULOMB) * Quantity(dp, COULOMB_PER_M2)
+               * Quantity(d1, COULOMB_PER_M2) * Quantity(d2, COULOMB_PER_M2)
+               * Quantity(x, DIMENSIONLESS) / (3.0 * EPS0_Q))
+        self.assert_same(interaction_density_4wm(q_eff, dp, d1, d2, x), ref,
+                         JOULE_PER_M3)
 
     @staticmethod
     def assert_close(got, want):

@@ -1,17 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from transduce.errors import DataError, RangeError
 from transduce.estimator import MixingBands
+from transduce.materials import DispersionModel
 from transduce.phasematch import (PHASEMATCH_SWEEP_CSV_HEADER, PhaseMatchInput,
                                   delta_k, pm_efficiency, poling_period, sweep,
                                   sweep_to_csv, three_wave_residual,
                                   wavevector_acoustic, wavevector_optical)
 
-from conftest import make_material
+from conftest import designs, make_material
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +66,21 @@ class TestWavevectors:
         # They returned nan, 0.0, inf and inf.
         with pytest.raises(ValueError, match=f"^{name} must be"):
             fn(*args)
+
+    def test_overflowing_acoustic_wavevector_is_named(self):
+        # It returned inf.
+        with pytest.raises(ValueError, match=r"^acoustic wavevector overflows for "
+                           r"omega_m=10000000000.0, v_s=1e-300$"):
+            wavevector_acoustic(1e10, 1e-300)
+
+    @pytest.mark.parametrize("call", [delta_k, poling_period, three_wave_residual])
+    def test_overflowing_acoustic_wavevector_is_named_by_each_caller(
+            self, bto, bto_bands, call):
+        # Each said only "delta_k must be finite, got -inf".
+        m = dataclasses.replace(bto, v_sound={"longitudinal": 1e-300})
+        with pytest.raises(ValueError, match=r"^acoustic wavevector overflows for "
+                           r"omega_m=12566370614.359173, v_s=1e-300$"):
+            call(PhaseMatchInput(bands=bto_bands, material=m, length=100e-6))
 
 
 class TestDeltaK:
@@ -146,6 +163,25 @@ class TestPolingPeriod:
         bands = MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 0.0)
         pm = PhaseMatchInput(bands=bands, material=m, length=1e-3)
         assert poling_period(pm) is None
+
+    @given(designs(), st.floats(50e-6, 500e-6))
+    @settings(max_examples=200)
+    def test_period_is_two_pi_over_the_unpoled_delta_k(self, design, length):
+        m, bands = design
+        pm = PhaseMatchInput(bands=bands, material=m, length=length)
+        dk0 = delta_k(pm).delta_k
+        assert poling_period(pm) == (
+            None if dk0 == 0.0 else (TWO_PI / abs(dk0), 1 if dk0 > 0 else -1))
+
+    def test_non_finite_bare_mismatch_is_rejected(self, bto_bands):
+        # n = 4e301 on both pump axes takes n * omega beyond the float range.
+        rows = tuple((lam, 4e301, 4e301, 2.0) for lam in (1e-6, 3e-6))
+        m = dataclasses.replace(make_material(), dispersion=DispersionModel(
+            kind="tabulated-points", valid_range_m=(0.5e-6, 3.5e-6), points=rows))
+        pm = PhaseMatchInput(bands=bto_bands, material=m, length=100e-6)
+        for call in (delta_k, poling_period):
+            with pytest.raises(ValueError, match="^delta_k must be finite, got -inf$"):
+                call(pm)
 
     def test_existing_poling_is_ignored_by_solver(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
