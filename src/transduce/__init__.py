@@ -36,4 +36,4 @@ from .thermo import (FreeEnergyModel, RelationReport, VectorFreeEnergyModel,
                      efield_of_vector, extract_eta2, fd_partial, stress_of,
                      stress_of_vector, verify_relations, verify_relations_pair,
                      verify_relations_vector)
-from .units import (CONSTANTS, C_LIGHT, Constants, Dimension, EPS0, Quantity)
+from .units import C_LIGHT, Dimension, EPS0, Quantity

@@ -3,7 +3,11 @@
 Argument-level misuse (bad index, negative tolerance, ...) raises plain
 ``ValueError``; the classes below mark failures that originate in data or
 physics rather than in the call itself, so batch drivers can tell them apart.
+A result that is not finite is argument-level: :func:`non_finite_error`
+builds its ``ValueError``.
 """
+
+import math
 
 
 class TransduceError(Exception):
@@ -33,3 +37,17 @@ class SingularityError(TransduceError):
 
 class MaterialFileError(TransduceError):
     """A material database file failed to parse or validate."""
+
+
+def non_finite_error(what: str, **args) -> ValueError:
+    """The error for a result ``what`` that is not finite.
+
+    It names the first argument that is not finite (a tuple counts if any
+    element is not); if every argument is finite, the result overflowed.
+    Callers test ``math.isfinite`` themselves and build this only on failure.
+    """
+    for k, v in args.items():
+        if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+            return ValueError(f"{k} must be finite, got {v}")
+    named = ", ".join(f"{k}={v!r}" for k, v in args.items())
+    return ValueError(f"{what} overflows for {named}")

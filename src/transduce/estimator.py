@@ -23,13 +23,13 @@ Gaussian peak convention 2P/(pi w^2) would be a factor 2 higher).
 The chain (eta2, Q, q_eff, the interaction densities) and the per-point
 formulas (peak field, intensity, p_virt) are plain float arithmetic in the
 operand order of their ``units.Quantity`` composition, so they give its bits;
-the tests assert each composition's dimension.  second_order_photoelasticity
-looks up each band's n once and forms 1/n^2 and 1 - 1/n^2 once for
-eta1_rel_bands, Q and q_eff.  Only damage_limited_power still composes
-``Quantity`` objects at run time (see its comment).  A peak field,
-intensity, eta2, Q, q_eff, interaction density or damage-limited power that
-is not finite raises ValueError naming the inputs, so no infinity reaches a
-report.
+the tests assert each composition's dimension.  The public chain steps and
+second_order_photoelasticity validate their inputs and then call the same
+private steps: the per-band terms 1/n^2 and 1 - 1/n^2, Q, and the band sum
+with the closed-form q_eff.  Only damage_limited_power still composes
+``Quantity`` objects at run time (see its comment).  A result that is not
+finite raises the ValueError of ``errors.non_finite_error``, which names the
+inputs, so no infinity reaches a report.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DataError, SingularityError
+from .errors import DataError, SingularityError, non_finite_error
 from .materials import Material, refractive_index
 from .tensors import voigt_index
-from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, WATT,
+from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
 
 # Published single-photon optomechanical coupling rates used as proportional-
@@ -49,7 +49,6 @@ from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, WATT,
 # outputs of this package; any column derived from them is an extrapolation.
 G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomechanical transducer
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
-_TWO_PI_C = TWO_PI * C_LIGHT    # vacuum wavelength * angular frequency (m/s)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class MixingBands:
         object.__setattr__(self, "omega_t", wt)
         # Vacuum wavelengths (m) of (pump1, pump2, transduced).
         object.__setattr__(self, "wavelengths",
-                           (_TWO_PI_C / w1, _TWO_PI_C / w2, _TWO_PI_C / wt))
+                           (TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt))
 
     @classmethod
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
@@ -103,7 +102,7 @@ class MixingBands:
                     f"{name} must be a positive finite wavelength, got {lam}")
         if not (phonon_hz >= 0 and math.isfinite(phonon_hz)):
             raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
-        return cls(_TWO_PI_C / lambda_p1, _TWO_PI_C / lambda_p2,
+        return cls(TWO_PI_C / lambda_p1, TWO_PI_C / lambda_p2,
                    TWO_PI * phonon_hz, **kw)
 
 
@@ -121,13 +120,8 @@ class MillerChain:
 
 
 _MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
+_PerBand = tuple[float, float, float]     # (pump1, pump2, transduced)
 _SQUARE_METER = METER * METER
-
-
-def _overflow(what: str, **args) -> ValueError:
-    """The error for a result that is not finite, naming the arguments."""
-    named = ", ".join(f"{k}={v!r}" for k, v in args.items())
-    return ValueError(f"{what} overflows for {named}")
 
 
 def _check_power(power: float) -> None:
@@ -179,18 +173,53 @@ OPTOMECHANICAL_CRYSTAL_BENCHMARK = CouplingBenchmark(
     "optomechanical crystal device, 2pi x 850 kHz (literature)")
 
 
+def _check_indices(ns: tuple[float, ...]) -> None:
+    for n in ns:
+        if not n >= 1.0:
+            raise ValueError(f"refractive index must be >= 1, got {n}")
+
+
 def eta1_rel(n: float) -> float:
     """Relative first-order inverse susceptibility eps0*eta1 = 1/n^2."""
-    if not n >= 1.0:
-        raise ValueError(f"refractive index must be >= 1, got {n}")
+    _check_indices((n,))
     return 1.0 / (n * n)
 
 
-def _check_finite(**args) -> None:
-    """Raise ValueError naming the first argument that is not finite."""
-    for k, v in args.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{k} must be finite, got {v}")
+def _band_terms(ns: _PerBand, singular: str | None) -> tuple[_PerBand, _PerBand]:
+    """(1/n^2, 1 - 1/n^2) per band for indices already checked >= 1.
+
+    A vacuum band (n = 1) zeroes its denominator; it raises SingularityError
+    for the quantity ``singular`` unless that is None.  The bands are written
+    out rather than mapped through eta1_rel, which would re-check each n.
+    """
+    if singular is not None and 1.0 in ns:
+        raise SingularityError(f"{singular} is singular for a vacuum band (n = 1)")
+    n1, n2, n3 = ns
+    eta1s = (1.0 / (n1 * n1), 1.0 / (n2 * n2), 1.0 / (n3 * n3))
+    return eta1s, (1.0 - eta1s[0], 1.0 - eta1s[1], 1.0 - eta1s[2])
+
+
+def _miller_Q(eta2: float, ns: _PerBand, denoms: _PerBand) -> float:
+    d1, d2, d3 = denoms
+    Q = -eta2 / (d1 * d2 * d3)
+    if not math.isfinite(Q):
+        n1, n2, n3 = ns
+        raise non_finite_error("Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
+    return Q
+
+
+def _band_sum(ps: _PerBand, denoms: _PerBand) -> float:
+    """sum_n p_n / (1 - 1/n_n^2), the band sum shared by both q_eff routes."""
+    (p1, p2, p3), (d1, d2, d3) = ps, denoms
+    return sum((p1 / d1, p2 / d2, p3 / d3))
+
+
+def _q_eff_closed_form(d_eff: float, ns: _PerBand, ps: _PerBand, denoms: _PerBand) -> float:
+    n1, n2, n3 = ns
+    q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * _band_sum(ps, denoms)
+    if not math.isfinite(q_eff):
+        raise non_finite_error("q_eff", d_eff=d_eff, ns=ns, ps=ps)
+    return q_eff
 
 
 def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
@@ -200,74 +229,48 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
     """
     if not math.isfinite(d_eff):
         raise ValueError("d_eff must be finite")
-    for n in (n1, n2, n3):
-        if not n >= 1.0:
-            raise ValueError(f"refractive index must be >= 1, got {n}")
+    _check_indices((n1, n2, n3))
     eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
     if not math.isfinite(eta2):
-        raise _overflow("eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
+        raise non_finite_error("eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
     return eta2
 
 
 def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
     """Miller proportionality constant Q = -eta2 / prod(1 - 1/n^2)."""
-    prod = 1.0
-    for n in (n1, n2, n3):
-        if n == 1.0:
-            raise SingularityError(
-                "Miller constant is singular for a vacuum band (n = 1)")
-        if not n > 1.0:
-            raise ValueError(f"refractive index must be > 1, got {n}")
-        prod *= 1.0 - eta1_rel(n)
-    Q = -eta2 / prod
-    if not math.isfinite(Q):
-        _check_finite(eta2=eta2)
-        raise _overflow("Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
-    return Q
+    ns = (n1, n2, n3)
+    first_bad = next((n for n in ns if not n > 1.0), 1.0)
+    if first_bad != 1.0:        # a vacuum band first is singular (_band_terms)
+        raise ValueError(f"refractive index must be > 1, got {first_bad}")
+    return _miller_Q(eta2, ns, _band_terms(ns, "Miller constant")[1])
 
 
 def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     """Inverse of miller_Q; round-trips to machine precision."""
-    prod = 1.0
-    for n in (n1, n2, n3):
-        prod *= 1.0 - eta1_rel(n)
-    _check_finite(Q=Q)      # each factor lies in [0, 1], so only Q can overflow
-    return -Q * prod
-
-
-def _band_sum(ns: tuple[float, float, float],
-              ps: tuple[float, float, float]) -> float:
-    """sum_n p_n / (1 - 1/n_n^2), the band sum shared by both q_eff routes."""
-    denoms = [1.0 - eta1_rel(n) for n in ns]
-    if 0.0 in denoms:
-        raise SingularityError("q_eff is singular for a vacuum band (n = 1)")
-    return sum(p / d for p, d in zip(ps, denoms))
+    ns = (n1, n2, n3)
+    _check_indices(ns)
+    d1, d2, d3 = _band_terms(ns, None)[1]
+    eta2 = -Q * (d1 * d2 * d3)
+    if not math.isfinite(eta2):     # each factor lies in [0, 1], so Q is named
+        raise non_finite_error("eta2", Q=Q, n1=n1, n2=n2, n3=n3)
+    return eta2
 
 
 def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
-    q_eff = -(EPS0 * eta2) * _band_sum(ns, ps)
+    _check_indices(ns)
+    q_eff = -(EPS0 * eta2) * _band_sum(ps, _band_terms(ns, "q_eff")[1])
     if not math.isfinite(q_eff):
-        _check_finite(eta2=eta2)
-        raise _overflow("q_eff", eta2=eta2, ns=ns, ps=ps)
-    return q_eff
-
-
-def _q_eff_closed_form(d_eff: float, ns: tuple[float, float, float],
-                       ps: tuple[float, float, float], band_sum: float) -> float:
-    """The closed-form q_eff from its band sum, rejecting an overflow."""
-    n1, n2, n3 = ns
-    q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * band_sum
-    if not math.isfinite(q_eff):
-        raise _overflow("q_eff", d_eff=d_eff, ns=ns, ps=ps)
+        raise non_finite_error("q_eff", eta2=eta2, ns=ns, ps=ps)
     return q_eff
 
 
 def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Closed form: q = -(2 d_eff/(eps0 n1^2 n2^2 n3^2)) sum_n p_n/(1 - 1/n_n^2)."""
-    return _q_eff_closed_form(d_eff, ns, ps, _band_sum(ns, ps))
+    _check_indices(ns)
+    return _q_eff_closed_form(d_eff, ns, ps, _band_terms(ns, "q_eff")[1])
 
 
 def qpm_deff_reduction(order: int) -> float:
@@ -302,24 +305,14 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
         ps.append(entry)
     ps = tuple(ps)
     d_eff = m.d_eff * (qpm_deff_reduction(m.qpm_order) if apply_qpm_reduction else 1.0)
-    # One pass over the bands, with the arithmetic of eta1_rel, miller_Q and
-    # q_eff_from_deff and their errors in the same order: eta2_from_deff
-    # rejects a non-finite d_eff and n < 1, then a vacuum band is singular.
-    # Q is checked after q_eff, so an input whose q_eff overflows too is
-    # still named by q_eff.
+    # eta2_from_deff rejects a non-finite d_eff and n < 1, then a vacuum band
+    # is singular; q_eff is checked before Q, so an input whose q_eff
+    # overflows too is named by q_eff.
     eta2 = eta2_from_deff(d_eff, *ns)
-    if 1.0 in ns:
-        raise SingularityError("Miller constant is singular for a vacuum band (n = 1)")
-    n1, n2, n3 = ns
-    eta1s = (1.0 / (n1 * n1), 1.0 / (n2 * n2), 1.0 / (n3 * n3))
-    d1, d2, d3 = 1.0 - eta1s[0], 1.0 - eta1s[1], 1.0 - eta1s[2]
-    p1, p2, p3 = ps
-    q_eff = _q_eff_closed_form(d_eff, ns, ps, sum((p1 / d1, p2 / d2, p3 / d3)))
-    Q = -eta2 / (d1 * d2 * d3)
-    if not math.isfinite(Q):
-        raise _overflow("Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
+    eta1s, denoms = _band_terms(ns, "Miller constant")
+    q_eff = _q_eff_closed_form(d_eff, ns, ps, denoms)
     return MillerChain(n_bands=ns, p_entries=ps, d_eff=d_eff, eta1_rel_bands=eta1s,
-                       eta2=eta2, Q=Q, q_eff=q_eff)
+                       eta2=eta2, Q=_miller_Q(eta2, ns, denoms), q_eff=q_eff)
 
 
 def peak_field_from_power(g: PumpGeometry) -> float:
@@ -327,7 +320,7 @@ def peak_field_from_power(g: PumpGeometry) -> float:
     denom = g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd
     field = math.sqrt(16.0 * g.power / denom) if 0 < denom < math.inf else math.inf
     if not math.isfinite(field):
-        raise _overflow("peak field", power=g.power, mfd=g.mfd, n_mode=g.n_mode)
+        raise non_finite_error("peak field", power=g.power, mfd=g.mfd, n_mode=g.n_mode)
     return field
 
 
@@ -336,7 +329,7 @@ def peak_intensity(power: float, mfd: float) -> float:
     _check_power(power)
     intensity = power / _mode_area(mfd)
     if not math.isfinite(intensity):
-        raise _overflow("peak intensity", power=power, mfd=mfd)
+        raise non_finite_error("peak intensity", power=power, mfd=mfd)
     return intensity
 
 
@@ -349,8 +342,8 @@ def damage_limited_power(m: Material, mfd: float) -> float:
     power = (Quantity(m.damage_threshold, WATT_PER_M2)
              * Quantity(_mode_area(mfd), _SQUARE_METER)).expect(WATT, "power")
     if not math.isfinite(power):
-        raise _overflow("damage-limited power", damage_threshold=m.damage_threshold,
-                        mfd=mfd)
+        raise non_finite_error("damage-limited power",
+                               damage_threshold=m.damage_threshold, mfd=mfd)
     return power
 
 
@@ -373,8 +366,7 @@ def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> flo
     """Three-wave interaction energy density (1/(2 eps0)) p d1 d2 x, J/m^3."""
     u = p_eff * d1 * d2 * x / (2.0 * EPS0)
     if not math.isfinite(u):
-        _check_finite(p_eff=p_eff, d1=d1, d2=d2, x=x)
-        raise _overflow("interaction density", p_eff=p_eff, d1=d1, d2=d2, x=x)
+        raise non_finite_error("interaction density", p_eff=p_eff, d1=d1, d2=d2, x=x)
     return u
 
 
@@ -389,8 +381,8 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
     """
     u = q_eff * dp * d1 * d2 * x / (3.0 * EPS0)
     if not math.isfinite(u):
-        _check_finite(q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
-        raise _overflow("interaction density", q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
+        raise non_finite_error("interaction density",
+                               q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
     return u
 
 
@@ -491,8 +483,8 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
         ratio = abs(p_virt) / p_nominal
         g_scaled = benchmark.g0_ref * ratio
         if not math.isfinite(g_scaled):
-            raise _overflow("g_scaled", g0_ref=benchmark.g0_ref, p_virt=p_virt,
-                            p_nominal=p_nominal)
+            raise non_finite_error("g_scaled", g0_ref=benchmark.g0_ref,
+                                   p_virt=p_virt, p_nominal=p_nominal)
         rows.append(SweepRow(
             power_w=p_w,
             peak_field_v_per_m=field,

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
-from .estimator import MixingBands, _overflow
+from .errors import DataError, non_finite_error
+from .estimator import MixingBands
 from .materials import Material, refractive_index
-from .units import C_LIGHT, TWO_PI
+from .units import C_LIGHT, TWO_PI, TWO_PI_C
 
 
 def wavevector_optical(n: float, omega: float) -> float:
@@ -39,7 +39,10 @@ def wavevector_optical(n: float, omega: float) -> float:
     if not 0 < omega < math.inf:
         raise ValueError(
             f"optical angular frequency must be positive and finite, got {omega}")
-    return n * omega / C_LIGHT
+    k = n * omega / C_LIGHT
+    if not k < math.inf:
+        raise non_finite_error("optical wavevector", n=n, omega=omega)
+    return k
 
 
 def wavevector_acoustic(omega_m: float, v_s: float) -> float:
@@ -51,7 +54,7 @@ def wavevector_acoustic(omega_m: float, v_s: float) -> float:
             f"phonon angular frequency must be finite and >= 0, got {omega_m}")
     k_m = omega_m / v_s
     if not k_m < math.inf:
-        raise _overflow("acoustic wavevector", omega_m=omega_m, v_s=v_s)
+        raise non_finite_error("acoustic wavevector", omega_m=omega_m, v_s=v_s)
     return k_m
 
 
@@ -91,11 +94,6 @@ class PhaseMatchResult:
     efficiency: float                 # sinc^2(delta_k L / 2), in [0, 1]
 
 
-def _k_optical(m: Material, omega: float, axis: int) -> float:
-    """Wavevector of the optical band at ``omega`` polarized along ``axis``."""
-    return wavevector_optical(refractive_index(m, TWO_PI * C_LIGHT / omega, axis), omega)
-
-
 def _k_acoustic(pm_in: PhaseMatchInput) -> float:
     """The acoustic wavevector of the input's phonon mode."""
     m, mode = pm_in.material, pm_in.bands.acoustic_mode
@@ -117,9 +115,10 @@ def _k_grating(pm_in: PhaseMatchInput) -> float:
 def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
     """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating."""
     b, m = pm_in.bands, pm_in.material
-    k_p1 = _k_optical(m, b.omega_p1, b.axes[0])
-    k_p2 = _k_optical(m, b.omega_p2, b.axes[1])
-    k_t = _k_optical(m, b.omega_t, b.axes[2])
+    (l1, l2, lt), (a1, a2, at) = b.wavelengths, b.axes
+    k_p1 = wavevector_optical(refractive_index(m, l1, a1), b.omega_p1)
+    k_p2 = wavevector_optical(refractive_index(m, l2, a2), b.omega_p2)
+    k_t = wavevector_optical(refractive_index(m, lt, at), b.omega_t)
     return k_t, k_p1, k_p2, _k_acoustic(pm_in)
 
 
@@ -136,6 +135,8 @@ def pm_efficiency(delta_k: float, length: float) -> float:
     if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"length must be positive and finite, got {length}")
     x = float(delta_k * length / 2.0 / math.pi)
+    if not math.isfinite(x):
+        raise non_finite_error("delta_k * length", delta_k=delta_k, length=length)
     y = math.pi * (x if x != 0 else 1.0e-20)
     return (math.sin(y) / y) ** 2
 
@@ -190,10 +191,11 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     """
     if pump_choice not in (1, 2):
         raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
-    b, m = pm_in.bands, pm_in.material
+    b, m, i = pm_in.bands, pm_in.material, pump_choice - 1
     omega_p = b.omega_p1 if pump_choice == 1 else b.omega_p2
-    k_p = _k_optical(m, omega_p, b.axes[pump_choice - 1])
-    k_t3 = _k_optical(m, omega_p + b.omega_m, b.axes[2])
+    k_p = wavevector_optical(refractive_index(m, b.wavelengths[i], b.axes[i]), omega_p)
+    omega_t3 = omega_p + b.omega_m
+    k_t3 = wavevector_optical(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
     dk3 = k_t3 - k_p - _k_acoustic(pm_in) - _k_grating(pm_in)
     supp = pm_efficiency(dk3, pm_in.length)
     return ThreeWaveResidual(

@@ -26,18 +26,10 @@ from dataclasses import dataclass
 from .errors import UnitError
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Vacuum permittivity (F/m) and vacuum speed of light (m/s)."""
-
-    eps0: float = 8.8541878128e-12
-    c_light: float = 2.99792458e8
-
-
-CONSTANTS = Constants()
-EPS0 = CONSTANTS.eps0
-C_LIGHT = CONSTANTS.c_light
-TWO_PI = 2.0 * math.pi      # angular frequency = TWO_PI * C_LIGHT / vacuum wavelength
+EPS0 = 8.8541878128e-12     # vacuum permittivity (F/m), CODATA 2018
+C_LIGHT = 2.99792458e8      # vacuum speed of light (m/s)
+TWO_PI = 2.0 * math.pi
+TWO_PI_C = TWO_PI * C_LIGHT     # vacuum wavelength * angular frequency (m/s)
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,9 @@ class TestPhasematchAndPoling:
 
 
 SWEEP_ARGS = [*BANDS_ARGS, "--mfd", "1.2e-6", "--n-mode", "2.26"]
+TERAHERTZ_PHONON_ARGS = ["--material", "BaTiO3", "--pump1", "2600e-9", "--pump2", "2600e-9",
+                         "--phonon-ghz", "1000"]
+SINC_OVERFLOW = "delta_k * length overflows for delta_k=-1256541153.5592482, length=1e+300"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -382,13 +385,16 @@ SWEEP_ARGS = [*BANDS_ARGS, "--mfd", "1.2e-6", "--n-mode", "2.26"]
      "--sweep-stop must be finite, got inf"),
     (["phasematch", *BANDS_ARGS, "--length", "100e-6", "--sweep", "pump-wavelength",
       "--sweep-start=-1e308", "--sweep-stop", "1e308"],
-     "--sweep-stop - --sweep-start must be finite, got inf")],
+     "--sweep-stop - --sweep-start must be finite, got inf"),
+    (["phasematch", *TERAHERTZ_PHONON_ARGS, "--length", "1e300"], SINC_OVERFLOW),
+    (["poling", *TERAHERTZ_PHONON_ARGS, "--length", "1e300"], SINC_OVERFLOW)],
     ids=["poling-period-inf", "poling-period-1e-320", "p-nominal-inf", "pmax-inf",
-         "pmin-nan", "log-pmax-negative", "sweep-stop-inf", "sweep-span-inf"])
+         "pmin-nan", "log-pmax-negative", "sweep-stop-inf", "sweep-span-inf",
+         "phasematch-length-1e300", "poling-length-1e300"])
 def test_non_finite_grating_ratio_or_grid_bound_is_named(argv, message):
     # The first three exited 0 (no grating, 0.0 ratios) or named delta_k; the
     # grids printed a numpy RuntimeWarning, or named a NaN grid value or no
-    # flag.
+    # flag; the last two printed "error: math domain error" from sin(inf).
     cp = run_cli(*argv)
     assert cp.returncode == 1
     assert cp.stdout == ""

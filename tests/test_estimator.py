@@ -112,6 +112,18 @@ class TestEta2AndMiller:
         with pytest.raises(SingularityError):
             miller_Q(1.0, 1.0, 2.0, 2.0)
 
+    @pytest.mark.parametrize("ns, error, message", [
+        ((0.5, 1.0, 2.0), ValueError, "refractive index must be > 1, got 0.5"),
+        ((1.0, 0.5, 2.0), SingularityError, "Miller constant is singular"),
+        ((2.0, math.nan, 1.0), ValueError, "refractive index must be > 1, got nan")])
+    def test_miller_q_first_bad_band_decides_the_error(self, ns, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            miller_Q(1.0, *ns)
+
+    def test_eta2_from_q_vacuum_band_gives_signed_zero(self):
+        got = eta2_from_Q(5.0, 1.0, 2.0, 2.0)
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
     @pytest.mark.parametrize("route, first", [(q_eff_from_deff, 1e-11),
                                               (q_eff_from_eta2, 1.9e9)])
     @pytest.mark.parametrize("ns", [(1.0, 2.0, 2.0), (2.0, 2.0, 1.0)])
@@ -127,6 +139,12 @@ class TestEta2AndMiller:
         (lambda: q_eff_from_eta2(1e300, (2.0, 2.0, 2.0), (1e300, 1e300, 1e300)),
          r"q_eff overflows for eta2=1e\+300, ns=\(2.0, 2.0, 2.0\), "
          r"ps=\(1e\+300, 1e\+300, 1e\+300\)"),
+        (lambda: q_eff_from_eta2(1.0, (2.0, 2.0, 2.0), (math.inf, 0.0, 0.0)),
+         r"ps must be finite, got \(inf, 0.0, 0.0\)"),
+        (lambda: q_eff_from_deff(1.0, (2.0, 2.0, 2.0), (math.inf, 0.0, 0.0)),
+         r"ps must be finite, got \(inf, 0.0, 0.0\)"),
+        (lambda: q_eff_from_deff(math.nan, (2.0, 2.0, 2.0), (0.5, 0.5, 0.5)),
+         r"d_eff must be finite, got nan"),
         (lambda: miller_Q(math.nan, 2, 2, 2), r"eta2 must be finite, got nan"),
         (lambda: miller_Q(1e300, 1.0000000000000002, 1.0000000000000002, 2.0),
          r"Miller Q overflows for eta2=1e\+300, n1=1.0000000000000002, "
@@ -137,10 +155,12 @@ class TestEta2AndMiller:
         (lambda: interaction_density_4wm(1e300, 1e300, 1, 1, 1),
          r"interaction density overflows for q_eff=1e\+300, dp=1e\+300, d1=1, d2=1, x=1")],
         ids=["q_eff_from_eta2-inf", "q_eff_from_eta2-nan", "q_eff_from_eta2-overflow",
+             "q_eff_from_eta2-ps-inf", "q_eff_from_deff-ps-inf", "q_eff_from_deff-nan",
              "miller_Q-nan", "miller_Q-overflow", "eta2_from_Q-inf",
              "interaction_density_3wm-nan", "interaction_density_4wm-overflow"])
     def test_non_finite_result_is_named(self, call, message):
-        # They returned -inf, nan, -inf, nan, -inf, -inf, nan and inf.
+        # The ps-inf and q_eff_from_deff-nan cases said "q_eff overflows for
+        # ..."; the others returned -inf, nan or inf.
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 

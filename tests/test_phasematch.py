@@ -67,6 +67,12 @@ class TestWavevectors:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             fn(*args)
 
+    def test_overflowing_optical_wavevector_is_named(self):
+        # It returned inf.
+        with pytest.raises(ValueError, match=r"^optical wavevector overflows for "
+                           r"n=1e\+300, omega=1000000000000000.0$"):
+            wavevector_optical(1e300, 1e15)
+
     def test_overflowing_acoustic_wavevector_is_named(self):
         # It returned inf.
         with pytest.raises(ValueError, match=r"^acoustic wavevector overflows for "
@@ -174,14 +180,31 @@ class TestPolingPeriod:
             None if dk0 == 0.0 else (TWO_PI / abs(dk0), 1 if dk0 > 0 else -1))
 
     def test_non_finite_bare_mismatch_is_rejected(self, bto_bands):
-        # n = 4e301 on both pump axes takes n * omega beyond the float range.
-        rows = tuple((lam, 4e301, 4e301, 2.0) for lam in (1e-6, 3e-6))
-        m = dataclasses.replace(make_material(), dispersion=DispersionModel(
-            kind="tabulated-points", valid_range_m=(0.5e-6, 3.5e-6), points=rows))
+        # Each wavevector is finite: k_m lies within 2e294 of the largest
+        # float and n = 1e290 gives k_p near 2.4e296, so k_m + k_p1 + k_p2
+        # overflows.
+        rows = tuple((lam, 1e290, 1e290, 2.0) for lam in (1e-6, 3e-6))
+        v_s = bto_bands.omega_m / 1.7976931348623e308
+        m = dataclasses.replace(make_material(), v_sound={"longitudinal": v_s},
+                                dispersion=DispersionModel(
+                                    kind="tabulated-points",
+                                    valid_range_m=(0.5e-6, 3.5e-6), points=rows))
         pm = PhaseMatchInput(bands=bto_bands, material=m, length=100e-6)
         for call in (delta_k, poling_period):
             with pytest.raises(ValueError, match="^delta_k must be finite, got -inf$"):
                 call(pm)
+
+    @pytest.mark.parametrize("call", [delta_k, poling_period, three_wave_residual])
+    def test_overflowing_optical_wavevector_is_named_by_each_caller(self, bto_bands, call):
+        # n = 4e301 on both pump axes takes n * omega beyond the float range;
+        # delta_k and poling_period said only "delta_k must be finite, got -inf".
+        rows = tuple((lam, 4e301, 4e301, 2.0) for lam in (1e-6, 3e-6))
+        m = dataclasses.replace(make_material(), dispersion=DispersionModel(
+            kind="tabulated-points", valid_range_m=(0.5e-6, 3.5e-6), points=rows))
+        pm = PhaseMatchInput(bands=bto_bands, material=m, length=100e-6)
+        with pytest.raises(ValueError, match=r"^optical wavevector overflows for "
+                           r"n=4e\+301, omega=724481372041866.6$"):
+            call(pm)
 
     def test_existing_poling_is_ignored_by_solver(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
@@ -236,7 +259,12 @@ class TestEfficiency:
     @pytest.mark.parametrize("dk, L, name", [
         (math.nan, 1e-3, "delta_k"), (math.inf, 1e-3, "delta_k"),
         (-math.inf, 1e-3, "delta_k"), (1.0, math.nan, "length"),
-        (1.0, math.inf, "length")])
+        (1.0, math.inf, "length"),
+        # These two raised "math domain error" from sin(inf).
+        (1e300, 1e300,
+         r"^delta_k \* length overflows for delta_k=1e\+300, length=1e\+300$"),
+        (-1e300, 1e300,
+         r"^delta_k \* length overflows for delta_k=-1e\+300, length=1e\+300$")])
     def test_nonfinite_rejected_by_name(self, dk, L, name):
         with pytest.raises(ValueError, match=name):
             pm_efficiency(dk, L)
