@@ -13,9 +13,14 @@ full float precision (repr), so they are bit-identical to the corresponding
 library call; wide sweep tables are formatted to 9 significant digits and
 --csv switches to full-precision CSV.
 
-numpy is imported inside the array commands only (sweep-power, phasematch
---sweep, verify-thermo); the single-point commands run on Python floats, so
-this module and its imports must not import numpy at module level.
+Each command imports only the layers it uses.  This module imports
+``errors``, ``materials`` and ``estimator`` (and so ``tensors`` and
+``units``), enough for materials, estimate-q, field and sweep-power; the
+phasematch and poling handlers import ``phasematch``, and verify-thermo
+imports ``thermo``.  numpy is imported inside the array commands only
+(sweep-power, phasematch --sweep, verify-thermo); the single-point commands
+run on Python floats, so no module imported here may import numpy at module
+level.
 """
 
 from __future__ import annotations
@@ -36,11 +41,6 @@ from .estimator import (CouplingBenchmark, MixingBands,
                         second_order_photoelasticity)
 from .materials import (Material, MaterialDb, default_db, dumps_materials,
                         load_materials)
-from .phasematch import (PhaseMatchInput, delta_k, poling_period, sweep,
-                         sweep_to_csv, three_wave_residual)
-from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, _nan_first,
-                     efield_of, stress_of, verify_relations,
-                     verify_relations_pair, verify_relations_vector)
 
 ENV_DB = "TRANSDUCE_DB"
 _BENCHMARKS = {"piezo": PIEZO_OPTOMECHANICAL_BENCHMARK,
@@ -154,13 +154,17 @@ def _cmd_estimate_q(args) -> int:
 # --------------------------------------------------------------------- field
 
 def _cmd_field(args) -> int:
+    # Compute everything before printing, so that a failure, a bad
+    # --material or --db included, prints nothing.
     geom = PumpGeometry(power=args.power, mfd=args.mfd, n_mode=args.n_mode)
-    _kv("peak_field", peak_field_from_power(geom), "V/m")
+    field = peak_field_from_power(geom)
     intensity = peak_intensity(args.power, args.mfd)
-    _kv("peak_intensity", intensity, "W/m^2")
     if args.material:
         m = _resolve_db(args).get(args.material)
         p_max = damage_limited_power(m, args.mfd)
+    _kv("peak_field", field, "V/m")
+    _kv("peak_intensity", intensity, "W/m^2")
+    if args.material:
         _kv("damage_threshold", m.damage_threshold, "W/m^2")
         _kv("damage_limited_power", p_max, "W")
         _kv("intensity_over_threshold", intensity / m.damage_threshold)
@@ -194,6 +198,7 @@ def _cmd_sweep_power(args) -> int:
 # ---------------------------------------------------------------- phasematch
 
 def _cmd_phasematch(args) -> int:
+    from .phasematch import PhaseMatchInput, delta_k, sweep, sweep_to_csv
     m, bands = _material_and_bands(args)
     pm_in = PhaseMatchInput(bands=bands, material=m, length=args.length,
                             poling_period=args.poling_period,
@@ -221,6 +226,7 @@ def _cmd_phasematch(args) -> int:
 
 
 def _print_three_wave(pm_in: PhaseMatchInput, pump_choice: int) -> None:
+    from .phasematch import three_wave_residual
     tw = three_wave_residual(pm_in, pump_choice=pump_choice)
     _kv("delta_k_3wm", tw.delta_k_3wm, "rad/m")
     _kv("suppression_3wm", tw.suppression)
@@ -232,6 +238,7 @@ def _print_three_wave(pm_in: PhaseMatchInput, pump_choice: int) -> None:
 # -------------------------------------------------------------------- poling
 
 def _cmd_poling(args) -> int:
+    from .phasematch import PhaseMatchInput, delta_k, poling_period
     m, bands = _material_and_bands(args)
     pm_in = PhaseMatchInput(bands=bands, material=m, length=args.length)
     unpoled = delta_k(pm_in)
@@ -262,6 +269,9 @@ def _cmd_verify_thermo(args) -> int:
         raise ValueError("--coef-range must be >= 0 with a finite span, "
                          f"got {args.coef_range}")
     import numpy as np
+    from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, _nan_first,
+                         efield_of, stress_of, verify_relations,
+                         verify_relations_pair, verify_relations_vector)
     rng = np.random.default_rng(args.seed)
     rungs = ("order1", "order2", "order3", "factor2")
     worst = dict.fromkeys(rungs, 0.0)

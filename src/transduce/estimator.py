@@ -175,8 +175,17 @@ OPTOMECHANICAL_CRYSTAL_BENCHMARK = CouplingBenchmark(
 
 def _check_indices(ns: tuple[float, ...]) -> None:
     for n in ns:
-        if not n >= 1.0:
-            raise ValueError(f"refractive index must be >= 1, got {n}")
+        if not 1.0 <= n < math.inf:
+            raise ValueError(f"refractive index must be finite and >= 1, got {n}")
+
+
+def _check_bands(ns: tuple[float, ...], ps: tuple[float, ...]) -> None:
+    """Three indices and three photoelastic entries, one per band, n checked."""
+    for name, values in (("ns", ns), ("ps", ps)):
+        if len(values) != 3:
+            raise ValueError(f"{name} must hold 3 values, one per band, "
+                             f"got {len(values)}")
+    _check_indices(ns)
 
 
 def eta1_rel(n: float) -> float:
@@ -239,9 +248,9 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
 def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
     """Miller proportionality constant Q = -eta2 / prod(1 - 1/n^2)."""
     ns = (n1, n2, n3)
-    first_bad = next((n for n in ns if not n > 1.0), 1.0)
+    first_bad = next((n for n in ns if not 1.0 < n < math.inf), 1.0)
     if first_bad != 1.0:        # a vacuum band first is singular (_band_terms)
-        raise ValueError(f"refractive index must be > 1, got {first_bad}")
+        raise ValueError(f"refractive index must be finite and > 1, got {first_bad}")
     return _miller_Q(eta2, ns, _band_terms(ns, "Miller constant")[1])
 
 
@@ -259,7 +268,7 @@ def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
 def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
-    _check_indices(ns)
+    _check_bands(ns, ps)
     q_eff = -(EPS0 * eta2) * _band_sum(ps, _band_terms(ns, "q_eff")[1])
     if not math.isfinite(q_eff):
         raise non_finite_error("q_eff", eta2=eta2, ns=ns, ps=ps)
@@ -269,7 +278,7 @@ def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
 def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Closed form: q = -(2 d_eff/(eps0 n1^2 n2^2 n3^2)) sum_n p_n/(1 - 1/n_n^2)."""
-    _check_indices(ns)
+    _check_bands(ns, ps)
     return _q_eff_closed_form(d_eff, ns, ps, _band_terms(ns, "q_eff")[1])
 
 

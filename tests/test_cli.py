@@ -255,13 +255,18 @@ class TestField:
          "damage_threshold=5400000000000.0, mfd=1e+150")])
     def test_overflowing_field_is_data_error(self, flags, name):
         cp = run_cli("field", *flags)
-        assert cp.returncode == 1
-        # The damage-limited power comes after the field and intensity lines.
-        damage = "--material" in flags
-        printed = [line.split(" = ")[0] for line in cp.stdout.splitlines()]
-        assert printed == (["peak_field", "peak_intensity"] if damage else [])
-        what = "damage-limited power" if damage else "peak field"
+        assert (cp.returncode, cp.stdout) == (1, "")
+        what = "damage-limited power" if "--material" in flags else "peak field"
         assert cp.stderr.startswith(f"error: {what} overflows") and name in cp.stderr
+
+    @pytest.mark.parametrize("bad", ["material", "db"])
+    def test_bad_material_or_db_prints_nothing(self, tmp_path, bad):
+        # Both printed peak_field and peak_intensity before the error.
+        db = ["--db", str(tmp_path / "missing.json")] if bad == "db" else []
+        cp = run_cli("field", "--power", "1e-3", "--mfd", "1.2e-6", "--n-mode", "2.26",
+                     "--material", "nope" if bad == "material" else "BaTiO3", *db)
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
 
 
 class TestSweepPower:
@@ -457,8 +462,110 @@ WORKED_ARGVS = [
 ]
 
 
+LAYERS = ("errors", "estimator", "materials", "phasematch", "tensors", "thermo", "units")
+# The package's public names by defining layer: the eager import block that
+# the lazy exports replaced.
+EXPORTS = {
+    "errors": ["DataError", "MaterialFileError", "RangeError", "SingularityError",
+               "TransduceError", "UnitError"],
+    "estimator": ["CouplingBenchmark", "DesignReport", "MillerChain", "MixingBands",
+                  "OPTOMECHANICAL_CRYSTAL_BENCHMARK", "PIEZO_OPTOMECHANICAL_BENCHMARK",
+                  "PumpGeometry", "SweepRow", "damage_limited_power", "eta1_rel",
+                  "eta2_from_Q", "eta2_from_deff", "interaction_density_3wm",
+                  "interaction_density_4wm", "miller_Q", "peak_field_from_power",
+                  "peak_intensity", "power_sweep", "q_eff_from_deff", "q_eff_from_eta2",
+                  "second_order_photoelasticity", "virtual_photoelasticity"],
+    "materials": ["DispersionModel", "Material", "MaterialDb", "Violation", "default_db",
+                  "dumps_materials", "load_materials", "loads_materials",
+                  "refractive_index", "save_materials", "validate_material"],
+    "phasematch": ["PhaseMatchInput", "PhaseMatchResult", "ThreeWaveResidual", "delta_k",
+                   "pm_efficiency", "poling_period", "sweep", "three_wave_residual",
+                   "wavevector_acoustic", "wavevector_optical"],
+    "tensors": ["PhotoelasticTensor", "voigt_index", "voigt_pair"],
+    "thermo": ["FreeEnergyModel", "RelationReport", "VectorFreeEnergyModel",
+               "eval_free_energy", "eval_free_energy_vector", "efield_of",
+               "efield_of_vector", "extract_eta2", "fd_partial", "stress_of",
+               "stress_of_vector", "verify_relations", "verify_relations_pair",
+               "verify_relations_vector"],
+    "units": ["C_LIGHT", "Dimension", "EPS0", "Quantity"],
+}
+# What this module imports: errors, materials and estimator, and through
+# them tensors and units.
+CLI_LAYERS = ["errors", "estimator", "materials", "tensors", "units"]
+
+
+def fresh_imports(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; the layers it loaded (in the order
+    of LAYERS) and whether it loaded numpy."""
+    report = ("import json, sys\n"
+              f"layers = [n for n in {LAYERS!r} if 'transduce.' + n in sys.modules]\n"
+              "print(json.dumps({'layers': layers, 'numpy': 'numpy' in sys.modules}))")
+    cp = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    return json.loads(cp.stdout.splitlines()[-1])
+
+
 class TestImportPath:
-    """Only the array commands (sweeps, verify-thermo) load numpy."""
+    """Each process loads only the layers it uses; only the array commands
+    (sweeps, verify-thermo) load numpy.  Structural checks, not timings."""
+
+    def test_import_loads_no_layer(self):
+        assert fresh_imports("import transduce") == {"layers": [], "numpy": False}
+
+    def test_load_materials_loads_only_the_database_layers(self):
+        code = ("import transduce, pathlib\n"
+                "db = pathlib.Path(transduce.__file__).parent / 'data' / 'materials.json'\n"
+                "assert transduce.load_materials(db).names()")
+        assert fresh_imports(code) == {"layers": ["errors", "materials", "tensors"],
+                                       "numpy": False}
+
+    @pytest.mark.parametrize("argv, layers", [
+        *((argv, CLI_LAYERS) for argv in WORKED_ARGVS[:4]),
+        (["sweep-power", *BANDS_ARGS, "--mfd", "1.2e-6", "--n-mode", "2.26",
+          "--pmin", "1e-3", "--pmax", "6", "--points", "3"], CLI_LAYERS),
+        *((argv, sorted([*CLI_LAYERS, "phasematch"])) for argv in WORKED_ARGVS[4:]),
+        (["verify-thermo", "--trials", "2"], sorted([*CLI_LAYERS, "thermo"]))],
+        ids=["materials", "materials-show", "estimate-q", "field", "sweep-power",
+             "phasematch", "poling", "verify-thermo"])
+    def test_command_loads_only_its_layers(self, argv, layers):
+        code = f"from transduce import cli\nassert cli.main({argv!r}) == 0"
+        assert fresh_imports(code)["layers"] == layers
+
+    def test_every_export_is_its_layers_object(self):
+        code = ("import importlib, transduce as T\n"
+                f"exports = {EXPORTS!r}\n"
+                "assert sorted(T.__all__) == sorted(n for v in exports.values() for n in v)\n"
+                "for layer, names in exports.items():\n"
+                "    mod = importlib.import_module(f'transduce.{layer}')\n"
+                "    assert getattr(T, layer) is mod, layer\n"
+                "    for name in names:\n"
+                "        assert getattr(T, name) is getattr(mod, name), name\n"
+                "        assert vars(T)[name] is getattr(mod, name), name\n"
+                "assert set(T.__all__) | set(exports) <= set(dir(T))\n"
+                "from transduce import *\n"
+                "assert delta_k is T.delta_k")
+        assert fresh_imports(code)["layers"] == list(LAYERS)
+
+    def test_layer_attribute_imports_the_layer(self):
+        # In this order each layer's own imports are loaded before it, so
+        # every access finds its layer not yet imported.
+        code = ("import sys, transduce\n"
+                "for layer in ('errors', 'tensors', 'units', 'materials', 'estimator',\n"
+                "              'phasematch', 'thermo'):\n"
+                "    assert f'transduce.{layer}' not in sys.modules, layer\n"
+                "    assert getattr(transduce, layer) is sys.modules[f'transduce.{layer}']")
+        assert fresh_imports(code)["layers"] == list(LAYERS)
+
+    def test_unknown_attribute_is_named(self):
+        code = ("import transduce\n"
+                "try:\n"
+                "    transduce.no_such_name\n"
+                "except AttributeError as exc:\n"
+                "    assert 'no_such_name' in str(exc), exc\n"
+                "else:\n"
+                "    raise AssertionError('no AttributeError')")
+        assert fresh_imports(code) == {"layers": [], "numpy": False}
 
     def test_single_point_commands_do_not_import_numpy(self):
         code = (

@@ -113,9 +113,10 @@ class TestEta2AndMiller:
             miller_Q(1.0, 1.0, 2.0, 2.0)
 
     @pytest.mark.parametrize("ns, error, message", [
-        ((0.5, 1.0, 2.0), ValueError, "refractive index must be > 1, got 0.5"),
+        ((0.5, 1.0, 2.0), ValueError, "refractive index must be finite and > 1, got 0.5"),
         ((1.0, 0.5, 2.0), SingularityError, "Miller constant is singular"),
-        ((2.0, math.nan, 1.0), ValueError, "refractive index must be > 1, got nan")])
+        ((2.0, math.nan, 1.0), ValueError,
+         "refractive index must be finite and > 1, got nan")])
     def test_miller_q_first_bad_band_decides_the_error(self, ns, error, message):
         with pytest.raises(error, match=re.escape(message)):
             miller_Q(1.0, *ns)
@@ -169,6 +170,40 @@ class TestEta2AndMiller:
     def test_roundtrip_eta2_Q(self, eta2, n1, n2, n3):
         back = eta2_from_Q(miller_Q(eta2, n1, n2, n3), n1, n2, n3)
         assert back == pytest.approx(eta2, rel=1e-12)
+
+
+class TestChainInputChecks:
+    # Each of these accepted n = inf: eta1_rel and eta2_from_deff gave 0.0,
+    # q_eff_from_deff -0.0, miller_Q -1.78e9 and eta2_from_Q -5.6e8.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eta1_rel(math.inf), "must be finite and >= 1, got inf"),
+        (lambda: eta2_from_deff(1e-11, math.inf, 2.0, 2.0),
+         "must be finite and >= 1, got inf"),
+        (lambda: miller_Q(1e9, math.inf, 2.0, 2.0), "must be finite and > 1, got inf"),
+        (lambda: eta2_from_Q(1e9, math.inf, 2.0, 2.0),
+         "must be finite and >= 1, got inf"),
+        (lambda: q_eff_from_eta2(1.9e9, (2.0, math.inf, 2.0), (0.5, 0.5, 0.5)),
+         "must be finite and >= 1, got inf"),
+        (lambda: q_eff_from_deff(1e-11, (math.inf, 2.0, 2.0), (0.5, 0.5, 0.5)),
+         "must be finite and >= 1, got inf")],
+        ids=["eta1_rel", "eta2_from_deff", "miller_Q", "eta2_from_Q",
+             "q_eff_from_eta2", "q_eff_from_deff"])
+    def test_infinite_index_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^refractive index {message}$"):
+            call()
+
+    @pytest.mark.parametrize("route, first", [(q_eff_from_deff, 1e-11),
+                                              (q_eff_from_eta2, 1.9e9)],
+                             ids=["q_eff_from_deff", "q_eff_from_eta2"])
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("arg", ["ns", "ps"])
+    def test_band_count_is_named(self, route, first, count, arg):
+        # These failed with "not enough values to unpack", naming no argument.
+        kw = {"ns": (2.0, 2.0, 2.0), "ps": (0.5, 0.5, 0.5)}
+        kw[arg] = kw[arg][:1] * count
+        with pytest.raises(ValueError, match=f"^{arg} must hold 3 values, "
+                                             f"one per band, got {count}$"):
+            route(first, **kw)
 
 
 class TestSecondOrderPhotoelasticity:
