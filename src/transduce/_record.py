@@ -1,0 +1,46 @@
+"""The base of the package's frozen value types.
+
+Each type names its fields in ``_fields`` and stores them from its own
+``__init__`` with one ``self.__dict__.update(...)``.  Repr, ``==`` and the
+hash follow ``_fields`` as a frozen dataclass's do, but nothing is generated
+with ``exec`` at import time, and neither the decorator's module nor
+``inspect`` is imported.
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    """Frozen value: assignment and deletion raise, ``replace`` rebuilds."""
+
+    _fields: tuple[str, ...] = ()       # repr, ==, hash: in this order
+    _computed: tuple[str, ...] = ()     # fields __init__ derives, not takes
+
+    def __init_subclass__(cls):
+        # The field values as one tuple, also for a single field.
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes``, built by ``__init__``, so its checks run
+        again; a name ``__init__`` does not take raises TypeError."""
+        args = {f: getattr(self, f) for f in self._fields if f not in self._computed}
+        return type(self)(**{**args, **changes})

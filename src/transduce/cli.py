@@ -29,7 +29,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
 
 from . import __version__
 from .errors import TransduceError
@@ -189,7 +188,7 @@ def _cmd_sweep_power(args) -> int:
           f"(g0_ref = {report.benchmark.g0_ref!r} rad/s)")
     for note in report.notes:
         print(f"note: {note}")
-    print("  ".join(f"{f.name:>24s}" for f in fields(SweepRow)))
+    print("  ".join(f"{name:>24s}" for name in SweepRow._fields))
     for r in report.rows:
         print("  ".join(f"{v:>24.9e}" for v in vars(r).values()))
     return 0
@@ -250,7 +249,7 @@ def _cmd_poling(args) -> int:
     lam, sign = solved
     _kv("poling_period", lam, "m")
     _kv("poling_sign", float(sign))
-    poled = replace(pm_in, poling_period=lam, poling_sign=sign)
+    poled = pm_in.replace(poling_period=lam, poling_sign=sign)
     res = delta_k(poled)
     _kv("delta_k_poled", res.delta_k, "rad/m")
     _kv("efficiency", res.efficiency)

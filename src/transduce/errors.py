@@ -19,12 +19,17 @@ class UnitError(TransduceError):
 
 
 class RangeError(TransduceError):
-    """A wavelength or parameter fell outside a declared validity interval."""
+    """A wavelength or parameter fell outside a declared validity interval.
 
-    def __init__(self, message: str, lo: float | None = None, hi: float | None = None):
+    ``lo`` and ``hi`` bound the interval and ``value`` is the offending value.
+    """
+
+    def __init__(self, message: str, lo: float | None = None, hi: float | None = None,
+                 value: float | None = None):
         super().__init__(message)
         self.lo = lo
         self.hi = hi
+        self.value = value
 
 
 class DataError(TransduceError):

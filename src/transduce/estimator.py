@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import DataError, SingularityError, non_finite_error
 from .materials import Material, refractive_index
 from .tensors import voigt_index
@@ -51,8 +51,7 @@ G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomecha
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
 
 
-@dataclass(frozen=True)
-class MixingBands:
+class MixingBands(Record):
     """The three optical bands and one acoustic band of the mixing process.
 
     Energy conservation fixes omega_t = omega_p1 + omega_p2 + omega_m; the
@@ -63,18 +62,14 @@ class MixingBands:
     photoelastic tensors driven by that mode.
     """
 
-    omega_p1: float
-    omega_p2: float
-    omega_m: float
-    axes: tuple[int, int, int] = (0, 1, 2)
-    acoustic_mode: str = "longitudinal"
-    strain_voigt: int = 2
-    omega_t: float = field(init=False)
-    wavelengths: tuple[float, float, float] = field(init=False, repr=False,
-                                                    compare=False)
+    _fields = ("omega_p1", "omega_p2", "omega_m", "axes", "acoustic_mode",
+               "strain_voigt", "omega_t")
+    _computed = ("omega_t",)
 
-    def __post_init__(self):
-        w1, w2, wm, axes = self.omega_p1, self.omega_p2, self.omega_m, self.axes
+    def __init__(self, omega_p1: float, omega_p2: float, omega_m: float,
+                 axes: tuple[int, int, int] = (0, 1, 2),
+                 acoustic_mode: str = "longitudinal", strain_voigt: int = 2):
+        w1, w2, wm = omega_p1, omega_p2, omega_m
         if not (w1 > 0 and math.isfinite(w1)):
             raise ValueError(f"omega_p1 must be positive and finite, got {w1}")
         if not (w2 > 0 and math.isfinite(w2)):
@@ -83,14 +78,14 @@ class MixingBands:
             raise ValueError(f"omega_m must be finite and >= 0, got {wm}")
         if len(axes) != 3 or any(a not in (0, 1, 2) for a in axes):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
-        if self.strain_voigt not in range(6):
-            raise ValueError(f"strain_voigt must be in 0..5, got {self.strain_voigt}")
+        if strain_voigt not in range(6):
+            raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")
         wt = w1 + w2 + wm
-        object.__setattr__(self, "axes", tuple(axes))
-        object.__setattr__(self, "omega_t", wt)
-        # Vacuum wavelengths (m) of (pump1, pump2, transduced).
-        object.__setattr__(self, "wavelengths",
-                           (TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt))
+        # wavelengths: the vacuum wavelengths (m) of (pump1, pump2, transduced).
+        self.__dict__.update(
+            omega_p1=w1, omega_p2=w2, omega_m=wm, axes=tuple(axes),
+            acoustic_mode=acoustic_mode, strain_voigt=strain_voigt, omega_t=wt,
+            wavelengths=(TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt))
 
     @classmethod
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
@@ -106,17 +101,17 @@ class MixingBands:
                    TWO_PI * phonon_hz, **kw)
 
 
-@dataclass(frozen=True)
-class MillerChain:
+class MillerChain(Record):
     """Every intermediate of the q_eff estimate, for reporting and audits."""
 
-    n_bands: tuple[float, float, float]
-    p_entries: tuple[float, float, float]
-    d_eff: float
-    eta1_rel_bands: tuple[float, float, float]
-    eta2: float
-    Q: float
-    q_eff: float
+    _fields = ("n_bands", "p_entries", "d_eff", "eta1_rel_bands", "eta2", "Q", "q_eff")
+
+    def __init__(self, n_bands: tuple[float, float, float],
+                 p_entries: tuple[float, float, float], d_eff: float,
+                 eta1_rel_bands: tuple[float, float, float], eta2: float, Q: float,
+                 q_eff: float):
+        self.__dict__.update(n_bands=n_bands, p_entries=p_entries, d_eff=d_eff,
+                             eta1_rel_bands=eta1_rel_bands, eta2=eta2, Q=Q, q_eff=q_eff)
 
 
 _MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
@@ -138,31 +133,28 @@ def _mode_area(mfd: float) -> float:
     return math.pi * (mfd / 2.0) ** 2
 
 
-@dataclass(frozen=True)
-class PumpGeometry:
+class PumpGeometry(Record):
     """Guided pump: power (W), mode-field diameter (m), modal index."""
 
-    power: float
-    mfd: float
-    n_mode: float
+    _fields = ("power", "mfd", "n_mode")
 
-    def __post_init__(self):
-        _check_power(self.power)
-        _mode_area(self.mfd)
-        if not (self.n_mode > 0 and math.isfinite(self.n_mode)):
-            raise ValueError(f"modal index must be positive, got {self.n_mode}")
+    def __init__(self, power: float, mfd: float, n_mode: float):
+        _check_power(power)
+        _mode_area(mfd)
+        if not (n_mode > 0 and math.isfinite(n_mode)):
+            raise ValueError(f"modal index must be positive, got {n_mode}")
+        self.__dict__.update(power=power, mfd=mfd, n_mode=n_mode)
 
 
-@dataclass(frozen=True)
-class CouplingBenchmark:
+class CouplingBenchmark(Record):
     """A published coupling rate against which scalings are expressed."""
 
-    g0_ref: float   # rad/s
-    label: str
+    _fields = ("g0_ref", "label")
 
-    def __post_init__(self):
-        if not (self.g0_ref > 0 and math.isfinite(self.g0_ref)):
-            raise ValueError(f"g0_ref must be positive, got {self.g0_ref}")
+    def __init__(self, g0_ref: float, label: str):     # g0_ref in rad/s
+        if not (g0_ref > 0 and math.isfinite(g0_ref)):
+            raise ValueError(f"g0_ref must be positive, got {g0_ref}")
+        self.__dict__.update(g0_ref=g0_ref, label=label)
 
 
 PIEZO_OPTOMECHANICAL_BENCHMARK = CouplingBenchmark(
@@ -395,17 +387,21 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
     return u
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One power grid point of a pump sweep (all SI)."""
 
-    power_w: float
-    peak_field_v_per_m: float
-    intensity_w_per_m2: float
-    p_virt: float
-    p_virt_over_p_nominal: float
-    intensity_over_threshold: float
-    g_scaled_rad_per_s: float
+    _fields = ("power_w", "peak_field_v_per_m", "intensity_w_per_m2", "p_virt",
+               "p_virt_over_p_nominal", "intensity_over_threshold", "g_scaled_rad_per_s")
+
+    def __init__(self, power_w: float, peak_field_v_per_m: float,
+                 intensity_w_per_m2: float, p_virt: float, p_virt_over_p_nominal: float,
+                 intensity_over_threshold: float, g_scaled_rad_per_s: float):
+        self.__dict__.update(
+            power_w=power_w, peak_field_v_per_m=peak_field_v_per_m,
+            intensity_w_per_m2=intensity_w_per_m2, p_virt=p_virt,
+            p_virt_over_p_nominal=p_virt_over_p_nominal,
+            intensity_over_threshold=intensity_over_threshold,
+            g_scaled_rad_per_s=g_scaled_rad_per_s)
 
 
 POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,"
@@ -413,16 +409,16 @@ POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,
                           "g_scaled_extrapolated_rad_per_s")
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(Record):
     """Sweep output bundle: chain, rows, and the caveats that qualify them."""
 
-    material: str
-    chain: MillerChain
-    p_nominal: float
-    benchmark: CouplingBenchmark
-    rows: tuple[SweepRow, ...]
-    notes: tuple[str, ...]
+    _fields = ("material", "chain", "p_nominal", "benchmark", "rows", "notes")
+
+    def __init__(self, material: str, chain: MillerChain, p_nominal: float,
+                 benchmark: CouplingBenchmark, rows: tuple[SweepRow, ...],
+                 notes: tuple[str, ...]):
+        self.__dict__.update(material=material, chain=chain, p_nominal=p_nominal,
+                             benchmark=benchmark, rows=rows, notes=notes)
 
     def to_csv(self) -> str:
         lines = [POWER_SWEEP_CSV_HEADER]

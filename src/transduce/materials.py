@@ -40,11 +40,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
+from ._record import Record
 from .errors import MaterialFileError, RangeError
 from .tensors import PhotoelasticTensor, _float_rows
 
@@ -52,8 +52,7 @@ SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
 
 
-@dataclass(frozen=True)
-class DispersionModel:
+class DispersionModel(Record):
     """Refractive index vs. vacuum wavelength, per principal axis.
 
     ``kind`` is ``"tabulated-points"`` (rows of wavelength plus n for the
@@ -62,36 +61,38 @@ class DispersionModel:
     wavelengths and C in SI).  ``valid_range_m`` bounds all queries.
     """
 
-    kind: str
-    valid_range_m: tuple[float, float]
-    points: tuple[tuple[float, float, float, float], ...] | None = None
-    sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None
-    # The table as Python lists (wavelengths, then n per axis): a scalar
-    # lookup on lists costs far less than one np.interp call.
-    _columns: tuple[list[float], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "valid_range_m", "points", "sellmeier")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, valid_range_m: tuple[float, float],
+                 points: tuple[tuple[float, float, float, float], ...] | None = None,
+                 sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None):
         columns = ()
-        if self.points is not None:
+        if points is not None:
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.
             try:
-                points = _float_rows(self.points, 4)
+                points = _float_rows(points, 4)
             except ValueError as exc:
                 raise ValueError("dispersion points must be rows of "
                                  f"[lambda_m, nx, ny, nz] ({exc})") from None
-            object.__setattr__(self, "points", points)
             columns = tuple(list(c) for c in zip(*points))
-        object.__setattr__(self, "_columns", columns)
+        # _columns is the table as Python lists (wavelengths, then n per
+        # axis): a scalar lookup on lists costs far less than one np.interp.
+        self.__dict__.update(kind=kind, valid_range_m=valid_range_m, points=points,
+                             sellmeier=sellmeier, _columns=columns)
 
     def index(self, wavelength: float, axis: int) -> float:
         if axis not in (0, 1, 2):
             raise ValueError(f"axis must be 0..2, got {axis}")
         lo, hi = self.valid_range_m
         if not (lo <= wavelength <= hi):
+            shown = f"{wavelength:.6g}"
+            # Just past a bound, 6 digits can round onto it: show all of them.
+            if shown == f"{lo if wavelength < lo else hi:.6g}":
+                shown = repr(float(wavelength))
             raise RangeError(
-                f"wavelength {wavelength:.6g} m outside declared validity "
-                f"range [{lo:.6g}, {hi:.6g}] m", lo=lo, hi=hi)
+                f"wavelength {shown} m outside declared validity "
+                f"range [{lo:.6g}, {hi:.6g}] m", lo=lo, hi=hi, value=wavelength)
         if self.kind == "tabulated-points":
             return self._tabulated_index(wavelength, axis)
         return self._sellmeier_index(wavelength, axis)
@@ -124,30 +125,36 @@ class DispersionModel:
             raise RangeError(
                 f"Sellmeier n^2 negative at {wavelength:.6g} m (pole inside "
                 "validity range?)", lo=self.valid_range_m[0],
-                hi=self.valid_range_m[1])
+                hi=self.valid_range_m[1], value=wavelength)
         return math.sqrt(n2)
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(Record):
     """One optical material with everything the estimation chain consumes."""
 
-    name: str
-    dispersion: DispersionModel
-    photoelastic: PhotoelasticTensor
-    photoelastic_note: str
-    d_eff: float                      # m/V, sign allowed
-    eps_r: tuple[float, float, float]
-    v_sound: dict[str, float]         # acoustic mode label -> m/s
-    damage_threshold: float           # W/m^2
-    qpm_order: int = 1
+    _fields = ("name", "dispersion", "photoelastic", "photoelastic_note", "d_eff",
+               "eps_r", "v_sound", "damage_threshold", "qpm_order")
+
+    def __init__(self, name: str, dispersion: DispersionModel,
+                 photoelastic: PhotoelasticTensor, photoelastic_note: str,
+                 d_eff: float,                      # m/V, sign allowed
+                 eps_r: tuple[float, float, float],
+                 v_sound: dict[str, float],         # acoustic mode label -> m/s
+                 damage_threshold: float,           # W/m^2
+                 qpm_order: int = 1):
+        self.__dict__.update(
+            name=name, dispersion=dispersion, photoelastic=photoelastic,
+            photoelastic_note=photoelastic_note, d_eff=d_eff, eps_r=eps_r,
+            v_sound=v_sound, damage_threshold=damage_threshold, qpm_order=qpm_order)
 
 
-@dataclass(frozen=True)
-class MaterialDb:
+class MaterialDb(Record):
     """Immutable name -> Material map loaded from one schema-1 file."""
 
-    materials: dict[str, Material]
+    _fields = ("materials",)
+
+    def __init__(self, materials: dict[str, Material]):
+        self.__dict__.update(materials=materials)
 
     def get(self, name: str) -> Material:
         try:
@@ -161,13 +168,13 @@ class MaterialDb:
         return sorted(self.materials)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """Machine-readable invariant violation found by validate_material."""
 
-    field: str
-    rule: str
-    value: Any
+    _fields = ("field", "rule", "value")
+
+    def __init__(self, field: str, rule: str, value: Any):
+        self.__dict__.update(field=field, rule=rule, value=value)
 
 
 def refractive_index(m: Material, wavelength: float, axis: int = 2) -> float:

@@ -24,8 +24,8 @@ is suppressed by the same sinc^2 factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DataError, non_finite_error
 from .estimator import MixingBands
 from .materials import Material, refractive_index
@@ -58,40 +58,40 @@ def wavevector_acoustic(omega_m: float, v_s: float) -> float:
     return k_m
 
 
-@dataclass(frozen=True)
-class PhaseMatchInput:
-    """Bands, material, interaction length, and optional poling grating."""
+class PhaseMatchInput(Record):
+    """Bands, material, interaction length (m), and optional poling grating."""
 
-    bands: MixingBands
-    material: Material
-    length: float                     # m
-    poling_period: float | None = None
-    poling_sign: int = 1
+    _fields = ("bands", "material", "length", "poling_period", "poling_sign")
 
-    def __post_init__(self):
-        if not (self.length > 0 and math.isfinite(self.length)):
-            raise ValueError(f"interaction length must be positive, got {self.length}")
-        if self.poling_period is not None and not self.poling_period > 0:
-            raise ValueError(f"poling period must be positive, got {self.poling_period}")
+    def __init__(self, bands: MixingBands, material: Material, length: float,
+                 poling_period: float | None = None, poling_sign: int = 1):
+        if not (length > 0 and math.isfinite(length)):
+            raise ValueError(f"interaction length must be positive, got {length}")
+        if poling_period is not None and not poling_period > 0:
+            raise ValueError(f"poling period must be positive, got {poling_period}")
         # An infinite period would drop the grating, a subnormal one overflow it.
-        if self.poling_period is not None and not 0 < TWO_PI / self.poling_period < math.inf:
+        if poling_period is not None and not 0 < TWO_PI / poling_period < math.inf:
             raise ValueError("poling period must be finite, with a finite 2 pi / period, "
-                             f"got {self.poling_period}")
-        if self.poling_sign not in (-1, 1):
-            raise ValueError(f"poling sign must be +-1, got {self.poling_sign}")
+                             f"got {poling_period}")
+        if poling_sign not in (-1, 1):
+            raise ValueError(f"poling sign must be +-1, got {poling_sign}")
+        self.__dict__.update(bands=bands, material=material, length=length,
+                             poling_period=poling_period, poling_sign=poling_sign)
 
 
-@dataclass(frozen=True)
-class PhaseMatchResult:
-    """All wavevector components of one mismatch evaluation (rad/m)."""
+class PhaseMatchResult(Record):
+    """All wavevector components of one mismatch evaluation (rad/m).
 
-    k_t: float
-    k_p1: float
-    k_p2: float
-    k_m: float
-    k_poling: float                   # 0 when no grating
-    delta_k: float
-    efficiency: float                 # sinc^2(delta_k L / 2), in [0, 1]
+    ``k_poling`` is 0 when there is no grating; ``efficiency`` is
+    sinc^2(delta_k L / 2), in [0, 1].
+    """
+
+    _fields = ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency")
+
+    def __init__(self, k_t: float, k_p1: float, k_p2: float, k_m: float,
+                 k_poling: float, delta_k: float, efficiency: float):
+        self.__dict__.update(k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_poling,
+                             delta_k=delta_k, efficiency=efficiency)
 
 
 def _k_acoustic(pm_in: PhaseMatchInput) -> float:
@@ -169,13 +169,18 @@ def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
     return TWO_PI / abs(dk0), sign
 
 
-@dataclass(frozen=True)
-class ThreeWaveResidual:
-    """Mismatch of the competing three-wave process under a fixed grating."""
+class ThreeWaveResidual(Record):
+    """Mismatch of the competing three-wave process under a fixed grating.
 
-    delta_k_3wm: float
-    suppression: float                # pm_efficiency of the 3WM channel
-    phase_matched: bool               # True flags a degenerate configuration
+    ``suppression`` is the pm_efficiency of the 3WM channel; a True
+    ``phase_matched`` flags a degenerate configuration.
+    """
+
+    _fields = ("delta_k_3wm", "suppression", "phase_matched")
+
+    def __init__(self, delta_k_3wm: float, suppression: float, phase_matched: bool):
+        self.__dict__.update(delta_k_3wm=delta_k_3wm, suppression=suppression,
+                             phase_matched=phase_matched)
 
 
 def three_wave_residual(pm_in: PhaseMatchInput,

@@ -12,9 +12,10 @@ a material database does not import it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import TYPE_CHECKING
+
+from ._record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,8 +61,7 @@ def _float_rows(table, width: int, nrows: int | None = None
     return rows
 
 
-@dataclass(frozen=True)
-class PhotoelasticTensor:
+class PhotoelasticTensor(Record):
     """Dimensionless strain derivative of the relative inverse permittivity.
 
     ``entries[V][W]`` couples the optical index pair packed as V to the strain
@@ -69,14 +69,14 @@ class PhotoelasticTensor:
     The entries are stored as a tuple of six row tuples of floats.
     """
 
-    entries: tuple[tuple[float, ...], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries):
         try:
-            rows = _float_rows(self.entries, 6, nrows=6)
+            rows = _float_rows(entries, 6, nrows=6)
         except ValueError as exc:
             raise ValueError(f"photoelastic tensor must be 6x6 numbers ({exc})") from None
-        object.__setattr__(self, "entries", rows)
+        self.__dict__.update(entries=rows)
 
 
 def _perm_average(a: np.ndarray, k: int) -> np.ndarray:

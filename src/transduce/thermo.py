@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .tensors import _perm_average
 from .units import EPS0
 
@@ -127,8 +127,7 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     return _partial(f, [x0, d0], (0,) * nx + (1,) * nd)
 
 
-@dataclass(frozen=True)
-class FreeEnergyModel:
+class FreeEnergyModel(Record):
     """Scalar constitutive model; see the module docstring for the polynomial.
 
     Units: c in Pa, h in V/m per unit strain-displacement, eta1 and eta2 the
@@ -136,17 +135,14 @@ class FreeEnergyModel:
     A(0, 0) = 0 by construction and the model is smooth everywhere.
     """
 
-    c: float = 0.0
-    h: float = 0.0
-    eta1: float = 0.0
-    eta2: float = 0.0
-    p: float = 0.0
-    q: float = 0.0
+    _fields = ("c", "h", "eta1", "eta2", "p", "q")
 
-    def __post_init__(self):
-        for name in ("c", "h", "eta1", "eta2", "p", "q"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, c: float = 0.0, h: float = 0.0, eta1: float = 0.0,
+                 eta2: float = 0.0, p: float = 0.0, q: float = 0.0):
+        for name, value in zip(self._fields, (c, h, eta1, eta2, p, q)):
+            if not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite")
+        self.__dict__.update(c=c, h=h, eta1=eta1, eta2=eta2, p=p, q=q)
 
 
 def eval_free_energy(m: FreeEnergyModel, x: float, D: float) -> float:
@@ -185,8 +181,7 @@ def _relative(a: float, b: float) -> float:
     return 0.0 if scale == 0.0 else abs(a - b) / scale
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     """Residuals of the three Maxwell relations plus the factor-2 identity.
 
     Residuals are relative (|lhs - rhs| / max magnitude, 0 for 0 = 0).
@@ -195,16 +190,20 @@ class RelationReport:
     smaller eps_machine^(1/3) scale (FD_STEP_SMALL).  A NaN residual fails.
     """
 
-    order1_residual: float
-    order2_residual: float
-    order3_residual: float
-    factor2_residual: float
-    fd_step_used: float
-    tol: float
-    order1_passed: bool
-    order2_passed: bool
-    order3_passed: bool
-    factor2_passed: bool
+    _fields = ("order1_residual", "order2_residual", "order3_residual",
+               "factor2_residual", "fd_step_used", "tol", "order1_passed",
+               "order2_passed", "order3_passed", "factor2_passed")
+
+    def __init__(self, order1_residual: float, order2_residual: float,
+                 order3_residual: float, factor2_residual: float, fd_step_used: float,
+                 tol: float, order1_passed: bool, order2_passed: bool,
+                 order3_passed: bool, factor2_passed: bool):
+        self.__dict__.update(
+            order1_residual=order1_residual, order2_residual=order2_residual,
+            order3_residual=order3_residual, factor2_residual=factor2_residual,
+            fd_step_used=fd_step_used, tol=tol, order1_passed=order1_passed,
+            order2_passed=order2_passed, order3_passed=order3_passed,
+            factor2_passed=factor2_passed)
 
     @property
     def all_passed(self) -> bool:
@@ -283,8 +282,7 @@ def verify_relations(m: FreeEnergyModel, tol: float = 1e-6) -> RelationReport:
 # Two-component mode: D is a 2-vector, exercising index symmetry
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VectorFreeEnergyModel:
+class VectorFreeEnergyModel(Record):
     """Two-component analogue of FreeEnergyModel: scalar strain, D in R^2.
 
     Coefficient arrays are symmetrized on construction (eta1 and p over their
@@ -294,21 +292,24 @@ class VectorFreeEnergyModel:
     construction rather than by assertion.
     """
 
-    c: float
-    h: np.ndarray        # (2,)
-    eta1: np.ndarray     # (2, 2) symmetric
-    eta2: np.ndarray     # (2, 2, 2) fully symmetric
-    p: np.ndarray        # (2, 2) symmetric
-    q: np.ndarray        # (2, 2, 2) fully symmetric
+    _fields = ("c", "h", "eta1", "eta2", "p", "q")
 
-    def __post_init__(self):
+    def __init__(self, c: float,
+                 h: np.ndarray,         # (2,)
+                 eta1: np.ndarray,      # (2, 2) symmetric
+                 eta2: np.ndarray,      # (2, 2, 2) fully symmetric
+                 p: np.ndarray,         # (2, 2) symmetric
+                 q: np.ndarray):        # (2, 2, 2) fully symmetric
         import numpy as np
-        for name, rank in (("h", 1), ("eta1", 2), ("eta2", 3), ("p", 2), ("q", 3)):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape((2,) * rank)
+        arrays = {}
+        for name, value, rank in (("h", h, 1), ("eta1", eta1, 2), ("eta2", eta2, 3),
+                                  ("p", p, 2), ("q", q, 3)):
+            arr = np.asarray(value, dtype=float).reshape((2,) * rank)
             arr = _perm_average(arr, rank) if rank > 1 else arr
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"coefficient {name} must be finite")
-            object.__setattr__(self, name, arr)
+            arrays[name] = arr
+        self.__dict__.update(c=c, **arrays)
 
 
 def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float,

@@ -21,8 +21,8 @@ the ``Quantity`` count of each sweep by key, so a sweep must build one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import UnitError
 
 
@@ -32,14 +32,13 @@ TWO_PI = 2.0 * math.pi
 TWO_PI_C = TWO_PI * C_LIGHT     # vacuum wavelength * angular frequency (m/s)
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(Record):
     """SI dimension exponents: length, mass, time, electric current."""
 
-    m: int = 0
-    kg: int = 0
-    s: int = 0
-    a: int = 0
+    _fields = ("m", "kg", "s", "a")
+
+    def __init__(self, m: int = 0, kg: int = 0, s: int = 0, a: int = 0):
+        self.__dict__.update(m=m, kg=kg, s=s, a=a)
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(self.m + other.m, self.kg + other.kg,
@@ -78,12 +77,13 @@ METER_PER_VOLT = Dimension(m=-1, kg=-1, s=3, a=1)  # d_eff
 ETA2 = VOLT_PER_METER / (COULOMB_PER_M2 ** 2)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A float tagged with its SI dimension; arithmetic propagates both."""
 
-    value: float
-    dim: Dimension = DIMENSIONLESS
+    _fields = ("value", "dim")
+
+    def __init__(self, value: float, dim: Dimension = DIMENSIONLESS):
+        self.__dict__.update(value=value, dim=dim)
 
     def __mul__(self, other: "Quantity | float") -> "Quantity":
         if isinstance(other, Quantity):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -88,4 +86,4 @@ def designs(draw):
     bands = MixingBands.from_vacuum_wavelengths(
         draw(pump), draw(pump), draw(st.floats(1e9, 1e10)),
         axes=draw(st.tuples(*[st.integers(0, 2)] * 3)))
-    return dataclasses.replace(m, dispersion=dispersion), bands
+    return m.replace(dispersion=dispersion), bands

@@ -341,6 +341,17 @@ class TestPhasematchAndPoling:
             for field in line.split(","):
                 float(field)
 
+    def test_sweep_value_just_past_the_window_is_shown_in_full(self):
+        # np.linspace gives 2.7000000000000004e-06, which .6g printed as the
+        # bound it crossed: "wavelength 2.7e-06 m outside ... [1.2e-06, 2.7e-06]".
+        cp = run_cli("phasematch", *BANDS_ARGS, "--length", "1e-3",
+                     "--sweep", "pump-wavelength", "--sweep-start", "2.5e-6",
+                     "--sweep-stop", "2.9e-6", "--sweep-points", "3")
+        assert cp.returncode == 1
+        assert cp.stderr == ("error: wavelength 2.7000000000000004e-06 m outside "
+                             "declared validity range [1.2e-06, 2.7e-06] m\n")
+        assert cp.stdout == ""
+
     def test_zero_sweep_points_is_data_error(self):
         cp = run_cli("phasematch", *BANDS_ARGS, "--length", "100e-6",
                      "--sweep", "poling-period", "--sweep-start", "2e-6",
@@ -531,6 +542,23 @@ class TestImportPath:
     def test_command_loads_only_its_layers(self, argv, layers):
         code = f"from transduce import cli\nassert cli.main({argv!r}) == 0"
         assert fresh_imports(code)["layers"] == layers
+
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+        # Frozen dataclasses imported both, and generated their methods at
+        # import time, in every process that loaded a database.
+        code = ("import pathlib, sys, transduce\n"
+                "def loaded():\n"
+                "    return sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+                "db = pathlib.Path(transduce.__file__).parent / 'data' / 'materials.json'\n"
+                "transduce.load_materials(db)\n"
+                "assert not loaded(), ('load_materials', loaded())\n"
+                "import transduce.cli as cli\n"
+                "assert not loaded(), ('import transduce.cli', loaded())\n"
+                f"for argv in {WORKED_ARGVS!r}:\n"
+                "    assert cli.main(argv) == 0, argv\n"
+                "    assert not loaded(), (argv, loaded())")
+        assert fresh_imports(code) == {"layers": sorted([*CLI_LAYERS, "phasematch"]),
+                                       "numpy": False}
 
     def test_every_export_is_its_layers_object(self):
         code = ("import importlib, transduce as T\n"

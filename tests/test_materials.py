@@ -119,6 +119,21 @@ class TestRefractiveIndex:
             refractive_index(bto, 5e-6, axis=2)
         assert exc.value.lo == pytest.approx(1.2e-6)
         assert exc.value.hi == pytest.approx(2.7e-6)
+        assert exc.value.value == 5e-6
+        assert str(exc.value) == ("wavelength 5e-06 m outside declared validity "
+                                  "range [1.2e-06, 2.7e-06] m")
+
+    @pytest.mark.parametrize("lam, shown", [
+        (math.nextafter(2.7e-6, 1.0), "2.7000000000000004e-06"),
+        (math.nextafter(1.2e-6, 0.0), "1.1999999999999997e-06"),
+        (2.7000005e-6, "2.7000005e-06"), (2.70001e-6, "2.70001e-06")])
+    def test_value_that_rounds_onto_the_bound_is_shown_in_full(self, bto, lam, shown):
+        # Six digits printed 2.7e-06 "outside" [1.2e-06, 2.7e-06].
+        with pytest.raises(RangeError) as exc:
+            refractive_index(bto, lam, axis=2)
+        assert exc.value.value == lam
+        assert str(exc.value) == (f"wavelength {shown} m outside declared validity "
+                                  "range [1.2e-06, 2.7e-06] m")
 
     def test_interpolation_is_continuous_and_bounded(self, bto):
         lams = np.linspace(1.2e-6, 2.7e-6, 401)
@@ -214,8 +229,7 @@ class TestValidate:
         m = db.get("demo")
         bad_points = [list(row) for row in m.dispersion.points]
         bad_points[1][1:] = [0.9, 0.9, 0.9]
-        from dataclasses import replace
-        bad = replace(m, dispersion=replace(m.dispersion, points=bad_points))
+        bad = m.replace(dispersion=m.dispersion.replace(points=bad_points))
         violations = validate_material(bad)
         assert len(violations) == 1
         assert violations[0].field == "dispersion.points"
@@ -248,10 +262,9 @@ class TestValidate:
     @pytest.mark.parametrize("c", [0.5e-6 ** 2, 2.0e-6 ** 2])
     def test_sellmeier_pole_at_window_edge_rejected(self, c):
         m = loads_materials(json.dumps(MINIMAL)).get("demo")
-        from dataclasses import replace
         disp = DispersionModel(kind="sellmeier", valid_range_m=(0.5e-6, 2.0e-6),
                                sellmeier=(((1.0, 1e-14), (1e-4, c)),) * 3)
-        violations = validate_material(replace(m, dispersion=disp))
+        violations = validate_material(m.replace(dispersion=disp))
         assert [v.rule for v in violations] == ["pole inside validity range"] * 3
 
     def test_negative_n2_without_a_pole_is_named_as_n_below_1(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -83,7 +82,7 @@ class TestWavevectors:
     def test_overflowing_acoustic_wavevector_is_named_by_each_caller(
             self, bto, bto_bands, call):
         # Each said only "delta_k must be finite, got -inf".
-        m = dataclasses.replace(bto, v_sound={"longitudinal": 1e-300})
+        m = bto.replace(v_sound={"longitudinal": 1e-300})
         with pytest.raises(ValueError, match=r"^acoustic wavevector overflows for "
                            r"omega_m=12566370614.359173, v_s=1e-300$"):
             call(PhaseMatchInput(bands=bto_bands, material=m, length=100e-6))
@@ -185,10 +184,10 @@ class TestPolingPeriod:
         # overflows.
         rows = tuple((lam, 1e290, 1e290, 2.0) for lam in (1e-6, 3e-6))
         v_s = bto_bands.omega_m / 1.7976931348623e308
-        m = dataclasses.replace(make_material(), v_sound={"longitudinal": v_s},
-                                dispersion=DispersionModel(
-                                    kind="tabulated-points",
-                                    valid_range_m=(0.5e-6, 3.5e-6), points=rows))
+        m = make_material().replace(v_sound={"longitudinal": v_s},
+                                    dispersion=DispersionModel(
+                                        kind="tabulated-points",
+                                        valid_range_m=(0.5e-6, 3.5e-6), points=rows))
         pm = PhaseMatchInput(bands=bto_bands, material=m, length=100e-6)
         for call in (delta_k, poling_period):
             with pytest.raises(ValueError, match="^delta_k must be finite, got -inf$"):
@@ -199,7 +198,7 @@ class TestPolingPeriod:
         # n = 4e301 on both pump axes takes n * omega beyond the float range;
         # delta_k and poling_period said only "delta_k must be finite, got -inf".
         rows = tuple((lam, 4e301, 4e301, 2.0) for lam in (1e-6, 3e-6))
-        m = dataclasses.replace(make_material(), dispersion=DispersionModel(
+        m = make_material().replace(dispersion=DispersionModel(
             kind="tabulated-points", valid_range_m=(0.5e-6, 3.5e-6), points=rows))
         pm = PhaseMatchInput(bands=bto_bands, material=m, length=100e-6)
         with pytest.raises(ValueError, match=r"^optical wavevector overflows for "
