@@ -30,6 +30,10 @@ with the closed-form q_eff.  Only damage_limited_power still composes
 ``Quantity`` objects at run time (see its comment).  A result that is not
 finite raises the ValueError of ``errors.non_finite_error``, which names the
 inputs, so no infinity reaches a report.
+
+A design's three band indices are looked up once: the chain and
+phasematch's delta_k and poling_period read them through _band_indices,
+which remembers the last bands and dispersion objects it was given.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import sys
 from ._record import Record
 from .errors import DataError, SingularityError, non_finite_error
 from .materials import Material, refractive_index
-from .tensors import voigt_index
+from .tensors import _plain_int, voigt_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
 
@@ -49,6 +53,12 @@ from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
 # outputs of this package; any column derived from them is an extrapolation.
 G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomechanical transducer
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
+
+
+# MixingBands' index checks, built once: they run for every design.
+_AXES = frozenset((i, j, k) for i in range(3) for j in range(3) for k in range(3))
+_INTS = (int, int, int)
+_STRAIN_COLUMNS = range(6)
 
 
 class MixingBands(Record):
@@ -76,15 +86,21 @@ class MixingBands(Record):
             raise ValueError(f"omega_p2 must be positive and finite, got {w2}")
         if not (wm >= 0 and math.isfinite(wm)):
             raise ValueError(f"omega_m must be finite and >= 0, got {wm}")
-        if len(axes) != 3 or any(a not in (0, 1, 2) for a in axes):
+        # Indices are stored as plain ints; a float or a bool is no index,
+        # though 1.0 and True compare equal to 1 (and so pass _AXES).
+        ints = tuple(axes) if len(axes) == 3 else ()
+        if tuple(map(type, ints)) != _INTS:
+            ints = tuple(map(_plain_int, ints))
+        if ints not in _AXES:
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
-        if strain_voigt not in range(6):
+        sv = strain_voigt if type(strain_voigt) is int else _plain_int(strain_voigt)
+        if sv not in _STRAIN_COLUMNS:
             raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")
         wt = w1 + w2 + wm
         # wavelengths: the vacuum wavelengths (m) of (pump1, pump2, transduced).
         self.__dict__.update(
-            omega_p1=w1, omega_p2=w2, omega_m=wm, axes=tuple(axes),
-            acoustic_mode=acoustic_mode, strain_voigt=strain_voigt, omega_t=wt,
+            omega_p1=w1, omega_p2=w2, omega_m=wm, axes=ints,
+            acoustic_mode=acoustic_mode, strain_voigt=sv, omega_t=wt,
             wavelengths=(TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt))
 
     @classmethod
@@ -281,6 +297,29 @@ def qpm_deff_reduction(order: int) -> float:
     return 2.0 / (order * math.pi)
 
 
+# The last design's indices, (bands, dispersion, (n_p1, n_p2, n_t)): one
+# tuple, so a reader in another thread sees a whole entry or none.
+_last_indices: tuple = (None, None, ())
+
+
+def _band_indices(m: Material, bands: MixingBands) -> _PerBand:
+    """(n_p1, n_p2, n_t): the index of each band at its axis, looked up in
+    band order, or taken from the last call if it had the same ``bands`` and
+    ``m.dispersion`` objects (both frozen, so the floats are the same).
+
+    The entry holds both objects, so their ids cannot be reused while it is
+    stored; a lookup that raises stores nothing.
+    """
+    global _last_indices
+    last_bands, last_dispersion, ns = _last_indices
+    if bands is not last_bands or m.dispersion is not last_dispersion:
+        (l1, l2, l3), (a1, a2, a3) = bands.wavelengths, bands.axes
+        ns = (refractive_index(m, l1, a1), refractive_index(m, l2, a2),
+              refractive_index(m, l3, a3))
+        _last_indices = (bands, m.dispersion, ns)
+    return ns
+
+
 def second_order_photoelasticity(m: Material, bands: MixingBands,
                                  apply_qpm_reduction: bool = False) -> MillerChain:
     """Run the full Miller's-rule chain for ``m`` on the given bands.
@@ -291,9 +330,7 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     in use, i.e. ``apply_qpm_reduction=True``).  Raises DataError if a needed
     photoelastic entry is unmeasured (stored null).
     """
-    (l1, l2, l3), (a1, a2, a3) = bands.wavelengths, bands.axes
-    ns = (refractive_index(m, l1, a1), refractive_index(m, l2, a2),
-          refractive_index(m, l3, a3))
+    ns = _band_indices(m, bands)
     ps = []
     for axis in bands.axes:
         v = voigt_index(axis, axis)

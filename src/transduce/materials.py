@@ -39,14 +39,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_right
-from importlib import resources
-from pathlib import Path
-from typing import Any
 
 from ._record import Record
 from .errors import MaterialFileError, RangeError
-from .tensors import PhotoelasticTensor, _float_rows
+from .tensors import PhotoelasticTensor, _float_rows, _plain_int
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
@@ -76,13 +74,19 @@ class DispersionModel(Record):
                 raise ValueError("dispersion points must be rows of "
                                  f"[lambda_m, nx, ny, nz] ({exc})") from None
             columns = tuple(list(c) for c in zip(*points))
+        if sellmeier is not None:
+            # Tuples too, so no index of this model can change after a
+            # lookup (estimator._band_indices reuses the last three).
+            sellmeier = tuple(tuple(map(tuple, terms)) for terms in sellmeier)
         # _columns is the table as Python lists (wavelengths, then n per
         # axis): a scalar lookup on lists costs far less than one np.interp.
-        self.__dict__.update(kind=kind, valid_range_m=valid_range_m, points=points,
+        self.__dict__.update(kind=kind, valid_range_m=tuple(valid_range_m), points=points,
                              sellmeier=sellmeier, _columns=columns)
 
     def index(self, wavelength: float, axis: int) -> float:
-        if axis not in (0, 1, 2):
+        # A float or a bool is no axis, though 1.0 and True compare equal to 1.
+        a = axis if type(axis) is int else _plain_int(axis)
+        if a not in (0, 1, 2):
             raise ValueError(f"axis must be 0..2, got {axis}")
         lo, hi = self.valid_range_m
         if not (lo <= wavelength <= hi):
@@ -94,8 +98,8 @@ class DispersionModel(Record):
                 f"wavelength {shown} m outside declared validity "
                 f"range [{lo:.6g}, {hi:.6g}] m", lo=lo, hi=hi, value=wavelength)
         if self.kind == "tabulated-points":
-            return self._tabulated_index(wavelength, axis)
-        return self._sellmeier_index(wavelength, axis)
+            return self._tabulated_index(wavelength, a)
+        return self._sellmeier_index(wavelength, a)
 
     def _tabulated_index(self, wavelength: float, axis: int) -> float:
         """Piecewise-linear lookup with np.interp's arithmetic, step for step.
@@ -173,7 +177,7 @@ class Violation(Record):
 
     _fields = ("field", "rule", "value")
 
-    def __init__(self, field: str, rule: str, value: Any):
+    def __init__(self, field: str, rule: str, value: object):
         self.__dict__.update(field=field, rule=rule, value=value)
 
 
@@ -379,20 +383,28 @@ def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
     return MaterialDb(materials=mats)
 
 
-def load_materials(path: str | Path) -> MaterialDb:
-    """Load a material database file; raises MaterialFileError on any defect."""
-    p = Path(path)
-    if not p.exists():
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def load_materials(path: str | os.PathLike) -> MaterialDb:
+    """Load a material database file; raises MaterialFileError on any defect.
+
+    Messages name ``path`` as given (``os.fspath``), not normalized.
+    """
+    p = os.fspath(path)
+    if not os.path.exists(p):
         raise MaterialFileError(f"material database not found: {p}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = _read_text(p)
     except (OSError, UnicodeDecodeError) as exc:
         raise MaterialFileError(f"{p}: cannot read material database: {exc}") from None
-    return loads_materials(text, source=str(p))
+    return loads_materials(text, source=p)
 
 
 def _dispersion_to_dict(d: DispersionModel) -> dict:
-    out: dict[str, Any] = {"kind": d.kind, "valid_range_m": list(d.valid_range_m)}
+    out: dict[str, object] = {"kind": d.kind, "valid_range_m": list(d.valid_range_m)}
     if d.kind == "tabulated-points":
         out["points"] = [list(row) for row in d.points]
     else:
@@ -422,11 +434,12 @@ def dumps_materials(db: MaterialDb) -> str:
     return json.dumps(doc, indent=2)
 
 
-def save_materials(db: MaterialDb, path: str | Path) -> None:
-    Path(path).write_text(dumps_materials(db) + "\n", encoding="utf-8")
+def save_materials(db: MaterialDb, path: str | os.PathLike) -> None:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        fh.write(dumps_materials(db) + "\n")
 
 
 def default_db() -> MaterialDb:
     """The database bundled with the package (BaTiO3 fixture plus vacuum)."""
-    text = resources.files("transduce").joinpath("data/materials.json").read_text("utf-8")
-    return loads_materials(text, source="<bundled>")
+    path = os.path.join(os.path.dirname(__file__), "data", "materials.json")
+    return loads_materials(_read_text(path), source="<bundled>")

@@ -19,6 +19,13 @@ under the same material, geometry, and poling vector; because its generated
 band sits at a very different wavelength than the four-wave output, a
 dispersive medium cannot phase-match both at once and the three-wave channel
 is suppressed by the same sinc^2 factor.
+
+delta_k and poling_period take the three four-wave band indices from
+``estimator._band_indices``, so a design that ran the Miller chain on the
+same bands and material reuses its lookups, and a poling-period sweep looks
+them up once.  three_wave_residual looks up its own two bands (the pump and
+omega_p + omega_m), never the four-wave output, so it works for a design
+whose four-wave output lies outside the validity window.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import math
 
 from ._record import Record
 from .errors import DataError, non_finite_error
-from .estimator import MixingBands
+from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
 
@@ -114,11 +121,11 @@ def _k_grating(pm_in: PhaseMatchInput) -> float:
 
 def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
     """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating."""
-    b, m = pm_in.bands, pm_in.material
-    (l1, l2, lt), (a1, a2, at) = b.wavelengths, b.axes
-    k_p1 = wavevector_optical(refractive_index(m, l1, a1), b.omega_p1)
-    k_p2 = wavevector_optical(refractive_index(m, l2, a2), b.omega_p2)
-    k_t = wavevector_optical(refractive_index(m, lt, at), b.omega_t)
+    b = pm_in.bands
+    n_p1, n_p2, n_t = _band_indices(pm_in.material, b)
+    k_p1 = wavevector_optical(n_p1, b.omega_p1)
+    k_p2 = wavevector_optical(n_p2, b.omega_p2)
+    k_t = wavevector_optical(n_t, b.omega_t)
     return k_t, k_p1, k_p2, _k_acoustic(pm_in)
 
 

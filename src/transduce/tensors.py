@@ -12,13 +12,10 @@ a material database does not import it.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import permutations
-from typing import TYPE_CHECKING
 
 from ._record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Voigt pair for each packed index, in standard crystallographic order.
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
@@ -26,6 +23,17 @@ VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
 
 _VOIGT_OF_PAIR = {(i, j): v for v, (i, j) in enumerate(VOIGT_PAIRS)}
 _VOIGT_OF_PAIR.update({(j, i): v for v, (i, j) in enumerate(VOIGT_PAIRS)})
+
+
+def _plain_int(value) -> int | None:
+    """``value`` as a plain int if it is an integer (an int, or a type with
+    ``__index__`` such as a numpy integer) other than a bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def voigt_index(i: int, j: int) -> int:
@@ -79,9 +87,9 @@ class PhotoelasticTensor(Record):
         self.__dict__.update(entries=rows)
 
 
-def _perm_average(a: np.ndarray, k: int) -> np.ndarray:
-    """Average of ``a`` over every permutation of its first ``k`` axes,
-    summed from zero in ``itertools.permutations`` order."""
+def _perm_average(a, k: int):
+    """Average of the array ``a`` over every permutation of its first ``k``
+    axes, summed from zero in ``itertools.permutations`` order."""
     import numpy as np
     out = np.zeros_like(a)
     for perm in permutations(range(k)):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -21,6 +23,29 @@ def bto(db):
 def bto_bands():
     """Both pumps at 2600 nm, 2 GHz phonon, standard axes and strain column."""
     return MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` rebinds the library function ``fn``, in every
+    ``transduce`` module namespace that binds it, to a wrapper that records
+    each call's arguments, and returns the list it records into.  Library
+    functions resolve each other through module globals at call time, so
+    calls between them are recorded too.  The bindings are restored after
+    the test."""
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return fn(*args, **kw)
+        for name, mod in list(sys.modules.items()):
+            if name == "transduce" or name.startswith("transduce."):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+    return install
 
 
 def unreadable_db(tmp_path, kind):

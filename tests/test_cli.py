@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -559,6 +560,23 @@ class TestImportPath:
                 "    assert not loaded(), (argv, loaded())")
         assert fresh_imports(code) == {"layers": sorted([*CLI_LAYERS, "phasematch"]),
                                        "numpy": False}
+
+    def test_database_load_imports_no_path_or_typing_module(self):
+        # pathlib and importlib.resources pulled in tempfile, shutil, random,
+        # bz2, lzma and urllib; default_db() added zipfile and threading.
+        # Under -S no .pth start-up hook preloads any of them.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+                "import os, transduce\n"
+                "db = os.path.join(os.path.dirname(transduce.__file__), 'data', "
+                "'materials.json')\n"
+                "assert transduce.load_materials(db) == transduce.default_db()\n"
+                "print(sorted({'pathlib', 'importlib.resources', 'tempfile', 'zipfile',\n"
+                "              'typing'} & set(sys.modules)))")
+        cp = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == "[]\n"
 
     def test_every_export_is_its_layers_object(self):
         code = ("import importlib, transduce as T\n"

@@ -55,6 +55,28 @@ class TestMixingBands:
         with pytest.raises(ValueError, match=name):
             MixingBands.from_vacuum_wavelengths(*args)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"axes": (0.0, 1.0, 2.0)}, "axes must be three indices in 0..2, got (0.0, 1.0, 2.0)"),
+        ({"axes": (0, True, 2)}, "axes must be three indices in 0..2, got (0, True, 2)"),
+        ({"strain_voigt": 2.0}, "strain_voigt must be in 0..5, got 2.0"),
+        ({"strain_voigt": False}, "strain_voigt must be in 0..5, got False")])
+    def test_float_or_bool_index_is_rejected(self, kw, message):
+        # 1.0 and True compare equal to 1, so these passed, and the chain
+        # then failed on a float tuple index or read the axis a bool names.
+        with pytest.raises(ValueError) as exc:
+            MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9, **kw)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_indices_are_stored_as_ints(self, bto):
+        b = MixingBands.from_vacuum_wavelengths(
+            2.6e-6, 2.6e-6, 2e9, axes=(np.int64(0), np.int8(1), np.uint16(2)),
+            strain_voigt=np.int32(2))
+        plain = MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9)
+        assert [type(a) for a in (*b.axes, b.strain_voigt)] == [int] * 4
+        assert repr(b) == repr(plain)
+        assert second_order_photoelasticity(bto, b) == second_order_photoelasticity(
+            bto, plain)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MixingBands(omega_p1=-1.0, omega_p2=1.0, omega_m=0.0)

@@ -59,6 +59,24 @@ class TestLoad:
         with pytest.raises(MaterialFileError, match="not valid JSON"):
             loads_materials("{not json")
 
+    def test_path_is_named_as_given(self, tmp_path, monkeypatch):
+        # Messages name the path as typed: pathlib printed ./nope.json as
+        # nope.json and a//b as a/b.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        for path, message in [
+                ("./nope.json", "material database not found: ./nope.json"),
+                (f"{tmp_path}//nope.json", f"material database not found: {tmp_path}//nope.json"),
+                ("./bad.json", "./bad.json: not valid JSON: ")]:
+            with pytest.raises(MaterialFileError) as exc:
+                load_materials(path)
+            assert str(exc.value).startswith(message)
+
+    def test_str_and_path_like_paths(self, db, tmp_path):
+        for path in (str(tmp_path / "a.json"), tmp_path / "b.json"):
+            save_materials(db, path)
+            assert dumps_materials(load_materials(path)) == dumps_materials(db)
+
     def test_wrong_schema(self):
         with pytest.raises(MaterialFileError, match="schema"):
             loads_materials('{"schema": 2, "materials": []}')
@@ -148,6 +166,20 @@ class TestRefractiveIndex:
     def test_bad_axis(self, bto):
         with pytest.raises(ValueError):
             refractive_index(bto, 1310e-9, axis=3)
+
+    @pytest.mark.parametrize("axis", [1.0, True, 2.5, "1"])
+    def test_axis_that_is_no_integer_is_rejected(self, bto, db, axis):
+        # 1.0 failed with a bare TypeError on a float tuple index, and True
+        # read axis 1.
+        for m in (bto, db.get("vacuum")):
+            with pytest.raises(ValueError) as exc:
+                refractive_index(m, 2e-6, axis)
+            assert str(exc.value) == f"axis must be 0..2, got {axis}"
+
+    def test_numpy_integer_axis_is_an_axis(self, bto):
+        for axis in range(3):
+            assert refractive_index(bto, 2e-6, np.int64(axis)) == refractive_index(
+                bto, 2e-6, axis)
 
 
 @st.composite
