@@ -4,7 +4,8 @@ Each type names its fields in ``_fields`` and stores them from its own
 ``__init__`` with one ``self.__dict__.update(...)``.  Repr, ``==`` and the
 hash follow ``_fields`` as a frozen dataclass's do, but nothing is generated
 with ``exec`` at import time, and neither the decorator's module nor
-``inspect`` is imported.
+``inspect`` is imported.  A mapping field is stored as a ``FrozenDict``, so
+editing it, or the dict it was built from, cannot change the record.
 """
 
 from operator import attrgetter
@@ -44,3 +45,20 @@ class Record:
         again; a name ``__init__`` does not take raises TypeError."""
         args = {f: getattr(self, f) for f in self._fields if f not in self._computed}
         return type(self)(**{**args, **changes})
+
+
+class FrozenDict(dict):
+    """A dict copy that raises TypeError on any change.
+
+    Repr, ``==`` and order are a dict's, and it stays unhashable, as a dict
+    is.  Copies and pickles rebuild it from a plain dict.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)

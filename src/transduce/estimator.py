@@ -44,7 +44,7 @@ import sys
 from ._record import Record
 from .errors import DataError, SingularityError, non_finite_error
 from .materials import Material, refractive_index
-from .tensors import _plain_int, voigt_index
+from .tensors import _VOIGT_OF_PAIR, _integer
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
 
@@ -53,12 +53,6 @@ from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
 # outputs of this package; any column derived from them is an extrapolation.
 G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomechanical transducer
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
-
-
-# MixingBands' index checks, built once: they run for every design.
-_AXES = frozenset((i, j, k) for i in range(3) for j in range(3) for k in range(3))
-_INTS = (int, int, int)
-_STRAIN_COLUMNS = range(6)
 
 
 class MixingBands(Record):
@@ -86,15 +80,11 @@ class MixingBands(Record):
             raise ValueError(f"omega_p2 must be positive and finite, got {w2}")
         if not (wm >= 0 and math.isfinite(wm)):
             raise ValueError(f"omega_m must be finite and >= 0, got {wm}")
-        # Indices are stored as plain ints; a float or a bool is no index,
-        # though 1.0 and True compare equal to 1 (and so pass _AXES).
-        ints = tuple(axes) if len(axes) == 3 else ()
-        if tuple(map(type, ints)) != _INTS:
-            ints = tuple(map(_plain_int, ints))
-        if ints not in _AXES:
+        # Indices are stored as plain ints; a float or a bool is no index.
+        ints = tuple(map(_integer, axes))
+        if len(ints) != 3 or not {0, 1, 2}.issuperset(ints):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
-        sv = strain_voigt if type(strain_voigt) is int else _plain_int(strain_voigt)
-        if sv not in _STRAIN_COLUMNS:
+        if (sv := _integer(strain_voigt)) is None or not 0 <= sv <= 5:
             raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")
         wt = w1 + w2 + wm
         # wavelengths: the vacuum wavelengths (m) of (pump1, pump2, transduced).
@@ -292,9 +282,9 @@ def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
 
 def qpm_deff_reduction(order: int) -> float:
     """Nominal-to-effective d_eff factor 2/(order*pi) under periodic poling."""
-    if order < 1:
+    if (m := _integer(order)) is None or m < 1:
         raise ValueError(f"poling diffraction order must be >= 1, got {order}")
-    return 2.0 / (order * math.pi)
+    return 2.0 / (m * math.pi)
 
 
 # The last design's indices, (bands, dispersion, (n_p1, n_p2, n_t)): one
@@ -333,7 +323,9 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     ns = _band_indices(m, bands)
     ps = []
     for axis in bands.axes:
-        v = voigt_index(axis, axis)
+        # MixingBands stores its axes as ints in 0..2, so the pair is packed
+        # without voigt_index checking it again.
+        v = _VOIGT_OF_PAIR[axis, axis]
         entry = m.photoelastic.entries[v][bands.strain_voigt]
         if math.isnan(entry):
             raise DataError(

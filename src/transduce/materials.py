@@ -42,9 +42,9 @@ import math
 import os
 from bisect import bisect_right
 
-from ._record import Record
+from ._record import FrozenDict, Record
 from .errors import MaterialFileError, RangeError
-from .tensors import PhotoelasticTensor, _float_rows, _plain_int
+from .tensors import PhotoelasticTensor, _float_rows, _integer
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
@@ -85,8 +85,7 @@ class DispersionModel(Record):
 
     def index(self, wavelength: float, axis: int) -> float:
         # A float or a bool is no axis, though 1.0 and True compare equal to 1.
-        a = axis if type(axis) is int else _plain_int(axis)
-        if a not in (0, 1, 2):
+        if (a := _integer(axis)) is None or not 0 <= a <= 2:
             raise ValueError(f"axis must be 0..2, got {axis}")
         lo, hi = self.valid_range_m
         if not (lo <= wavelength <= hi):
@@ -146,10 +145,14 @@ class Material(Record):
                  v_sound: dict[str, float],         # acoustic mode label -> m/s
                  damage_threshold: float,           # W/m^2
                  qpm_order: int = 1):
+        # Copies the caller cannot change; validate_material reports a
+        # qpm_order that is no integer, which is kept as given.
+        qpm = _integer(qpm_order)
         self.__dict__.update(
             name=name, dispersion=dispersion, photoelastic=photoelastic,
-            photoelastic_note=photoelastic_note, d_eff=d_eff, eps_r=eps_r,
-            v_sound=v_sound, damage_threshold=damage_threshold, qpm_order=qpm_order)
+            photoelastic_note=photoelastic_note, d_eff=d_eff, eps_r=tuple(eps_r),
+            v_sound=FrozenDict(v_sound), damage_threshold=damage_threshold,
+            qpm_order=qpm_order if qpm is None else qpm)
 
 
 class MaterialDb(Record):
@@ -158,7 +161,7 @@ class MaterialDb(Record):
     _fields = ("materials",)
 
     def __init__(self, materials: dict[str, Material]):
-        self.__dict__.update(materials=materials)
+        self.__dict__.update(materials=FrozenDict(materials))
 
     def get(self, name: str) -> Material:
         try:
@@ -235,7 +238,7 @@ def validate_material(m: Material) -> list[Violation]:
             out.append(Violation(f"v_sound_m_per_s.{mode}", "positive finite", v))
     if not math.isfinite(m.damage_threshold) or m.damage_threshold <= 0:
         out.append(Violation("damage_threshold_w_per_m2", "positive", m.damage_threshold))
-    if not isinstance(m.qpm_order, int) or m.qpm_order < 1:
+    if (qpm := _integer(m.qpm_order)) is None or qpm < 1:
         out.append(Violation("qpm_order", "integer >= 1", m.qpm_order))
     return out
 
@@ -337,7 +340,7 @@ def _parse_material(obj) -> Material:
     if not (isinstance(eps_r, list) and len(eps_r) == 3):
         raise MaterialFileError(f"{where}: eps_r must be a 3-vector diagonal")
     qpm = obj.get("qpm_order", 1)
-    if isinstance(qpm, bool) or not isinstance(qpm, int):
+    if _integer(qpm) is None:
         raise MaterialFileError(f"{where}: qpm_order must be an integer, got {qpm!r}")
     v_sound = _object(obj["v_sound_m_per_s"], where, "v_sound_m_per_s")
     return Material(

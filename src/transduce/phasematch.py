@@ -36,6 +36,7 @@ from ._record import Record
 from .errors import DataError, non_finite_error
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
+from .tensors import _integer
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
 
 
@@ -80,10 +81,10 @@ class PhaseMatchInput(Record):
         if poling_period is not None and not 0 < TWO_PI / poling_period < math.inf:
             raise ValueError("poling period must be finite, with a finite 2 pi / period, "
                              f"got {poling_period}")
-        if poling_sign not in (-1, 1):
+        if (sign := _integer(poling_sign)) not in (-1, 1):
             raise ValueError(f"poling sign must be +-1, got {poling_sign}")
         self.__dict__.update(bands=bands, material=material, length=length,
-                             poling_period=poling_period, poling_sign=poling_sign)
+                             poling_period=poling_period, poling_sign=sign)
 
 
 class PhaseMatchResult(Record):
@@ -201,10 +202,10 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     the configuration is degenerate (three-wave matched as well) and is
     flagged so reports can call it out.
     """
-    if pump_choice not in (1, 2):
+    if (pump := _integer(pump_choice)) not in (1, 2):
         raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
-    b, m, i = pm_in.bands, pm_in.material, pump_choice - 1
-    omega_p = b.omega_p1 if pump_choice == 1 else b.omega_p2
+    b, m, i = pm_in.bands, pm_in.material, pump - 1
+    omega_p = b.omega_p1 if pump == 1 else b.omega_p2
     k_p = wavevector_optical(refractive_index(m, b.wavelengths[i], b.axes[i]), omega_p)
     omega_t3 = omega_p + b.omega_m
     k_t3 = wavevector_optical(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)

@@ -5,6 +5,10 @@ symmetric index pairs packed in the standard crystallographic order (00, 11,
 22, 12, 02, 01).  The strain columns index tensor strain (no factor of 2 on
 the shear components).
 
+``_integer`` is the package's one rule for an integer argument (an axis, a
+Voigt index, the QPM order, the poling sign, the pump choice, an FD order):
+an int or a numpy integer is read as a plain int, a float or a bool is not.
+
 numpy is imported only inside the function that averages arrays, so loading
 a material database does not import it.
 """
@@ -25,29 +29,34 @@ _VOIGT_OF_PAIR = {(i, j): v for v, (i, j) in enumerate(VOIGT_PAIRS)}
 _VOIGT_OF_PAIR.update({(j, i): v for v, (i, j) in enumerate(VOIGT_PAIRS)})
 
 
-def _plain_int(value) -> int | None:
-    """``value`` as a plain int if it is an integer (an int, or a type with
-    ``__index__`` such as a numpy integer) other than a bool, else None."""
-    if isinstance(value, bool):
-        return None
+def _integer(value) -> int | None:
+    """``value`` as a plain int if it is an int or has ``__index__`` (a numpy
+    integer, say), else None: a bool, a float (even 1.0) or anything else.
+
+    Every integer argument of the package is read through this one rule; the
+    caller checks the range of the int it returns.
+    """
+    if type(value) is int:
+        return value
     try:
-        return operator.index(value)
+        return None if isinstance(value, bool) else int(operator.index(value))
     except TypeError:
         return None
 
 
 def voigt_index(i: int, j: int) -> int:
     """Pack the symmetric axis pair (i, j) into a Voigt index 0..5."""
-    if i not in (0, 1, 2) or j not in (0, 1, 2):
+    v = _VOIGT_OF_PAIR.get((_integer(i), _integer(j)))
+    if v is None:
         raise ValueError(f"axis indices must be in 0..2, got ({i}, {j})")
-    return _VOIGT_OF_PAIR[(i, j)]
+    return v
 
 
 def voigt_pair(v: int) -> tuple[int, int]:
     """Unpack a Voigt index into its sorted axis pair; inverse of voigt_index."""
-    if v not in range(6):
+    if (k := _integer(v)) is None or not 0 <= k <= 5:
         raise ValueError(f"Voigt index must be in 0..5, got {v}")
-    return VOIGT_PAIRS[v]
+    return VOIGT_PAIRS[k]
 
 
 def _float_rows(table, width: int, nrows: int | None = None

@@ -46,7 +46,7 @@ from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .tensors import _perm_average
+from .tensors import _integer, _perm_average
 from .units import EPS0
 
 if TYPE_CHECKING:
@@ -118,11 +118,11 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     the free-energy models here.  Within those caps the estimate is exact for
     polynomials up to rounding, independent of the step size.
     """
-    nx, nd = orders
-    if not (0 <= nx <= MAX_ORDER_X):
-        raise ValueError(f"x-derivative order must be 0..{MAX_ORDER_X}, got {nx}")
-    if not (0 <= nd <= MAX_ORDER_D):
-        raise ValueError(f"D-derivative order must be 0..{MAX_ORDER_D}, got {nd}")
+    ox, od = orders
+    if (nx := _integer(ox)) is None or not 0 <= nx <= MAX_ORDER_X:
+        raise ValueError(f"x-derivative order must be 0..{MAX_ORDER_X}, got {ox}")
+    if (nd := _integer(od)) is None or not 0 <= nd <= MAX_ORDER_D:
+        raise ValueError(f"D-derivative order must be 0..{MAX_ORDER_D}, got {od}")
     x0, d0 = point
     return _partial(f, [x0, d0], (0,) * nx + (1,) * nd)
 

@@ -462,6 +462,24 @@ class TestVerifyThermo:
         b = run_cli("verify-thermo", "--trials", "10", "--seed", "7")
         assert a.stdout == b.stdout
 
+    def test_a_rung_passes_only_if_every_trial_report_passed_it(self, monkeypatch, capsys):
+        # The table takes each rung's verdict from the reports' *_passed flags,
+        # the one pass rule, not from a second comparison of the worst
+        # residual with --tol: a report that fails order2 at residual 0 fails
+        # the rung, and the residual column still shows the worst residual.
+        from transduce import thermo
+        verify = thermo.verify_relations
+
+        def failing_order2(m, tol):
+            return verify(m, tol).replace(order2_residual=0.0, order2_passed=False)
+        monkeypatch.setattr(thermo, "verify_relations", failing_order2)
+        assert cli.main(["verify-thermo", "--trials", "2"]) == 1
+        rows = capsys.readouterr().out.splitlines()[2:6]
+        assert [row.split()[0::2] for row in rows] == [
+            ["order1", "PASS"], ["order2", "FAIL"], ["order3", "PASS"],
+            ["factor2", "PASS"]]
+        assert rows[1].split()[1] == "0.000000e+00"
+
 
 WORKED_ARGVS = [
     ["materials"],

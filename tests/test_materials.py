@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from transduce import MixingBands, PhaseMatchInput, default_db, delta_k
 from transduce.errors import MaterialFileError, RangeError
-from transduce.materials import (DispersionModel, dumps_materials, load_materials,
-                                 loads_materials, refractive_index,
+from transduce.materials import (DispersionModel, MaterialDb, dumps_materials,
+                                 load_materials, loads_materials, refractive_index,
                                  save_materials, validate_material)
 
 from conftest import unreadable_db
@@ -476,3 +479,61 @@ def test_sellmeier_evaluation_against_direct_formula():
     lam = 1.0e-6
     expected = np.sqrt(1 + 1.0 * lam**2 / (lam**2 - 1e-14))
     assert refractive_index(db.get("demo"), lam, 0) == pytest.approx(expected, rel=1e-15)
+
+
+class TestFrozen:
+    """Material and MaterialDb keep read-only copies of their mappings."""
+
+    MUTATIONS = [
+        lambda d: d.__setitem__("longitudinal", 1.0),
+        lambda d: d.__delitem__("longitudinal"),
+        lambda d: d.clear(),
+        lambda d: d.pop("longitudinal"),
+        lambda d: d.popitem(),
+        lambda d: d.setdefault("shear", 1.0),
+        lambda d: d.update(shear=1.0),
+        lambda d: d.__ior__({"shear": 1.0})]
+
+    @staticmethod
+    def _pm(m):
+        bands = MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9)
+        return PhaseMatchInput(bands=bands, material=m, length=100e-6)
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=[
+        "setitem", "delitem", "clear", "pop", "popitem", "setdefault", "update", "ior"])
+    def test_sound_speeds_of_the_bundled_entry_cannot_be_edited(self, mutate):
+        # Editing the bundled BaTiO3's v_sound after one delta_k moved the
+        # next delta_k on the same input from -2.46e6 to -1.26e10 rad/m.
+        bto = default_db().get("BaTiO3")
+        speeds, before = dict(bto.v_sound), delta_k(self._pm(bto))
+        with pytest.raises(TypeError, match="FrozenDict is read-only"):
+            mutate(bto.v_sound)
+        assert bto.v_sound == speeds
+        assert delta_k(self._pm(bto)) == before
+
+    def test_editing_the_callers_dicts_changes_nothing(self):
+        bto = default_db().get("BaTiO3")
+        speeds, eps = dict(bto.v_sound), list(bto.eps_r)
+        m = bto.replace(v_sound=speeds, eps_r=eps)
+        before = delta_k(self._pm(m))
+        speeds["longitudinal"] = 1.0
+        eps[2] = 1.0
+        assert m == bto and type(m.eps_r) is tuple
+        assert delta_k(self._pm(m)) == before
+        entries = {"BaTiO3": bto}
+        db = MaterialDb(entries)
+        entries.clear()
+        assert db.get("BaTiO3") is bto
+        with pytest.raises(TypeError, match="read-only"):
+            db.materials["other"] = bto
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, duplicate):
+        db = default_db()
+        for dup in (duplicate(db), duplicate(db.get("BaTiO3"))):
+            mapping = dup.materials if isinstance(dup, MaterialDb) else dup.v_sound
+            with pytest.raises(TypeError, match="read-only"):
+                mapping.clear()
+        assert dumps_materials(duplicate(db)) == dumps_materials(db)
