@@ -4,10 +4,14 @@ Argument-level misuse (bad index, negative tolerance, ...) raises plain
 ``ValueError``; the classes below mark failures that originate in data or
 physics rather than in the call itself, so batch drivers can tell them apart.
 A result that is not finite is argument-level: :func:`non_finite_error`
-builds its ``ValueError``.
+builds its ``ValueError``.  ``_integer`` is the package's one rule for an
+integer argument (an axis, a Voigt index, the QPM order, the poling sign, the
+pump choice, an FD order): an int or a numpy integer is read as a plain int,
+a float or a bool is not.
 """
 
 import math
+import operator
 
 
 class TransduceError(Exception):
@@ -56,3 +60,18 @@ def non_finite_error(what: str, **args) -> ValueError:
             return ValueError(f"{k} must be finite, got {v}")
     named = ", ".join(f"{k}={v!r}" for k, v in args.items())
     return ValueError(f"{what} overflows for {named}")
+
+
+def _integer(value) -> int | None:
+    """``value`` as a plain int if it is an int or has ``__index__`` (a numpy
+    integer, say), else None: a bool, a float (even 1.0) or anything else.
+
+    Every integer argument of the package is read through this one rule; the
+    caller checks the range of the int it returns.
+    """
+    if type(value) is int:
+        return value
+    try:
+        return None if isinstance(value, bool) else int(operator.index(value))
+    except TypeError:
+        return None

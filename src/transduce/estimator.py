@@ -42,9 +42,9 @@ import math
 import sys
 
 from ._record import Record
-from .errors import DataError, SingularityError, non_finite_error
+from .errors import DataError, SingularityError, _integer, non_finite_error
 from .materials import Material, refractive_index
-from .tensors import _VOIGT_OF_PAIR, _integer
+from .tensors import _VOIGT_OF_PAIR
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
 
@@ -80,8 +80,12 @@ class MixingBands(Record):
             raise ValueError(f"omega_p2 must be positive and finite, got {w2}")
         if not (wm >= 0 and math.isfinite(wm)):
             raise ValueError(f"omega_m must be finite and >= 0, got {wm}")
-        # Indices are stored as plain ints; a float or a bool is no index.
-        ints = tuple(map(_integer, axes))
+        # Indices are stored as plain ints; a float or a bool is no index,
+        # and a non-iterable is no triple of them.
+        try:
+            ints = tuple(map(_integer, axes))
+        except TypeError:
+            ints = ()
         if len(ints) != 3 or not {0, 1, 2}.issuperset(ints):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
         if (sv := _integer(strain_voigt)) is None or not 0 <= sv <= 5:
@@ -216,9 +220,14 @@ def _miller_Q(eta2: float, ns: _PerBand, denoms: _PerBand) -> float:
 
 
 def _band_sum(ps: _PerBand, denoms: _PerBand) -> float:
-    """sum_n p_n / (1 - 1/n_n^2), the band sum shared by both q_eff routes."""
+    """sum_n p_n / (1 - 1/n_n^2), the band sum shared by both q_eff routes.
+
+    Added left to right from 0.0, as ``sum()`` adds floats up to Python 3.11.
+    From 3.12 on ``sum()`` compensates its rounding and moves q_eff by an ulp
+    in some designs; the written-out order gives the same bits on every Python.
+    """
     (p1, p2, p3), (d1, d2, d3) = ps, denoms
-    return sum((p1 / d1, p2 / d2, p3 / d3))
+    return 0.0 + p1 / d1 + p2 / d2 + p3 / d3
 
 
 def _q_eff_closed_form(d_eff: float, ns: _PerBand, ps: _PerBand, denoms: _PerBand) -> float:

@@ -43,8 +43,8 @@ import os
 from bisect import bisect_right
 
 from ._record import FrozenDict, Record
-from .errors import MaterialFileError, RangeError
-from .tensors import PhotoelasticTensor, _float_rows, _integer
+from .errors import MaterialFileError, RangeError, _integer
+from .tensors import PhotoelasticTensor, _float_rows
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64

@@ -33,10 +33,9 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import DataError, non_finite_error
+from .errors import DataError, _integer, non_finite_error
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
-from .tensors import _integer
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
 
 

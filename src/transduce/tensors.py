@@ -3,23 +3,16 @@
 Rank-4 photoelastic tensors are stored 6x6, as a tuple of float rows, with
 symmetric index pairs packed in the standard crystallographic order (00, 11,
 22, 12, 02, 01).  The strain columns index tensor strain (no factor of 2 on
-the shear components).
-
-``_integer`` is the package's one rule for an integer argument (an axis, a
-Voigt index, the QPM order, the poling sign, the pump choice, an FD order):
-an int or a numpy integer is read as a plain int, a float or a bool is not.
-
-numpy is imported only inside the function that averages arrays, so loading
-a material database does not import it.
+the shear components).  Nothing here imports numpy, so loading a material
+database does not.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from itertools import permutations
 
 from ._record import Record
+from .errors import _integer
 
 # Voigt pair for each packed index, in standard crystallographic order.
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
@@ -27,21 +20,6 @@ VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
 
 _VOIGT_OF_PAIR = {(i, j): v for v, (i, j) in enumerate(VOIGT_PAIRS)}
 _VOIGT_OF_PAIR.update({(j, i): v for v, (i, j) in enumerate(VOIGT_PAIRS)})
-
-
-def _integer(value) -> int | None:
-    """``value`` as a plain int if it is an int or has ``__index__`` (a numpy
-    integer, say), else None: a bool, a float (even 1.0) or anything else.
-
-    Every integer argument of the package is read through this one rule; the
-    caller checks the range of the int it returns.
-    """
-    if type(value) is int:
-        return value
-    try:
-        return None if isinstance(value, bool) else int(operator.index(value))
-    except TypeError:
-        return None
 
 
 def voigt_index(i: int, j: int) -> int:
@@ -94,13 +72,3 @@ class PhotoelasticTensor(Record):
         except ValueError as exc:
             raise ValueError(f"photoelastic tensor must be 6x6 numbers ({exc})") from None
         self.__dict__.update(entries=rows)
-
-
-def _perm_average(a, k: int):
-    """Average of the array ``a`` over every permutation of its first ``k``
-    axes, summed from zero in ``itertools.permutations`` order."""
-    import numpy as np
-    out = np.zeros_like(a)
-    for perm in permutations(range(k)):
-        out += np.transpose(a, (*perm, *range(k, a.ndim)))
-    return out / math.factorial(k)

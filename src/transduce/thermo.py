@@ -42,15 +42,11 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING
+from itertools import combinations_with_replacement, permutations, product
 
 from ._record import Record
-from .tensors import _integer, _perm_average
+from .errors import _integer
 from .units import EPS0
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _EPS_MACHINE = sys.float_info.epsilon
 
@@ -111,6 +107,16 @@ def _partial(f, point: list[float], axes: tuple[int, ...],
     return d
 
 
+def _pair(value, name: str) -> tuple:
+    """``value`` unpacked into its two items; a ValueError names ``name``
+    if it is not a container of exactly two."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair, got {value!r}") from None
+    return a, b
+
+
 def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     """Mixed partial d^(nx+nd) f / dx^nx dD^nd of a scalar field f(x, D).
 
@@ -118,13 +124,65 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     the free-energy models here.  Within those caps the estimate is exact for
     polynomials up to rounding, independent of the step size.
     """
-    ox, od = orders
+    ox, od = _pair(orders, "orders")
     if (nx := _integer(ox)) is None or not 0 <= nx <= MAX_ORDER_X:
         raise ValueError(f"x-derivative order must be 0..{MAX_ORDER_X}, got {ox}")
     if (nd := _integer(od)) is None or not 0 <= nd <= MAX_ORDER_D:
         raise ValueError(f"D-derivative order must be 0..{MAX_ORDER_D}, got {od}")
-    x0, d0 = point
-    return _partial(f, [x0, d0], (0,) * nx + (1,) * nd)
+    return _partial(f, list(_pair(point, "point")), (0,) * nx + (1,) * nd)
+
+
+def _numbers(value, depth: int) -> list[float]:
+    """The numbers of ``value``, nested at most ``depth`` deep, in row-major
+    order; TypeError, ValueError or OverflowError if an entry is none.  A
+    string is never a number: it nests without end."""
+    try:
+        items = iter(value)
+    except TypeError:
+        return [float(value)]
+    if depth == 0:
+        raise TypeError
+    return [v for item in items for v in _numbers(item, depth - 1)]
+
+
+def _symmetrized(flat: list[float], rank: int) -> list[float]:
+    """The row-major 2**rank table ``flat`` averaged over every permutation of
+    its indices, as numpy sums ``np.transpose(a, perm)`` into zeros in
+    ``itertools.permutations`` order and divides by rank!: that transpose
+    holds at ``idx`` the entry whose index j has j[perm[n]] = idx[n]."""
+    out = [0.0] * len(flat)
+    for perm in permutations(range(rank)):
+        for i, idx in enumerate(product((0, 1), repeat=rank)):
+            out[i] += flat[sum(idx[perm.index(k)] << (rank - 1 - k) for k in range(rank))]
+    return [v / math.factorial(rank) for v in out]
+
+
+def _nested(flat: list[float]):
+    """The row-major 2**rank table ``flat`` as nested pairs; rank 0 is a float."""
+    half = len(flat) // 2
+    return (_nested(flat[:half]), _nested(flat[half:])) if half else flat[0]
+
+
+def _coefficients(values, ranks) -> dict:
+    """c, h, eta1, eta2, p and q of a model, from ``values`` of ``ranks``.
+
+    Each is given as any nesting of its 2**rank numbers, read in row-major
+    order, and stored as nested float pairs (a float at rank 0), averaged
+    over its index permutations from rank 2 on.
+    """
+    out = {}
+    for name, value, rank in zip(FreeEnergyModel._fields, values, ranks):
+        try:
+            flat = _numbers(value, rank)
+        except (TypeError, ValueError, OverflowError):
+            flat = []
+        if rank > 1 and len(flat) == 2 ** rank:
+            flat = _symmetrized(flat, rank)
+        if len(flat) != 2 ** rank or not all(map(math.isfinite, flat)):
+            what = f"{2 ** rank} finite numbers" if rank else "a finite number"
+            raise ValueError(f"coefficient {name} must be {what}, got {value!r}")
+        out[name] = _nested(flat)
+    return out
 
 
 class FreeEnergyModel(Record):
@@ -139,10 +197,7 @@ class FreeEnergyModel(Record):
 
     def __init__(self, c: float = 0.0, h: float = 0.0, eta1: float = 0.0,
                  eta2: float = 0.0, p: float = 0.0, q: float = 0.0):
-        for name, value in zip(self._fields, (c, h, eta1, eta2, p, q)):
-            if not math.isfinite(value):
-                raise ValueError(f"coefficient {name} must be finite")
-        self.__dict__.update(c=c, h=h, eta1=eta1, eta2=eta2, p=p, q=q)
+        self.__dict__.update(_coefficients((c, h, eta1, eta2, p, q), (0,) * 6))
 
 
 def eval_free_energy(m: FreeEnergyModel, x: float, D: float) -> float:
@@ -198,12 +253,9 @@ class RelationReport(Record):
                  order3_residual: float, factor2_residual: float, fd_step_used: float,
                  tol: float, order1_passed: bool, order2_passed: bool,
                  order3_passed: bool, factor2_passed: bool):
-        self.__dict__.update(
-            order1_residual=order1_residual, order2_residual=order2_residual,
-            order3_residual=order3_residual, factor2_residual=factor2_residual,
-            fd_step_used=fd_step_used, tol=tol, order1_passed=order1_passed,
-            order2_passed=order2_passed, order3_passed=order3_passed,
-            factor2_passed=factor2_passed)
+        self.__dict__.update(zip(self._fields, (
+            order1_residual, order2_residual, order3_residual, factor2_residual,
+            fd_step_used, tol, order1_passed, order2_passed, order3_passed, factor2_passed)))
 
     @property
     def all_passed(self) -> bool:
@@ -282,64 +334,50 @@ def verify_relations(m: FreeEnergyModel, tol: float = 1e-6) -> RelationReport:
 # Two-component mode: D is a 2-vector, exercising index symmetry
 # --------------------------------------------------------------------------
 
+def _contract(t, d: tuple[float, float]) -> float:
+    """The nested table ``t`` contracted with the 2-vector ``d`` over every
+    index: t[i] d_i, t[i][j] d_i d_j or t[i][j][k] d_i d_j d_k."""
+    return _contract(t[0], d) * d[0] + _contract(t[1], d) * d[1] if type(t) is tuple else t
+
+
 class VectorFreeEnergyModel(Record):
     """Two-component analogue of FreeEnergyModel: scalar strain, D in R^2.
 
-    Coefficient arrays are symmetrized on construction (eta1 and p over their
-    two indices, eta2 and q over all three), because only the symmetric part
-    survives contraction with D tensor powers in the potential; the
-    Kleinman-style symmetry eta2[m, k, l] == eta2[m, l, k] therefore holds by
-    construction rather than by assertion.
+    ``c`` is a float; ``h`` is a pair of floats, ``eta1`` and ``p`` 2x2 and
+    ``eta2`` and ``q`` 2x2x2 tables of nested float pairs, indexed
+    ``eta2[m][k][l]``.  Each is given as any nesting of its 2**rank numbers
+    (a list, a numpy array, flat or not), read in row-major order.  The tables
+    are symmetrized on construction (eta1 and p over their two indices, eta2
+    and q over all three), because only the symmetric part survives
+    contraction with D tensor powers in the potential; the Kleinman-style
+    symmetry eta2[m][k][l] == eta2[m][l][k] therefore holds by construction
+    rather than by assertion.
     """
 
     _fields = ("c", "h", "eta1", "eta2", "p", "q")
 
-    def __init__(self, c: float,
-                 h: np.ndarray,         # (2,)
-                 eta1: np.ndarray,      # (2, 2) symmetric
-                 eta2: np.ndarray,      # (2, 2, 2) fully symmetric
-                 p: np.ndarray,         # (2, 2) symmetric
-                 q: np.ndarray):        # (2, 2, 2) fully symmetric
-        import numpy as np
-        arrays = {}
-        for name, value, rank in (("h", h, 1), ("eta1", eta1, 2), ("eta2", eta2, 3),
-                                  ("p", p, 2), ("q", q, 3)):
-            arr = np.asarray(value, dtype=float).reshape((2,) * rank)
-            arr = _perm_average(arr, rank) if rank > 1 else arr
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"coefficient {name} must be finite")
-            arrays[name] = arr
-        self.__dict__.update(c=c, **arrays)
+    def __init__(self, c: float, h, eta1, eta2, p, q):
+        self.__dict__.update(_coefficients((c, h, eta1, eta2, p, q), (0, 1, 2, 3, 2, 3)))
 
 
-def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float,
-                            D: np.ndarray) -> float:
-    import numpy as np
-    D = np.asarray(D, dtype=float).reshape(2)
-    return float(
-        0.5 * m.c * x * x
-        + x * (m.h @ D)
-        + 0.5 * D @ m.eta1 @ D
-        + np.einsum("ijk,i,j,k", m.eta2, D, D, D) / 3.0
-        + x * (D @ m.p @ D) / (2.0 * EPS0)
-        + x * np.einsum("ijk,i,j,k", m.q, D, D, D) / (3.0 * EPS0))
+def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float, D) -> float:
+    d = tuple(map(float, _pair(D, "D")))
+    return (0.5 * m.c * x * x + x * _contract(m.h, d) + 0.5 * _contract(m.eta1, d)
+            + _contract(m.eta2, d) / 3.0 + x * _contract(m.p, d) / (2.0 * EPS0)
+            + x * _contract(m.q, d) / (3.0 * EPS0))
 
 
-def stress_of_vector(m: VectorFreeEnergyModel, x: float, D: np.ndarray) -> float:
-    import numpy as np
-    D = np.asarray(D, dtype=float).reshape(2)
-    return float(
-        m.c * x + m.h @ D + (D @ m.p @ D) / (2.0 * EPS0)
-        + np.einsum("ijk,i,j,k", m.q, D, D, D) / (3.0 * EPS0))
+def stress_of_vector(m: VectorFreeEnergyModel, x: float, D) -> float:
+    d = tuple(map(float, _pair(D, "D")))
+    return (m.c * x + _contract(m.h, d) + _contract(m.p, d) / (2.0 * EPS0)
+            + _contract(m.q, d) / (3.0 * EPS0))
 
 
-def efield_of_vector(m: VectorFreeEnergyModel, x: float,
-                     D: np.ndarray) -> np.ndarray:
-    import numpy as np
-    D = np.asarray(D, dtype=float).reshape(2)
-    return (m.h * x + m.eta1 @ D + np.einsum("mjk,j,k->m", m.eta2, D, D)
-            + x * (m.p @ D) / EPS0
-            + x * np.einsum("mjk,j,k->m", m.q, D, D) / EPS0)
+def efield_of_vector(m: VectorFreeEnergyModel, x: float, D) -> tuple[float, float]:
+    d = tuple(map(float, _pair(D, "D")))
+    return tuple(m.h[k] * x + _contract(m.eta1[k], d) + _contract(m.eta2[k], d)
+                 + x * _contract(m.p[k], d) / EPS0 + x * _contract(m.q[k], d) / EPS0
+                 for k in (0, 1))
 
 
 def verify_relations_vector(m: VectorFreeEnergyModel,
@@ -350,5 +388,5 @@ def verify_relations_vector(m: VectorFreeEnergyModel,
     uses eta2[m, k, l](x) = (1/2) d2 E_m / dD_k dD_l at D = 0.
     """
     return _ladder(lambda x, *D: stress_of_vector(m, x, D),
-                   [lambda x, *D, k=k: float(efield_of_vector(m, x, D)[k])
+                   [lambda x, *D, k=k: efield_of_vector(m, x, D)[k]
                     for k in range(2)], tol)

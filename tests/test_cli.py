@@ -538,7 +538,8 @@ def fresh_imports(code: str) -> dict:
 
 class TestImportPath:
     """Each process loads only the layers it uses; only the array commands
-    (sweeps, verify-thermo) load numpy.  Structural checks, not timings."""
+    (sweeps, verify-thermo) load numpy, and a library user of ``thermo`` does
+    not.  Structural checks, not timings."""
 
     def test_import_loads_no_layer(self):
         assert fresh_imports("import transduce") == {"layers": [], "numpy": False}
@@ -561,6 +562,15 @@ class TestImportPath:
     def test_command_loads_only_its_layers(self, argv, layers):
         code = f"from transduce import cli\nassert cli.main({argv!r}) == 0"
         assert fresh_imports(code)["layers"] == layers
+
+    def test_thermo_loads_no_other_layer_and_no_numpy(self):
+        # The two-component model stores floats and contracts them itself.
+        code = ("from transduce.thermo import VectorFreeEnergyModel, verify_relations_vector\n"
+                "m = VectorFreeEnergyModel(1.0, [0.5, -1.0], [[2.0, 0.5], [0.5, 3.0]],\n"
+                "                          [0.25] * 8, [1.0, 2.0, 3.0, 4.0], [-0.5] * 8)\n"
+                "assert verify_relations_vector(m).all_passed")
+        assert fresh_imports(code) == {"layers": ["errors", "thermo", "units"],
+                                       "numpy": False}
 
     def test_start_up_imports_neither_dataclasses_nor_inspect(self):
         # Frozen dataclasses imported both, and generated their methods at

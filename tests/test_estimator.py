@@ -394,7 +394,12 @@ class TestDimensionedReferences:
 
     @staticmethod
     def band_sum(ns, ps):
-        return sum(p / (1.0 - 1.0 / (n * n)) for p, n in zip(ps, ns))
+        # Left to right from 0.0: sum() compensates its rounding from Python
+        # 3.12 on, and the library's band sum does not.
+        total = 0.0
+        for p, n in zip(ps, ns):
+            total += p / (1.0 - 1.0 / (n * n))
+        return total
 
     @given(st.floats(-1e-9, 1e-9), st.tuples(*[st.floats(1.01, 4.0)] * 3),
            st.tuples(*[st.floats(-1.0, 1.0)] * 3))
@@ -409,6 +414,17 @@ class TestDimensionedReferences:
     def test_q_eff_from_eta2(self, eta2, ns, ps):
         ref = -(EPS0_Q * Quantity(eta2, ETA2)) * self.band_sum(ns, ps)
         self.assert_same(q_eff_from_eta2(eta2, ns, ps), ref, M2_PER_COULOMB)
+
+    def test_band_sum_is_added_left_to_right_on_every_python(self):
+        # With n = 2 every denominator is 0.75, so the terms are 1 and two
+        # halves of an ulp of 1: added in order they round away, while a
+        # compensated sum (sum() from Python 3.12, math.fsum) keeps them.
+        ns, ps = (2.0, 2.0, 2.0), (0.75, 0.75 * 2.0 ** -53, 0.75 * 2.0 ** -53)
+        terms = [p / 0.75 for p in ps]
+        assert self.band_sum(ns, ps) == 1.0 != math.fsum(terms)
+        assert q_eff_from_eta2(1.0, ns, ps) == -EPS0 * 1.0
+        assert q_eff_from_deff(1e-11, ns, ps) == (
+            -(2.0 * 1e-11) / (EPS0 * (2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0)) * 1.0)
 
     @given(st.floats(-1.0, 1.0), st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3),
            st.floats(-1e-6, 1e-6))

@@ -3,7 +3,8 @@
 An int or a numpy integer is accepted and is stored or used as a plain int;
 a float (even an integer-valued one) and a bool are rejected, as is an int
 out of range, each with the message the site has always raised.  One row per
-site, five inputs per row.
+site, five inputs per row.  A container of integers (or of coordinates) that
+is not one, or holds the wrong count, is named as well.
 """
 
 import json
@@ -126,3 +127,29 @@ def test_integer_argument(name, kind):
         _rejects(site, True)
     else:
         _rejects(site, site.out_of_range)
+
+
+# (id, call, message): a malformed container raises a ValueError naming it,
+# not a bare TypeError or an unpacking error.
+CONTAINERS = [
+    ("MixingBands.axes-int", lambda: _bands(axes=5),
+     "axes must be three indices in 0..2, got 5"),
+    ("MixingBands.axes-None", lambda: _bands(axes=None),
+     "axes must be three indices in 0..2, got None"),
+    ("fd_partial.orders-short", lambda: fd_partial(_field, (0.0, 0.0), (0,)),
+     "orders must be a pair, got (0,)"),
+    ("fd_partial.orders-int", lambda: fd_partial(_field, (0.0, 0.0), 1),
+     "orders must be a pair, got 1"),
+    ("fd_partial.point-short", lambda: fd_partial(_field, (0.0,), (0, 1)),
+     "point must be a pair, got (0.0,)"),
+    ("fd_partial.point-float", lambda: fd_partial(_field, 0.0, (0, 1)),
+     "point must be a pair, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in CONTAINERS],
+                         ids=[c[0] for c in CONTAINERS])
+def test_malformed_container_is_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -54,6 +54,12 @@ def vector_model():
                                  np.zeros(4), np.zeros(8))
 
 
+def vector_model_from_lists():
+    # The same values as vector_model, given flat or nested, with ints.
+    return VectorFreeEnergyModel(1, (1, 2), [1, 0, 0, 1], [[[0] * 2] * 2] * 2,
+                                 [[0, 0], [0, 0]], [0] * 8)
+
+
 TENSOR = ("PhotoelasticTensor(entries=((0.5, 0.0, 0.0, 0.0, 0.0, 0.0), "
           "(0.0, 0.5, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0, 0.0, 0.0), "
           "(0.0, 0.0, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.5, 0.0), "
@@ -72,7 +78,7 @@ CHAIN = ("MillerChain(n_bands=(2.0, 2.0, 2.0), p_entries=(0.2, 0.2, 0.77), "
 ROW = ("SweepRow(power_w=1.0, peak_field_v_per_m=2.0, intensity_w_per_m2=3.0, "
        "p_virt=4.0, p_virt_over_p_nominal=5.0, intensity_over_threshold=6.0, "
        "g_scaled_rad_per_s=7.0)")
-ZEROS_222 = repr(np.zeros((2, 2, 2)))
+ZEROS_222 = "(((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))"
 
 # (id, build, repr, fields, extra, change)
 CASES = [
@@ -150,14 +156,12 @@ CASES = [
       "fd_step_used", "tol", "order1_passed", "order2_passed", "order3_passed",
       "factor2_passed"), (), {"tol": 1e-3}),
     ("VectorFreeEnergyModel", vector_model,
-     f"VectorFreeEnergyModel(c=1.0, h={np.array([1.0, 2.0])!r}, eta1={np.eye(2)!r}, "
-     f"eta2={ZEROS_222}, p={np.zeros((2, 2))!r}, q={ZEROS_222})",
+     "VectorFreeEnergyModel(c=1.0, h=(1.0, 2.0), eta1=((1.0, 0.0), (0.0, 1.0)), "
+     f"eta2={ZEROS_222}, p=((0.0, 0.0), (0.0, 0.0)), q={ZEROS_222})",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"c": 2.0}),
 ]
-# Each holds a dict or an array, which cannot be hashed.
-UNHASHABLE = {"Material", "MaterialDb", "PhaseMatchInput", "VectorFreeEnergyModel"}
-# Arrays: a tuple comparison of two distinct arrays raises ValueError.
-ARRAYS = {"VectorFreeEnergyModel"}
+# Each holds a dict, which cannot be hashed.
+UNHASHABLE = {"Material", "MaterialDb", "PhaseMatchInput"}
 
 cases = pytest.mark.parametrize("name, build, text, fields, extra, change", CASES,
                                 ids=[c[0] for c in CASES])
@@ -193,11 +197,7 @@ def test_equality_and_hash(name, build, text, fields, extra, change):
     a, b = build(), build()
     other = a.replace(**change)
     assert a == a and not a != a
-    if name in ARRAYS:
-        with pytest.raises(ValueError, match="ambiguous"):
-            a == b
-    else:
-        assert a == b and not a != b
+    assert a == b and not a != b
     assert a != other and not a == other
     assert a.__eq__(tuple(getattr(a, f) for f in fields)) is NotImplemented
     assert a != tuple(getattr(a, f) for f in fields)
@@ -229,12 +229,19 @@ def test_round_trip(name, build, text, fields, extra, change, duplicate):
     assert type(dup) is type(obj) and dup is not obj
     assert repr(dup) == text
     assert list(vars(dup)) == list(vars(obj))
-    if name not in ARRAYS:
-        assert dup == obj
+    assert dup == obj
     if name not in UNHASHABLE:
         assert hash(dup) == hash(obj)
     with pytest.raises(AttributeError):
         setattr(dup, fields[0], 0)
+
+
+def test_vector_models_built_apart_from_the_same_values_are_equal():
+    # The coefficients are nested float tuples, however they were given.
+    a, b = vector_model(), vector_model_from_lists()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert a.replace(c=2.0) != b
 
 
 class TestReplace:

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -216,10 +217,50 @@ class TestVectorMode:
     def test_symmetrized_on_construction(self):
         rng = np.random.default_rng(0)
         m = self._random_vector_model(rng)
-        assert np.allclose(m.eta1, m.eta1.T)
-        assert np.allclose(m.eta2, np.transpose(m.eta2, (0, 2, 1)))
-        assert np.allclose(m.eta2, np.transpose(m.eta2, (1, 0, 2)))
-        assert np.allclose(m.q, np.transpose(m.q, (2, 1, 0)))
+        close = lambda a, b: a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        pairs, triples = product(range(2), repeat=2), list(product(range(2), repeat=3))
+        assert all(close(m.eta1[i][j], m.eta1[j][i]) for i, j in pairs)
+        assert all(close(m.eta2[i][j][k], m.eta2[i][k][j]) for i, j, k in triples)
+        assert all(close(m.eta2[i][j][k], m.eta2[j][i][k]) for i, j, k in triples)
+        assert all(close(m.q[i][j][k], m.q[k][j][i]) for i, j, k in triples)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_coefficients_are_numpys_permutation_average_bit_for_bit(self, seed):
+        # The average numpy formed, summing the transposes into zeros in
+        # itertools.permutations order; every bit of it is kept.
+        def perm_average(a):
+            out = np.zeros_like(a)
+            for perm in permutations(range(a.ndim)):
+                out += np.transpose(a, perm)
+            return out / math.factorial(a.ndim)
+
+        rng = np.random.default_rng(seed)
+        tables = {"h": (2,), "eta1": (2, 2), "eta2": (2, 2, 2), "p": (2, 2), "q": (2, 2, 2)}
+        given = {name: rng.uniform(-10, 10, shape) * 10.0 ** rng.integers(-8, 9, shape)
+                 for name, shape in tables.items()}
+        m = VectorFreeEnergyModel(c=rng.uniform(-10, 10), **given)
+        for name, a in given.items():
+            want = a if a.ndim == 1 else perm_average(a)
+            assert np.asarray(getattr(m, name)).tobytes() == want.tobytes(), name
+
+    def test_coefficients_are_plain_floats_in_nested_pairs(self):
+        m = self._random_vector_model(np.random.default_rng(3))
+        def leaves(t, rank):
+            if rank == 0:
+                return [t]
+            assert type(t) is tuple and len(t) == 2
+            return [v for row in t for v in leaves(row, rank - 1)]
+        for name, rank in zip(m._fields, (0, 1, 2, 3, 2, 3)):
+            assert {type(v) for v in leaves(getattr(m, name), rank)} == {float}, name
+
+    def test_field_is_a_pair_of_plain_floats(self):
+        m = self._random_vector_model(np.random.default_rng(4))
+        for D in ((0.2, -0.5), [0.2, -0.5], np.array([0.2, -0.5])):
+            e = efield_of_vector(m, 0.3, D)
+            assert type(e) is tuple and [type(v) for v in e] == [float, float]
+            assert e == efield_of_vector(m, 0.3, (0.2, -0.5))
+        for f in (eval_free_energy_vector, stress_of_vector):
+            assert type(f(m, 0.3, np.array([0.2, -0.5]))) is float
 
     def test_gradients_match_fd_of_potential(self):
         rng = np.random.default_rng(1)
@@ -235,7 +276,7 @@ class TestVectorMode:
             Dp[k] += h
             Dm[k] -= h
             fd_d = (eval_free_energy_vector(m, x, Dp) - eval_free_energy_vector(m, x, Dm)) / (2 * h)
-            assert fd_d == pytest.approx(float(efield_of_vector(m, x, D)[k]), rel=1e-5)
+            assert fd_d == pytest.approx(efield_of_vector(m, x, D)[k], rel=1e-5)
         assert math.isfinite(a0)
 
     def test_relations_hold_componentwise(self):
@@ -255,3 +296,51 @@ class TestVectorMode:
             assert math.isnan(rep.order1_residual)
             assert not rep.order1_passed
             assert not rep.all_passed
+
+
+ZEROS = {"c": 0.0, "h": [0.0] * 2, "eta1": [0.0] * 4, "eta2": [0.0] * 8,
+         "p": [0.0] * 4, "q": [0.0] * 8}
+
+
+# (argument, value, message): each malformed coefficient is named.
+BAD_COEFFICIENTS = [
+    ("c", math.nan, "coefficient c must be a finite number, got nan"),
+    ("c", math.inf, "coefficient c must be a finite number, got inf"),
+    ("c", "1.0", "coefficient c must be a finite number, got '1.0'"),
+    ("c", [1.0], "coefficient c must be a finite number, got [1.0]"),
+    ("c", 10 ** 400, f"coefficient c must be a finite number, got {10 ** 400}"),
+    ("h", [1.0, 2.0, 3.0], "coefficient h must be 2 finite numbers, got [1.0, 2.0, 3.0]"),
+    ("h", [[1.0, 2.0]], "coefficient h must be 2 finite numbers, got [[1.0, 2.0]]"),
+    ("h", [1.0, -math.inf], "coefficient h must be 2 finite numbers, got [1.0, -inf]"),
+    ("eta1", [1.0, 2.0, 3.0], "coefficient eta1 must be 4 finite numbers, got [1.0, 2.0, 3.0]"),
+    ("eta1", [[1.0, None], [0.0, 1.0]],
+     "coefficient eta1 must be 4 finite numbers, got [[1.0, None], [0.0, 1.0]]"),
+    # Finite entries whose symmetrized average overflows.
+    ("p", [[1e308, 1e308], [1e308, 1e308]],
+     "coefficient p must be 4 finite numbers, got [[1e+308, 1e+308], [1e+308, 1e+308]]"),
+    ("eta2", [0.0] * 7 + [math.nan],
+     f"coefficient eta2 must be 8 finite numbers, got {[0.0] * 7 + [math.nan]}"),
+    # A string is iterable at every depth; it is read as no number, not
+    # recursed into without end.
+    ("q", "abcdefgh", "coefficient q must be 8 finite numbers, got 'abcdefgh'"),
+    ("q", ["1"] * 8, f"coefficient q must be 8 finite numbers, got {['1'] * 8}"),
+    ("q", [1j] * 8, f"coefficient q must be 8 finite numbers, got {[1j] * 8}"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_COEFFICIENTS,
+                         ids=[f"{n}-{i}" for i, (n, *_) in enumerate(BAD_COEFFICIENTS)])
+def test_malformed_vector_coefficient_is_named(name, value, message):
+    with pytest.raises(ValueError) as exc:
+        VectorFreeEnergyModel(**{**ZEROS, name: value})
+    assert str(exc.value) == message
+
+
+def test_vector_model_stores_c_as_a_plain_float():
+    m = VectorFreeEnergyModel(**{**ZEROS, "c": np.float64(2.5)})
+    assert type(m.c) is float and m.c == 2.5
+
+
+def test_scalar_model_names_a_coefficient_that_is_no_number():
+    with pytest.raises(ValueError, match="^coefficient eta2 must be a finite number, got 'x'$"):
+        FreeEnergyModel(eta2="x")
