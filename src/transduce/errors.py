@@ -4,14 +4,22 @@ Argument-level misuse (bad index, negative tolerance, ...) raises plain
 ``ValueError``; the classes below mark failures that originate in data or
 physics rather than in the call itself, so batch drivers can tell them apart.
 A result that is not finite is argument-level: :func:`non_finite_error`
-builds its ``ValueError``.  ``_integer`` is the package's one rule for an
-integer argument (an axis, a Voigt index, the QPM order, the poling sign, the
-pump choice, an FD order): an int or a numpy integer is read as a plain int,
-a float or a bool is not.
+builds its ``ValueError``.
+
+Two rules read every argument of the package.  ``_integer`` reads an integer
+argument (an axis, a Voigt index, the QPM order, the poling sign, the pump
+choice, an FD order): an int or a numpy integer is read as a plain int, a
+float or a bool is not.  ``_real`` decides what a float argument may be (a
+frequency, a wavelength, a power, a length, a coefficient, a table cell): an
+int, a float or a numpy integer or floating scalar is read as a plain float,
+a bool, a str, None or a complex is not.  ``_reals`` reads one argument, a
+table or a grid through it and names the first value that is no number;
+every public function reads its float arguments with it.
 """
 
 import math
 import operator
+from itertools import count, repeat
 
 
 class TransduceError(Exception):
@@ -58,7 +66,7 @@ def non_finite_error(what: str, **args) -> ValueError:
     for k, v in args.items():
         if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
             return ValueError(f"{k} must be finite, got {v}")
-    named = ", ".join(f"{k}={v!r}" for k, v in args.items())
+    named = ", ".join(f"{k}={v}" for k, v in args.items())
     return ValueError(f"{what} overflows for {named}")
 
 
@@ -75,3 +83,42 @@ def _integer(value) -> int | None:
         return None if isinstance(value, bool) else int(operator.index(value))
     except TypeError:
         return None
+
+
+def _real(value, fail=None) -> float | None:
+    """``value`` as a plain float if it is a real number, else ``fail``.
+
+    A float comes back as itself; an int, a numpy integer or floating scalar
+    (any ``numbers.Real``) as ``float(value)``.  A bool (numpy's too), a str,
+    None, a complex, an int too large for a float or anything else is none.
+    Every float argument of the package is read through this one rule; the
+    caller checks the range of the float it returns.
+    """
+    if type(value) is float:
+        return value
+    from numbers import Real        # where numpy registers its scalars; not at start-up
+    try:
+        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else fail
+    except OverflowError:           # an int too large for a float
+        return fail
+
+
+def _reals(value, name: str, depth: int = 0, nulls: bool = False):
+    """``value`` read by ``_real`` if ``depth`` is 0 (None as NaN if
+    ``nulls``), else as a tuple of its items, each read ``depth - 1`` deep.
+
+    A ValueError names the first item that is not a number (or, above depth
+    0, not iterable) by its place in ``name``: ``power must be a number, got
+    '1'`` or ``entries[1][0] must be a number, got True``.
+    """
+    if depth == 0:
+        if type(value) is float:    # the common case, without a further call
+            return value
+        if (x := math.nan if value is None and nulls else _real(value)) is None:
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        return x
+    try:    # map, not a generator, so no call builds a closure over the arguments
+        return tuple(map(_reals, value, map("{}[{}]".format, repeat(name), count()),
+                         repeat(depth - 1), repeat(nulls)))
+    except TypeError:           # not iterable
+        raise ValueError(f"{name} must be a sequence of numbers, got {value!r}") from None

@@ -23,13 +23,15 @@ Gaussian peak convention 2P/(pi w^2) would be a factor 2 higher).
 The chain (eta2, Q, q_eff, the interaction densities) and the per-point
 formulas (peak field, intensity, p_virt) are plain float arithmetic in the
 operand order of their ``units.Quantity`` composition, so they give its bits;
-the tests assert each composition's dimension.  The public chain steps and
-second_order_photoelasticity validate their inputs and then call the same
-private steps: the per-band terms 1/n^2 and 1 - 1/n^2, Q, and the band sum
-with the closed-form q_eff.  Only damage_limited_power still composes
-``Quantity`` objects at run time (see its comment).  A result that is not
-finite raises the ValueError of ``errors.non_finite_error``, which names the
-inputs, so no infinity reaches a report.
+the tests assert each composition's dimension.  Every public function reads
+its float arguments with ``errors._reals``, the package's one rule for a
+real argument, which names one that is no number.  The public chain steps
+and second_order_photoelasticity then call the same private steps, which
+take floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q,
+and the band sum with the closed-form q_eff.  Only damage_limited_power
+still composes ``Quantity`` objects at run time (see its comment).  A result
+that is not finite raises the ValueError of ``errors.non_finite_error``,
+which names the inputs, so no infinity reaches a report.
 
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
@@ -42,7 +44,7 @@ import math
 import sys
 
 from ._record import Record
-from .errors import DataError, SingularityError, _integer, non_finite_error
+from .errors import DataError, SingularityError, _integer, _reals, non_finite_error
 from .materials import Material, refractive_index
 from .tensors import _VOIGT_OF_PAIR
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
@@ -73,13 +75,12 @@ class MixingBands(Record):
     def __init__(self, omega_p1: float, omega_p2: float, omega_m: float,
                  axes: tuple[int, int, int] = (0, 1, 2),
                  acoustic_mode: str = "longitudinal", strain_voigt: int = 2):
-        w1, w2, wm = omega_p1, omega_p2, omega_m
-        if not (w1 > 0 and math.isfinite(w1)):
-            raise ValueError(f"omega_p1 must be positive and finite, got {w1}")
-        if not (w2 > 0 and math.isfinite(w2)):
-            raise ValueError(f"omega_p2 must be positive and finite, got {w2}")
-        if not (wm >= 0 and math.isfinite(wm)):
-            raise ValueError(f"omega_m must be finite and >= 0, got {wm}")
+        if not 0 < (w1 := _reals(omega_p1, "omega_p1")) < math.inf:
+            raise ValueError(f"omega_p1 must be positive and finite, got {omega_p1}")
+        if not 0 < (w2 := _reals(omega_p2, "omega_p2")) < math.inf:
+            raise ValueError(f"omega_p2 must be positive and finite, got {omega_p2}")
+        if not 0 <= (wm := _reals(omega_m, "omega_m")) < math.inf:
+            raise ValueError(f"omega_m must be finite and >= 0, got {omega_m}")
         # Indices are stored as plain ints; a float or a bool is no index,
         # and a non-iterable is no triple of them.
         try:
@@ -101,14 +102,14 @@ class MixingBands(Record):
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
                                 phonon_hz: float, **kw) -> "MixingBands":
         """Build from pump vacuum wavelengths (m) and a phonon frequency (Hz)."""
-        for name, lam in (("lambda_p1", lambda_p1), ("lambda_p2", lambda_p2)):
-            if not (lam > 0 and math.isfinite(lam)):
-                raise ValueError(
-                    f"{name} must be a positive finite wavelength, got {lam}")
-        if not (phonon_hz >= 0 and math.isfinite(phonon_hz)):
+        l1, l2, hz = (_reals(lambda_p1, "lambda_p1"), _reals(lambda_p2, "lambda_p2"),
+                      _reals(phonon_hz, "phonon_hz"))
+        for name, lam, given in (("lambda_p1", l1, lambda_p1), ("lambda_p2", l2, lambda_p2)):
+            if not 0 < lam < math.inf:
+                raise ValueError(f"{name} must be a positive finite wavelength, got {given}")
+        if not 0 <= hz < math.inf:
             raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
-        return cls(TWO_PI_C / lambda_p1, TWO_PI_C / lambda_p2,
-                   TWO_PI * phonon_hz, **kw)
+        return cls(TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz, **kw)
 
 
 class MillerChain(Record):
@@ -129,18 +130,19 @@ _PerBand = tuple[float, float, float]     # (pump1, pump2, transduced)
 _SQUARE_METER = METER * METER
 
 
-def _check_power(power: float) -> None:
-    if not (power >= 0 and math.isfinite(power)):
+def _check_power(power) -> float:
+    if not 0 <= (p := _reals(power, "power")) < math.inf:
         raise ValueError(f"power must be finite and >= 0, got {power}")
+    return p
 
 
-def _mode_area(mfd: float) -> float:
+def _mode_area(mfd) -> float:
     """Top-hat mode area pi (MFD/2)^2 in m^2, for an MFD whose square is a
     finite normal float (so the area formulas cannot overflow or underflow)."""
-    if not (mfd > 0 and _MIN_NORMAL <= mfd * mfd <= _MAX_FLOAT):
+    if not (0 < (d := _reals(mfd, "mfd")) and _MIN_NORMAL <= d * d <= _MAX_FLOAT):
         raise ValueError("mode-field diameter must be positive and its square "
                          f"a finite normal float, got {mfd}")
-    return math.pi * (mfd / 2.0) ** 2
+    return math.pi * (d / 2.0) ** 2
 
 
 class PumpGeometry(Record):
@@ -149,11 +151,11 @@ class PumpGeometry(Record):
     _fields = ("power", "mfd", "n_mode")
 
     def __init__(self, power: float, mfd: float, n_mode: float):
-        _check_power(power)
+        power = _check_power(power)
         _mode_area(mfd)
-        if not (n_mode > 0 and math.isfinite(n_mode)):
+        if not 0 < (n := _reals(n_mode, "n_mode")) < math.inf:
             raise ValueError(f"modal index must be positive, got {n_mode}")
-        self.__dict__.update(power=power, mfd=mfd, n_mode=n_mode)
+        self.__dict__.update(power=power, mfd=_reals(mfd, "mfd"), n_mode=n)
 
 
 class CouplingBenchmark(Record):
@@ -162,9 +164,9 @@ class CouplingBenchmark(Record):
     _fields = ("g0_ref", "label")
 
     def __init__(self, g0_ref: float, label: str):     # g0_ref in rad/s
-        if not (g0_ref > 0 and math.isfinite(g0_ref)):
+        if not 0 < (g := _reals(g0_ref, "g0_ref")) < math.inf:
             raise ValueError(f"g0_ref must be positive, got {g0_ref}")
-        self.__dict__.update(g0_ref=g0_ref, label=label)
+        self.__dict__.update(g0_ref=g, label=label)
 
 
 PIEZO_OPTOMECHANICAL_BENCHMARK = CouplingBenchmark(
@@ -181,18 +183,25 @@ def _check_indices(ns: tuple[float, ...]) -> None:
             raise ValueError(f"refractive index must be finite and >= 1, got {n}")
 
 
-def _check_bands(ns: tuple[float, ...], ps: tuple[float, ...]) -> None:
-    """Three indices and three photoelastic entries, one per band, n checked."""
+def _read_indices(n1, n2, n3) -> _PerBand:
+    """The indices given as ``n1``, ``n2`` and ``n3``, read as floats."""
+    return tuple(map(_reals, (n1, n2, n3), ("n1", "n2", "n3")))
+
+
+def _check_bands(ns, ps) -> tuple[_PerBand, _PerBand]:
+    """Three indices and three photoelastic entries, one per band, read as
+    floats; the indices checked."""
+    ns, ps = _reals(ns, "ns", 1), _reals(ps, "ps", 1)
     for name, values in (("ns", ns), ("ps", ps)):
         if len(values) != 3:
-            raise ValueError(f"{name} must hold 3 values, one per band, "
-                             f"got {len(values)}")
+            raise ValueError(f"{name} must hold 3 values, one per band, got {len(values)}")
     _check_indices(ns)
+    return ns, ps
 
 
 def eta1_rel(n: float) -> float:
     """Relative first-order inverse susceptibility eps0*eta1 = 1/n^2."""
-    _check_indices((n,))
+    _check_indices((n := _reals(n, "n"),))
     return 1.0 / (n * n)
 
 
@@ -243,9 +252,15 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
 
     eta2 = 2 d_eff / (eps0^2 n1^2 n2^2 n3^2); linear in d_eff.
     """
+    return _eta2(_reals(d_eff, "d_eff"), _read_indices(n1, n2, n3))
+
+
+def _eta2(d_eff: float, ns: _PerBand) -> float:
+    """eta2_from_deff for a d_eff and indices that are floats already."""
     if not math.isfinite(d_eff):
         raise ValueError("d_eff must be finite")
-    _check_indices((n1, n2, n3))
+    _check_indices(ns)
+    n1, n2, n3 = ns
     eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
     if not math.isfinite(eta2):
         raise non_finite_error("eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
@@ -254,19 +269,18 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
 
 def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
     """Miller proportionality constant Q = -eta2 / prod(1 - 1/n^2)."""
-    ns = (n1, n2, n3)
+    ns = _read_indices(n1, n2, n3)
     first_bad = next((n for n in ns if not 1.0 < n < math.inf), 1.0)
     if first_bad != 1.0:        # a vacuum band first is singular (_band_terms)
         raise ValueError(f"refractive index must be finite and > 1, got {first_bad}")
-    return _miller_Q(eta2, ns, _band_terms(ns, "Miller constant")[1])
+    return _miller_Q(_reals(eta2, "eta2"), ns, _band_terms(ns, "Miller constant")[1])
 
 
 def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     """Inverse of miller_Q; round-trips to machine precision."""
-    ns = (n1, n2, n3)
-    _check_indices(ns)
+    _check_indices(ns := _read_indices(n1, n2, n3))
     d1, d2, d3 = _band_terms(ns, None)[1]
-    eta2 = -Q * (d1 * d2 * d3)
+    eta2 = -_reals(Q, "Q") * (d1 * d2 * d3)
     if not math.isfinite(eta2):     # each factor lies in [0, 1], so Q is named
         raise non_finite_error("eta2", Q=Q, n1=n1, n2=n2, n3=n3)
     return eta2
@@ -275,7 +289,7 @@ def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
 def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
-    _check_bands(ns, ps)
+    eta2, (ns, ps) = _reals(eta2, "eta2"), _check_bands(ns, ps)
     q_eff = -(EPS0 * eta2) * _band_sum(ps, _band_terms(ns, "q_eff")[1])
     if not math.isfinite(q_eff):
         raise non_finite_error("q_eff", eta2=eta2, ns=ns, ps=ps)
@@ -285,7 +299,7 @@ def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
 def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Closed form: q = -(2 d_eff/(eps0 n1^2 n2^2 n3^2)) sum_n p_n/(1 - 1/n_n^2)."""
-    _check_bands(ns, ps)
+    d_eff, (ns, ps) = _reals(d_eff, "d_eff"), _check_bands(ns, ps)
     return _q_eff_closed_form(d_eff, ns, ps, _band_terms(ns, "q_eff")[1])
 
 
@@ -344,10 +358,10 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
         ps.append(entry)
     ps = tuple(ps)
     d_eff = m.d_eff * (qpm_deff_reduction(m.qpm_order) if apply_qpm_reduction else 1.0)
-    # eta2_from_deff rejects a non-finite d_eff and n < 1, then a vacuum band
-    # is singular; q_eff is checked before Q, so an input whose q_eff
-    # overflows too is named by q_eff.
-    eta2 = eta2_from_deff(d_eff, *ns)
+    # _eta2 rejects a non-finite d_eff and n < 1, then a vacuum band is
+    # singular; q_eff is checked before Q, so an input whose q_eff overflows
+    # too is named by q_eff.
+    eta2 = _eta2(d_eff, ns)
     eta1s, denoms = _band_terms(ns, "Miller constant")
     q_eff = _q_eff_closed_form(d_eff, ns, ps, denoms)
     return MillerChain(n_bands=ns, p_entries=ps, d_eff=d_eff, eta1_rel_bands=eta1s,
@@ -365,8 +379,7 @@ def peak_field_from_power(g: PumpGeometry) -> float:
 
 def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
-    _check_power(power)
-    intensity = power / _mode_area(mfd)
+    intensity = _check_power(power) / _mode_area(mfd)
     if not math.isfinite(intensity):
         raise non_finite_error("peak intensity", power=power, mfd=mfd)
     return intensity
@@ -392,18 +405,18 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
     ``field`` is the pump field magnitude (V/m, >= 0); the result is
     dimensionless and carries the sign of q_eff.
     """
-    if not math.isfinite(q_eff):
+    if not math.isfinite(q := _reals(q_eff, "q_eff")):
         raise ValueError(f"q_eff must be finite, got {q_eff}")
-    if not math.isfinite(eps_r):
+    if not math.isfinite(e := _reals(eps_r, "eps_r")):
         raise ValueError(f"eps_r must be finite, got {eps_r}")
-    if not (field >= 0 and math.isfinite(field)):
+    if not 0 <= (f := _reals(field, "field")) < math.inf:
         raise ValueError(f"field magnitude must be finite and >= 0, got {field}")
-    return (2.0 / 3.0) * EPS0 * q_eff * eps_r * field
+    return (2.0 / 3.0) * EPS0 * q * e * f
 
 
 def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> float:
     """Three-wave interaction energy density (1/(2 eps0)) p d1 d2 x, J/m^3."""
-    u = p_eff * d1 * d2 * x / (2.0 * EPS0)
+    u = math.prod(map(_reals, (p_eff, d1, d2, x), ("p_eff", "d1", "d2", "x"))) / (2.0 * EPS0)
     if not math.isfinite(u):
         raise non_finite_error("interaction density", p_eff=p_eff, d1=d1, d2=d2, x=x)
     return u
@@ -418,7 +431,8 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
         == interaction_density_3wm((2/3) q dp, d1, d2, x)
     exactly, which is the algebraic content of the virtual photoelasticity.
     """
-    u = q_eff * dp * d1 * d2 * x / (3.0 * EPS0)
+    u = math.prod(map(_reals, (q_eff, dp, d1, d2, x),
+                      ("q_eff", "dp", "d1", "d2", "x"))) / (3.0 * EPS0)
     if not math.isfinite(u):
         raise non_finite_error("interaction density",
                                q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
@@ -498,7 +512,7 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
     proportional to the effective photoelasticity with all other device
     parameters held fixed) and is an extrapolation, not a device prediction.
     """
-    powers = [float(p) for p in powers]
+    powers = _reals(powers, "powers", 1)
     if not powers:
         raise ValueError("power grid must not be empty")
     p_limit = damage_limited_power(m, mfd)
@@ -511,7 +525,7 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
     if p_nominal is None:
         p_nominal = max((abs(e) for row in m.photoelastic.entries for e in row
                          if not math.isnan(e)), default=math.nan)
-    if not 0 < p_nominal < math.inf:
+    if not 0 < (nominal := _reals(p_nominal, "p_nominal")) < math.inf:
         raise ValueError(
             f"p_nominal must be positive and finite to form ratios, got {p_nominal}")
 
@@ -523,11 +537,11 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
         field = peak_field_from_power(PumpGeometry(p_w, mfd, n_mode))
         intensity = peak_intensity(p_w, mfd)
         p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
-        ratio = abs(p_virt) / p_nominal
+        ratio = abs(p_virt) / nominal
         g_scaled = benchmark.g0_ref * ratio
         if not math.isfinite(g_scaled):
             raise non_finite_error("g_scaled", g0_ref=benchmark.g0_ref,
-                                   p_virt=p_virt, p_nominal=p_nominal)
+                                   p_virt=p_virt, p_nominal=nominal)
         rows.append(SweepRow(
             power_w=p_w,
             peak_field_v_per_m=field,
@@ -542,5 +556,5 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
         f"g_scaled extrapolates benchmark '{benchmark.label}' proportionally "
         "in p_virt/p_nominal; it is not a device prediction",
     )
-    return DesignReport(material=m.name, chain=chain, p_nominal=p_nominal,
+    return DesignReport(material=m.name, chain=chain, p_nominal=nominal,
                         benchmark=benchmark, rows=tuple(rows), notes=notes)

@@ -30,9 +30,10 @@ Unit bookkeeping lives in the key names; the loader rejects unknown or
 missing keys by name, which is what "units validated on load" means here.
 A null photoelastic entry means "unmeasured": it loads as NaN, and the
 estimation chain raises DataError only if the bands need it.  Infinite
-entries, and fields or table cells that are not JSON numbers (a string or a
-boolean, or null outside the photoelastic table), are rejected by name, as
-is a ``qpm_order`` that is not an integer (a boolean included).
+entries, and fields or table cells that are not JSON numbers (a string, a
+boolean or an integer too large for a float, or null outside the
+photoelastic table), are rejected by name, as is a ``qpm_order`` that is not
+an integer (a boolean included); each is read by ``errors._reals``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import os
 from bisect import bisect_right
 
 from ._record import FrozenDict, Record
-from .errors import MaterialFileError, RangeError, _integer
+from .errors import MaterialFileError, RangeError, _integer, _real, _reals
 from .tensors import PhotoelasticTensor, _float_rows
 
 SCHEMA_VERSION = 1
@@ -56,7 +57,9 @@ class DispersionModel(Record):
     ``kind`` is ``"tabulated-points"`` (rows of wavelength plus n for the
     three axes, strictly increasing in wavelength) or ``"sellmeier"``
     (per-axis term lists ``[B, C]`` for n^2 = 1 + sum B lam^2/(lam^2 - C),
-    wavelengths and C in SI).  ``valid_range_m`` bounds all queries.
+    wavelengths and C in SI), given as three axis lists of [B, C] pairs.
+    ``valid_range_m`` bounds all queries.  The model is built only with the
+    table its ``kind`` names; every number is read by ``errors._reals``.
     """
 
     _fields = ("kind", "valid_range_m", "points", "sellmeier")
@@ -64,41 +67,43 @@ class DispersionModel(Record):
     def __init__(self, kind: str, valid_range_m: tuple[float, float],
                  points: tuple[tuple[float, float, float, float], ...] | None = None,
                  sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None):
-        columns = ()
+        lo, hi = _reals(valid_range_m, "valid_range_m", 1)
         if points is not None:
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.
-            try:
-                points = _float_rows(points, 4)
-            except ValueError as exc:
-                raise ValueError("dispersion points must be rows of "
-                                 f"[lambda_m, nx, ny, nz] ({exc})") from None
-            columns = tuple(list(c) for c in zip(*points))
+            points = _float_rows(points, 4, "points", "dispersion points must be rows "
+                                 "of [lambda_m, nx, ny, nz]")
         if sellmeier is not None:
             # Tuples too, so no index of this model can change after a
             # lookup (estimator._band_indices reuses the last three).
-            sellmeier = tuple(tuple(map(tuple, terms)) for terms in sellmeier)
+            sellmeier = _reals(sellmeier, "sellmeier", 3)
+            if len(sellmeier) != 3 or any(len(t) != 2 for terms in sellmeier for t in terms):
+                raise ValueError("dispersion sellmeier must be 3 axis lists of [B, C] "
+                                 f"number pairs, got {sellmeier}")
+        if not (kind == "tabulated-points" and points or kind == "sellmeier" and sellmeier):
+            raise ValueError("dispersion kind must be 'tabulated-points', with points, or "
+                             f"'sellmeier', with sellmeier terms; got {kind!r}")
         # _columns is the table as Python lists (wavelengths, then n per
         # axis): a scalar lookup on lists costs far less than one np.interp.
-        self.__dict__.update(kind=kind, valid_range_m=tuple(valid_range_m), points=points,
-                             sellmeier=sellmeier, _columns=columns)
+        self.__dict__.update(kind=kind, valid_range_m=(lo, hi), points=points,
+                             sellmeier=sellmeier, _columns=tuple(map(list, zip(*points or ()))))
 
     def index(self, wavelength: float, axis: int) -> float:
         # A float or a bool is no axis, though 1.0 and True compare equal to 1.
         if (a := _integer(axis)) is None or not 0 <= a <= 2:
             raise ValueError(f"axis must be 0..2, got {axis}")
         lo, hi = self.valid_range_m
-        if not (lo <= wavelength <= hi):
-            shown = f"{wavelength:.6g}"
+        if not lo <= (lam := _reals(wavelength, "wavelength")) <= hi:
+            shown = f"{lam:.6g}"
             # Just past a bound, 6 digits can round onto it: show all of them.
-            if shown == f"{lo if wavelength < lo else hi:.6g}":
-                shown = repr(float(wavelength))
+            if shown == f"{lo if lam < lo else hi:.6g}":
+                shown = repr(lam)
             raise RangeError(
                 f"wavelength {shown} m outside declared validity "
                 f"range [{lo:.6g}, {hi:.6g}] m", lo=lo, hi=hi, value=wavelength)
         if self.kind == "tabulated-points":
-            return self._tabulated_index(wavelength, a)
-        return self._sellmeier_index(wavelength, a)
+            return self._tabulated_index(lam, a)
+        return self._sellmeier_index(lam, a)
 
     def _tabulated_index(self, wavelength: float, axis: int) -> float:
         """Piecewise-linear lookup with np.interp's arithmetic, step for step.
@@ -116,7 +121,7 @@ class DispersionModel(Record):
         if lams[j] == wavelength:
             return ns[j]
         slope = (ns[j + 1] - ns[j]) / (lams[j + 1] - lams[j])
-        return float(slope * (wavelength - lams[j]) + ns[j])
+        return slope * (wavelength - lams[j]) + ns[j]
 
     def _sellmeier_index(self, wavelength: float, axis: int) -> float:
         n2 = 1.0
@@ -145,13 +150,16 @@ class Material(Record):
                  v_sound: dict[str, float],         # acoustic mode label -> m/s
                  damage_threshold: float,           # W/m^2
                  qpm_order: int = 1):
-        # Copies the caller cannot change; validate_material reports a
-        # qpm_order that is no integer, which is kept as given.
+        # Copies the caller cannot change, numbers as floats and ints;
+        # validate_material reports a value that is no number (or a
+        # qpm_order that is no integer), which is kept as given.
         qpm = _integer(qpm_order)
         self.__dict__.update(
             name=name, dispersion=dispersion, photoelastic=photoelastic,
-            photoelastic_note=photoelastic_note, d_eff=d_eff, eps_r=tuple(eps_r),
-            v_sound=FrozenDict(v_sound), damage_threshold=damage_threshold,
+            photoelastic_note=photoelastic_note, d_eff=_real(d_eff, d_eff),
+            eps_r=tuple(_real(e, e) for e in eps_r),
+            v_sound=FrozenDict((k, _real(v, v)) for k, v in dict(v_sound).items()),
+            damage_threshold=_real(damage_threshold, damage_threshold),
             qpm_order=qpm_order if qpm is None else qpm)
 
 
@@ -219,8 +227,8 @@ def validate_material(m: Material) -> list[Violation]:
             if any(b != 0 and lo * lo <= c <= hi * hi for b, c in d.sellmeier[axis]):
                 out.append(Violation("dispersion.sellmeier", "pole inside validity range", axis))
                 continue
-            try:
-                nmin = min(d.index(lam, axis) for lam in grid)
+            try:    # the grid lies in the window: no lookup needs index's checks
+                nmin = min(d._sellmeier_index(lam, axis) for lam in grid)
             except RangeError:   # n^2 < 0 with no pole: n is not even real
                 nmin = None
             if nmin is None or nmin < 1.0:
@@ -229,14 +237,16 @@ def validate_material(m: Material) -> list[Violation]:
     # NaN (null in a file) marks an unmeasured entry; only infinities are bad.
     if any(math.isinf(e) for row in m.photoelastic.entries for e in row):
         out.append(Violation("photoelastic.entries", "finite or null 6x6", None))
-    if not math.isfinite(m.d_eff):
+    # A Material stores every number as a float; anything else is kept as
+    # given, reads as NaN here and is reported.
+    if not math.isfinite(_real(m.d_eff, math.nan)):
         out.append(Violation("d_eff_m_per_v", "finite", m.d_eff))
-    if len(m.eps_r) != 3 or any(not math.isfinite(e) or e <= 0 for e in m.eps_r):
+    if len(m.eps_r) != 3 or not all(0 < _real(e, math.nan) < math.inf for e in m.eps_r):
         out.append(Violation("eps_r", "three positive finite entries", m.eps_r))
     for mode, v in m.v_sound.items():
-        if not math.isfinite(v) or v <= 0:
+        if not 0 < _real(v, math.nan) < math.inf:
             out.append(Violation(f"v_sound_m_per_s.{mode}", "positive finite", v))
-    if not math.isfinite(m.damage_threshold) or m.damage_threshold <= 0:
+    if not 0 < _real(m.damage_threshold, math.nan) < math.inf:
         out.append(Violation("damage_threshold_w_per_m2", "positive", m.damage_threshold))
     if (qpm := _integer(m.qpm_order)) is None or qpm < 1:
         out.append(Violation("qpm_order", "integer >= 1", m.qpm_order))
@@ -253,109 +263,77 @@ _MATERIAL_KEYS = {"name", "dispersion", "photoelastic", "d_eff_m_per_v",
 _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
-def _number(value, where: str, field: str) -> float:
-    """JSON number ``value`` (not a boolean) as a float; MaterialFileError
-    naming ``field`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MaterialFileError(f"{where}: {field} must be a number, got {value!r}")
-    return float(value)
-
-
-def _table(rows, where: str, field: str, nulls: bool = True):
-    """``rows`` after rejecting, by cell, an entry of a row that is not a JSON
-    number (or null, if ``nulls``); shapes and null cells are checked after
-    parsing."""
+def _table(rows, field: str, nulls: bool = True):
+    """``rows`` after reading each row that is a JSON list by ``errors._reals``,
+    which names a cell that is not a JSON number (or null, if ``nulls``);
+    shapes and null cells are checked after parsing."""
     for i, row in enumerate(rows if isinstance(rows, list) else ()):
-        for j, v in enumerate(row if isinstance(row, list) else ()):
-            if type(v) not in (float, int) and (v is not None or not nulls):
-                _number(v, where, f"{field}[{i}][{j}]")
+        _reals(row if isinstance(row, list) else (), f"{field}[{i}]", 1, nulls)
     return rows
 
 
-def _object(value, where: str, field: str) -> dict:
-    """``value`` if it is a JSON object; MaterialFileError naming ``field``."""
+def _object(value, field: str) -> dict:
+    """``value`` if it is a JSON object; ValueError naming ``field``."""
     if not isinstance(value, dict):
-        raise MaterialFileError(f"{where}: {field} must be an object, got {value!r}")
+        raise ValueError(f"{field} must be an object, got {value!r}")
     return value
 
 
-def _parse_dispersion(obj, where: str) -> DispersionModel:
-    obj = _object(obj, where, "dispersion")
+def _parse_dispersion(obj) -> DispersionModel:
+    obj = _object(obj, "dispersion")
     kind = obj.get("kind")
-    rng = obj.get("valid_range_m")
-    if not (isinstance(rng, list) and len(rng) == 2):
-        raise MaterialFileError(f"{where}: dispersion.valid_range_m must be [lo, hi]")
-    valid = tuple(_number(v, where, f"dispersion.valid_range_m[{i}]")
-                  for i, v in enumerate(rng))
+    if not (isinstance(rng := obj.get("valid_range_m"), list) and len(rng) == 2):
+        raise ValueError("dispersion.valid_range_m must be [lo, hi]")
+    valid = _reals(rng, "dispersion.valid_range_m", 1)
     if kind == "tabulated-points":
-        pts = obj.get("points")
-        if not pts:
-            raise MaterialFileError(f"{where}: tabulated dispersion needs 'points'")
-        try:
-            return DispersionModel(kind=kind, valid_range_m=valid,
-                                   points=_table(pts, where, "dispersion.points"))
-        except ValueError as exc:
-            raise MaterialFileError(f"{where}: {exc}") from None
+        if not (pts := obj.get("points")):
+            raise ValueError("tabulated dispersion needs 'points'")
+        return DispersionModel(kind, valid, points=_table(pts, "dispersion.points"))
     if kind == "sellmeier":
+        axes = obj.get("sellmeier")
+        for axis, terms in enumerate(axes if isinstance(axes, list) else ()):
+            _table(terms, f"dispersion.sellmeier[{axis}]", nulls=False)
         try:
-            packed = tuple(
-                tuple((float(b), float(c)) for b, c in _table(
-                    terms, where, f"dispersion.sellmeier[{axis}]", nulls=False))
-                for axis, terms in enumerate(obj.get("sellmeier")))
-        except (TypeError, ValueError):
-            packed = ()
-        if len(packed) != 3:
-            raise MaterialFileError(f"{where}: dispersion.sellmeier must be 3 axis "
-                                    "lists of [B, C] number pairs")
-        return DispersionModel(kind=kind, valid_range_m=valid, sellmeier=packed)
-    raise MaterialFileError(
-        f"{where}: dispersion.kind must be 'tabulated-points' or 'sellmeier', got {kind!r}")
+            return DispersionModel(kind, valid, sellmeier=axes)
+        except ValueError:
+            raise ValueError(
+                "dispersion.sellmeier must be 3 axis lists of [B, C] number pairs") from None
+    raise ValueError(f"dispersion.kind must be 'tabulated-points' or 'sellmeier', got {kind!r}")
 
 
 def _parse_material(obj) -> Material:
     name = obj.get("name") if isinstance(obj, dict) else None
     if not isinstance(name, str) or not name:
         raise MaterialFileError("material entry without a 'name'")
-    where = f"material '{name}'"
-    unknown = set(obj) - _MATERIAL_KEYS
-    if unknown:
-        raise MaterialFileError(f"{where}: unknown keys {sorted(unknown)} "
-                                "(unit annotations are part of the key names)")
-    missing = _REQUIRED_KEYS - set(obj)
-    if missing:
-        raise MaterialFileError(f"{where}: missing required keys {sorted(missing)}")
+    try:        # every defect of the entry raises a ValueError, named under it
+        if unknown := set(obj) - _MATERIAL_KEYS:
+            raise ValueError(f"unknown keys {sorted(unknown)} "
+                             "(unit annotations are part of the key names)")
+        if missing := _REQUIRED_KEYS - set(obj):
+            raise ValueError(f"missing required keys {sorted(missing)}")
 
-    dispersion = _parse_dispersion(obj["dispersion"], where)
-    pe = _object(obj["photoelastic"], where, "photoelastic")
-    entries = pe.get("entries")
-    if entries is None:
-        raise MaterialFileError(f"{where}: photoelastic.entries missing")
-    # null entries mark unmeasured tensor elements; they surface as NaN and
-    # raise a DataError only if the estimation chain actually needs them.
-    try:
-        photoelastic = PhotoelasticTensor(_table(entries, where, "photoelastic.entries"))
+        dispersion = _parse_dispersion(obj["dispersion"])
+        pe = _object(obj["photoelastic"], "photoelastic")
+        if (entries := pe.get("entries")) is None:
+            raise ValueError("photoelastic.entries missing")
+        # null entries mark unmeasured tensor elements; they surface as NaN and
+        # raise a DataError only if the estimation chain actually needs them.
+        photoelastic = PhotoelasticTensor(_table(entries, "photoelastic.entries"))
+        if not (isinstance(eps_r := obj["eps_r"], list) and len(eps_r) == 3):
+            raise ValueError("eps_r must be a 3-vector diagonal")
+        if _integer(qpm := obj.get("qpm_order", 1)) is None:
+            raise ValueError(f"qpm_order must be an integer, got {qpm!r}")
+        v_sound = _object(obj["v_sound_m_per_s"], "v_sound_m_per_s")
+        return Material(
+            name=name, dispersion=dispersion, photoelastic=photoelastic,
+            photoelastic_note=str(pe.get("note", "")),
+            d_eff=_reals(obj["d_eff_m_per_v"], "d_eff_m_per_v"),
+            eps_r=_reals(eps_r, "eps_r", 1),
+            v_sound={str(k): _reals(v, f"v_sound_m_per_s.{k}") for k, v in v_sound.items()},
+            damage_threshold=_reals(obj["damage_threshold_w_per_m2"], "damage_threshold_w_per_m2"),
+            qpm_order=qpm)
     except ValueError as exc:
-        raise MaterialFileError(f"{where}: {exc}") from None
-    eps_r = obj["eps_r"]
-    if not (isinstance(eps_r, list) and len(eps_r) == 3):
-        raise MaterialFileError(f"{where}: eps_r must be a 3-vector diagonal")
-    qpm = obj.get("qpm_order", 1)
-    if _integer(qpm) is None:
-        raise MaterialFileError(f"{where}: qpm_order must be an integer, got {qpm!r}")
-    v_sound = _object(obj["v_sound_m_per_s"], where, "v_sound_m_per_s")
-    return Material(
-        name=name,
-        dispersion=dispersion,
-        photoelastic=photoelastic,
-        photoelastic_note=str(pe.get("note", "")),
-        d_eff=_number(obj["d_eff_m_per_v"], where, "d_eff_m_per_v"),
-        eps_r=tuple(_number(e, where, f"eps_r[{i}]") for i, e in enumerate(eps_r)),
-        v_sound={str(k): _number(v, where, f"v_sound_m_per_s.{k}")
-                 for k, v in v_sound.items()},
-        damage_threshold=_number(obj["damage_threshold_w_per_m2"], where,
-                                 "damage_threshold_w_per_m2"),
-        qpm_order=qpm,
-    )
+        raise MaterialFileError(f"material '{name}': {exc}") from None
 
 
 def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
@@ -416,8 +394,7 @@ def _dispersion_to_dict(d: DispersionModel) -> dict:
 
 
 def _material_to_dict(m: Material) -> dict:
-    entries = [[None if math.isnan(e) else float(e) for e in row]
-               for row in m.photoelastic.entries]
+    entries = [[None if math.isnan(e) else e for e in row] for row in m.photoelastic.entries]
     return {
         "name": m.name,
         "dispersion": _dispersion_to_dict(m.dispersion),

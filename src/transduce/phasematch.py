@@ -20,6 +20,11 @@ band sits at a very different wavelength than the four-wave output, a
 dispersive medium cannot phase-match both at once and the three-wave channel
 is suppressed by the same sinc^2 factor.
 
+wavevector_optical, wavevector_acoustic and pm_efficiency read their
+arguments with ``errors._reals`` and call private float forms, which delta_k,
+poling_period and three_wave_residual call directly on the floats of the
+design, so a design reads each float once.
+
 delta_k and poling_period take the three four-wave band indices from
 ``estimator._band_indices``, so a design that ran the Miller chain on the
 same bands and material reuses its lookups, and a poling-period sweep looks
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import DataError, _integer, non_finite_error
+from .errors import DataError, _integer, _reals, non_finite_error
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
@@ -41,6 +46,11 @@ from .units import C_LIGHT, TWO_PI, TWO_PI_C
 
 def wavevector_optical(n: float, omega: float) -> float:
     """Optical wavevector n * omega / c (rad/m)."""
+    return _optical_k(_reals(n, "n"), _reals(omega, "omega"))
+
+
+def _optical_k(n: float, omega: float) -> float:
+    """wavevector_optical for an index and a frequency that are floats."""
     if not 1.0 <= n < math.inf:
         raise ValueError(f"refractive index must be finite and >= 1, got {n}")
     if not 0 < omega < math.inf:
@@ -54,6 +64,11 @@ def wavevector_optical(n: float, omega: float) -> float:
 
 def wavevector_acoustic(omega_m: float, v_s: float) -> float:
     """Acoustic wavevector omega_m / v_s (rad/m), linear dispersion."""
+    return _acoustic_k(_reals(omega_m, "omega_m"), _reals(v_s, "v_s"))
+
+
+def _acoustic_k(omega_m: float, v_s: float) -> float:
+    """wavevector_acoustic for a frequency and a sound speed that are floats."""
     if not 0 < v_s < math.inf:
         raise ValueError(f"sound speed must be positive and finite, got {v_s}")
     if not 0 <= omega_m < math.inf:
@@ -72,18 +87,19 @@ class PhaseMatchInput(Record):
 
     def __init__(self, bands: MixingBands, material: Material, length: float,
                  poling_period: float | None = None, poling_sign: int = 1):
-        if not (length > 0 and math.isfinite(length)):
+        if not 0 < (L := _reals(length, "length")) < math.inf:
             raise ValueError(f"interaction length must be positive, got {length}")
-        if poling_period is not None and not poling_period > 0:
+        period = None if poling_period is None else _reals(poling_period, "poling_period")
+        if period is not None and not period > 0:
             raise ValueError(f"poling period must be positive, got {poling_period}")
         # An infinite period would drop the grating, a subnormal one overflow it.
-        if poling_period is not None and not 0 < TWO_PI / poling_period < math.inf:
+        if period is not None and not 0 < TWO_PI / period < math.inf:
             raise ValueError("poling period must be finite, with a finite 2 pi / period, "
                              f"got {poling_period}")
         if (sign := _integer(poling_sign)) not in (-1, 1):
             raise ValueError(f"poling sign must be +-1, got {poling_sign}")
-        self.__dict__.update(bands=bands, material=material, length=length,
-                             poling_period=poling_period, poling_sign=sign)
+        self.__dict__.update(bands=bands, material=material, length=L,
+                             poling_period=period, poling_sign=sign)
 
 
 class PhaseMatchResult(Record):
@@ -109,7 +125,7 @@ def _k_acoustic(pm_in: PhaseMatchInput) -> float:
         raise DataError(
             f"material '{m.name}' has no sound speed for acoustic mode "
             f"'{mode}' (have: {have})")
-    return wavevector_acoustic(pm_in.bands.omega_m, m.v_sound[mode])
+    return _acoustic_k(pm_in.bands.omega_m, m.v_sound[mode])
 
 
 def _k_grating(pm_in: PhaseMatchInput) -> float:
@@ -123,9 +139,9 @@ def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
     """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating."""
     b = pm_in.bands
     n_p1, n_p2, n_t = _band_indices(pm_in.material, b)
-    k_p1 = wavevector_optical(n_p1, b.omega_p1)
-    k_p2 = wavevector_optical(n_p2, b.omega_p2)
-    k_t = wavevector_optical(n_t, b.omega_t)
+    k_p1 = _optical_k(n_p1, b.omega_p1)
+    k_p2 = _optical_k(n_p2, b.omega_p2)
+    k_t = _optical_k(n_t, b.omega_t)
     return k_t, k_p1, k_p2, _k_acoustic(pm_in)
 
 
@@ -137,11 +153,16 @@ def pm_efficiency(delta_k: float, length: float) -> float:
     np.sinc's, on one float: x = u/pi, y = pi*x with 1e-20 standing in for
     x = 0, sin(y)/y.
     """
+    return _sinc2(_reals(delta_k, "delta_k"), _reals(length, "length"))
+
+
+def _sinc2(delta_k: float, length: float) -> float:
+    """pm_efficiency for a mismatch and a length that are floats."""
     if not math.isfinite(delta_k):
         raise ValueError(f"delta_k must be finite, got {delta_k}")
     if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"length must be positive and finite, got {length}")
-    x = float(delta_k * length / 2.0 / math.pi)
+    x = delta_k * length / 2.0 / math.pi
     if not math.isfinite(x):
         raise non_finite_error("delta_k * length", delta_k=delta_k, length=length)
     y = math.pi * (x if x != 0 else 1.0e-20)
@@ -155,7 +176,7 @@ def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     dk = k_t - k_p1 - k_p2 - k_m - k_pol
     return PhaseMatchResult(
         k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_pol, delta_k=dk,
-        efficiency=pm_efficiency(dk, pm_in.length))
+        efficiency=_sinc2(dk, pm_in.length))
 
 
 def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
@@ -205,11 +226,11 @@ def three_wave_residual(pm_in: PhaseMatchInput,
         raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
     b, m, i = pm_in.bands, pm_in.material, pump - 1
     omega_p = b.omega_p1 if pump == 1 else b.omega_p2
-    k_p = wavevector_optical(refractive_index(m, b.wavelengths[i], b.axes[i]), omega_p)
+    k_p = _optical_k(refractive_index(m, b.wavelengths[i], b.axes[i]), omega_p)
     omega_t3 = omega_p + b.omega_m
-    k_t3 = wavevector_optical(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
+    k_t3 = _optical_k(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
     dk3 = k_t3 - k_p - _k_acoustic(pm_in) - _k_grating(pm_in)
-    supp = pm_efficiency(dk3, pm_in.length)
+    supp = _sinc2(dk3, pm_in.length)
     return ThreeWaveResidual(
         delta_k_3wm=dk3,
         suppression=supp,
@@ -237,7 +258,7 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     else:
         raise ValueError(
             f"variable must be 'pump-wavelength' or 'poling-period', got {variable!r}")
-    return [(v, delta_k(probe(v))) for v in map(float, values)]
+    return [(v, delta_k(probe(v))) for v in _reals(values, "values", 1)]
 
 
 PHASEMATCH_SWEEP_CSV_HEADER = (

@@ -2,17 +2,14 @@
 
 Rank-4 photoelastic tensors are stored 6x6, as a tuple of float rows, with
 symmetric index pairs packed in the standard crystallographic order (00, 11,
-22, 12, 02, 01).  The strain columns index tensor strain (no factor of 2 on
+22, 12, 02, 01); every cell is read by ``errors._reals``, so a bool or a
+string is no entry.  The strain columns index tensor strain (no factor of 2 on
 the shear components).  Nothing here imports numpy, so loading a material
 database does not.
 """
 
-from __future__ import annotations
-
-import math
-
 from ._record import Record
-from .errors import _integer
+from .errors import _integer, _reals
 
 # Voigt pair for each packed index, in standard crystallographic order.
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
@@ -37,22 +34,20 @@ def voigt_pair(v: int) -> tuple[int, int]:
     return VOIGT_PAIRS[k]
 
 
-def _float_rows(table, width: int, nrows: int | None = None
-                ) -> tuple[tuple[float, ...], ...]:
+def _float_rows(table, width: int, name: str, what: str,
+                nrows: int | None = None) -> tuple[tuple[float, ...], ...]:
     """``table`` (a nested sequence or 2-D array) as a tuple of float rows.
 
-    Entries are read as ``np.asarray(table, dtype=float)`` reads them, with
-    None as NaN.  Raises ValueError, with what was found, unless the table has
-    at least one row (exactly ``nrows`` if given) of ``width`` numbers each.
+    Each cell is read by ``errors._reals``, with None as NaN.  Raises the
+    ValueError ``what (<what was found>)`` unless every row holds ``width``
+    numbers and there are ``nrows`` rows, if given.
     """
     try:
-        rows = tuple(tuple(math.nan if v is None else float(v) for v in row)
-                     for row in table)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(str(exc)) from None
-    widths = sorted({len(r) for r in rows})
-    if widths != [width] or nrows not in (None, len(rows)):
-        raise ValueError(f"got {len(rows)} rows of widths {widths}")
+        rows = _reals(tuple(map(tuple, table)), name, 2, nulls=True)
+    except (TypeError, ValueError) as exc:     # TypeError: a row is no sequence
+        raise ValueError(f"{what} ({exc})") from None
+    if any(len(r) != width for r in rows) or nrows not in (None, len(rows)):
+        raise ValueError(f"{what} (got {len(rows)} rows of widths {sorted(set(map(len, rows)))})")
     return rows
 
 
@@ -67,8 +62,5 @@ class PhotoelasticTensor(Record):
     _fields = ("entries",)
 
     def __init__(self, entries):
-        try:
-            rows = _float_rows(entries, 6, nrows=6)
-        except ValueError as exc:
-            raise ValueError(f"photoelastic tensor must be 6x6 numbers ({exc})") from None
-        self.__dict__.update(entries=rows)
+        self.__dict__.update(entries=_float_rows(
+            entries, 6, "entries", "photoelastic tensor must be 6x6 numbers", nrows=6))

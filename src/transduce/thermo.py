@@ -36,6 +36,9 @@ above the cancellation floor, except for an un-nested first D-derivative,
 which uses eps_machine^(1/3) so that the 1/eps0-scaled quadratic and cubic
 terms cannot pollute an O(1) linear coefficient (the piezoelectric term in
 dX/dD).  A residual that is NaN (a difference that overflowed) fails.
+
+Every function reads its strain, displacement and tolerance arguments with
+``errors._reals``, so a numpy scalar gives the plain float a float gives.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import sys
 from itertools import combinations_with_replacement, permutations, product
 
 from ._record import Record
-from .errors import _integer
+from .errors import _integer, _real, _reals
 from .units import EPS0
 
 _EPS_MACHINE = sys.float_info.epsilon
@@ -129,20 +132,14 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
         raise ValueError(f"x-derivative order must be 0..{MAX_ORDER_X}, got {ox}")
     if (nd := _integer(od)) is None or not 0 <= nd <= MAX_ORDER_D:
         raise ValueError(f"D-derivative order must be 0..{MAX_ORDER_D}, got {od}")
-    return _partial(f, list(_pair(point, "point")), (0,) * nx + (1,) * nd)
+    return _partial(f, list(_reals(_pair(point, "point"), "point", 1)), (0,) * nx + (1,) * nd)
 
 
-def _numbers(value, depth: int) -> list[float]:
-    """The numbers of ``value``, nested at most ``depth`` deep, in row-major
-    order; TypeError, ValueError or OverflowError if an entry is none.  A
-    string is never a number: it nests without end."""
-    try:
-        items = iter(value)
-    except TypeError:
-        return [float(value)]
-    if depth == 0:
-        raise TypeError
-    return [v for item in items for v in _numbers(item, depth - 1)]
+def _flat(value, depth: int) -> list:
+    """The items of ``value`` nested at most ``depth`` deep, in row-major
+    order; a number is one item, as is anything at depth 0."""
+    return ([value] if depth == 0 or _real(value) is not None
+            else [v for item in value for v in _flat(item, depth - 1)])
 
 
 def _symmetrized(flat: list[float], rank: int) -> list[float]:
@@ -173,8 +170,8 @@ def _coefficients(values, ranks) -> dict:
     out = {}
     for name, value, rank in zip(FreeEnergyModel._fields, values, ranks):
         try:
-            flat = _numbers(value, rank)
-        except (TypeError, ValueError, OverflowError):
+            flat = list(_reals(_flat(value, rank), name, 1))
+        except (TypeError, ValueError):
             flat = []
         if rank > 1 and len(flat) == 2 ** rank:
             flat = _symmetrized(flat, rank)
@@ -202,6 +199,7 @@ class FreeEnergyModel(Record):
 
 def eval_free_energy(m: FreeEnergyModel, x: float, D: float) -> float:
     """The free-energy density A(x, D) in J/m^3."""
+    x, D = _reals(x, "x"), _reals(D, "D")
     return (0.5 * m.c * x * x
             + m.h * x * D
             + 0.5 * m.eta1 * D * D
@@ -212,12 +210,14 @@ def eval_free_energy(m: FreeEnergyModel, x: float, D: float) -> float:
 
 def stress_of(m: FreeEnergyModel, x: float, D: float) -> float:
     """Mechanical stress X = dA/dx, in Pa."""
+    x, D = _reals(x, "x"), _reals(D, "D")
     return (m.c * x + m.h * D + m.p * D * D / (2.0 * EPS0)
             + m.q * D ** 3 / (3.0 * EPS0))
 
 
 def efield_of(m: FreeEnergyModel, x: float, D: float) -> float:
     """Electric field E = dA/dD, in V/m."""
+    x, D = _reals(x, "x"), _reals(D, "D")
     return (m.h * x + m.eta1 * D + m.eta2 * D * D
             + m.p * x * D / EPS0 + m.q * x * D * D / EPS0)
 
@@ -280,7 +280,7 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
     the factor-2 route differentiates eta2_mkl(x) = (1/2) d2 E_m / dD_k dD_l
     at D = 0 in x.
     """
-    if not (tol > 0 and math.isfinite(tol)):   # an infinite tol passes anything
+    if not 0 < (t := _reals(tol, "tol")) < math.inf:   # an infinite tol passes anything
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(efield)
     origin = [0.0] * (n + 1)
@@ -299,9 +299,9 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
     r1, r2, r3, rf = (max(r, key=_nan_first) for r in resids)
     return RelationReport(
         order1_residual=r1, order2_residual=r2, order3_residual=r3,
-        factor2_residual=rf, fd_step_used=FD_STEP_LARGE, tol=tol,
-        order1_passed=r1 < tol, order2_passed=r2 < tol,
-        order3_passed=r3 < tol, factor2_passed=rf < tol)
+        factor2_residual=rf, fd_step_used=FD_STEP_LARGE, tol=t,
+        order1_passed=r1 < t, order2_passed=r2 < t,
+        order3_passed=r3 < t, factor2_passed=rf < t)
 
 
 def verify_relations_pair(stress_fn, efield_fn, tol: float = 1e-6) -> RelationReport:
@@ -361,20 +361,20 @@ class VectorFreeEnergyModel(Record):
 
 
 def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float, D) -> float:
-    d = tuple(map(float, _pair(D, "D")))
+    x, d = _reals(x, "x"), tuple(map(_reals, _pair(D, "D"), ("D[0]", "D[1]")))
     return (0.5 * m.c * x * x + x * _contract(m.h, d) + 0.5 * _contract(m.eta1, d)
             + _contract(m.eta2, d) / 3.0 + x * _contract(m.p, d) / (2.0 * EPS0)
             + x * _contract(m.q, d) / (3.0 * EPS0))
 
 
 def stress_of_vector(m: VectorFreeEnergyModel, x: float, D) -> float:
-    d = tuple(map(float, _pair(D, "D")))
+    x, d = _reals(x, "x"), tuple(map(_reals, _pair(D, "D"), ("D[0]", "D[1]")))
     return (m.c * x + _contract(m.h, d) + _contract(m.p, d) / (2.0 * EPS0)
             + _contract(m.q, d) / (3.0 * EPS0))
 
 
 def efield_of_vector(m: VectorFreeEnergyModel, x: float, D) -> tuple[float, float]:
-    d = tuple(map(float, _pair(D, "D")))
+    x, d = _reals(x, "x"), tuple(map(_reals, _pair(D, "D"), ("D[0]", "D[1]")))
     return tuple(m.h[k] * x + _contract(m.eta1[k], d) + _contract(m.eta2[k], d)
                  + x * _contract(m.p[k], d) / EPS0 + x * _contract(m.q[k], d) / EPS0
                  for k in (0, 1))

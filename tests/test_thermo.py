@@ -262,6 +262,22 @@ class TestVectorMode:
         for f in (eval_free_energy_vector, stress_of_vector):
             assert type(f(m, 0.3, np.array([0.2, -0.5]))) is float
 
+    def test_numpy_scalar_strain_gives_plain_floats_with_the_same_bits(self):
+        # A numpy scalar x (or D) gave np.float64 fields, which numpy 2
+        # prints as np.float64(...).
+        m = self._random_vector_model(np.random.default_rng(4))
+        for f in (efield_of_vector, eval_free_energy_vector, stress_of_vector):
+            got, want = f(m, np.float64(0.3), (0.2, -0.5)), f(m, 0.3, (0.2, -0.5))
+            assert repr(got) == repr(want)
+            assert repr(f(m, 0.3, (np.float64(0.2), -0.5))) == repr(want)
+        s = FreeEnergyModel(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        for f in (eval_free_energy, stress_of, efield_of):
+            for x, D in ((np.float64(0.3), 0.7), (0.3, np.float64(0.7))):
+                got = f(s, x, D)
+                assert type(got) is float and got == f(s, 0.3, 0.7)
+        got = extract_eta2(s, np.float64(0.3))
+        assert type(got) is float and got == extract_eta2(s, 0.3)
+
     def test_gradients_match_fd_of_potential(self):
         rng = np.random.default_rng(1)
         m = self._random_vector_model(rng)
