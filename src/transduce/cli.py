@@ -6,7 +6,13 @@ phase-matching design (phasematch, poling), the material database
 batch commands.  Optical bands are given as vacuum wavelengths in meters and
 the phonon in GHz; everything is converted to angular frequencies internally.
 
-Exit codes: 0 success, 1 data/range/validation failure, 2 usage error.
+Each ``_cmd_*`` handler computes and returns ``(exit code, lines)``; ``main``
+alone writes, all of stdout at once after the handler has returned.  Exit
+codes: 0 success; 1 a data/range/validation failure, with only ``error:
+...`` on stderr, so a failure leaves stdout empty; 2 a usage error.
+verify-thermo is the one command that exits 1 with output: its full table,
+when a rung FAILs.
+
 The database is resolved from --db, then the TRANSDUCE_DB environment
 variable, then the bundled default.  Values printed as ``name = value`` use
 full float precision (repr), so they are bit-identical to the corresponding
@@ -84,10 +90,9 @@ def _grid(args, start: str, stop: str, points: str, log: bool = False):
     return (np.geomspace if log else np.linspace)(lo, hi, n)
 
 
-def _kv(name: str, value, unit: str = "") -> None:
-    suffix = f"  [{unit}]" if unit else ""
-    print(f"{name} = {value!r}{suffix}" if isinstance(value, float)
-          else f"{name} = {value}{suffix}")
+def _kv(name: str, value: float, unit: str = "") -> str:
+    """The ``name = value`` line of a float, at full precision (repr)."""
+    return f"{name} = {value!r}" + (f"  [{unit}]" if unit else "")
 
 
 def _add_db_flag(p) -> None:
@@ -114,65 +119,58 @@ def _add_band_flags(p) -> None:
 
 # ----------------------------------------------------------------- materials
 
-def _cmd_materials(args) -> int:
+def _cmd_materials(args) -> tuple[int, list[str]]:
     db = _resolve_db(args)
     if args.show:
         m = db.get(args.show)
-        single = MaterialDb(materials={m.name: m})
-        print(dumps_materials(single))
-        return 0
+        return 0, [dumps_materials(MaterialDb(materials={m.name: m}))]
+    lines = []
     for name in db.names():
         m = db.get(name)
         lo, hi = m.dispersion.valid_range_m
-        print(f"{name}: dispersion {m.dispersion.kind} over "
-              f"[{lo:.4g}, {hi:.4g}] m, d_eff {m.d_eff:.4g} m/V, "
-              f"damage {m.damage_threshold:.4g} W/m^2, "
-              f"modes {sorted(m.v_sound) or '-'}")
-    return 0
+        lines.append(f"{name}: dispersion {m.dispersion.kind} over "
+                     f"[{lo:.4g}, {hi:.4g}] m, d_eff {m.d_eff:.4g} m/V, "
+                     f"damage {m.damage_threshold:.4g} W/m^2, "
+                     f"modes {sorted(m.v_sound) or '-'}")
+    return 0, lines
 
 
 # ---------------------------------------------------------------- estimate-q
 
-def _cmd_estimate_q(args) -> int:
+def _cmd_estimate_q(args) -> tuple[int, list[str]]:
     m, bands = _material_and_bands(args)
     chain = second_order_photoelasticity(m, bands, apply_qpm_reduction=args.qpm)
-    for name in ("omega_p1", "omega_p2", "omega_m", "omega_t"):
-        _kv(name, getattr(bands, name), "rad/s")
+    lines = [_kv(name, getattr(bands, name), "rad/s")
+             for name in ("omega_p1", "omega_p2", "omega_m", "omega_t")]
     for i, label in enumerate(("pump1", "pump2", "output")):
-        _kv(f"n_{label}", chain.n_bands[i])
-        _kv(f"eta1_rel_{label}", chain.eta1_rel_bands[i])
-        _kv(f"p_{label}", chain.p_entries[i])
-    _kv("d_eff", chain.d_eff, "m/V")
-    _kv("eta2", chain.eta2, "V m^3/C^2")
-    _kv("miller_Q", chain.Q, "V m^3/C^2")
-    _kv("q_eff", chain.q_eff, "m^2/C")
-    _kv("abs_q_eff", abs(chain.q_eff), "m^2/C")
-    return 0
+        lines += [_kv(f"n_{label}", chain.n_bands[i]),
+                  _kv(f"eta1_rel_{label}", chain.eta1_rel_bands[i]),
+                  _kv(f"p_{label}", chain.p_entries[i])]
+    return 0, [*lines, _kv("d_eff", chain.d_eff, "m/V"),
+               _kv("eta2", chain.eta2, "V m^3/C^2"),
+               _kv("miller_Q", chain.Q, "V m^3/C^2"),
+               _kv("q_eff", chain.q_eff, "m^2/C"),
+               _kv("abs_q_eff", abs(chain.q_eff), "m^2/C")]
 
 
 # --------------------------------------------------------------------- field
 
-def _cmd_field(args) -> int:
-    # Compute everything before printing, so that a failure, a bad
-    # --material or --db included, prints nothing.
+def _cmd_field(args) -> tuple[int, list[str]]:
     geom = PumpGeometry(power=args.power, mfd=args.mfd, n_mode=args.n_mode)
     field = peak_field_from_power(geom)
     intensity = peak_intensity(args.power, args.mfd)
+    lines = [_kv("peak_field", field, "V/m"), _kv("peak_intensity", intensity, "W/m^2")]
     if args.material:
         m = _resolve_db(args).get(args.material)
-        p_max = damage_limited_power(m, args.mfd)
-    _kv("peak_field", field, "V/m")
-    _kv("peak_intensity", intensity, "W/m^2")
-    if args.material:
-        _kv("damage_threshold", m.damage_threshold, "W/m^2")
-        _kv("damage_limited_power", p_max, "W")
-        _kv("intensity_over_threshold", intensity / m.damage_threshold)
-    return 0
+        lines += [_kv("damage_threshold", m.damage_threshold, "W/m^2"),
+                  _kv("damage_limited_power", damage_limited_power(m, args.mfd), "W"),
+                  _kv("intensity_over_threshold", intensity / m.damage_threshold)]
+    return 0, lines
 
 
 # --------------------------------------------------------------- sweep-power
 
-def _cmd_sweep_power(args) -> int:
+def _cmd_sweep_power(args) -> tuple[int, list[str]]:
     m, bands = _material_and_bands(args)
     powers = _grid(args, "--pmin", "--pmax", "--points", log=args.log)
     benchmark = (CouplingBenchmark(args.g0_ref, "user-supplied benchmark")
@@ -180,23 +178,19 @@ def _cmd_sweep_power(args) -> int:
     report = power_sweep(m, bands, powers, args.mfd, args.n_mode,
                          benchmark=benchmark, p_nominal=args.p_nominal)
     if args.csv:
-        sys.stdout.write(report.to_csv())
-        return 0
-    _kv("q_eff", report.chain.q_eff, "m^2/C")
-    _kv("p_nominal", report.p_nominal)
-    print(f"benchmark: {report.benchmark.label} "
-          f"(g0_ref = {report.benchmark.g0_ref!r} rad/s)")
-    for note in report.notes:
-        print(f"note: {note}")
-    print("  ".join(f"{name:>24s}" for name in SweepRow._fields))
-    for r in report.rows:
-        print("  ".join(f"{v:>24.9e}" for v in vars(r).values()))
-    return 0
+        return 0, report.to_csv().splitlines()
+    return 0, [_kv("q_eff", report.chain.q_eff, "m^2/C"),
+               _kv("p_nominal", report.p_nominal),
+               f"benchmark: {report.benchmark.label} "
+               f"(g0_ref = {report.benchmark.g0_ref!r} rad/s)",
+               *(f"note: {note}" for note in report.notes),
+               "  ".join(f"{name:>24s}" for name in SweepRow._fields),
+               *("  ".join(f"{v:>24.9e}" for v in vars(r).values()) for r in report.rows)]
 
 
 # ---------------------------------------------------------------- phasematch
 
-def _cmd_phasematch(args) -> int:
+def _cmd_phasematch(args) -> tuple[int, list[str]]:
     from .phasematch import PhaseMatchInput, delta_k, sweep, sweep_to_csv
     m, bands = _material_and_bands(args)
     pm_in = PhaseMatchInput(bands=bands, material=m, length=args.length,
@@ -208,58 +202,53 @@ def _cmd_phasematch(args) -> int:
         rows = sweep(pm_in, args.sweep,
                      _grid(args, "--sweep-start", "--sweep-stop", "--sweep-points"))
         if args.csv:
-            sys.stdout.write(sweep_to_csv(rows))
-        else:
-            print(f"sweep over {args.sweep}")
-            print(f"{'value':>16s} {'delta_k_rad_per_m':>24s} {'efficiency':>14s}")
-            for v, r in rows:
-                print(f"{v:>16.9e} {r.delta_k:>24.9e} {r.efficiency:>14.6e}")
-        return 0
+            return 0, sweep_to_csv(rows).splitlines()
+        return 0, [f"sweep over {args.sweep}",
+                   f"{'value':>16s} {'delta_k_rad_per_m':>24s} {'efficiency':>14s}",
+                   *(f"{v:>16.9e} {r.delta_k:>24.9e} {r.efficiency:>14.6e}"
+                     for v, r in rows)]
     res = delta_k(pm_in)
-    for name in ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k"):
-        _kv(name, getattr(res, name), "rad/m")
-    _kv("efficiency", res.efficiency)
+    lines = [_kv(name, getattr(res, name), "rad/m")
+             for name in ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k")]
+    lines.append(_kv("efficiency", res.efficiency))
     if args.three_wave:
-        _print_three_wave(pm_in, args.pump_choice)
-    return 0
+        lines += _three_wave_lines(pm_in, args.pump_choice)
+    return 0, lines
 
 
-def _print_three_wave(pm_in: PhaseMatchInput, pump_choice: int) -> None:
+def _three_wave_lines(pm_in: PhaseMatchInput, pump_choice: int) -> list[str]:
     from .phasematch import three_wave_residual
     tw = three_wave_residual(pm_in, pump_choice=pump_choice)
-    _kv("delta_k_3wm", tw.delta_k_3wm, "rad/m")
-    _kv("suppression_3wm", tw.suppression)
+    lines = [_kv("delta_k_3wm", tw.delta_k_3wm, "rad/m"),
+             _kv("suppression_3wm", tw.suppression)]
     if tw.phase_matched:
-        print("warning: three-wave channel is phase matched too "
-              "(degenerate configuration)")
+        lines.append("warning: three-wave channel is phase matched too "
+                     "(degenerate configuration)")
+    return lines
 
 
 # -------------------------------------------------------------------- poling
 
-def _cmd_poling(args) -> int:
+def _cmd_poling(args) -> tuple[int, list[str]]:
     from .phasematch import PhaseMatchInput, delta_k, poling_period
     m, bands = _material_and_bands(args)
     pm_in = PhaseMatchInput(bands=bands, material=m, length=args.length)
-    unpoled = delta_k(pm_in)
-    _kv("delta_k_unpoled", unpoled.delta_k, "rad/m")
+    unpoled = _kv("delta_k_unpoled", delta_k(pm_in).delta_k, "rad/m")
     solved = poling_period(pm_in)
     if solved is None:
-        print("no poling needed: process is already phase matched")
-        return 0
+        return 0, [unpoled, "no poling needed: process is already phase matched"]
     lam, sign = solved
-    _kv("poling_period", lam, "m")
-    _kv("poling_sign", float(sign))
     poled = pm_in.replace(poling_period=lam, poling_sign=sign)
     res = delta_k(poled)
-    _kv("delta_k_poled", res.delta_k, "rad/m")
-    _kv("efficiency", res.efficiency)
-    _print_three_wave(poled, args.pump_choice)
-    return 0
+    return 0, [unpoled, _kv("poling_period", lam, "m"), _kv("poling_sign", float(sign)),
+               _kv("delta_k_poled", res.delta_k, "rad/m"),
+               _kv("efficiency", res.efficiency),
+               *_three_wave_lines(poled, args.pump_choice)]
 
 
 # -------------------------------------------------------------- verify-thermo
 
-def _cmd_verify_thermo(args) -> int:
+def _cmd_verify_thermo(args) -> tuple[int, list[str]]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     if args.seed < 0:
@@ -284,13 +273,11 @@ def _cmd_verify_thermo(args) -> int:
             worst[name] = max(worst[name], getattr(rep, f"{name}_residual"),
                               key=_nan_first)
             passed[name] = passed[name] and getattr(rep, f"{name}_passed")
-    print(f"{args.trials} random scalar models, coefficients in "
-          f"[-{args.coef_range:g}, {args.coef_range:g}], tol {args.tol:g}")
-    print(f"{'relation':>10s} {'worst residual':>16s} {'status':>8s}")
-    ok = True
-    for name in rungs:
-        ok = ok and passed[name]
-        print(f"{name:>10s} {worst[name]:>16.6e} {'PASS' if passed[name] else 'FAIL':>8s}")
+    lines = [f"{args.trials} random scalar models, coefficients in "
+             f"[-{args.coef_range:g}, {args.coef_range:g}], tol {args.tol:g}",
+             f"{'relation':>10s} {'worst residual':>16s} {'status':>8s}",
+             *(f"{name:>10s} {worst[name]:>16.6e} {'PASS' if passed[name] else 'FAIL':>8s}"
+               for name in rungs)]
 
     coefs = rng.uniform(-args.coef_range, args.coef_range, size=(2, 6))
     vec = VectorFreeEnergyModel(c=coefs[0, 0], h=coefs[:, 1], eta1=rng.uniform(-10, 10, (2, 2)),
@@ -299,9 +286,9 @@ def _cmd_verify_thermo(args) -> int:
                                 q=rng.uniform(-10, 10, (2, 2, 2)))
     vrep = verify_relations_vector(vec, tol=args.tol)
     vworst = max((getattr(vrep, f"{name}_residual") for name in rungs), key=_nan_first)
-    print(f"two-component spot check: worst residual {vworst:.6e} "
-          f"{'PASS' if vrep.all_passed else 'FAIL'}")
-    ok = ok and vrep.all_passed
+    lines.append(f"two-component spot check: worst residual {vworst:.6e} "
+                 f"{'PASS' if vrep.all_passed else 'FAIL'}")
+    ok = all(passed.values()) and vrep.all_passed
 
     if args.adversarial:
         m1 = FreeEnergyModel(c=1.0, h=1.0, eta1=2.0, eta2=3.0, p=4.0, q=5.0)
@@ -309,11 +296,11 @@ def _cmd_verify_thermo(args) -> int:
         rep = verify_relations_pair(
             lambda x, D: stress_of(m1, x, D),
             lambda x, D: efield_of(m2, x, D), tol=args.tol)
-        print(f"adversarial two-model fixture: order1 residual "
-              f"{rep.order1_residual:.6e} "
-              f"{'detected' if not rep.order1_passed else 'NOT DETECTED'}")
+        lines.append(f"adversarial two-model fixture: order1 residual "
+                     f"{rep.order1_residual:.6e} "
+                     f"{'detected' if not rep.order1_passed else 'NOT DETECTED'}")
         ok = ok and not rep.order1_passed
-    return 0 if ok else 1
+    return (0 if ok else 1), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,13 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its output: all of its lines once it has
+    returned, or, if it raised, only ``error: ...`` on stderr (exit 1)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
     except (TransduceError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -109,16 +109,23 @@ def _reals(value, name: str, depth: int = 0, nulls: bool = False):
 
     A ValueError names the first item that is not a number (or, above depth
     0, not iterable) by its place in ``name``: ``power must be a number, got
-    '1'`` or ``entries[1][0] must be a number, got True``.
+    '1'`` or ``entries[1][0] must be a number, got True``.  An item is named
+    by the pair (its container's name, its index), formatted only on failure.
     """
     if depth == 0:
         if type(value) is float:    # the common case, without a further call
             return value
         if (x := math.nan if value is None and nulls else _real(value)) is None:
-            raise ValueError(f"{name} must be a number, got {value!r}")
+            raise ValueError(f"{_item_name(name)} must be a number, got {value!r}")
         return x
     try:    # map, not a generator, so no call builds a closure over the arguments
-        return tuple(map(_reals, value, map("{}[{}]".format, repeat(name), count()),
+        return tuple(map(_reals, value, zip(repeat(name), count()),
                          repeat(depth - 1), repeat(nulls)))
     except TypeError:           # not iterable
-        raise ValueError(f"{name} must be a sequence of numbers, got {value!r}") from None
+        raise ValueError(f"{_item_name(name)} must be a sequence of numbers, "
+                         f"got {value!r}") from None
+
+
+def _item_name(name) -> str:
+    """``name``, or for a pair (container name, index) ``container[index]``."""
+    return name if isinstance(name, str) else f"{_item_name(name[0])}[{name[1]}]"

@@ -67,7 +67,9 @@ class DispersionModel(Record):
     def __init__(self, kind: str, valid_range_m: tuple[float, float],
                  points: tuple[tuple[float, float, float, float], ...] | None = None,
                  sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None):
-        lo, hi = _reals(valid_range_m, "valid_range_m", 1)
+        if len(window := _reals(valid_range_m, "valid_range_m", 1)) != 2:
+            raise ValueError(f"valid_range_m must be [lo, hi], got {window}")
+        lo, hi = window
         if points is not None:
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.

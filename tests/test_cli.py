@@ -418,6 +418,22 @@ def test_non_finite_grating_ratio_or_grid_bound_is_named(argv, message):
     assert cp.stderr == f"error: {message}\n"
 
 
+# Both fail after their first results are computed: at the parent they printed
+# those lines (7 and 5) on stdout before the error.
+LATE_FAILURES = [
+    (["phasematch", *BANDS_ARGS, "--length=1e305",
+      "--poling-period=2.5491180085611123e-06", "--poling-sign=-1", "--three-wave"],
+     "delta_k * length overflows for delta_k=-48331.76900286414, length=1e+305"),
+    (["poling", *BANDS_ARGS[:-1], "0.03845", "--length=1e304"],
+     "delta_k * length overflows for delta_k=-48332.18648715038, length=1e+304")]
+
+
+@pytest.mark.parametrize("argv, message", LATE_FAILURES, ids=["phasematch", "poling"])
+def test_a_late_failure_prints_nothing(argv, message):
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr == f"error: {message}\n"
+
 class TestVerifyThermo:
     def test_nan_residual_fails(self):
         # 1e300 coefficients overflow the differences to NaN residuals.
@@ -746,6 +762,8 @@ def _one_unusual_flag_argv(sub):
           "--pmin=1e-3", "--pmax=inf", "--p-nominal=inf"])
 @example(["phasematch", *BANDS_ARGS, "--length=100e-6", "--sweep=poling-period",
           "--sweep-start=2e-6", "--sweep-stop=inf"])
+@example(LATE_FAILURES[0][0])
+@example(LATE_FAILURES[1][0])
 def test_fuzzed_cli_exits_0_1_or_2(argv):
     check_cli_oracle(argv)
 
@@ -754,8 +772,8 @@ NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 
 def check_cli_oracle(argv):
-    """Exit 0, 1 or 2 with no traceback or warning, and a success prints no
-    inf or NaN."""
+    """Exit 0, 1 or 2 with no traceback or warning, a success prints no inf
+    or NaN, and an error prints nothing on stdout."""
     out, err = io.StringIO(), io.StringIO()
     # Warnings are printed, as a user sees them, rather than raised.
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
@@ -770,6 +788,8 @@ def check_cli_oracle(argv):
     assert "Warning" not in err.getvalue(), (argv, err.getvalue())
     if code == 0:
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    if err.getvalue().startswith("error:"):
+        assert out.getvalue() == "", (argv, out.getvalue())
 
 
 @seed(20261018)

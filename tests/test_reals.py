@@ -433,6 +433,13 @@ def test_sellmeier_terms_must_be_three_axes_of_pairs():
         DispersionModel("sellmeier", WINDOW, sellmeier=[[[1.0, 1e-14, 0.0]], [], []])
 
 
+@pytest.mark.parametrize("window", [(1e-6, 2e-6, 3e-6), (1e-6,)], ids=["three", "one"])
+def test_valid_range_must_be_a_pair(window):
+    # Was a bare "too many values to unpack" (or "not enough values").
+    with pytest.raises(ValueError) as exc:
+        DispersionModel("tabulated-points", window, POINTS)
+    assert str(exc.value) == f"valid_range_m must be [lo, hi], got {window}"
+
 def _designs(n, real):
     """Reprs of every result of ``n`` seeded designs, inputs passed through
     ``real`` (float or np.float64)."""
