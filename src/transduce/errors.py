@@ -103,6 +103,9 @@ def _real(value, fail=None) -> float | None:
         return fail
 
 
+_ROWS, _FLOATS = (tuple, list), frozenset((float,))
+
+
 def _reals(value, name: str, depth: int = 0, nulls: bool = False):
     """``value`` read by ``_real`` if ``depth`` is 0 (None as NaN if
     ``nulls``), else as a tuple of its items, each read ``depth - 1`` deep.
@@ -111,13 +114,17 @@ def _reals(value, name: str, depth: int = 0, nulls: bool = False):
     0, not iterable) by its place in ``name``: ``power must be a number, got
     '1'`` or ``entries[1][0] must be a number, got True``.  An item is named
     by the pair (its container's name, its index), formatted only on failure.
+    A float, and a tuple or list of floats read 1 deep, come back with no
+    further call.
     """
+    if type(value) is float and not depth:
+        return value
     if depth == 0:
-        if type(value) is float:    # the common case, without a further call
-            return value
         if (x := math.nan if value is None and nulls else _real(value)) is None:
             raise ValueError(f"{_item_name(name)} must be a number, got {value!r}")
         return x
+    if depth == 1 and type(value) in _ROWS and set(map(type, value)) <= _FLOATS:
+        return tuple(value)
     try:    # map, not a generator, so no call builds a closure over the arguments
         return tuple(map(_reals, value, zip(repeat(name), count()),
                          repeat(depth - 1), repeat(nulls)))

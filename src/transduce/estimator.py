@@ -35,7 +35,11 @@ which names the inputs, so no infinity reaches a report.
 
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
-which remembers the last bands and dispersion objects it was given.
+which remembers the last bands and dispersion objects it was given.  Each
+argument is read once: from_vacuum_wavelengths hands the omegas it computed
+to MixingBands._store, which the constructor calls after reading its own,
+and PumpGeometry reads ``mfd`` once, through the same _mfd check as the
+mode area.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
 # outputs of this package; any column derived from them is an extrapolation.
 G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomechanical transducer
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
+
+_AXES, _INT3 = frozenset((0, 1, 2)), (int, int, int)
 
 
 class MixingBands(Record):
@@ -81,13 +87,22 @@ class MixingBands(Record):
             raise ValueError(f"omega_p2 must be positive and finite, got {omega_p2}")
         if not 0 <= (wm := _reals(omega_m, "omega_m")) < math.inf:
             raise ValueError(f"omega_m must be finite and >= 0, got {omega_m}")
+        self._store(w1, w2, wm, axes, acoustic_mode, strain_voigt)
+
+    def _store(self, w1: float, w2: float, wm: float, axes=(0, 1, 2),
+               acoustic_mode: str = "longitudinal", strain_voigt: int = 2) -> None:
+        """Check the indices and store the bands, for omegas already read."""
         # Indices are stored as plain ints; a float or a bool is no index,
-        # and a non-iterable is no triple of them.
-        try:
-            ints = tuple(map(_integer, axes))
-        except TypeError:
-            ints = ()
-        if len(ints) != 3 or not {0, 1, 2}.issuperset(ints):
+        # and a non-iterable is no triple of them.  A tuple of three plain
+        # ints is kept as it is.
+        if type(axes) is tuple and tuple(map(type, axes)) == _INT3:
+            ints = axes
+        else:
+            try:
+                ints = tuple(map(_integer, axes))
+            except TypeError:
+                ints = ()
+        if len(ints) != 3 or not _AXES.issuperset(ints):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
         if (sv := _integer(strain_voigt)) is None or not 0 <= sv <= 5:
             raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")
@@ -104,12 +119,18 @@ class MixingBands(Record):
         """Build from pump vacuum wavelengths (m) and a phonon frequency (Hz)."""
         l1, l2, hz = (_reals(lambda_p1, "lambda_p1"), _reals(lambda_p2, "lambda_p2"),
                       _reals(phonon_hz, "phonon_hz"))
-        for name, lam, given in (("lambda_p1", l1, lambda_p1), ("lambda_p2", l2, lambda_p2)):
-            if not 0 < lam < math.inf:
-                raise ValueError(f"{name} must be a positive finite wavelength, got {given}")
+        if not 0 < l1 < math.inf:
+            raise ValueError(f"lambda_p1 must be a positive finite wavelength, got {lambda_p1}")
+        if not 0 < l2 < math.inf:
+            raise ValueError(f"lambda_p2 must be a positive finite wavelength, got {lambda_p2}")
         if not 0 <= hz < math.inf:
             raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
-        return cls(TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz, **kw)
+        w1, w2, wm = TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz
+        if not max(w1, w2, wm) < math.inf:      # the constructor names the omega
+            return cls(w1, w2, wm, **kw)
+        bands = cls.__new__(cls)
+        bands._store(w1, w2, wm, **kw)
+        return bands
 
 
 class MillerChain(Record):
@@ -136,13 +157,18 @@ def _check_power(power) -> float:
     return p
 
 
-def _mode_area(mfd) -> float:
-    """Top-hat mode area pi (MFD/2)^2 in m^2, for an MFD whose square is a
-    finite normal float (so the area formulas cannot overflow or underflow)."""
+def _mfd(mfd) -> float:
+    """``mfd`` read as a float whose square is a finite normal float, so the
+    area formulas cannot overflow or underflow."""
     if not (0 < (d := _reals(mfd, "mfd")) and _MIN_NORMAL <= d * d <= _MAX_FLOAT):
         raise ValueError("mode-field diameter must be positive and its square "
                          f"a finite normal float, got {mfd}")
-    return math.pi * (d / 2.0) ** 2
+    return d
+
+
+def _mode_area(mfd) -> float:
+    """Top-hat mode area pi (MFD/2)^2 in m^2."""
+    return math.pi * (_mfd(mfd) / 2.0) ** 2
 
 
 class PumpGeometry(Record):
@@ -151,11 +177,10 @@ class PumpGeometry(Record):
     _fields = ("power", "mfd", "n_mode")
 
     def __init__(self, power: float, mfd: float, n_mode: float):
-        power = _check_power(power)
-        _mode_area(mfd)
+        power, d = _check_power(power), _mfd(mfd)
         if not 0 < (n := _reals(n_mode, "n_mode")) < math.inf:
             raise ValueError(f"modal index must be positive, got {n_mode}")
-        self.__dict__.update(power=power, mfd=_reals(mfd, "mfd"), n_mode=n)
+        self.__dict__.update(power=power, mfd=d, n_mode=n)
 
 
 class CouplingBenchmark(Record):
@@ -364,8 +389,7 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     eta2 = _eta2(d_eff, ns)
     eta1s, denoms = _band_terms(ns, "Miller constant")
     q_eff = _q_eff_closed_form(d_eff, ns, ps, denoms)
-    return MillerChain(n_bands=ns, p_entries=ps, d_eff=d_eff, eta1_rel_bands=eta1s,
-                       eta2=eta2, Q=_miller_Q(eta2, ns, denoms), q_eff=q_eff)
+    return MillerChain(ns, ps, d_eff, eta1s, eta2, _miller_Q(eta2, ns, denoms), q_eff)
 
 
 def peak_field_from_power(g: PumpGeometry) -> float:

@@ -266,12 +266,15 @@ _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
 def _table(rows, field: str, nulls: bool = True):
-    """``rows`` after reading each row that is a JSON list by ``errors._reals``,
-    which names a cell that is not a JSON number (or null, if ``nulls``);
-    shapes and null cells are checked after parsing."""
-    for i, row in enumerate(rows if isinstance(rows, list) else ()):
-        _reals(row if isinstance(row, list) else (), f"{field}[{i}]", 1, nulls)
-    return rows
+    """``rows`` with each row that is a JSON list read by ``errors._reals``
+    into a tuple of floats, which names a cell that is not a JSON number (or
+    null, if ``nulls``).  A row that is no list, or ``rows`` if it is no list,
+    is kept as given, for the record's constructor to reject by shape; the
+    constructor reads a row of floats without a call per cell."""
+    if not isinstance(rows, list):
+        return rows
+    return [_reals(row, (field, i), 1, nulls) if isinstance(row, list) else row
+            for i, row in enumerate(rows)]
 
 
 def _object(value, field: str) -> dict:
@@ -292,9 +295,9 @@ def _parse_dispersion(obj) -> DispersionModel:
             raise ValueError("tabulated dispersion needs 'points'")
         return DispersionModel(kind, valid, points=_table(pts, "dispersion.points"))
     if kind == "sellmeier":
-        axes = obj.get("sellmeier")
-        for axis, terms in enumerate(axes if isinstance(axes, list) else ()):
-            _table(terms, f"dispersion.sellmeier[{axis}]", nulls=False)
+        if isinstance(axes := obj.get("sellmeier"), list):
+            axes = [_table(terms, f"dispersion.sellmeier[{axis}]", nulls=False)
+                    for axis, terms in enumerate(axes)]
         try:
             return DispersionModel(kind, valid, sellmeier=axes)
         except ValueError:

@@ -28,9 +28,14 @@ design, so a design reads each float once.
 delta_k and poling_period take the three four-wave band indices from
 ``estimator._band_indices``, so a design that ran the Miller chain on the
 same bands and material reuses its lookups, and a poling-period sweep looks
-them up once.  three_wave_residual looks up its own two bands (the pump and
-omega_p + omega_m), never the four-wave output, so it works for a design
-whose four-wave output lies outside the validity window.
+them up once.  They share the four wavevectors too: _k_bare remembers the
+last (bands, material) pair and its (k_t, k_p1, k_p2, k_m), so a design
+evaluates them once.  three_wave_residual takes its pump and phonon
+wavevectors from that entry when it holds the same design, and looks up
+only its omega_p + omega_m band; otherwise it looks up its pump as well.  It
+never looks up the four-wave output, so it works for a design whose
+four-wave output lies outside the validity window.  A design makes 5 index
+lookups and 5 optical wavevector evaluations.
 """
 
 from __future__ import annotations
@@ -135,14 +140,31 @@ def _k_grating(pm_in: PhaseMatchInput) -> float:
     return pm_in.poling_sign * TWO_PI / pm_in.poling_period
 
 
+# The last design's wavevectors, (bands, material, (k_t, k_p1, k_p2, k_m)):
+# one tuple, so a reader in another thread sees a whole entry or none.
+_last_k: tuple = (None, None, ())
+
+
 def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
-    """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating."""
-    b = pm_in.bands
-    n_p1, n_p2, n_t = _band_indices(pm_in.material, b)
-    k_p1 = _optical_k(n_p1, b.omega_p1)
-    k_p2 = _optical_k(n_p2, b.omega_p2)
-    k_t = _optical_k(n_t, b.omega_t)
-    return k_t, k_p1, k_p2, _k_acoustic(pm_in)
+    """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating,
+    computed in band order, or taken from the last call if it had the same
+    ``bands`` and ``material`` objects (both frozen, so the floats are the
+    same).  The key is the material, not its dispersion: k_m depends on the
+    sound speed too.
+
+    The entry holds both objects, so their ids cannot be reused while it is
+    stored; a computation that raises stores nothing.
+    """
+    global _last_k
+    b, m = pm_in.bands, pm_in.material
+    last_bands, last_material, ks = _last_k
+    if b is not last_bands or m is not last_material:
+        n_p1, n_p2, n_t = _band_indices(m, b)
+        k_p1 = _optical_k(n_p1, b.omega_p1)
+        k_p2 = _optical_k(n_p2, b.omega_p2)
+        ks = (_optical_k(n_t, b.omega_t), k_p1, k_p2, _k_acoustic(pm_in))
+        _last_k = (b, m, ks)
+    return ks
 
 
 def pm_efficiency(delta_k: float, length: float) -> float:
@@ -153,15 +175,18 @@ def pm_efficiency(delta_k: float, length: float) -> float:
     np.sinc's, on one float: x = u/pi, y = pi*x with 1e-20 standing in for
     x = 0, sin(y)/y.
     """
-    return _sinc2(_reals(delta_k, "delta_k"), _reals(length, "length"))
+    dk, L = _reals(delta_k, "delta_k"), _reals(length, "length")
+    if not math.isfinite(dk):
+        raise ValueError(f"delta_k must be finite, got {dk}")
+    if not (L > 0 and math.isfinite(L)):
+        raise ValueError(f"length must be positive and finite, got {L}")
+    return _sinc2(dk, L)
 
 
 def _sinc2(delta_k: float, length: float) -> float:
-    """pm_efficiency for a mismatch and a length that are floats."""
-    if not math.isfinite(delta_k):
-        raise ValueError(f"delta_k must be finite, got {delta_k}")
-    if not (length > 0 and math.isfinite(length)):
-        raise ValueError(f"length must be positive and finite, got {length}")
+    """pm_efficiency for a mismatch and a positive finite length that are
+    floats.  A mismatch that is not finite makes x not finite, and
+    non_finite_error then names it."""
     x = delta_k * length / 2.0 / math.pi
     if not math.isfinite(x):
         raise non_finite_error("delta_k * length", delta_k=delta_k, length=length)
@@ -174,9 +199,7 @@ def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
     k_pol = _k_grating(pm_in)
     dk = k_t - k_p1 - k_p2 - k_m - k_pol
-    return PhaseMatchResult(
-        k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_pol, delta_k=dk,
-        efficiency=_sinc2(dk, pm_in.length))
+    return PhaseMatchResult(k_t, k_p1, k_p2, k_m, k_pol, dk, _sinc2(dk, pm_in.length))
 
 
 def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
@@ -224,17 +247,20 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     """
     if (pump := _integer(pump_choice)) not in (1, 2):
         raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
-    b, m, i = pm_in.bands, pm_in.material, pump - 1
+    b, m = pm_in.bands, pm_in.material
+    last_bands, last_material, ks = _last_k
+    # The pump and phonon wavevectors come from _k_bare's entry when it holds
+    # this design (ks is (k_t, k_p1, k_p2, k_m)); else they are computed here,
+    # pump first and phonon last, so a failing design raises the same error.
+    hit = b is last_bands and m is last_material
     omega_p = b.omega_p1 if pump == 1 else b.omega_p2
-    k_p = _optical_k(refractive_index(m, b.wavelengths[i], b.axes[i]), omega_p)
+    k_p = ks[pump] if hit else _optical_k(
+        refractive_index(m, b.wavelengths[pump - 1], b.axes[pump - 1]), omega_p)
     omega_t3 = omega_p + b.omega_m
     k_t3 = _optical_k(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
-    dk3 = k_t3 - k_p - _k_acoustic(pm_in) - _k_grating(pm_in)
+    dk3 = k_t3 - k_p - (ks[3] if hit else _k_acoustic(pm_in)) - _k_grating(pm_in)
     supp = _sinc2(dk3, pm_in.length)
-    return ThreeWaveResidual(
-        delta_k_3wm=dk3,
-        suppression=supp,
-        phase_matched=(dk3 == 0.0 or supp > 1.0 - 1e-12))
+    return ThreeWaveResidual(dk3, supp, dk3 == 0.0 or supp > 1.0 - 1e-12)
 
 
 def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, PhaseMatchResult]]:

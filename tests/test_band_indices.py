@@ -1,9 +1,13 @@
-"""One index lookup per band per design.
+"""One index lookup and one wavevector per band per design.
 
 The Miller chain, delta_k and poling_period read a design's three band
-indices through one lookup that remembers the last (bands, dispersion) pair;
-three_wave_residual looks up its own two bands.  These tests pin the number
-of lookups and that a remembered index is never a stale one.
+indices through one lookup that remembers the last (bands, dispersion) pair.
+delta_k and poling_period share the design's four wavevectors through one
+entry that remembers the last (bands, material) pair, and each three-wave
+channel takes its pump and phonon wavevectors from that entry, so it looks
+up only its own omega_p + omega_m band.  These tests pin the number of
+lookups and wavevector evaluations, and that a remembered index or
+wavevector is never a stale one.
 """
 
 import sys
@@ -16,8 +20,8 @@ from hypothesis import given, settings
 from transduce.errors import RangeError, TransduceError
 from transduce.estimator import MixingBands, second_order_photoelasticity
 from transduce.materials import DispersionModel, refractive_index
-from transduce.phasematch import (PhaseMatchInput, delta_k, poling_period, sweep,
-                                  three_wave_residual)
+from transduce.phasematch import (PhaseMatchInput, _optical_k, delta_k, poling_period,
+                                  sweep, three_wave_residual)
 
 from conftest import designs, make_material
 
@@ -48,15 +52,28 @@ def fresh_copy(m):
 
 
 class TestLookupCount:
-    def test_one_design_looks_up_seven_indices(self, bto, bto_bands, count_calls):
+    def test_one_design_looks_up_five_indices(self, bto, bto_bands, count_calls):
         calls = count_calls(refractive_index)
         out = design_outputs(bto, bto_bands)
         assert len(out) == 6 and not isinstance(out[-1], tuple)
-        # Three for the chain, shared by delta_k and poling_period; two for
-        # each three-wave channel: its pump and its omega_p + omega_m output.
+        # Three for the chain, shared by delta_k and poling_period; one for
+        # each three-wave channel, its omega_p + omega_m output: the pump
+        # comes with the design's wavevectors.
         (l1, l2, lt), (a1, a2, at) = bto_bands.wavelengths, bto_bands.axes
         assert [c[1:] for c in calls[:3]] == [(l1, a1), (l2, a2), (lt, at)]
-        assert len(calls) == 7
+        assert [c[2] for c in calls[3:]] == [at, at]
+        assert len(calls) == 5
+
+    def test_one_design_evaluates_five_optical_wavevectors(self, bto, bto_bands,
+                                                          count_calls):
+        calls = count_calls(_optical_k)
+        out = design_outputs(bto, bto_bands)
+        assert len(out) == 6 and not isinstance(out[-1], tuple)
+        # k_p1, k_p2 and k_t once for delta_k, poling_period and the poled
+        # delta_k; k_t3 for each three-wave channel.
+        b = bto_bands
+        assert [c[1] for c in calls] == [b.omega_p1, b.omega_p2, b.omega_t,
+                                         b.omega_p1 + b.omega_m, b.omega_p2 + b.omega_m]
 
     def test_poling_period_sweep_looks_up_three_indices(self, bto, bto_bands,
                                                         count_calls):
@@ -92,6 +109,30 @@ class TestNoStaleIndex:
             assert second_order_photoelasticity(m, bto_bands).n_bands == expected[id(m)]
             assert delta_k(pm_ins[id(m)]) == delta_k(
                 PhaseMatchInput(bto_bands, fresh_copy(m), LENGTH))
+
+    def test_a_material_sharing_the_dispersion_gets_its_own_wavevectors(
+            self, bto, bto_bands):
+        # m.replace(v_sound=...) keeps m.dispersion, so the indices are shared
+        # and reused; k_m, and with it every mismatch, must not be.
+        slow = bto.replace(v_sound={"longitudinal": 3000.0})
+        assert slow.dispersion is bto.dispersion
+
+        def phase_outputs(m):
+            pm_in = PhaseMatchInput(bto_bands, m, LENGTH)
+            period, sign = poling_period(pm_in)
+            poled = PhaseMatchInput(bto_bands, m, LENGTH, period, sign)
+            return (delta_k(pm_in), (period, sign), delta_k(poled),
+                    three_wave_residual(poled, 1), three_wave_residual(poled, 2))
+        expected = {id(m): phase_outputs(fresh_copy(m)) for m in (bto, slow)}
+        assert expected[id(bto)][0].k_m != expected[id(slow)][0].k_m
+        for m in (bto, slow, slow, bto, slow):
+            assert phase_outputs(m) == expected[id(m)]
+        # A three-wave channel right after the other material's delta_k.
+        for m, last in ((bto, slow), (slow, bto)):
+            delta_k(PhaseMatchInput(bto_bands, last, LENGTH))
+            period, sign = expected[id(m)][1]
+            poled = PhaseMatchInput(bto_bands, m, LENGTH, period, sign)
+            assert three_wave_residual(poled, 2) == expected[id(m)][4]
 
     def test_a_model_built_from_lists_does_not_change_with_them(self, bto, bto_bands):
         # The lists were stored as given, so editing one after a lookup
@@ -147,22 +188,25 @@ def test_every_band_is_looked_up_before_any_wavevector_is_checked():
 
 
 def test_threads_sharing_the_last_lookup_read_their_own_indices():
-    # The remembered entry is one tuple, read and replaced whole, so no
-    # thread pairs one design's bands with another design's indices.
-    pairs = [(make_material(n_points=((1.0e-6, 2.0 + 0.1 * i), (3.0e-6, 2.0))),
+    # The remembered entries are tuples, read and replaced whole, so no
+    # thread pairs one design's bands with another design's indices or
+    # wavevectors, in delta_k or in a three-wave channel.
+    pairs = [(make_material(n_points=((1.0e-6, 2.0 + 0.1 * i), (3.0e-6, 2.0)),
+                            v_sound={"longitudinal": 5000.0 + 100.0 * i}),
               MixingBands.from_vacuum_wavelengths(2.6e-6 - i * 1e-8, 2.6e-6, 2e9))
              for i in range(6)]
-    expected = [(second_order_photoelasticity(m, b).n_bands,
-                 delta_k(PhaseMatchInput(b, fresh_copy(m), LENGTH))) for m, b in pairs]
+
+    def outputs(m, b):
+        pm_in = PhaseMatchInput(b, m, LENGTH, poling_period=2.5e-6)
+        return (second_order_photoelasticity(m, b).n_bands, delta_k(pm_in),
+                three_wave_residual(pm_in, 1), three_wave_residual(pm_in, 2))
+    expected = [outputs(fresh_copy(m), b) for m, b in pairs]
     wrong = []
 
     def work(k):
         for _ in range(200):
             for j in (k, (k + 1) % len(pairs)):
-                m, b = pairs[j]
-                got = (second_order_photoelasticity(m, b).n_bands,
-                       delta_k(PhaseMatchInput(b, m, LENGTH)))
-                if got != expected[j]:
+                if outputs(*pairs[j]) != expected[j]:
                     wrong.append(j)
 
     interval = sys.getswitchinterval()

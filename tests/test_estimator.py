@@ -50,7 +50,11 @@ class TestMixingBands:
     @pytest.mark.parametrize("args, name", [
         ((0.0, 2.6e-6, 2e9), "lambda_p1"), ((2.6e-6, -2.6e-6, 2e9), "lambda_p2"),
         ((math.inf, 2.6e-6, 2e9), "lambda_p1"), ((2.6e-6, math.nan, 2e9), "lambda_p2"),
-        ((2.6e-6, 2.6e-6, math.nan), "phonon_hz"), ((2.6e-6, 2.6e-6, -1.0), "phonon_hz")])
+        ((2.6e-6, 2.6e-6, math.nan), "phonon_hz"), ((2.6e-6, 2.6e-6, -1.0), "phonon_hz"),
+        # Finite inputs whose omega overflows are named by the omega.
+        ((5e-324, 2.6e-6, 2e9), "^omega_p1 must be positive and finite, got inf$"),
+        ((2.6e-6, 5e-324, 2e9), "^omega_p2 must be positive and finite, got inf$"),
+        ((2.6e-6, 2.6e-6, 1e308), "^omega_m must be finite and >= 0, got inf$")])
     def test_bad_wavelength_or_phonon_rejected_by_name(self, args, name):
         with pytest.raises(ValueError, match=name):
             MixingBands.from_vacuum_wavelengths(*args)
