@@ -1,11 +1,14 @@
 """The base of the package's frozen value types.
 
-Each type names its fields in ``_fields`` and stores them from its own
-``__init__`` with one ``self.__dict__.update(...)``.  Repr, ``==`` and the
-hash follow ``_fields`` as a frozen dataclass's do, but nothing is generated
-with ``exec`` at import time, and neither the decorator's module nor
-``inspect`` is imported.  A mapping field is stored as a ``FrozenDict``, so
-editing it, or the dict it was built from, cannot change the record.
+Each type stores its fields from its own ``__init__`` with one
+``self.__dict__.update(...)``.  Its fields, ``_fields``, are the positional
+parameters of that ``__init__`` in order, then the ones it derives
+(``_computed``), so a record declares each field once, in its constructor.
+Repr, ``==`` and the hash follow ``_fields`` as a frozen dataclass's do, but
+nothing is generated with ``exec`` at import time, and neither the
+decorator's module nor ``inspect`` is imported.  A mapping field is stored
+as a ``FrozenDict``, so editing it, or the dict it was built from, cannot
+change the record.
 """
 
 from operator import attrgetter
@@ -18,6 +21,9 @@ class Record:
     _computed: tuple[str, ...] = ()     # fields __init__ derives, not takes
 
     def __init_subclass__(cls):
+        # The names of __init__'s positional parameters, after self.
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount] + cls._computed
         # The field values as one tuple, also for a single field.
         get = attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))

@@ -74,8 +74,6 @@ class MixingBands(Record):
     photoelastic tensors driven by that mode.
     """
 
-    _fields = ("omega_p1", "omega_p2", "omega_m", "axes", "acoustic_mode",
-               "strain_voigt", "omega_t")
     _computed = ("omega_t",)
 
     def __init__(self, omega_p1: float, omega_p2: float, omega_m: float,
@@ -106,6 +104,8 @@ class MixingBands(Record):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
         if (sv := _integer(strain_voigt)) is None or not 0 <= sv <= 5:
             raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")
+        if not isinstance(acoustic_mode, str):  # a key of the sound speed table
+            raise ValueError(f"acoustic_mode must be a string, got {acoustic_mode}")
         wt = w1 + w2 + wm
         # wavelengths: the vacuum wavelengths (m) of (pump1, pump2, transduced).
         self.__dict__.update(
@@ -135,8 +135,6 @@ class MixingBands(Record):
 
 class MillerChain(Record):
     """Every intermediate of the q_eff estimate, for reporting and audits."""
-
-    _fields = ("n_bands", "p_entries", "d_eff", "eta1_rel_bands", "eta2", "Q", "q_eff")
 
     def __init__(self, n_bands: tuple[float, float, float],
                  p_entries: tuple[float, float, float], d_eff: float,
@@ -174,8 +172,6 @@ def _mode_area(mfd) -> float:
 class PumpGeometry(Record):
     """Guided pump: power (W), mode-field diameter (m), modal index."""
 
-    _fields = ("power", "mfd", "n_mode")
-
     def __init__(self, power: float, mfd: float, n_mode: float):
         power, d = _check_power(power), _mfd(mfd)
         if not 0 < (n := _reals(n_mode, "n_mode")) < math.inf:
@@ -185,8 +181,6 @@ class PumpGeometry(Record):
 
 class CouplingBenchmark(Record):
     """A published coupling rate against which scalings are expressed."""
-
-    _fields = ("g0_ref", "label")
 
     def __init__(self, g0_ref: float, label: str):     # g0_ref in rad/s
         if not 0 < (g := _reals(g0_ref, "g0_ref")) < math.inf:
@@ -466,9 +460,6 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
 class SweepRow(Record):
     """One power grid point of a pump sweep (all SI)."""
 
-    _fields = ("power_w", "peak_field_v_per_m", "intensity_w_per_m2", "p_virt",
-               "p_virt_over_p_nominal", "intensity_over_threshold", "g_scaled_rad_per_s")
-
     def __init__(self, power_w: float, peak_field_v_per_m: float,
                  intensity_w_per_m2: float, p_virt: float, p_virt_over_p_nominal: float,
                  intensity_over_threshold: float, g_scaled_rad_per_s: float):
@@ -487,8 +478,6 @@ POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,
 
 class DesignReport(Record):
     """Sweep output bundle: chain, rows, and the caveats that qualify them."""
-
-    _fields = ("material", "chain", "p_nominal", "benchmark", "rows", "notes")
 
     def __init__(self, material: str, chain: MillerChain, p_nominal: float,
                  benchmark: CouplingBenchmark, rows: tuple[SweepRow, ...],

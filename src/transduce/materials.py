@@ -62,8 +62,6 @@ class DispersionModel(Record):
     table its ``kind`` names; every number is read by ``errors._reals``.
     """
 
-    _fields = ("kind", "valid_range_m", "points", "sellmeier")
-
     def __init__(self, kind: str, valid_range_m: tuple[float, float],
                  points: tuple[tuple[float, float, float, float], ...] | None = None,
                  sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None):
@@ -142,9 +140,6 @@ class DispersionModel(Record):
 class Material(Record):
     """One optical material with everything the estimation chain consumes."""
 
-    _fields = ("name", "dispersion", "photoelastic", "photoelastic_note", "d_eff",
-               "eps_r", "v_sound", "damage_threshold", "qpm_order")
-
     def __init__(self, name: str, dispersion: DispersionModel,
                  photoelastic: PhotoelasticTensor, photoelastic_note: str,
                  d_eff: float,                      # m/V, sign allowed
@@ -168,8 +163,6 @@ class Material(Record):
 class MaterialDb(Record):
     """Immutable name -> Material map loaded from one schema-1 file."""
 
-    _fields = ("materials",)
-
     def __init__(self, materials: dict[str, Material]):
         self.__dict__.update(materials=FrozenDict(materials))
 
@@ -187,8 +180,6 @@ class MaterialDb(Record):
 
 class Violation(Record):
     """Machine-readable invariant violation found by validate_material."""
-
-    _fields = ("field", "rule", "value")
 
     def __init__(self, field: str, rule: str, value: object):
         self.__dict__.update(field=field, rule=rule, value=value)

@@ -88,8 +88,6 @@ def _acoustic_k(omega_m: float, v_s: float) -> float:
 class PhaseMatchInput(Record):
     """Bands, material, interaction length (m), and optional poling grating."""
 
-    _fields = ("bands", "material", "length", "poling_period", "poling_sign")
-
     def __init__(self, bands: MixingBands, material: Material, length: float,
                  poling_period: float | None = None, poling_sign: int = 1):
         if not 0 < (L := _reals(length, "length")) < math.inf:
@@ -113,8 +111,6 @@ class PhaseMatchResult(Record):
     ``k_poling`` is 0 when there is no grating; ``efficiency`` is
     sinc^2(delta_k L / 2), in [0, 1].
     """
-
-    _fields = ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency")
 
     def __init__(self, k_t: float, k_p1: float, k_p2: float, k_m: float,
                  k_poling: float, delta_k: float, efficiency: float):
@@ -227,8 +223,6 @@ class ThreeWaveResidual(Record):
     ``phase_matched`` flags a degenerate configuration.
     """
 
-    _fields = ("delta_k_3wm", "suppression", "phase_matched")
-
     def __init__(self, delta_k_3wm: float, suppression: float, phase_matched: bool):
         self.__dict__.update(delta_k_3wm=delta_k_3wm, suppression=suppression,
                              phase_matched=phase_matched)
@@ -267,9 +261,10 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     """Re-evaluate delta_k over a grid of one design variable.
 
     ``variable`` is ``"pump-wavelength"`` (both pumps move together, m) or
-    ``"poling-period"`` (m).  Returns (value, result) pairs in grid order;
-    evaluations are independent, so order is deterministic.  Any other
-    ``variable`` raises ValueError, even with an empty grid.
+    ``"poling-period"`` (m).  ``values`` is a nonempty grid.  Returns
+    (value, result) pairs in grid order; evaluations are independent, so
+    order is deterministic.  Any other ``variable`` raises ValueError, even
+    with an empty grid, and is named before the grid is read.
     """
     b, m, length, sign = pm_in.bands, pm_in.material, pm_in.length, pm_in.poling_sign
     if variable == "pump-wavelength":
@@ -284,7 +279,9 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     else:
         raise ValueError(
             f"variable must be 'pump-wavelength' or 'poling-period', got {variable!r}")
-    return [(v, delta_k(probe(v))) for v in _reals(values, "values", 1)]
+    if not (grid := _reals(values, "values", 1)):
+        raise ValueError("values must not be empty")
+    return [(v, delta_k(probe(v))) for v in grid]
 
 
 PHASEMATCH_SWEEP_CSV_HEADER = (
@@ -295,6 +292,5 @@ PHASEMATCH_SWEEP_CSV_HEADER = (
 def sweep_to_csv(rows: list[tuple[float, PhaseMatchResult]]) -> str:
     lines = [PHASEMATCH_SWEEP_CSV_HEADER]
     for v, r in rows:
-        lines.append(",".join(repr(x) for x in (
-            v, r.k_t, r.k_p1, r.k_p2, r.k_m, r.k_poling, r.delta_k, r.efficiency)))
+        lines.append(",".join(repr(x) for x in (v, *vars(r).values())))
     return "\n".join(lines) + "\n"

@@ -59,8 +59,6 @@ class PhotoelasticTensor(Record):
     The entries are stored as a tuple of six row tuples of floats.
     """
 
-    _fields = ("entries",)
-
     def __init__(self, entries):
         self.__dict__.update(entries=_float_rows(
             entries, 6, "entries", "photoelastic tensor must be 6x6 numbers", nrows=6))

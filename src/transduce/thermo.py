@@ -190,8 +190,6 @@ class FreeEnergyModel(Record):
     A(0, 0) = 0 by construction and the model is smooth everywhere.
     """
 
-    _fields = ("c", "h", "eta1", "eta2", "p", "q")
-
     def __init__(self, c: float = 0.0, h: float = 0.0, eta1: float = 0.0,
                  eta2: float = 0.0, p: float = 0.0, q: float = 0.0):
         self.__dict__.update(_coefficients((c, h, eta1, eta2, p, q), (0,) * 6))
@@ -244,10 +242,6 @@ class RelationReport(Record):
     that dominate the residuals; an un-nested first D-derivative uses the
     smaller eps_machine^(1/3) scale (FD_STEP_SMALL).  A NaN residual fails.
     """
-
-    _fields = ("order1_residual", "order2_residual", "order3_residual",
-               "factor2_residual", "fd_step_used", "tol", "order1_passed",
-               "order2_passed", "order3_passed", "factor2_passed")
 
     def __init__(self, order1_residual: float, order2_residual: float,
                  order3_residual: float, factor2_residual: float, fd_step_used: float,
@@ -353,8 +347,6 @@ class VectorFreeEnergyModel(Record):
     symmetry eta2[m][k][l] == eta2[m][l][k] therefore holds by construction
     rather than by assertion.
     """
-
-    _fields = ("c", "h", "eta1", "eta2", "p", "q")
 
     def __init__(self, c: float, h, eta1, eta2, p, q):
         self.__dict__.update(_coefficients((c, h, eta1, eta2, p, q), (0, 1, 2, 3, 2, 3)))

@@ -35,8 +35,6 @@ TWO_PI_C = TWO_PI * C_LIGHT     # vacuum wavelength * angular frequency (m/s)
 class Dimension(Record):
     """SI dimension exponents: length, mass, time, electric current."""
 
-    _fields = ("m", "kg", "s", "a")
-
     def __init__(self, m: int = 0, kg: int = 0, s: int = 0, a: int = 0):
         self.__dict__.update(m=m, kg=kg, s=s, a=a)
 
@@ -79,8 +77,6 @@ ETA2 = VOLT_PER_METER / (COULOMB_PER_M2 ** 2)
 
 class Quantity(Record):
     """A float tagged with its SI dimension; arithmetic propagates both."""
-
-    _fields = ("value", "dim")
 
     def __init__(self, value: float, dim: Dimension = DIMENSIONLESS):
         self.__dict__.update(value=value, dim=dim)

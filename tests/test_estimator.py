@@ -63,10 +63,14 @@ class TestMixingBands:
         ({"axes": (0.0, 1.0, 2.0)}, "axes must be three indices in 0..2, got (0.0, 1.0, 2.0)"),
         ({"axes": (0, True, 2)}, "axes must be three indices in 0..2, got (0, True, 2)"),
         ({"strain_voigt": 2.0}, "strain_voigt must be in 0..5, got 2.0"),
-        ({"strain_voigt": False}, "strain_voigt must be in 0..5, got False")])
+        ({"strain_voigt": False}, "strain_voigt must be in 0..5, got False"),
+        ({"acoustic_mode": ["x"]}, "acoustic_mode must be a string, got ['x']"),
+        ({"acoustic_mode": None}, "acoustic_mode must be a string, got None")])
     def test_float_or_bool_index_is_rejected(self, kw, message):
         # 1.0 and True compare equal to 1, so these passed, and the chain
         # then failed on a float tuple index or read the axis a bool names.
+        # A mode that is no string passed too, and a later delta_k raised a
+        # bare TypeError looking it up in the sound speed table.
         with pytest.raises(ValueError) as exc:
             MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9, **kw)
         assert str(exc.value) == message

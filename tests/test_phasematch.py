@@ -339,6 +339,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="variable"):    # it returned []
             sweep(pm, "temperature", [])
 
+    @pytest.mark.parametrize("grid", [[], np.empty(0)], ids=["list", "array"])
+    @pytest.mark.parametrize("variable", ["pump-wavelength", "poling-period"])
+    def test_empty_grid_is_rejected(self, bto, bto_bands, variable, grid):
+        # It returned [], a sweep that held nothing yet raised nothing.
+        pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
+        with pytest.raises(ValueError, match="^values must not be empty$"):
+            sweep(pm, variable, grid)
+
     def test_csv_round_trip(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
         rows = sweep(pm, "poling-period", [2.0e-6, 3.0e-6])

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from transduce._record import Record
 from transduce.estimator import (CouplingBenchmark, DesignReport, MillerChain,
                                  MixingBands, PumpGeometry, SweepRow)
 from transduce.materials import DispersionModel, Material, MaterialDb, Violation
@@ -173,6 +174,11 @@ def test_every_value_type_has_a_case():
 
 
 @cases
+def test_fields_are_the_constructor_parameters(name, build, text, fields, extra, change):
+    assert type(build())._fields == fields
+
+
+@cases
 def test_repr(name, build, text, fields, extra, change):
     assert repr(build()) == text
 
@@ -267,3 +273,35 @@ class TestReplace:
         obj = build()
         with pytest.raises(TypeError, match=name):
             obj.replace(**{name: 1.0})
+
+
+
+@pytest.fixture
+def pair():
+    # Defined in the test, since a base that cannot derive the fields fails
+    # on the class statement itself.
+    class Pair(Record):
+        """A record that declares its fields only in its constructor."""
+
+        def __init__(self, left, right=0.0):
+            total = left + right        # a local of __init__, not a field
+            self.__dict__.update(left=left, right=right, total=total)
+
+    return Pair
+
+
+class TestFieldsFromTheConstructor:
+    def test_fields_are_the_positional_parameters(self, pair):
+        assert pair._fields == ("left", "right")
+
+    def test_repr_equality_and_hash_follow_them(self, pair):
+        a, b = pair(1.0, 2.0), pair(1.0, 2.0)
+        assert repr(a) == f"{pair.__qualname__}(left=1.0, right=2.0)"
+        assert a == b and a != pair(1.0, 3.0)
+        assert hash(a) == hash(b) == hash((1.0, 2.0))
+
+    def test_replace_rebuilds_from_them(self, pair):
+        c = pair(1.0, 2.0).replace(right=5.0)
+        assert c == pair(1.0, 5.0) and c.total == 6.0
+        with pytest.raises(TypeError, match="total"):
+            pair(1.0).replace(total=0.0)
