@@ -33,6 +33,11 @@ still composes ``Quantity`` objects at run time (see its comment).  A result
 that is not finite raises the ValueError of ``errors.non_finite_error``,
 which names the inputs, so no infinity reaches a report.
 
+Each band's photoelastic entry p[axis, axis; strain] is read as
+``entries[axis][strain_voigt]``: in the Voigt order (00, 11, 22, 12, 02, 01)
+a diagonal pair packs to its axis, so the chain needs no packing table, and
+``tensors`` serves the material database alone.
+
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
 which remembers the last bands and dispersion objects it was given.  Each
@@ -50,7 +55,6 @@ import sys
 from ._record import Record
 from .errors import DataError, SingularityError, _integer, _reals, non_finite_error
 from .materials import Material, refractive_index
-from .tensors import _VOIGT_OF_PAIR
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
 
@@ -357,7 +361,8 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     """Run the full Miller's-rule chain for ``m`` on the given bands.
 
     Looks up the refractive index of each band at its polarization axis, the
-    photoelastic entry p[axis, axis; strain] for each band, and the material
+    photoelastic entry p[axis, axis; strain] for each band (row ``axis`` of
+    the Voigt table, column ``strain_voigt``), and the material
     d_eff (reduced by 2/(qpm_order*pi) only when a poling grating is actually
     in use, i.e. ``apply_qpm_reduction=True``).  Raises DataError if a needed
     photoelastic entry is unmeasured (stored null).
@@ -365,14 +370,13 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     ns = _band_indices(m, bands)
     ps = []
     for axis in bands.axes:
-        # MixingBands stores its axes as ints in 0..2, so the pair is packed
-        # without voigt_index checking it again.
-        v = _VOIGT_OF_PAIR[axis, axis]
-        entry = m.photoelastic.entries[v][bands.strain_voigt]
+        # The pair (axis, axis) packs to ``axis``, and MixingBands stores its
+        # axes as ints in 0..2, so the axis is the row.
+        entry = m.photoelastic.entries[axis][bands.strain_voigt]
         if math.isnan(entry):
             raise DataError(
                 f"material '{m.name}' has no photoelastic entry "
-                f"[{v}][{bands.strain_voigt}] (axis {axis}, strain column "
+                f"[{axis}][{bands.strain_voigt}] (axis {axis}, strain column "
                 f"{bands.strain_voigt}) required by these bands")
         ps.append(entry)
     ps = tuple(ps)

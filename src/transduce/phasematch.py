@@ -260,8 +260,12 @@ def three_wave_residual(pm_in: PhaseMatchInput,
 def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, PhaseMatchResult]]:
     """Re-evaluate delta_k over a grid of one design variable.
 
-    ``variable`` is ``"pump-wavelength"`` (both pumps move together, m) or
-    ``"poling-period"`` (m).  ``values`` is a nonempty grid.  Returns
+    ``variable`` is ``"pump-wavelength"`` (m) or ``"poling-period"`` (m).
+    A pump-wavelength value sets both pumps to it, so that sweep runs over
+    degenerate designs even when the two pumps of ``pm_in`` differ: it keeps
+    the phonon, axes, acoustic mode and strain column of ``pm_in.bands``,
+    the material, the length and the grating, but neither pump wavelength.
+    ``values`` is a nonempty grid.  Returns
     (value, result) pairs in grid order; evaluations are independent, so
     order is deterministic.  Any other ``variable`` raises ValueError, even
     with an empty grid, and is named before the grid is read.

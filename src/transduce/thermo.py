@@ -38,7 +38,10 @@ terms cannot pollute an O(1) linear coefficient (the piezoelectric term in
 dX/dD).  A residual that is NaN (a difference that overflowed) fails.
 
 Every function reads its strain, displacement and tolerance arguments with
-``errors._reals``, so a numpy scalar gives the plain float a float gives.
+``errors._reals``, so a numpy scalar gives the plain float a float gives, and
+each value of a callable it differentiates with ``errors._real``: one that
+is no real number (a str, None, an array, a complex) is a ValueError naming
+the callable and the point.
 """
 
 from __future__ import annotations
@@ -83,18 +86,31 @@ def _diff(f, at: float, order: int, scale: float) -> float:
     return (4.0 * base(h) - base(2.0 * h)) / 3.0
 
 
+def _value(f, point: list[float], name: str) -> float:
+    """``f(*point)`` read by ``errors._real``: a ValueError names the callable
+    ``name`` and the point if it returned no real number."""
+    value = f(*point)
+    if type(value) is float:
+        return value
+    if (real := _real(value)) is None:
+        raise ValueError(f"{name} must return a real number, got {value!r} "
+                         f"at point {tuple(point)}")
+    return real
+
+
 def _partial(f, point: list[float], axes: tuple[int, ...],
-             nested: bool = False) -> float:
+             nested: bool = False, name: str = "f") -> float:
     """Nested central differences of f(*point) along the sorted ``axes``.
 
     ``point`` is [x, D_1, ..., D_n]: axis 0 is the strain, axis k > 0 the
     D-component k.  Each pass moves its coordinate in place and restores it.
     A run of repeated axes is one higher-order stencil, so (1, 1, 2) costs a
     second-order pass along D_1 around a first-order pass along D_2.  Only an
-    un-nested first-order D pass takes the small step.
+    un-nested first-order D pass takes the small step.  Each value of ``f``
+    is read by ``_value``, which names ``f`` as ``name``.
     """
     if not axes:
-        return f(*point)
+        return _value(f, point, name)
     axis = axes[0]
     order = axes.count(axis)
     rest = axes[order:]
@@ -102,7 +118,7 @@ def _partial(f, point: list[float], axes: tuple[int, ...],
 
     def along(val: float) -> float:
         point[axis] = val
-        return _partial(f, point, rest, nested=True) if rest else f(*point)
+        return _partial(f, point, rest, True, name) if rest else _value(f, point, name)
 
     small = axis > 0 and order == 1 and not (nested or rest)
     d = _diff(along, at, order, FD_STEP_SMALL if small else FD_STEP_LARGE)
@@ -282,12 +298,12 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
     for order in (1, 2, 3):
         for axes in combinations_with_replacement(range(1, n + 1), order):
             inner, e_m = axes[:-1], efield[axes[-1] - 1]
-            lhs = _partial(stress, origin, axes)
-            rhs = _partial(e_m, origin, (0, *inner))
+            lhs = _partial(stress, origin, axes, name="stress_fn")
+            rhs = _partial(e_m, origin, (0, *inner), name="efield_fn")
             resids[order - 1].append(_relative(lhs, rhs))
             if order == 3:
                 rhs_f2 = 2.0 * _partial(
-                    lambda *p: 0.5 * _partial(e_m, list(p), inner, nested=True),
+                    lambda *p: 0.5 * _partial(e_m, list(p), inner, True, "efield_fn"),
                     origin, (0,))
                 resids[3].append(_relative(lhs, rhs_f2))
     r1, r2, r3, rf = (max(r, key=_nan_first) for r in resids)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -578,6 +580,15 @@ class TestImportPath:
     def test_command_loads_only_its_layers(self, argv, layers):
         code = f"from transduce import cli\nassert cli.main({argv!r}) == 0"
         assert fresh_imports(code)["layers"] == layers
+
+    def test_only_the_material_database_imports_tensors(self):
+        # The Miller chain reads a band's entry by its axis, so folding
+        # tensors into materials touches no other module.
+        importers = sorted(
+            path.stem for path in Path(cli.__file__).parent.glob("*.py")
+            if any(isinstance(node, ast.ImportFrom) and node.module == "tensors"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+        assert importers == ["materials"]
 
     def test_thermo_loads_no_other_layer_and_no_numpy(self):
         # The two-component model stores floats and contracts them itself.

@@ -17,6 +17,7 @@ from transduce.estimator import (CouplingBenchmark, MixingBands,
                                  second_order_photoelasticity,
                                  virtual_photoelasticity)
 from transduce.materials import refractive_index
+from transduce.tensors import voigt_index
 from transduce.units import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0,
                              EPS0_Q, ETA2, JOULE_PER_M3, METER, METER_PER_VOLT,
                              M2_PER_COULOMB, Quantity, VOLT_PER_METER, WATT,
@@ -258,6 +259,29 @@ class TestSecondOrderPhotoelasticity:
         m = make_material(p_entries={(2, 2): math.nan})
         with pytest.raises(DataError, match=r"\[2\]\[2\]"):
             second_order_photoelasticity(m, bto_bands)
+
+    @pytest.mark.parametrize("strain", range(6))
+    def test_each_band_reads_its_diagonal_voigt_entry(self, strain):
+        # Every cell distinct, so a wrong row or column shows; each axis
+        # triple puts every axis at every band position.
+        m = make_material(p_entries={(v, w): 0.01 * (6 * v + w + 1)
+                                     for v in range(6) for w in range(6)})
+        for axes in [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 2, 1)]:
+            bands = MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9, axes=axes,
+                                                        strain_voigt=strain)
+            chain = second_order_photoelasticity(m, bands)
+            assert chain.p_entries == tuple(m.photoelastic.entries[voigt_index(a, a)][strain]
+                                            for a in axes)
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_missing_p_entry_names_its_axis_and_column(self, axis):
+        m = make_material(p_entries={(axis, 4): math.nan})
+        bands = MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9,
+                                                    axes=(axis, axis, axis), strain_voigt=4)
+        with pytest.raises(DataError) as exc:
+            second_order_photoelasticity(m, bands)
+        assert str(exc.value) == (f"material 'fix' has no photoelastic entry [{axis}][4] "
+                                  f"(axis {axis}, strain column 4) required by these bands")
 
     def test_overflowing_miller_constant_is_named(self, bto_bands):
         # Bands at n = 1 + 2^-52 and a huge d_eff: Q was -inf, q_eff finite.

@@ -1,0 +1,42 @@
+"""Every output of the toolkit, replayed against the committed goldens.
+
+``tests/golden/regen.py`` defines the cases and wrote the goldens; its
+docstring says what they cover and how a change that moves one says so.
+"""
+
+import json
+
+import pytest
+
+from golden import regen
+
+CLI = json.loads((regen.HERE / "cli.json").read_text(encoding="utf-8"))
+DEMOS = json.loads((regen.HERE / "demos.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    regen.make_fixtures(path)
+    return path
+
+
+def test_every_case_has_a_golden():
+    assert list(CLI) == list(regen.CLI_CASES)
+    assert list(DEMOS) == [demo.name for demo in regen.DEMOS]
+
+
+@pytest.mark.parametrize("case", [*regen.CLI_CASES, *regen.DEMOS],
+                         ids=lambda c: getattr(c, "name", c))
+def test_output_matches_golden(case, workdir):
+    if case in regen.CLI_CASES:
+        assert regen.cli_golden(workdir, case) == CLI[case]
+    else:
+        assert regen.replay(workdir, demo=case) == DEMOS[case.name]
+
+
+def test_library_corpus_matches_golden():
+    texts = regen.corpus()
+    head = (regen.HERE / "library_head.txt").read_text(encoding="utf-8")
+    assert "".join(texts[:regen.HEAD_DESIGNS]).splitlines() == head.splitlines()
+    assert regen.sha256(texts) == (regen.HERE / "library.sha256").read_text().strip()

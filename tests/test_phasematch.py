@@ -332,6 +332,22 @@ class TestSweep:
         dks = [r.delta_k for _, r in rows]
         assert len(set(dks)) == len(dks)
 
+    def test_pump_wavelength_sweep_sets_both_pumps(self, bto):
+        # Each grid value is both pumps: a design's pump 2 is not kept (the
+        # CLI's --pump2 is unused), while its phonon, axes, acoustic mode,
+        # strain column, length and grating are.
+        m = bto.replace(v_sound={"longitudinal": 5000.0, "shear": 3000.0})
+        keep = dict(axes=(2, 0, 1), acoustic_mode="shear", strain_voigt=4)
+        bands = MixingBands.from_vacuum_wavelengths(2.5e-6, 2.7e-6, 3.7e9, **keep)
+        pm = PhaseMatchInput(bands, m, 100e-6, poling_period=2.6e-6, poling_sign=-1)
+        grid = np.linspace(2.5e-6, 2.7e-6, 5)
+        rows = sweep(pm, "pump-wavelength", grid)
+        assert [v for v, _ in rows] == list(grid)
+        for v, r in rows:
+            degenerate = MixingBands.from_vacuum_wavelengths(v, v, 3.7e9, **keep)
+            assert r == delta_k(pm.replace(bands=degenerate))
+        assert rows[0][1] != delta_k(pm)     # pump 1 is 2.5e-6, pump 2 was not
+
     def test_unknown_variable(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
         with pytest.raises(ValueError, match="variable"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from transduce.thermo import (FreeEnergyModel, VectorFreeEnergyModel,
+from transduce.thermo import (FD_STEP_SMALL, FreeEnergyModel, VectorFreeEnergyModel,
                               efield_of, efield_of_vector, eval_free_energy,
                               eval_free_energy_vector, extract_eta2,
                               fd_partial, stress_of, stress_of_vector,
@@ -360,3 +360,40 @@ def test_vector_model_stores_c_as_a_plain_float():
 def test_scalar_model_names_a_coefficient_that_is_no_number():
     with pytest.raises(ValueError, match="^coefficient eta2 must be a finite number, got 'x'$"):
         FreeEnergyModel(eta2="x")
+
+
+# A value that is no real number, returned by a callable the verifier
+# differentiates: named with the callable and the point it was evaluated at.
+NO_REAL_NUMBERS = {"str": "a", "None": None, "array": np.array([1.0]), "complex": 1j}
+
+
+@pytest.mark.parametrize("value", NO_REAL_NUMBERS.values(), ids=NO_REAL_NUMBERS)
+def test_fd_partial_names_a_callable_that_returns_no_real_number(value):
+    with pytest.raises(ValueError) as exc:
+        fd_partial(lambda x, D: value, (0.0, 0.0), (1, 0))
+    assert str(exc.value) == f"f must return a real number, got {value!r} at point (0.25, 0.0)"
+
+
+@pytest.mark.parametrize("value", NO_REAL_NUMBERS.values(), ids=NO_REAL_NUMBERS)
+@pytest.mark.parametrize("bad, point", [("stress_fn", (0.0, FD_STEP_SMALL)),
+                                        ("efield_fn", (0.25, 0.0))])
+def test_verify_relations_pair_names_a_callable_that_returns_no_real_number(
+        value, bad, point):
+    fns = {"stress_fn": lambda x, D: 0.0, "efield_fn": lambda x, D: 0.0,
+           bad: lambda x, D: value}
+    with pytest.raises(ValueError) as exc:
+        verify_relations_pair(**fns)
+    assert str(exc.value) == f"{bad} must return a real number, got {value!r} at point {point}"
+
+
+def test_complex_fields_are_no_pass():
+    with pytest.raises(ValueError, match="^stress_fn must return a real number"):
+        verify_relations_pair(lambda x, D: 1j * D, lambda x, D: 1j * x)
+
+
+def test_a_callable_may_return_an_int_or_a_numpy_scalar():
+    f = lambda x, D: x * D * D
+    for g in (lambda x, D: np.float64(f(x, D)), lambda x, D: np.float32(1.5),
+              lambda x, D: 3):
+        want = fd_partial(lambda x, D: float(g(x, D)), (0.5, 1.0), (1, 2))
+        assert fd_partial(g, (0.5, 1.0), (1, 2)) == want
