@@ -48,6 +48,21 @@ from .materials import (Material, MaterialDb, default_db, dumps_materials,
                         load_materials)
 
 ENV_DB = "TRANSDUCE_DB"
+# The two usages that argparse wraps differently from one Python version to
+# the next, written out (each option next to its metavar), so that every
+# Python prints the same bytes; tests/test_cli.py checks that each names
+# what argparse would.
+_USAGE = """%(prog)s [-h] [--version]
+                 {materials,estimate-q,field,sweep-power,phasematch,poling,verify-thermo}
+                 ..."""
+_SWEEP_POWER_USAGE = """%(prog)s [-h] [--db DB] --material MATERIAL --pump1 PUMP1
+                             --pump2 PUMP2 --phonon-ghz PHONON_GHZ
+                             [--axes AXES] [--acoustic-mode ACOUSTIC_MODE]
+                             [--strain-voigt STRAIN_VOIGT] --mfd MFD
+                             --n-mode N_MODE --pmin PMIN --pmax PMAX
+                             [--points POINTS] [--log]
+                             [--benchmark {piezo,crystal}] [--g0-ref G0_REF]
+                             [--p-nominal P_NOMINAL] [--csv]"""
 _BENCHMARKS = {"piezo": PIEZO_OPTOMECHANICAL_BENCHMARK,
                "crystal": OPTOMECHANICAL_CRYSTAL_BENCHMARK}
 
@@ -305,13 +320,14 @@ def _cmd_verify_thermo(args) -> tuple[int, list[str]]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="transduce",
+        prog="transduce", usage=_USAGE,
         description="Design calculations for optomechanical four-wave-mixing "
                     "transduction: second-order photoelasticity via Miller's "
                     "rule, pump-power scaling of the virtual photoelasticity, "
                     "quasi-phase-matching, and Maxwell-relation verification.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Each subcommand's prog is "transduce <name>", not the usage above.
+    sub = parser.add_subparsers(dest="command", required=True, prog="transduce")
 
     p = sub.add_parser("materials", help="list or show database entries")
     _add_db_flag(p)
@@ -334,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material", help="include damage margin for this material")
     p.set_defaults(func=_cmd_field)
 
-    p = sub.add_parser("sweep-power",
+    p = sub.add_parser("sweep-power", usage=_SWEEP_POWER_USAGE,
                        help="virtual photoelasticity and scalings vs. power")
     _add_band_flags(p)
     p.add_argument("--mfd", type=float, required=True)

@@ -40,11 +40,14 @@ a diagonal pair packs to its axis, so the chain needs no packing table, and
 
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
-which remembers the last bands and dispersion objects it was given.  Each
-argument is read once: from_vacuum_wavelengths hands the omegas it computed
-to MixingBands._store, which the constructor calls after reading its own,
-and PumpGeometry reads ``mfd`` once, through the same _mfd check as the
-mode area.
+which remembers the last bands and dispersion objects it was given.
+
+A user's argument is still read once.  from_vacuum_wavelengths reads and
+checks its wavelengths and phonon frequency, then passes the omegas it
+computes to the constructor, the only gate of a MixingBands: a float comes
+through ``errors._reals`` with one type test, and the constructor checks
+its range, so it names an omega that overflows.  PumpGeometry reads ``mfd``
+once, through the same _mfd check as the mode area.
 """
 
 from __future__ import annotations
@@ -89,11 +92,6 @@ class MixingBands(Record):
             raise ValueError(f"omega_p2 must be positive and finite, got {omega_p2}")
         if not 0 <= (wm := _reals(omega_m, "omega_m")) < math.inf:
             raise ValueError(f"omega_m must be finite and >= 0, got {omega_m}")
-        self._store(w1, w2, wm, axes, acoustic_mode, strain_voigt)
-
-    def _store(self, w1: float, w2: float, wm: float, axes=(0, 1, 2),
-               acoustic_mode: str = "longitudinal", strain_voigt: int = 2) -> None:
-        """Check the indices and store the bands, for omegas already read."""
         # Indices are stored as plain ints; a float or a bool is no index,
         # and a non-iterable is no triple of them.  A tuple of three plain
         # ints is kept as it is.
@@ -120,7 +118,9 @@ class MixingBands(Record):
     @classmethod
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
                                 phonon_hz: float, **kw) -> "MixingBands":
-        """Build from pump vacuum wavelengths (m) and a phonon frequency (Hz)."""
+        """Build from pump vacuum wavelengths (m) and a phonon frequency (Hz);
+        the constructor checks the omegas they give and names one that
+        overflows."""
         l1, l2, hz = (_reals(lambda_p1, "lambda_p1"), _reals(lambda_p2, "lambda_p2"),
                       _reals(phonon_hz, "phonon_hz"))
         if not 0 < l1 < math.inf:
@@ -129,12 +129,7 @@ class MixingBands(Record):
             raise ValueError(f"lambda_p2 must be a positive finite wavelength, got {lambda_p2}")
         if not 0 <= hz < math.inf:
             raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
-        w1, w2, wm = TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz
-        if not max(w1, w2, wm) < math.inf:      # the constructor names the omega
-            return cls(w1, w2, wm, **kw)
-        bands = cls.__new__(cls)
-        bands._store(w1, w2, wm, **kw)
-        return bands
+        return cls(TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz, **kw)
 
 
 class MillerChain(Record):

@@ -33,7 +33,10 @@ estimation chain raises DataError only if the bands need it.  Infinite
 entries, and fields or table cells that are not JSON numbers (a string, a
 boolean or an integer too large for a float, or null outside the
 photoelastic table), are rejected by name, as is a ``qpm_order`` that is not
-an integer (a boolean included); each is read by ``errors._reals``.
+an integer (a boolean included); each is read by ``errors._reals``.  So is
+each table, whole: a row that is not a list, or a table that is missing, is
+named by its place, and the table goes to the record's constructor, whose
+shape checks are the only ones.
 """
 
 from __future__ import annotations
@@ -256,18 +259,6 @@ _MATERIAL_KEYS = {"name", "dispersion", "photoelastic", "d_eff_m_per_v",
 _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
-def _table(rows, field: str, nulls: bool = True):
-    """``rows`` with each row that is a JSON list read by ``errors._reals``
-    into a tuple of floats, which names a cell that is not a JSON number (or
-    null, if ``nulls``).  A row that is no list, or ``rows`` if it is no list,
-    is kept as given, for the record's constructor to reject by shape; the
-    constructor reads a row of floats without a call per cell."""
-    if not isinstance(rows, list):
-        return rows
-    return [_reals(row, (field, i), 1, nulls) if isinstance(row, list) else row
-            for i, row in enumerate(rows)]
-
-
 def _object(value, field: str) -> dict:
     """``value`` if it is a JSON object; ValueError naming ``field``."""
     if not isinstance(value, dict):
@@ -276,24 +267,18 @@ def _object(value, field: str) -> dict:
 
 
 def _parse_dispersion(obj) -> DispersionModel:
+    """The model of ``obj``: its window and the table its kind names are read
+    by ``errors._reals``, which names a cell or a row by its index, and then
+    checked by the constructor alone."""
     obj = _object(obj, "dispersion")
     kind = obj.get("kind")
-    if not (isinstance(rng := obj.get("valid_range_m"), list) and len(rng) == 2):
-        raise ValueError("dispersion.valid_range_m must be [lo, hi]")
-    valid = _reals(rng, "dispersion.valid_range_m", 1)
+    valid = _reals(obj.get("valid_range_m"), "dispersion.valid_range_m", 1)
     if kind == "tabulated-points":
-        if not (pts := obj.get("points")):
-            raise ValueError("tabulated dispersion needs 'points'")
-        return DispersionModel(kind, valid, points=_table(pts, "dispersion.points"))
+        points = _reals(obj.get("points"), "dispersion.points", 2, True)
+        return DispersionModel(kind, valid, points=points)
     if kind == "sellmeier":
-        if isinstance(axes := obj.get("sellmeier"), list):
-            axes = [_table(terms, f"dispersion.sellmeier[{axis}]", nulls=False)
-                    for axis, terms in enumerate(axes)]
-        try:
-            return DispersionModel(kind, valid, sellmeier=axes)
-        except ValueError:
-            raise ValueError(
-                "dispersion.sellmeier must be 3 axis lists of [B, C] number pairs") from None
+        axes = _reals(obj.get("sellmeier"), "dispersion.sellmeier", 3)
+        return DispersionModel(kind, valid, sellmeier=axes)
     raise ValueError(f"dispersion.kind must be 'tabulated-points' or 'sellmeier', got {kind!r}")
 
 
@@ -310,11 +295,10 @@ def _parse_material(obj) -> Material:
 
         dispersion = _parse_dispersion(obj["dispersion"])
         pe = _object(obj["photoelastic"], "photoelastic")
-        if (entries := pe.get("entries")) is None:
-            raise ValueError("photoelastic.entries missing")
         # null entries mark unmeasured tensor elements; they surface as NaN and
         # raise a DataError only if the estimation chain actually needs them.
-        photoelastic = PhotoelasticTensor(_table(entries, "photoelastic.entries"))
+        entries = _reals(pe.get("entries"), "photoelastic.entries", 2, True)
+        photoelastic = PhotoelasticTensor(entries)
         if not (isinstance(eps_r := obj["eps_r"], list) and len(eps_r) == 3):
             raise ValueError("eps_r must be a 3-vector diagonal")
         if _integer(qpm := obj.get("qpm_order", 1)) is None:

@@ -36,6 +36,10 @@ only its omega_p + omega_m band; otherwise it looks up its pump as well.  It
 never looks up the four-wave output, so it works for a design whose
 four-wave output lies outside the validity window.  A design makes 5 index
 lookups and 5 optical wavevector evaluations.
+
+PhaseMatchInput stores the signed grating term, poling_sign * 2 pi / Lambda
+(0.0 without a grating), from the 2 pi / Lambda it computes to check Lambda;
+delta_k and three_wave_residual read it, and neither computes it again.
 """
 
 from __future__ import annotations
@@ -96,13 +100,15 @@ class PhaseMatchInput(Record):
         if period is not None and not period > 0:
             raise ValueError(f"poling period must be positive, got {poling_period}")
         # An infinite period would drop the grating, a subnormal one overflow it.
-        if period is not None and not 0 < TWO_PI / period < math.inf:
+        if period is not None and not 0 < (k := TWO_PI / period) < math.inf:
             raise ValueError("poling period must be finite, with a finite 2 pi / period, "
                              f"got {poling_period}")
         if (sign := _integer(poling_sign)) not in (-1, 1):
             raise ValueError(f"poling sign must be +-1, got {poling_sign}")
+        # _k_grating: the signed grating term of the mismatch, 0.0 without a grating.
         self.__dict__.update(bands=bands, material=material, length=L,
-                             poling_period=period, poling_sign=sign)
+                             poling_period=period, poling_sign=sign,
+                             _k_grating=0.0 if period is None else sign * k)
 
 
 class PhaseMatchResult(Record):
@@ -127,13 +133,6 @@ def _k_acoustic(pm_in: PhaseMatchInput) -> float:
             f"material '{m.name}' has no sound speed for acoustic mode "
             f"'{mode}' (have: {have})")
     return _acoustic_k(pm_in.bands.omega_m, m.v_sound[mode])
-
-
-def _k_grating(pm_in: PhaseMatchInput) -> float:
-    """The signed grating term, 0 without a grating."""
-    if pm_in.poling_period is None:
-        return 0.0
-    return pm_in.poling_sign * TWO_PI / pm_in.poling_period
 
 
 # The last design's wavevectors, (bands, material, (k_t, k_p1, k_p2, k_m)):
@@ -193,7 +192,7 @@ def _sinc2(delta_k: float, length: float) -> float:
 def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     """Evaluate the four-wave mismatch and its components for ``pm_in``."""
     k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
-    k_pol = _k_grating(pm_in)
+    k_pol = pm_in._k_grating
     dk = k_t - k_p1 - k_p2 - k_m - k_pol
     return PhaseMatchResult(k_t, k_p1, k_p2, k_m, k_pol, dk, _sinc2(dk, pm_in.length))
 
@@ -252,7 +251,7 @@ def three_wave_residual(pm_in: PhaseMatchInput,
         refractive_index(m, b.wavelengths[pump - 1], b.axes[pump - 1]), omega_p)
     omega_t3 = omega_p + b.omega_m
     k_t3 = _optical_k(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
-    dk3 = k_t3 - k_p - (ks[3] if hit else _k_acoustic(pm_in)) - _k_grating(pm_in)
+    dk3 = k_t3 - k_p - (ks[3] if hit else _k_acoustic(pm_in)) - pm_in._k_grating
     supp = _sinc2(dk3, pm_in.length)
     return ThreeWaveResidual(dk3, supp, dk3 == 0.0 or supp > 1.0 - 1e-12)
 
@@ -263,19 +262,23 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     ``variable`` is ``"pump-wavelength"`` (m) or ``"poling-period"`` (m).
     A pump-wavelength value sets both pumps to it, so that sweep runs over
     degenerate designs even when the two pumps of ``pm_in`` differ: it keeps
-    the phonon, axes, acoustic mode and strain column of ``pm_in.bands``,
-    the material, the length and the grating, but neither pump wavelength.
-    ``values`` is a nonempty grid.  Returns
-    (value, result) pairs in grid order; evaluations are independent, so
-    order is deterministic.  Any other ``variable`` raises ValueError, even
-    with an empty grid, and is named before the grid is read.
+    the phonon (``omega_m`` itself, bit for bit), axes, acoustic mode and
+    strain column of ``pm_in.bands``, the material, the length and the
+    grating, but neither pump wavelength.  ``values`` is a nonempty grid.
+    Returns (value, result) pairs in grid order; evaluations are
+    independent, so order is deterministic.  Any other ``variable`` raises
+    ValueError, even with an empty grid, and is named before the grid is
+    read.
     """
     b, m, length, sign = pm_in.bands, pm_in.material, pm_in.length, pm_in.poling_sign
     if variable == "pump-wavelength":
         def probe(v: float) -> PhaseMatchInput:
-            bands = MixingBands.from_vacuum_wavelengths(
-                v, v, b.omega_m / TWO_PI, axes=b.axes,
-                acoustic_mode=b.acoustic_mode, strain_voigt=b.strain_voigt)
+            # from_vacuum_wavelengths' check and message; the bands take
+            # omega_m itself, which a round trip through Hz can round.
+            if not 0 < v < math.inf:
+                raise ValueError(f"lambda_p1 must be a positive finite wavelength, got {v}")
+            w = TWO_PI_C / v
+            bands = MixingBands(w, w, b.omega_m, b.axes, b.acoustic_mode, b.strain_voigt)
             return PhaseMatchInput(bands, m, length, pm_in.poling_period, sign)
     elif variable == "poling-period":
         def probe(v: float) -> PhaseMatchInput:

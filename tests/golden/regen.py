@@ -15,7 +15,7 @@ rewrites, next to this file:
   of the text of all of them.
 
 ``tests/test_golden.py`` replays the same cases through the same functions
-and compares.  A change that moves a golden reruns this script and lists
+and compares, as ``replay.py`` does, without numpy or pytest, on any Python.  A change that moves a golden reruns this script and lists
 each moved line, with its reason, in CHANGES.md.
 
 The goldens must hold on any x86-64 machine, so no recorded byte passes

@@ -48,6 +48,18 @@ class TestUsage:
             cp = run_cli(cmd, "--help")
             assert cp.returncode == 0, cmd
 
+    @pytest.mark.parametrize("command", [None, "sweep-power"])
+    def test_written_usage_names_what_argparse_would(self, command):
+        # These two usages are written out, since argparse wraps them
+        # differently from one Python version to the next; they must still
+        # name each flag, metavar and choice in argparse's order.
+        parser = cli.build_parser()
+        if command:
+            parser = parser._subparsers._group_actions[0].choices[command]
+        written = parser.format_usage()
+        parser.usage = None
+        assert written.split() == parser.format_usage().split()
+
     def test_unknown_flag_is_usage_error(self):
         cp = run_cli("estimate-q", *BANDS_ARGS, "--frequency", "1")
         assert cp.returncode == 2

@@ -20,8 +20,8 @@ from transduce.materials import refractive_index
 from transduce.tensors import voigt_index
 from transduce.units import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0,
                              EPS0_Q, ETA2, JOULE_PER_M3, METER, METER_PER_VOLT,
-                             M2_PER_COULOMB, Quantity, VOLT_PER_METER, WATT,
-                             WATT_PER_M2)
+                             M2_PER_COULOMB, Quantity, TWO_PI, TWO_PI_C,
+                             VOLT_PER_METER, WATT, WATT_PER_M2)
 
 from conftest import designs, make_material
 
@@ -75,6 +75,29 @@ class TestMixingBands:
         with pytest.raises(ValueError) as exc:
             MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9, **kw)
         assert str(exc.value) == message
+
+    @given(st.one_of(st.floats(1e-7, 1e-4), st.sampled_from([5e-324, -1.0])),
+           st.one_of(st.floats(1e-7, 1e-4), st.sampled_from([5e-324, -1.0])),
+           st.one_of(st.floats(0.0, 1e11), st.sampled_from([1e308, -1.0])),
+           st.sampled_from([{}, {"axes": (2, 0, 1), "acoustic_mode": "shear"},
+                            {"axes": (0, 1, 3)}, {"axes": 5}, {"strain_voigt": 6},
+                            {"strain_voigt": 2.0}]))
+    @settings(max_examples=300)
+    def test_from_vacuum_wavelengths_is_the_constructor_on_its_omegas(self, l1, l2, hz, kw):
+        # Its own checks come first; then the constructor, the only gate,
+        # returns the same bands or raises the same error.
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+        own = [message for ok, message in (
+            (l1 > 0, f"lambda_p1 must be a positive finite wavelength, got {l1}"),
+            (l2 > 0, f"lambda_p2 must be a positive finite wavelength, got {l2}"),
+            (hz >= 0, f"phonon_hz must be finite and >= 0, got {hz}")) if not ok]
+        want = own[0] if own else outcome(
+            lambda: MixingBands(TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz, **kw))
+        assert outcome(lambda: MixingBands.from_vacuum_wavelengths(l1, l2, hz, **kw)) == want
 
     def test_numpy_integer_indices_are_stored_as_ints(self, bto):
         b = MixingBands.from_vacuum_wavelengths(

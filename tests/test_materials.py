@@ -324,39 +324,77 @@ GOOD_POINTS = [[1.0e-6, 1.5, 1.5, 1.5], [2.0e-6, 1.4, 1.4, 1.4]]
 def _malformed(field, value):
     doc = json.loads(json.dumps(MINIMAL))
     entry = doc["materials"][0]
-    if field == "points":
-        entry["dispersion"]["points"] = value
-    else:
+    if field == "entries":
         entry["photoelastic"]["entries"] = value
+    elif field == "sellmeier":
+        entry["dispersion"] = {"kind": "sellmeier", "sellmeier": value,
+                               "valid_range_m": [0.9e-6, 2.1e-6]}
+    else:
+        entry["dispersion"][field] = value
     return json.dumps(doc)
 
 
+POINTS_SHAPE = "dispersion points must be rows of [lambda_m, nx, ny, nz] (got 2 rows of widths"
+TENSOR_SHAPE = "photoelastic tensor must be 6x6 numbers (got "
+SELLMEIER_SHAPE = "dispersion sellmeier must be 3 axis lists of [B, C] number pairs, got "
+TERM = [[1.0, 1e-14]]
+
+# Each case: the table, the value put there, the start of the message after
+# "material 'demo': ".  A row that is not a list, or a table that is null, is
+# named by its place, as a cell is.
 MALFORMED = {
-    "ragged points rows": ("points", [GOOD_POINTS[0], [2.0e-6, 1.4, 1.4]]),
-    "points rows 3 wide": ("points", [row[:3] for row in GOOD_POINTS]),
-    "points rows 5 wide": ("points", [row + [1.4] for row in GOOD_POINTS]),
-    "points row not a list": ("points", [GOOD_POINTS[0], 2.0e-6]),
-    "non-numeric point": ("points", [GOOD_POINTS[0], [2.0e-6, "n", 1.4, 1.4]]),
-    "photoelastic 5x6": ("entries", [[0.0] * 6 for _ in range(5)]),
-    "photoelastic 6x5": ("entries", [[0.0] * 5 for _ in range(6)]),
-    "ragged photoelastic": ("entries", [[0.0] * 6 for _ in range(5)] + [[0.0] * 7]),
-    "photoelastic row not a list": ("entries", [[0.0] * 6 for _ in range(5)] + [0.0]),
+    "ragged points rows": ("points", [GOOD_POINTS[0], [2.0e-6, 1.4, 1.4]], POINTS_SHAPE),
+    "points rows 3 wide": ("points", [row[:3] for row in GOOD_POINTS], POINTS_SHAPE),
+    "points rows 5 wide": ("points", [row + [1.4] for row in GOOD_POINTS], POINTS_SHAPE),
+    "points row not a list": ("points", [GOOD_POINTS[0], 2.0e-6],
+                              "dispersion.points[1] must be a sequence of numbers, got 2e-06"),
+    "non-numeric point": ("points", [GOOD_POINTS[0], [2.0e-6, "n", 1.4, 1.4]],
+                          "dispersion.points[1][1] must be a number, got 'n'"),
+    "null points": ("points", None, "dispersion.points must be a sequence of numbers, got None"),
+    "empty points": ("points", [], "dispersion kind must be 'tabulated-points', with points, "
+                     "or 'sellmeier', with sellmeier terms; got 'tabulated-points'"),
+    "window of one bound": ("valid_range_m", [0.9e-6],
+                            "valid_range_m must be [lo, hi], got (9e-07,)"),
+    "null window": ("valid_range_m", None,
+                    "dispersion.valid_range_m must be a sequence of numbers, got None"),
+    "photoelastic 5x6": ("entries", [[0.0] * 6 for _ in range(5)], TENSOR_SHAPE),
+    "photoelastic 6x5": ("entries", [[0.0] * 5 for _ in range(6)], TENSOR_SHAPE),
+    "ragged photoelastic": ("entries", [[0.0] * 6 for _ in range(5)] + [[0.0] * 7],
+                            TENSOR_SHAPE),
+    "photoelastic row not a list": (
+        "entries", [[0.0] * 6 for _ in range(5)] + [0.0],
+        "photoelastic.entries[5] must be a sequence of numbers, got 0.0"),
     "non-numeric photoelastic": ("entries", [[0.0] * 6 for _ in range(5)]
-                                 + [[0.0] * 5 + ["p"]]),
+                                 + [[0.0] * 5 + ["p"]],
+                                 "photoelastic.entries[5][5] must be a number, got 'p'"),
+    "null photoelastic entries": ("entries", None, "photoelastic.entries must be a sequence "
+                                  "of numbers, got None"),
+    "Sellmeier axis not a list": ("sellmeier", [TERM, 2.0, TERM],
+                                  "dispersion.sellmeier[1] must be a sequence of numbers, "
+                                  "got 2.0"),
+    "Sellmeier term not a list": ("sellmeier", [TERM, TERM, TERM + [0.5]],
+                                  "dispersion.sellmeier[2][1] must be a sequence of numbers, "
+                                  "got 0.5"),
+    "two Sellmeier axes": ("sellmeier", [TERM, TERM], SELLMEIER_SHAPE),
+    "Sellmeier term 3 wide": ("sellmeier", [[[1.0, 1e-14, 0.0]]] * 3, SELLMEIER_SHAPE),
+    "null Sellmeier": ("sellmeier", None,
+                       "dispersion.sellmeier must be a sequence of numbers, got None"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_table_rejected_by_material_name(case, tmp_path):
-    text = _malformed(*MALFORMED[case])
-    with pytest.raises(MaterialFileError, match="material 'demo'"):
+    *where, message = MALFORMED[case]
+    text = _malformed(*where)
+    with pytest.raises(MaterialFileError) as exc:
         loads_materials(text)
+    assert str(exc.value).startswith(f"material 'demo': {message}")
     path = tmp_path / "bad.json"
     path.write_text(text)
     cp = subprocess.run([sys.executable, "-m", "transduce", "materials", "--db", str(path)],
                         capture_output=True, text=True)
     assert cp.returncode == 1
-    assert "material 'demo'" in cp.stderr
+    assert cp.stderr.startswith(f"error: material 'demo': {message}")
     assert "Traceback" not in cp.stderr
 
 

@@ -11,6 +11,7 @@ from transduce.phasematch import (PHASEMATCH_SWEEP_CSV_HEADER, PhaseMatchInput,
                                   delta_k, pm_efficiency, poling_period, sweep,
                                   sweep_to_csv, three_wave_residual,
                                   wavevector_acoustic, wavevector_optical)
+from transduce.units import TWO_PI_C
 
 from conftest import designs, make_material
 
@@ -347,6 +348,29 @@ class TestSweep:
             degenerate = MixingBands.from_vacuum_wavelengths(v, v, 3.7e9, **keep)
             assert r == delta_k(pm.replace(bands=degenerate))
         assert rows[0][1] != delta_k(pm)     # pump 1 is 2.5e-6, pump 2 was not
+
+    @given(st.floats(2.45e-6, 2.69e-6), st.floats(6e9, 6e10),
+           st.lists(st.floats(2.45e-6, 2.69e-6), max_size=4))
+    @settings(max_examples=200)
+    def test_pump_wavelength_sweep_keeps_the_phonon_bit_for_bit(self, bto, lam, omega_m,
+                                                                 grid):
+        # Each point's phonon went to Hz and back, which moved the last bit
+        # of k_m for about one design in ten built from omegas.
+        w = TWO_PI_C / lam
+        pm = PhaseMatchInput(MixingBands(w, w, omega_m), bto, 100e-6)
+        rows = sweep(pm, "pump-wavelength", [*grid, lam])
+        want = delta_k(pm)
+        assert [r.k_m for _, r in rows] == [want.k_m] * len(rows)
+        assert rows[-1][1] == want      # the design's own degenerate pump
+
+    @pytest.mark.parametrize("v", [0.0, -1.0, math.inf, math.nan, 5e-324])
+    def test_bad_pump_wavelength_keeps_its_error(self, bto, bto_bands, v):
+        pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
+        with pytest.raises(ValueError) as want:
+            MixingBands.from_vacuum_wavelengths(v, v, 2e9)
+        with pytest.raises(ValueError) as got:
+            sweep(pm, "pump-wavelength", [2.6e-6, v])
+        assert str(got.value) == str(want.value)
 
     def test_unknown_variable(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)

@@ -134,7 +134,7 @@ CASES = [
     ("PhaseMatchInput", lambda: PhaseMatchInput(bands(), material(), 1e-4),
      f"PhaseMatchInput(bands={BANDS}, material={MATERIAL}, length=0.0001, "
      "poling_period=None, poling_sign=1)",
-     ("bands", "material", "length", "poling_period", "poling_sign"), (),
+     ("bands", "material", "length", "poling_period", "poling_sign"), ("_k_grating",),
      {"poling_sign": -1}),
     ("PhaseMatchResult", lambda: PhaseMatchResult(1.0, 2.0, 3.0, 4.0, 0.0, -8.0, 0.5),
      "PhaseMatchResult(k_t=1.0, k_p1=2.0, k_p2=3.0, k_m=4.0, k_poling=0.0, "
