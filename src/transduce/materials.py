@@ -32,11 +32,16 @@ A null photoelastic entry means "unmeasured": it loads as NaN, and the
 estimation chain raises DataError only if the bands need it.  Infinite
 entries, and fields or table cells that are not JSON numbers (a string, a
 boolean or an integer too large for a float, or null outside the
-photoelastic table), are rejected by name, as is a ``qpm_order`` that is not
-an integer (a boolean included); each is read by ``errors._reals``.  So is
-each table, whole: a row that is not a list, or a table that is missing, is
-named by its place, and the table goes to the record's constructor, whose
-shape checks are the only ones.
+photoelastic table), are rejected by name; each number is read by
+``errors._reals``.  The loader reads no table itself: it picks the table the
+dispersion kind names and hands the raw JSON value to the record that stores
+it, ``DispersionModel`` or ``PhotoelasticTensor``.  That constructor reads
+and checks the table once, under the name the file gives it, so a row that
+is not a list, or a table that is missing, is named by its place
+(``dispersion.points[1]``).  ``validate_material`` checks the rest, among it
+an ``eps_r`` of the wrong length and a ``qpm_order`` that is no integer (a
+boolean included).  Every error of an entry starts with the source it was
+read from.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from bisect import bisect_right
 
 from ._record import FrozenDict, Record
 from .errors import MaterialFileError, RangeError, _integer, _real, _reals
-from .tensors import PhotoelasticTensor, _float_rows
+from .tensors import PhotoelasticTensor
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
@@ -62,29 +67,40 @@ class DispersionModel(Record):
     (per-axis term lists ``[B, C]`` for n^2 = 1 + sum B lam^2/(lam^2 - C),
     wavelengths and C in SI), given as three axis lists of [B, C] pairs.
     ``valid_range_m`` bounds all queries.  The model is built only with the
-    table its ``kind`` names; every number is read by ``errors._reals``.
+    table its ``kind`` names.  The constructor is the one reader and the one
+    shape check of each table: it reads it with ``errors._reals`` under the
+    name a database file gives it (``dispersion.points``, say).
     """
 
     def __init__(self, kind: str, valid_range_m: tuple[float, float],
                  points: tuple[tuple[float, float, float, float], ...] | None = None,
                  sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None):
-        if len(window := _reals(valid_range_m, "valid_range_m", 1)) != 2:
-            raise ValueError(f"valid_range_m must be [lo, hi], got {window}")
+        if len(window := _reals(valid_range_m, "dispersion.valid_range_m", 1)) != 2:
+            raise ValueError(f"dispersion.valid_range_m must be [lo, hi], got {window}")
         lo, hi = window
-        if points is not None:
+        # A table is read if it is given or its kind names it, so a missing
+        # one is named by its place.
+        if points is not None or kind == "tabulated-points":
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.
-            points = _float_rows(points, 4, "points", "dispersion points must be rows "
-                                 "of [lambda_m, nx, ny, nz]")
-        if sellmeier is not None:
+            points = _reals(points, "dispersion.points", 2, True)
+            if any(len(r) != 4 for r in points):
+                raise ValueError("dispersion.points must be rows of [lambda_m, nx, ny, nz] "
+                                 f"(got {len(points)} rows of widths "
+                                 f"{sorted(set(map(len, points)))})")
+            # _tabulated_index bisects the wavelengths (NaN is no order).
+            if any(not a[0] < b[0] for a, b in zip(points, points[1:])):
+                raise ValueError("dispersion.points wavelengths must be strictly "
+                                 f"increasing, got {[r[0] for r in points]}")
+        if sellmeier is not None or kind == "sellmeier":
             # Tuples too, so no index of this model can change after a
             # lookup (estimator._band_indices reuses the last three).
-            sellmeier = _reals(sellmeier, "sellmeier", 3)
+            sellmeier = _reals(sellmeier, "dispersion.sellmeier", 3)
             if len(sellmeier) != 3 or any(len(t) != 2 for terms in sellmeier for t in terms):
-                raise ValueError("dispersion sellmeier must be 3 axis lists of [B, C] "
+                raise ValueError("dispersion.sellmeier must be 3 axis lists of [B, C] "
                                  f"number pairs, got {sellmeier}")
         if not (kind == "tabulated-points" and points or kind == "sellmeier" and sellmeier):
-            raise ValueError("dispersion kind must be 'tabulated-points', with points, or "
+            raise ValueError("dispersion.kind must be 'tabulated-points', with points, or "
                              f"'sellmeier', with sellmeier terms; got {kind!r}")
         # _columns is the table as Python lists (wavelengths, then n per
         # axis): a scalar lookup on lists costs far less than one np.interp.
@@ -129,12 +145,15 @@ class DispersionModel(Record):
     def _sellmeier_index(self, wavelength: float, axis: int) -> float:
         n2 = 1.0
         lam2 = wavelength * wavelength
-        for b, c in self.sellmeier[axis]:
-            if b:   # a B = 0 term adds nothing, even with its C at lam^2
-                n2 += b * lam2 / (lam2 - c)
+        try:
+            for b, c in self.sellmeier[axis]:
+                if b:   # a B = 0 term adds nothing, even with its C at lam^2
+                    n2 += b * lam2 / (lam2 - c)
+        except ZeroDivisionError:   # the query sits on a pole: n^2 is undefined
+            n2 = -math.inf
         if n2 < 0:
             raise RangeError(
-                f"Sellmeier n^2 negative at {wavelength:.6g} m (pole inside "
+                f"Sellmeier n^2 negative or undefined at {wavelength:.6g} m (pole inside "
                 "validity range?)", lo=self.valid_range_m[0],
                 hi=self.valid_range_m[1], value=wavelength)
         return math.sqrt(n2)
@@ -172,7 +191,7 @@ class MaterialDb(Record):
     def get(self, name: str) -> Material:
         try:
             return self.materials[name]
-        except KeyError:
+        except (KeyError, TypeError):   # TypeError: an unhashable name
             known = ", ".join(sorted(self.materials)) or "<empty db>"
             raise MaterialFileError(
                 f"material '{name}' not in database (have: {known})") from None
@@ -202,10 +221,6 @@ def validate_material(m: Material) -> list[Violation]:
         out.append(Violation("dispersion.valid_range_m", "0 < lo < hi", (lo, hi)))
         return out
     if d.kind == "tabulated-points":
-        lams = [row[0] for row in d.points]
-        if any(b - a <= 0 for a, b in zip(lams, lams[1:])):
-            out.append(Violation("dispersion.points", "wavelengths strictly increasing",
-                                 lams))
         below = [n for row in d.points for n in row[1:] if n < 1.0]
         if below:
             out.append(Violation("dispersion.points", "n >= 1", min(below)))
@@ -267,53 +282,37 @@ def _object(value, field: str) -> dict:
 
 
 def _parse_dispersion(obj) -> DispersionModel:
-    """The model of ``obj``: its window and the table its kind names are read
-    by ``errors._reals``, which names a cell or a row by its index, and then
-    checked by the constructor alone."""
+    """The model of ``obj``, given the raw table its kind names."""
     obj = _object(obj, "dispersion")
-    kind = obj.get("kind")
-    valid = _reals(obj.get("valid_range_m"), "dispersion.valid_range_m", 1)
-    if kind == "tabulated-points":
-        points = _reals(obj.get("points"), "dispersion.points", 2, True)
-        return DispersionModel(kind, valid, points=points)
-    if kind == "sellmeier":
-        axes = _reals(obj.get("sellmeier"), "dispersion.sellmeier", 3)
-        return DispersionModel(kind, valid, sellmeier=axes)
-    raise ValueError(f"dispersion.kind must be 'tabulated-points' or 'sellmeier', got {kind!r}")
+    table = "sellmeier" if (kind := obj.get("kind")) == "sellmeier" else "points"
+    return DispersionModel(kind, obj.get("valid_range_m"), **{table: obj.get(table)})
 
 
-def _parse_material(obj) -> Material:
+def _parse_material(obj, source: str) -> Material:
     name = obj.get("name") if isinstance(obj, dict) else None
     if not isinstance(name, str) or not name:
-        raise MaterialFileError("material entry without a 'name'")
+        raise MaterialFileError(f"{source}: material entry without a 'name'")
     try:        # every defect of the entry raises a ValueError, named under it
         if unknown := set(obj) - _MATERIAL_KEYS:
             raise ValueError(f"unknown keys {sorted(unknown)} "
                              "(unit annotations are part of the key names)")
         if missing := _REQUIRED_KEYS - set(obj):
             raise ValueError(f"missing required keys {sorted(missing)}")
-
         dispersion = _parse_dispersion(obj["dispersion"])
         pe = _object(obj["photoelastic"], "photoelastic")
-        # null entries mark unmeasured tensor elements; they surface as NaN and
-        # raise a DataError only if the estimation chain actually needs them.
-        entries = _reals(pe.get("entries"), "photoelastic.entries", 2, True)
-        photoelastic = PhotoelasticTensor(entries)
-        if not (isinstance(eps_r := obj["eps_r"], list) and len(eps_r) == 3):
-            raise ValueError("eps_r must be a 3-vector diagonal")
-        if _integer(qpm := obj.get("qpm_order", 1)) is None:
-            raise ValueError(f"qpm_order must be an integer, got {qpm!r}")
         v_sound = _object(obj["v_sound_m_per_s"], "v_sound_m_per_s")
+        # validate_material reports an eps_r of the wrong length and a
+        # qpm_order that is no integer.
         return Material(
-            name=name, dispersion=dispersion, photoelastic=photoelastic,
+            name=name, dispersion=dispersion, photoelastic=PhotoelasticTensor(pe.get("entries")),
             photoelastic_note=str(pe.get("note", "")),
             d_eff=_reals(obj["d_eff_m_per_v"], "d_eff_m_per_v"),
-            eps_r=_reals(eps_r, "eps_r", 1),
+            eps_r=_reals(obj["eps_r"], "eps_r", 1),
             v_sound={str(k): _reals(v, f"v_sound_m_per_s.{k}") for k, v in v_sound.items()},
             damage_threshold=_reals(obj["damage_threshold_w_per_m2"], "damage_threshold_w_per_m2"),
-            qpm_order=qpm)
+            qpm_order=obj.get("qpm_order", 1))
     except ValueError as exc:
-        raise MaterialFileError(f"material '{name}': {exc}") from None
+        raise MaterialFileError(f"{source}: material '{name}': {exc}") from None
 
 
 def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
@@ -330,7 +329,7 @@ def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
         raise MaterialFileError(f"{source}: 'materials' must be a list")
     mats: dict[str, Material] = {}
     for obj in entries:
-        m = _parse_material(obj)
+        m = _parse_material(obj, source)
         if m.name in mats:
             raise MaterialFileError(f"{source}: duplicate material name '{m.name}'")
         violations = validate_material(m)

@@ -2,10 +2,12 @@
 
 Rank-4 photoelastic tensors are stored 6x6, as a tuple of float rows, with
 symmetric index pairs packed in the standard crystallographic order (00, 11,
-22, 12, 02, 01); every cell is read by ``errors._reals``, so a bool or a
-string is no entry.  The strain columns index tensor strain (no factor of 2 on
-the shear components).  Nothing here imports numpy, so loading a material
-database does not.
+22, 12, 02, 01).  The constructor is the one reader and the one shape check
+of the table: it reads it with ``errors._reals`` under the name a database
+file gives it, ``photoelastic.entries``, so a bool or a string is no entry
+and a row that is no sequence is named by its place.  The strain columns
+index tensor strain (no factor of 2 on the shear components).  Nothing here
+imports numpy, so loading a material database does not.
 """
 
 from ._record import Record
@@ -34,23 +36,6 @@ def voigt_pair(v: int) -> tuple[int, int]:
     return VOIGT_PAIRS[k]
 
 
-def _float_rows(table, width: int, name: str, what: str,
-                nrows: int | None = None) -> tuple[tuple[float, ...], ...]:
-    """``table`` (a nested sequence or 2-D array) as a tuple of float rows.
-
-    Each cell is read by ``errors._reals``, with None as NaN.  Raises the
-    ValueError ``what (<what was found>)`` unless every row holds ``width``
-    numbers and there are ``nrows`` rows, if given.
-    """
-    try:
-        rows = _reals(tuple(map(tuple, table)), name, 2, nulls=True)
-    except (TypeError, ValueError) as exc:     # TypeError: a row is no sequence
-        raise ValueError(f"{what} ({exc})") from None
-    if any(len(r) != width for r in rows) or nrows not in (None, len(rows)):
-        raise ValueError(f"{what} (got {len(rows)} rows of widths {sorted(set(map(len, rows)))})")
-    return rows
-
-
 class PhotoelasticTensor(Record):
     """Dimensionless strain derivative of the relative inverse permittivity.
 
@@ -60,5 +45,8 @@ class PhotoelasticTensor(Record):
     """
 
     def __init__(self, entries):
-        self.__dict__.update(entries=_float_rows(
-            entries, 6, "entries", "photoelastic tensor must be 6x6 numbers", nrows=6))
+        rows = _reals(entries, "photoelastic.entries", 2, True)     # None is NaN
+        if len(rows) != 6 or any(len(r) != 6 for r in rows):
+            raise ValueError("photoelastic.entries must be 6x6 numbers (got "
+                             f"{len(rows)} rows of widths {sorted(set(map(len, rows)))})")
+        self.__dict__.update(entries=rows)

@@ -231,6 +231,25 @@ class TestMaterials:
         cp = run_cli("materials", "--db", str(bad))
         assert cp.returncode == 1
 
+    @pytest.mark.parametrize("entry, message", [
+        ("bad row", "material 'BaTiO3': dispersion.points[1] must be a sequence of "
+                    "numbers, got 2e-06\n"),
+        ("no name", "material entry without a 'name'\n")], ids=["bad-row", "no-name"])
+    def test_malformed_entry_names_the_db_file(self, tmp_path, entry, message):
+        # A malformed entry was named without its file.
+        doc = json.loads(dumps_materials(default_db()))
+        bto = next(m for m in doc["materials"] if m["name"] == "BaTiO3")
+        if entry == "bad row":
+            bto["dispersion"]["points"][1] = 2e-6
+        else:
+            del bto["name"]
+        path = tmp_path / "bad-entry.json"
+        path.write_text(json.dumps(doc))
+        cp = run_cli("materials", "--db", str(path))
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == f"error: {path}: {message}"
+
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
     def test_unreadable_db_is_named(self, tmp_path, kind):
         path = unreadable_db(tmp_path, kind)

@@ -85,9 +85,8 @@ SITES = {
         lambda v: f"qpm_order violates 'integer >= 1' (value {v!r})"),
     "loader.qpm_order": Site(
         _load, 2, 0, MaterialFileError,
-        lambda v: (f"<string>: material 'BaTiO3' invalid: qpm_order violates "
-                   f"'integer >= 1' (value {v})" if type(v) is int else
-                   f"material 'BaTiO3': qpm_order must be an integer, got {v!r}")),
+        lambda v: ("<string>: material 'BaTiO3' invalid: qpm_order violates "
+                   f"'integer >= 1' (value {v!r})")),
     "PhaseMatchInput.poling_sign": Site(
         lambda v: PhaseMatchInput(BANDS, BTO, 100e-6, poling_sign=v), -1, 0, ValueError,
         lambda v: f"poling sign must be +-1, got {v}"),

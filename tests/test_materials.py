@@ -120,6 +120,13 @@ class TestLoad:
         with pytest.raises(MaterialFileError, match="Unobtainium"):
             db.get("Unobtainium")
 
+    def test_unhashable_name_is_not_in_the_database(self, db):
+        # A list raised a bare "unhashable type: 'list'".
+        with pytest.raises(MaterialFileError) as exc:
+            db.get(["BaTiO3"])
+        assert str(exc.value) == ("material '['BaTiO3']' not in database "
+                                  "(have: BaTiO3, vacuum)")
+
     def test_qpm_order_defaults_to_one(self):
         db = loads_materials(json.dumps(MINIMAL))
         assert db.get("demo").qpm_order == 1
@@ -213,6 +220,19 @@ class TestTabulatedLookup:
         got = d.index(lam, axis)
         assert type(got) is float
         assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("points", [
+        [[2.0e-6, 3.0, 3.0, 3.0], [1.5e-6, 2.0, 2.0, 2.0], [2.5e-6, 4.0, 4.0, 4.0]],
+        [[1.0e-6, 2.0, 2.0, 2.0], [1.0e-6, 3.0, 3.0, 3.0]],
+        [[1.0e-6, 2.0, 2.0, 2.0], [math.nan, 3.0, 3.0, 3.0]]],
+        ids=["unsorted", "repeated", "nan"])
+    def test_wavelengths_must_strictly_increase(self, points):
+        # The unsorted table was bisected as if sorted, silently:
+        # index(1.2e-6, 0) returned 3.0, not the 2.0 of the shortest row.
+        with pytest.raises(ValueError) as exc:
+            DispersionModel("tabulated-points", (0.5e-6, 3e-6), points)
+        assert str(exc.value) == ("dispersion.points wavelengths must be strictly "
+                                  f"increasing, got {[row[0] for row in points]}")
 
     def test_points_are_a_read_only_copy(self):
         points = np.array([[1e-6, 2.0, 2.0, 2.0], [2e-6, 3.0, 3.0, 3.0]])
@@ -334,14 +354,15 @@ def _malformed(field, value):
     return json.dumps(doc)
 
 
-POINTS_SHAPE = "dispersion points must be rows of [lambda_m, nx, ny, nz] (got 2 rows of widths"
-TENSOR_SHAPE = "photoelastic tensor must be 6x6 numbers (got "
-SELLMEIER_SHAPE = "dispersion sellmeier must be 3 axis lists of [B, C] number pairs, got "
+POINTS_SHAPE = "dispersion.points must be rows of [lambda_m, nx, ny, nz] (got 2 rows of widths"
+TENSOR_SHAPE = "photoelastic.entries must be 6x6 numbers (got "
+SELLMEIER_SHAPE = "dispersion.sellmeier must be 3 axis lists of [B, C] number pairs, got "
 TERM = [[1.0, 1e-14]]
 
 # Each case: the table, the value put there, the start of the message after
-# "material 'demo': ".  A row that is not a list, or a table that is null, is
-# named by its place, as a cell is.
+# "<source>: material 'demo': ".  A row that is not a list, or a table that is
+# null, is named by its place, as a cell is; each table's constructor names
+# its shape and kind by the place the file gives them.
 MALFORMED = {
     "ragged points rows": ("points", [GOOD_POINTS[0], [2.0e-6, 1.4, 1.4]], POINTS_SHAPE),
     "points rows 3 wide": ("points", [row[:3] for row in GOOD_POINTS], POINTS_SHAPE),
@@ -351,10 +372,10 @@ MALFORMED = {
     "non-numeric point": ("points", [GOOD_POINTS[0], [2.0e-6, "n", 1.4, 1.4]],
                           "dispersion.points[1][1] must be a number, got 'n'"),
     "null points": ("points", None, "dispersion.points must be a sequence of numbers, got None"),
-    "empty points": ("points", [], "dispersion kind must be 'tabulated-points', with points, "
+    "empty points": ("points", [], "dispersion.kind must be 'tabulated-points', with points, "
                      "or 'sellmeier', with sellmeier terms; got 'tabulated-points'"),
     "window of one bound": ("valid_range_m", [0.9e-6],
-                            "valid_range_m must be [lo, hi], got (9e-07,)"),
+                            "dispersion.valid_range_m must be [lo, hi], got (9e-07,)"),
     "null window": ("valid_range_m", None,
                     "dispersion.valid_range_m must be a sequence of numbers, got None"),
     "photoelastic 5x6": ("entries", [[0.0] * 6 for _ in range(5)], TENSOR_SHAPE),
@@ -388,13 +409,13 @@ def test_malformed_table_rejected_by_material_name(case, tmp_path):
     text = _malformed(*where)
     with pytest.raises(MaterialFileError) as exc:
         loads_materials(text)
-    assert str(exc.value).startswith(f"material 'demo': {message}")
+    assert str(exc.value).startswith(f"<string>: material 'demo': {message}")
     path = tmp_path / "bad.json"
     path.write_text(text)
     cp = subprocess.run([sys.executable, "-m", "transduce", "materials", "--db", str(path)],
                         capture_output=True, text=True)
     assert cp.returncode == 1
-    assert cp.stderr.startswith(f"error: material 'demo': {message}")
+    assert cp.stderr.startswith(f"error: {path}: material 'demo': {message}")
     assert "Traceback" not in cp.stderr
 
 
@@ -408,6 +429,7 @@ def _set(path, value):
 
 
 # Each case: where in the entry, the value put there, the field the error names.
+# A qpm_order that is no integer is kept, and validate_material reports it.
 BAD_SCALARS = {
     "null d_eff": (("d_eff_m_per_v",), None, "d_eff_m_per_v"),
     "string d_eff": (("d_eff_m_per_v",), "ten", "d_eff_m_per_v"),
@@ -458,15 +480,31 @@ BAD_SCALARS = {
 def test_bad_scalar_field_rejected_by_name(case, tmp_path):
     path, value, field = BAD_SCALARS[case]
     text = _set(path, value)
-    with pytest.raises(MaterialFileError, match=re.escape(f"material 'demo': {field} ")):
+    named = (f"material 'demo' invalid: {field} violates" if field == "qpm_order"
+             else f"material 'demo': {field} ")
+    with pytest.raises(MaterialFileError, match=re.escape(named)):
         loads_materials(text)
     db_path = tmp_path / "bad.json"
     db_path.write_text(text)
     cp = subprocess.run([sys.executable, "-m", "transduce", "materials", "--db",
                          str(db_path)], capture_output=True, text=True)
     assert cp.returncode == 1
-    assert f"material 'demo': {field} " in cp.stderr
+    assert named in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("lam", [1.5e-6, 2e-6])
+def test_sellmeier_pole_at_the_query_is_a_range_error(lam):
+    # A term with lam^2 = C raised a bare ZeroDivisionError.  Only a model
+    # built directly has one: the loader rejects a pole inside the window.
+    d = DispersionModel("sellmeier", (1e-6, 3e-6),
+                        sellmeier=[[[1.0, lam * lam]], [[1.0, 0.0]], [[1.0, 0.0]]])
+    with pytest.raises(RangeError) as exc:
+        d.index(lam, 0)
+    assert str(exc.value) == (f"Sellmeier n^2 negative or undefined at {lam:.6g} m (pole "
+                              "inside validity range?)")
+    assert (exc.value.lo, exc.value.hi, exc.value.value) == (1e-6, 3e-6, lam)
+    assert d.index(lam, 1) == math.sqrt(2.0)
 
 
 def test_sellmeier_zero_b_term_at_the_query_adds_nothing():

@@ -7,11 +7,11 @@ that names the argument.  One row per site, eight inputs per row: a valid
 float, its np.float64 (whose result prints as the float's does), an int, True,
 "1.0", None, 10**400 and a float out of range.  A value that is no number is
 named as ``<name> must be a number, got <value>``; an out-of-range float gets
-the message the site has always raised.  A table constructor wraps the
-message of a cell in its own, a Material keeps a value that is no number for
-validate_material to report, and a null table cell reads as NaN
-("unmeasured"), as in a database file.  A seeded set of designs then gives the same bits
-for numpy-scalar inputs as for floats.
+the message the site has always raised.  A table constructor names a cell
+by its place in a database file (``dispersion.points[0][1]``), a Material
+keeps a value that is no number for validate_material to report, and a null
+table cell reads as NaN ("unmeasured"), as in a database file.  A seeded set
+of designs then gives the same bits for numpy-scalar inputs as for floats.
 """
 
 import json
@@ -78,11 +78,6 @@ class Site(NamedTuple):
     error: type = ValueError               # raised for the out-of-range float
     rejected: Callable | None = None       # a non-number -> its message, unless
     #                                        it is "<name> must be a number, got <v>"
-
-
-def _rows(what, cell):
-    """The message of a table constructor for a cell that is no number."""
-    return lambda v: f"{what} ({cell} must be a number, got {v!r})"
 
 
 def _kept(call, valid, integral, out_of_range, message, value):
@@ -221,28 +216,27 @@ SITES = {
                   "2.7e-06] m", error=RangeError),
     "DispersionModel.valid_range_m": Site(
         lambda v: _validated(BTO.replace(dispersion=DispersionModel(
-            "tabulated-points", (v, 3e-6), POINTS))), "valid_range_m[0]", 1e-6, 0, -1.0,
+            "tabulated-points", (v, 3e-6), POINTS))), "dispersion.valid_range_m[0]", 1e-6, 0,
+        -1.0,
         lambda v: f"dispersion.valid_range_m violates '0 < lo < hi' (value ({v}, 3e-06))",
         lambda m: m.dispersion.valid_range_m[0]),
     "DispersionModel.points": Site(
         lambda v: _validated(BTO.replace(dispersion=DispersionModel(
             "tabulated-points", WINDOW, [[1e-6, v, 2.0, 2.0], POINTS[1]]))),
-        "", 2.27, 2, math.inf,
+        "dispersion.points[0][1]", 2.27, 2, math.inf,
         lambda v: "dispersion.points violates 'finite' (value None)",
-        lambda m: m.dispersion.points[0][1],
-        rejected=_rows("dispersion points must be rows of [lambda_m, nx, ny, nz]",
-                       "points[0][1]")),
+        lambda m: m.dispersion.points[0][1]),
     "DispersionModel.sellmeier": Site(
         lambda v: _validated(BTO.replace(dispersion=DispersionModel(
-            "sellmeier", WINDOW, sellmeier=[[[v, 1e-14]], [], []]))), "sellmeier[0][0][0]", 1.5, 1,
-        math.inf, lambda v: "dispersion.sellmeier violates 'finite B and C' (value 0)",
+            "sellmeier", WINDOW, sellmeier=[[[v, 1e-14]], [], []]))),
+        "dispersion.sellmeier[0][0][0]", 1.5, 1, math.inf,
+        lambda v: "dispersion.sellmeier violates 'finite B and C' (value 0)",
         lambda m: m.dispersion.sellmeier[0][0][0]),
     "PhotoelasticTensor.entries": Site(
         lambda v: _validated(BTO.replace(photoelastic=PhotoelasticTensor(
-            [[v] + [0.0] * 5] + [[0.0] * 6] * 5))), "", 0.2, 0, math.inf,
-        lambda v: "photoelastic.entries violates 'finite or null 6x6' (value None)",
-        lambda m: m.photoelastic.entries[0][0],
-        rejected=_rows("photoelastic tensor must be 6x6 numbers", "entries[0][0]")),
+            [[v] + [0.0] * 5] + [[0.0] * 6] * 5))), "photoelastic.entries[0][0]", 0.2, 0,
+        math.inf, lambda v: "photoelastic.entries violates 'finite or null 6x6' (value None)",
+        lambda m: m.photoelastic.entries[0][0]),
     "Material.d_eff": _kept(
         lambda v: _validated(BTO.replace(d_eff=v)), 1e-11, 0, math.inf,
         lambda v: f"d_eff_m_per_v violates 'finite' (value {v!r})", lambda m: m.d_eff),
@@ -259,12 +253,12 @@ SITES = {
         lambda v: f"damage_threshold_w_per_m2 violates 'positive' (value {v!r})",
         lambda m: m.damage_threshold),
     "loader.d_eff_m_per_v": Site(
-        lambda v: _load(("d_eff_m_per_v",), v), "material 'BaTiO3': d_eff_m_per_v",
+        lambda v: _load(("d_eff_m_per_v",), v), "<string>: material 'BaTiO3': d_eff_m_per_v",
         1e-11, 0, math.inf, lambda v: _invalid("d_eff_m_per_v", "finite", v),
         lambda m: m.d_eff, error=MaterialFileError),
     "loader.dispersion.points": Site(
         lambda v: _load(("dispersion", "points", 1, 1), v),
-        "material 'BaTiO3': dispersion.points[1][1]", 2.26, 2, 0.5,
+        "<string>: material 'BaTiO3': dispersion.points[1][1]", 2.26, 2, 0.5,
         lambda v: _invalid("dispersion.points", "n >= 1", v),
         lambda m: m.dispersion.points[1][1], error=MaterialFileError),
     "FreeEnergyModel.c": _kept(
@@ -406,30 +400,33 @@ def test_numpy_grids_keep_their_bytes():
             == P.sweep_to_csv(P.sweep(PM, "poling-period", periods.tolist())))
 
 
+KIND = ("dispersion.kind must be 'tabulated-points', with points, or 'sellmeier', with "
+        "sellmeier terms; got ")
+MISSING = " must be a sequence of numbers, got None"
 KINDS = [
     ("sellmeier-with-points", lambda: DispersionModel("sellmeier", WINDOW, points=POINTS),
-     "'sellmeier'"),
-    ("bogus-kind", lambda: DispersionModel("bogus", WINDOW, points=POINTS), "'bogus'"),
+     "dispersion.sellmeier" + MISSING),
+    ("bogus-kind", lambda: DispersionModel("bogus", WINDOW, points=POINTS), KIND + "'bogus'"),
     ("tabulated-without-points", lambda: DispersionModel("tabulated-points", WINDOW),
-     "'tabulated-points'"),
+     "dispersion.points" + MISSING),
     ("tabulated-empty-points", lambda: DispersionModel("tabulated-points", WINDOW, points=[]),
-     "'tabulated-points'"),
+     KIND + "'tabulated-points'"),
 ]
 
 
-@pytest.mark.parametrize("call, kind", [k[1:] for k in KINDS], ids=[k[0] for k in KINDS])
-def test_dispersion_kind_needs_its_table(call, kind):
+@pytest.mark.parametrize("call, message", [k[1:] for k in KINDS], ids=[k[0] for k in KINDS])
+def test_dispersion_kind_needs_its_table(call, message):
     # Each failed at the first lookup with a bare TypeError or IndexError.
+    # The table a kind names is read even if it is missing, so it is named.
     with pytest.raises(ValueError) as exc:
         call()
-    assert str(exc.value) == ("dispersion kind must be 'tabulated-points', with points, or "
-                              f"'sellmeier', with sellmeier terms; got {kind}")
+    assert str(exc.value) == message
 
 
 def test_sellmeier_terms_must_be_three_axes_of_pairs():
-    with pytest.raises(ValueError, match=r"^dispersion sellmeier must be 3 axis lists"):
+    with pytest.raises(ValueError, match=r"^dispersion\.sellmeier must be 3 axis lists"):
         DispersionModel("sellmeier", WINDOW, sellmeier=[[[1.0, 1e-14]], []])
-    with pytest.raises(ValueError, match=r"^dispersion sellmeier must be 3 axis lists"):
+    with pytest.raises(ValueError, match=r"^dispersion\.sellmeier must be 3 axis lists"):
         DispersionModel("sellmeier", WINDOW, sellmeier=[[[1.0, 1e-14, 0.0]], [], []])
 
 
@@ -438,7 +435,7 @@ def test_valid_range_must_be_a_pair(window):
     # Was a bare "too many values to unpack" (or "not enough values").
     with pytest.raises(ValueError) as exc:
         DispersionModel("tabulated-points", window, POINTS)
-    assert str(exc.value) == f"valid_range_m must be [lo, hi], got {window}"
+    assert str(exc.value) == f"dispersion.valid_range_m must be [lo, hi], got {window}"
 
 def _designs(n, real):
     """Reprs of every result of ``n`` seeded designs, inputs passed through
