@@ -29,10 +29,9 @@ _EXPORTS = {
                   "peak_intensity", "power_sweep", "q_eff_from_deff",
                   "q_eff_from_eta2", "second_order_photoelasticity",
                   "virtual_photoelasticity"),
-    "materials": ("DispersionModel", "Material", "MaterialDb", "Violation",
-                  "default_db", "dumps_materials", "load_materials",
-                  "loads_materials", "refractive_index", "save_materials",
-                  "validate_material"),
+    "materials": ("DispersionModel", "Material", "MaterialDb", "default_db",
+                  "dumps_materials", "load_materials", "loads_materials",
+                  "refractive_index", "save_materials"),
     "phasematch": ("PhaseMatchInput", "PhaseMatchResult", "ThreeWaveResidual",
                    "delta_k", "pm_efficiency", "poling_period", "sweep",
                    "three_wave_residual", "wavevector_acoustic", "wavevector_optical"),

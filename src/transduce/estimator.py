@@ -506,7 +506,7 @@ class DesignReport(Record):
             "p_nominal": self.p_nominal,
             "benchmark": {"g0_ref_rad_per_s": self.benchmark.g0_ref,
                           "label": self.benchmark.label},
-            "rows": [vars(r) for r in self.rows],
+            "rows": [dict(vars(r)) for r in self.rows],     # copies: a row is frozen
             "notes": list(self.notes),
         }
 

@@ -29,19 +29,17 @@ File schema (all numbers SI):
 Unit bookkeeping lives in the key names; the loader rejects unknown or
 missing keys by name, which is what "units validated on load" means here.
 A null photoelastic entry means "unmeasured": it loads as NaN, and the
-estimation chain raises DataError only if the bands need it.  Infinite
-entries, and fields or table cells that are not JSON numbers (a string, a
-boolean or an integer too large for a float, or null outside the
-photoelastic table), are rejected by name; each number is read by
-``errors._reals``.  The loader reads no table itself: it picks the table the
-dispersion kind names and hands the raw JSON value to the record that stores
-it, ``DispersionModel`` or ``PhotoelasticTensor``.  That constructor reads
-and checks the table once, under the name the file gives it, so a row that
-is not a list, or a table that is missing, is named by its place
-(``dispersion.points[1]``).  ``validate_material`` checks the rest, among it
-an ``eps_r`` of the wrong length and a ``qpm_order`` that is no integer (a
-boolean included).  Every error of an entry starts with the source it was
-read from.
+estimation chain raises DataError only if the bands need it.  Null anywhere
+else is no number.  The loader checks no value itself: it picks the table
+the dispersion kind names and hands each raw JSON value to the record that
+stores it, ``DispersionModel``, ``PhotoelasticTensor`` or ``Material``.
+That constructor reads each number once, with ``errors._reals``, under the
+name the file gives it, and checks its range, so a string, a boolean, an
+infinite entry, an index below 1 or a Sellmeier pole inside the window is
+named by its place (``dispersion.points[1][2]``, ``eps_r[0]``) whether the
+record is loaded or built directly.  A record that exists is valid.  Every
+error of an entry starts with the source it was read from and names the
+entry's first defect.
 """
 
 from __future__ import annotations
@@ -52,11 +50,17 @@ import os
 from bisect import bisect_right
 
 from ._record import FrozenDict, Record
-from .errors import MaterialFileError, RangeError, _integer, _real, _reals
+from .errors import MaterialFileError, RangeError, _integer, _reals
 from .tensors import PhotoelasticTensor
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
+
+
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ``<name> must be <rule>, got <value>`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class DispersionModel(Record):
@@ -68,8 +72,10 @@ class DispersionModel(Record):
     wavelengths and C in SI), given as three axis lists of [B, C] pairs.
     ``valid_range_m`` bounds all queries.  The model is built only with the
     table its ``kind`` names.  The constructor is the one reader and the one
-    shape check of each table: it reads it with ``errors._reals`` under the
-    name a database file gives it (``dispersion.points``, say).
+    check of each table: it reads it with ``errors._reals`` under the name a
+    database file gives it (``dispersion.points``, say) and raises
+    ValueError naming the first cell, term or axis that breaks a rule, so a
+    model that exists gives a real n >= 1 at every sampled wavelength.
     """
 
     def __init__(self, kind: str, valid_range_m: tuple[float, float],
@@ -78,12 +84,13 @@ class DispersionModel(Record):
         if len(window := _reals(valid_range_m, "dispersion.valid_range_m", 1)) != 2:
             raise ValueError(f"dispersion.valid_range_m must be [lo, hi], got {window}")
         lo, hi = window
+        _require(0 < lo < hi < math.inf, "dispersion.valid_range_m", "finite, 0 < lo < hi", window)
         # A table is read if it is given or its kind names it, so a missing
         # one is named by its place.
         if points is not None or kind == "tabulated-points":
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.
-            points = _reals(points, "dispersion.points", 2, True)
+            points = _reals(points, "dispersion.points", 2)
             if any(len(r) != 4 for r in points):
                 raise ValueError("dispersion.points must be rows of [lambda_m, nx, ny, nz] "
                                  f"(got {len(points)} rows of widths "
@@ -92,6 +99,11 @@ class DispersionModel(Record):
             if any(not a[0] < b[0] for a, b in zip(points, points[1:])):
                 raise ValueError("dispersion.points wavelengths must be strictly "
                                  f"increasing, got {[r[0] for r in points]}")
+            for i, (lam, *ns) in enumerate(points):
+                _require(math.isfinite(lam), f"dispersion.points[{i}][0]", "finite", lam)
+                for j, n in enumerate(ns, 1):
+                    _require(1 <= n < math.inf, f"dispersion.points[{i}][{j}]",
+                             "finite and >= 1", n)
         if sellmeier is not None or kind == "sellmeier":
             # Tuples too, so no index of this model can change after a
             # lookup (estimator._band_indices reuses the last three).
@@ -99,6 +111,16 @@ class DispersionModel(Record):
             if len(sellmeier) != 3 or any(len(t) != 2 for terms in sellmeier for t in terms):
                 raise ValueError("dispersion.sellmeier must be 3 axis lists of [B, C] "
                                  f"number pairs, got {sellmeier}")
+            for a, terms in enumerate(sellmeier):
+                for t, (b, c) in enumerate(terms):
+                    _require(math.isfinite(b) and math.isfinite(c),
+                             f"dispersion.sellmeier[{a}][{t}]", "finite", [b, c])
+                    # A pole at lam^2 = C is checked exactly; sampling could
+                    # miss it.  lam * lam grows with lam, so no lookup in the
+                    # window divides by lam^2 - C = 0.
+                    _require(not (b and lo * lo <= c <= hi * hi),
+                             f"dispersion.sellmeier[{a}][{t}]",
+                             "a term with no pole inside the validity range", [b, c])
         if not (kind == "tabulated-points" and points or kind == "sellmeier" and sellmeier):
             raise ValueError("dispersion.kind must be 'tabulated-points', with points, or "
                              f"'sellmeier', with sellmeier terms; got {kind!r}")
@@ -106,6 +128,19 @@ class DispersionModel(Record):
         # axis): a scalar lookup on lists costs far less than one np.interp.
         self.__dict__.update(kind=kind, valid_range_m=(lo, hi), points=points,
                              sellmeier=sellmeier, _columns=tuple(map(list, zip(*points or ()))))
+        if sellmeier is not None:
+            # n >= 1 on the grid of np.linspace(lo, hi, 64): lo + i*step, ending at hi.
+            step = (hi - lo) / (_N_VALIDATION_SAMPLES - 1)
+            grid = [lo + i * step for i in range(_N_VALIDATION_SAMPLES - 1)] + [hi]
+            for axis in range(3):
+                for lam in grid:
+                    try:
+                        n = self._sellmeier_index(lam, axis)
+                    except RangeError:      # n^2 < 0 with no pole: n is not even real
+                        n = math.nan
+                    if not n >= 1.0:
+                        raise ValueError(f"dispersion.sellmeier[{axis}] must give a real n >= 1 "
+                                         f"over the validity range, got n = {n} at {lam!r} m")
 
     def index(self, wavelength: float, axis: int) -> float:
         # A float or a bool is no axis, though 1.0 and True compare equal to 1.
@@ -145,22 +180,23 @@ class DispersionModel(Record):
     def _sellmeier_index(self, wavelength: float, axis: int) -> float:
         n2 = 1.0
         lam2 = wavelength * wavelength
-        try:
-            for b, c in self.sellmeier[axis]:
-                if b:   # a B = 0 term adds nothing, even with its C at lam^2
-                    n2 += b * lam2 / (lam2 - c)
-        except ZeroDivisionError:   # the query sits on a pole: n^2 is undefined
-            n2 = -math.inf
-        if n2 < 0:
-            raise RangeError(
-                f"Sellmeier n^2 negative or undefined at {wavelength:.6g} m (pole inside "
-                "validity range?)", lo=self.valid_range_m[0],
-                hi=self.valid_range_m[1], value=wavelength)
+        for b, c in self.sellmeier[axis]:
+            if b:   # a B = 0 term adds nothing, even with its C at lam^2
+                n2 += b * lam2 / (lam2 - c)
+        if n2 < 0:  # between the constructor's samples, with no pole: n is not real
+            raise RangeError(f"Sellmeier n^2 < 0 at {wavelength:.6g} m", *self.valid_range_m,
+                             wavelength)
         return math.sqrt(n2)
 
 
 class Material(Record):
-    """One optical material with everything the estimation chain consumes."""
+    """One optical material with everything the estimation chain consumes.
+
+    The constructor reads every number with ``errors._reals`` under the key
+    a database file gives it (``d_eff_m_per_v``, ``eps_r[0]``,
+    ``v_sound_m_per_s.<mode>``, ``damage_threshold_w_per_m2``), checks its
+    range and stores read-only copies, so a material that exists is valid.
+    """
 
     def __init__(self, name: str, dispersion: DispersionModel,
                  photoelastic: PhotoelasticTensor, photoelastic_note: str,
@@ -169,24 +205,39 @@ class Material(Record):
                  v_sound: dict[str, float],         # acoustic mode label -> m/s
                  damage_threshold: float,           # W/m^2
                  qpm_order: int = 1):
-        # Copies the caller cannot change, numbers as floats and ints;
-        # validate_material reports a value that is no number (or a
-        # qpm_order that is no integer), which is kept as given.
-        qpm = _integer(qpm_order)
+        _require(isinstance(name, str) and name, "name", "a non-empty string", name)
+        _require(isinstance(dispersion, DispersionModel), "dispersion", "a DispersionModel",
+                 dispersion)
+        _require(isinstance(photoelastic, PhotoelasticTensor), "photoelastic",
+                 "a PhotoelasticTensor", photoelastic)
+        d_eff = _reals(d_eff, "d_eff_m_per_v")
+        eps_r = _reals(eps_r, "eps_r", 1)
+        v_sound = FrozenDict((k, _reals(v, f"v_sound_m_per_s.{k}"))
+                             for k, v in _object(v_sound, "v_sound_m_per_s").items())
+        damage = _reals(damage_threshold, "damage_threshold_w_per_m2")
+        _require(math.isfinite(d_eff), "d_eff_m_per_v", "finite", d_eff)
+        _require(len(eps_r) == 3 and all(0 < e < math.inf for e in eps_r), "eps_r",
+                 "three positive finite numbers", eps_r)
+        for mode, v in v_sound.items():
+            _require(0 < v < math.inf, f"v_sound_m_per_s.{mode}", "positive and finite", v)
+        _require(0 < damage < math.inf, "damage_threshold_w_per_m2", "positive and finite", damage)
+        _require((qpm := _integer(qpm_order)) is not None and qpm >= 1, "qpm_order",
+                 "an integer >= 1", qpm_order)
         self.__dict__.update(
             name=name, dispersion=dispersion, photoelastic=photoelastic,
-            photoelastic_note=photoelastic_note, d_eff=_real(d_eff, d_eff),
-            eps_r=tuple(_real(e, e) for e in eps_r),
-            v_sound=FrozenDict((k, _real(v, v)) for k, v in dict(v_sound).items()),
-            damage_threshold=_real(damage_threshold, damage_threshold),
-            qpm_order=qpm_order if qpm is None else qpm)
+            photoelastic_note=photoelastic_note, d_eff=d_eff, eps_r=eps_r, v_sound=v_sound,
+            damage_threshold=damage, qpm_order=qpm)
 
 
 class MaterialDb(Record):
-    """Immutable name -> Material map loaded from one schema-1 file."""
+    """Immutable name -> Material map loaded from one schema-1 file; each
+    value is a ``Material`` keyed by its name."""
 
     def __init__(self, materials: dict[str, Material]):
         self.__dict__.update(materials=FrozenDict(materials))
+        for key, m in self.materials.items():
+            _require(isinstance(m, Material), f"materials[{key!r}]", "a Material", m)
+            _require(key == m.name, f"materials[{key!r}]", f"keyed by its name {m.name!r}", key)
 
     def get(self, name: str) -> Material:
         try:
@@ -200,68 +251,9 @@ class MaterialDb(Record):
         return sorted(self.materials)
 
 
-class Violation(Record):
-    """Machine-readable invariant violation found by validate_material."""
-
-    def __init__(self, field: str, rule: str, value: object):
-        self.__dict__.update(field=field, rule=rule, value=value)
-
-
 def refractive_index(m: Material, wavelength: float, axis: int = 2) -> float:
     """Refractive index of ``m`` at a vacuum wavelength (m), along ``axis``."""
     return m.dispersion.index(wavelength, axis)
-
-
-def validate_material(m: Material) -> list[Violation]:
-    """Check every material invariant; violations are data, not exceptions."""
-    out: list[Violation] = []
-    d = m.dispersion
-    lo, hi = d.valid_range_m
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        out.append(Violation("dispersion.valid_range_m", "0 < lo < hi", (lo, hi)))
-        return out
-    if d.kind == "tabulated-points":
-        below = [n for row in d.points for n in row[1:] if n < 1.0]
-        if below:
-            out.append(Violation("dispersion.points", "n >= 1", min(below)))
-        if not all(math.isfinite(v) for row in d.points for v in row):
-            out.append(Violation("dispersion.points", "finite", None))
-    else:
-        # The scan grid of np.linspace(lo, hi, 64): lo + i*step, ending at hi.
-        step = (hi - lo) / (_N_VALIDATION_SAMPLES - 1)
-        grid = [lo + i * step for i in range(_N_VALIDATION_SAMPLES - 1)] + [hi]
-        for axis in range(3):
-            if not all(math.isfinite(v) for term in d.sellmeier[axis] for v in term):
-                out.append(Violation("dispersion.sellmeier", "finite B and C", axis))
-                continue
-            # A pole at lam^2 = C is checked exactly; sampling could miss it.
-            if any(b != 0 and lo * lo <= c <= hi * hi for b, c in d.sellmeier[axis]):
-                out.append(Violation("dispersion.sellmeier", "pole inside validity range", axis))
-                continue
-            try:    # the grid lies in the window: no lookup needs index's checks
-                nmin = min(d._sellmeier_index(lam, axis) for lam in grid)
-            except RangeError:   # n^2 < 0 with no pole: n is not even real
-                nmin = None
-            if nmin is None or nmin < 1.0:
-                out.append(Violation("dispersion.sellmeier", "n >= 1 over validity range",
-                                     nmin))
-    # NaN (null in a file) marks an unmeasured entry; only infinities are bad.
-    if any(math.isinf(e) for row in m.photoelastic.entries for e in row):
-        out.append(Violation("photoelastic.entries", "finite or null 6x6", None))
-    # A Material stores every number as a float; anything else is kept as
-    # given, reads as NaN here and is reported.
-    if not math.isfinite(_real(m.d_eff, math.nan)):
-        out.append(Violation("d_eff_m_per_v", "finite", m.d_eff))
-    if len(m.eps_r) != 3 or not all(0 < _real(e, math.nan) < math.inf for e in m.eps_r):
-        out.append(Violation("eps_r", "three positive finite entries", m.eps_r))
-    for mode, v in m.v_sound.items():
-        if not 0 < _real(v, math.nan) < math.inf:
-            out.append(Violation(f"v_sound_m_per_s.{mode}", "positive finite", v))
-    if not 0 < _real(m.damage_threshold, math.nan) < math.inf:
-        out.append(Violation("damage_threshold_w_per_m2", "positive", m.damage_threshold))
-    if (qpm := _integer(m.qpm_order)) is None or qpm < 1:
-        out.append(Violation("qpm_order", "integer >= 1", m.qpm_order))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -300,17 +292,11 @@ def _parse_material(obj, source: str) -> Material:
             raise ValueError(f"missing required keys {sorted(missing)}")
         dispersion = _parse_dispersion(obj["dispersion"])
         pe = _object(obj["photoelastic"], "photoelastic")
-        v_sound = _object(obj["v_sound_m_per_s"], "v_sound_m_per_s")
-        # validate_material reports an eps_r of the wrong length and a
-        # qpm_order that is no integer.
         return Material(
             name=name, dispersion=dispersion, photoelastic=PhotoelasticTensor(pe.get("entries")),
-            photoelastic_note=str(pe.get("note", "")),
-            d_eff=_reals(obj["d_eff_m_per_v"], "d_eff_m_per_v"),
-            eps_r=_reals(obj["eps_r"], "eps_r", 1),
-            v_sound={str(k): _reals(v, f"v_sound_m_per_s.{k}") for k, v in v_sound.items()},
-            damage_threshold=_reals(obj["damage_threshold_w_per_m2"], "damage_threshold_w_per_m2"),
-            qpm_order=obj.get("qpm_order", 1))
+            photoelastic_note=str(pe.get("note", "")), d_eff=obj["d_eff_m_per_v"],
+            eps_r=obj["eps_r"], v_sound=obj["v_sound_m_per_s"],
+            damage_threshold=obj["damage_threshold_w_per_m2"], qpm_order=obj.get("qpm_order", 1))
     except ValueError as exc:
         raise MaterialFileError(f"{source}: material '{name}': {exc}") from None
 
@@ -332,13 +318,6 @@ def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
         m = _parse_material(obj, source)
         if m.name in mats:
             raise MaterialFileError(f"{source}: duplicate material name '{m.name}'")
-        violations = validate_material(m)
-        if violations:
-            v = violations[0]
-            raise MaterialFileError(
-                f"{source}: material '{m.name}' invalid: {v.field} violates "
-                f"'{v.rule}' (value {v.value!r})"
-                + (f" and {len(violations) - 1} more" if len(violations) > 1 else ""))
         mats[m.name] = m
     return MaterialDb(materials=mats)
 

@@ -175,10 +175,10 @@ class TestNoStaleIndex:
 
 
 def test_every_band_is_looked_up_before_any_wavevector_is_checked():
-    # An index below 1 at pump 1 and pump 2 outside the window: delta_k and
-    # poling_period now report the window, as the chain always did, where
-    # they reported the index of pump 1 before.
-    m = make_material(n_points=((1.0e-6, 0.9), (3.0e-6, 0.9)))
+    # An index whose wavevector overflows at pump 1 and pump 2 outside the
+    # window: delta_k and poling_period report the window, as the chain
+    # always did, where they once reported the index of pump 1.
+    m = make_material(n_points=((1.0e-6, 4e301), (3.0e-6, 4e301)))
     bands = MixingBands.from_vacuum_wavelengths(2.6e-6, 4.0e-6, 2e9)
     pm_in = PhaseMatchInput(bands, m, LENGTH)
     for call in (lambda: second_order_photoelasticity(m, bands),

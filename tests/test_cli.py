@@ -554,9 +554,9 @@ EXPORTS = {
                   "interaction_density_4wm", "miller_Q", "peak_field_from_power",
                   "peak_intensity", "power_sweep", "q_eff_from_deff", "q_eff_from_eta2",
                   "second_order_photoelasticity", "virtual_photoelasticity"],
-    "materials": ["DispersionModel", "Material", "MaterialDb", "Violation", "default_db",
+    "materials": ["DispersionModel", "Material", "MaterialDb", "default_db",
                   "dumps_materials", "load_materials", "loads_materials",
-                  "refractive_index", "save_materials", "validate_material"],
+                  "refractive_index", "save_materials"],
     "phasematch": ["PhaseMatchInput", "PhaseMatchResult", "ThreeWaveResidual", "delta_k",
                    "pm_efficiency", "poling_period", "sweep", "three_wave_residual",
                    "wavevector_acoustic", "wavevector_optical"],

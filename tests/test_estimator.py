@@ -665,3 +665,13 @@ class TestPowerSweep:
         assert doc["chain"]["q_eff_m2_per_c"] == report.chain.q_eff
         assert doc["rows"][0]["p_virt"] == report.rows[0].p_virt
         assert any("extrapolat" in n for n in doc["notes"])
+
+    def test_editing_the_dict_leaves_the_report_unchanged(self, bto, bto_bands):
+        # to_dict returned each row's own __dict__: this edit changed the
+        # frozen row, its hash and the next to_csv.
+        report = power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26)
+        row, text = report.rows[0], report.to_csv()
+        before = (repr(row), hash(row))
+        report.to_dict()["rows"][0]["power_w"] = 99.0
+        assert (repr(row), hash(row)) == before
+        assert report.to_csv() == text and row.power_w == 1e-3

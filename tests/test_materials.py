@@ -14,7 +14,8 @@ from transduce import MixingBands, PhaseMatchInput, default_db, delta_k
 from transduce.errors import MaterialFileError, RangeError
 from transduce.materials import (DispersionModel, MaterialDb, dumps_materials,
                                  load_materials, loads_materials, refractive_index,
-                                 save_materials, validate_material)
+                                 save_materials)
+from transduce.tensors import PhotoelasticTensor
 
 from conftest import unreadable_db
 
@@ -85,8 +86,10 @@ class TestLoad:
             loads_materials('{"schema": 2, "materials": []}')
 
     def test_negative_damage_threshold_names_the_field(self):
-        with pytest.raises(MaterialFileError, match="damage_threshold_w_per_m2"):
+        with pytest.raises(MaterialFileError) as exc:
             loads_materials(_with(damage_threshold_w_per_m2=-1.0))
+        assert str(exc.value) == ("<string>: material 'demo': damage_threshold_w_per_m2 must "
+                                  "be positive and finite, got -1.0")
 
     def test_non_increasing_wavelengths_rejected(self):
         bad = {"kind": "tabulated-points",
@@ -275,20 +278,24 @@ class TestBundledFixture:
 
 
 class TestValidate:
+    """Every rule a material obeys is checked by the record that holds the
+    value, so a loaded entry, or one rebuilt from it, is valid."""
+
     def test_bundled_entries_are_valid(self, db):
         for name in db.names():
-            assert validate_material(db.get(name)) == []
+            m = db.get(name)
+            # replace() builds anew, through every check of each record.
+            assert m.replace(dispersion=m.dispersion.replace(),
+                             photoelastic=m.photoelastic.replace()) == m
+        assert db.replace() == db
 
     def test_dip_below_one_is_one_violation(self):
-        db = loads_materials(json.dumps(MINIMAL))
-        m = db.get("demo")
+        m = loads_materials(json.dumps(MINIMAL)).get("demo")
         bad_points = [list(row) for row in m.dispersion.points]
         bad_points[1][1:] = [0.9, 0.9, 0.9]
-        bad = m.replace(dispersion=m.dispersion.replace(points=bad_points))
-        violations = validate_material(bad)
-        assert len(violations) == 1
-        assert violations[0].field == "dispersion.points"
-        assert violations[0].rule == "n >= 1"
+        with pytest.raises(ValueError) as exc:
+            m.dispersion.replace(points=bad_points)
+        assert str(exc.value) == "dispersion.points[1][1] must be finite and >= 1, got 0.9"
 
     def test_narrow_sellmeier_pole_between_scan_samples_rejected(self):
         lo, hi = 0.5e-6, 2.0e-6
@@ -299,11 +306,13 @@ class TestValidate:
         doc["materials"][0]["dispersion"] = {
             "kind": "sellmeier", "sellmeier": [terms] * 3, "valid_range_m": [lo, hi]}
         # The scan alone sees nothing: n stays finite and near sqrt(2).
-        d = DispersionModel(kind="sellmeier", valid_range_m=(lo, hi),
-                            sellmeier=(tuple(map(tuple, terms)),) * 3)
-        assert all(1.4 < d.index(lam, 0) < 1.5 for lam in grid)
-        with pytest.raises(MaterialFileError, match="pole inside validity range"):
+        assert all(1.4 < math.sqrt(1 + sum(b * lam ** 2 / (lam ** 2 - c) for b, c in terms))
+                   < 1.5 for lam in grid)
+        with pytest.raises(MaterialFileError) as exc:
             loads_materials(json.dumps(doc))
+        assert str(exc.value) == (
+            "<string>: material 'demo': dispersion.sellmeier[0][1] must be a term with no "
+            f"pole inside the validity range, got [0.0001, {float(pole) ** 2!r}]")
 
     def test_nan_sellmeier_coefficient_rejected(self):
         # It gave n = NaN at every wavelength without a word.
@@ -311,16 +320,18 @@ class TestValidate:
         doc["materials"][0]["dispersion"] = {
             "kind": "sellmeier", "sellmeier": [[[1.0, math.nan]]] * 3,
             "valid_range_m": [0.5e-6, 2.0e-6]}
-        with pytest.raises(MaterialFileError, match="dispersion.sellmeier violates 'finite B and C'"):
+        with pytest.raises(MaterialFileError) as exc:
             loads_materials(json.dumps(doc))
+        assert str(exc.value) == ("<string>: material 'demo': dispersion.sellmeier[0][0] "
+                                  "must be finite, got [1.0, nan]")
 
     @pytest.mark.parametrize("c", [0.5e-6 ** 2, 2.0e-6 ** 2])
     def test_sellmeier_pole_at_window_edge_rejected(self, c):
-        m = loads_materials(json.dumps(MINIMAL)).get("demo")
-        disp = DispersionModel(kind="sellmeier", valid_range_m=(0.5e-6, 2.0e-6),
-                               sellmeier=(((1.0, 1e-14), (1e-4, c)),) * 3)
-        violations = validate_material(m.replace(dispersion=disp))
-        assert [v.rule for v in violations] == ["pole inside validity range"] * 3
+        with pytest.raises(ValueError) as exc:
+            DispersionModel(kind="sellmeier", valid_range_m=(0.5e-6, 2.0e-6),
+                            sellmeier=(((1.0, 1e-14), (1e-4, c)),) * 3)
+        assert str(exc.value) == ("dispersion.sellmeier[0][1] must be a term with no pole "
+                                  f"inside the validity range, got [0.0001, {c!r}]")
 
     def test_negative_n2_without_a_pole_is_named_as_n_below_1(self):
         # No pole in the window, yet n^2 < 0 throughout: it was reported as
@@ -329,13 +340,117 @@ class TestValidate:
         doc["materials"][0]["dispersion"] = {
             "kind": "sellmeier", "sellmeier": [[[-2.0, 1e-14]]] * 3,
             "valid_range_m": [1e-6, 2e-6]}
-        with pytest.raises(MaterialFileError,
-                           match="dispersion.sellmeier violates 'n >= 1 over validity range'"):
+        with pytest.raises(MaterialFileError) as exc:
             loads_materials(json.dumps(doc))
+        assert str(exc.value) == ("<string>: material 'demo': dispersion.sellmeier[0] must give "
+                                  "a real n >= 1 over the validity range, got n = nan at 1e-06 m")
 
     def test_missing_v_sound_mode_is_not_a_validation_issue(self):
         db = loads_materials(_with(v_sound_m_per_s={}))
-        assert validate_material(db.get("demo")) == []
+        assert db.get("demo").v_sound == {}
+
+
+# Each case: where in the entry, the value put there, the message after
+# "<string>: material 'demo': ".  One case per rule of a material's values.
+OUT_OF_RANGE = {
+    "window not above 0": (("dispersion", "valid_range_m"), [0.0, 2.1e-6],
+                           "dispersion.valid_range_m must be finite, 0 < lo < hi, "
+                           "got (0.0, 2.1e-06)"),
+    "window reversed": (("dispersion", "valid_range_m"), [2.1e-6, 0.9e-6],
+                        "dispersion.valid_range_m must be finite, 0 < lo < hi, "
+                        "got (2.1e-06, 9e-07)"),
+    "infinite index": (("dispersion", "points", 0, 2), math.inf,
+                       "dispersion.points[0][2] must be finite and >= 1, got inf"),
+    "infinite wavelength": (("dispersion", "points", 1, 0), math.inf,
+                            "dispersion.points[1][0] must be finite, got inf"),
+    "index below 1": (("dispersion", "points", 1, 3), 0.5,
+                      "dispersion.points[1][3] must be finite and >= 1, got 0.5"),
+    "infinite photoelastic entry": (("photoelastic", "entries", 2, 2), -math.inf,
+                                    "photoelastic.entries[2][2] must be finite or null, "
+                                    "got -inf"),
+    "infinite d_eff": (("d_eff_m_per_v",), math.inf, "d_eff_m_per_v must be finite, got inf"),
+    "two eps_r": (("eps_r",), [2.0, 2.0],
+                  "eps_r must be three positive finite numbers, got (2.0, 2.0)"),
+    "zero eps_r": (("eps_r", 2), 0.0,
+                   "eps_r must be three positive finite numbers, got (2.0, 2.0, 0.0)"),
+    "negative sound speed": (("v_sound_m_per_s", "longitudinal"), -4000.0,
+                             "v_sound_m_per_s.longitudinal must be positive and finite, "
+                             "got -4000.0"),
+    "zero damage threshold": (("damage_threshold_w_per_m2",), 0.0,
+                              "damage_threshold_w_per_m2 must be positive and finite, got 0.0"),
+    "qpm_order 0": (("qpm_order",), 0, "qpm_order must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_rejected_by_name(case):
+    path, value, message = OUT_OF_RANGE[case]
+    with pytest.raises(MaterialFileError) as exc:
+        loads_materials(_set(path, value))
+    assert str(exc.value) == f"<string>: material 'demo': {message}"
+
+
+def _bto():
+    return default_db().get("BaTiO3")
+
+
+NEAR_POLE = [[[1.0, (2e-6) ** 2 * (1 + 2 ** -52)]], [[1.0, 0.0]], [[1.0, 0.0]]]
+
+# Each case: a record built directly with a value the loader rejects, and the
+# ValueError that now names it.  Each was built, or failed with a bare
+# TypeError or AttributeError, before its record checked it.
+UNBUILDABLE = {
+    # index() returned nan at every wavelength.
+    "null index cell": (
+        lambda: DispersionModel("tabulated-points", (1e-6, 3e-6),
+                                [[1e-6, 2.0, None, 2.0], [3e-6, 2.0, 2.0, 2.0]]),
+        "dispersion.points[0][2] must be a number, got None"),
+    "index of 0.5": (
+        lambda: DispersionModel("tabulated-points", (1e-6, 3e-6),
+                                [[1e-6, 0.5, 0.5, 0.5], [3e-6, 0.5, 0.5, 0.5]]),
+        "dispersion.points[0][1] must be finite and >= 1, got 0.5"),
+    # index(math.nextafter(2e-6, 1), 0) returned 70368744.17766403.
+    "pole one ulp inside the window": (
+        lambda: DispersionModel("sellmeier", (1e-6, 3e-6), sellmeier=NEAR_POLE),
+        "dispersion.sellmeier[0][0] must be a term with no pole inside the validity range, "
+        f"got [1.0, {NEAR_POLE[0][0][1]!r}]"),
+    "Sellmeier n below 1": (
+        lambda: DispersionModel("sellmeier", (1e-6, 2e-6), sellmeier=[[[-0.5, 0.0]]] * 3),
+        "dispersion.sellmeier[0] must give a real n >= 1 over the validity range, "
+        "got n = 0.7071067811865476 at 1e-06 m"),
+    "infinite photoelastic entry": (
+        lambda: PhotoelasticTensor([[math.inf] * 6] * 6),
+        "photoelastic.entries[0][0] must be finite or null, got inf"),
+    # damage_limited_power returned -1.13e-12 W.
+    "negative damage threshold": (
+        lambda: _bto().replace(damage_threshold=-1.0),
+        "damage_threshold_w_per_m2 must be positive and finite, got -1.0"),
+    "eps_r that is a number": (
+        lambda: _bto().replace(eps_r=5.0), "eps_r must be a sequence of numbers, got 5.0"),
+    "v_sound that is None": (
+        lambda: _bto().replace(v_sound=None), "v_sound_m_per_s must be an object, got None"),
+    "empty name": (lambda: _bto().replace(name=""), "name must be a non-empty string, got ''"),
+    # A lookup, and dumps_materials, raised a bare AttributeError.
+    "dispersion that is None": (
+        lambda: _bto().replace(dispersion=None), "dispersion must be a DispersionModel, got None"),
+    "photoelastic table that is no tensor": (
+        lambda: _bto().replace(photoelastic=[[0.0] * 6] * 6),
+        "photoelastic must be a PhotoelasticTensor, got " + repr([[0.0] * 6] * 6)),
+    "key that is not the name": (
+        lambda: MaterialDb({"x": _bto()}),
+        "materials['x'] must be keyed by its name 'BaTiO3', got 'x'"),
+    # dumps_materials raised a bare AttributeError.
+    "value that is no Material": (
+        lambda: MaterialDb({"y": 5}), "materials['y'] must be a Material, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_record_that_breaks_a_rule_cannot_be_built(case):
+    build, message = UNBUILDABLE[case]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 GOOD_POINTS = [[1.0e-6, 1.5, 1.5, 1.5], [2.0e-6, 1.4, 1.4, 1.4]]
@@ -429,7 +544,6 @@ def _set(path, value):
 
 
 # Each case: where in the entry, the value put there, the field the error names.
-# A qpm_order that is no integer is kept, and validate_material reports it.
 BAD_SCALARS = {
     "null d_eff": (("d_eff_m_per_v",), None, "d_eff_m_per_v"),
     "string d_eff": (("d_eff_m_per_v",), "ten", "d_eff_m_per_v"),
@@ -480,8 +594,7 @@ BAD_SCALARS = {
 def test_bad_scalar_field_rejected_by_name(case, tmp_path):
     path, value, field = BAD_SCALARS[case]
     text = _set(path, value)
-    named = (f"material 'demo' invalid: {field} violates" if field == "qpm_order"
-             else f"material 'demo': {field} ")
+    named = f"material 'demo': {field} "
     with pytest.raises(MaterialFileError, match=re.escape(named)):
         loads_materials(text)
     db_path = tmp_path / "bad.json"
@@ -494,17 +607,27 @@ def test_bad_scalar_field_rejected_by_name(case, tmp_path):
 
 
 @pytest.mark.parametrize("lam", [1.5e-6, 2e-6])
-def test_sellmeier_pole_at_the_query_is_a_range_error(lam):
-    # A term with lam^2 = C raised a bare ZeroDivisionError.  Only a model
-    # built directly has one: the loader rejects a pole inside the window.
-    d = DispersionModel("sellmeier", (1e-6, 3e-6),
+def test_sellmeier_pole_at_a_query_is_rejected_when_built(lam):
+    # A term with lam^2 = C raised a bare ZeroDivisionError at a lookup of
+    # lam, and then a RangeError; no model can hold a pole in its window now.
+    with pytest.raises(ValueError) as exc:
+        DispersionModel("sellmeier", (1e-6, 3e-6),
                         sellmeier=[[[1.0, lam * lam]], [[1.0, 0.0]], [[1.0, 0.0]]])
+    assert str(exc.value) == ("dispersion.sellmeier[0][0] must be a term with no pole inside "
+                              f"the validity range, got [1.0, {lam * lam!r}]")
+
+
+def test_sellmeier_n2_below_zero_between_scan_samples_is_a_range_error():
+    # Three poles just below the window make n^2 < 0 from 1.00003 to 1.006 um,
+    # all between the first two samples of the constructor's n >= 1 scan.
+    x0 = 1e-6 ** 2
+    terms = [[0.05, x0 - 1e-17], [-1.0, x0 - 1e-15], [10.0, x0 - 1e-13]]
+    d = DispersionModel("sellmeier", (1e-6, 2e-6), sellmeier=[terms] * 3)
+    assert d.index(1e-6, 0) > 1.0 and d.index(1.0159e-6, 0) > 1.0
     with pytest.raises(RangeError) as exc:
-        d.index(lam, 0)
-    assert str(exc.value) == (f"Sellmeier n^2 negative or undefined at {lam:.6g} m (pole "
-                              "inside validity range?)")
-    assert (exc.value.lo, exc.value.hi, exc.value.value) == (1e-6, 3e-6, lam)
-    assert d.index(lam, 1) == math.sqrt(2.0)
+        d.index(1.0001e-6, 2)
+    assert str(exc.value) == "Sellmeier n^2 < 0 at 1.0001e-06 m"
+    assert (exc.value.lo, exc.value.hi, exc.value.value) == (1e-6, 2e-6, 1.0001e-6)
 
 
 def test_sellmeier_zero_b_term_at_the_query_adds_nothing():

@@ -7,11 +7,11 @@ that names the argument.  One row per site, eight inputs per row: a valid
 float, its np.float64 (whose result prints as the float's does), an int, True,
 "1.0", None, 10**400 and a float out of range.  A value that is no number is
 named as ``<name> must be a number, got <value>``; an out-of-range float gets
-the message the site has always raised.  A table constructor names a cell
-by its place in a database file (``dispersion.points[0][1]``), a Material
-keeps a value that is no number for validate_material to report, and a null
-table cell reads as NaN ("unmeasured"), as in a database file.  A seeded set
-of designs then gives the same bits for numpy-scalar inputs as for floats.
+the message the site raises.  A material record names a field or a cell by
+its place in a database file (``d_eff_m_per_v``, ``dispersion.points[0][1]``),
+whether it is loaded or built directly, and a null photoelastic cell reads as
+NaN ("unmeasured"), as in a database file.  A seeded set of designs then
+gives the same bits for numpy-scalar inputs as for floats.
 """
 
 import json
@@ -26,8 +26,7 @@ from transduce import (CouplingBenchmark, MixingBands, PhaseMatchInput, PumpGeom
                        default_db)
 from transduce import estimator as E, phasematch as P, thermo as TH
 from transduce.errors import MaterialFileError, RangeError, _real
-from transduce.materials import (DispersionModel, dumps_materials, loads_materials,
-                                 validate_material)
+from transduce.materials import DispersionModel, dumps_materials, loads_materials
 from transduce.tensors import PhotoelasticTensor
 
 DB = default_db()
@@ -44,15 +43,6 @@ VECTOR = TH.VectorFreeEnergyModel(1.0, [1.0, 2.0], [1.0, 0.5, 0.5, 2.0], [0.1] *
 P_LIMIT = 10.0 * E.damage_limited_power(BTO, 1.2e-6)
 
 
-def _validated(m):
-    """``m``, or ValueError naming each violation validate_material finds."""
-    violations = validate_material(m)
-    if violations:
-        raise ValueError("; ".join(f"{x.field} violates {x.rule!r} (value {x.value!r})"
-                                   for x in violations))
-    return m
-
-
 def _load(path, v):
     """The bundled BaTiO3 entry with ``v`` written at ``path``, loaded."""
     entry = json.loads(json.dumps(ENTRY))
@@ -63,8 +53,8 @@ def _load(path, v):
     return loads_materials(json.dumps({"schema": 1, "materials": [entry]})).get("BaTiO3")
 
 
-def _invalid(field, rule, v):
-    return f"<string>: material 'BaTiO3' invalid: {field} violates '{rule}' (value {v!r})"
+def _in_file(message):
+    return f"<string>: material 'BaTiO3': {message}"
 
 
 class Site(NamedTuple):
@@ -82,8 +72,7 @@ class Site(NamedTuple):
 
 def _kept(call, valid, integral, out_of_range, message, value):
     """A site that reports a value that is no number as it reports a number
-    out of range: a Material field, kept for validate_material, or a
-    free-energy coefficient."""
+    out of range: a free-energy coefficient."""
     return Site(call, "", valid, integral, out_of_range, message, value, rejected=message)
 
 
@@ -215,51 +204,49 @@ SITES = {
         lambda v: f"wavelength {v:.6g} m outside declared validity range [1.2e-06, "
                   "2.7e-06] m", error=RangeError),
     "DispersionModel.valid_range_m": Site(
-        lambda v: _validated(BTO.replace(dispersion=DispersionModel(
-            "tabulated-points", (v, 3e-6), POINTS))), "dispersion.valid_range_m[0]", 1e-6, 0,
-        -1.0,
-        lambda v: f"dispersion.valid_range_m violates '0 < lo < hi' (value ({v}, 3e-06))",
-        lambda m: m.dispersion.valid_range_m[0]),
+        lambda v: DispersionModel("tabulated-points", (v, 3e-6), POINTS),
+        "dispersion.valid_range_m[0]", 1e-6, 0, -1.0,
+        lambda v: f"dispersion.valid_range_m must be finite, 0 < lo < hi, got ({v}, 3e-06)",
+        lambda d: d.valid_range_m[0]),
     "DispersionModel.points": Site(
-        lambda v: _validated(BTO.replace(dispersion=DispersionModel(
-            "tabulated-points", WINDOW, [[1e-6, v, 2.0, 2.0], POINTS[1]]))),
+        lambda v: DispersionModel("tabulated-points", WINDOW, [[1e-6, v, 2.0, 2.0], POINTS[1]]),
         "dispersion.points[0][1]", 2.27, 2, math.inf,
-        lambda v: "dispersion.points violates 'finite' (value None)",
-        lambda m: m.dispersion.points[0][1]),
+        lambda v: f"dispersion.points[0][1] must be finite and >= 1, got {v}",
+        lambda d: d.points[0][1]),
     "DispersionModel.sellmeier": Site(
-        lambda v: _validated(BTO.replace(dispersion=DispersionModel(
-            "sellmeier", WINDOW, sellmeier=[[[v, 1e-14]], [], []]))),
+        lambda v: DispersionModel("sellmeier", WINDOW, sellmeier=[[[v, 1e-14]], [], []]),
         "dispersion.sellmeier[0][0][0]", 1.5, 1, math.inf,
-        lambda v: "dispersion.sellmeier violates 'finite B and C' (value 0)",
-        lambda m: m.dispersion.sellmeier[0][0][0]),
+        lambda v: f"dispersion.sellmeier[0][0] must be finite, got [{v}, 1e-14]",
+        lambda d: d.sellmeier[0][0][0]),
     "PhotoelasticTensor.entries": Site(
-        lambda v: _validated(BTO.replace(photoelastic=PhotoelasticTensor(
-            [[v] + [0.0] * 5] + [[0.0] * 6] * 5))), "photoelastic.entries[0][0]", 0.2, 0,
-        math.inf, lambda v: "photoelastic.entries violates 'finite or null 6x6' (value None)",
-        lambda m: m.photoelastic.entries[0][0]),
-    "Material.d_eff": _kept(
-        lambda v: _validated(BTO.replace(d_eff=v)), 1e-11, 0, math.inf,
-        lambda v: f"d_eff_m_per_v violates 'finite' (value {v!r})", lambda m: m.d_eff),
-    "Material.eps_r": _kept(
-        lambda v: _validated(BTO.replace(eps_r=(v, 5.0, 5.0))), 5.0, 5, 0.0,
-        lambda v: f"eps_r violates 'three positive finite entries' (value ({v!r}, 5.0, 5.0))",
+        lambda v: PhotoelasticTensor([[v] + [0.0] * 5] + [[0.0] * 6] * 5),
+        "photoelastic.entries[0][0]", 0.2, 0, math.inf,
+        lambda v: f"photoelastic.entries[0][0] must be finite or null, got {v}",
+        lambda t: t.entries[0][0]),
+    "Material.d_eff": Site(
+        lambda v: BTO.replace(d_eff=v), "d_eff_m_per_v", 1e-11, 0, math.inf,
+        lambda v: f"d_eff_m_per_v must be finite, got {v}", lambda m: m.d_eff),
+    "Material.eps_r": Site(
+        lambda v: BTO.replace(eps_r=(v, 5.0, 5.0)), "eps_r[0]", 5.0, 5, 0.0,
+        lambda v: f"eps_r must be three positive finite numbers, got ({v}, 5.0, 5.0)",
         lambda m: m.eps_r[0]),
-    "Material.v_sound": _kept(
-        lambda v: _validated(BTO.replace(v_sound={"longitudinal": v})), 5000.0, 5000, -1.0,
-        lambda v: f"v_sound_m_per_s.longitudinal violates 'positive finite' (value {v!r})",
+    "Material.v_sound": Site(
+        lambda v: BTO.replace(v_sound={"longitudinal": v}), "v_sound_m_per_s.longitudinal",
+        5000.0, 5000, -1.0,
+        lambda v: f"v_sound_m_per_s.longitudinal must be positive and finite, got {v}",
         lambda m: m.v_sound["longitudinal"]),
-    "Material.damage_threshold": _kept(
-        lambda v: _validated(BTO.replace(damage_threshold=v)), 5.4e12, 10 ** 12, 0.0,
-        lambda v: f"damage_threshold_w_per_m2 violates 'positive' (value {v!r})",
+    "Material.damage_threshold": Site(
+        lambda v: BTO.replace(damage_threshold=v), "damage_threshold_w_per_m2", 5.4e12,
+        10 ** 12, 0.0, lambda v: f"damage_threshold_w_per_m2 must be positive and finite, got {v}",
         lambda m: m.damage_threshold),
     "loader.d_eff_m_per_v": Site(
-        lambda v: _load(("d_eff_m_per_v",), v), "<string>: material 'BaTiO3': d_eff_m_per_v",
-        1e-11, 0, math.inf, lambda v: _invalid("d_eff_m_per_v", "finite", v),
+        lambda v: _load(("d_eff_m_per_v",), v), _in_file("d_eff_m_per_v"),
+        1e-11, 0, math.inf, lambda v: _in_file(f"d_eff_m_per_v must be finite, got {v}"),
         lambda m: m.d_eff, error=MaterialFileError),
     "loader.dispersion.points": Site(
         lambda v: _load(("dispersion", "points", 1, 1), v),
-        "<string>: material 'BaTiO3': dispersion.points[1][1]", 2.26, 2, 0.5,
-        lambda v: _invalid("dispersion.points", "n >= 1", v),
+        _in_file("dispersion.points[1][1]"), 2.26, 2, 0.5,
+        lambda v: _in_file(f"dispersion.points[1][1] must be finite and >= 1, got {v}"),
         lambda m: m.dispersion.points[1][1], error=MaterialFileError),
     "FreeEnergyModel.c": _kept(
         lambda v: TH.FreeEnergyModel(c=v), 1.5, 2, math.inf,
@@ -293,13 +280,9 @@ SITES = {
 }
 
 NOT_NUMBERS = {"bool": True, "str": "1.0", "None": None, "huge_int": 10 ** 400}
-# Table cells where null means "unmeasured": None reads as NaN, which an index
-# table fails on validation and a photoelastic table keeps, as in a file.
-NULL_CELLS = {
-    "DispersionModel.points": (ValueError, "dispersion.points violates 'finite' (value None)"),
-    "loader.dispersion.points": (MaterialFileError,
-                                 _invalid("dispersion.points", "finite", None)),
-    "PhotoelasticTensor.entries": None}
+# Table cells where null means "unmeasured": None reads as NaN, as in a file.
+# A null index cell is no number, loaded or built directly.
+NULL_CELLS = {"PhotoelasticTensor.entries"}
 # Arguments whose default is None: the default nominal p and no grating.
 NONE_IS_DEFAULT = {"power_sweep.p_nominal", "PhaseMatchInput.poling_period"}
 
@@ -345,10 +328,7 @@ def test_real_argument(name, kind):
         if name in NONE_IS_DEFAULT and v is None:
             site.call(v)
         elif name in NULL_CELLS and v is None:
-            if NULL_CELLS[name] is None:
-                assert math.isnan(site.value(site.call(v)))
-            else:
-                _rejects(site, v, *NULL_CELLS[name])
+            assert math.isnan(site.value(site.call(v)))
         elif site.rejected is not None:
             _rejects(site, v, ValueError, site.rejected(v))
         else:

@@ -1,4 +1,4 @@
-"""The contract of the 19 frozen value types: repr, equality, hashing,
+"""The contract of the 18 frozen value types: repr, equality, hashing,
 frozenness, copying, pickling, the stored ``vars`` and ``replace``.
 
 Each case builds one instance of a class afresh, so two builds are equal but
@@ -16,7 +16,7 @@ import pytest
 from transduce._record import Record
 from transduce.estimator import (CouplingBenchmark, DesignReport, MillerChain,
                                  MixingBands, PumpGeometry, SweepRow)
-from transduce.materials import DispersionModel, Material, MaterialDb, Violation
+from transduce.materials import DispersionModel, Material, MaterialDb
 from transduce.phasematch import PhaseMatchInput, PhaseMatchResult, ThreeWaveResidual
 from transduce.tensors import PhotoelasticTensor
 from transduce.thermo import FreeEnergyModel, RelationReport, VectorFreeEnergyModel
@@ -99,9 +99,6 @@ CASES = [
     ("MaterialDb", lambda: MaterialDb({"fix": material()}),
      f"MaterialDb(materials={{'fix': {MATERIAL}}})", ("materials",), (),
      {"materials": {}}),
-    ("Violation", lambda: Violation("dispersion.points", "n >= 1", 0.9),
-     "Violation(field='dispersion.points', rule='n >= 1', value=0.9)",
-     ("field", "rule", "value"), (), {"value": 0.8}),
     ("Dimension", lambda: Dimension(1, 0, -1),
      "Dimension(m=1, kg=0, s=-1, a=0)", ("m", "kg", "s", "a"), (), {"a": 1}),
     ("Quantity", lambda: Quantity(2.5, Dimension(1, 0, -1)),
@@ -170,7 +167,7 @@ cases = pytest.mark.parametrize("name, build, text, fields, extra, change", CASE
 
 def test_every_value_type_has_a_case():
     classes = {type(build()) for _, build, *_ in CASES}
-    assert len(classes) == 19
+    assert len(classes) == 18
 
 
 @cases
