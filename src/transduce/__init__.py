@@ -35,13 +35,13 @@ _EXPORTS = {
     "phasematch": ("PhaseMatchInput", "PhaseMatchResult", "ThreeWaveResidual",
                    "delta_k", "pm_efficiency", "poling_period", "sweep",
                    "three_wave_residual", "wavevector_acoustic", "wavevector_optical"),
-    "tensors": ("PhotoelasticTensor", "voigt_index", "voigt_pair"),
+    "tensors": ("PhotoelasticTensor",),
     "thermo": ("FreeEnergyModel", "RelationReport", "VectorFreeEnergyModel",
                "eval_free_energy", "eval_free_energy_vector", "efield_of",
                "efield_of_vector", "extract_eta2", "fd_partial", "stress_of",
                "stress_of_vector", "verify_relations", "verify_relations_pair",
                "verify_relations_vector"),
-    "units": ("C_LIGHT", "Dimension", "EPS0", "Quantity"),
+    "units": ("C_LIGHT", "EPS0"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 __all__ = list(_LAYER_OF)

@@ -102,7 +102,11 @@ def _grid(args, start: str, stop: str, points: str, log: bool = False):
     for name, v in (*bounds, (f"{stop} - {start}", hi - lo)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    return (np.geomspace if log else np.linspace)(lo, hi, n)
+    try:
+        return (np.geomspace if log else np.linspace)(lo, hi, n)
+    except (MemoryError, ValueError):   # numpy cannot allocate n points
+        raise ValueError(f"{points} must be small enough for the grid to fit in memory, "
+                         f"got {n}") from None
 
 
 def _kv(name: str, value: float, unit: str = "") -> str:

@@ -4,7 +4,8 @@ Argument-level misuse (bad index, negative tolerance, ...) raises plain
 ``ValueError``; the classes below mark failures that originate in data or
 physics rather than in the call itself, so batch drivers can tell them apart.
 A result that is not finite is argument-level: :func:`non_finite_error`
-builds its ``ValueError``.
+builds its ``ValueError``, as :func:`underflow_error` does for a result
+that rounds to 0 or to a subnormal float though its exact value is not 0.
 
 Two rules read every argument of the package.  ``_integer`` reads an integer
 argument (an axis, a Voigt index, the QPM order, the poling sign, the pump
@@ -66,8 +67,18 @@ def non_finite_error(what: str, **args) -> ValueError:
     for k, v in args.items():
         if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
             return ValueError(f"{k} must be finite, got {v}")
-    named = ", ".join(f"{k}={v}" for k, v in args.items())
-    return ValueError(f"{what} overflows for {named}")
+    return ValueError(f"{what} overflows for {_named(args)}")
+
+
+def underflow_error(what: str, **args) -> ValueError:
+    """The error for a result ``what`` that is 0 or subnormal although its
+    exact value for these finite arguments is not 0; it names them all.
+    Callers test the result themselves and build this only on failure."""
+    return ValueError(f"{what} underflows for {_named(args)}")
+
+
+def _named(args: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in args.items())
 
 
 def _integer(value) -> int | None:
@@ -85,8 +96,8 @@ def _integer(value) -> int | None:
         return None
 
 
-def _real(value, fail=None) -> float | None:
-    """``value`` as a plain float if it is a real number, else ``fail``.
+def _real(value) -> float | None:
+    """``value`` as a plain float if it is a real number, else None.
 
     A float comes back as itself; an int, a numpy integer or floating scalar
     (any ``numbers.Real``) as ``float(value)``.  A bool (numpy's too), a str,
@@ -98,9 +109,9 @@ def _real(value, fail=None) -> float | None:
         return value
     from numbers import Real        # where numpy registers its scalars; not at start-up
     try:
-        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else fail
+        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else None
     except OverflowError:           # an int too large for a float
-        return fail
+        return None
 
 
 _ROWS, _FLOATS = (tuple, list), frozenset((float,))

@@ -31,7 +31,11 @@ take floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q,
 and the band sum with the closed-form q_eff.  Only damage_limited_power
 still composes ``Quantity`` objects at run time (see its comment).  A result
 that is not finite raises the ValueError of ``errors.non_finite_error``,
-which names the inputs, so no infinity reaches a report.
+which names the inputs, so no infinity reaches a report.  A result of the
+chain (1/n^2, eta2, Q, q_eff) that is 0 or subnormal though no factor of it
+is 0 raises the ValueError of ``errors.underflow_error``, so no silent zero
+coupling does either.  A zero factor (d_eff = 0, a zero band sum, a vacuum
+band's 1 - 1/n^2) gives an exact zero, which is kept.
 
 Each band's photoelastic entry p[axis, axis; strain] is read as
 ``entries[axis][strain_voigt]``: in the Voigt order (00, 11, 22, 12, 02, 01)
@@ -56,7 +60,8 @@ import math
 import sys
 
 from ._record import Record
-from .errors import DataError, SingularityError, _integer, _reals, non_finite_error
+from .errors import (DataError, SingularityError, _integer, _reals, non_finite_error,
+                     underflow_error)
 from .materials import Material, refractive_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
@@ -148,6 +153,18 @@ _PerBand = tuple[float, float, float]     # (pump1, pump2, transduced)
 _SQUARE_METER = METER * METER
 
 
+def _result_error(result: float, what: str, **args) -> ValueError:
+    """The error for a ``result`` that is not finite, or that is 0 or
+    subnormal although no factor of it is 0.
+
+    Each caller tests ``not _MIN_NORMAL <= abs(result) < math.inf`` and,
+    for a result that is 0, that none of its factors is 0, then builds this.
+    """
+    if math.isfinite(result):
+        return underflow_error(what, **args)
+    return non_finite_error(what, **args)
+
+
 def _check_power(power) -> float:
     if not 0 <= (p := _reals(power, "power")) < math.inf:
         raise ValueError(f"power must be finite and >= 0, got {power}")
@@ -220,7 +237,9 @@ def _check_bands(ns, ps) -> tuple[_PerBand, _PerBand]:
 def eta1_rel(n: float) -> float:
     """Relative first-order inverse susceptibility eps0*eta1 = 1/n^2."""
     _check_indices((n := _reals(n, "n"),))
-    return 1.0 / (n * n)
+    if (eta1 := 1.0 / (n * n)) < _MIN_NORMAL:
+        raise underflow_error("eta1_rel", n=n)
+    return eta1
 
 
 def _band_terms(ns: _PerBand, singular: str | None) -> tuple[_PerBand, _PerBand]:
@@ -240,9 +259,10 @@ def _band_terms(ns: _PerBand, singular: str | None) -> tuple[_PerBand, _PerBand]
 def _miller_Q(eta2: float, ns: _PerBand, denoms: _PerBand) -> float:
     d1, d2, d3 = denoms
     Q = -eta2 / (d1 * d2 * d3)
-    if not math.isfinite(Q):
+    # Each factor lies in (0, 1], so Q is 0 only when eta2 is: an exact 0.
+    if not _MIN_NORMAL <= abs(Q) < math.inf and Q:
         n1, n2, n3 = ns
-        raise non_finite_error("Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
+        raise _result_error(Q, "Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
     return Q
 
 
@@ -259,9 +279,10 @@ def _band_sum(ps: _PerBand, denoms: _PerBand) -> float:
 
 def _q_eff_closed_form(d_eff: float, ns: _PerBand, ps: _PerBand, denoms: _PerBand) -> float:
     n1, n2, n3 = ns
-    q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * _band_sum(ps, denoms)
-    if not math.isfinite(q_eff):
-        raise non_finite_error("q_eff", d_eff=d_eff, ns=ns, ps=ps)
+    s = _band_sum(ps, denoms)
+    q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * s
+    if not _MIN_NORMAL <= abs(q_eff) < math.inf and (q_eff or d_eff and s):
+        raise _result_error(q_eff, "q_eff", d_eff=d_eff, ns=ns, ps=ps)
     return q_eff
 
 
@@ -280,8 +301,8 @@ def _eta2(d_eff: float, ns: _PerBand) -> float:
     _check_indices(ns)
     n1, n2, n3 = ns
     eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
-    if not math.isfinite(eta2):
-        raise non_finite_error("eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
+    if not _MIN_NORMAL <= abs(eta2) < math.inf and (eta2 or d_eff):
+        raise _result_error(eta2, "eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
     return eta2
 
 
@@ -298,9 +319,10 @@ def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     """Inverse of miller_Q; round-trips to machine precision."""
     _check_indices(ns := _read_indices(n1, n2, n3))
     d1, d2, d3 = _band_terms(ns, None)[1]
-    eta2 = -_reals(Q, "Q") * (d1 * d2 * d3)
-    if not math.isfinite(eta2):     # each factor lies in [0, 1], so Q is named
-        raise non_finite_error("eta2", Q=Q, n1=n1, n2=n2, n3=n3)
+    eta2 = -(Q := _reals(Q, "Q")) * (product := d1 * d2 * d3)
+    # Each factor lies in [0, 1], so Q is named if eta2 is not finite.
+    if not _MIN_NORMAL <= abs(eta2) < math.inf and (eta2 or Q and product):
+        raise _result_error(eta2, "eta2", Q=Q, n1=n1, n2=n2, n3=n3)
     return eta2
 
 
@@ -308,9 +330,10 @@ def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
                     ps: tuple[float, float, float]) -> float:
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
     eta2, (ns, ps) = _reals(eta2, "eta2"), _check_bands(ns, ps)
-    q_eff = -(EPS0 * eta2) * _band_sum(ps, _band_terms(ns, "q_eff")[1])
-    if not math.isfinite(q_eff):
-        raise non_finite_error("q_eff", eta2=eta2, ns=ns, ps=ps)
+    s = _band_sum(ps, _band_terms(ns, "q_eff")[1])
+    q_eff = -(EPS0 * eta2) * s
+    if not _MIN_NORMAL <= abs(q_eff) < math.inf and (q_eff or eta2 and s):
+        raise _result_error(q_eff, "q_eff", eta2=eta2, ns=ns, ps=ps)
     return q_eff
 
 
@@ -377,10 +400,12 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     ps = tuple(ps)
     d_eff = m.d_eff * (qpm_deff_reduction(m.qpm_order) if apply_qpm_reduction else 1.0)
     # _eta2 rejects a non-finite d_eff and n < 1, then a vacuum band is
-    # singular; q_eff is checked before Q, so an input whose q_eff overflows
-    # too is named by q_eff.
+    # singular and a 1/n^2 that underflows is named; q_eff is checked before
+    # Q, so an input whose q_eff overflows too is named by q_eff.
     eta2 = _eta2(d_eff, ns)
     eta1s, denoms = _band_terms(ns, "Miller constant")
+    if min(eta1s) < _MIN_NORMAL:       # 1/n^2 is never 0
+        raise underflow_error("eta1_rel", ns=ns)
     q_eff = _q_eff_closed_form(d_eff, ns, ps, denoms)
     return MillerChain(ns, ps, d_eff, eta1s, eta2, _miller_Q(eta2, ns, denoms), q_eff)
 

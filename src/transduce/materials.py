@@ -28,6 +28,8 @@ File schema (all numbers SI):
 
 Unit bookkeeping lives in the key names; the loader rejects unknown or
 missing keys by name, which is what "units validated on load" means here.
+An unknown key inside ``dispersion`` or ``photoelastic`` is rejected too,
+as is the table of the other dispersion kind.
 A null photoelastic entry means "unmeasured": it loads as NaN, and the
 estimation chain raises DataError only if the bands need it.  Null anywhere
 else is no number.  The loader checks no value itself: it picks the table
@@ -70,10 +72,10 @@ class DispersionModel(Record):
     three axes, strictly increasing in wavelength) or ``"sellmeier"``
     (per-axis term lists ``[B, C]`` for n^2 = 1 + sum B lam^2/(lam^2 - C),
     wavelengths and C in SI), given as three axis lists of [B, C] pairs.
-    ``valid_range_m`` bounds all queries.  The model is built only with the
-    table its ``kind`` names.  The constructor is the one reader and the one
-    check of each table: it reads it with ``errors._reals`` under the name a
-    database file gives it (``dispersion.points``, say) and raises
+    ``valid_range_m`` bounds all queries.  The model is built with the table
+    its ``kind`` names and no other.  The constructor is the one reader and
+    the one check of each table: it reads it with ``errors._reals`` under the
+    name a database file gives it (``dispersion.points``, say) and raises
     ValueError naming the first cell, term or axis that breaks a rule, so a
     model that exists gives a real n >= 1 at every sampled wavelength.
     """
@@ -85,12 +87,12 @@ class DispersionModel(Record):
             raise ValueError(f"dispersion.valid_range_m must be [lo, hi], got {window}")
         lo, hi = window
         _require(0 < lo < hi < math.inf, "dispersion.valid_range_m", "finite, 0 < lo < hi", window)
-        # A table is read if it is given or its kind names it, so a missing
-        # one is named by its place.
-        if points is not None or kind == "tabulated-points":
+        # Only the table the kind names is read, so a missing one is named
+        # by its place, and the other one must not be given.
+        if kind == "tabulated-points":
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.
-            points = _reals(points, "dispersion.points", 2)
+            points, unread = _reals(points, "dispersion.points", 2), ("sellmeier", sellmeier)
             if any(len(r) != 4 for r in points):
                 raise ValueError("dispersion.points must be rows of [lambda_m, nx, ny, nz] "
                                  f"(got {len(points)} rows of widths "
@@ -104,10 +106,10 @@ class DispersionModel(Record):
                 for j, n in enumerate(ns, 1):
                     _require(1 <= n < math.inf, f"dispersion.points[{i}][{j}]",
                              "finite and >= 1", n)
-        if sellmeier is not None or kind == "sellmeier":
+        elif kind == "sellmeier":
             # Tuples too, so no index of this model can change after a
             # lookup (estimator._band_indices reuses the last three).
-            sellmeier = _reals(sellmeier, "dispersion.sellmeier", 3)
+            sellmeier, unread = _reals(sellmeier, "dispersion.sellmeier", 3), ("points", points)
             if len(sellmeier) != 3 or any(len(t) != 2 for terms in sellmeier for t in terms):
                 raise ValueError("dispersion.sellmeier must be 3 axis lists of [B, C] "
                                  f"number pairs, got {sellmeier}")
@@ -124,11 +126,14 @@ class DispersionModel(Record):
         if not (kind == "tabulated-points" and points or kind == "sellmeier" and sellmeier):
             raise ValueError("dispersion.kind must be 'tabulated-points', with points, or "
                              f"'sellmeier', with sellmeier terms; got {kind!r}")
-        # _columns is the table as Python lists (wavelengths, then n per
-        # axis): a scalar lookup on lists costs far less than one np.interp.
+        if unread[1] is not None:
+            raise ValueError(f"dispersion.{unread[0]} must not be given with kind {kind!r}")
+        # _columns is the table by column (wavelengths, then n per axis), so
+        # a lookup bisects the wavelength column as stored and reads two
+        # cells of its axis column, with no row unpacked per call.
         self.__dict__.update(kind=kind, valid_range_m=(lo, hi), points=points,
                              sellmeier=sellmeier, _columns=tuple(map(list, zip(*points or ()))))
-        if sellmeier is not None:
+        if kind == "sellmeier":
             # n >= 1 on the grid of np.linspace(lo, hi, 64): lo + i*step, ending at hi.
             step = (hi - lo) / (_N_VALIDATION_SAMPLES - 1)
             grid = [lo + i * step for i in range(_N_VALIDATION_SAMPLES - 1)] + [hi]
@@ -273,11 +278,20 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _known_keys(obj: dict, known: set, where: str) -> None:
+    """Raise ``unknown keys [...] <where>`` if ``obj`` has a key not in ``known``."""
+    if unknown := set(obj) - known:
+        raise ValueError(f"unknown keys {sorted(unknown)} {where}")
+
+
 def _parse_dispersion(obj) -> DispersionModel:
-    """The model of ``obj``, given the raw table its kind names."""
+    """The model of ``obj``, given the raw table its kind names; the keys of
+    ``obj`` are checked once the model is built, so a bad kind is named."""
     obj = _object(obj, "dispersion")
     table = "sellmeier" if (kind := obj.get("kind")) == "sellmeier" else "points"
-    return DispersionModel(kind, obj.get("valid_range_m"), **{table: obj.get(table)})
+    model = DispersionModel(kind, obj.get("valid_range_m"), **{table: obj.get(table)})
+    _known_keys(obj, {"kind", "valid_range_m", table}, f"in dispersion of kind {kind!r}")
+    return model
 
 
 def _parse_material(obj, source: str) -> Material:
@@ -285,13 +299,12 @@ def _parse_material(obj, source: str) -> Material:
     if not isinstance(name, str) or not name:
         raise MaterialFileError(f"{source}: material entry without a 'name'")
     try:        # every defect of the entry raises a ValueError, named under it
-        if unknown := set(obj) - _MATERIAL_KEYS:
-            raise ValueError(f"unknown keys {sorted(unknown)} "
-                             "(unit annotations are part of the key names)")
+        _known_keys(obj, _MATERIAL_KEYS, "(unit annotations are part of the key names)")
         if missing := _REQUIRED_KEYS - set(obj):
             raise ValueError(f"missing required keys {sorted(missing)}")
         dispersion = _parse_dispersion(obj["dispersion"])
         pe = _object(obj["photoelastic"], "photoelastic")
+        _known_keys(pe, {"entries", "note"}, "in photoelastic")
         return Material(
             name=name, dispersion=dispersion, photoelastic=PhotoelasticTensor(pe.get("entries")),
             photoelastic_note=str(pe.get("note", "")), d_eff=obj["d_eff_m_per_v"],

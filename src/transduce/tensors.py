@@ -14,29 +14,11 @@ imports numpy, so loading a material database does not.
 import math
 
 from ._record import Record
-from .errors import _integer, _reals
+from .errors import _reals
 
 # Voigt pair for each packed index, in standard crystallographic order.
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = (
     (0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-
-_VOIGT_OF_PAIR = {(i, j): v for v, (i, j) in enumerate(VOIGT_PAIRS)}
-_VOIGT_OF_PAIR.update({(j, i): v for v, (i, j) in enumerate(VOIGT_PAIRS)})
-
-
-def voigt_index(i: int, j: int) -> int:
-    """Pack the symmetric axis pair (i, j) into a Voigt index 0..5."""
-    v = _VOIGT_OF_PAIR.get((_integer(i), _integer(j)))
-    if v is None:
-        raise ValueError(f"axis indices must be in 0..2, got ({i}, {j})")
-    return v
-
-
-def voigt_pair(v: int) -> tuple[int, int]:
-    """Unpack a Voigt index into its sorted axis pair; inverse of voigt_index."""
-    if (k := _integer(v)) is None or not 0 <= k <= 5:
-        raise ValueError(f"Voigt index must be in 0..5, got {v}")
-    return VOIGT_PAIRS[k]
 
 
 class PhotoelasticTensor(Record):

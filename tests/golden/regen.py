@@ -109,6 +109,7 @@ CLI_CASES = {
                                 "--pmin 1e-3 --pmax 6",
     "error-sound-speed": f"phasematch --db slow-sound.json {BANDS} --length 100e-6",
     "error-index-overflow": f"phasematch --db huge-index.json {BANDS} --length 100e-6",
+    "error-index-underflow": f"estimate-q --db huge-index.json {BANDS}",
     "error-phasematch-overflow": f"phasematch {FAST} --length 1e300",
     "error-poling-overflow": f"poling {FAST} --length 1e300",
     "error-unmeasured-entry": f"estimate-q --db null-entry.json {BANDS} --axes 1,2,2",

@@ -451,6 +451,30 @@ def test_non_finite_grating_ratio_or_grid_bound_is_named(argv, message):
     assert cp.stderr == f"error: {message}\n"
 
 
+PERIOD_SWEEP_ARGS = [*BANDS_ARGS, "--length", "100e-6", "--sweep", "poling-period",
+                     "--sweep-start", "2.5e-6", "--sweep-stop", "2.6e-6"]
+
+
+# Counts that numpy rejects before it allocates anything: the grid of each
+# would not fit in any address space.
+@pytest.mark.parametrize("argv, flag, count", [
+    (["phasematch", *PERIOD_SWEEP_ARGS, "--sweep-points"], "--sweep-points", 10 ** 18),
+    (["phasematch", *PERIOD_SWEEP_ARGS, "--sweep-points"], "--sweep-points", 10 ** 20 - 1),
+    (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax", "6", "--points"], "--points",
+     10 ** 15),
+    (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax", "6", "--log", "--points"],
+     "--points", 10 ** 15)],
+    ids=["sweep-points-1e18", "sweep-points-past-int64", "points-1e15", "log-points-1e15"])
+def test_a_grid_too_large_to_allocate_names_its_flag(argv, flag, count, capsys):
+    # Each ended in numpy's _ArrayMemoryError traceback, or in "error:
+    # Maximum allowed size exceeded", which names no flag.
+    assert cli.main([*argv, str(count)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {flag} must be small enough for the grid to fit in memory, "
+                   f"got {count}\n")
+
+
 # Both fail after their first results are computed: at the parent they printed
 # those lines (7 and 5) on stdout before the error.
 LATE_FAILURES = [
@@ -560,13 +584,13 @@ EXPORTS = {
     "phasematch": ["PhaseMatchInput", "PhaseMatchResult", "ThreeWaveResidual", "delta_k",
                    "pm_efficiency", "poling_period", "sweep", "three_wave_residual",
                    "wavevector_acoustic", "wavevector_optical"],
-    "tensors": ["PhotoelasticTensor", "voigt_index", "voigt_pair"],
+    "tensors": ["PhotoelasticTensor"],
     "thermo": ["FreeEnergyModel", "RelationReport", "VectorFreeEnergyModel",
                "eval_free_energy", "eval_free_energy_vector", "efield_of",
                "efield_of_vector", "extract_eta2", "fd_partial", "stress_of",
                "stress_of_vector", "verify_relations", "verify_relations_pair",
                "verify_relations_vector"],
-    "units": ["C_LIGHT", "Dimension", "EPS0", "Quantity"],
+    "units": ["C_LIGHT", "EPS0"],
 }
 # What this module imports: errors, materials and estimator, and through
 # them tensors and units.
@@ -678,6 +702,16 @@ class TestImportPath:
                 "from transduce import *\n"
                 "assert delta_k is T.delta_k")
         assert fresh_imports(code)["layers"] == list(LAYERS)
+
+    def test_dropped_exports_stay_in_their_layers(self):
+        import transduce
+        import transduce.tensors
+        from transduce.units import Dimension, Quantity
+        assert len(transduce.__all__) == 64
+        for name in ("Dimension", "Quantity", "voigt_index", "voigt_pair"):
+            assert name not in transduce.__all__ and not hasattr(transduce, name), name
+        assert Quantity(2.0, Dimension(m=1)).value == 2.0
+        assert transduce.tensors.PhotoelasticTensor is transduce.PhotoelasticTensor
 
     def test_layer_attribute_imports_the_layer(self):
         # In this order each layer's own imports are loaded before it, so

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from transduce.estimator import (CouplingBenchmark, MixingBands,
                                  second_order_photoelasticity,
                                  virtual_photoelasticity)
 from transduce.materials import refractive_index
-from transduce.tensors import voigt_index
+from transduce.tensors import VOIGT_PAIRS
 from transduce.units import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0,
                              EPS0_Q, ETA2, JOULE_PER_M3, METER, METER_PER_VOLT,
                              M2_PER_COULOMB, Quantity, TWO_PI, TWO_PI_C,
@@ -26,6 +27,17 @@ from transduce.units import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0,
 from conftest import designs, make_material
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+MIN_NORMAL = sys.float_info.min
+
+
+def q_eff_or_underflow(call):
+    """``call()``, or None if it raised the ValueError of a q_eff that is 0
+    or subnormal though its exact value is not 0."""
+    try:
+        return call()
+    except ValueError as exc:
+        assert str(exc).startswith("q_eff underflows for "), exc
+        return None
 
 
 class TestMixingBands:
@@ -293,8 +305,8 @@ class TestSecondOrderPhotoelasticity:
             bands = MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 2e9, axes=axes,
                                                         strain_voigt=strain)
             chain = second_order_photoelasticity(m, bands)
-            assert chain.p_entries == tuple(m.photoelastic.entries[voigt_index(a, a)][strain]
-                                            for a in axes)
+            rows = [VOIGT_PAIRS.index((a, a)) for a in axes]
+            assert chain.p_entries == tuple(m.photoelastic.entries[v][strain] for v in rows)
 
     @pytest.mark.parametrize("axis", range(3))
     def test_missing_p_entry_names_its_axis_and_column(self, axis):
@@ -336,7 +348,18 @@ class TestOnePassChain:
     @settings(max_examples=200)
     def test_fields_are_the_per_band_functions(self, design):
         m, bands = design
-        chain = second_order_photoelasticity(m, bands)
+        try:
+            chain = second_order_photoelasticity(m, bands)
+        except ValueError as exc:
+            # A subnormal entry can make q_eff underflow: then the closed
+            # form raises the same error for the same inputs.
+            ns = tuple(refractive_index(m, lam, axis)
+                       for lam, axis in zip(bands.wavelengths, bands.axes))
+            ps = tuple(m.photoelastic.entries[a][bands.strain_voigt] for a in bands.axes)
+            with pytest.raises(ValueError) as per_band:
+                q_eff_from_deff(m.d_eff, ns, ps)
+            assert str(per_band.value) == str(exc)
+            return
         ns, ps = chain.n_bands, chain.p_entries
         assert ns == tuple(refractive_index(m, lam, axis)
                            for lam, axis in zip(bands.wavelengths, bands.axes))
@@ -352,9 +375,12 @@ class TestRouteEquivalence:
     @settings(max_examples=200)
     def test_eq11_route_equals_eq12_route(self, d_eff, n1, n2, n3, p1, p2, p3):
         ns, ps = (n1, n2, n3), (p1, p2, p3)
-        via_eta2 = q_eff_from_eta2(eta2_from_deff(d_eff, *ns), ns, ps)
-        closed = q_eff_from_deff(d_eff, ns, ps)
-        assert via_eta2 == pytest.approx(closed, rel=1e-12, abs=1e-300)
+        via_eta2 = q_eff_or_underflow(
+            lambda: q_eff_from_eta2(eta2_from_deff(d_eff, *ns), ns, ps))
+        closed = q_eff_or_underflow(lambda: q_eff_from_deff(d_eff, ns, ps))
+        assert (via_eta2 is None) == (closed is None)
+        if closed is not None:
+            assert via_eta2 == pytest.approx(closed, rel=1e-12, abs=1e-300)
 
 
 class TestFieldAndIntensity:
@@ -447,6 +473,15 @@ class TestDimensionedReferences:
             EPS0_Q * EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3))
         self.assert_same(eta2_from_deff(d_eff, n1, n2, n3), ref, ETA2)
 
+    @classmethod
+    def assert_same_q_eff(cls, call, ref, *factors):
+        """q_eff as ``ref`` gives it, or the underflow error if ``ref`` is 0
+        or subnormal though none of its ``factors`` is 0."""
+        if abs(ref.value) < MIN_NORMAL and all(factors):
+            assert q_eff_or_underflow(call) is None
+        else:
+            cls.assert_same(call(), ref, M2_PER_COULOMB)
+
     @staticmethod
     def band_sum(ns, ps):
         # Left to right from 0.0: sum() compensates its rounding from Python
@@ -462,13 +497,15 @@ class TestDimensionedReferences:
         n1, n2, n3 = ns
         ref = -(2.0 * Quantity(d_eff, METER_PER_VOLT)) / (
             EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3)) * self.band_sum(ns, ps)
-        self.assert_same(q_eff_from_deff(d_eff, ns, ps), ref, M2_PER_COULOMB)
+        self.assert_same_q_eff(lambda: q_eff_from_deff(d_eff, ns, ps), ref,
+                               d_eff, self.band_sum(ns, ps))
 
     @given(st.floats(-1e12, 1e12), st.tuples(*[st.floats(1.01, 4.0)] * 3),
            st.tuples(*[st.floats(-1.0, 1.0)] * 3))
     def test_q_eff_from_eta2(self, eta2, ns, ps):
         ref = -(EPS0_Q * Quantity(eta2, ETA2)) * self.band_sum(ns, ps)
-        self.assert_same(q_eff_from_eta2(eta2, ns, ps), ref, M2_PER_COULOMB)
+        self.assert_same_q_eff(lambda: q_eff_from_eta2(eta2, ns, ps), ref,
+                               eta2, self.band_sum(ns, ps))
 
     def test_band_sum_is_added_left_to_right_on_every_python(self):
         # With n = 2 every denominator is 0.75, so the terms are 1 and two
@@ -562,6 +599,56 @@ class TestVirtualPhotoelasticity:
             E = peak_field_from_power(PumpGeometry(p_w, 1.2e-6, 2.26))
             vals.append(abs(virtual_photoelasticity(chain.q_eff, 5.09, E)))
         assert np.all(np.diff(vals) > 0)
+
+
+HUGE = 4e301     # a valid table index whose 1/n^2 underflows
+
+
+class TestUnderflow:
+    """A chain result whose exact value is not 0 but which rounds to 0 or to
+    a subnormal raises a ValueError naming its inputs; an exact 0 is kept."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eta1_rel(HUGE), "eta1_rel underflows for n=4e+301"),
+        (lambda: eta1_rel(1e154), "eta1_rel underflows for n=1e+154"),     # subnormal
+        (lambda: eta2_from_deff(1e-11, HUGE, 2, 2),
+         "eta2 underflows for d_eff=1e-11, n1=4e+301, n2=2.0, n3=2.0"),
+        (lambda: q_eff_from_deff(1e-11, (HUGE, 2.0, 2.0), (0.5, 0.5, 0.5)),
+         "q_eff underflows for d_eff=1e-11, ns=(4e+301, 2.0, 2.0), ps=(0.5, 0.5, 0.5)"),
+        (lambda: q_eff_from_eta2(1e-300, (2.0, 2.0, 2.0), (1e-30, 0.0, 0.0)),
+         "q_eff underflows for eta2=1e-300, ns=(2.0, 2.0, 2.0), ps=(1e-30, 0.0, 0.0)"),
+        (lambda: miller_Q(5e-324, 2.0, 2.0, 2.0),
+         "Miller Q underflows for eta2=5e-324, n1=2.0, n2=2.0, n3=2.0"),
+        (lambda: eta2_from_Q(1e-300, 1.0 + 1e-15, 1.0 + 1e-15, 1.0 + 1e-15),
+         "eta2 underflows for Q=1e-300, n1=1.000000000000001, n2=1.000000000000001, "
+         "n3=1.000000000000001")],
+        ids=["eta1_rel-zero", "eta1_rel-subnormal", "eta2_from_deff", "q_eff_from_deff",
+             "q_eff_from_eta2", "miller_Q", "eta2_from_Q"])
+    def test_a_result_that_underflows_is_named(self, call, message):
+        # Each returned 0.0, -0.0 or a subnormal.
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("d_eff, message", [
+        (1e-11, "eta2 underflows for d_eff=1e-11, n1=4e+301, n2=4e+301, n3=4e+301"),
+        (0.0, "eta1_rel underflows for ns=(4e+301, 4e+301, 4e+301)")])
+    def test_the_chain_on_a_huge_index_is_named(self, d_eff, message, bto_bands):
+        # It returned eta1_rel_bands=(0.0, 0.0, 0.0), eta2=0.0 and q_eff=-0.0.
+        m = make_material(n_points=((1e-6, HUGE), (3e-6, HUGE)), d_eff=d_eff)
+        with pytest.raises(ValueError) as exc:
+            second_order_photoelasticity(m, bto_bands)
+        assert str(exc.value) == message
+
+    def test_exact_zeros_are_kept(self, bto):
+        assert eta2_from_deff(0.0, HUGE, 2.0, 2.0) == 0.0
+        assert q_eff_from_deff(0.0, (HUGE, 2.0, 2.0), (0.5, 0.5, 0.5)) == 0.0
+        assert q_eff_from_eta2(1.0, (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)) == 0.0
+        assert miller_Q(0.0, 2.0, 2.0, 2.0) == 0.0
+        assert eta2_from_Q(0.0, 2.0, 2.0, 2.0) == 0.0
+        # BaTiO3's strain column 3 holds zeros: the band sum is exactly 0.
+        bands = MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9, strain_voigt=3)
+        assert second_order_photoelasticity(bto, bands).q_eff == 0.0
 
 
 class TestInteractionDensities:

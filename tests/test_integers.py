@@ -19,7 +19,6 @@ from transduce.errors import MaterialFileError
 from transduce.estimator import qpm_deff_reduction
 from transduce.materials import dumps_materials, loads_materials, refractive_index
 from transduce.phasematch import three_wave_residual
-from transduce.tensors import voigt_index, voigt_pair
 from transduce.thermo import fd_partial
 
 def _bands(**kw):
@@ -62,11 +61,6 @@ SITES = {
     "DispersionModel.index": Site(
         lambda v: refractive_index(BTO, 2e-6, v), 1, 3, ValueError,
         lambda v: f"axis must be 0..2, got {v}"),
-    "voigt_index": Site(
-        lambda v: voigt_index(v, 2), 1, 3, ValueError,
-        lambda v: f"axis indices must be in 0..2, got ({v}, 2)"),
-    "voigt_pair": Site(
-        voigt_pair, 3, 6, ValueError, lambda v: f"Voigt index must be in 0..5, got {v}"),
     "qpm_deff_reduction": Site(
         qpm_deff_reduction, 2, 0, ValueError,
         lambda v: f"poling diffraction order must be >= 1, got {v}"),

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from transduce import MixingBands, PhaseMatchInput, default_db, delta_k
 from transduce.errors import MaterialFileError, RangeError
@@ -17,7 +17,7 @@ from transduce.materials import (DispersionModel, MaterialDb, dumps_materials,
                                  save_materials)
 from transduce.tensors import PhotoelasticTensor
 
-from conftest import unreadable_db
+from conftest import make_material, unreadable_db
 
 MINIMAL = {
     "schema": 1,
@@ -101,6 +101,23 @@ class TestLoad:
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(MaterialFileError, match="d_eff_pm_per_v"):
             loads_materials(_with(d_eff_pm_per_v=10.0))
+
+    @pytest.mark.parametrize("obj, dropped, key, value, where", [
+        ("dispersion", None, "sellmeier", [[[1.0, 1e-14]]] * 3,
+         "dispersion of kind 'tabulated-points'"),
+        ("dispersion", None, "valid_rnage_m", [0.9e-6, 2.1e-6],
+         "dispersion of kind 'tabulated-points'"),
+        ("photoelastic", "note", "notes", "typo", "photoelastic")],
+        ids=["other-kinds-table", "misspelt-next-to-its-key", "misspelt-note"])
+    def test_unknown_key_inside_an_object_rejected_by_name(self, obj, dropped, key, value,
+                                                           where):
+        # Each loaded: the table was dropped, the key ignored, the note "".
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["materials"][0][obj].pop(dropped, None)
+        doc["materials"][0][obj][key] = value
+        with pytest.raises(MaterialFileError) as exc:
+            loads_materials(json.dumps(doc))
+        assert str(exc.value) == f"<string>: material 'demo': unknown keys ['{key}'] in {where}"
 
     def test_missing_key_rejected_by_name(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -665,6 +682,54 @@ class TestRoundTrip:
         path = tmp_path / "db.json"
         save_materials(db, path)
         assert dumps_materials(load_materials(path)) == dumps_materials(db)
+
+
+@pytest.mark.parametrize("kind, other", [("tabulated-points", "sellmeier"),
+                                         ("sellmeier", "points")])
+def test_dispersion_model_rejects_the_other_kinds_table(kind, other):
+    # The tabulated model validated and stored a Sellmeier table that no
+    # lookup read and dumps_materials dropped, so a reload was not ==.
+    with pytest.raises(ValueError) as exc:
+        DispersionModel(kind, (0.9e-6, 2.1e-6), points=GOOD_POINTS, sellmeier=[TERM] * 3)
+    assert str(exc.value) == f"dispersion.{other} must not be given with kind {kind!r}"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _windows(draw):
+    lo, hi = sorted(draw(st.lists(st.floats(1e-12, 1e-1), min_size=2, max_size=2,
+                                  unique=True)))
+    return lo, hi
+
+
+@st.composite
+def _tabulated_models(draw):
+    n = st.floats(1.0, allow_infinity=False)
+    lams = sorted(draw(st.lists(_FINITE, min_size=1, max_size=5, unique=True)))
+    return DispersionModel("tabulated-points", draw(_windows()),
+                           points=[(lam, draw(n), draw(n), draw(n)) for lam in lams])
+
+
+@st.composite
+def _sellmeier_models(draw):
+    lo, hi = draw(_windows())
+    # A B >= 0 term with its pole below the window always gives n >= 1;
+    # any other term is kept if the constructor accepts the model.
+    below = st.tuples(st.floats(0.0, 1e3), st.floats(-1.0, lo * lo, exclude_max=True))
+    terms = st.lists(st.one_of(below, st.tuples(_FINITE, _FINITE)), max_size=3)
+    try:
+        return DispersionModel("sellmeier", (lo, hi), sellmeier=draw(st.tuples(terms, terms,
+                                                                                terms)))
+    except ValueError:
+        assume(False)
+
+
+@given(st.one_of(_tabulated_models(), _sellmeier_models()))
+def test_every_dispersion_model_round_trips(dispersion):
+    db = MaterialDb({"m": make_material("m").replace(dispersion=dispersion)})
+    assert loads_materials(dumps_materials(db)) == db
 
 
 def test_sellmeier_evaluation_against_direct_formula():

@@ -345,7 +345,6 @@ def test_real_reads_numbers_and_nothing_else():
         assert type(got) is float and repr(got) == repr(want)
     for v in (True, np.bool_(True), "1.0", None, 1j, 10 ** 400, [1.0], np.array(1.0)):
         assert _real(v) is None
-        assert _real(v, v) is v
 
 
 # (id, call, message): a grid that is no sequence of numbers is named.
