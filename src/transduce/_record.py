@@ -2,8 +2,10 @@
 
 Each type stores its fields from its own ``__init__`` with one
 ``self.__dict__.update(...)``.  Its fields, ``_fields``, are the positional
-parameters of that ``__init__`` in order, then the ones it derives
-(``_computed``), so a record declares each field once, in its constructor.
+parameters of that ``__init__`` in order, so a record declares each field
+once, in its constructor, and stores only what it is given.  What it derives
+from them is either stored after them as an attribute that is no field (a
+``replace`` computes it again) or a property computed where it is read.
 Repr, ``==`` and the hash follow ``_fields`` as a frozen dataclass's do, but
 nothing is generated with ``exec`` at import time, and neither the
 decorator's module nor ``inspect`` is imported.  A mapping field is stored
@@ -18,12 +20,11 @@ class Record:
     """Frozen value: assignment and deletion raise, ``replace`` rebuilds."""
 
     _fields: tuple[str, ...] = ()       # repr, ==, hash: in this order
-    _computed: tuple[str, ...] = ()     # fields __init__ derives, not takes
 
     def __init_subclass__(cls):
         # The names of __init__'s positional parameters, after self.
         code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount] + cls._computed
+        cls._fields = code.co_varnames[1:code.co_argcount]
         # The field values as one tuple, also for a single field.
         get = attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
@@ -49,8 +50,7 @@ class Record:
     def replace(self, **changes):
         """A copy with ``changes``, built by ``__init__``, so its checks run
         again; a name ``__init__`` does not take raises TypeError."""
-        args = {f: getattr(self, f) for f in self._fields if f not in self._computed}
-        return type(self)(**{**args, **changes})
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
 
 
 class FrozenDict(dict):

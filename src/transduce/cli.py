@@ -276,27 +276,28 @@ def _cmd_verify_thermo(args) -> tuple[int, list[str]]:
         raise ValueError("--coef-range must be >= 0 with a finite span, "
                          f"got {args.coef_range}")
     import numpy as np
-    from .thermo import (FreeEnergyModel, VectorFreeEnergyModel, _nan_first,
-                         efield_of, stress_of, verify_relations,
+    from .thermo import (_RUNGS, FreeEnergyModel, RelationReport, VectorFreeEnergyModel,
+                         _nan_first, efield_of, stress_of, verify_relations,
                          verify_relations_pair, verify_relations_vector)
     rng = np.random.default_rng(args.seed)
-    rungs = ("order1", "order2", "order3", "factor2")
-    worst = dict.fromkeys(rungs, 0.0)
-    passed = dict.fromkeys(rungs, True)     # a rung passes if every trial passed it
+    worst = dict.fromkeys(_RUNGS, 0.0)
     for _ in range(args.trials):
         # Python floats: an overflow gives inf or NaN (and a FAIL), not a
         # numpy RuntimeWarning on stderr.
         coefs = rng.uniform(-args.coef_range, args.coef_range, size=6).tolist()
         rep = verify_relations(FreeEnergyModel(*coefs), tol=args.tol)
-        for name in rungs:
+        for name in _RUNGS:
             worst[name] = max(worst[name], getattr(rep, f"{name}_residual"),
                               key=_nan_first)
-            passed[name] = passed[name] and getattr(rep, f"{name}_passed")
+    # The worst residuals (NaN first, from 0.0) pass exactly when every
+    # trial passed, by the report's one rule.
+    verdict = RelationReport(*worst.values(), args.tol)
     lines = [f"{args.trials} random scalar models, coefficients in "
              f"[-{args.coef_range:g}, {args.coef_range:g}], tol {args.tol:g}",
              f"{'relation':>10s} {'worst residual':>16s} {'status':>8s}",
-             *(f"{name:>10s} {worst[name]:>16.6e} {'PASS' if passed[name] else 'FAIL':>8s}"
-               for name in rungs)]
+             *(f"{name:>10s} {worst[name]:>16.6e} "
+               f"{'PASS' if getattr(verdict, f'{name}_passed') else 'FAIL':>8s}"
+               for name in _RUNGS)]
 
     coefs = rng.uniform(-args.coef_range, args.coef_range, size=(2, 6))
     vec = VectorFreeEnergyModel(c=coefs[0, 0], h=coefs[:, 1], eta1=rng.uniform(-10, 10, (2, 2)),
@@ -304,10 +305,10 @@ def _cmd_verify_thermo(args) -> tuple[int, list[str]]:
                                 p=rng.uniform(-10, 10, (2, 2)),
                                 q=rng.uniform(-10, 10, (2, 2, 2)))
     vrep = verify_relations_vector(vec, tol=args.tol)
-    vworst = max((getattr(vrep, f"{name}_residual") for name in rungs), key=_nan_first)
+    vworst = max((getattr(vrep, f"{name}_residual") for name in _RUNGS), key=_nan_first)
     lines.append(f"two-component spot check: worst residual {vworst:.6e} "
                  f"{'PASS' if vrep.all_passed else 'FAIL'}")
-    ok = all(passed.values()) and vrep.all_passed
+    ok = verdict.all_passed and vrep.all_passed
 
     if args.adversarial:
         m1 = FreeEnergyModel(c=1.0, h=1.0, eta1=2.0, eta2=3.0, p=4.0, q=5.0)

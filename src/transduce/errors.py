@@ -3,9 +3,9 @@
 Argument-level misuse (bad index, negative tolerance, ...) raises plain
 ``ValueError``; the classes below mark failures that originate in data or
 physics rather than in the call itself, so batch drivers can tell them apart.
-A result that is not finite is argument-level: :func:`non_finite_error`
-builds its ``ValueError``, as :func:`underflow_error` does for a result
-that rounds to 0 or to a subnormal float though its exact value is not 0.
+A result out of range is argument-level: :func:`result_error` alone builds
+its ``ValueError``, both for a result that is not finite and for one that
+rounds to 0 or to a subnormal float though its exact value is not 0.
 
 Two rules read every argument of the package.  ``_integer`` reads an integer
 argument (an axis, a Voigt index, the QPM order, the poling sign, the pump
@@ -57,28 +57,23 @@ class MaterialFileError(TransduceError):
     """A material database file failed to parse or validate."""
 
 
-def non_finite_error(what: str, **args) -> ValueError:
-    """The error for a result ``what`` that is not finite.
+def result_error(what: str, result: float, /, **args) -> ValueError:
+    """The error for a ``result`` named ``what`` that is out of range.
 
-    It names the first argument that is not finite (a tuple counts if any
-    element is not); if every argument is finite, the result overflowed.
-    Callers test ``math.isfinite`` themselves and build this only on failure.
+    A finite result underflowed (it is 0 or subnormal although its exact
+    value for these finite arguments is not 0): ``<what> underflows for
+    name=value, ...``.  A result that is not finite names the first argument
+    that is not finite (a tuple counts if any element is not), else says
+    ``<what> overflows for name=value, ...``.  Callers test the result
+    themselves and build this only on failure.
     """
+    named = ", ".join(f"{k}={v}" for k, v in args.items())
+    if math.isfinite(result):
+        return ValueError(f"{what} underflows for {named}")
     for k, v in args.items():
         if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
             return ValueError(f"{k} must be finite, got {v}")
-    return ValueError(f"{what} overflows for {_named(args)}")
-
-
-def underflow_error(what: str, **args) -> ValueError:
-    """The error for a result ``what`` that is 0 or subnormal although its
-    exact value for these finite arguments is not 0; it names them all.
-    Callers test the result themselves and build this only on failure."""
-    return ValueError(f"{what} underflows for {_named(args)}")
-
-
-def _named(args: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in args.items())
+    return ValueError(f"{what} overflows for {named}")
 
 
 def _integer(value) -> int | None:

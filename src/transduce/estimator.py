@@ -30,12 +30,12 @@ and second_order_photoelasticity then call the same private steps, which
 take floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q,
 and the band sum with the closed-form q_eff.  Only damage_limited_power
 still composes ``Quantity`` objects at run time (see its comment).  A result
-that is not finite raises the ValueError of ``errors.non_finite_error``,
-which names the inputs, so no infinity reaches a report.  A result of the
-chain (1/n^2, eta2, Q, q_eff) that is 0 or subnormal though no factor of it
-is 0 raises the ValueError of ``errors.underflow_error``, so no silent zero
-coupling does either.  A zero factor (d_eff = 0, a zero band sum, a vacuum
-band's 1 - 1/n^2) gives an exact zero, which is kept.
+that is not finite raises the ValueError of ``errors.result_error``, which
+names the inputs, so no infinity reaches a report.  A result of the chain
+(1/n^2, eta2, Q, q_eff) that is 0 or subnormal though no factor of it is 0
+raises the ValueError of the same builder, so no silent zero coupling does
+either.  A zero factor (d_eff = 0, a zero band sum, a vacuum band's
+1 - 1/n^2) gives an exact zero, which is kept.
 
 Each band's photoelastic entry p[axis, axis; strain] is read as
 ``entries[axis][strain_voigt]``: in the Voigt order (00, 11, 22, 12, 02, 01)
@@ -60,8 +60,7 @@ import math
 import sys
 
 from ._record import Record
-from .errors import (DataError, SingularityError, _integer, _reals, non_finite_error,
-                     underflow_error)
+from .errors import DataError, SingularityError, _integer, _reals, result_error
 from .materials import Material, refractive_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
@@ -79,14 +78,13 @@ class MixingBands(Record):
     """The three optical bands and one acoustic band of the mixing process.
 
     Energy conservation fixes omega_t = omega_p1 + omega_p2 + omega_m; the
-    constructor computes it rather than trusting a caller-supplied value.
+    constructor derives it, with the vacuum ``wavelengths``, as an attribute
+    that is no field, so ``replace`` computes both again.
     ``axes`` gives the polarization axis (0..2) of each band in the order
     (pump1, pump2, transduced); ``acoustic_mode`` keys the material's sound
     speed table and ``strain_voigt`` selects the strain column of the
     photoelastic tensors driven by that mode.
     """
-
-    _computed = ("omega_t",)
 
     def __init__(self, omega_p1: float, omega_p2: float, omega_m: float,
                  axes: tuple[int, int, int] = (0, 1, 2),
@@ -114,7 +112,8 @@ class MixingBands(Record):
         if not isinstance(acoustic_mode, str):  # a key of the sound speed table
             raise ValueError(f"acoustic_mode must be a string, got {acoustic_mode}")
         wt = w1 + w2 + wm
-        # wavelengths: the vacuum wavelengths (m) of (pump1, pump2, transduced).
+        # Derived: omega_t, and the vacuum wavelengths (m) of (pump1, pump2,
+        # transduced).
         self.__dict__.update(
             omega_p1=w1, omega_p2=w2, omega_m=wm, axes=ints,
             acoustic_mode=acoustic_mode, strain_voigt=sv, omega_t=wt,
@@ -151,18 +150,6 @@ class MillerChain(Record):
 _MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
 _PerBand = tuple[float, float, float]     # (pump1, pump2, transduced)
 _SQUARE_METER = METER * METER
-
-
-def _result_error(result: float, what: str, **args) -> ValueError:
-    """The error for a ``result`` that is not finite, or that is 0 or
-    subnormal although no factor of it is 0.
-
-    Each caller tests ``not _MIN_NORMAL <= abs(result) < math.inf`` and,
-    for a result that is 0, that none of its factors is 0, then builds this.
-    """
-    if math.isfinite(result):
-        return underflow_error(what, **args)
-    return non_finite_error(what, **args)
 
 
 def _check_power(power) -> float:
@@ -238,7 +225,7 @@ def eta1_rel(n: float) -> float:
     """Relative first-order inverse susceptibility eps0*eta1 = 1/n^2."""
     _check_indices((n := _reals(n, "n"),))
     if (eta1 := 1.0 / (n * n)) < _MIN_NORMAL:
-        raise underflow_error("eta1_rel", n=n)
+        raise result_error("eta1_rel", eta1, n=n)
     return eta1
 
 
@@ -262,7 +249,7 @@ def _miller_Q(eta2: float, ns: _PerBand, denoms: _PerBand) -> float:
     # Each factor lies in (0, 1], so Q is 0 only when eta2 is: an exact 0.
     if not _MIN_NORMAL <= abs(Q) < math.inf and Q:
         n1, n2, n3 = ns
-        raise _result_error(Q, "Miller Q", eta2=eta2, n1=n1, n2=n2, n3=n3)
+        raise result_error("Miller Q", Q, eta2=eta2, n1=n1, n2=n2, n3=n3)
     return Q
 
 
@@ -282,7 +269,7 @@ def _q_eff_closed_form(d_eff: float, ns: _PerBand, ps: _PerBand, denoms: _PerBan
     s = _band_sum(ps, denoms)
     q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * s
     if not _MIN_NORMAL <= abs(q_eff) < math.inf and (q_eff or d_eff and s):
-        raise _result_error(q_eff, "q_eff", d_eff=d_eff, ns=ns, ps=ps)
+        raise result_error("q_eff", q_eff, d_eff=d_eff, ns=ns, ps=ps)
     return q_eff
 
 
@@ -302,7 +289,7 @@ def _eta2(d_eff: float, ns: _PerBand) -> float:
     n1, n2, n3 = ns
     eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
     if not _MIN_NORMAL <= abs(eta2) < math.inf and (eta2 or d_eff):
-        raise _result_error(eta2, "eta2", d_eff=d_eff, n1=n1, n2=n2, n3=n3)
+        raise result_error("eta2", eta2, d_eff=d_eff, n1=n1, n2=n2, n3=n3)
     return eta2
 
 
@@ -322,7 +309,7 @@ def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     eta2 = -(Q := _reals(Q, "Q")) * (product := d1 * d2 * d3)
     # Each factor lies in [0, 1], so Q is named if eta2 is not finite.
     if not _MIN_NORMAL <= abs(eta2) < math.inf and (eta2 or Q and product):
-        raise _result_error(eta2, "eta2", Q=Q, n1=n1, n2=n2, n3=n3)
+        raise result_error("eta2", eta2, Q=Q, n1=n1, n2=n2, n3=n3)
     return eta2
 
 
@@ -333,7 +320,7 @@ def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
     s = _band_sum(ps, _band_terms(ns, "q_eff")[1])
     q_eff = -(EPS0 * eta2) * s
     if not _MIN_NORMAL <= abs(q_eff) < math.inf and (q_eff or eta2 and s):
-        raise _result_error(q_eff, "q_eff", eta2=eta2, ns=ns, ps=ps)
+        raise result_error("q_eff", q_eff, eta2=eta2, ns=ns, ps=ps)
     return q_eff
 
 
@@ -404,8 +391,8 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     # Q, so an input whose q_eff overflows too is named by q_eff.
     eta2 = _eta2(d_eff, ns)
     eta1s, denoms = _band_terms(ns, "Miller constant")
-    if min(eta1s) < _MIN_NORMAL:       # 1/n^2 is never 0
-        raise underflow_error("eta1_rel", ns=ns)
+    if (eta1 := min(eta1s)) < _MIN_NORMAL:     # 1/n^2 is never 0
+        raise result_error("eta1_rel", eta1, ns=ns)
     q_eff = _q_eff_closed_form(d_eff, ns, ps, denoms)
     return MillerChain(ns, ps, d_eff, eta1s, eta2, _miller_Q(eta2, ns, denoms), q_eff)
 
@@ -415,7 +402,7 @@ def peak_field_from_power(g: PumpGeometry) -> float:
     denom = g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd
     field = math.sqrt(16.0 * g.power / denom) if 0 < denom < math.inf else math.inf
     if not math.isfinite(field):
-        raise non_finite_error("peak field", power=g.power, mfd=g.mfd, n_mode=g.n_mode)
+        raise result_error("peak field", field, power=g.power, mfd=g.mfd, n_mode=g.n_mode)
     return field
 
 
@@ -423,7 +410,7 @@ def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
     intensity = _check_power(power) / _mode_area(mfd)
     if not math.isfinite(intensity):
-        raise non_finite_error("peak intensity", power=power, mfd=mfd)
+        raise result_error("peak intensity", intensity, power=power, mfd=mfd)
     return intensity
 
 
@@ -436,8 +423,8 @@ def damage_limited_power(m: Material, mfd: float) -> float:
     power = (Quantity(m.damage_threshold, WATT_PER_M2)
              * Quantity(_mode_area(mfd), _SQUARE_METER)).expect(WATT, "power")
     if not math.isfinite(power):
-        raise non_finite_error("damage-limited power",
-                               damage_threshold=m.damage_threshold, mfd=mfd)
+        raise result_error("damage-limited power", power,
+                           damage_threshold=m.damage_threshold, mfd=mfd)
     return power
 
 
@@ -453,14 +440,17 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
         raise ValueError(f"eps_r must be finite, got {eps_r}")
     if not 0 <= (f := _reals(field, "field")) < math.inf:
         raise ValueError(f"field magnitude must be finite and >= 0, got {field}")
-    return (2.0 / 3.0) * EPS0 * q * e * f
+    p_virt = (2.0 / 3.0) * EPS0 * q * e * f
+    if not math.isfinite(p_virt):
+        raise result_error("virtual photoelasticity", p_virt, q_eff=q, eps_r=e, field=f)
+    return p_virt
 
 
 def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> float:
     """Three-wave interaction energy density (1/(2 eps0)) p d1 d2 x, J/m^3."""
     u = math.prod(map(_reals, (p_eff, d1, d2, x), ("p_eff", "d1", "d2", "x"))) / (2.0 * EPS0)
     if not math.isfinite(u):
-        raise non_finite_error("interaction density", p_eff=p_eff, d1=d1, d2=d2, x=x)
+        raise result_error("interaction density", u, p_eff=p_eff, d1=d1, d2=d2, x=x)
     return u
 
 
@@ -476,8 +466,8 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
     u = math.prod(map(_reals, (q_eff, dp, d1, d2, x),
                       ("q_eff", "dp", "d1", "d2", "x"))) / (3.0 * EPS0)
     if not math.isfinite(u):
-        raise non_finite_error("interaction density",
-                               q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
+        raise result_error("interaction density", u,
+                           q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
     return u
 
 
@@ -504,10 +494,16 @@ class DesignReport(Record):
     """Sweep output bundle: chain, rows, and the caveats that qualify them."""
 
     def __init__(self, material: str, chain: MillerChain, p_nominal: float,
-                 benchmark: CouplingBenchmark, rows: tuple[SweepRow, ...],
-                 notes: tuple[str, ...]):
+                 benchmark: CouplingBenchmark, rows: tuple[SweepRow, ...]):
         self.__dict__.update(material=material, chain=chain, p_nominal=p_nominal,
-                             benchmark=benchmark, rows=rows, notes=notes)
+                             benchmark=benchmark, rows=rows)
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The caveats, from the benchmark the g_scaled column extrapolates."""
+        return ("photoelastic entries are single-wavelength values applied to all bands",
+                f"g_scaled extrapolates benchmark '{self.benchmark.label}' proportionally "
+                "in p_virt/p_nominal; it is not a device prediction")
 
     def to_csv(self) -> str:
         lines = [POWER_SWEEP_CSV_HEADER]
@@ -577,8 +573,8 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
         ratio = abs(p_virt) / nominal
         g_scaled = benchmark.g0_ref * ratio
         if not math.isfinite(g_scaled):
-            raise non_finite_error("g_scaled", g0_ref=benchmark.g0_ref,
-                                   p_virt=p_virt, p_nominal=nominal)
+            raise result_error("g_scaled", g_scaled, g0_ref=benchmark.g0_ref,
+                               p_virt=p_virt, p_nominal=nominal)
         rows.append(SweepRow(
             power_w=p_w,
             peak_field_v_per_m=field,
@@ -588,10 +584,5 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
             intensity_over_threshold=intensity / threshold,
             g_scaled_rad_per_s=g_scaled,
         ))
-    notes = (
-        "photoelastic entries are single-wavelength values applied to all bands",
-        f"g_scaled extrapolates benchmark '{benchmark.label}' proportionally "
-        "in p_virt/p_nominal; it is not a device prediction",
-    )
     return DesignReport(material=m.name, chain=chain, p_nominal=nominal,
-                        benchmark=benchmark, rows=tuple(rows), notes=notes)
+                        benchmark=benchmark, rows=tuple(rows))

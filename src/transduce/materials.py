@@ -215,6 +215,8 @@ class Material(Record):
                  dispersion)
         _require(isinstance(photoelastic, PhotoelasticTensor), "photoelastic",
                  "a PhotoelasticTensor", photoelastic)
+        _require(isinstance(photoelastic_note, str), "photoelastic.note", "a string",
+                 photoelastic_note)
         d_eff = _reals(d_eff, "d_eff_m_per_v")
         eps_r = _reals(eps_r, "eps_r", 1)
         v_sound = FrozenDict((k, _reals(v, f"v_sound_m_per_s.{k}"))
@@ -307,7 +309,7 @@ def _parse_material(obj, source: str) -> Material:
         _known_keys(pe, {"entries", "note"}, "in photoelastic")
         return Material(
             name=name, dispersion=dispersion, photoelastic=PhotoelasticTensor(pe.get("entries")),
-            photoelastic_note=str(pe.get("note", "")), d_eff=obj["d_eff_m_per_v"],
+            photoelastic_note=pe.get("note", ""), d_eff=obj["d_eff_m_per_v"],
             eps_r=obj["eps_r"], v_sound=obj["v_sound_m_per_s"],
             damage_threshold=obj["damage_threshold_w_per_m2"], qpm_order=obj.get("qpm_order", 1))
     except ValueError as exc:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import DataError, _integer, _reals, non_finite_error
+from .errors import DataError, _integer, _reals, result_error
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
@@ -67,7 +67,7 @@ def _optical_k(n: float, omega: float) -> float:
             f"optical angular frequency must be positive and finite, got {omega}")
     k = n * omega / C_LIGHT
     if not k < math.inf:
-        raise non_finite_error("optical wavevector", n=n, omega=omega)
+        raise result_error("optical wavevector", k, n=n, omega=omega)
     return k
 
 
@@ -85,7 +85,7 @@ def _acoustic_k(omega_m: float, v_s: float) -> float:
             f"phonon angular frequency must be finite and >= 0, got {omega_m}")
     k_m = omega_m / v_s
     if not k_m < math.inf:
-        raise non_finite_error("acoustic wavevector", omega_m=omega_m, v_s=v_s)
+        raise result_error("acoustic wavevector", k_m, omega_m=omega_m, v_s=v_s)
     return k_m
 
 
@@ -181,10 +181,10 @@ def pm_efficiency(delta_k: float, length: float) -> float:
 def _sinc2(delta_k: float, length: float) -> float:
     """pm_efficiency for a mismatch and a positive finite length that are
     floats.  A mismatch that is not finite makes x not finite, and
-    non_finite_error then names it."""
+    result_error then names it."""
     x = delta_k * length / 2.0 / math.pi
     if not math.isfinite(x):
-        raise non_finite_error("delta_k * length", delta_k=delta_k, length=length)
+        raise result_error("delta_k * length", x, delta_k=delta_k, length=length)
     y = math.pi * (x if x != 0 else 1.0e-20)
     return (math.sin(y) / y) ** 2
 

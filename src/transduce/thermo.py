@@ -245,6 +245,9 @@ def extract_eta2(m: FreeEnergyModel, x: float) -> float:
     return 0.5 * fd_partial(lambda xx, dd: efield_of(m, xx, dd), (x, 0.0), (0, 2))
 
 
+_RUNGS = ("order1", "order2", "order3", "factor2")
+
+
 def _relative(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return 0.0 if scale == 0.0 else abs(a - b) / scale
@@ -253,19 +256,21 @@ def _relative(a: float, b: float) -> float:
 class RelationReport(Record):
     """Residuals of the three Maxwell relations plus the factor-2 identity.
 
-    Residuals are relative (|lhs - rhs| / max magnitude, 0 for 0 = 0).
-    ``fd_step_used`` records the step scale of the high-order differences
-    that dominate the residuals; an un-nested first D-derivative uses the
-    smaller eps_machine^(1/3) scale (FD_STEP_SMALL).  A NaN residual fails.
+    Residuals are relative (|lhs - rhs| / max magnitude, 0 for 0 = 0).  The
+    report stores the four residuals and ``tol``; each ``<rung>_passed`` is
+    computed when it is read, as ``residual < tol``, so a NaN residual fails
+    and a ``replace`` cannot leave a stale verdict.
     """
 
     def __init__(self, order1_residual: float, order2_residual: float,
-                 order3_residual: float, factor2_residual: float, fd_step_used: float,
-                 tol: float, order1_passed: bool, order2_passed: bool,
-                 order3_passed: bool, factor2_passed: bool):
+                 order3_residual: float, factor2_residual: float, tol: float):
         self.__dict__.update(zip(self._fields, (
-            order1_residual, order2_residual, order3_residual, factor2_residual,
-            fd_step_used, tol, order1_passed, order2_passed, order3_passed, factor2_passed)))
+            order1_residual, order2_residual, order3_residual, factor2_residual, tol)))
+
+    order1_passed = property(lambda self: self.order1_residual < self.tol)
+    order2_passed = property(lambda self: self.order2_residual < self.tol)
+    order3_passed = property(lambda self: self.order3_residual < self.tol)
+    factor2_passed = property(lambda self: self.factor2_residual < self.tol)
 
     @property
     def all_passed(self) -> bool:
@@ -273,7 +278,8 @@ class RelationReport(Record):
                 and self.order3_passed and self.factor2_passed)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "all_passed": self.all_passed}
+        verdicts = {f"{rung}_passed": getattr(self, f"{rung}_passed") for rung in _RUNGS}
+        return {**vars(self), **verdicts, "all_passed": self.all_passed}
 
 
 def _nan_first(r: float) -> tuple[bool, float]:
@@ -306,12 +312,7 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
                     lambda *p: 0.5 * _partial(e_m, list(p), inner, True, "efield_fn"),
                     origin, (0,))
                 resids[3].append(_relative(lhs, rhs_f2))
-    r1, r2, r3, rf = (max(r, key=_nan_first) for r in resids)
-    return RelationReport(
-        order1_residual=r1, order2_residual=r2, order3_residual=r3,
-        factor2_residual=rf, fd_step_used=FD_STEP_LARGE, tol=t,
-        order1_passed=r1 < t, order2_passed=r2 < t,
-        order3_passed=r3 < t, factor2_passed=rf < t)
+    return RelationReport(*(max(r, key=_nan_first) for r in resids), t)
 
 
 def verify_relations_pair(stress_fn, efield_fn, tol: float = 1e-6) -> RelationReport:

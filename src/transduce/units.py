@@ -88,10 +88,8 @@ class Quantity(Record):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Quantity | float") -> "Quantity":
-        if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, self.dim / other.dim)
-        return Quantity(self.value / other, self.dim)
+    def __truediv__(self, other: "Quantity") -> "Quantity":
+        return Quantity(self.value / other.value, self.dim / other.dim)
 
     def __rtruediv__(self, other: float) -> "Quantity":
         return Quantity(other / self.value, DIMENSIONLESS / self.dim)
@@ -101,16 +99,8 @@ class Quantity(Record):
             raise UnitError(f"cannot add {self.dim} to {other.dim}")
         return Quantity(self.value + other.value, self.dim)
 
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        if self.dim != other.dim:
-            raise UnitError(f"cannot subtract {other.dim} from {self.dim}")
-        return Quantity(self.value - other.value, self.dim)
-
     def __neg__(self) -> "Quantity":
         return Quantity(-self.value, self.dim)
-
-    def __pow__(self, n: int) -> "Quantity":
-        return Quantity(self.value ** n, self.dim ** n)
 
     def sqrt(self) -> "Quantity":
         return Quantity(math.sqrt(self.value), self.dim.root(2))

@@ -61,6 +61,7 @@ PUMP_SWEEP = f"{PHASEMATCH} --sweep pump-wavelength --sweep-start 2.5e-6 --sweep
 PERIOD_SWEEP = f"{PHASEMATCH} --sweep poling-period --sweep-start 2.5e-6 --sweep-stop 2.6e-6"
 LATE = "--material BaTiO3 --pump1 2600e-9 --pump2 2600e-9 --phonon-ghz 0.03845"
 FAST = "--material BaTiO3 --pump1 2600e-9 --pump2 2600e-9 --phonon-ghz 1000"
+UNSHIFTED = "--material BaTiO3 --pump1 2600e-9 --pump2 2600e-9 --phonon-ghz 0"
 SUBCOMMANDS = ("materials", "estimate-q", "field", "sweep-power", "phasematch",
                "poling", "verify-thermo")
 
@@ -85,6 +86,8 @@ CLI_CASES = {
     "phasematch-three-wave": f"{PHASEMATCH} --three-wave",
     "phasematch-poled-pump2": f"{PHASEMATCH} --poling-period 2.55e-6 --poling-sign -1 "
                               "--three-wave --pump-choice 2",
+    # With no phonon the three-wave output is the pump itself: matched too.
+    "phasematch-three-wave-matched": f"phasematch {UNSHIFTED} --length 100e-6 --three-wave",
     "phasematch-sweep-pump-table": f"{PUMP_SWEEP} --sweep-points 21",
     "phasematch-sweep-pump-csv": f"{PUMP_SWEEP} --sweep-points 21 --csv",
     "phasematch-sweep-pump-two-pumps": "phasematch --material BaTiO3 --pump1 2.5e-6 "
@@ -93,6 +96,7 @@ CLI_CASES = {
     "phasematch-sweep-period-table": f"{PERIOD_SWEEP} --sweep-points 21",
     "phasematch-sweep-period-csv": f"{PERIOD_SWEEP} --sweep-points 21 --csv",
     "poling": f"poling {BANDS} --length 100e-6",
+    "poling-already-matched": f"poling --db flat-index.json {UNSHIFTED} --length 100e-6",
     "poling-two-pumps-pump2": "poling --material BaTiO3 --pump1 2500e-9 --pump2 2650e-9 "
                               "--phonon-ghz 5 --length 1e-3 --pump-choice 2",
     "verify-thermo": "verify-thermo --trials 1000 --adversarial",
@@ -113,6 +117,7 @@ CLI_CASES = {
     "error-phasematch-overflow": f"phasematch {FAST} --length 1e300",
     "error-poling-overflow": f"poling {FAST} --length 1e300",
     "error-unmeasured-entry": f"estimate-q --db null-entry.json {BANDS} --axes 1,2,2",
+    "error-null-note": "materials --db null-note.json",
     "error-out-of-window": "estimate-q --material BaTiO3 --pump1 5e-6 --pump2 5e-6 "
                            "--phonon-ghz 2",
     "error-unknown-material": "estimate-q --material Unobtainium --pump1 2600e-9 "
@@ -158,6 +163,11 @@ _DB_EDITS = {
     "huge-index.json": (("dispersion", "points"), [[1.31e-06, 4e301, 4e301, 4e301],
                                                    [2.6e-06, 4e301, 4e301, 4e301]]),
     "null-entry.json": (("photoelastic", "entries", 2, 2), None),
+    "null-note.json": (("photoelastic", "note"), None),
+    # n = 2.26 at every wavelength and axis: a degenerate design with no
+    # phonon is phase matched unpoled.
+    "flat-index.json": (("dispersion", "points"), [[1.31e-06, 2.26, 2.26, 2.26],
+                                                   [2.6e-06, 2.26, 2.26, 2.26]]),
 }
 
 

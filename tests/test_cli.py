@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -536,22 +537,26 @@ class TestVerifyThermo:
         assert a.stdout == b.stdout
 
     def test_a_rung_passes_only_if_every_trial_report_passed_it(self, monkeypatch, capsys):
-        # The table takes each rung's verdict from the reports' *_passed flags,
-        # the one pass rule, not from a second comparison of the worst
-        # residual with --tol: a report that fails order2 at residual 0 fails
-        # the rung, and the residual column still shows the worst residual.
+        # The table takes each rung's verdict from a RelationReport of the
+        # worst residuals, so the report's one rule (residual < tol) decides:
+        # one trial whose order2 residual is --tol itself, or NaN, fails the
+        # rung, and the residual column shows that worst residual.
         from transduce import thermo
         verify = thermo.verify_relations
+        for residual, shown in ((1e-6, "1.000000e-06"), (math.nan, "nan")):
+            trials = []
 
-        def failing_order2(m, tol):
-            return verify(m, tol).replace(order2_residual=0.0, order2_passed=False)
-        monkeypatch.setattr(thermo, "verify_relations", failing_order2)
-        assert cli.main(["verify-thermo", "--trials", "2"]) == 1
-        rows = capsys.readouterr().out.splitlines()[2:6]
-        assert [row.split()[0::2] for row in rows] == [
-            ["order1", "PASS"], ["order2", "FAIL"], ["order3", "PASS"],
-            ["factor2", "PASS"]]
-        assert rows[1].split()[1] == "0.000000e+00"
+            def failing_order2_once(m, tol):
+                trials.append(m)
+                rep = verify(m, tol)
+                return rep.replace(order2_residual=residual) if len(trials) == 2 else rep
+            monkeypatch.setattr(thermo, "verify_relations", failing_order2_once)
+            assert cli.main(["verify-thermo", "--trials", "3"]) == 1
+            rows = capsys.readouterr().out.splitlines()[2:6]
+            assert [row.split()[0::2] for row in rows] == [
+                ["order1", "PASS"], ["order2", "FAIL"], ["order3", "PASS"],
+                ["factor2", "PASS"]]
+            assert rows[1].split()[1] == shown
 
 
 WORKED_ARGVS = [
@@ -722,6 +727,25 @@ class TestImportPath:
                 "    assert f'transduce.{layer}' not in sys.modules, layer\n"
                 "    assert getattr(transduce, layer) is sys.modules[f'transduce.{layer}']")
         assert fresh_imports(code)["layers"] == list(LAYERS)
+
+    def test_dir_lists_every_export_and_every_layer(self):
+        import transduce
+        names = dir(transduce)
+        assert set(transduce.__all__) | set(LAYERS) <= set(names)
+        assert names == sorted(names)
+
+    def test_a_layer_resolves_to_its_module(self):
+        # In process the import system has bound the layer already, so the
+        # lazy lookup is called directly; a fresh process reaches it itself.
+        import transduce
+        import transduce.thermo
+        assert transduce.__getattr__("thermo") is transduce.thermo
+        code = ("import sys, types, transduce\n"
+                "assert 'thermo' not in vars(transduce)\n"
+                "assert isinstance(transduce.thermo, types.ModuleType)\n"
+                "assert transduce.thermo is sys.modules['transduce.thermo']")
+        assert fresh_imports(code) == {"layers": ["errors", "thermo", "units"],
+                                       "numpy": False}
 
     def test_unknown_attribute_is_named(self):
         code = ("import transduce\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transduce.errors import DataError, SingularityError
+from transduce.errors import DataError, SingularityError, result_error
 from transduce.estimator import (CouplingBenchmark, MixingBands,
                                  PIEZO_OPTOMECHANICAL_BENCHMARK,
                                  POWER_SWEEP_CSV_HEADER, PumpGeometry,
@@ -230,6 +230,16 @@ class TestEta2AndMiller:
         # ..."; the others returned -inf, nan or inf.
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+    @pytest.mark.parametrize("result, message", [
+        (0.0, "r underflows for a=1.0, bs=(2.0, inf)"),
+        (5e-324, "r underflows for a=1.0, bs=(2.0, inf)"),
+        (math.inf, "bs must be finite, got (2.0, inf)"),
+        (math.nan, "bs must be finite, got (2.0, inf)")])
+    def test_one_builder_chooses_the_message_from_the_result(self, result, message):
+        # A finite result underflowed; any other names a non-finite input.
+        assert str(result_error("r", result, a=1.0, bs=(2.0, math.inf))) == message
+        assert str(result_error("r", -math.inf, a=1.0, b=2.0)) == "r overflows for a=1.0, b=2.0"
 
     @given(st.floats(1e6, 1e12), st.floats(1.1, 3.5), st.floats(1.1, 3.5),
            st.floats(1.1, 3.5))
@@ -584,6 +594,15 @@ class TestVirtualPhotoelasticity:
     def test_nonfinite_rejected_by_name(self, args, name):
         with pytest.raises(ValueError, match=name):
             virtual_photoelasticity(*args)
+
+    @pytest.mark.parametrize("args", [(1e200, 1.0, 1e200), (-1e200, 1e200, 1.0)])
+    def test_overflow_names_the_inputs(self, args):
+        # It returned inf (and -inf): no infinity may reach a report.
+        q, e, f = args
+        with pytest.raises(ValueError) as exc:
+            virtual_photoelasticity(*args)
+        assert str(exc.value) == (f"virtual photoelasticity overflows for q_eff={q}, "
+                                  f"eps_r={e}, field={f}")
 
     def test_golden_power_law(self, bto, bto_bands):
         chain = second_order_photoelasticity(bto, bto_bands)

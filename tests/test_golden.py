@@ -4,11 +4,14 @@
 docstring says what they cover and how a change that moves one says so.
 """
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from golden import regen
+from transduce import MixingBands
 
 CLI = json.loads((regen.HERE / "cli.json").read_text(encoding="utf-8"))
 DEMOS = json.loads((regen.HERE / "demos.json").read_text(encoding="utf-8"))
@@ -40,3 +43,23 @@ def test_library_corpus_matches_golden():
     head = (regen.HERE / "library_head.txt").read_text(encoding="utf-8")
     assert "".join(texts[:regen.HEAD_DESIGNS]).splitlines() == head.splitlines()
     assert regen.sha256(texts) == (regen.HERE / "library.sha256").read_text().strip()
+
+
+def test_corpus_bands_keep_their_derived_bits(monkeypatch):
+    # omega_t and the wavelengths of every corpus design's bands, as derived
+    # attributes, hash as they did when omega_t was a stored field; a rebuilt
+    # copy derives the same bits again.
+    built = []
+
+    def spy(*args, **kw):
+        built.append(MixingBands.from_vacuum_wavelengths(*args, **kw))
+        return built[-1]
+    monkeypatch.setattr(regen, "MixingBands", SimpleNamespace(from_vacuum_wavelengths=spy))
+    regen.corpus()
+    assert len(built) == regen.N_DESIGNS
+    text = "".join(f"{b.omega_t!r} {b.wavelengths!r}\n" for b in built)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8ffdab10e7b871ef26a82c5b87a7c202107033deccdec211ac1304c894caa096")
+    for b in built:
+        again = b.replace()
+        assert (again.omega_t, again.wavelengths) == (b.omega_t, b.wavelengths)

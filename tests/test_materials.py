@@ -447,6 +447,9 @@ UNBUILDABLE = {
     "v_sound that is None": (
         lambda: _bto().replace(v_sound=None), "v_sound_m_per_s must be an object, got None"),
     "empty name": (lambda: _bto().replace(name=""), "name must be a non-empty string, got ''"),
+    # Stored unchecked.
+    "note that is no string": (
+        lambda: _bto().replace(photoelastic_note=5), "photoelastic.note must be a string, got 5"),
     # A lookup, and dumps_materials, raised a bare AttributeError.
     "dispersion that is None": (
         lambda: _bto().replace(dispersion=None), "dispersion must be a DispersionModel, got None"),
@@ -604,6 +607,9 @@ BAD_SCALARS = {
                                              "valid_range_m": [0.9e-6, 2.1e-6]},
                            "dispersion.sellmeier[0][0][0]"),
     "boolean qpm_order": (("qpm_order",), True, "qpm_order"),
+    # A null note loaded as the text 'None', and was written back so.
+    "null photoelastic note": (("photoelastic", "note"), None, "photoelastic.note"),
+    "numeric photoelastic note": (("photoelastic", "note"), 5, "photoelastic.note"),
 }
 
 

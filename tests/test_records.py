@@ -8,18 +8,22 @@ them; ``change`` makes an unequal instance through ``replace``.
 """
 
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from transduce._record import Record
-from transduce.estimator import (CouplingBenchmark, DesignReport, MillerChain,
-                                 MixingBands, PumpGeometry, SweepRow)
+from transduce.estimator import (OPTOMECHANICAL_CRYSTAL_BENCHMARK,
+                                 PIEZO_OPTOMECHANICAL_BENCHMARK, CouplingBenchmark,
+                                 DesignReport, MillerChain, MixingBands, PumpGeometry,
+                                 SweepRow, power_sweep)
 from transduce.materials import DispersionModel, Material, MaterialDb
 from transduce.phasematch import PhaseMatchInput, PhaseMatchResult, ThreeWaveResidual
 from transduce.tensors import PhotoelasticTensor
-from transduce.thermo import FreeEnergyModel, RelationReport, VectorFreeEnergyModel
+from transduce.thermo import (FreeEnergyModel, RelationReport, VectorFreeEnergyModel,
+                              verify_relations)
 from transduce.units import Dimension, Quantity
 
 
@@ -73,7 +77,7 @@ MATERIAL = (f"Material(name='fix', dispersion={TABULATED}, photoelastic={TENSOR}
             "v_sound={'longitudinal': 5000.0}, damage_threshold=5400000000000.0, "
             "qpm_order=1)")
 BANDS = ("MixingBands(omega_p1=1.0, omega_p2=2.0, omega_m=0.5, axes=(2, 1, 0), "
-         "acoustic_mode='longitudinal', strain_voigt=2, omega_t=3.5)")
+         "acoustic_mode='longitudinal', strain_voigt=2)")
 CHAIN = ("MillerChain(n_bands=(2.0, 2.0, 2.0), p_entries=(0.2, 0.2, 0.77), "
          "d_eff=1e-11, eta1_rel_bands=(0.25, 0.25, 0.25), eta2=1.0, Q=2.0, q_eff=-3.0)")
 ROW = ("SweepRow(power_w=1.0, peak_field_v_per_m=2.0, intensity_w_per_m2=3.0, "
@@ -105,8 +109,8 @@ CASES = [
      "Quantity(value=2.5, dim=Dimension(m=1, kg=0, s=-1, a=0))",
      ("value", "dim"), (), {"dim": Dimension()}),
     ("MixingBands", bands, BANDS,
-     ("omega_p1", "omega_p2", "omega_m", "axes", "acoustic_mode", "strain_voigt",
-      "omega_t"), ("wavelengths",), {"strain_voigt": 0}),
+     ("omega_p1", "omega_p2", "omega_m", "axes", "acoustic_mode", "strain_voigt"),
+     ("omega_t", "wavelengths"), {"strain_voigt": 0}),
     ("MillerChain", chain, CHAIN,
      ("n_bands", "p_entries", "d_eff", "eta1_rel_bands", "eta2", "Q", "q_eff"), (),
      {"Q": 2.5}),
@@ -122,12 +126,11 @@ CASES = [
      {"p_virt": -4.0}),
     ("DesignReport",
      lambda: DesignReport("fix", chain(), 0.77, CouplingBenchmark(2.0, "ref"),
-                          (SweepRow(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),), ("a", "b")),
+                          (SweepRow(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),)),
      f"DesignReport(material='fix', chain={CHAIN}, p_nominal=0.77, "
-     f"benchmark=CouplingBenchmark(g0_ref=2.0, label='ref'), rows=({ROW},), "
-     "notes=('a', 'b'))",
-     ("material", "chain", "p_nominal", "benchmark", "rows", "notes"), (),
-     {"notes": ()}),
+     f"benchmark=CouplingBenchmark(g0_ref=2.0, label='ref'), rows=({ROW},))",
+     ("material", "chain", "p_nominal", "benchmark", "rows"), (),
+     {"rows": ()}),
     ("PhaseMatchInput", lambda: PhaseMatchInput(bands(), material(), 1e-4),
      f"PhaseMatchInput(bands={BANDS}, material={MATERIAL}, length=0.0001, "
      "poling_period=None, poling_sign=1)",
@@ -145,19 +148,17 @@ CASES = [
      "FreeEnergyModel(c=1.0, h=2.0, eta1=3.0, eta2=4.0, p=5.0, q=6.0)",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"q": 0.0}),
     ("RelationReport",
-     lambda: RelationReport(1e-9, 2e-9, 3e-9, 4e-9, 0.25, 1e-6, True, True, True, False),
+     lambda: RelationReport(1e-9, 2e-9, 3e-9, 4e-6, 1e-6),
      "RelationReport(order1_residual=1e-09, order2_residual=2e-09, "
-     "order3_residual=3e-09, factor2_residual=4e-09, fd_step_used=0.25, tol=1e-06, "
-     "order1_passed=True, order2_passed=True, order3_passed=True, "
-     "factor2_passed=False)",
+     "order3_residual=3e-09, factor2_residual=4e-06, tol=1e-06)",
      ("order1_residual", "order2_residual", "order3_residual", "factor2_residual",
-      "fd_step_used", "tol", "order1_passed", "order2_passed", "order3_passed",
-      "factor2_passed"), (), {"tol": 1e-3}),
+      "tol"), (), {"tol": 1e-3}),
     ("VectorFreeEnergyModel", vector_model,
      "VectorFreeEnergyModel(c=1.0, h=(1.0, 2.0), eta1=((1.0, 0.0), (0.0, 1.0)), "
      f"eta2={ZEROS_222}, p=((0.0, 0.0), (0.0, 0.0)), q={ZEROS_222})",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"c": 2.0}),
 ]
+RUNGS = ("order1", "order2", "order3", "factor2")
 # Each holds a dict, which cannot be hashed.
 UNHASHABLE = {"Material", "MaterialDb", "PhaseMatchInput"}
 
@@ -188,7 +189,7 @@ def test_vars_holds_the_fields_then_the_derived_attributes(
 
 @pytest.mark.parametrize("build, values", [
     (SweepRow, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
-    (RelationReport, (1e-9, 2e-9, 3e-9, 4e-9, 0.25, 1e-6, True, True, True, False))])
+    (RelationReport, (1e-9, 2e-9, 3e-9, 4e-6, 1e-6))])
 def test_vars_is_the_constructor_arguments_in_order(build, values):
     # DesignReport.to_csv, DesignReport.to_dict and RelationReport.to_dict
     # are built from vars().
@@ -257,6 +258,35 @@ class TestReplace:
         assert (b.omega_t, b.wavelengths) == (4.5, MixingBands(1.0, 2.0, 1.5).wavelengths)
         d = tabulated().replace(points=[[1e-6, 2.0, 2.0, 2.0]])
         assert d._columns == ([1e-6], [2.0], [2.0], [2.0])
+
+    def test_a_verdict_follows_its_residual(self):
+        rep = verify_relations(FreeEnergyModel(1, 2, 3, 4, 5, 6))
+        assert rep.order1_passed and rep.all_passed
+        failed = rep.replace(order1_residual=1.0)
+        assert failed.order1_passed is False and failed.all_passed is False
+        assert failed.to_dict() == {**rep.to_dict(), "order1_residual": 1.0,
+                                    "order1_passed": False, "all_passed": False}
+        assert failed.replace(order1_residual=rep.order1_residual).all_passed
+
+    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize("residual", [math.nan, 1e-6, 1.0])
+    def test_a_residual_not_below_tol_fails_its_rung_alone(self, rung, residual):
+        # NaN < tol is False, so a NaN residual fails, as does tol itself.
+        rep = RelationReport(0.0, 0.0, 0.0, 0.0, 1e-6).replace(**{f"{rung}_residual": residual})
+        verdicts = {r: getattr(rep, f"{r}_passed") for r in RUNGS}
+        assert verdicts == {r: r != rung for r in RUNGS}
+        assert rep.all_passed is False
+
+    def test_notes_name_the_benchmark_of_the_report(self):
+        m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)
+        report = power_sweep(m, b, [0.0], 1.2e-6, 2.26)
+        assert report.benchmark is PIEZO_OPTOMECHANICAL_BENCHMARK
+        moved = report.replace(benchmark=OPTOMECHANICAL_CRYSTAL_BENCHMARK)
+        assert OPTOMECHANICAL_CRYSTAL_BENCHMARK.label in moved.notes[1]
+        assert PIEZO_OPTOMECHANICAL_BENCHMARK.label not in moved.notes[1]
+        assert moved.notes == power_sweep(m, b, [0.0], 1.2e-6, 2.26,
+                                          benchmark=OPTOMECHANICAL_CRYSTAL_BENCHMARK).notes
+        assert moved.to_dict()["notes"] == list(moved.notes)
 
     def test_validation_runs_again(self):
         pm = PhaseMatchInput(bands(), material(), 1e-4)

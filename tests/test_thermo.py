@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from transduce.thermo import (FD_STEP_SMALL, FreeEnergyModel, VectorFreeEnergyModel,
-                              efield_of, efield_of_vector, eval_free_energy,
+from transduce.thermo import (FD_STEP_SMALL, FreeEnergyModel, RelationReport,
+                              VectorFreeEnergyModel, efield_of, efield_of_vector,
+                              eval_free_energy,
                               eval_free_energy_vector, extract_eta2,
                               fd_partial, stress_of, stress_of_vector,
                               verify_relations, verify_relations_pair,
@@ -164,8 +165,9 @@ class TestVerifyRelations:
     def test_report_fields(self):
         rep = verify_relations(FreeEnergyModel(1, 2, 3, 4, 5, 6), tol=1e-6)
         d = rep.to_dict()
+        assert list(d) == [*RelationReport._fields, "order1_passed", "order2_passed",
+                           "order3_passed", "factor2_passed", "all_passed"]
         assert d["tol"] == 1e-6
-        assert d["fd_step_used"] == 0.25
         assert d["all_passed"]
 
     def test_adversarial_two_model_pair_fails_order1(self):
