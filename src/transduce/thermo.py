@@ -257,15 +257,18 @@ class RelationReport(Record):
     """Residuals of the three Maxwell relations plus the factor-2 identity.
 
     Residuals are relative (|lhs - rhs| / max magnitude, 0 for 0 = 0).  The
-    report stores the four residuals and ``tol``; each ``<rung>_passed`` is
-    computed when it is read, as ``residual < tol``, so a NaN residual fails
-    and a ``replace`` cannot leave a stale verdict.
+    report stores the four residuals and ``tol``, which must be positive and
+    finite; each ``<rung>_passed`` is computed when it is read, as
+    ``residual < tol``, so a NaN residual fails and a ``replace`` cannot
+    leave a stale verdict or pass one by an infinite ``tol``.
     """
 
     def __init__(self, order1_residual: float, order2_residual: float,
                  order3_residual: float, factor2_residual: float, tol: float):
+        if not 0 < (t := _reals(tol, "tol")) < math.inf:   # an infinite tol passes anything
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         self.__dict__.update(zip(self._fields, (
-            order1_residual, order2_residual, order3_residual, factor2_residual, tol)))
+            order1_residual, order2_residual, order3_residual, factor2_residual, t)))
 
     order1_passed = property(lambda self: self.order1_residual < self.tol)
     order2_passed = property(lambda self: self.order2_residual < self.tol)
@@ -296,8 +299,6 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
     the factor-2 route differentiates eta2_mkl(x) = (1/2) d2 E_m / dD_k dD_l
     at D = 0 in x.
     """
-    if not 0 < (t := _reals(tol, "tol")) < math.inf:   # an infinite tol passes anything
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(efield)
     origin = [0.0] * (n + 1)
     resids: tuple[list[float], ...] = ([], [], [], [])
@@ -312,7 +313,7 @@ def _ladder(stress, efield, tol: float) -> RelationReport:
                     lambda *p: 0.5 * _partial(e_m, list(p), inner, True, "efield_fn"),
                     origin, (0,))
                 resids[3].append(_relative(lhs, rhs_f2))
-    return RelationReport(*(max(r, key=_nan_first) for r in resids), t)
+    return RelationReport(*(max(r, key=_nan_first) for r in resids), tol)
 
 
 def verify_relations_pair(stress_fn, efield_fn, tol: float = 1e-6) -> RelationReport:

@@ -1,6 +1,6 @@
 """Count the code-only lines of each module of ``src/transduce``.
 
-    python3 tests/code_lines.py [package directory]
+    python3 tests/code_lines.py
 
 prints one ``<module> <lines>`` row per module, largest first, then the
 total.  A line counts if it holds a token of code: blank lines, lines that
@@ -42,10 +42,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main() -> int:
     counts = {path.stem: code_lines(path.read_text(encoding="utf-8"))
-              for path in sorted(package.glob("*.py"))}
+              for path in sorted(PACKAGE.glob("*.py"))}
     for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name:<12s} {n:5d}")
     print(f"{'total':<12s} {sum(counts.values()):5d}")
@@ -53,4 +52,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

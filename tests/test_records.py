@@ -22,8 +22,8 @@ from transduce.estimator import (OPTOMECHANICAL_CRYSTAL_BENCHMARK,
 from transduce.materials import DispersionModel, Material, MaterialDb
 from transduce.phasematch import PhaseMatchInput, PhaseMatchResult, ThreeWaveResidual
 from transduce.tensors import PhotoelasticTensor
-from transduce.thermo import (FreeEnergyModel, RelationReport, VectorFreeEnergyModel,
-                              verify_relations)
+from transduce.thermo import (_RUNGS, FreeEnergyModel, RelationReport,
+                              VectorFreeEnergyModel, verify_relations)
 from transduce.units import Dimension, Quantity
 
 
@@ -158,7 +158,6 @@ CASES = [
      f"eta2={ZEROS_222}, p=((0.0, 0.0), (0.0, 0.0)), q={ZEROS_222})",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"c": 2.0}),
 ]
-RUNGS = ("order1", "order2", "order3", "factor2")
 # Each holds a dict, which cannot be hashed.
 UNHASHABLE = {"Material", "MaterialDb", "PhaseMatchInput"}
 
@@ -268,14 +267,23 @@ class TestReplace:
                                     "order1_passed": False, "all_passed": False}
         assert failed.replace(order1_residual=rep.order1_residual).all_passed
 
-    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize("rung", _RUNGS)
     @pytest.mark.parametrize("residual", [math.nan, 1e-6, 1.0])
     def test_a_residual_not_below_tol_fails_its_rung_alone(self, rung, residual):
         # NaN < tol is False, so a NaN residual fails, as does tol itself.
         rep = RelationReport(0.0, 0.0, 0.0, 0.0, 1e-6).replace(**{f"{rung}_residual": residual})
-        verdicts = {r: getattr(rep, f"{r}_passed") for r in RUNGS}
-        assert verdicts == {r: r != rung for r in RUNGS}
+        verdicts = {r: getattr(rep, f"{r}_passed") for r in _RUNGS}
+        assert verdicts == {r: r != rung for r in _RUNGS}
         assert rep.all_passed is False
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_a_tol_that_is_not_positive_and_finite_raises(self, tol):
+        # An infinite tol would turn any finite residual into a pass.
+        rep = RelationReport(1e300, 1e300, 1e300, 1e300, 1e-6)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            rep.replace(tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            RelationReport(0.0, 0.0, 0.0, 0.0, tol)
 
     def test_notes_name_the_benchmark_of_the_report(self):
         m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from transduce.thermo import (FD_STEP_SMALL, FreeEnergyModel, RelationReport,
+from transduce.thermo import (_RUNGS, FD_STEP_SMALL, FreeEnergyModel, RelationReport,
                               VectorFreeEnergyModel, efield_of, efield_of_vector,
                               eval_free_energy,
                               eval_free_energy_vector, extract_eta2,
@@ -165,8 +165,8 @@ class TestVerifyRelations:
     def test_report_fields(self):
         rep = verify_relations(FreeEnergyModel(1, 2, 3, 4, 5, 6), tol=1e-6)
         d = rep.to_dict()
-        assert list(d) == [*RelationReport._fields, "order1_passed", "order2_passed",
-                           "order3_passed", "factor2_passed", "all_passed"]
+        assert list(d) == [*RelationReport._fields, *(f"{r}_passed" for r in _RUNGS),
+                           "all_passed"]
         assert d["tol"] == 1e-6
         assert d["all_passed"]
 
