@@ -76,6 +76,13 @@ def result_error(what: str, result: float, /, **args) -> ValueError:
     return ValueError(f"{what} overflows for {named}")
 
 
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ``<name> must be <rule>, got <value!r>`` unless ``ok``; a
+    record's constructor checks each field it stores with it."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _integer(value) -> int | None:
     """``value`` as a plain int if it is an int or has ``__index__`` (a numpy
     integer, say), else None: a bool, a float (even 1.0) or anything else.

@@ -22,20 +22,24 @@ Gaussian peak convention 2P/(pi w^2) would be a factor 2 higher).
 
 The chain (eta2, Q, q_eff, the interaction densities) and the per-point
 formulas (peak field, intensity, p_virt) are plain float arithmetic in the
-operand order of their ``units.Quantity`` composition, so they give its bits;
-the tests assert each composition's dimension.  Every public function reads
-its float arguments with ``errors._reals``, the package's one rule for a
-real argument, which names one that is no number.  The public chain steps
-and second_order_photoelasticity then call the same private steps, which
-take floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q,
-and the band sum with the closed-form q_eff.  Only damage_limited_power
-still composes ``Quantity`` objects at run time (see its comment).  A result
-that is not finite raises the ValueError of ``errors.result_error``, which
-names the inputs, so no infinity reaches a report.  A result of the chain
-(1/n^2, eta2, Q, q_eff) that is 0 or subnormal though no factor of it is 0
-raises the ValueError of the same builder, so no silent zero coupling does
-either.  A zero factor (d_eff = 0, a zero band sum, a vacuum band's
-1 - 1/n^2) gives an exact zero, which is kept.
+operand order of their dimensioned references, which the tests build from
+the quantities of ``tests/dimensioned.py``, so they give its bits; the tests
+assert each composition's dimension.  Every public function reads its float
+arguments with ``errors._reals``, the package's one rule for a real
+argument, which names one that is no number.  The public chain steps and
+second_order_photoelasticity then call the same private steps, which take
+floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q, and
+the band sum with the closed-form q_eff.  Only damage_limited_power composes
+``units.Quantity`` objects at run time, the one composition the runtime unit
+layer keeps (see its comment).  A result that is not finite raises the
+ValueError of ``errors.result_error``, which names the inputs, so no
+infinity reaches a report.  A result of the chain (1/n^2, eta2, Q, q_eff)
+or of a per-point formula (p_virt, the interaction densities, the
+intensity, the peak field's radicand) that is 0 or subnormal though no
+factor of it is 0 raises the ValueError of the same builder, so no silent
+zero does either.  A zero factor (d_eff = 0, a zero band sum, a vacuum
+band's 1 - 1/n^2, zero power, a zero field) gives an exact zero, which is
+kept.
 
 Each band's photoelastic entry p[axis, axis; strain] is read as
 ``entries[axis][strain_voigt]``: in the Voigt order (00, 11, 22, 12, 02, 01)
@@ -60,7 +64,8 @@ import math
 import sys
 
 from ._record import Record
-from .errors import DataError, SingularityError, _integer, _reals, result_error
+from .errors import (DataError, SingularityError, _integer, _reals, _require,
+                     result_error)
 from .materials import Material, refractive_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
@@ -400,26 +405,28 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
 def peak_field_from_power(g: PumpGeometry) -> float:
     """Average peak field |E| = sqrt(16 P / (n pi eps0 c MFD^2)), in V/m."""
     denom = g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd
-    field = math.sqrt(16.0 * g.power / denom) if 0 < denom < math.inf else math.inf
-    if not math.isfinite(field):
+    radicand = 16.0 * g.power / denom if 0 < denom < math.inf else math.inf
+    field = math.sqrt(radicand)
+    if not math.isfinite(field) or radicand < _MIN_NORMAL and g.power:
         raise result_error("peak field", field, power=g.power, mfd=g.mfd, n_mode=g.n_mode)
     return field
 
 
 def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
-    intensity = _check_power(power) / _mode_area(mfd)
-    if not math.isfinite(intensity):
+    intensity = (p := _check_power(power)) / _mode_area(mfd)
+    if not _MIN_NORMAL <= intensity < math.inf and p:
         raise result_error("peak intensity", intensity, power=power, mfd=mfd)
     return intensity
 
 
 def damage_limited_power(m: Material, mfd: float) -> float:
     """Largest power (W) keeping the peak intensity at the damage threshold."""
-    # The last runtime Quantity composition: the traced benchmark's
+    # The one runtime Quantity composition: the traced benchmark's
     # units.quantities_per_point (bench/worker.py, grid_metrics) indexes each
     # power sweep's Quantity count by key, so a sweep must build one.  This
-    # moves to floats once that read is .get(QUANTITY, 0).
+    # moves to floats, and the unit classes to the tests, once that read is
+    # .get(QUANTITY, 0).
     power = (Quantity(m.damage_threshold, WATT_PER_M2)
              * Quantity(_mode_area(mfd), _SQUARE_METER)).expect(WATT, "power")
     if not math.isfinite(power):
@@ -441,17 +448,23 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
     if not 0 <= (f := _reals(field, "field")) < math.inf:
         raise ValueError(f"field magnitude must be finite and >= 0, got {field}")
     p_virt = (2.0 / 3.0) * EPS0 * q * e * f
-    if not math.isfinite(p_virt):
+    if not _MIN_NORMAL <= abs(p_virt) < math.inf and (p_virt or q and e and f):
         raise result_error("virtual photoelasticity", p_virt, q_eff=q, eps_r=e, field=f)
     return p_virt
 
 
+def _density(divisor: float, **factors) -> float:
+    """The product of ``factors``, read as floats, over ``divisor``."""
+    values = tuple(map(_reals, factors.values(), factors))
+    u = math.prod(values) / divisor
+    if not _MIN_NORMAL <= abs(u) < math.inf and (u or all(values)):
+        raise result_error("interaction density", u, **factors)
+    return u
+
+
 def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> float:
     """Three-wave interaction energy density (1/(2 eps0)) p d1 d2 x, J/m^3."""
-    u = math.prod(map(_reals, (p_eff, d1, d2, x), ("p_eff", "d1", "d2", "x"))) / (2.0 * EPS0)
-    if not math.isfinite(u):
-        raise result_error("interaction density", u, p_eff=p_eff, d1=d1, d2=d2, x=x)
-    return u
+    return _density(2.0 * EPS0, p_eff=p_eff, d1=d1, d2=d2, x=x)
 
 
 def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
@@ -463,12 +476,7 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
         == interaction_density_3wm((2/3) q dp, d1, d2, x)
     exactly, which is the algebraic content of the virtual photoelasticity.
     """
-    u = math.prod(map(_reals, (q_eff, dp, d1, d2, x),
-                      ("q_eff", "dp", "d1", "d2", "x"))) / (3.0 * EPS0)
-    if not math.isfinite(u):
-        raise result_error("interaction density", u,
-                           q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
-    return u
+    return _density(3.0 * EPS0, q_eff=q_eff, dp=dp, d1=d1, d2=d2, x=x)
 
 
 class SweepRow(Record):
@@ -491,12 +499,25 @@ POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,
 
 
 class DesignReport(Record):
-    """Sweep output bundle: chain, rows, and the caveats that qualify them."""
+    """Sweep output bundle: chain, rows, and the caveats that qualify them.
+
+    It checks what power_sweep guarantees, so a ``replace`` cannot build a
+    report that ``notes``, ``to_csv`` or ``to_dict`` fails on.
+    """
 
     def __init__(self, material: str, chain: MillerChain, p_nominal: float,
                  benchmark: CouplingBenchmark, rows: tuple[SweepRow, ...]):
-        self.__dict__.update(material=material, chain=chain, p_nominal=p_nominal,
-                             benchmark=benchmark, rows=rows)
+        _require(isinstance(material, str) and material != "", "material",
+                 "a non-empty str", material)
+        _require(isinstance(chain, MillerChain), "chain", "a MillerChain", chain)
+        nominal = _reals(p_nominal, "p_nominal")
+        _require(0 < nominal < math.inf, "p_nominal", "positive and finite", p_nominal)
+        _require(isinstance(benchmark, CouplingBenchmark), "benchmark",
+                 "a CouplingBenchmark", benchmark)
+        _require(isinstance(rows, (tuple, list)) and all(isinstance(r, SweepRow) for r in rows),
+                 "rows", "a tuple or list of SweepRow", rows)
+        self.__dict__.update(material=material, chain=chain, p_nominal=nominal,
+                             benchmark=benchmark, rows=tuple(rows))
 
     @property
     def notes(self) -> tuple[str, ...]:

@@ -52,17 +52,11 @@ import os
 from bisect import bisect_right
 
 from ._record import FrozenDict, Record
-from .errors import MaterialFileError, RangeError, _integer, _reals
+from .errors import MaterialFileError, RangeError, _integer, _reals, _require
 from .tensors import PhotoelasticTensor
 
 SCHEMA_VERSION = 1
 _N_VALIDATION_SAMPLES = 64
-
-
-def _require(ok: bool, name: str, rule: str, value) -> None:
-    """Raise ``<name> must be <rule>, got <value>`` unless ``ok``."""
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class DispersionModel(Record):

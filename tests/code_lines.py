@@ -1,12 +1,16 @@
-"""Count the code-only lines of each module of ``src/transduce``.
+"""Count the code-only lines and the public names of each module of
+``src/transduce``.
 
     python3 tests/code_lines.py
 
-prints one ``<module> <lines>`` row per module, largest first, then the
-total.  A line counts if it holds a token of code: blank lines, lines that
-hold only a comment, and the lines of a docstring (a module's, a class's or
-a function's) are left out.  It uses the standard library only and writes
-no file.
+prints a header, then one ``<module> <lines> <names>`` row per module,
+largest first, then the totals.  A line counts if it holds a token of code:
+blank lines, lines that hold only a comment, and the lines of a docstring (a
+module's, a class's or a function's) are left out.  A public name is one the
+module binds at its top level with a ``def``, a ``class`` or an assignment,
+and that does not start with ``_``; an imported name is not counted, so
+``__init__``, which only re-exports, counts none.  It uses the standard
+library only and writes no file.
 """
 
 from __future__ import annotations
@@ -42,12 +46,28 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def public_names(source: str) -> list[str]:
+    """The public names that the top level of ``source`` defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
 def main() -> int:
-    counts = {path.stem: code_lines(path.read_text(encoding="utf-8"))
-              for path in sorted(PACKAGE.glob("*.py"))}
-    for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
-        print(f"{name:<12s} {n:5d}")
-    print(f"{'total':<12s} {sum(counts.values()):5d}")
+    counts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        counts[path.stem] = (code_lines(source), len(public_names(source)))
+    print(f"{'module':<12s} {'lines':>5s} {'names':>5s}")
+    for name, (lines, names) in sorted(counts.items(), key=lambda item: (-item[1][0], item[0])):
+        print(f"{name:<12s} {lines:5d} {names:5d}")
+    lines, names = (sum(column) for column in zip(*counts.values()))
+    print(f"{'total':<12s} {lines:5d} {names:5d}")
     return 0
 
 

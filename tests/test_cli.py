@@ -294,6 +294,13 @@ class TestField:
         what = "damage-limited power" if "--material" in flags else "peak field"
         assert cp.stderr.startswith(f"error: {what} overflows") and name in cp.stderr
 
+    def test_underflowing_field_is_data_error(self):
+        # It printed peak_field = 0.0 and peak_intensity = 0.0 and exited 0.
+        cp = run_cli("field", "--power", "2.3e-308", "--mfd", "1e150", "--n-mode", "2.26")
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == ("error: peak field underflows for power=2.3e-308, "
+                             "mfd=1e+150, n_mode=2.26\n")
+
     @pytest.mark.parametrize("bad", ["material", "db"])
     def test_bad_material_or_db_prints_nothing(self, tmp_path, bad):
         # Both printed peak_field and peak_intensity before the error.

@@ -19,24 +19,24 @@ from transduce.estimator import (CouplingBenchmark, MixingBands,
                                  virtual_photoelasticity)
 from transduce.materials import refractive_index
 from transduce.tensors import VOIGT_PAIRS
-from transduce.units import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0,
-                             EPS0_Q, ETA2, JOULE_PER_M3, METER, METER_PER_VOLT,
-                             M2_PER_COULOMB, Quantity, TWO_PI, TWO_PI_C,
-                             VOLT_PER_METER, WATT, WATT_PER_M2)
+from transduce.units import EPS0, TWO_PI, TWO_PI_C
 
 from conftest import designs, make_material
+from dimensioned import (COULOMB_PER_M2, C_LIGHT_Q, DIMENSIONLESS, EPS0_Q, ETA2,
+                         JOULE_PER_M3, METER, METER_PER_VOLT, M2_PER_COULOMB,
+                         Quantity, VOLT_PER_METER, WATT, WATT_PER_M2)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 MIN_NORMAL = sys.float_info.min
 
 
-def q_eff_or_underflow(call):
-    """``call()``, or None if it raised the ValueError of a q_eff that is 0
-    or subnormal though its exact value is not 0."""
+def or_underflow(call, what="q_eff"):
+    """``call()``, or None if it raised the ValueError of a result ``what``
+    that is 0 or subnormal though its exact value is not 0."""
     try:
         return call()
     except ValueError as exc:
-        assert str(exc).startswith("q_eff underflows for "), exc
+        assert str(exc).startswith(f"{what} underflows for "), exc
         return None
 
 
@@ -385,9 +385,9 @@ class TestRouteEquivalence:
     @settings(max_examples=200)
     def test_eq11_route_equals_eq12_route(self, d_eff, n1, n2, n3, p1, p2, p3):
         ns, ps = (n1, n2, n3), (p1, p2, p3)
-        via_eta2 = q_eff_or_underflow(
+        via_eta2 = or_underflow(
             lambda: q_eff_from_eta2(eta2_from_deff(d_eff, *ns), ns, ps))
-        closed = q_eff_or_underflow(lambda: q_eff_from_deff(d_eff, ns, ps))
+        closed = or_underflow(lambda: q_eff_from_deff(d_eff, ns, ps))
         assert (via_eta2 is None) == (closed is None)
         if closed is not None:
             assert via_eta2 == pytest.approx(closed, rel=1e-12, abs=1e-300)
@@ -483,13 +483,20 @@ class TestDimensionedReferences:
             EPS0_Q * EPS0_Q * (n1 * n1 * n2 * n2 * n3 * n3))
         self.assert_same(eta2_from_deff(d_eff, n1, n2, n3), ref, ETA2)
 
+    @staticmethod
+    def expect_underflow(what, call, ref, *factors):
+        """Whether ``ref`` is 0 or subnormal though none of its ``factors``
+        is 0; if it is, ``call()`` must raise the underflow error of ``what``."""
+        if abs(ref.value) < MIN_NORMAL and all(factors):
+            assert or_underflow(call, what) is None
+            return True
+        return False
+
     @classmethod
     def assert_same_q_eff(cls, call, ref, *factors):
         """q_eff as ``ref`` gives it, or the underflow error if ``ref`` is 0
         or subnormal though none of its ``factors`` is 0."""
-        if abs(ref.value) < MIN_NORMAL and all(factors):
-            assert q_eff_or_underflow(call) is None
-        else:
+        if not cls.expect_underflow("q_eff", call, ref, *factors):
             cls.assert_same(call(), ref, M2_PER_COULOMB)
 
     @staticmethod
@@ -534,7 +541,10 @@ class TestDimensionedReferences:
         ref = (Quantity(p_eff, DIMENSIONLESS) * Quantity(d1, COULOMB_PER_M2)
                * Quantity(d2, COULOMB_PER_M2) * Quantity(x, DIMENSIONLESS)
                / (2.0 * EPS0_Q))
-        self.assert_same(interaction_density_3wm(p_eff, d1, d2, x), ref, JOULE_PER_M3)
+        assert ref.dim == JOULE_PER_M3
+        call = lambda: interaction_density_3wm(p_eff, d1, d2, x)
+        if not self.expect_underflow("interaction density", call, ref, p_eff, d1, d2, x):
+            self.assert_same(call(), ref, JOULE_PER_M3)
 
     @given(st.floats(-1e2, 1e2), st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3),
            st.floats(-1e-3, 1e-3), st.floats(-1e-6, 1e-6))
@@ -542,8 +552,11 @@ class TestDimensionedReferences:
         ref = (Quantity(q_eff, M2_PER_COULOMB) * Quantity(dp, COULOMB_PER_M2)
                * Quantity(d1, COULOMB_PER_M2) * Quantity(d2, COULOMB_PER_M2)
                * Quantity(x, DIMENSIONLESS) / (3.0 * EPS0_Q))
-        self.assert_same(interaction_density_4wm(q_eff, dp, d1, d2, x), ref,
-                         JOULE_PER_M3)
+        assert ref.dim == JOULE_PER_M3
+        call = lambda: interaction_density_4wm(q_eff, dp, d1, d2, x)
+        if not self.expect_underflow("interaction density", call, ref,
+                                     q_eff, dp, d1, d2, x):
+            self.assert_same(call(), ref, JOULE_PER_M3)
 
     @staticmethod
     def assert_close(got, want):
@@ -557,22 +570,29 @@ class TestDimensionedReferences:
             * Quantity(mfd, METER) * Quantity(mfd, METER))
         ref = e2.sqrt()
         assert ref.dim == VOLT_PER_METER
-        self.assert_close(peak_field_from_power(PumpGeometry(power, mfd, n_mode)),
-                          ref.value)
+        # The radicand underflows, not the field: sqrt of a subnormal is normal.
+        call = lambda: peak_field_from_power(PumpGeometry(power, mfd, n_mode))
+        if not self.expect_underflow("peak field", call, e2, power, mfd, n_mode):
+            self.assert_close(call(), ref.value)
 
     @given(st.floats(0.0, 1e3), st.floats(1e-7, 1e-4))
     def test_peak_intensity(self, power, mfd):
         area = math.pi * (mfd / 2.0) ** 2
         ref = Quantity(power, WATT) / Quantity(area, METER * METER)
         assert ref.dim == WATT_PER_M2
-        self.assert_close(peak_intensity(power, mfd), ref.value)
+        call = lambda: peak_intensity(power, mfd)
+        if not self.expect_underflow("peak intensity", call, ref, power, mfd):
+            self.assert_close(call(), ref.value)
 
     @given(st.floats(-1.0, 1.0), st.floats(1e-9, 1e9), st.floats(0.0, 1e9))
     def test_virtual_photoelasticity(self, q_eff, eps_r, field):
         ref = ((2.0 / 3.0) * EPS0_Q * Quantity(q_eff, M2_PER_COULOMB)
                * eps_r * Quantity(field, VOLT_PER_METER))
         assert ref.dim == DIMENSIONLESS
-        self.assert_close(virtual_photoelasticity(q_eff, eps_r, field), ref.value)
+        call = lambda: virtual_photoelasticity(q_eff, eps_r, field)
+        if not self.expect_underflow("virtual photoelasticity", call, ref,
+                                     q_eff, eps_r, field):
+            self.assert_close(call(), ref.value)
 
 
 class TestVirtualPhotoelasticity:
@@ -595,9 +615,11 @@ class TestVirtualPhotoelasticity:
         with pytest.raises(ValueError, match=name):
             virtual_photoelasticity(*args)
 
-    @pytest.mark.parametrize("args", [(1e200, 1.0, 1e200), (-1e200, 1e200, 1.0)])
+    @pytest.mark.parametrize("args", [(1e200, 1.0, 1e200), (-1e200, 1e200, 1.0),
+                                      (1e300, 1e300, 0.0)])
     def test_overflow_names_the_inputs(self, args):
-        # It returned inf (and -inf): no infinity may reach a report.
+        # It returned inf (and -inf): no infinity may reach a report.  In the
+        # third, (2/3) eps0 q eps_r overflows before the zero field makes NaN.
         q, e, f = args
         with pytest.raises(ValueError) as exc:
             virtual_photoelasticity(*args)
@@ -624,8 +646,9 @@ HUGE = 4e301     # a valid table index whose 1/n^2 underflows
 
 
 class TestUnderflow:
-    """A chain result whose exact value is not 0 but which rounds to 0 or to
-    a subnormal raises a ValueError naming its inputs; an exact 0 is kept."""
+    """A result of the chain or of a per-point formula whose exact value is
+    not 0 but which rounds to 0 or to a subnormal raises a ValueError naming
+    its inputs; an exact 0 is kept."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda: eta1_rel(HUGE), "eta1_rel underflows for n=4e+301"),
@@ -640,9 +663,24 @@ class TestUnderflow:
          "Miller Q underflows for eta2=5e-324, n1=2.0, n2=2.0, n3=2.0"),
         (lambda: eta2_from_Q(1e-300, 1.0 + 1e-15, 1.0 + 1e-15, 1.0 + 1e-15),
          "eta2 underflows for Q=1e-300, n1=1.000000000000001, n2=1.000000000000001, "
-         "n3=1.000000000000001")],
+         "n3=1.000000000000001"),
+        (lambda: virtual_photoelasticity(1e-200, 1.0, 1e-200),
+         "virtual photoelasticity underflows for q_eff=1e-200, eps_r=1.0, field=1e-200"),
+        (lambda: interaction_density_3wm(*[1e-100] * 4),
+         "interaction density underflows for p_eff=1e-100, d1=1e-100, d2=1e-100, x=1e-100"),
+        (lambda: interaction_density_4wm(*[1e-80] * 5),
+         "interaction density underflows for q_eff=1e-80, dp=1e-80, d1=1e-80, d2=1e-80, "
+         "x=1e-80"),
+        (lambda: peak_intensity(2.3e-308, 1e150),
+         "peak intensity underflows for power=2.3e-308, mfd=1e+150"),
+        (lambda: peak_field_from_power(PumpGeometry(2.3e-308, 1e150, 2.26)),
+         "peak field underflows for power=2.3e-308, mfd=1e+150, n_mode=2.26"),
+        # A subnormal radicand, whose root (about 1e-155) is normal but inexact.
+        (lambda: peak_field_from_power(PumpGeometry(5e-324, 1e-4, 2.26)),
+         "peak field underflows for power=5e-324, mfd=0.0001, n_mode=2.26")],
         ids=["eta1_rel-zero", "eta1_rel-subnormal", "eta2_from_deff", "q_eff_from_deff",
-             "q_eff_from_eta2", "miller_Q", "eta2_from_Q"])
+             "q_eff_from_eta2", "miller_Q", "eta2_from_Q", "p_virt", "density_3wm",
+             "density_4wm", "peak_intensity", "peak_field", "peak_field-radicand"])
     def test_a_result_that_underflows_is_named(self, call, message):
         # Each returned 0.0, -0.0 or a subnormal.
         with pytest.raises(ValueError) as exc:
@@ -668,6 +706,12 @@ class TestUnderflow:
         # BaTiO3's strain column 3 holds zeros: the band sum is exactly 0.
         bands = MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9, strain_voigt=3)
         assert second_order_photoelasticity(bto, bands).q_eff == 0.0
+        assert peak_field_from_power(PumpGeometry(0.0, 1e150, 2.26)) == 0.0
+        assert peak_intensity(0.0, 1e150) == 0.0
+        assert math.copysign(1.0, virtual_photoelasticity(-0.0, 5.09, 7e5)) == -1.0
+        assert virtual_photoelasticity(1e-200, 1.0, 0.0) == 0.0
+        assert interaction_density_3wm(1e-100, 0.0, 1e-100, 1e-100) == 0.0
+        assert interaction_density_4wm(1e-80, 1e-80, 1e-80, 1e-80, 0.0) == 0.0
 
 
 class TestInteractionDensities:
@@ -683,16 +727,30 @@ class TestInteractionDensities:
     @given(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3))
     def test_bilinear_3wm(self, a, b):
         base = interaction_density_3wm(0.5, 1e-6, 2e-6, 1e-5)
-        scaled = interaction_density_3wm(0.5, a * 1e-6, b * 2e-6, 1e-5)
-        assert scaled == pytest.approx(a * b * base, rel=1e-12, abs=1e-300)
+        d1, d2 = a * 1e-6, b * 2e-6
+        scaled = or_underflow(lambda: interaction_density_3wm(0.5, d1, d2, 1e-5),
+                              "interaction density")
+        if scaled is None:
+            # Only a density the tolerance below treats as 0 may underflow.
+            assert d1 and d2 and abs(a * b * base) <= 1e-300
+        else:
+            assert scaled == pytest.approx(a * b * base, rel=1e-12, abs=1e-300)
+            # No silent underflow: a zero field gives the only 0.
+            assert abs(scaled) >= MIN_NORMAL or not (d1 and d2)
 
     @given(st.floats(-1e2, 1e2), st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3),
            st.floats(-1e-3, 1e-3), st.floats(-1e-6, 1e-6))
     @settings(max_examples=300)
     def test_reduction_identity(self, q, dp, d1, d2, x):
-        u4 = interaction_density_4wm(q, dp, d1, d2, x)
-        u3 = interaction_density_3wm(2.0 / 3.0 * q * dp, d1, d2, x)
-        assert u4 == pytest.approx(u3, rel=1e-12, abs=1e-300)
+        u4 = or_underflow(lambda: interaction_density_4wm(q, dp, d1, d2, x),
+                          "interaction density")
+        u3 = or_underflow(lambda: interaction_density_3wm(2.0 / 3.0 * q * dp, d1, d2, x),
+                          "interaction density")
+        if u4 is None or u3 is None:
+            # Only a density the tolerance below treats as 0 may underflow.
+            assert abs(u4 or 0.0) <= 1e-300 and abs(u3 or 0.0) <= 1e-300
+        else:
+            assert u4 == pytest.approx(u3, rel=1e-12, abs=1e-300)
 
 
 class TestPowerSweep:

@@ -296,6 +296,36 @@ class TestReplace:
                                           benchmark=OPTOMECHANICAL_CRYSTAL_BENCHMARK).notes
         assert moved.to_dict()["notes"] == list(moved.notes)
 
+    @staticmethod
+    def report():
+        m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)
+        return power_sweep(m, b, [0.0, 1e-3], 1.2e-6, 2.26)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        # Each built; then .notes and to_dict() raised AttributeError, or
+        # to_csv() raised TypeError, or the report held a negative yardstick.
+        ("material", "", "a non-empty str"), ("material", None, "a non-empty str"),
+        ("chain", None, "a MillerChain"), ("chain", (1.0,), "a MillerChain"),
+        ("p_nominal", -1.0, "positive and finite"), ("p_nominal", 0.0, "positive and finite"),
+        ("p_nominal", math.inf, "positive and finite"),
+        ("p_nominal", math.nan, "positive and finite"),
+        ("benchmark", None, "a CouplingBenchmark"),
+        ("benchmark", "ref", "a CouplingBenchmark"),
+        ("rows", [1, 2], "a tuple or list of SweepRow"),
+        ("rows", None, "a tuple or list of SweepRow")])
+    def test_a_design_report_checks_each_field(self, field, value, rule):
+        report = self.report()
+        with pytest.raises(ValueError) as exc:
+            report.replace(**{field: value})
+        assert str(exc.value) == f"{field} must be {rule}, got {value!r}"
+
+    def test_a_design_report_stores_its_rows_as_a_tuple(self):
+        report = self.report()
+        copied = report.replace(rows=list(report.rows), p_nominal=2)
+        assert copied.rows == report.rows and type(copied.rows) is tuple
+        assert copied.p_nominal == 2.0 and type(copied.p_nominal) is float
+        assert copied.to_csv() == report.to_csv()
+
     def test_validation_runs_again(self):
         pm = PhaseMatchInput(bands(), material(), 1e-4)
         with pytest.raises(ValueError, match="^interaction length must be positive, got 0$"):

@@ -2,10 +2,13 @@ import math
 
 import pytest
 
+from transduce import units
 from transduce.errors import UnitError
-from transduce.units import (C_LIGHT, DIMENSIONLESS, Dimension, EPS0, EPS0_Q,
-                             FARAD_PER_METER, M2_PER_COULOMB, METER, Quantity,
-                             VOLT_PER_METER, WATT)
+from transduce.estimator import _SQUARE_METER, _mode_area, damage_limited_power
+from transduce.units import C_LIGHT, EPS0
+
+from dimensioned import (DIMENSIONLESS, Dimension, EPS0_Q, FARAD_PER_METER,
+                         M2_PER_COULOMB, METER, Quantity, VOLT_PER_METER, WATT)
 
 
 def test_constants_are_the_codata_values():
@@ -51,3 +54,35 @@ def test_virtual_photoelasticity_composition_is_dimensionless():
     assert composed.dim == DIMENSIONLESS
     assert math.isfinite(composed.expect(DIMENSIONLESS))
     assert FARAD_PER_METER * M2_PER_COULOMB * VOLT_PER_METER == DIMENSIONLESS
+
+
+class TestRuntimeSurface:
+    """What ``transduce.units`` ships: the constants and the one composition
+    the library runs, in ``damage_limited_power``."""
+
+    def test_the_module_defines_only_what_the_library_runs(self):
+        imported = {"annotations", "math", "Record", "UnitError"}
+        defined = {name for name in vars(units) if not name.startswith("_")} - imported
+        assert defined == {"EPS0", "C_LIGHT", "TWO_PI", "TWO_PI_C", "Dimension",
+                           "Quantity", "METER", "WATT", "WATT_PER_M2"}
+
+    def test_the_damage_limited_power_composition_closes_to_watt(self, bto):
+        power = (units.Quantity(bto.damage_threshold, units.WATT_PER_M2)
+                 * units.Quantity(_mode_area(1.2e-6), _SQUARE_METER))
+        assert type(power) is units.Quantity and power.dim == units.WATT
+        assert damage_limited_power(bto, 1.2e-6) == power.expect(units.WATT, "power")
+
+    def test_a_mismatch_names_both_dimensions(self):
+        intensity = units.Quantity(5.4e12, units.WATT_PER_M2)
+        with pytest.raises(UnitError, match=r"^power has dimension kg\^1\*s\^-3, "
+                                            r"expected m\^2\*kg\^1\*s\^-3$"):
+            intensity.expect(units.WATT, "power")
+
+    @pytest.mark.parametrize("op", [
+        lambda q: q * 0.5, lambda q: 0.5 * q, lambda q: q / 2.0, lambda q: 2.0 / q,
+        lambda q: q + q, lambda q: -q],
+        ids=["q*0.5", "0.5*q", "q/2.0", "2.0/q", "q+q", "-q"])
+    def test_every_other_operator_raises_type_error(self, op):
+        # q / 2.0 raised AttributeError while q * 0.5 and 2.0 / q worked.
+        with pytest.raises(TypeError):
+            op(units.Quantity(2.0, units.METER))
