@@ -27,19 +27,22 @@ the quantities of ``tests/dimensioned.py``, so they give its bits; the tests
 assert each composition's dimension.  Every public function reads its float
 arguments with ``errors._reals``, the package's one rule for a real
 argument, which names one that is no number.  The public chain steps and
-second_order_photoelasticity then call the same private steps, which take
+the constructor of MillerChain then call the same private steps, which take
 floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q, and
-the band sum with the closed-form q_eff.  Only damage_limited_power composes
-``units.Quantity`` objects at run time, the one composition the runtime unit
-layer keeps (see its comment).  A result that is not finite raises the
-ValueError of ``errors.result_error``, which names the inputs, so no
-infinity reaches a report.  A result of the chain (1/n^2, eta2, Q, q_eff)
-or of a per-point formula (p_virt, the interaction densities, the
-intensity, the peak field's radicand) that is 0 or subnormal though no
-factor of it is 0 raises the ValueError of the same builder, so no silent
-zero does either.  A zero factor (d_eff = 0, a zero band sum, a vacuum
-band's 1 - 1/n^2, zero power, a zero field) gives an exact zero, which is
-kept.
+the band sum with the closed-form q_eff.  second_order_photoelasticity
+looks up the indices and entries, scales d_eff, and builds the MillerChain,
+which runs the chain on them, so a ``replace`` of an input runs it again.
+Only damage_limited_power composes ``units.Quantity`` objects at run time,
+the one composition the runtime unit layer keeps (see its comment).  A
+result that is not finite raises the ValueError of ``errors.result_error``,
+which names the inputs, so no infinity reaches a report.  A result of the
+chain (1/n^2, eta2, Q, q_eff), of a per-point formula (p_virt, the
+interaction densities, the intensity, the peak field's radicand, a sweep
+row's p_virt/p_nominal, intensity/threshold and g_scaled) or the
+damage-limited power that is 0 or subnormal though no factor of it is 0
+raises the ValueError of the same builder, so no silent zero does either.
+A zero factor (d_eff = 0, a zero band sum, a vacuum band's 1 - 1/n^2, zero
+power, a zero field) gives an exact zero, which is kept.
 
 Each band's photoelastic entry p[axis, axis; strain] is read as
 ``entries[axis][strain_voigt]``: in the Voigt order (00, 11, 22, 12, 02, 01)
@@ -142,14 +145,30 @@ class MixingBands(Record):
 
 
 class MillerChain(Record):
-    """Every intermediate of the q_eff estimate, for reporting and audits."""
+    """Every intermediate of the q_eff estimate, for reporting and audits.
+
+    It stores the three band indices, the three photoelastic entries and the
+    d_eff it is given, as given (it reads no argument again), and runs the
+    chain on them: ``eta1_rel_bands`` (1/n^2 per band), ``eta2``, the Miller
+    ``Q`` and the closed-form ``q_eff`` are attributes that are no fields, so
+    ``replace`` runs the chain again.  Its checks are the chain's: a d_eff
+    that is not finite, an index below 1, a vacuum band and a result out of
+    range raise.
+    """
 
     def __init__(self, n_bands: tuple[float, float, float],
-                 p_entries: tuple[float, float, float], d_eff: float,
-                 eta1_rel_bands: tuple[float, float, float], eta2: float, Q: float,
-                 q_eff: float):
+                 p_entries: tuple[float, float, float], d_eff: float):
+        # _eta2 rejects a non-finite d_eff and n < 1, then a vacuum band is
+        # singular and a 1/n^2 that underflows is named; q_eff is checked
+        # before Q, so an input whose q_eff overflows too is named by q_eff.
+        eta2 = _eta2(d_eff, n_bands)
+        eta1s, denoms = _band_terms(n_bands, "Miller constant")
+        if (eta1 := min(eta1s)) < _MIN_NORMAL:     # 1/n^2 is never 0
+            raise result_error("eta1_rel", eta1, ns=n_bands)
+        q_eff = _q_eff_closed_form(d_eff, n_bands, p_entries, denoms)
         self.__dict__.update(n_bands=n_bands, p_entries=p_entries, d_eff=d_eff,
-                             eta1_rel_bands=eta1_rel_bands, eta2=eta2, Q=Q, q_eff=q_eff)
+                             eta1_rel_bands=eta1s, eta2=eta2,
+                             Q=_miller_Q(eta2, n_bands, denoms), q_eff=q_eff)
 
 
 _MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
@@ -389,17 +408,8 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
                 f"[{axis}][{bands.strain_voigt}] (axis {axis}, strain column "
                 f"{bands.strain_voigt}) required by these bands")
         ps.append(entry)
-    ps = tuple(ps)
     d_eff = m.d_eff * (qpm_deff_reduction(m.qpm_order) if apply_qpm_reduction else 1.0)
-    # _eta2 rejects a non-finite d_eff and n < 1, then a vacuum band is
-    # singular and a 1/n^2 that underflows is named; q_eff is checked before
-    # Q, so an input whose q_eff overflows too is named by q_eff.
-    eta2 = _eta2(d_eff, ns)
-    eta1s, denoms = _band_terms(ns, "Miller constant")
-    if (eta1 := min(eta1s)) < _MIN_NORMAL:     # 1/n^2 is never 0
-        raise result_error("eta1_rel", eta1, ns=ns)
-    q_eff = _q_eff_closed_form(d_eff, ns, ps, denoms)
-    return MillerChain(ns, ps, d_eff, eta1s, eta2, _miller_Q(eta2, ns, denoms), q_eff)
+    return MillerChain(ns, tuple(ps), d_eff)
 
 
 def peak_field_from_power(g: PumpGeometry) -> float:
@@ -429,7 +439,8 @@ def damage_limited_power(m: Material, mfd: float) -> float:
     # .get(QUANTITY, 0).
     power = (Quantity(m.damage_threshold, WATT_PER_M2)
              * Quantity(_mode_area(mfd), _SQUARE_METER)).expect(WATT, "power")
-    if not math.isfinite(power):
+    # Both factors are positive, so a power below the normal range underflowed.
+    if not _MIN_NORMAL <= power < math.inf:
         raise result_error("damage-limited power", power,
                            damage_threshold=m.damage_threshold, mfd=mfd)
     return power
@@ -480,17 +491,24 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
 
 
 class SweepRow(Record):
-    """One power grid point of a pump sweep (all SI)."""
+    """One power grid point of a pump sweep (all SI).
+
+    Each value is read as a float under its field name and must be finite;
+    every value but the signed ``p_virt`` must also be >= 0.
+    """
 
     def __init__(self, power_w: float, peak_field_v_per_m: float,
                  intensity_w_per_m2: float, p_virt: float, p_virt_over_p_nominal: float,
                  intensity_over_threshold: float, g_scaled_rad_per_s: float):
-        self.__dict__.update(
-            power_w=power_w, peak_field_v_per_m=peak_field_v_per_m,
-            intensity_w_per_m2=intensity_w_per_m2, p_virt=p_virt,
-            p_virt_over_p_nominal=p_virt_over_p_nominal,
-            intensity_over_threshold=intensity_over_threshold,
-            g_scaled_rad_per_s=g_scaled_rad_per_s)
+        row = dict(zip(self._fields, map(_reals, (
+            power_w, peak_field_v_per_m, intensity_w_per_m2, p_virt,
+            p_virt_over_p_nominal, intensity_over_threshold, g_scaled_rad_per_s),
+            self._fields)))
+        for name, v in row.items():
+            signed = name == "p_virt"
+            _require(math.isfinite(v) and (signed or v >= 0), name,
+                     "finite" if signed else "finite and >= 0", v)
+        self.__dict__.update(row)
 
 
 POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,"
@@ -591,9 +609,18 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
         field = peak_field_from_power(PumpGeometry(p_w, mfd, n_mode))
         intensity = peak_intensity(p_w, mfd)
         p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
+        # p_nominal, the threshold and g0_ref are positive, so each ratio is
+        # an exact 0 only when p_virt or the intensity is.
         ratio = abs(p_virt) / nominal
+        if not _MIN_NORMAL <= ratio < math.inf and (ratio or p_virt):
+            raise result_error("p_virt_over_p_nominal", ratio, p_virt=p_virt,
+                               p_nominal=nominal)
+        over = intensity / threshold
+        if not _MIN_NORMAL <= over < math.inf and (over or intensity):
+            raise result_error("intensity_over_threshold", over, intensity=intensity,
+                               damage_threshold=threshold)
         g_scaled = benchmark.g0_ref * ratio
-        if not math.isfinite(g_scaled):
+        if not _MIN_NORMAL <= g_scaled < math.inf and (g_scaled or ratio):
             raise result_error("g_scaled", g_scaled, g0_ref=benchmark.g0_ref,
                                p_virt=p_virt, p_nominal=nominal)
         rows.append(SweepRow(
@@ -602,7 +629,7 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
             intensity_w_per_m2=intensity,
             p_virt=p_virt,
             p_virt_over_p_nominal=ratio,
-            intensity_over_threshold=intensity / threshold,
+            intensity_over_threshold=over,
             g_scaled_rad_per_s=g_scaled,
         ))
     return DesignReport(material=m.name, chain=chain, p_nominal=nominal,

@@ -218,13 +218,15 @@ def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
 class ThreeWaveResidual(Record):
     """Mismatch of the competing three-wave process under a fixed grating.
 
-    ``suppression`` is the pm_efficiency of the 3WM channel; a True
-    ``phase_matched`` flags a degenerate configuration.
+    ``suppression`` is the pm_efficiency of the 3WM channel.  The
+    constructor derives ``phase_matched``, an attribute that is no field, so
+    ``replace`` computes it again: True, a degenerate configuration, when
+    the mismatch is 0 or the suppression is within 1e-12 of 1.
     """
 
-    def __init__(self, delta_k_3wm: float, suppression: float, phase_matched: bool):
+    def __init__(self, delta_k_3wm: float, suppression: float):
         self.__dict__.update(delta_k_3wm=delta_k_3wm, suppression=suppression,
-                             phase_matched=phase_matched)
+                             phase_matched=delta_k_3wm == 0.0 or suppression > 1.0 - 1e-12)
 
 
 def three_wave_residual(pm_in: PhaseMatchInput,
@@ -252,8 +254,7 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     omega_t3 = omega_p + b.omega_m
     k_t3 = _optical_k(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
     dk3 = k_t3 - k_p - (ks[3] if hit else _k_acoustic(pm_in)) - pm_in._k_grating
-    supp = _sinc2(dk3, pm_in.length)
-    return ThreeWaveResidual(dk3, supp, dk3 == 0.0 or supp > 1.0 - 1e-12)
+    return ThreeWaveResidual(dk3, _sinc2(dk3, pm_in.length))
 
 
 def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, PhaseMatchResult]]:

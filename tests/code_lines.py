@@ -1,16 +1,19 @@
-"""Count the code-only lines and the public names of each module of
-``src/transduce``.
+"""Count the code-only lines, the public names and the record fields of
+each module of ``src/transduce``.
 
     python3 tests/code_lines.py
 
-prints a header, then one ``<module> <lines> <names>`` row per module,
-largest first, then the totals.  A line counts if it holds a token of code:
-blank lines, lines that hold only a comment, and the lines of a docstring (a
-module's, a class's or a function's) are left out.  A public name is one the
-module binds at its top level with a ``def``, a ``class`` or an assignment,
-and that does not start with ``_``; an imported name is not counted, so
-``__init__``, which only re-exports, counts none.  It uses the standard
-library only and writes no file.
+prints a header, then one ``<module> <lines> <names> <fields>`` row per
+module, largest first, then the totals.  A line counts if it holds a token
+of code: blank lines, lines that hold only a comment, and the lines of a
+docstring (a module's, a class's or a function's) are left out.  A public
+name is one the module binds at its top level with a ``def``, a ``class``
+or an assignment, and that does not start with ``_``; an imported name is
+not counted, so ``__init__``, which only re-exports, counts none.  The
+fields of a module are the positional ``__init__`` parameters, after
+``self``, of each class it defines at its top level on the base ``Record``:
+the values a caller can set, through the constructor or ``replace``.  It
+uses the standard library only and writes no file.
 """
 
 from __future__ import annotations
@@ -58,16 +61,32 @@ def public_names(source: str) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
+def record_fields(source: str) -> int:
+    """The number of fields of the ``Record`` subclasses that the top level
+    of ``source`` defines: the positional parameters of each one's
+    ``__init__``, after ``self``."""
+    count = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "Record" for b in node.bases):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    count += len(f.args.posonlyargs) + len(f.args.args) - 1
+    return count
+
+
 def main() -> int:
     counts = {}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        counts[path.stem] = (code_lines(source), len(public_names(source)))
-    print(f"{'module':<12s} {'lines':>5s} {'names':>5s}")
-    for name, (lines, names) in sorted(counts.items(), key=lambda item: (-item[1][0], item[0])):
-        print(f"{name:<12s} {lines:5d} {names:5d}")
-    lines, names = (sum(column) for column in zip(*counts.values()))
-    print(f"{'total':<12s} {lines:5d} {names:5d}")
+        counts[path.stem] = (code_lines(source), len(public_names(source)),
+                             record_fields(source))
+    print(f"{'module':<12s} {'lines':>5s} {'names':>5s} {'fields':>6s}")
+    for name, (lines, names, fields) in sorted(counts.items(),
+                                               key=lambda item: (-item[1][0], item[0])):
+        print(f"{name:<12s} {lines:5d} {names:5d} {fields:6d}")
+    lines, names, fields = (sum(column) for column in zip(*counts.values()))
+    print(f"{'total':<12s} {lines:5d} {names:5d} {fields:6d}")
     return 0
 
 

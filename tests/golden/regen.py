@@ -245,9 +245,12 @@ def _corpus_materials(rng: random.Random) -> list:
 def _design(i: int, rng: random.Random, materials: list) -> str:
     """The text of design ``i``: its material, axes and strain column, then
     each result (or the error it raised), one per line.  A result is given
-    by its repr, a record's as the positional call that rebuilds it (without
-    the field names, which tests/test_records.py pins), to keep the head
-    file small; every float is a repr, so it carries every bit."""
+    by its repr, a record's as its type name and the tuple of its ``vars()``
+    values: its fields, then the attributes it derives from them (a
+    MillerChain's eta1_rel_bands, eta2, Q and q_eff, a ThreeWaveResidual's
+    phase_matched), so the line is not always the call that rebuilds it.
+    The field names, which tests/test_records.py pins, are left out to keep
+    the head file small; every float is a repr, so it carries every bit."""
     m = rng.choice(materials)
     pumps = (2.38e-6, 2.72e-6) if m.name == "BaTiO3" else (1.8e-6, 3.0e-6)
     l1, l2, ghz = rng.uniform(*pumps), rng.uniform(*pumps), rng.uniform(1.0, 10.0)

@@ -1,5 +1,6 @@
 """``tests/code_lines.py`` counts lines of code, not blank lines, comments or
-docstrings, and the public names a module defines, not those it imports."""
+docstrings, the public names a module defines, not those it imports, and
+the constructor fields of its records."""
 
 import runpy
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).with_name("code_lines.py")
 namespace = runpy.run_path(str(SCRIPT))
 code_lines, public_names = namespace["code_lines"], namespace["public_names"]
+record_fields = namespace["record_fields"]
 
 SOURCE = '''"""A module docstring
 over two lines."""
@@ -48,14 +50,35 @@ def test_only_public_names_defined_at_the_top_level_count():
     assert public_names(source) == ["TEXT", "A", "B", "C", "E", "g"]
 
 
+def test_fields_are_the_positional_constructor_parameters_of_records():
+    source = (
+        "class Record:\n"
+        "    def __init__(self, hidden): pass\n"
+        "class Pair(Record):\n"
+        "    def __init__(self, left, right=0.0, *rest, key=1, **kw): pass\n"
+        "class Solo(Record):\n"
+        "    def __init__(self, only, /): pass\n"
+        "    def other(self, a, b): pass\n"
+        "class Plain:\n"
+        "    def __init__(self, a, b): pass\n"
+        "class Bare(Record):\n"
+        "    pass\n")
+    # left and right, then only: not the base itself, a class on another
+    # base, keyword-only or variadic parameters, or another method's.
+    assert record_fields(source) == 3
+    assert record_fields(SOURCE) == 0
+
+
 def test_script_prints_every_module_and_the_total():
     cp = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     header, *rows, total = [line.split() for line in cp.stdout.splitlines()]
-    assert header == ["module", "lines", "names"]
+    assert header == ["module", "lines", "names", "fields"]
     package = SCRIPT.parents[1] / "src" / "transduce"
-    assert sorted(name for name, _, _ in rows) == sorted(p.stem for p in package.glob("*.py"))
-    assert total == ["total", str(sum(int(n) for _, n, _ in rows)),
-                     str(sum(int(n) for _, _, n in rows))]
+    assert sorted(row[0] for row in rows) == sorted(p.stem for p in package.glob("*.py"))
+    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2, 3))]
     units = (package / "units.py").read_text(encoding="utf-8")
-    assert ["units", str(code_lines(units)), str(len(public_names(units)))] in rows
+    assert ["units", str(code_lines(units)), str(len(public_names(units))),
+            str(record_fields(units))] in rows
+    # Dimension(m, kg, s, a) and Quantity(value, dim).
+    assert record_fields(units) == 6

@@ -378,6 +378,24 @@ class TestOnePassChain:
         assert chain.Q == miller_Q(chain.eta2, *ns)
         assert chain.q_eff == q_eff_from_deff(chain.d_eff, ns, ps)
 
+    @given(designs(), st.one_of(st.floats(-1e-9, 1e-9),
+                                st.sampled_from([0.0, 5e-324, 1e-300, 1e300])))
+    @settings(max_examples=200)
+    def test_a_replaced_d_eff_runs_the_chain_again(self, design, d_eff):
+        m, bands = design
+
+        def outcome(build):
+            try:
+                return vars(build())
+            except ValueError as exc:
+                return str(exc)
+        try:
+            chain = second_order_photoelasticity(m, bands)
+        except ValueError:      # an underflow on the drawn design itself
+            return
+        assert outcome(lambda: chain.replace(d_eff=d_eff)) == outcome(
+            lambda: second_order_photoelasticity(m.replace(d_eff=d_eff), bands))
+
 
 class TestRouteEquivalence:
     @given(st.floats(0, 1e-10), st.floats(1.1, 3.5), st.floats(1.1, 3.5),
@@ -697,6 +715,35 @@ class TestUnderflow:
             second_order_photoelasticity(m, bto_bands)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("power, kw, message", [
+        (1e-3, {"p_nominal": 1e308},
+         "p_virt_over_p_nominal underflows for p_virt=-5.631702180475549e-07, "
+         "p_nominal=1e+308"),
+        (1e-310, {},
+         "intensity_over_threshold underflows for intensity=8.841941282883048e-299, "
+         "damage_threshold=5400000000000.0"),
+        (1e-3, {"p_nominal": 1e300, "benchmark": CouplingBenchmark(1e-10, "small")},
+         "g_scaled underflows for g0_ref=1e-10, p_virt=-5.631702180475549e-07, "
+         "p_nominal=1e+300")],
+        ids=["p_virt_over_p_nominal", "intensity_over_threshold", "g_scaled"])
+    def test_a_sweep_ratio_that_underflows_is_named(self, power, kw, message, bto,
+                                                    bto_bands):
+        # Each returned a subnormal (the first 5.6e-315, the second 1.6e-311).
+        with pytest.raises(ValueError) as exc:
+            power_sweep(bto, bto_bands, [power], 1.2e-6, 2.26, **kw)
+        assert str(exc.value) == message
+
+    def test_a_small_benchmark_with_a_normal_g_scaled_is_kept(self, bto, bto_bands):
+        row = power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26,
+                          benchmark=CouplingBenchmark(1e-300, "tiny")).rows[0]
+        assert MIN_NORMAL <= row.g_scaled_rad_per_s < 1e-306
+
+    def test_a_damage_limited_power_that_underflows_is_named(self, bto):
+        # It returned 1.1e-312.
+        with pytest.raises(ValueError, match=r"^damage-limited power underflows for "
+                           r"damage_threshold=1e-300, mfd=1.2e-06$"):
+            damage_limited_power(bto.replace(damage_threshold=1e-300), 1.2e-6)
+
     def test_exact_zeros_are_kept(self, bto):
         assert eta2_from_deff(0.0, HUGE, 2.0, 2.0) == 0.0
         assert q_eff_from_deff(0.0, (HUGE, 2.0, 2.0), (0.5, 0.5, 0.5)) == 0.0
@@ -706,6 +753,12 @@ class TestUnderflow:
         # BaTiO3's strain column 3 holds zeros: the band sum is exactly 0.
         bands = MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9, strain_voigt=3)
         assert second_order_photoelasticity(bto, bands).q_eff == 0.0
+        # Zero power: every ratio of the row is an exact 0, however small the
+        # yardsticks make the others.
+        row = power_sweep(bto, bands, [0.0], 1.2e-6, 2.26, p_nominal=1e308,
+                          benchmark=CouplingBenchmark(1e-300, "tiny")).rows[0]
+        assert (row.p_virt_over_p_nominal, row.intensity_over_threshold,
+                row.g_scaled_rad_per_s) == (0.0, 0.0, 0.0)
         assert peak_field_from_power(PumpGeometry(0.0, 1e150, 2.26)) == 0.0
         assert peak_intensity(0.0, 1e150) == 0.0
         assert math.copysign(1.0, virtual_photoelasticity(-0.0, 5.09, 7e5)) == -1.0

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from golden import regen
-from transduce import MixingBands
+from transduce import MillerChain, MixingBands, second_order_photoelasticity
 
 CLI = json.loads((regen.HERE / "cli.json").read_text(encoding="utf-8"))
 DEMOS = json.loads((regen.HERE / "demos.json").read_text(encoding="utf-8"))
@@ -63,3 +63,20 @@ def test_corpus_bands_keep_their_derived_bits(monkeypatch):
     for b in built:
         again = b.replace()
         assert (again.omega_t, again.wavelengths) == (b.omega_t, b.wavelengths)
+
+
+def test_corpus_chains_are_rebuilt_from_their_fields(monkeypatch):
+    # The chain a corpus design reports is what its (n_bands, p_entries,
+    # d_eff) give: the record runs the chain, so vars(), and with it the
+    # corpus text, are those of a chain built from the three fields alone.
+    built = []
+
+    def spy(*args, **kw):
+        built.append(second_order_photoelasticity(*args, **kw))
+        return built[-1]
+    monkeypatch.setattr(regen, "second_order_photoelasticity", spy)
+    texts = regen.corpus()
+    # Every chain that did not raise, 2527 of the 3000.
+    assert len(built) == sum(text.count("  chain: MillerChain(") for text in texts) == 2527
+    for c in built:
+        assert vars(MillerChain(c.n_bands, c.p_entries, c.d_eff)) == vars(c)

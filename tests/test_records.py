@@ -18,9 +18,10 @@ from transduce._record import Record
 from transduce.estimator import (OPTOMECHANICAL_CRYSTAL_BENCHMARK,
                                  PIEZO_OPTOMECHANICAL_BENCHMARK, CouplingBenchmark,
                                  DesignReport, MillerChain, MixingBands, PumpGeometry,
-                                 SweepRow, power_sweep)
+                                 SweepRow, power_sweep, second_order_photoelasticity)
 from transduce.materials import DispersionModel, Material, MaterialDb
-from transduce.phasematch import PhaseMatchInput, PhaseMatchResult, ThreeWaveResidual
+from transduce.phasematch import (PhaseMatchInput, PhaseMatchResult, ThreeWaveResidual,
+                                  poling_period, three_wave_residual)
 from transduce.tensors import PhotoelasticTensor
 from transduce.thermo import (_RUNGS, FreeEnergyModel, RelationReport,
                               VectorFreeEnergyModel, verify_relations)
@@ -50,8 +51,11 @@ def bands():
 
 
 def chain():
-    return MillerChain((2.0, 2.0, 2.0), (0.2, 0.2, 0.77), 1e-11,
-                       (0.25, 0.25, 0.25), 1.0, 2.0, -3.0)
+    return MillerChain((2.0, 2.0, 2.0), (0.2, 0.2, 0.77), 1e-11)
+
+
+def three_wave():
+    return ThreeWaveResidual(0.5, 0.25)
 
 
 def vector_model():
@@ -78,8 +82,7 @@ MATERIAL = (f"Material(name='fix', dispersion={TABULATED}, photoelastic={TENSOR}
             "qpm_order=1)")
 BANDS = ("MixingBands(omega_p1=1.0, omega_p2=2.0, omega_m=0.5, axes=(2, 1, 0), "
          "acoustic_mode='longitudinal', strain_voigt=2)")
-CHAIN = ("MillerChain(n_bands=(2.0, 2.0, 2.0), p_entries=(0.2, 0.2, 0.77), "
-         "d_eff=1e-11, eta1_rel_bands=(0.25, 0.25, 0.25), eta2=1.0, Q=2.0, q_eff=-3.0)")
+CHAIN = "MillerChain(n_bands=(2.0, 2.0, 2.0), p_entries=(0.2, 0.2, 0.77), d_eff=1e-11)"
 ROW = ("SweepRow(power_w=1.0, peak_field_v_per_m=2.0, intensity_w_per_m2=3.0, "
        "p_virt=4.0, p_virt_over_p_nominal=5.0, intensity_over_threshold=6.0, "
        "g_scaled_rad_per_s=7.0)")
@@ -111,9 +114,8 @@ CASES = [
     ("MixingBands", bands, BANDS,
      ("omega_p1", "omega_p2", "omega_m", "axes", "acoustic_mode", "strain_voigt"),
      ("omega_t", "wavelengths"), {"strain_voigt": 0}),
-    ("MillerChain", chain, CHAIN,
-     ("n_bands", "p_entries", "d_eff", "eta1_rel_bands", "eta2", "Q", "q_eff"), (),
-     {"Q": 2.5}),
+    ("MillerChain", chain, CHAIN, ("n_bands", "p_entries", "d_eff"),
+     ("eta1_rel_bands", "eta2", "Q", "q_eff"), {"d_eff": 2e-11}),
     ("PumpGeometry", lambda: PumpGeometry(1e-3, 1.2e-6, 2.26),
      "PumpGeometry(power=0.001, mfd=1.2e-06, n_mode=2.26)",
      ("power", "mfd", "n_mode"), (), {"power": 0.0}),
@@ -141,9 +143,8 @@ CASES = [
      "delta_k=-8.0, efficiency=0.5)",
      ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency"), (),
      {"efficiency": 1.0}),
-    ("ThreeWaveResidual", lambda: ThreeWaveResidual(0.5, 0.25, False),
-     "ThreeWaveResidual(delta_k_3wm=0.5, suppression=0.25, phase_matched=False)",
-     ("delta_k_3wm", "suppression", "phase_matched"), (), {"phase_matched": True}),
+    ("ThreeWaveResidual", three_wave, "ThreeWaveResidual(delta_k_3wm=0.5, suppression=0.25)",
+     ("delta_k_3wm", "suppression"), ("phase_matched",), {"suppression": 1.0}),
     ("FreeEnergyModel", lambda: FreeEnergyModel(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
      "FreeEnergyModel(c=1.0, h=2.0, eta1=3.0, eta2=4.0, p=5.0, q=6.0)",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"q": 0.0}),
@@ -326,6 +327,63 @@ class TestReplace:
         assert copied.p_nominal == 2.0 and type(copied.p_nominal) is float
         assert copied.to_csv() == report.to_csv()
 
+    def test_a_chain_runs_again_from_its_inputs(self):
+        # replace(d_eff=...) kept the old eta2, Q and q_eff.
+        m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)
+        chain = second_order_photoelasticity(m, b)
+        doubled = chain.replace(d_eff=2 * chain.d_eff)
+        assert vars(doubled) == vars(second_order_photoelasticity(m.replace(d_eff=2e-11), b))
+        assert (doubled.eta2, doubled.q_eff) == (2 * chain.eta2, 2 * chain.q_eff)
+        assert doubled.eta1_rel_bands == chain.eta1_rel_bands
+
+    def test_a_report_cannot_carry_a_chain_that_is_not_finite(self):
+        # replace(q_eff=nan) built, and to_dict() then reported a NaN q_eff;
+        # q_eff is no field now, and a d_eff that is not finite raises.
+        report = self.report()
+        with pytest.raises(TypeError, match="q_eff"):
+            report.chain.replace(q_eff=math.nan)
+        with pytest.raises(ValueError, match="^d_eff must be finite$"):
+            report.replace(chain=report.chain.replace(d_eff=math.nan))
+
+    def test_phase_matched_follows_the_suppression(self):
+        # replace(suppression=1.0) kept phase_matched=False.
+        m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)
+        pm = PhaseMatchInput(b, m, 1e-4)
+        period, sign = poling_period(pm)
+        tw = three_wave_residual(pm.replace(poling_period=period, poling_sign=sign))
+        assert tw.delta_k_3wm != 0.0 and tw.phase_matched is False
+        assert tw.replace(suppression=1.0).phase_matched is True
+        assert tw.replace(delta_k_3wm=0.0).phase_matched is True
+        assert tw.replace(suppression=1.0 - 2e-12).phase_matched is False
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("power_w", None, "power_w must be a number, got None"),
+        ("peak_field_v_per_m", "x", "peak_field_v_per_m must be a number, got 'x'"),
+        ("intensity_w_per_m2", -1.0, "intensity_w_per_m2 must be finite and >= 0, got -1.0"),
+        ("p_virt", math.nan, "p_virt must be finite, got nan"),
+        ("p_virt", -math.inf, "p_virt must be finite, got -inf"),
+        ("p_virt_over_p_nominal", math.inf, "p_virt_over_p_nominal must be finite and >= 0, "
+                                            "got inf"),
+        ("intensity_over_threshold", -1e-300, "intensity_over_threshold must be finite and "
+                                              ">= 0, got -1e-300"),
+        ("g_scaled_rad_per_s", True, "g_scaled_rad_per_s must be a number, got True")])
+    def test_a_sweep_row_checks_each_value(self, field, value, message):
+        row = SweepRow(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        with pytest.raises(ValueError) as exc:
+            row.replace(**{field: value})
+        assert str(exc.value) == message
+
+    def test_a_report_cannot_carry_a_row_that_is_no_row_of_numbers(self):
+        # Built, and to_csv() wrote the row None,'x',0,0,0,0,0.
+        report = self.report()
+        with pytest.raises(ValueError, match="^power_w must be a number, got None$"):
+            report.replace(rows=(SweepRow(None, 'x', 0, 0, 0, 0, 0),))
+
+    def test_a_sweep_row_stores_floats_and_a_signed_p_virt(self):
+        row = SweepRow(1, 0, np.float64(3.0), -4, -0.0, 6.0, 7.0)
+        assert tuple(vars(row).values()) == (1.0, 0.0, 3.0, -4.0, -0.0, 6.0, 7.0)
+        assert all(type(v) is float for v in vars(row).values())
+
     def test_validation_runs_again(self):
         pm = PhaseMatchInput(bands(), material(), 1e-4)
         with pytest.raises(ValueError, match="^interaction length must be positive, got 0$"):
@@ -333,7 +391,8 @@ class TestReplace:
 
     @pytest.mark.parametrize("build, name", [
         (bands, "omega_t"), (bands, "wavelengths"), (tabulated, "_columns"),
-        (chain, "no_such_field")])
+        (chain, "eta1_rel_bands"), (chain, "eta2"), (chain, "Q"), (chain, "q_eff"),
+        (three_wave, "phase_matched"), (chain, "no_such_field")])
     def test_name_the_constructor_does_not_take_is_a_type_error(self, build, name):
         obj = build()
         with pytest.raises(TypeError, match=name):
