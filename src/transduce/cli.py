@@ -41,8 +41,8 @@ from .errors import TransduceError
 from .estimator import (CouplingBenchmark, MixingBands,
                         OPTOMECHANICAL_CRYSTAL_BENCHMARK,
                         PIEZO_OPTOMECHANICAL_BENCHMARK, PumpGeometry,
-                        SweepRow, damage_limited_power, peak_field_from_power,
-                        peak_intensity, power_sweep,
+                        SweepRow, _over_threshold, damage_limited_power,
+                        peak_field_from_power, peak_intensity, power_sweep,
                         second_order_photoelasticity)
 from .materials import (Material, MaterialDb, default_db, dumps_materials,
                         load_materials)
@@ -183,7 +183,7 @@ def _cmd_field(args) -> tuple[int, list[str]]:
         m = _resolve_db(args).get(args.material)
         lines += [_kv("damage_threshold", m.damage_threshold, "W/m^2"),
                   _kv("damage_limited_power", damage_limited_power(m, args.mfd), "W"),
-                  _kv("intensity_over_threshold", intensity / m.damage_threshold)]
+                  _kv("intensity_over_threshold", _over_threshold(intensity, m))]
     return 0, lines
 
 

@@ -51,7 +51,7 @@ a diagonal pair packs to its axis, so the chain needs no packing table, and
 
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
-which remembers the last bands and dispersion objects it was given.
+which keeps them on the bands, keyed on the material.
 
 A user's argument is still read once.  from_vacuum_wavelengths reads and
 checks its wavelengths and phonon frequency, then passes the omegas it
@@ -79,7 +79,7 @@ from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
 G0_PIEZO_OPTOMECHANICAL_RAD_S = TWO_PI * 400.0      # integrated piezo-optomechanical transducer
 G0_OPTOMECHANICAL_CRYSTAL_RAD_S = TWO_PI * 850.0e3  # high-coupling optomechanical crystal
 
-_AXES, _INT3 = frozenset((0, 1, 2)), (int, int, int)
+_AXES, _INT3, _FLOAT6 = frozenset((0, 1, 2)), (int, int, int), (float,) * 6
 
 
 class MixingBands(Record):
@@ -87,7 +87,9 @@ class MixingBands(Record):
 
     Energy conservation fixes omega_t = omega_p1 + omega_p2 + omega_m; the
     constructor derives it, with the vacuum ``wavelengths``, as an attribute
-    that is no field, so ``replace`` computes both again.
+    that is no field, so ``replace`` computes both again.  Two more such
+    attributes, ``_indices`` and ``_wavevectors``, each ``(material,
+    values)``, keep the lookups of the last material the bands were used with.
     ``axes`` gives the polarization axis (0..2) of each band in the order
     (pump1, pump2, transduced); ``acoustic_mode`` keys the material's sound
     speed table and ``strain_voigt`` selects the strain column of the
@@ -121,11 +123,13 @@ class MixingBands(Record):
             raise ValueError(f"acoustic_mode must be a string, got {acoustic_mode}")
         wt = w1 + w2 + wm
         # Derived: omega_t, and the vacuum wavelengths (m) of (pump1, pump2,
-        # transduced).
+        # transduced); the lookups start keyed on no material and are
+        # replaced in place.
         self.__dict__.update(
             omega_p1=w1, omega_p2=w2, omega_m=wm, axes=ints,
             acoustic_mode=acoustic_mode, strain_voigt=sv, omega_t=wt,
-            wavelengths=(TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt))
+            wavelengths=(TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt),
+            _indices=(None, ()), _wavevectors=(None, ()))
 
     @classmethod
     def from_vacuum_wavelengths(cls, lambda_p1: float, lambda_p2: float,
@@ -148,16 +152,23 @@ class MillerChain(Record):
     """Every intermediate of the q_eff estimate, for reporting and audits.
 
     It stores the three band indices, the three photoelastic entries and the
-    d_eff it is given, as given (it reads no argument again), and runs the
+    d_eff it is given, read as two float tuples and a float, and runs the
     chain on them: ``eta1_rel_bands`` (1/n^2 per band), ``eta2``, the Miller
     ``Q`` and the closed-form ``q_eff`` are attributes that are no fields, so
-    ``replace`` runs the chain again.  Its checks are the chain's: a d_eff
-    that is not finite, an index below 1, a vacuum band and a result out of
-    range raise.
+    ``replace`` runs the chain again.  A non-number or a wrong count of
+    values is named; the other checks are the chain's: a d_eff that is not
+    finite, an index below 1, a vacuum band and a result out of range raise.
     """
 
     def __init__(self, n_bands: tuple[float, float, float],
                  p_entries: tuple[float, float, float], d_eff: float):
+        # Two float triples and a float, as second_order_photoelasticity
+        # passes them, are kept; anything else is read as floats, and a
+        # wrong length or a non-number is named.
+        if not (type(n_bands) is type(p_entries) is tuple and type(d_eff) is float
+                and tuple(map(type, n_bands + p_entries)) == _FLOAT6):
+            n_bands, p_entries = _check_bands(n_bands, p_entries, ("n_bands", "p_entries"))
+            d_eff = _reals(d_eff, "d_eff")
         # _eta2 rejects a non-finite d_eff and n < 1, then a vacuum band is
         # singular and a 1/n^2 that underflows is named; q_eff is checked
         # before Q, so an input whose q_eff overflows too is named by q_eff.
@@ -234,11 +245,11 @@ def _read_indices(n1, n2, n3) -> _PerBand:
     return tuple(map(_reals, (n1, n2, n3), ("n1", "n2", "n3")))
 
 
-def _check_bands(ns, ps) -> tuple[_PerBand, _PerBand]:
+def _check_bands(ns, ps, names=("ns", "ps")) -> tuple[_PerBand, _PerBand]:
     """Three indices and three photoelastic entries, one per band, read as
-    floats; the indices checked."""
-    ns, ps = _reals(ns, "ns", 1), _reals(ps, "ps", 1)
-    for name, values in (("ns", ns), ("ps", ps)):
+    floats and named by ``names``; the indices checked."""
+    ns, ps = _reals(ns, names[0], 1), _reals(ps, names[1], 1)
+    for name, values in zip(names, (ns, ps)):
         if len(values) != 3:
             raise ValueError(f"{name} must hold 3 values, one per band, got {len(values)}")
     _check_indices(ns)
@@ -362,26 +373,20 @@ def qpm_deff_reduction(order: int) -> float:
     return 2.0 / (m * math.pi)
 
 
-# The last design's indices, (bands, dispersion, (n_p1, n_p2, n_t)): one
-# tuple, so a reader in another thread sees a whole entry or none.
-_last_indices: tuple = (None, None, ())
-
-
 def _band_indices(m: Material, bands: MixingBands) -> _PerBand:
     """(n_p1, n_p2, n_t): the index of each band at its axis, looked up in
-    band order, or taken from the last call if it had the same ``bands`` and
-    ``m.dispersion`` objects (both frozen, so the floats are the same).
+    band order, or taken from ``bands._indices`` if it holds ``m`` (both
+    are frozen, so the floats are the same).
 
-    The entry holds both objects, so their ids cannot be reused while it is
-    stored; a lookup that raises stores nothing.
+    The entry is one tuple, replaced whole, so a reader in another thread
+    sees a whole entry; a lookup that raises stores nothing.
     """
-    global _last_indices
-    last_bands, last_dispersion, ns = _last_indices
-    if bands is not last_bands or m.dispersion is not last_dispersion:
+    material, ns = bands._indices
+    if material is not m:
         (l1, l2, l3), (a1, a2, a3) = bands.wavelengths, bands.axes
         ns = (refractive_index(m, l1, a1), refractive_index(m, l2, a2),
               refractive_index(m, l3, a3))
-        _last_indices = (bands, m.dispersion, ns)
+        bands.__dict__["_indices"] = (m, ns)
     return ns
 
 
@@ -397,19 +402,17 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     photoelastic entry is unmeasured (stored null).
     """
     ns = _band_indices(m, bands)
-    ps = []
-    for axis in bands.axes:
-        # The pair (axis, axis) packs to ``axis``, and MixingBands stores its
-        # axes as ints in 0..2, so the axis is the row.
-        entry = m.photoelastic.entries[axis][bands.strain_voigt]
-        if math.isnan(entry):
-            raise DataError(
-                f"material '{m.name}' has no photoelastic entry "
-                f"[{axis}][{bands.strain_voigt}] (axis {axis}, strain column "
-                f"{bands.strain_voigt}) required by these bands")
-        ps.append(entry)
+    # The pair (axis, axis) packs to ``axis``, and MixingBands stores its
+    # axes as ints in 0..2, so the axis is the row.
+    (a1, a2, a3), sv, rows = bands.axes, bands.strain_voigt, m.photoelastic.entries
+    ps = (rows[a1][sv], rows[a2][sv], rows[a3][sv])
+    # An entry is finite or NaN (unmeasured), so the sum is NaN if one is.
+    if math.isnan(ps[0] + ps[1] + ps[2]):
+        axis = next(a for a, p in zip(bands.axes, ps) if math.isnan(p))
+        raise DataError(f"material '{m.name}' has no photoelastic entry [{axis}][{sv}] "
+                        f"(axis {axis}, strain column {sv}) required by these bands")
     d_eff = m.d_eff * (qpm_deff_reduction(m.qpm_order) if apply_qpm_reduction else 1.0)
-    return MillerChain(ns, tuple(ps), d_eff)
+    return MillerChain(ns, ps, d_eff)
 
 
 def peak_field_from_power(g: PumpGeometry) -> float:
@@ -428,6 +431,17 @@ def peak_intensity(power: float, mfd: float) -> float:
     if not _MIN_NORMAL <= intensity < math.inf and p:
         raise result_error("peak intensity", intensity, power=power, mfd=mfd)
     return intensity
+
+
+def _over_threshold(intensity: float, m: Material) -> float:
+    """The peak intensity over the damage threshold of ``m``."""
+    over = intensity / m.damage_threshold
+    # The threshold is positive, so the ratio is an exact 0 only when the
+    # intensity is.
+    if not _MIN_NORMAL <= over < math.inf and (over or intensity):
+        raise result_error("intensity_over_threshold", over, intensity=intensity,
+                           damage_threshold=m.damage_threshold)
+    return over
 
 
 def damage_limited_power(m: Material, mfd: float) -> float:
@@ -603,22 +617,18 @@ def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
 
     chain = second_order_photoelasticity(m, bands)
     eps_r = m.eps_r[bands.axes[2]]
-    threshold = m.damage_threshold
     rows = []
     for p_w in powers:
         field = peak_field_from_power(PumpGeometry(p_w, mfd, n_mode))
         intensity = peak_intensity(p_w, mfd)
         p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
-        # p_nominal, the threshold and g0_ref are positive, so each ratio is
-        # an exact 0 only when p_virt or the intensity is.
+        # p_nominal and g0_ref are positive, so each ratio is an exact 0
+        # only when p_virt is.
         ratio = abs(p_virt) / nominal
         if not _MIN_NORMAL <= ratio < math.inf and (ratio or p_virt):
             raise result_error("p_virt_over_p_nominal", ratio, p_virt=p_virt,
                                p_nominal=nominal)
-        over = intensity / threshold
-        if not _MIN_NORMAL <= over < math.inf and (over or intensity):
-            raise result_error("intensity_over_threshold", over, intensity=intensity,
-                               damage_threshold=threshold)
+        over = _over_threshold(intensity, m)
         g_scaled = benchmark.g0_ref * ratio
         if not _MIN_NORMAL <= g_scaled < math.inf and (g_scaled or ratio):
             raise result_error("g_scaled", g_scaled, g0_ref=benchmark.g0_ref,

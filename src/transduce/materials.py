@@ -102,7 +102,7 @@ class DispersionModel(Record):
                              "finite and >= 1", n)
         elif kind == "sellmeier":
             # Tuples too, so no index of this model can change after a
-            # lookup (estimator._band_indices reuses the last three).
+            # lookup (estimator._band_indices keeps three on the bands).
             sellmeier, unread = _reals(sellmeier, "dispersion.sellmeier", 3), ("points", points)
             if len(sellmeier) != 3 or any(len(t) != 2 for terms in sellmeier for t in terms):
                 raise ValueError("dispersion.sellmeier must be 3 axis lists of [B, C] "

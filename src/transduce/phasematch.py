@@ -28,14 +28,14 @@ design, so a design reads each float once.
 delta_k and poling_period take the three four-wave band indices from
 ``estimator._band_indices``, so a design that ran the Miller chain on the
 same bands and material reuses its lookups, and a poling-period sweep looks
-them up once.  They share the four wavevectors too: _k_bare remembers the
-last (bands, material) pair and its (k_t, k_p1, k_p2, k_m), so a design
-evaluates them once.  three_wave_residual takes its pump and phonon
-wavevectors from that entry when it holds the same design, and looks up
-only its omega_p + omega_m band; otherwise it looks up its pump as well.  It
-never looks up the four-wave output, so it works for a design whose
-four-wave output lies outside the validity window.  A design makes 5 index
-lookups and 5 optical wavevector evaluations.
+them up once.  They share the four wavevectors too: _k_bare keeps
+(k_t, k_p1, k_p2, k_m) on the bands, keyed on the material.
+three_wave_residual takes its pump and phonon wavevectors from that entry
+when it holds the same material, and looks up only its omega_p + omega_m
+band; otherwise it looks up its pump as well.  It never looks up the
+four-wave output, so it works for a design whose four-wave output lies
+outside the validity window.  A design makes 5 index lookups and 5 optical
+wavevector evaluations, also when its calls alternate with another's.
 
 PhaseMatchInput stores the signed grating term, poling_sign * 2 pi / Lambda
 (0.0 without a grating), from the 2 pi / Lambda it computes to check Lambda;
@@ -135,30 +135,20 @@ def _k_acoustic(pm_in: PhaseMatchInput) -> float:
     return _acoustic_k(pm_in.bands.omega_m, m.v_sound[mode])
 
 
-# The last design's wavevectors, (bands, material, (k_t, k_p1, k_p2, k_m)):
-# one tuple, so a reader in another thread sees a whole entry or none.
-_last_k: tuple = (None, None, ())
-
-
 def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
     """(k_t, k_p1, k_p2, k_m): the four-wave wavevectors without the grating,
-    computed in band order, or taken from the last call if it had the same
-    ``bands`` and ``material`` objects (both frozen, so the floats are the
-    same).  The key is the material, not its dispersion: k_m depends on the
-    sound speed too.
-
-    The entry holds both objects, so their ids cannot be reused while it is
-    stored; a computation that raises stores nothing.
+    computed in band order, or taken from ``bands._wavevectors`` if it holds
+    the input's material (both frozen, so the floats are the same).  The
+    key is the material, not its dispersion: k_m depends on the sound speed
+    too.  A computation that raises stores nothing.
     """
-    global _last_k
     b, m = pm_in.bands, pm_in.material
-    last_bands, last_material, ks = _last_k
-    if b is not last_bands or m is not last_material:
+    material, ks = b._wavevectors
+    if material is not m:
         n_p1, n_p2, n_t = _band_indices(m, b)
-        k_p1 = _optical_k(n_p1, b.omega_p1)
-        k_p2 = _optical_k(n_p2, b.omega_p2)
+        k_p1, k_p2 = _optical_k(n_p1, b.omega_p1), _optical_k(n_p2, b.omega_p2)
         ks = (_optical_k(n_t, b.omega_t), k_p1, k_p2, _k_acoustic(pm_in))
-        _last_k = (b, m, ks)
+        b.__dict__["_wavevectors"] = (m, ks)
     return ks
 
 
@@ -243,11 +233,11 @@ def three_wave_residual(pm_in: PhaseMatchInput,
     if (pump := _integer(pump_choice)) not in (1, 2):
         raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
     b, m = pm_in.bands, pm_in.material
-    last_bands, last_material, ks = _last_k
+    material, ks = b._wavevectors
     # The pump and phonon wavevectors come from _k_bare's entry when it holds
-    # this design (ks is (k_t, k_p1, k_p2, k_m)); else they are computed here,
-    # pump first and phonon last, so a failing design raises the same error.
-    hit = b is last_bands and m is last_material
+    # this material (ks is (k_t, k_p1, k_p2, k_m)); else they are computed
+    # here, pump first and phonon last, so a failing design raises the same error.
+    hit = material is m
     omega_p = b.omega_p1 if pump == 1 else b.omega_p2
     k_p = ks[pump] if hit else _optical_k(
         refractive_index(m, b.wavelengths[pump - 1], b.axes[pump - 1]), omega_p)

@@ -109,6 +109,8 @@ CLI_CASES = {
     "error-field-n-mode": "field --power 1e-3 --mfd 1.2e-6 --n-mode 1e-300",
     "error-field-denominator": "field --power 1e-3 --mfd 1e100 --n-mode 1e300",
     "error-field-damage": "field --power 1e-3 --mfd 1e150 --n-mode 2.26 --material BaTiO3",
+    "error-field-intensity-underflow": "field --power 1e-310 --mfd 1.2e-6 --n-mode 2.26 "
+                                       "--material BaTiO3",
     "error-sweep-power-damage": f"sweep-power {BANDS} --mfd 1e150 --n-mode 2.26 "
                                 "--pmin 1e-3 --pmax 6",
     "error-sound-speed": f"phasematch --db slow-sound.json {BANDS} --length 100e-6",

@@ -1,13 +1,13 @@
 """One index lookup and one wavevector per band per design.
 
 The Miller chain, delta_k and poling_period read a design's three band
-indices through one lookup that remembers the last (bands, dispersion) pair.
+indices through one lookup that the bands keep, keyed on the material.
 delta_k and poling_period share the design's four wavevectors through one
-entry that remembers the last (bands, material) pair, and each three-wave
-channel takes its pump and phonon wavevectors from that entry, so it looks
-up only its own omega_p + omega_m band.  These tests pin the number of
-lookups and wavevector evaluations, and that a remembered index or
-wavevector is never a stale one.
+more entry on the bands, and each three-wave channel takes its pump and
+phonon wavevectors from that entry, so it looks up only its own
+omega_p + omega_m band.  These tests pin the number of lookups and
+wavevector evaluations, also for designs that alternate, and that a
+remembered index or wavevector is never a stale one.
 """
 
 import sys
@@ -75,6 +75,23 @@ class TestLookupCount:
         assert [c[1] for c in calls] == [b.omega_p1, b.omega_p2, b.omega_t,
                                          b.omega_p1 + b.omega_m, b.omega_p2 + b.omega_m]
 
+    def test_two_alternating_designs_keep_their_own_lookups(self, bto, count_calls):
+        # Each step runs on one design, then on the other: remembering only
+        # the last design's lookups made 24 index lookups here.
+        def steps(lam):
+            bands = MixingBands.from_vacuum_wavelengths(lam, lam, 2e9)
+            yield second_order_photoelasticity(bto, bands)
+            pm_in = PhaseMatchInput(bands, bto, LENGTH)
+            yield delta_k(pm_in)
+            poled = PhaseMatchInput(bands, bto, LENGTH, *poling_period(pm_in))
+            yield delta_k(poled)
+            yield three_wave_residual(poled, 1)
+            yield three_wave_residual(poled, 2)
+        indices, wavevectors = count_calls(refractive_index), count_calls(_optical_k)
+        alternating = list(zip(steps(2600e-9), steps(2550e-9)))
+        assert (len(indices), len(wavevectors)) == (2 * 5, 2 * 5)
+        assert alternating == list(zip(list(steps(2600e-9)), list(steps(2550e-9))))
+
     def test_poling_period_sweep_looks_up_three_indices(self, bto, bto_bands,
                                                         count_calls):
         calls = count_calls(refractive_index)
@@ -134,6 +151,14 @@ class TestNoStaleIndex:
             poled = PhaseMatchInput(bto_bands, m, LENGTH, period, sign)
             assert three_wave_residual(poled, 2) == expected[id(m)][4]
 
+    def test_the_lookups_the_bands_keep_are_no_fields(self, bto, bto_bands):
+        fresh = bto_bands.replace()
+        design_outputs(bto, bto_bands)
+        assert bto_bands._indices[0] is bto and bto_bands._wavevectors[0] is bto
+        assert bto_bands == fresh and hash(bto_bands) == hash(fresh)
+        assert repr(bto_bands) == repr(fresh)
+        assert bto_bands.replace()._indices == bto_bands.replace()._wavevectors == (None, ())
+
     def test_a_model_built_from_lists_does_not_change_with_them(self, bto, bto_bands):
         # The lists were stored as given, so editing one after a lookup
         # changed the model's indices under a remembered entry.
@@ -188,8 +213,8 @@ def test_every_band_is_looked_up_before_any_wavevector_is_checked():
 
 
 def test_threads_sharing_the_last_lookup_read_their_own_indices():
-    # The remembered entries are tuples, read and replaced whole, so no
-    # thread pairs one design's bands with another design's indices or
+    # The entries the bands keep are tuples, read and replaced whole, so no
+    # thread pairs one design's material with another material's indices or
     # wavevectors, in delta_k or in a three-wave channel.
     pairs = [(make_material(n_points=((1.0e-6, 2.0 + 0.1 * i), (3.0e-6, 2.0)),
                             v_sound={"longitudinal": 5000.0 + 100.0 * i}),

@@ -301,6 +301,15 @@ class TestField:
         assert cp.stderr == ("error: peak field underflows for power=2.3e-308, "
                              "mfd=1e+150, n_mode=2.26\n")
 
+    def test_underflowing_intensity_ratio_is_data_error(self):
+        # It printed intensity_over_threshold = 1.637396533867e-311 and exited 0.
+        cp = run_cli("field", "--power", "1e-310", "--mfd", "1.2e-6", "--n-mode", "2.26",
+                     "--material", "BaTiO3")
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == ("error: intensity_over_threshold underflows for "
+                             "intensity=8.841941282883048e-299, "
+                             "damage_threshold=5400000000000.0\n")
+
     @pytest.mark.parametrize("bad", ["material", "db"])
     def test_bad_material_or_db_prints_nothing(self, tmp_path, bad):
         # Both printed peak_field and peak_intensity before the error.

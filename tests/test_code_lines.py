@@ -1,7 +1,9 @@
 """``tests/code_lines.py`` counts lines of code, not blank lines, comments or
 docstrings, the public names a module defines, not those it imports, and
-the constructor fields of its records."""
+the constructor fields of its records; and no module of the package binds
+a module-level name from inside a function."""
 
+import ast
 import runpy
 import subprocess
 import sys
@@ -82,3 +84,13 @@ def test_script_prints_every_module_and_the_total():
             str(record_fields(units))] in rows
     # Dimension(m, kg, s, a) and Quantity(value, dim).
     assert record_fields(units) == 6
+
+
+def test_no_module_has_a_global_statement():
+    # A design keeps its lookups on its bands; no module-global memo holds
+    # them, so designs that alternate keep their own.
+    package = SCRIPT.parents[1] / "src" / "transduce"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transduce.errors import DataError, SingularityError, result_error
-from transduce.estimator import (CouplingBenchmark, MixingBands,
+from transduce.estimator import (CouplingBenchmark, MillerChain, MixingBands,
                                  PIEZO_OPTOMECHANICAL_BENCHMARK,
                                  POWER_SWEEP_CSV_HEADER, PumpGeometry,
                                  damage_limited_power, eta1_rel, eta2_from_Q,
@@ -395,6 +395,46 @@ class TestOnePassChain:
             return
         assert outcome(lambda: chain.replace(d_eff=d_eff)) == outcome(
             lambda: second_order_photoelasticity(m.replace(d_eff=d_eff), bands))
+
+
+class TestMillerChainArguments:
+    NS, PS = (2.0, 2.0, 2.0), (0.2, 0.2, 0.77)
+
+    def test_lists_are_read_as_float_tuples(self):
+        # The lists were stored, so hash() raised "unhashable type: 'list'".
+        chain = MillerChain([2.0, 2.0, 2.0], [0.2, 0.2, 0.77], 1e-11)
+        assert chain == MillerChain(self.NS, self.PS, 1e-11)
+        assert hash(chain) == hash((self.NS, self.PS, 1e-11))
+        assert (type(chain.n_bands), type(chain.p_entries)) == (tuple, tuple)
+
+    def test_numbers_that_are_no_floats_are_read_as_floats(self):
+        chain = MillerChain(np.array([2, 2, 2]), (0.2, np.float64(0.2), 0.77),
+                            np.float64(1e-11))
+        assert vars(chain) == vars(MillerChain(self.NS, self.PS, 1e-11))
+        assert {type(v) for v in (*chain.n_bands, *chain.p_entries, chain.d_eff)} == {float}
+
+    def test_the_float_tuples_of_a_design_are_kept(self, bto, bto_bands):
+        chain = second_order_photoelasticity(bto, bto_bands)
+        rebuilt = MillerChain(chain.n_bands, chain.p_entries, chain.d_eff)
+        assert rebuilt.n_bands is chain.n_bands and rebuilt.p_entries is chain.p_entries
+        assert vars(rebuilt) == vars(chain)
+
+    @pytest.mark.parametrize("args, message", [
+        # A bare "not enough values to unpack (expected 3, got 2)".
+        (((2.0, 2.0), PS, 1e-11), "n_bands must hold 3 values, one per band, got 2"),
+        (([2.0, 2.0], PS, 1e-11), "n_bands must hold 3 values, one per band, got 2"),
+        ((NS, (0.2, 0.2, 0.77, 0.1), 1e-11),
+         "p_entries must hold 3 values, one per band, got 4"),
+        # A bare "must be real number, not NoneType".
+        ((NS, PS, None), "d_eff must be a number, got None"),
+        ((NS, (0.2, "0.2", 0.77), 1e-11), "p_entries[1] must be a number, got '0.2'"),
+        ((NS, PS, True), "d_eff must be a number, got True"),
+        ((2.0, PS, 1e-11), "n_bands must be a sequence of numbers, got 2.0")],
+        ids=["two-indices", "two-indices-list", "four-entries", "d_eff-none",
+             "entry-str", "d_eff-bool", "indices-float"])
+    def test_a_bad_argument_is_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MillerChain(*args)
 
 
 class TestRouteEquivalence:

@@ -113,7 +113,7 @@ CASES = [
      ("value", "dim"), (), {"dim": Dimension()}),
     ("MixingBands", bands, BANDS,
      ("omega_p1", "omega_p2", "omega_m", "axes", "acoustic_mode", "strain_voigt"),
-     ("omega_t", "wavelengths"), {"strain_voigt": 0}),
+     ("omega_t", "wavelengths", "_indices", "_wavevectors"), {"strain_voigt": 0}),
     ("MillerChain", chain, CHAIN, ("n_bands", "p_entries", "d_eff"),
      ("eta1_rel_bands", "eta2", "Q", "q_eff"), {"d_eff": 2e-11}),
     ("PumpGeometry", lambda: PumpGeometry(1e-3, 1.2e-6, 2.26),
