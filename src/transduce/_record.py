@@ -8,7 +8,9 @@ from them is either stored after them as an attribute that is no field (a
 ``replace`` computes it again) or a property computed where it is read.
 Repr, ``==`` and the hash follow ``_fields`` as a frozen dataclass's do, but
 nothing is generated with ``exec`` at import time, and neither the
-decorator's module nor ``inspect`` is imported.  A mapping field is stored
+decorator's module nor ``inspect`` is imported.  Copies and pickles rebuild
+a record from its fields through ``__init__``, so they carry no attribute
+the constructor would not derive.  A mapping field is stored
 as a ``FrozenDict``, so editing it, or the dict it was built from, cannot
 change the record.
 """
@@ -46,6 +48,9 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
 
     def replace(self, **changes):
         """A copy with ``changes``, built by ``__init__``, so its checks run

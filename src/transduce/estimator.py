@@ -51,7 +51,19 @@ a diagonal pair packs to its axis, so the chain needs no packing table, and
 
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
-which keeps them on the bands, keyed on the material.
+which keeps them on the bands, keyed on the material.  The chain names a
+material that is no Material and bands that are no MixingBands.
+
+A pump-power sweep is the record ``DesignReport(material, bands, powers,
+mfd, n_mode, benchmark, p_nominal)``: it stores those inputs and runs the
+sweep in its constructor, so its ``chain`` and ``rows`` are attributes that
+are no fields and a ``replace`` runs it again.  power_sweep is one call to
+that constructor, kept a function so a caller can wrap and time it as one.
+It resolves the two defaults, the piezo-optomechanical benchmark and the
+largest measured photoelastic entry as ``p_nominal``, and the report stores
+the values it resolved: ``replace(material=...)`` keeps the ``p_nominal``
+yardstick the report was built with.  A report holds a Material, so, like
+it, it is not hashable.
 
 A user's argument is still read once.  from_vacuum_wavelengths reads and
 checks its wavelengths and phonon frequency, then passes the omegas it
@@ -223,6 +235,7 @@ class CouplingBenchmark(Record):
     def __init__(self, g0_ref: float, label: str):     # g0_ref in rad/s
         if not 0 < (g := _reals(g0_ref, "g0_ref")) < math.inf:
             raise ValueError(f"g0_ref must be positive, got {g0_ref}")
+        _require(isinstance(label, str) and label != "", "label", "a non-empty str", label)
         self.__dict__.update(g0_ref=g, label=label)
 
 
@@ -401,6 +414,8 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
     in use, i.e. ``apply_qpm_reduction=True``).  Raises DataError if a needed
     photoelastic entry is unmeasured (stored null).
     """
+    _require(isinstance(m, Material), "material", "a Material", m)
+    _require(isinstance(bands, MixingBands), "bands", "a MixingBands", bands)
     ns = _band_indices(m, bands)
     # The pair (axis, axis) packs to ``axis``, and MixingBands stores its
     # axes as ints in 0..2, so the axis is the row.
@@ -531,25 +546,60 @@ POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,
 
 
 class DesignReport(Record):
-    """Sweep output bundle: chain, rows, and the caveats that qualify them.
+    """A pump-power sweep of one design: its chain, its rows and the caveats
+    that qualify them.
 
-    It checks what power_sweep guarantees, so a ``replace`` cannot build a
-    report that ``notes``, ``to_csv`` or ``to_dict`` fails on.
+    It stores what it is given: the ``material``, the ``bands``, the
+    ``powers`` (W, a nonempty grid within ten times the damage-limited power
+    for this geometry, read as a float tuple), the pump mode's ``mfd`` and
+    ``n_mode``, the ``benchmark`` whose coupling the g_scaled column
+    multiplies by p_virt/p_nominal (coupling proportional to the effective
+    photoelasticity with all other device parameters held fixed, an
+    extrapolation, not a device prediction) and ``p_nominal``, the positive
+    finite yardstick of that ratio.  The constructor runs the sweep: the
+    Miller ``chain`` and one SweepRow per power in ``rows`` are attributes
+    that are no fields, so a ``replace`` runs it again.
     """
 
-    def __init__(self, material: str, chain: MillerChain, p_nominal: float,
-                 benchmark: CouplingBenchmark, rows: tuple[SweepRow, ...]):
-        _require(isinstance(material, str) and material != "", "material",
-                 "a non-empty str", material)
-        _require(isinstance(chain, MillerChain), "chain", "a MillerChain", chain)
-        nominal = _reals(p_nominal, "p_nominal")
-        _require(0 < nominal < math.inf, "p_nominal", "positive and finite", p_nominal)
+    def __init__(self, material: Material, bands: MixingBands, powers: tuple[float, ...],
+                 mfd: float, n_mode: float, benchmark: CouplingBenchmark, p_nominal: float):
+        _require(isinstance(material, Material), "material", "a Material", material)
+        if not (powers := _reals(powers, "powers", 1)):
+            raise ValueError("power grid must not be empty")
+        mfd = _mfd(mfd)
+        p_limit = damage_limited_power(material, mfd)
+        if min(powers) < 0 or max(powers) > 10.0 * p_limit:
+            raise ValueError(
+                f"power grid must lie within [0, {10.0 * p_limit:.6g}] W "
+                f"(10x the damage-limited power for MFD {mfd:.3g} m)")
         _require(isinstance(benchmark, CouplingBenchmark), "benchmark",
                  "a CouplingBenchmark", benchmark)
-        _require(isinstance(rows, (tuple, list)) and all(isinstance(r, SweepRow) for r in rows),
-                 "rows", "a tuple or list of SweepRow", rows)
-        self.__dict__.update(material=material, chain=chain, p_nominal=nominal,
-                             benchmark=benchmark, rows=tuple(rows))
+        if not 0 < (nominal := _reals(p_nominal, "p_nominal")) < math.inf:
+            raise ValueError(
+                f"p_nominal must be positive and finite to form ratios, got {p_nominal}")
+        chain = second_order_photoelasticity(material, bands)
+        n_mode = _reals(n_mode, "n_mode")       # its range: PumpGeometry's check
+        eps_r, g0_ref = material.eps_r[bands.axes[2]], benchmark.g0_ref
+        rows = []
+        for p_w in powers:
+            field = peak_field_from_power(PumpGeometry(p_w, mfd, n_mode))
+            intensity = peak_intensity(p_w, mfd)
+            p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
+            # p_nominal and g0_ref are positive, so each ratio is an exact 0
+            # only when p_virt is.
+            ratio = abs(p_virt) / nominal
+            if not _MIN_NORMAL <= ratio < math.inf and (ratio or p_virt):
+                raise result_error("p_virt_over_p_nominal", ratio, p_virt=p_virt,
+                                   p_nominal=nominal)
+            over = _over_threshold(intensity, material)
+            g_scaled = g0_ref * ratio
+            if not _MIN_NORMAL <= g_scaled < math.inf and (g_scaled or ratio):
+                raise result_error("g_scaled", g_scaled, g0_ref=g0_ref,
+                                   p_virt=p_virt, p_nominal=nominal)
+            rows.append(SweepRow(p_w, field, intensity, p_virt, ratio, over, g_scaled))
+        self.__dict__.update(material=material, bands=bands, powers=powers, mfd=mfd,
+                             n_mode=n_mode, benchmark=benchmark, p_nominal=nominal,
+                             chain=chain, rows=tuple(rows))
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -567,7 +617,7 @@ class DesignReport(Record):
     def to_dict(self) -> dict:
         """JSON-ready structure carrying the chain, rows, and caveats."""
         return {
-            "material": self.material,
+            "material": self.material.name,
             "chain": {
                 "n_bands": list(self.chain.n_bands),
                 "p_entries": list(self.chain.p_entries),
@@ -585,62 +635,21 @@ class DesignReport(Record):
         }
 
 
+def _largest_entry(m: Material) -> float:
+    """The largest measured photoelastic entry of ``m`` in magnitude, NaN if
+    none is measured or ``m`` is no Material (DesignReport names either)."""
+    rows = m.photoelastic.entries if isinstance(m, Material) else ()
+    return max((abs(e) for row in rows for e in row if not math.isnan(e)), default=math.nan)
+
+
 def power_sweep(m: Material, bands: MixingBands, powers, mfd: float,
                 n_mode: float, benchmark: CouplingBenchmark | None = None,
                 p_nominal: float | None = None) -> DesignReport:
-    """Tabulate the virtual photoelasticity and derived scalings vs. power.
-
-    ``powers`` is a nonempty grid of pump powers (W) within ten times the
-    damage-limited power for this geometry.  ``p_nominal`` defaults to the
-    largest photoelastic entry of the material, the natural yardstick for the
-    p_virt/p_nominal column, and must be positive and finite.  The g_scaled
-    column multiplies the benchmark coupling by p_virt/p_nominal (coupling
-    proportional to the effective photoelasticity with all other device
-    parameters held fixed) and is an extrapolation, not a device prediction.
-    """
-    powers = _reals(powers, "powers", 1)
-    if not powers:
-        raise ValueError("power grid must not be empty")
-    p_limit = damage_limited_power(m, mfd)
-    if min(powers) < 0 or max(powers) > 10.0 * p_limit:
-        raise ValueError(
-            f"power grid must lie within [0, {10.0 * p_limit:.6g}] W "
-            f"(10x the damage-limited power for MFD {mfd:.3g} m)")
-    if benchmark is None:
-        benchmark = PIEZO_OPTOMECHANICAL_BENCHMARK
-    if p_nominal is None:
-        p_nominal = max((abs(e) for row in m.photoelastic.entries for e in row
-                         if not math.isnan(e)), default=math.nan)
-    if not 0 < (nominal := _reals(p_nominal, "p_nominal")) < math.inf:
-        raise ValueError(
-            f"p_nominal must be positive and finite to form ratios, got {p_nominal}")
-
-    chain = second_order_photoelasticity(m, bands)
-    eps_r = m.eps_r[bands.axes[2]]
-    rows = []
-    for p_w in powers:
-        field = peak_field_from_power(PumpGeometry(p_w, mfd, n_mode))
-        intensity = peak_intensity(p_w, mfd)
-        p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
-        # p_nominal and g0_ref are positive, so each ratio is an exact 0
-        # only when p_virt is.
-        ratio = abs(p_virt) / nominal
-        if not _MIN_NORMAL <= ratio < math.inf and (ratio or p_virt):
-            raise result_error("p_virt_over_p_nominal", ratio, p_virt=p_virt,
-                               p_nominal=nominal)
-        over = _over_threshold(intensity, m)
-        g_scaled = benchmark.g0_ref * ratio
-        if not _MIN_NORMAL <= g_scaled < math.inf and (g_scaled or ratio):
-            raise result_error("g_scaled", g_scaled, g0_ref=benchmark.g0_ref,
-                               p_virt=p_virt, p_nominal=nominal)
-        rows.append(SweepRow(
-            power_w=p_w,
-            peak_field_v_per_m=field,
-            intensity_w_per_m2=intensity,
-            p_virt=p_virt,
-            p_virt_over_p_nominal=ratio,
-            intensity_over_threshold=over,
-            g_scaled_rad_per_s=g_scaled,
-        ))
-    return DesignReport(material=m.name, chain=chain, p_nominal=nominal,
-                        benchmark=benchmark, rows=tuple(rows))
+    """Tabulate the virtual photoelasticity and derived scalings vs. power:
+    the DesignReport of these arguments, with ``benchmark`` the piezo-
+    optomechanical benchmark and ``p_nominal`` the largest measured
+    photoelastic entry of the material, the natural yardstick of the
+    p_virt/p_nominal column, when either is None."""
+    return DesignReport(m, bands, powers, mfd, n_mode,
+                        PIEZO_OPTOMECHANICAL_BENCHMARK if benchmark is None else benchmark,
+                        _largest_entry(m) if p_nominal is None else p_nominal)

@@ -20,17 +20,28 @@ band sits at a very different wavelength than the four-wave output, a
 dispersive medium cannot phase-match both at once and the three-wave channel
 is suppressed by the same sinc^2 factor.
 
-wavevector_optical, wavevector_acoustic and pm_efficiency read their
-arguments with ``errors._reals`` and call private float forms, which delta_k,
-poling_period and three_wave_residual call directly on the floats of the
-design, so a design reads each float once.
+Each result is a record built from its input.  ``PhaseMatchResult(pm_in)``
+evaluates the four-wave mismatch and ``ThreeWaveResidual(pm_in,
+pump_choice)`` the three-wave one; each stores what it is given and derives
+every value it reports as an attribute that is no field, so a ``replace``
+evaluates them again and no value can go stale.  delta_k and
+three_wave_residual are functions of one call to those constructors, so a
+caller can wrap and time them as functions.  Both records hold a
+PhaseMatchInput, and with it a Material, so, like it, neither is hashable.
+PhaseMatchInput checks that its bands are a MixingBands and its material a
+Material, and names either if it is not.
 
-delta_k and poling_period take the three four-wave band indices from
-``estimator._band_indices``, so a design that ran the Miller chain on the
-same bands and material reuses its lookups, and a poling-period sweep looks
-them up once.  They share the four wavevectors too: _k_bare keeps
+wavevector_optical, wavevector_acoustic and pm_efficiency read their
+arguments with ``errors._reals`` and call private float forms, which the two
+records and poling_period call directly on the floats of the design, so a
+design reads each float once.
+
+PhaseMatchResult and poling_period take the three four-wave band indices
+from ``estimator._band_indices``, so a design that ran the Miller chain on
+the same bands and material reuses its lookups, and a poling-period sweep
+looks them up once.  They share the four wavevectors too: _k_bare keeps
 (k_t, k_p1, k_p2, k_m) on the bands, keyed on the material.
-three_wave_residual takes its pump and phonon wavevectors from that entry
+ThreeWaveResidual takes its pump and phonon wavevectors from that entry
 when it holds the same material, and looks up only its omega_p + omega_m
 band; otherwise it looks up its pump as well.  It never looks up the
 four-wave output, so it works for a design whose four-wave output lies
@@ -39,15 +50,16 @@ wavevector evaluations, also when its calls alternate with another's.
 
 PhaseMatchInput stores the signed grating term, poling_sign * 2 pi / Lambda
 (0.0 without a grating), from the 2 pi / Lambda it computes to check Lambda;
-delta_k and three_wave_residual read it, and neither computes it again.
+both records read it, and neither computes it again.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from ._record import Record
-from .errors import DataError, _integer, _reals, result_error
+from .errors import DataError, _integer, _reals, _require, result_error
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
@@ -94,6 +106,8 @@ class PhaseMatchInput(Record):
 
     def __init__(self, bands: MixingBands, material: Material, length: float,
                  poling_period: float | None = None, poling_sign: int = 1):
+        _require(isinstance(bands, MixingBands), "bands", "a MixingBands", bands)
+        _require(isinstance(material, Material), "material", "a Material", material)
         if not 0 < (L := _reals(length, "length")) < math.inf:
             raise ValueError(f"interaction length must be positive, got {length}")
         period = None if poling_period is None else _reals(poling_period, "poling_period")
@@ -109,19 +123,6 @@ class PhaseMatchInput(Record):
         self.__dict__.update(bands=bands, material=material, length=L,
                              poling_period=period, poling_sign=sign,
                              _k_grating=0.0 if period is None else sign * k)
-
-
-class PhaseMatchResult(Record):
-    """All wavevector components of one mismatch evaluation (rad/m).
-
-    ``k_poling`` is 0 when there is no grating; ``efficiency`` is
-    sinc^2(delta_k L / 2), in [0, 1].
-    """
-
-    def __init__(self, k_t: float, k_p1: float, k_p2: float, k_m: float,
-                 k_poling: float, delta_k: float, efficiency: float):
-        self.__dict__.update(k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m, k_poling=k_poling,
-                             delta_k=delta_k, efficiency=efficiency)
 
 
 def _k_acoustic(pm_in: PhaseMatchInput) -> float:
@@ -179,12 +180,27 @@ def _sinc2(delta_k: float, length: float) -> float:
     return (math.sin(y) / y) ** 2
 
 
+class PhaseMatchResult(Record):
+    """The four-wave mismatch of ``pm_in`` and its components (rad/m).
+
+    The constructor evaluates them as attributes that are no fields, so a
+    ``replace(pm_in=...)`` evaluates them again: ``k_t``, ``k_p1``, ``k_p2``
+    and ``k_m`` from _k_bare, ``k_poling``, the signed grating term (0 when
+    there is no grating), ``delta_k = k_t - k_p1 - k_p2 - k_m - k_poling``
+    and ``efficiency``, sinc^2(delta_k L / 2), in [0, 1].
+    """
+
+    def __init__(self, pm_in: PhaseMatchInput):
+        k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
+        k_pol = pm_in._k_grating
+        dk = k_t - k_p1 - k_p2 - k_m - k_pol
+        self.__dict__.update(pm_in=pm_in, k_t=k_t, k_p1=k_p1, k_p2=k_p2, k_m=k_m,
+                             k_poling=k_pol, delta_k=dk, efficiency=_sinc2(dk, pm_in.length))
+
+
 def delta_k(pm_in: PhaseMatchInput) -> PhaseMatchResult:
     """Evaluate the four-wave mismatch and its components for ``pm_in``."""
-    k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
-    k_pol = pm_in._k_grating
-    dk = k_t - k_p1 - k_p2 - k_m - k_pol
-    return PhaseMatchResult(k_t, k_p1, k_p2, k_m, k_pol, dk, _sinc2(dk, pm_in.length))
+    return PhaseMatchResult(pm_in)
 
 
 def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
@@ -208,43 +224,43 @@ def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
 class ThreeWaveResidual(Record):
     """Mismatch of the competing three-wave process under a fixed grating.
 
-    ``suppression`` is the pm_efficiency of the 3WM channel.  The
-    constructor derives ``phase_matched``, an attribute that is no field, so
-    ``replace`` computes it again: True, a degenerate configuration, when
-    the mismatch is 0 or the suppression is within 1e-12 of 1.
+    Pump ``pump_choice`` (1 or 2) drives the three-wave channel at
+    omega_t3 = omega_pump + omega_m, with the geometry and any grating of
+    ``pm_in``, configured for the four-wave process; the grating enters with
+    the sign convention of :class:`PhaseMatchResult`.  The constructor
+    derives, as attributes that are no fields, ``delta_k_3wm`` (rad/m), its
+    ``suppression``, the pm_efficiency of the channel, and ``phase_matched``:
+    True, a degenerate configuration that reports call out, when the
+    mismatch is 0 or the suppression is within 1e-12 of 1.
     """
 
-    def __init__(self, delta_k_3wm: float, suppression: float):
-        self.__dict__.update(delta_k_3wm=delta_k_3wm, suppression=suppression,
-                             phase_matched=delta_k_3wm == 0.0 or suppression > 1.0 - 1e-12)
+    def __init__(self, pm_in: PhaseMatchInput, pump_choice: int = 1):
+        if (pump := _integer(pump_choice)) not in (1, 2):
+            raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
+        b, m = pm_in.bands, pm_in.material
+        material, ks = b._wavevectors
+        # The pump and phonon wavevectors come from _k_bare's entry when it
+        # holds this material (ks is (k_t, k_p1, k_p2, k_m)); else they are
+        # computed here, pump first and phonon last, so a failing design
+        # raises the same error.
+        hit = material is m
+        omega_p = b.omega_p1 if pump == 1 else b.omega_p2
+        k_p = ks[pump] if hit else _optical_k(
+            refractive_index(m, b.wavelengths[pump - 1], b.axes[pump - 1]), omega_p)
+        omega_t3 = omega_p + b.omega_m
+        k_t3 = _optical_k(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
+        dk3 = k_t3 - k_p - (ks[3] if hit else _k_acoustic(pm_in)) - pm_in._k_grating
+        suppression = _sinc2(dk3, pm_in.length)
+        self.__dict__.update(pm_in=pm_in, pump_choice=pump, delta_k_3wm=dk3,
+                             suppression=suppression,
+                             phase_matched=dk3 == 0.0 or suppression > 1.0 - 1e-12)
 
 
 def three_wave_residual(pm_in: PhaseMatchInput,
                         pump_choice: int = 1) -> ThreeWaveResidual:
     """Mismatch and suppression of single-pump three-wave mixing when the
-    geometry (and any poling) is configured for the four-wave process.
-
-    ``pump_choice`` selects which pump (1 or 2) drives the three-wave channel
-    at omega_t3 = omega_pump + omega_m; the same poling vector enters with
-    the same sign convention as in :func:`delta_k`.  A suppression of 1 means
-    the configuration is degenerate (three-wave matched as well) and is
-    flagged so reports can call it out.
-    """
-    if (pump := _integer(pump_choice)) not in (1, 2):
-        raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
-    b, m = pm_in.bands, pm_in.material
-    material, ks = b._wavevectors
-    # The pump and phonon wavevectors come from _k_bare's entry when it holds
-    # this material (ks is (k_t, k_p1, k_p2, k_m)); else they are computed
-    # here, pump first and phonon last, so a failing design raises the same error.
-    hit = material is m
-    omega_p = b.omega_p1 if pump == 1 else b.omega_p2
-    k_p = ks[pump] if hit else _optical_k(
-        refractive_index(m, b.wavelengths[pump - 1], b.axes[pump - 1]), omega_p)
-    omega_t3 = omega_p + b.omega_m
-    k_t3 = _optical_k(refractive_index(m, TWO_PI_C / omega_t3, b.axes[2]), omega_t3)
-    dk3 = k_t3 - k_p - (ks[3] if hit else _k_acoustic(pm_in)) - pm_in._k_grating
-    return ThreeWaveResidual(dk3, _sinc2(dk3, pm_in.length))
+    geometry (and any poling) is configured for the four-wave process."""
+    return ThreeWaveResidual(pm_in, pump_choice)
 
 
 def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, PhaseMatchResult]]:
@@ -287,8 +303,11 @@ PHASEMATCH_SWEEP_CSV_HEADER = (
     "k_m_rad_per_m,k_poling_rad_per_m,delta_k_rad_per_m,efficiency")
 
 
+_COLUMNS = attrgetter("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency")
+
+
 def sweep_to_csv(rows: list[tuple[float, PhaseMatchResult]]) -> str:
     lines = [PHASEMATCH_SWEEP_CSV_HEADER]
     for v, r in rows:
-        lines.append(",".join(repr(x) for x in (v, *vars(r).values())))
+        lines.append(",".join(map(repr, (v, *_COLUMNS(r)))))
     return "\n".join(lines) + "\n"

@@ -244,15 +244,26 @@ def _corpus_materials(rng: random.Random) -> list:
     return [default_db().get("BaTiO3"), *(drawn.get(e["name"]) for e in entries)]
 
 
+def _written(record: Record) -> tuple:
+    """The values a design's line holds for ``record``: those of its
+    ``vars()``, its fields and then what it derives from them (a
+    MillerChain's eta1_rel_bands, eta2, Q and q_eff).  A record that holds
+    its input record (a PhaseMatchResult or a ThreeWaveResidual holds its
+    PhaseMatchInput, which the design's earlier lines give) is written as
+    the values it derives alone."""
+    values = vars(record)
+    if any(isinstance(getattr(record, f), Record) for f in record._fields):
+        return tuple(v for k, v in values.items() if k not in record._fields)
+    return tuple(values.values())
+
+
 def _design(i: int, rng: random.Random, materials: list) -> str:
     """The text of design ``i``: its material, axes and strain column, then
     each result (or the error it raised), one per line.  A result is given
-    by its repr, a record's as its type name and the tuple of its ``vars()``
-    values: its fields, then the attributes it derives from them (a
-    MillerChain's eta1_rel_bands, eta2, Q and q_eff, a ThreeWaveResidual's
-    phase_matched), so the line is not always the call that rebuilds it.
-    The field names, which tests/test_records.py pins, are left out to keep
-    the head file small; every float is a repr, so it carries every bit."""
+    by its repr, a record's as its type name and the tuple of the values of
+    ``_written``, so the line is not always the call that rebuilds it.  The
+    names, which tests/test_records.py pins, are left out to keep the head
+    file small; every float is a repr, so it carries every bit."""
     m = rng.choice(materials)
     pumps = (2.38e-6, 2.72e-6) if m.name == "BaTiO3" else (1.8e-6, 3.0e-6)
     l1, l2, ghz = rng.uniform(*pumps), rng.uniform(*pumps), rng.uniform(1.0, 10.0)
@@ -268,7 +279,7 @@ def _design(i: int, rng: random.Random, materials: list) -> str:
         except _ERRORS as exc:
             lines.append(f"  {label}: {type(exc).__name__}: {exc}\n")
             return _FAILED
-        text = (f"{type(value).__name__}{tuple(vars(value).values())!r}"
+        text = (f"{type(value).__name__}{_written(value)!r}"
                 if isinstance(value, Record) else repr(value))
         lines.append(f"  {label}: {text}\n")
         return value

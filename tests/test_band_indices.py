@@ -10,6 +10,8 @@ wavevector evaluations, also for designs that alternate, and that a
 remembered index or wavevector is never a stale one.
 """
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -158,6 +160,15 @@ class TestNoStaleIndex:
         assert bto_bands == fresh and hash(bto_bands) == hash(fresh)
         assert repr(bto_bands) == repr(fresh)
         assert bto_bands.replace()._indices == bto_bands.replace()._wavevectors == (None, ())
+
+    def test_copies_and_pickles_carry_no_lookup(self, bto, bto_bands):
+        # A used bands pickled at 1402 bytes against 274 fresh, and a deep
+        # copy carried entries keyed on a copied material, which never hit.
+        fresh = pickle.dumps(bto_bands)
+        design_outputs(bto, bto_bands)
+        assert pickle.dumps(bto_bands) == fresh
+        for dup in (copy.copy(bto_bands), copy.deepcopy(bto_bands), pickle.loads(fresh)):
+            assert dup == bto_bands and dup._indices == dup._wavevectors == (None, ())
 
     def test_a_model_built_from_lists_does_not_change_with_them(self, bto, bto_bands):
         # The lists were stored as given, so editing one after a lookup

@@ -133,7 +133,8 @@ def _library_values(argv) -> dict:
                 "damage_limited_power": damage_limited_power(m, 1.2e-6),
                 "intensity_over_threshold": intensity / m.damage_threshold}
     if argv[0] == "phasematch":
-        out = vars(delta_k(pm))
+        # The values the result derives; its one field is the input.
+        out = {k: v for k, v in vars(delta_k(pm)).items() if k != "pm_in"}
     else:
         lam, sign = poling_period(pm)
         unpoled = delta_k(pm)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transduce.errors import DataError, SingularityError, result_error
-from transduce.estimator import (CouplingBenchmark, MillerChain, MixingBands,
+from transduce.estimator import (CouplingBenchmark, DesignReport, MillerChain, MixingBands,
+                                 OPTOMECHANICAL_CRYSTAL_BENCHMARK,
                                  PIEZO_OPTOMECHANICAL_BENCHMARK,
                                  POWER_SWEEP_CSV_HEADER, PumpGeometry,
                                  damage_limited_power, eta1_rel, eta2_from_Q,
@@ -18,7 +19,7 @@ from transduce.estimator import (CouplingBenchmark, MillerChain, MixingBands,
                                  second_order_photoelasticity,
                                  virtual_photoelasticity)
 from transduce.materials import refractive_index
-from transduce.tensors import VOIGT_PAIRS
+from transduce.tensors import VOIGT_PAIRS, PhotoelasticTensor
 from transduce.units import EPS0, TWO_PI, TWO_PI_C
 
 from conftest import designs, make_material
@@ -299,6 +300,19 @@ class TestSecondOrderPhotoelasticity:
     def test_zero_p_entries(self, bto_bands):
         m = make_material(p_entries={})
         assert second_order_photoelasticity(m, bto_bands).q_eff == 0.0
+
+    @pytest.mark.parametrize("material", [None, "BaTiO3"])
+    def test_a_material_that_is_no_material_is_named(self, bto_bands, material):
+        # second_order_photoelasticity(None, bands) raised a bare AttributeError.
+        with pytest.raises(ValueError) as exc:
+            second_order_photoelasticity(material, bto_bands)
+        assert str(exc.value) == f"material must be a Material, got {material!r}"
+
+    @pytest.mark.parametrize("bands", [None, (2.6e-6, 2.6e-6, 2e9)])
+    def test_bands_that_are_no_bands_are_named(self, bto, bands):
+        with pytest.raises(ValueError) as exc:
+            second_order_photoelasticity(bto, bands)
+        assert str(exc.value) == f"bands must be a MixingBands, got {bands!r}"
 
     def test_missing_p_entry_names_it(self, bto_bands):
         m = make_material(p_entries={(2, 2): math.nan})
@@ -922,6 +936,64 @@ class TestPowerSweep:
         assert doc["chain"]["q_eff_m2_per_c"] == report.chain.q_eff
         assert doc["rows"][0]["p_virt"] == report.rows[0].p_virt
         assert any("extrapolat" in n for n in doc["notes"])
+
+    def test_a_replaced_report_runs_the_sweep_again(self, bto, bto_bands):
+        # replace(benchmark=...) kept the piezo g_scaled column, and
+        # replace(p_nominal=0.5) the p_virt/p_nominal column of p_nominal 0.77.
+        report = power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26)
+        assert report.rows[0].g_scaled_rad_per_s == 0.0018381832932350757
+        assert report.rows[0].p_virt_over_p_nominal == 7.313898935682531e-07
+        crystal = report.replace(benchmark=OPTOMECHANICAL_CRYSTAL_BENCHMARK)
+        assert crystal.rows[0].g_scaled_rad_per_s == 3.906139498124536
+        assert repr(vars(crystal)) == repr(vars(power_sweep(
+            bto, bto_bands, [1e-3], 1.2e-6, 2.26, benchmark=OPTOMECHANICAL_CRYSTAL_BENCHMARK)))
+        halved = report.replace(p_nominal=0.5)
+        assert halved.rows[0].p_virt_over_p_nominal == abs(report.rows[0].p_virt) / 0.5
+        assert repr(vars(halved)) == repr(vars(power_sweep(bto, bto_bands, [1e-3], 1.2e-6,
+                                                           2.26, p_nominal=0.5)))
+
+    @pytest.mark.parametrize("changes", [
+        {"bands": MixingBands.from_vacuum_wavelengths(2550e-9, 2650e-9, 5e9, axes=(2, 2, 2))},
+        {"powers": [0.0, 2e-3, 1.0]}, {"mfd": 1.5e-6}, {"n_mode": 2.0},
+        {"benchmark": CouplingBenchmark(1e3, "ref")}, {"p_nominal": 0.25}], ids=lambda c: [*c][0])
+    def test_a_replaced_report_is_the_report_of_the_changed_inputs(self, bto, bto_bands,
+                                                                     changes):
+        inputs = dict(material=bto, bands=bto_bands, powers=(1e-3, 1.0), mfd=1.2e-6,
+                      n_mode=2.26, benchmark=PIEZO_OPTOMECHANICAL_BENCHMARK, p_nominal=0.77)
+        moved = DesignReport(**inputs).replace(**changes)
+        assert repr(vars(moved)) == repr(vars(DesignReport(**{**inputs, **changes})))
+
+    def test_a_replaced_material_keeps_the_yardstick(self, bto, bto_bands):
+        # power_sweep resolves the default p_nominal, the largest measured
+        # entry, once; the report stores the value it resolved.
+        halved = bto.replace(photoelastic=PhotoelasticTensor(
+            [[e / 2 for e in row] for row in bto.photoelastic.entries]))
+        report = power_sweep(bto, bto_bands, [1e-3], 1.2e-6, 2.26)
+        moved = report.replace(material=halved)
+        assert moved.p_nominal == report.p_nominal == 0.77
+        assert power_sweep(halved, bto_bands, [1e-3], 1.2e-6, 2.26).p_nominal == 0.385
+        assert repr(vars(moved)) == repr(vars(power_sweep(halved, bto_bands, [1e-3], 1.2e-6,
+                                                          2.26, p_nominal=0.77)))
+        assert moved.to_dict()["material"] == "BaTiO3"
+
+    @pytest.mark.parametrize("material", [None, "BaTiO3"])
+    def test_a_material_that_is_no_material_is_named(self, bto_bands, material):
+        # power_sweep(None, ...) raised a bare AttributeError.
+        with pytest.raises(ValueError) as exc:
+            power_sweep(material, bto_bands, [1e-3], 1.2e-6, 2.26)
+        assert str(exc.value) == f"material must be a Material, got {material!r}"
+
+    def test_bands_that_are_no_bands_are_named(self, bto):
+        with pytest.raises(ValueError, match="^bands must be a MixingBands, got None$"):
+            power_sweep(bto, None, [1e-3], 1.2e-6, 2.26)
+
+    @pytest.mark.parametrize("label", [None, "", 5, b"ref"])
+    def test_a_benchmark_label_is_a_non_empty_str(self, label):
+        # CouplingBenchmark(1.0, None) built, and a report's notes then named
+        # benchmark 'None'.
+        with pytest.raises(ValueError) as exc:
+            CouplingBenchmark(1.0, label)
+        assert str(exc.value) == f"label must be a non-empty str, got {label!r}"
 
     def test_editing_the_dict_leaves_the_report_unchanged(self, bto, bto_bands):
         # to_dict returned each row's own __dict__: this edit changed the

@@ -8,7 +8,7 @@ from transduce.errors import DataError, RangeError
 from transduce.estimator import MixingBands
 from transduce.materials import DispersionModel
 from transduce.phasematch import (PHASEMATCH_SWEEP_CSV_HEADER, PhaseMatchInput,
-                                  delta_k, pm_efficiency, poling_period, sweep,
+                                  PhaseMatchResult, ThreeWaveResidual, delta_k, pm_efficiency, poling_period, sweep,
                                   sweep_to_csv, three_wave_residual,
                                   wavevector_acoustic, wavevector_optical)
 from transduce.units import TWO_PI_C
@@ -135,6 +135,28 @@ class TestDeltaK:
         with pytest.raises(ValueError, match="^poling period must be finite"):
             PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6,
                             poling_period=period)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("material", [None, "BaTiO3"])
+    def test_a_material_that_is_no_material_is_named(self, bto_bands, material):
+        # None matched the bands' unkeyed lookup, (None, ()), and delta_k
+        # raised "not enough values to unpack (expected 4, got 0)".
+        with pytest.raises(ValueError) as exc:
+            PhaseMatchInput(bto_bands, material, 1e-4)
+        assert str(exc.value) == f"material must be a Material, got {material!r}"
+
+    @pytest.mark.parametrize("bands", [None, (2.6e-6, 2.6e-6, 2e9)])
+    def test_bands_that_are_no_bands_are_named(self, bto, bands):
+        # None built, and delta_k raised a bare AttributeError on '_wavevectors'.
+        with pytest.raises(ValueError) as exc:
+            PhaseMatchInput(bands, bto, 1e-4)
+        assert str(exc.value) == f"bands must be a MixingBands, got {bands!r}"
+
+    def test_a_replaced_input_is_checked_again(self, bto, bto_bands):
+        pm = PhaseMatchInput(bto_bands, bto, 1e-4)
+        with pytest.raises(ValueError, match="^material must be a Material, got 'BaTiO3'$"):
+            pm.replace(material="BaTiO3")
 
 
 class TestPolingPeriod:
@@ -270,6 +292,28 @@ class TestEfficiency:
             pm_efficiency(dk, L)
 
 
+class TestResult:
+    def test_a_replaced_result_is_the_result_of_its_input(self, bto, bto_bands):
+        # replace(delta_k=0.0) built and kept the efficiency of the old mismatch.
+        pm = PhaseMatchInput(bto_bands, bto, 1e-3)
+        res = delta_k(pm)
+        with pytest.raises(TypeError, match="delta_k"):
+            res.replace(delta_k=0.0)
+        lam, sign = poling_period(pm)
+        poled = pm.replace(poling_period=lam, poling_sign=sign)
+        moved = res.replace(pm_in=poled)
+        assert abs(moved.delta_k) < 1e-9 * abs(res.delta_k) and moved.efficiency == 1.0
+        assert repr(vars(moved)) == repr(vars(delta_k(poled)))
+
+    def test_the_result_is_built_from_its_input_alone(self, bto, bto_bands):
+        # The seven values were fields that a caller could set apart.
+        with pytest.raises(TypeError):
+            PhaseMatchResult(1.0, 2.0, 3.0, 4.0, 0.0, -8.0, 0.5)
+        pm = PhaseMatchInput(bto_bands, bto, 100e-6)
+        assert PhaseMatchResult(pm)._fields == ("pm_in",)
+        assert PhaseMatchResult(pm) == delta_k(pm) and delta_k(pm).pm_in is pm
+
+
 class TestThreeWaveResidual:
     def _poled(self, bto, bands, length=100e-6):
         pm = PhaseMatchInput(bands=bands, material=bto, length=length)
@@ -314,6 +358,24 @@ class TestThreeWaveResidual:
     def test_pump_choice_validation(self, bto, bto_bands):
         with pytest.raises(ValueError):
             three_wave_residual(self._poled(bto, bto_bands), pump_choice=3)
+
+    @pytest.mark.parametrize("pump_choice", [0, 3, 1.0, True])
+    def test_the_constructor_checks_the_pump_choice(self, bto, bto_bands, pump_choice):
+        tw = ThreeWaveResidual(self._poled(bto, bto_bands))
+        with pytest.raises(ValueError) as exc:
+            tw.replace(pump_choice=pump_choice)
+        assert str(exc.value) == f"pump_choice must be 1 or 2, got {pump_choice}"
+
+    def test_a_replaced_residual_is_the_residual_of_its_input(self, bto, bto_bands):
+        # replace(suppression=...) kept the old mismatch; both are derived now.
+        poled = self._poled(bto, bto_bands)
+        tw = three_wave_residual(poled)
+        with pytest.raises(TypeError, match="suppression"):
+            tw.replace(suppression=1.0)
+        longer = self._poled(bto, bto_bands, length=1e-3)
+        for changes, fresh in (({"pump_choice": 2}, three_wave_residual(poled, 2)),
+                               ({"pm_in": longer}, three_wave_residual(longer))):
+            assert repr(vars(tw.replace(**changes))) == repr(vars(fresh))
 
 
 class TestSweep:
@@ -386,6 +448,20 @@ class TestSweep:
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)
         with pytest.raises(ValueError, match="^values must not be empty$"):
             sweep(pm, variable, grid)
+
+    @pytest.mark.parametrize("variable, values", [
+        ("pump-wavelength", [2.55e-6, 2.6e-6, 2.65e-6]),
+        ("poling-period", [2.5e-6, 2.55e-6, 2.6e-6])])
+    def test_each_csv_row_is_the_reprs_of_the_named_columns(self, bto, bto_bands,
+                                                           variable, values):
+        columns = ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency")
+        pm = PhaseMatchInput(bto_bands, bto, 100e-6, poling_period=2.55e-6, poling_sign=-1)
+        rows = sweep(pm, variable, values)
+        header, *lines = sweep_to_csv(rows).splitlines()
+        assert [h.removesuffix("_rad_per_m") for h in header.split(",")] == [
+            "sweep_value", *columns]
+        assert lines == [",".join(map(repr, (v, *(getattr(r, c) for c in columns))))
+                         for v, r in rows]
 
     def test_csv_round_trip(self, bto, bto_bands):
         pm = PhaseMatchInput(bands=bto_bands, material=bto, length=100e-6)

@@ -438,9 +438,11 @@ def _designs(n, real):
             bands, chain, field, E.peak_intensity(real(power), real(mfd)),
             E.damage_limited_power(BTO, real(mfd)),
             E.virtual_photoelasticity(real(chain.q_eff), real(5.0), real(field)),
-            P.delta_k(pm), P.delta_k(poled), P.three_wave_residual(poled, 1),
-            E.power_sweep(BTO, bands, [real(1e-3), real(power)], real(mfd), real(n_mode)),
-            P.sweep(poled, "poling-period", [real(period), real(period * 1.01)]))))
+            # A result's repr is its input's; vars() adds what it derives.
+            vars(P.delta_k(pm)), vars(P.delta_k(poled)), vars(P.three_wave_residual(poled, 1)),
+            vars(E.power_sweep(BTO, bands, [real(1e-3), real(power)], real(mfd), real(n_mode))),
+            [(v, vars(r)) for v, r in P.sweep(poled, "poling-period",
+                                              [real(period), real(period * 1.01)])])))
     return out
 
 

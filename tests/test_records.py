@@ -54,8 +54,26 @@ def chain():
     return MillerChain((2.0, 2.0, 2.0), (0.2, 0.2, 0.77), 1e-11)
 
 
+def design_bands():
+    # Pumps at 2.35 um and their output at 1.18 um, inside the window.
+    return MixingBands(8e14, 8e14, 1e10)
+
+
+def design():
+    return PhaseMatchInput(design_bands(), material(), 1e-4)
+
+
+def result():
+    return PhaseMatchResult(design())
+
+
 def three_wave():
-    return ThreeWaveResidual(0.5, 0.25)
+    return ThreeWaveResidual(design())
+
+
+def report():
+    return DesignReport(material(), design_bands(), [0.0, 1e-3], 1.2e-6, 2.26,
+                        CouplingBenchmark(2.0, "ref"), 0.77)
 
 
 def vector_model():
@@ -86,6 +104,11 @@ CHAIN = "MillerChain(n_bands=(2.0, 2.0, 2.0), p_entries=(0.2, 0.2, 0.77), d_eff=
 ROW = ("SweepRow(power_w=1.0, peak_field_v_per_m=2.0, intensity_w_per_m2=3.0, "
        "p_virt=4.0, p_virt_over_p_nominal=5.0, intensity_over_threshold=6.0, "
        "g_scaled_rad_per_s=7.0)")
+DESIGN_BANDS = ("MixingBands(omega_p1=800000000000000.0, omega_p2=800000000000000.0, "
+                "omega_m=10000000000.0, axes=(0, 1, 2), acoustic_mode='longitudinal', "
+                "strain_voigt=2)")
+DESIGN = (f"PhaseMatchInput(bands={DESIGN_BANDS}, material={MATERIAL}, length=0.0001, "
+          "poling_period=None, poling_sign=1)")
 ZEROS_222 = "(((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))"
 
 # (id, build, repr, fields, extra, change)
@@ -126,25 +149,23 @@ CASES = [
      ("power_w", "peak_field_v_per_m", "intensity_w_per_m2", "p_virt",
       "p_virt_over_p_nominal", "intensity_over_threshold", "g_scaled_rad_per_s"), (),
      {"p_virt": -4.0}),
-    ("DesignReport",
-     lambda: DesignReport("fix", chain(), 0.77, CouplingBenchmark(2.0, "ref"),
-                          (SweepRow(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),)),
-     f"DesignReport(material='fix', chain={CHAIN}, p_nominal=0.77, "
-     f"benchmark=CouplingBenchmark(g0_ref=2.0, label='ref'), rows=({ROW},))",
-     ("material", "chain", "p_nominal", "benchmark", "rows"), (),
-     {"rows": ()}),
+    ("DesignReport", report,
+     f"DesignReport(material={MATERIAL}, bands={DESIGN_BANDS}, powers=(0.0, 0.001), "
+     "mfd=1.2e-06, n_mode=2.26, benchmark=CouplingBenchmark(g0_ref=2.0, label='ref'), "
+     "p_nominal=0.77)",
+     ("material", "bands", "powers", "mfd", "n_mode", "benchmark", "p_nominal"),
+     ("chain", "rows"), {"powers": (0.0,)}),
     ("PhaseMatchInput", lambda: PhaseMatchInput(bands(), material(), 1e-4),
      f"PhaseMatchInput(bands={BANDS}, material={MATERIAL}, length=0.0001, "
      "poling_period=None, poling_sign=1)",
      ("bands", "material", "length", "poling_period", "poling_sign"), ("_k_grating",),
      {"poling_sign": -1}),
-    ("PhaseMatchResult", lambda: PhaseMatchResult(1.0, 2.0, 3.0, 4.0, 0.0, -8.0, 0.5),
-     "PhaseMatchResult(k_t=1.0, k_p1=2.0, k_p2=3.0, k_m=4.0, k_poling=0.0, "
-     "delta_k=-8.0, efficiency=0.5)",
-     ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency"), (),
-     {"efficiency": 1.0}),
-    ("ThreeWaveResidual", three_wave, "ThreeWaveResidual(delta_k_3wm=0.5, suppression=0.25)",
-     ("delta_k_3wm", "suppression"), ("phase_matched",), {"suppression": 1.0}),
+    ("PhaseMatchResult", result, f"PhaseMatchResult(pm_in={DESIGN})", ("pm_in",),
+     ("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "efficiency"),
+     {"pm_in": design().replace(length=2e-4)}),
+    ("ThreeWaveResidual", three_wave, f"ThreeWaveResidual(pm_in={DESIGN}, pump_choice=1)",
+     ("pm_in", "pump_choice"), ("delta_k_3wm", "suppression", "phase_matched"),
+     {"pump_choice": 2}),
     ("FreeEnergyModel", lambda: FreeEnergyModel(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
      "FreeEnergyModel(c=1.0, h=2.0, eta1=3.0, eta2=4.0, p=5.0, q=6.0)",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"q": 0.0}),
@@ -159,8 +180,9 @@ CASES = [
      f"eta2={ZEROS_222}, p=((0.0, 0.0), (0.0, 0.0)), q={ZEROS_222})",
      ("c", "h", "eta1", "eta2", "p", "q"), (), {"c": 2.0}),
 ]
-# Each holds a dict, which cannot be hashed.
-UNHASHABLE = {"Material", "MaterialDb", "PhaseMatchInput"}
+# Each holds a dict (a Material's v_sound), which cannot be hashed.
+UNHASHABLE = {"Material", "MaterialDb", "PhaseMatchInput", "DesignReport",
+              "PhaseMatchResult", "ThreeWaveResidual"}
 
 cases = pytest.mark.parametrize("name, build, text, fields, extra, change", CASES,
                                 ids=[c[0] for c in CASES])
@@ -297,35 +319,29 @@ class TestReplace:
                                           benchmark=OPTOMECHANICAL_CRYSTAL_BENCHMARK).notes
         assert moved.to_dict()["notes"] == list(moved.notes)
 
-    @staticmethod
-    def report():
-        m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)
-        return power_sweep(m, b, [0.0, 1e-3], 1.2e-6, 2.26)
-
     @pytest.mark.parametrize("field, value, rule", [
         # Each built; then .notes and to_dict() raised AttributeError, or
-        # to_csv() raised TypeError, or the report held a negative yardstick.
-        ("material", "", "a non-empty str"), ("material", None, "a non-empty str"),
-        ("chain", None, "a MillerChain"), ("chain", (1.0,), "a MillerChain"),
-        ("p_nominal", -1.0, "positive and finite"), ("p_nominal", 0.0, "positive and finite"),
-        ("p_nominal", math.inf, "positive and finite"),
-        ("p_nominal", math.nan, "positive and finite"),
+        # the report held a negative yardstick, or the sweep raised a bare
+        # AttributeError.
+        ("material", "", "a Material"), ("material", None, "a Material"),
+        ("bands", None, "a MixingBands"), ("bands", (1.0,), "a MixingBands"),
+        ("p_nominal", -1.0, "positive and finite to form ratios"),
+        ("p_nominal", 0.0, "positive and finite to form ratios"),
+        ("p_nominal", math.inf, "positive and finite to form ratios"),
+        ("p_nominal", math.nan, "positive and finite to form ratios"),
         ("benchmark", None, "a CouplingBenchmark"),
-        ("benchmark", "ref", "a CouplingBenchmark"),
-        ("rows", [1, 2], "a tuple or list of SweepRow"),
-        ("rows", None, "a tuple or list of SweepRow")])
+        ("benchmark", "ref", "a CouplingBenchmark")])
     def test_a_design_report_checks_each_field(self, field, value, rule):
-        report = self.report()
         with pytest.raises(ValueError) as exc:
-            report.replace(**{field: value})
+            report().replace(**{field: value})
         assert str(exc.value) == f"{field} must be {rule}, got {value!r}"
 
     def test_a_design_report_stores_its_rows_as_a_tuple(self):
-        report = self.report()
-        copied = report.replace(rows=list(report.rows), p_nominal=2)
-        assert copied.rows == report.rows and type(copied.rows) is tuple
-        assert copied.p_nominal == 2.0 and type(copied.p_nominal) is float
-        assert copied.to_csv() == report.to_csv()
+        built = report()
+        copied = built.replace(powers=list(built.powers), p_nominal=1)
+        assert type(copied.powers) is tuple and type(copied.rows) is tuple
+        assert copied.p_nominal == 1.0 and type(copied.p_nominal) is float
+        assert copied.to_csv() == built.replace(p_nominal=1.0).to_csv()
 
     def test_a_chain_runs_again_from_its_inputs(self):
         # replace(d_eff=...) kept the old eta2, Q and q_eff.
@@ -338,23 +354,33 @@ class TestReplace:
 
     def test_a_report_cannot_carry_a_chain_that_is_not_finite(self):
         # replace(q_eff=nan) built, and to_dict() then reported a NaN q_eff;
-        # q_eff is no field now, and a d_eff that is not finite raises.
-        report = self.report()
+        # q_eff is no field now, a report runs its own chain, and a d_eff
+        # that is not finite raises.
+        built = report()
         with pytest.raises(TypeError, match="q_eff"):
-            report.chain.replace(q_eff=math.nan)
+            built.chain.replace(q_eff=math.nan)
+        with pytest.raises(TypeError, match="chain"):
+            built.replace(chain=built.chain)
         with pytest.raises(ValueError, match="^d_eff must be finite$"):
-            report.replace(chain=report.chain.replace(d_eff=math.nan))
+            built.chain.replace(d_eff=math.nan)
 
     def test_phase_matched_follows_the_suppression(self):
-        # replace(suppression=1.0) kept phase_matched=False.
+        # replace(suppression=1.0) kept phase_matched=False; the suppression
+        # is no field now, and a replaced input evaluates it again.
         m, b = material(), MixingBands.from_vacuum_wavelengths(2.4e-6, 2.4e-6, 2e9)
         pm = PhaseMatchInput(b, m, 1e-4)
         period, sign = poling_period(pm)
         tw = three_wave_residual(pm.replace(poling_period=period, poling_sign=sign))
         assert tw.delta_k_3wm != 0.0 and tw.phase_matched is False
-        assert tw.replace(suppression=1.0).phase_matched is True
-        assert tw.replace(delta_k_3wm=0.0).phase_matched is True
-        assert tw.replace(suppression=1.0 - 2e-12).phase_matched is False
+        # A short enough channel has a suppression within 1e-12 of 1.
+        short = tw.replace(pm_in=tw.pm_in.replace(length=1e-12))
+        assert short.delta_k_3wm == tw.delta_k_3wm and short.suppression > 1.0 - 1e-12
+        assert short.phase_matched is True
+        assert tw.replace(pm_in=tw.pm_in.replace(length=1e-9)).phase_matched is False
+        # With no phonon, no grating and the pump's axis, the three-wave
+        # output is the pump itself: a zero mismatch.
+        unshifted = tw.replace(pm_in=pm.replace(bands=b.replace(omega_m=0.0, axes=(0, 1, 0))))
+        assert unshifted.delta_k_3wm == 0.0 and unshifted.phase_matched is True
 
     @pytest.mark.parametrize("field, value, message", [
         ("power_w", None, "power_w must be a number, got None"),
@@ -373,11 +399,24 @@ class TestReplace:
             row.replace(**{field: value})
         assert str(exc.value) == message
 
+    def test_a_report_is_built_from_its_inputs(self):
+        # A report stored a material name, a chain and rows that no replace
+        # could compute again.
+        with pytest.raises(TypeError):
+            DesignReport("fix", chain(), 0.77, CouplingBenchmark(2.0, "ref"),
+                         (SweepRow(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),))
+        built = report()
+        assert built.chain == second_order_photoelasticity(material(), design_bands())
+        assert built.rows == power_sweep(material(), design_bands(), [0.0, 1e-3], 1.2e-6,
+                                         2.26, CouplingBenchmark(2.0, "ref"), 0.77).rows
+
     def test_a_report_cannot_carry_a_row_that_is_no_row_of_numbers(self):
-        # Built, and to_csv() wrote the row None,'x',0,0,0,0,0.
-        report = self.report()
+        # Built, and to_csv() wrote the row None,'x',0,0,0,0,0; the rows are
+        # no field now, and a row checks its values.
         with pytest.raises(ValueError, match="^power_w must be a number, got None$"):
-            report.replace(rows=(SweepRow(None, 'x', 0, 0, 0, 0, 0),))
+            SweepRow(None, 'x', 0, 0, 0, 0, 0)
+        with pytest.raises(TypeError, match="rows"):
+            report().replace(rows=())
 
     def test_a_sweep_row_stores_floats_and_a_signed_p_virt(self):
         row = SweepRow(1, 0, np.float64(3.0), -4, -0.0, 6.0, 7.0)
@@ -392,7 +431,9 @@ class TestReplace:
     @pytest.mark.parametrize("build, name", [
         (bands, "omega_t"), (bands, "wavelengths"), (tabulated, "_columns"),
         (chain, "eta1_rel_bands"), (chain, "eta2"), (chain, "Q"), (chain, "q_eff"),
-        (three_wave, "phase_matched"), (chain, "no_such_field")])
+        (three_wave, "phase_matched"), (chain, "no_such_field"),
+        (report, "chain"), (report, "rows"), (result, "delta_k"), (result, "efficiency"),
+        (three_wave, "delta_k_3wm"), (three_wave, "suppression")])
     def test_name_the_constructor_does_not_take_is_a_type_error(self, build, name):
         obj = build()
         with pytest.raises(TypeError, match=name):
