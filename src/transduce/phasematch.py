@@ -231,7 +231,7 @@ class ThreeWaveResidual(Record):
     derives, as attributes that are no fields, ``delta_k_3wm`` (rad/m), its
     ``suppression``, the pm_efficiency of the channel, and ``phase_matched``:
     True, a degenerate configuration that reports call out, when the
-    mismatch is 0 or the suppression is within 1e-12 of 1.
+    suppression is within 1e-12 of 1 (a zero mismatch has suppression 1).
     """
 
     def __init__(self, pm_in: PhaseMatchInput, pump_choice: int = 1):
@@ -253,7 +253,7 @@ class ThreeWaveResidual(Record):
         suppression = _sinc2(dk3, pm_in.length)
         self.__dict__.update(pm_in=pm_in, pump_choice=pump, delta_k_3wm=dk3,
                              suppression=suppression,
-                             phase_matched=dk3 == 0.0 or suppression > 1.0 - 1e-12)
+                             phase_matched=suppression > 1.0 - 1e-12)
 
 
 def three_wave_residual(pm_in: PhaseMatchInput,

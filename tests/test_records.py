@@ -372,11 +372,15 @@ class TestReplace:
         period, sign = poling_period(pm)
         tw = three_wave_residual(pm.replace(poling_period=period, poling_sign=sign))
         assert tw.delta_k_3wm != 0.0 and tw.phase_matched is False
-        # A short enough channel has a suppression within 1e-12 of 1.
-        short = tw.replace(pm_in=tw.pm_in.replace(length=1e-12))
-        assert short.delta_k_3wm == tw.delta_k_3wm and short.suppression > 1.0 - 1e-12
-        assert short.phase_matched is True
-        assert tw.replace(pm_in=tw.pm_in.replace(length=1e-9)).phase_matched is False
+        # 1 - sinc^2(y) is y^2/3 to leading order in y = dk3 * L / 2, so
+        # L = 2 * sqrt(3 * x) / |dk3| gives 1 - suppression = x: the cut at
+        # 1 - 1e-12 falls between x = 0.5e-12 and x = 2e-12.
+        for x, matched in ((0.5e-12, True), (2e-12, False)):
+            length = 2.0 * math.sqrt(3.0 * x) / abs(tw.delta_k_3wm)
+            near = tw.replace(pm_in=tw.pm_in.replace(length=length))
+            assert near.delta_k_3wm == tw.delta_k_3wm
+            assert 1.0 - near.suppression == pytest.approx(x, rel=1e-3)
+            assert near.phase_matched is matched
         # With no phonon, no grating and the pump's axis, the three-wave
         # output is the pump itself: a zero mismatch.
         unshifted = tw.replace(pm_in=pm.replace(bands=b.replace(omega_m=0.0, axes=(0, 1, 0))))
