@@ -23,7 +23,7 @@ _EXPORTS = {
                "TransduceError", "UnitError"),
     "estimator": ("CouplingBenchmark", "DesignReport", "MillerChain", "MixingBands",
                   "OPTOMECHANICAL_CRYSTAL_BENCHMARK", "PIEZO_OPTOMECHANICAL_BENCHMARK",
-                  "PumpGeometry", "SweepRow", "damage_limited_power", "eta1_rel",
+                  "PumpGeometry", "damage_limited_power", "eta1_rel",
                   "eta2_from_Q", "eta2_from_deff", "interaction_density_3wm",
                   "interaction_density_4wm", "miller_Q", "peak_field_from_power",
                   "peak_intensity", "power_sweep", "q_eff_from_deff",

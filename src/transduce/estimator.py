@@ -33,16 +33,21 @@ the band sum with the closed-form q_eff.  second_order_photoelasticity
 looks up the indices and entries, scales d_eff, and builds the MillerChain,
 which runs the chain on them, so a ``replace`` of an input runs it again.
 Only damage_limited_power composes ``units.Quantity`` objects at run time,
-the one composition the runtime unit layer keeps (see its comment).  A
-result that is not finite raises the ValueError of ``errors.result_error``,
-which names the inputs, so no infinity reaches a report.  A result of the
-chain (1/n^2, eta2, Q, q_eff), of a per-point formula (p_virt, the
-interaction densities, the intensity, the peak field's radicand, a sweep
-row's p_virt/p_nominal, intensity/threshold and g_scaled) or the
-damage-limited power that is 0 or subnormal though no factor of it is 0
-raises the ValueError of the same builder, so no silent zero does either.
-A zero factor (d_eff = 0, a zero band sum, a vacuum band's 1 - 1/n^2, zero
-power, a zero field) gives an exact zero, which is kept.
+the one composition the runtime unit layer keeps (see its comment).
+
+Every result of the chain (1/n^2, eta2, Q, q_eff), of a per-point formula
+(p_virt, the interaction densities, the intensity, the peak field's
+radicand, a sweep row's p_virt/p_nominal, intensity/threshold and
+g_scaled), the damage-limited power and the omega_m from_vacuum_wavelengths
+computes passes ``errors._result``, the package's one rule for a computed
+float, which names the inputs of a result that is not finite, or that is 0
+or subnormal though no factor of it is 0; so no infinity and no silent zero
+reaches a report.  Each site passes, as ``zero``, whether a factor is 0
+(d_eff = 0, a zero band sum, a vacuum band's 1 - 1/n^2, zero power, a zero
+field), and an exact zero then is kept.  A site on a design's path calls
+``_result`` only when its value is not a finite normal float.  A
+DesignReport builds each SweepRow from values that have just passed the
+rule, so a row stores them as given.
 
 Each band's photoelastic entry p[axis, axis; strain] is read as
 ``entries[axis][strain_voigt]``: in the Voigt order (00, 11, 22, 12, 02, 01)
@@ -52,7 +57,10 @@ a diagonal pair packs to its axis, so the chain needs no packing table, and
 A design's three band indices are looked up once: the chain and
 phasematch's delta_k and poling_period read them through _band_indices,
 which keeps them on the bands, keyed on the material.  The chain names a
-material that is no Material and bands that are no MixingBands.
+material that is no Material and bands that are no MixingBands;
+damage_limited_power names a material that is no Material and
+peak_field_from_power a geometry that is no PumpGeometry, each with an
+inline ``isinstance`` that adds no call to a design.
 
 A pump-power sweep is the record ``DesignReport(material, bands, powers,
 mfd, n_mode, benchmark, p_nominal)``: it stores those inputs and runs the
@@ -79,8 +87,8 @@ import math
 import sys
 
 from ._record import Record
-from .errors import (DataError, SingularityError, _integer, _reals, _require,
-                     result_error)
+from .errors import (_MIN_NORMAL, DataError, SingularityError, _integer, _reals,
+                     _require, _result)
 from .materials import Material, refractive_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
@@ -157,7 +165,9 @@ class MixingBands(Record):
             raise ValueError(f"lambda_p2 must be a positive finite wavelength, got {lambda_p2}")
         if not 0 <= hz < math.inf:
             raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
-        return cls(TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz, **kw)
+        if (wm := TWO_PI * hz) < _MIN_NORMAL:     # an overflow is the constructor's
+            _result("omega_m", wm, not hz, phonon_hz=hz)
+        return cls(TWO_PI_C / l1, TWO_PI_C / l2, wm, **kw)
 
 
 class MillerChain(Record):
@@ -186,15 +196,15 @@ class MillerChain(Record):
         # before Q, so an input whose q_eff overflows too is named by q_eff.
         eta2 = _eta2(d_eff, n_bands)
         eta1s, denoms = _band_terms(n_bands, "Miller constant")
-        if (eta1 := min(eta1s)) < _MIN_NORMAL:     # 1/n^2 is never 0
-            raise result_error("eta1_rel", eta1, ns=n_bands)
+        if not _MIN_NORMAL <= abs(eta1 := min(eta1s)) < math.inf:
+            _result("eta1_rel", eta1, False, ns=n_bands)    # 1/n^2 is never 0
         q_eff = _q_eff_closed_form(d_eff, n_bands, p_entries, denoms)
         self.__dict__.update(n_bands=n_bands, p_entries=p_entries, d_eff=d_eff,
                              eta1_rel_bands=eta1s, eta2=eta2,
                              Q=_miller_Q(eta2, n_bands, denoms), q_eff=q_eff)
 
 
-_MIN_NORMAL, _MAX_FLOAT = sys.float_info.min, sys.float_info.max
+_MAX_FLOAT = sys.float_info.max
 _PerBand = tuple[float, float, float]     # (pump1, pump2, transduced)
 _SQUARE_METER = METER * METER
 
@@ -272,9 +282,7 @@ def _check_bands(ns, ps, names=("ns", "ps")) -> tuple[_PerBand, _PerBand]:
 def eta1_rel(n: float) -> float:
     """Relative first-order inverse susceptibility eps0*eta1 = 1/n^2."""
     _check_indices((n := _reals(n, "n"),))
-    if (eta1 := 1.0 / (n * n)) < _MIN_NORMAL:
-        raise result_error("eta1_rel", eta1, n=n)
-    return eta1
+    return _result("eta1_rel", 1.0 / (n * n), False, n=n)
 
 
 def _band_terms(ns: _PerBand, singular: str | None) -> tuple[_PerBand, _PerBand]:
@@ -295,9 +303,9 @@ def _miller_Q(eta2: float, ns: _PerBand, denoms: _PerBand) -> float:
     d1, d2, d3 = denoms
     Q = -eta2 / (d1 * d2 * d3)
     # Each factor lies in (0, 1], so Q is 0 only when eta2 is: an exact 0.
-    if not _MIN_NORMAL <= abs(Q) < math.inf and Q:
+    if not _MIN_NORMAL <= abs(Q) < math.inf:
         n1, n2, n3 = ns
-        raise result_error("Miller Q", Q, eta2=eta2, n1=n1, n2=n2, n3=n3)
+        _result("Miller Q", Q, not eta2, eta2=eta2, n1=n1, n2=n2, n3=n3)
     return Q
 
 
@@ -316,8 +324,8 @@ def _q_eff_closed_form(d_eff: float, ns: _PerBand, ps: _PerBand, denoms: _PerBan
     n1, n2, n3 = ns
     s = _band_sum(ps, denoms)
     q_eff = -(2.0 * d_eff) / (EPS0 * (n1 * n1 * n2 * n2 * n3 * n3)) * s
-    if not _MIN_NORMAL <= abs(q_eff) < math.inf and (q_eff or d_eff and s):
-        raise result_error("q_eff", q_eff, d_eff=d_eff, ns=ns, ps=ps)
+    if not _MIN_NORMAL <= abs(q_eff) < math.inf:
+        _result("q_eff", q_eff, not (d_eff and s), d_eff=d_eff, ns=ns, ps=ps)
     return q_eff
 
 
@@ -336,8 +344,8 @@ def _eta2(d_eff: float, ns: _PerBand) -> float:
     _check_indices(ns)
     n1, n2, n3 = ns
     eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
-    if not _MIN_NORMAL <= abs(eta2) < math.inf and (eta2 or d_eff):
-        raise result_error("eta2", eta2, d_eff=d_eff, n1=n1, n2=n2, n3=n3)
+    if not _MIN_NORMAL <= abs(eta2) < math.inf:
+        _result("eta2", eta2, not d_eff, d_eff=d_eff, n1=n1, n2=n2, n3=n3)
     return eta2
 
 
@@ -353,12 +361,10 @@ def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
 def eta2_from_Q(Q: float, n1: float, n2: float, n3: float) -> float:
     """Inverse of miller_Q; round-trips to machine precision."""
     _check_indices(ns := _read_indices(n1, n2, n3))
-    d1, d2, d3 = _band_terms(ns, None)[1]
-    eta2 = -(Q := _reals(Q, "Q")) * (product := d1 * d2 * d3)
+    product = math.prod(_band_terms(ns, None)[1])
     # Each factor lies in [0, 1], so Q is named if eta2 is not finite.
-    if not _MIN_NORMAL <= abs(eta2) < math.inf and (eta2 or Q and product):
-        raise result_error("eta2", eta2, Q=Q, n1=n1, n2=n2, n3=n3)
-    return eta2
+    return _result("eta2", -(Q := _reals(Q, "Q")) * product, not (Q and product),
+                   Q=Q, n1=n1, n2=n2, n3=n3)
 
 
 def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
@@ -366,10 +372,7 @@ def q_eff_from_eta2(eta2: float, ns: tuple[float, float, float],
     """Susceptibility route: q = -eps0 * eta2 * sum_n p_n / (1 - eps0*eta1_n)."""
     eta2, (ns, ps) = _reals(eta2, "eta2"), _check_bands(ns, ps)
     s = _band_sum(ps, _band_terms(ns, "q_eff")[1])
-    q_eff = -(EPS0 * eta2) * s
-    if not _MIN_NORMAL <= abs(q_eff) < math.inf and (q_eff or eta2 and s):
-        raise result_error("q_eff", q_eff, eta2=eta2, ns=ns, ps=ps)
-    return q_eff
+    return _result("q_eff", -(EPS0 * eta2) * s, not (eta2 and s), eta2=eta2, ns=ns, ps=ps)
 
 
 def q_eff_from_deff(d_eff: float, ns: tuple[float, float, float],
@@ -432,35 +435,36 @@ def second_order_photoelasticity(m: Material, bands: MixingBands,
 
 def peak_field_from_power(g: PumpGeometry) -> float:
     """Average peak field |E| = sqrt(16 P / (n pi eps0 c MFD^2)), in V/m."""
+    if not isinstance(g, PumpGeometry):     # inline: no call on a design's path
+        _require(False, "geometry", "a PumpGeometry", g)
     denom = g.n_mode * math.pi * EPS0 * C_LIGHT * g.mfd * g.mfd
     radicand = 16.0 * g.power / denom if 0 < denom < math.inf else math.inf
-    field = math.sqrt(radicand)
-    if not math.isfinite(field) or radicand < _MIN_NORMAL and g.power:
-        raise result_error("peak field", field, power=g.power, mfd=g.mfd, n_mode=g.n_mode)
-    return field
+    if not _MIN_NORMAL <= abs(radicand) < math.inf:
+        _result("peak field", radicand, not g.power, power=g.power, mfd=g.mfd,
+                n_mode=g.n_mode)
+    return math.sqrt(radicand)
 
 
 def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
     intensity = (p := _check_power(power)) / _mode_area(mfd)
-    if not _MIN_NORMAL <= intensity < math.inf and p:
-        raise result_error("peak intensity", intensity, power=power, mfd=mfd)
+    if not _MIN_NORMAL <= abs(intensity) < math.inf:
+        _result("peak intensity", intensity, not p, power=power, mfd=mfd)
     return intensity
 
 
 def _over_threshold(intensity: float, m: Material) -> float:
     """The peak intensity over the damage threshold of ``m``."""
-    over = intensity / m.damage_threshold
     # The threshold is positive, so the ratio is an exact 0 only when the
     # intensity is.
-    if not _MIN_NORMAL <= over < math.inf and (over or intensity):
-        raise result_error("intensity_over_threshold", over, intensity=intensity,
-                           damage_threshold=m.damage_threshold)
-    return over
+    return _result("intensity_over_threshold", intensity / m.damage_threshold,
+                   not intensity, intensity=intensity, damage_threshold=m.damage_threshold)
 
 
 def damage_limited_power(m: Material, mfd: float) -> float:
     """Largest power (W) keeping the peak intensity at the damage threshold."""
+    if not isinstance(m, Material):
+        _require(False, "material", "a Material", m)
     # The one runtime Quantity composition: the traced benchmark's
     # units.quantities_per_point (bench/worker.py, grid_metrics) indexes each
     # power sweep's Quantity count by key, so a sweep must build one.  This
@@ -469,9 +473,9 @@ def damage_limited_power(m: Material, mfd: float) -> float:
     power = (Quantity(m.damage_threshold, WATT_PER_M2)
              * Quantity(_mode_area(mfd), _SQUARE_METER)).expect(WATT, "power")
     # Both factors are positive, so a power below the normal range underflowed.
-    if not _MIN_NORMAL <= power < math.inf:
-        raise result_error("damage-limited power", power,
-                           damage_threshold=m.damage_threshold, mfd=mfd)
+    if not _MIN_NORMAL <= abs(power) < math.inf:
+        _result("damage-limited power", power, False,
+                damage_threshold=m.damage_threshold, mfd=mfd)
     return power
 
 
@@ -488,18 +492,17 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
     if not 0 <= (f := _reals(field, "field")) < math.inf:
         raise ValueError(f"field magnitude must be finite and >= 0, got {field}")
     p_virt = (2.0 / 3.0) * EPS0 * q * e * f
-    if not _MIN_NORMAL <= abs(p_virt) < math.inf and (p_virt or q and e and f):
-        raise result_error("virtual photoelasticity", p_virt, q_eff=q, eps_r=e, field=f)
+    if not _MIN_NORMAL <= abs(p_virt) < math.inf:
+        _result("virtual photoelasticity", p_virt, not (q and e and f), q_eff=q, eps_r=e,
+                field=f)
     return p_virt
 
 
 def _density(divisor: float, **factors) -> float:
     """The product of ``factors``, read as floats, over ``divisor``."""
     values = tuple(map(_reals, factors.values(), factors))
-    u = math.prod(values) / divisor
-    if not _MIN_NORMAL <= abs(u) < math.inf and (u or all(values)):
-        raise result_error("interaction density", u, **factors)
-    return u
+    return _result("interaction density", math.prod(values) / divisor, not all(values),
+                   **factors)
 
 
 def interaction_density_3wm(p_eff: float, d1: float, d2: float, x: float) -> float:
@@ -520,24 +523,20 @@ def interaction_density_4wm(q_eff: float, dp: float, d1: float, d2: float,
 
 
 class SweepRow(Record):
-    """One power grid point of a pump sweep (all SI).
+    """One power grid point of a pump sweep (all SI): the row type of a
+    DesignReport.
 
-    Each value is read as a float under its field name and must be finite;
-    every value but the signed ``p_virt`` must also be >= 0.
+    Only DesignReport builds one, from values that have just passed the
+    result rule, so it stores its values as given: floats, each finite,
+    and each but the signed ``p_virt`` >= 0.
     """
 
     def __init__(self, power_w: float, peak_field_v_per_m: float,
                  intensity_w_per_m2: float, p_virt: float, p_virt_over_p_nominal: float,
                  intensity_over_threshold: float, g_scaled_rad_per_s: float):
-        row = dict(zip(self._fields, map(_reals, (
+        self.__dict__.update(zip(self._fields, (
             power_w, peak_field_v_per_m, intensity_w_per_m2, p_virt,
-            p_virt_over_p_nominal, intensity_over_threshold, g_scaled_rad_per_s),
-            self._fields)))
-        for name, v in row.items():
-            signed = name == "p_virt"
-            _require(math.isfinite(v) and (signed or v >= 0), name,
-                     "finite" if signed else "finite and >= 0", v)
-        self.__dict__.update(row)
+            p_virt_over_p_nominal, intensity_over_threshold, g_scaled_rad_per_s)))
 
 
 POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,"
@@ -587,15 +586,11 @@ class DesignReport(Record):
             p_virt = virtual_photoelasticity(chain.q_eff, eps_r, field)
             # p_nominal and g0_ref are positive, so each ratio is an exact 0
             # only when p_virt is.
-            ratio = abs(p_virt) / nominal
-            if not _MIN_NORMAL <= ratio < math.inf and (ratio or p_virt):
-                raise result_error("p_virt_over_p_nominal", ratio, p_virt=p_virt,
-                                   p_nominal=nominal)
+            ratio = _result("p_virt_over_p_nominal", abs(p_virt) / nominal, not p_virt,
+                            p_virt=p_virt, p_nominal=nominal)
             over = _over_threshold(intensity, material)
-            g_scaled = g0_ref * ratio
-            if not _MIN_NORMAL <= g_scaled < math.inf and (g_scaled or ratio):
-                raise result_error("g_scaled", g_scaled, g0_ref=g0_ref,
-                                   p_virt=p_virt, p_nominal=nominal)
+            g_scaled = _result("g_scaled", g0_ref * ratio, not ratio, g0_ref=g0_ref,
+                               p_virt=p_virt, p_nominal=nominal)
             rows.append(SweepRow(p_w, field, intensity, p_virt, ratio, over, g_scaled))
         self.__dict__.update(material=material, bands=bands, powers=powers, mfd=mfd,
                              n_mode=n_mode, benchmark=benchmark, p_nominal=nominal,

@@ -34,7 +34,12 @@ Material, and names either if it is not.
 wavevector_optical, wavevector_acoustic and pm_efficiency read their
 arguments with ``errors._reals`` and call private float forms, which the two
 records and poling_period call directly on the floats of the design, so a
-design reads each float once.
+design reads each float once.  Both wavevectors pass the result rule of
+``errors._result``: one that overflows or underflows raises a ValueError
+naming the inputs, and k_m is an exact 0 only with no phonon.  Only the
+intermediate delta_k * length of _sinc2 is checked here, with
+``errors.result_error``.  The two records, delta_k, poling_period,
+three_wave_residual and sweep name a ``pm_in`` that is no PhaseMatchInput.
 
 PhaseMatchResult and poling_period take the three four-wave band indices
 from ``estimator._band_indices``, so a design that ran the Miller chain on
@@ -59,7 +64,7 @@ import math
 from operator import attrgetter
 
 from ._record import Record
-from .errors import DataError, _integer, _reals, _require, result_error
+from .errors import _MIN_NORMAL, DataError, _integer, _reals, _require, _result, result_error
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
@@ -78,8 +83,8 @@ def _optical_k(n: float, omega: float) -> float:
         raise ValueError(
             f"optical angular frequency must be positive and finite, got {omega}")
     k = n * omega / C_LIGHT
-    if not k < math.inf:
-        raise result_error("optical wavevector", k, n=n, omega=omega)
+    if not _MIN_NORMAL <= abs(k) < math.inf:
+        _result("optical wavevector", k, False, n=n, omega=omega)
     return k
 
 
@@ -96,8 +101,8 @@ def _acoustic_k(omega_m: float, v_s: float) -> float:
         raise ValueError(
             f"phonon angular frequency must be finite and >= 0, got {omega_m}")
     k_m = omega_m / v_s
-    if not k_m < math.inf:
-        raise result_error("acoustic wavevector", k_m, omega_m=omega_m, v_s=v_s)
+    if not _MIN_NORMAL <= abs(k_m) < math.inf:
+        _result("acoustic wavevector", k_m, not omega_m, omega_m=omega_m, v_s=v_s)
     return k_m
 
 
@@ -143,6 +148,8 @@ def _k_bare(pm_in: PhaseMatchInput) -> tuple[float, float, float, float]:
     key is the material, not its dispersion: k_m depends on the sound speed
     too.  A computation that raises stores nothing.
     """
+    if not isinstance(pm_in, PhaseMatchInput):     # inline: no call on a design's path
+        _require(False, "pm_in", "a PhaseMatchInput", pm_in)
     b, m = pm_in.bands, pm_in.material
     material, ks = b._wavevectors
     if material is not m:
@@ -235,6 +242,8 @@ class ThreeWaveResidual(Record):
     """
 
     def __init__(self, pm_in: PhaseMatchInput, pump_choice: int = 1):
+        if not isinstance(pm_in, PhaseMatchInput):
+            _require(False, "pm_in", "a PhaseMatchInput", pm_in)
         if (pump := _integer(pump_choice)) not in (1, 2):
             raise ValueError(f"pump_choice must be 1 or 2, got {pump_choice}")
         b, m = pm_in.bands, pm_in.material
@@ -277,6 +286,7 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     ValueError, even with an empty grid, and is named before the grid is
     read.
     """
+    _require(isinstance(pm_in, PhaseMatchInput), "pm_in", "a PhaseMatchInput", pm_in)
     b, m, length, sign = pm_in.bands, pm_in.material, pm_in.length, pm_in.poling_sign
     if variable == "pump-wavelength":
         def probe(v: float) -> PhaseMatchInput:

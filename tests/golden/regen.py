@@ -117,6 +117,12 @@ CLI_CASES = {
     "error-index-overflow": f"phasematch --db huge-index.json {BANDS} --length 100e-6",
     "error-index-underflow": f"estimate-q --db huge-index.json {BANDS}",
     "error-phasematch-overflow": f"phasematch {FAST} --length 1e300",
+    # A phonon whose omega_m, or whose k_m, rounds to a subnormal float.
+    "error-phonon-underflow": "estimate-q --material BaTiO3 --pump1 2600e-9 --pump2 2600e-9 "
+                              "--phonon-ghz 1e-320",
+    "error-acoustic-wavevector-underflow": "phasematch --material BaTiO3 --pump1 2600e-9 "
+                                           "--pump2 2600e-9 --phonon-ghz 1e-315 "
+                                           "--length 100e-6",
     "error-poling-overflow": f"poling {FAST} --length 1e300",
     "error-unmeasured-entry": f"estimate-q --db null-entry.json {BANDS} --axes 1,2,2",
     "error-null-note": "materials --db null-note.json",

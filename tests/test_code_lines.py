@@ -1,7 +1,8 @@
 """``tests/code_lines.py`` counts lines of code, not blank lines, comments or
 docstrings, the public names a module defines, not those it imports, and
-the constructor fields of its records; and no module of the package binds
-a module-level name from inside a function."""
+the constructor fields of its records; no module of the package binds a
+module-level name from inside a function, and none but ``errors`` decides
+whether a computed value is out of range."""
 
 import ast
 import runpy
@@ -94,3 +95,30 @@ def test_no_module_has_a_global_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def _callers(tree: ast.AST, name: str, scope: str = "<module>") -> list[str]:
+    """The function (by name, ``<module>`` at the top level) around each
+    call of ``name`` in ``tree``, innermost first."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                   getattr(func, "attr", None)):
+            found.append(scope)
+        found += _callers(node, name, inner)
+    return found
+
+
+def test_only_errors_decides_a_result():
+    # errors._result alone decides whether a computed float is out of
+    # range; only the intermediate delta_k * length of phasematch._sinc2 is
+    # checked elsewhere.
+    package = SCRIPT.parents[1] / "src" / "transduce"
+    calls = [f"{path.stem}.{scope}" for path in sorted(package.glob("*.py"))
+             if path.stem != "errors"
+             for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), "result_error")]
+    assert calls == ["phasematch._sinc2"]
+    source = 'def f():\n    def g():\n        errors.result_error("x", 1.0)\n    result_error()\n'
+    assert _callers(ast.parse(source), "result_error") == ["g", "f"]

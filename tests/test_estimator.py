@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transduce.errors import DataError, SingularityError, result_error
+from transduce.errors import _MIN_NORMAL, DataError, SingularityError, _result, result_error
 from transduce.estimator import (CouplingBenchmark, DesignReport, MillerChain, MixingBands,
                                  OPTOMECHANICAL_CRYSTAL_BENCHMARK,
                                  PIEZO_OPTOMECHANICAL_BENCHMARK,
@@ -73,6 +73,14 @@ class TestMixingBands:
         with pytest.raises(ValueError, match=name):
             MixingBands.from_vacuum_wavelengths(*args)
 
+    def test_an_underflowing_phonon_frequency_is_named(self):
+        # transduce estimate-q ... --phonon-ghz 1e-320 printed omega_m =
+        # 6.283115357625e-311; no phonon stays an exact 0.
+        with pytest.raises(ValueError) as exc:
+            MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 1e-311)
+        assert str(exc.value) == "omega_m underflows for phonon_hz=1e-311"
+        assert MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, 0).omega_m == 0.0
+
     @pytest.mark.parametrize("kw, message", [
         ({"axes": (0.0, 1.0, 2.0)}, "axes must be three indices in 0..2, got (0.0, 1.0, 2.0)"),
         ({"axes": (0, True, 2)}, "axes must be three indices in 0..2, got (0, True, 2)"),
@@ -97,8 +105,9 @@ class TestMixingBands:
                             {"strain_voigt": 2.0}]))
     @settings(max_examples=300)
     def test_from_vacuum_wavelengths_is_the_constructor_on_its_omegas(self, l1, l2, hz, kw):
-        # Its own checks come first; then the constructor, the only gate,
-        # returns the same bands or raises the same error.
+        # Its own checks come first, the result rule on the omega_m it
+        # computes last; then the constructor, the only gate, returns the
+        # same bands or raises the same error.
         def outcome(build):
             try:
                 return build()
@@ -107,7 +116,9 @@ class TestMixingBands:
         own = [message for ok, message in (
             (l1 > 0, f"lambda_p1 must be a positive finite wavelength, got {l1}"),
             (l2 > 0, f"lambda_p2 must be a positive finite wavelength, got {l2}"),
-            (hz >= 0, f"phonon_hz must be finite and >= 0, got {hz}")) if not ok]
+            (hz >= 0, f"phonon_hz must be finite and >= 0, got {hz}"),
+            (not 0 < TWO_PI * hz < _MIN_NORMAL, f"omega_m underflows for phonon_hz={hz}"))
+            if not ok]
         want = own[0] if own else outcome(
             lambda: MixingBands(TWO_PI_C / l1, TWO_PI_C / l2, TWO_PI * hz, **kw))
         assert outcome(lambda: MixingBands.from_vacuum_wavelengths(l1, l2, hz, **kw)) == want
@@ -241,6 +252,28 @@ class TestEta2AndMiller:
         # A finite result underflowed; any other names a non-finite input.
         assert str(result_error("r", result, a=1.0, bs=(2.0, math.inf))) == message
         assert str(result_error("r", -math.inf, a=1.0, b=2.0)) == "r overflows for a=1.0, b=2.0"
+
+    @pytest.mark.parametrize("value, zero, message", [
+        (1.5, False, None), (-_MIN_NORMAL, False, None), (-sys.float_info.max, False, None),
+        (0.0, True, None), (-0.0, True, None),
+        (0.0, False, "r underflows for a=1.0, b=nan"),
+        (5e-324, True, "r underflows for a=1.0, b=nan"),
+        (-1e-310, False, "r underflows for a=1.0, b=nan"),
+        (math.inf, True, "b must be finite, got nan"),
+        (math.nan, True, "b must be finite, got nan")])
+    def test_one_rule_decides_every_result(self, value, zero, message):
+        # A normal value passes, and an exact 0 only when a factor of it is
+        # 0; a subnormal or an infinity raises result_error's message, and
+        # a NaN names the first input that is not finite.
+        if message is None:
+            got = _result("r", value, zero, a=1.0, b=math.nan)
+            assert got is value
+        else:
+            with pytest.raises(ValueError) as exc:
+                _result("r", value, zero, a=1.0, b=math.nan)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match="^r overflows for a=1.0$"):
+            _result("r", -math.inf, True, a=1.0)
 
     @given(st.floats(1e6, 1e12), st.floats(1.1, 3.5), st.floats(1.1, 3.5),
            st.floats(1.1, 3.5))
@@ -509,6 +542,16 @@ class TestFieldAndIntensity:
         with pytest.raises(ValueError, match=r"^damage-limited power overflows for "
                            r"damage_threshold=5400000000000.0, mfd=1e\+150$"):
             damage_limited_power(bto, 1e150)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: damage_limited_power(None, 1.2e-6), "material must be a Material, got None"),
+        (lambda: peak_field_from_power(None), "geometry must be a PumpGeometry, got None")],
+        ids=["damage_limited_power", "peak_field_from_power"])
+    def test_an_argument_that_is_no_record_is_named(self, call, message):
+        # They raised a bare AttributeError on damage_threshold and n_mode.
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,28 @@ class TestWavevectors:
                            r"omega_m=10000000000.0, v_s=1e-300$"):
             wavevector_acoustic(1e10, 1e-300)
 
+    @pytest.mark.parametrize("call, args, message", [
+        (wavevector_optical, (2.0, 1e-310), "optical wavevector underflows for n=2.0, "
+                                            "omega=1e-310"),
+        (wavevector_acoustic, (TWO_PI * 1e-306, 5000.0), "acoustic wavevector underflows "
+                                                         "for omega_m=6.283185307179587e-306, "
+                                                         "v_s=5000.0")])
+    def test_underflowing_wavevector_is_named(self, call, args, message):
+        # They returned 6.67e-319 and 1.26e-309: each site kept only the
+        # overflow half of the result rule.
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == message
+
+    def test_a_design_with_a_subnormal_k_m_is_named(self, bto):
+        # transduce phasematch ... --phonon-ghz 1e-315 printed k_m = 1.26e-309.
+        bands = MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 1e-315 * 1e9)
+        with pytest.raises(ValueError, match="^acoustic wavevector underflows for "):
+            delta_k(PhaseMatchInput(bands, bto, 100e-6))
+        # No phonon: an exact 0, since a factor of k_m is 0.
+        zero = bands.replace(omega_m=0.0)
+        assert delta_k(PhaseMatchInput(zero, bto, 100e-6)).k_m == 0.0
+
     @pytest.mark.parametrize("call", [delta_k, poling_period, three_wave_residual])
     def test_overflowing_acoustic_wavevector_is_named_by_each_caller(
             self, bto, bto_bands, call):
@@ -157,6 +179,18 @@ class TestInputChecks:
         pm = PhaseMatchInput(bto_bands, bto, 1e-4)
         with pytest.raises(ValueError, match="^material must be a Material, got 'BaTiO3'$"):
             pm.replace(material="BaTiO3")
+
+    @pytest.mark.parametrize("call, args", [
+        (delta_k, (None,)), (poling_period, ("x",)), (three_wave_residual, (None,)),
+        (sweep, (None, "poling-period", [1e-6])), (PhaseMatchResult, (None,)),
+        (ThreeWaveResidual, (None,))],
+        ids=["delta_k", "poling_period", "three_wave_residual", "sweep",
+             "PhaseMatchResult", "ThreeWaveResidual"])
+    def test_an_input_that_is_no_phase_match_input_is_named(self, call, args):
+        # Each raised a bare AttributeError: ... has no attribute 'bands'.
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == f"pm_in must be a PhaseMatchInput, got {args[0]!r}"
 
 
 class TestPolingPeriod:
