@@ -37,7 +37,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import TransduceError
+from .errors import _FINITE, TransduceError, _real_in
 from .estimator import (CouplingBenchmark, MixingBands,
                         OPTOMECHANICAL_CRYSTAL_BENCHMARK,
                         PIEZO_OPTOMECHANICAL_BENCHMARK, PumpGeometry,
@@ -100,8 +100,7 @@ def _grid(args, start: str, stop: str, points: str, log: bool = False):
             raise ValueError(f"--log requires a positive {name}")
     # A non-finite bound or span would turn into NaN grid values.
     for name, v in (*bounds, (f"{stop} - {start}", hi - lo)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+        _real_in(v, name, _FINITE)
     try:
         return (np.geomspace if log else np.linspace)(lo, hi, n)
     except (MemoryError, ValueError):   # numpy cannot allocate n points

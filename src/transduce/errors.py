@@ -9,15 +9,19 @@ float, and an exact 0 when a factor of it is 0; any other result (an
 infinity, a NaN, a 0 or a subnormal float whose exact value is not 0) raises
 the ``ValueError`` that :func:`result_error` builds, which names the inputs.
 
-Two rules read every argument of the package.  ``_integer`` reads an integer
-argument (an axis, a Voigt index, the QPM order, the poling sign, the pump
-choice, an FD order): an int or a numpy integer is read as a plain int, a
-float or a bool is not.  ``_real`` decides what a float argument may be (a
-frequency, a wavelength, a power, a length, a coefficient, a table cell): an
-int, a float or a numpy integer or floating scalar is read as a plain float,
-a bool, a str, None or a complex is not.  ``_reals`` reads one argument, a
-table or a grid through it and names the first value that is no number;
-every public function reads its float arguments with it.
+Three rules read every argument of the package.  ``_integer`` reads an
+integer argument (an axis, a Voigt index, the QPM order, the poling sign,
+the pump choice, an FD order): an int or a numpy integer is read as a plain
+int, a float or a bool is not.  ``_real`` decides what a float argument may
+be (a frequency, a wavelength, a power, a length, a coefficient, a table
+cell): an int, a float or a numpy integer or floating scalar is read as a
+plain float, a bool, a str, None or a complex is not.  ``_reals`` reads one
+argument, a table or a grid through it and names the first value that is no
+number; every public function reads its float arguments with it.
+``_real_in`` reads a float argument as ``_reals`` does and decides whether it
+lies in its range, one of four: ``finite``, ``finite and >= 0``, ``positive
+and finite`` and ``finite and >= 1``.  A float out of its range raises
+``<name> must be <range>, got <float>``; no other module spells a range.
 """
 
 import math
@@ -78,7 +82,7 @@ def result_error(what: str, result: float, /, **args) -> ValueError:
         return ValueError(f"{what} underflows for {named}")
     for k, v in args.items():
         if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
-            return ValueError(f"{k} must be finite, got {v}")
+            return ValueError(f"{k} must be {_FINITE}, got {v}")
     return ValueError(f"{what} overflows for {named}")
 
 
@@ -95,6 +99,30 @@ def _result(what: str, value: float, zero: bool, /, **inputs) -> float:
     if _MIN_NORMAL <= abs(value) < math.inf or value == 0 and zero:
         return value
     raise result_error(what, value, **inputs)
+
+
+# The four ranges of a float argument, by the phrase that names each: the
+# lower bound and whether it is allowed; none allows an infinity or a NaN.
+_FINITE, _NON_NEGATIVE, _POSITIVE, _AT_LEAST_ONE = (
+    "finite", "finite and >= 0", "positive and finite", "finite and >= 1")
+_LOWER = {_FINITE: (-math.inf, False), _NON_NEGATIVE: (0.0, True),
+          _POSITIVE: (0.0, False), _AT_LEAST_ONE: (1.0, True)}
+
+
+def _real_in(value, name: str, rule: str) -> float:
+    """``value`` read as ``_reals`` reads it, if that float lies in ``rule``,
+    one of the four ranges above; else raise ``<name> must be <rule>, got
+    <float>``.  A float is read with no further call.
+
+    A site on a design's path whose float is read already compares it
+    inline and calls this only when the comparison fails, so a design makes
+    no call for a check that passes.
+    """
+    x = value if type(value) is float else _reals(value, name)
+    lo, closed = _LOWER[rule]
+    if (lo <= x if closed else lo < x) and x < math.inf:
+        return x
+    raise ValueError(f"{name} must be {rule}, got {x!r}")
 
 
 def _require(ok: bool, name: str, rule: str, value) -> None:

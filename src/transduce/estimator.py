@@ -26,7 +26,11 @@ operand order of their dimensioned references, which the tests build from
 the quantities of ``tests/dimensioned.py``, so they give its bits; the tests
 assert each composition's dimension.  Every public function reads its float
 arguments with ``errors._reals``, the package's one rule for a real
-argument, which names one that is no number.  The public chain steps and
+argument, which names one that is no number, and holds one with a range to
+it with ``errors._real_in``, which names one out of its range; an index is
+named by its place (``n``, ``n1``, ``ns[1]``, ``n_bands[0]``).  _eta2, on
+a design's path, compares d_eff and the indices inline and calls
+``_real_in`` only to name one that fails.  The public chain steps and
 the constructor of MillerChain then call the same private steps, which take
 floats already read: the per-band terms 1/n^2 and 1 - 1/n^2, eta2, Q, and
 the band sum with the closed-form q_eff.  second_order_photoelasticity
@@ -76,8 +80,9 @@ it, it is not hashable.
 A user's argument is still read once.  from_vacuum_wavelengths reads and
 checks its wavelengths and phonon frequency, then passes the omegas it
 computes to the constructor, the only gate of a MixingBands: a float comes
-through ``errors._reals`` with one type test, and the constructor checks
-its range, so it names an omega that overflows.  PumpGeometry reads ``mfd``
+through ``errors._real_in`` with one type test and a range check, so the
+constructor names an omega that overflows, and an omega_t, their sum, that
+overflows though each is finite.  PumpGeometry reads ``mfd``
 once, through the same _mfd check as the mode area.
 """
 
@@ -87,8 +92,9 @@ import math
 import sys
 
 from ._record import Record
-from .errors import (_MIN_NORMAL, DataError, SingularityError, _integer, _reals,
-                     _require, _result)
+from .errors import (_AT_LEAST_ONE, _FINITE, _MIN_NORMAL, _NON_NEGATIVE, _POSITIVE,
+                     DataError, SingularityError, _integer, _real_in, _reals, _require,
+                     _result)
 from .materials import Material, refractive_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
@@ -119,12 +125,9 @@ class MixingBands(Record):
     def __init__(self, omega_p1: float, omega_p2: float, omega_m: float,
                  axes: tuple[int, int, int] = (0, 1, 2),
                  acoustic_mode: str = "longitudinal", strain_voigt: int = 2):
-        if not 0 < (w1 := _reals(omega_p1, "omega_p1")) < math.inf:
-            raise ValueError(f"omega_p1 must be positive and finite, got {omega_p1}")
-        if not 0 < (w2 := _reals(omega_p2, "omega_p2")) < math.inf:
-            raise ValueError(f"omega_p2 must be positive and finite, got {omega_p2}")
-        if not 0 <= (wm := _reals(omega_m, "omega_m")) < math.inf:
-            raise ValueError(f"omega_m must be finite and >= 0, got {omega_m}")
+        w1 = _real_in(omega_p1, "omega_p1", _POSITIVE)
+        w2 = _real_in(omega_p2, "omega_p2", _POSITIVE)
+        wm = _real_in(omega_m, "omega_m", _NON_NEGATIVE)
         # Indices are stored as plain ints; a float or a bool is no index,
         # and a non-iterable is no triple of them.  A tuple of three plain
         # ints is kept as it is.
@@ -141,7 +144,8 @@ class MixingBands(Record):
             raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")
         if not isinstance(acoustic_mode, str):  # a key of the sound speed table
             raise ValueError(f"acoustic_mode must be a string, got {acoustic_mode}")
-        wt = w1 + w2 + wm
+        if not (wt := w1 + w2 + wm) < math.inf:        # three finite omegas can overflow
+            _result("omega_t", wt, False, omega_p1=w1, omega_p2=w2, omega_m=wm)
         # Derived: omega_t, and the vacuum wavelengths (m) of (pump1, pump2,
         # transduced); the lookups start keyed on no material and are
         # replaced in place.
@@ -157,14 +161,9 @@ class MixingBands(Record):
         """Build from pump vacuum wavelengths (m) and a phonon frequency (Hz);
         the constructor checks the omegas they give and names one that
         overflows."""
-        l1, l2, hz = (_reals(lambda_p1, "lambda_p1"), _reals(lambda_p2, "lambda_p2"),
-                      _reals(phonon_hz, "phonon_hz"))
-        if not 0 < l1 < math.inf:
-            raise ValueError(f"lambda_p1 must be a positive finite wavelength, got {lambda_p1}")
-        if not 0 < l2 < math.inf:
-            raise ValueError(f"lambda_p2 must be a positive finite wavelength, got {lambda_p2}")
-        if not 0 <= hz < math.inf:
-            raise ValueError(f"phonon_hz must be finite and >= 0, got {phonon_hz}")
+        l1 = _real_in(lambda_p1, "lambda_p1", _POSITIVE)
+        l2 = _real_in(lambda_p2, "lambda_p2", _POSITIVE)
+        hz = _real_in(phonon_hz, "phonon_hz", _NON_NEGATIVE)
         if (wm := TWO_PI * hz) < _MIN_NORMAL:     # an overflow is the constructor's
             _result("omega_m", wm, not hz, phonon_hz=hz)
         return cls(TWO_PI_C / l1, TWO_PI_C / l2, wm, **kw)
@@ -194,7 +193,7 @@ class MillerChain(Record):
         # _eta2 rejects a non-finite d_eff and n < 1, then a vacuum band is
         # singular and a 1/n^2 that underflows is named; q_eff is checked
         # before Q, so an input whose q_eff overflows too is named by q_eff.
-        eta2 = _eta2(d_eff, n_bands)
+        eta2 = _eta2(d_eff, n_bands, "n_bands")
         eta1s, denoms = _band_terms(n_bands, "Miller constant")
         if not _MIN_NORMAL <= abs(eta1 := min(eta1s)) < math.inf:
             _result("eta1_rel", eta1, False, ns=n_bands)    # 1/n^2 is never 0
@@ -207,12 +206,6 @@ class MillerChain(Record):
 _MAX_FLOAT = sys.float_info.max
 _PerBand = tuple[float, float, float]     # (pump1, pump2, transduced)
 _SQUARE_METER = METER * METER
-
-
-def _check_power(power) -> float:
-    if not 0 <= (p := _reals(power, "power")) < math.inf:
-        raise ValueError(f"power must be finite and >= 0, got {power}")
-    return p
 
 
 def _mfd(mfd) -> float:
@@ -233,18 +226,15 @@ class PumpGeometry(Record):
     """Guided pump: power (W), mode-field diameter (m), modal index."""
 
     def __init__(self, power: float, mfd: float, n_mode: float):
-        power, d = _check_power(power), _mfd(mfd)
-        if not 0 < (n := _reals(n_mode, "n_mode")) < math.inf:
-            raise ValueError(f"modal index must be positive, got {n_mode}")
-        self.__dict__.update(power=power, mfd=d, n_mode=n)
+        power, d = _real_in(power, "power", _NON_NEGATIVE), _mfd(mfd)
+        self.__dict__.update(power=power, mfd=d, n_mode=_real_in(n_mode, "n_mode", _POSITIVE))
 
 
 class CouplingBenchmark(Record):
     """A published coupling rate against which scalings are expressed."""
 
     def __init__(self, g0_ref: float, label: str):     # g0_ref in rad/s
-        if not 0 < (g := _reals(g0_ref, "g0_ref")) < math.inf:
-            raise ValueError(f"g0_ref must be positive, got {g0_ref}")
+        g = _real_in(g0_ref, "g0_ref", _POSITIVE)
         _require(isinstance(label, str) and label != "", "label", "a non-empty str", label)
         self.__dict__.update(g0_ref=g, label=label)
 
@@ -257,10 +247,11 @@ OPTOMECHANICAL_CRYSTAL_BENCHMARK = CouplingBenchmark(
     "optomechanical crystal device, 2pi x 850 kHz (literature)")
 
 
-def _check_indices(ns: tuple[float, ...]) -> None:
-    for n in ns:
-        if not 1.0 <= n < math.inf:
-            raise ValueError(f"refractive index must be finite and >= 1, got {n}")
+def _check_indices(ns: _PerBand, name: str | None = None) -> None:
+    """Hold each index to finite and >= 1; the one at place i is named
+    ``<name>[i]``, or ``n<i+1>`` if ``name`` is None."""
+    for i, n in enumerate(ns):
+        _real_in(n, f"n{i + 1}" if name is None else f"{name}[{i}]", _AT_LEAST_ONE)
 
 
 def _read_indices(n1, n2, n3) -> _PerBand:
@@ -275,13 +266,13 @@ def _check_bands(ns, ps, names=("ns", "ps")) -> tuple[_PerBand, _PerBand]:
     for name, values in zip(names, (ns, ps)):
         if len(values) != 3:
             raise ValueError(f"{name} must hold 3 values, one per band, got {len(values)}")
-    _check_indices(ns)
+    _check_indices(ns, names[0])
     return ns, ps
 
 
 def eta1_rel(n: float) -> float:
     """Relative first-order inverse susceptibility eps0*eta1 = 1/n^2."""
-    _check_indices((n := _reals(n, "n"),))
+    n = _real_in(n, "n", _AT_LEAST_ONE)
     return _result("eta1_rel", 1.0 / (n * n), False, n=n)
 
 
@@ -337,12 +328,14 @@ def eta2_from_deff(d_eff: float, n1: float, n2: float, n3: float) -> float:
     return _eta2(_reals(d_eff, "d_eff"), _read_indices(n1, n2, n3))
 
 
-def _eta2(d_eff: float, ns: _PerBand) -> float:
-    """eta2_from_deff for a d_eff and indices that are floats already."""
-    if not math.isfinite(d_eff):
-        raise ValueError("d_eff must be finite")
-    _check_indices(ns)
+def _eta2(d_eff: float, ns: _PerBand, name: str | None = None) -> float:
+    """eta2_from_deff for a d_eff and indices that are floats already; an
+    index out of range is named as _check_indices names it."""
     n1, n2, n3 = ns
+    if not (-math.inf < d_eff < math.inf and 1.0 <= n1 < math.inf and 1.0 <= n2 < math.inf
+            and 1.0 <= n3 < math.inf):
+        _real_in(d_eff, "d_eff", _FINITE)
+        _check_indices(ns, name)
     eta2 = (2.0 * d_eff) / (EPS0 * EPS0 * (n1 * n1 * n2 * n2 * n3 * n3))
     if not _MIN_NORMAL <= abs(eta2) < math.inf:
         _result("eta2", eta2, not d_eff, d_eff=d_eff, n1=n1, n2=n2, n3=n3)
@@ -447,7 +440,7 @@ def peak_field_from_power(g: PumpGeometry) -> float:
 
 def peak_intensity(power: float, mfd: float) -> float:
     """Top-hat intensity P / (pi (MFD/2)^2), in W/m^2."""
-    intensity = (p := _check_power(power)) / _mode_area(mfd)
+    intensity = (p := _real_in(power, "power", _NON_NEGATIVE)) / _mode_area(mfd)
     if not _MIN_NORMAL <= abs(intensity) < math.inf:
         _result("peak intensity", intensity, not p, power=power, mfd=mfd)
     return intensity
@@ -485,16 +478,11 @@ def virtual_photoelasticity(q_eff: float, eps_r: float, field: float) -> float:
     ``field`` is the pump field magnitude (V/m, >= 0); the result is
     dimensionless and carries the sign of q_eff.
     """
-    if not math.isfinite(q := _reals(q_eff, "q_eff")):
-        raise ValueError(f"q_eff must be finite, got {q_eff}")
-    if not math.isfinite(e := _reals(eps_r, "eps_r")):
-        raise ValueError(f"eps_r must be finite, got {eps_r}")
-    if not 0 <= (f := _reals(field, "field")) < math.inf:
-        raise ValueError(f"field magnitude must be finite and >= 0, got {field}")
+    q, e = _real_in(q_eff, "q_eff", _FINITE), _real_in(eps_r, "eps_r", _POSITIVE)
+    f = _real_in(field, "field", _NON_NEGATIVE)
     p_virt = (2.0 / 3.0) * EPS0 * q * e * f
     if not _MIN_NORMAL <= abs(p_virt) < math.inf:
-        _result("virtual photoelasticity", p_virt, not (q and e and f), q_eff=q, eps_r=e,
-                field=f)
+        _result("virtual photoelasticity", p_virt, not (q and f), q_eff=q, eps_r=e, field=f)
     return p_virt
 
 
@@ -573,9 +561,7 @@ class DesignReport(Record):
                 f"(10x the damage-limited power for MFD {mfd:.3g} m)")
         _require(isinstance(benchmark, CouplingBenchmark), "benchmark",
                  "a CouplingBenchmark", benchmark)
-        if not 0 < (nominal := _reals(p_nominal, "p_nominal")) < math.inf:
-            raise ValueError(
-                f"p_nominal must be positive and finite to form ratios, got {p_nominal}")
+        nominal = _real_in(p_nominal, "p_nominal", _POSITIVE)
         chain = second_order_photoelasticity(material, bands)
         n_mode = _reals(n_mode, "n_mode")       # its range: PumpGeometry's check
         eps_r, g0_ref = material.eps_r[bands.axes[2]], benchmark.g0_ref

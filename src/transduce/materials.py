@@ -36,7 +36,8 @@ else is no number.  The loader checks no value itself: it picks the table
 the dispersion kind names and hands each raw JSON value to the record that
 stores it, ``DispersionModel``, ``PhotoelasticTensor`` or ``Material``.
 That constructor reads each number once, with ``errors._reals``, under the
-name the file gives it, and checks its range, so a string, a boolean, an
+name the file gives it, and checks its range, with ``errors._real_in`` where
+the range is one of its four, so a string, a boolean, an
 infinite entry, an index below 1 or a Sellmeier pole inside the window is
 named by its place (``dispersion.points[1][2]``, ``eps_r[0]``) whether the
 record is loaded or built directly.  A record that exists is valid.  Every
@@ -52,7 +53,8 @@ import os
 from bisect import bisect_right
 
 from ._record import FrozenDict, Record
-from .errors import MaterialFileError, RangeError, _integer, _reals, _require
+from .errors import (_AT_LEAST_ONE, _FINITE, _POSITIVE, MaterialFileError, RangeError,
+                     _integer, _real_in, _reals, _require)
 from .tensors import PhotoelasticTensor
 
 SCHEMA_VERSION = 1
@@ -96,10 +98,9 @@ class DispersionModel(Record):
                 raise ValueError("dispersion.points wavelengths must be strictly "
                                  f"increasing, got {[r[0] for r in points]}")
             for i, (lam, *ns) in enumerate(points):
-                _require(math.isfinite(lam), f"dispersion.points[{i}][0]", "finite", lam)
+                _real_in(lam, f"dispersion.points[{i}][0]", _FINITE)
                 for j, n in enumerate(ns, 1):
-                    _require(1 <= n < math.inf, f"dispersion.points[{i}][{j}]",
-                             "finite and >= 1", n)
+                    _real_in(n, f"dispersion.points[{i}][{j}]", _AT_LEAST_ONE)
         elif kind == "sellmeier":
             # Tuples too, so no index of this model can change after a
             # lookup (estimator._band_indices keeps three on the bands).
@@ -109,8 +110,8 @@ class DispersionModel(Record):
                                  f"number pairs, got {sellmeier}")
             for a, terms in enumerate(sellmeier):
                 for t, (b, c) in enumerate(terms):
-                    _require(math.isfinite(b) and math.isfinite(c),
-                             f"dispersion.sellmeier[{a}][{t}]", "finite", [b, c])
+                    _real_in(b, f"dispersion.sellmeier[{a}][{t}][0]", _FINITE)
+                    _real_in(c, f"dispersion.sellmeier[{a}][{t}][1]", _FINITE)
                     # A pole at lam^2 = C is checked exactly; sampling could
                     # miss it.  lam * lam grows with lam, so no lookup in the
                     # window divides by lam^2 - C = 0.
@@ -211,17 +212,13 @@ class Material(Record):
                  "a PhotoelasticTensor", photoelastic)
         _require(isinstance(photoelastic_note, str), "photoelastic.note", "a string",
                  photoelastic_note)
-        d_eff = _reals(d_eff, "d_eff_m_per_v")
+        d_eff = _real_in(d_eff, "d_eff_m_per_v", _FINITE)
         eps_r = _reals(eps_r, "eps_r", 1)
-        v_sound = FrozenDict((k, _reals(v, f"v_sound_m_per_s.{k}"))
-                             for k, v in _object(v_sound, "v_sound_m_per_s").items())
-        damage = _reals(damage_threshold, "damage_threshold_w_per_m2")
-        _require(math.isfinite(d_eff), "d_eff_m_per_v", "finite", d_eff)
         _require(len(eps_r) == 3 and all(0 < e < math.inf for e in eps_r), "eps_r",
                  "three positive finite numbers", eps_r)
-        for mode, v in v_sound.items():
-            _require(0 < v < math.inf, f"v_sound_m_per_s.{mode}", "positive and finite", v)
-        _require(0 < damage < math.inf, "damage_threshold_w_per_m2", "positive and finite", damage)
+        v_sound = FrozenDict((k, _real_in(v, f"v_sound_m_per_s.{k}", _POSITIVE))
+                             for k, v in _object(v_sound, "v_sound_m_per_s").items())
+        damage = _real_in(damage_threshold, "damage_threshold_w_per_m2", _POSITIVE)
         _require((qpm := _integer(qpm_order)) is not None and qpm >= 1, "qpm_order",
                  "an integer >= 1", qpm_order)
         self.__dict__.update(

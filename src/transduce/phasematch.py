@@ -34,7 +34,10 @@ Material, and names either if it is not.
 wavevector_optical, wavevector_acoustic and pm_efficiency read their
 arguments with ``errors._reals`` and call private float forms, which the two
 records and poling_period call directly on the floats of the design, so a
-design reads each float once.  Both wavevectors pass the result rule of
+design reads each float once.  The float forms compare their arguments
+inline and call ``errors._real_in``, the package's one range rule, only to
+name one out of range; pm_efficiency and PhaseMatchInput's ``length`` go
+through it directly.  Both wavevectors pass the result rule of
 ``errors._result``: one that overflows or underflows raises a ValueError
 naming the inputs, and k_m is an exact 0 only with no phonon.  Only the
 intermediate delta_k * length of _sinc2 is checked here, with
@@ -64,7 +67,8 @@ import math
 from operator import attrgetter
 
 from ._record import Record
-from .errors import _MIN_NORMAL, DataError, _integer, _reals, _require, _result, result_error
+from .errors import (_AT_LEAST_ONE, _FINITE, _MIN_NORMAL, _NON_NEGATIVE, _POSITIVE, DataError,
+                     _integer, _real_in, _reals, _require, _result, result_error)
 from .estimator import MixingBands, _band_indices
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
@@ -77,11 +81,9 @@ def wavevector_optical(n: float, omega: float) -> float:
 
 def _optical_k(n: float, omega: float) -> float:
     """wavevector_optical for an index and a frequency that are floats."""
-    if not 1.0 <= n < math.inf:
-        raise ValueError(f"refractive index must be finite and >= 1, got {n}")
-    if not 0 < omega < math.inf:
-        raise ValueError(
-            f"optical angular frequency must be positive and finite, got {omega}")
+    if not (1.0 <= n < math.inf and 0 < omega < math.inf):
+        _real_in(n, "n", _AT_LEAST_ONE)
+        _real_in(omega, "omega", _POSITIVE)
     k = n * omega / C_LIGHT
     if not _MIN_NORMAL <= abs(k) < math.inf:
         _result("optical wavevector", k, False, n=n, omega=omega)
@@ -95,11 +97,9 @@ def wavevector_acoustic(omega_m: float, v_s: float) -> float:
 
 def _acoustic_k(omega_m: float, v_s: float) -> float:
     """wavevector_acoustic for a frequency and a sound speed that are floats."""
-    if not 0 < v_s < math.inf:
-        raise ValueError(f"sound speed must be positive and finite, got {v_s}")
-    if not 0 <= omega_m < math.inf:
-        raise ValueError(
-            f"phonon angular frequency must be finite and >= 0, got {omega_m}")
+    if not (0 < v_s < math.inf and 0 <= omega_m < math.inf):
+        _real_in(v_s, "v_s", _POSITIVE)
+        _real_in(omega_m, "omega_m", _NON_NEGATIVE)
     k_m = omega_m / v_s
     if not _MIN_NORMAL <= abs(k_m) < math.inf:
         _result("acoustic wavevector", k_m, not omega_m, omega_m=omega_m, v_s=v_s)
@@ -113,8 +113,7 @@ class PhaseMatchInput(Record):
                  poling_period: float | None = None, poling_sign: int = 1):
         _require(isinstance(bands, MixingBands), "bands", "a MixingBands", bands)
         _require(isinstance(material, Material), "material", "a Material", material)
-        if not 0 < (L := _reals(length, "length")) < math.inf:
-            raise ValueError(f"interaction length must be positive, got {length}")
+        L = _real_in(length, "length", _POSITIVE)
         period = None if poling_period is None else _reals(poling_period, "poling_period")
         if period is not None and not period > 0:
             raise ValueError(f"poling period must be positive, got {poling_period}")
@@ -168,12 +167,7 @@ def pm_efficiency(delta_k: float, length: float) -> float:
     np.sinc's, on one float: x = u/pi, y = pi*x with 1e-20 standing in for
     x = 0, sin(y)/y.
     """
-    dk, L = _reals(delta_k, "delta_k"), _reals(length, "length")
-    if not math.isfinite(dk):
-        raise ValueError(f"delta_k must be finite, got {dk}")
-    if not (L > 0 and math.isfinite(L)):
-        raise ValueError(f"length must be positive and finite, got {L}")
-    return _sinc2(dk, L)
+    return _sinc2(_real_in(delta_k, "delta_k", _FINITE), _real_in(length, "length", _POSITIVE))
 
 
 def _sinc2(delta_k: float, length: float) -> float:
@@ -221,7 +215,7 @@ def poling_period(pm_in: PhaseMatchInput) -> tuple[float, int] | None:
     k_t, k_p1, k_p2, k_m = _k_bare(pm_in)
     dk0 = k_t - k_p1 - k_p2 - k_m
     if not math.isfinite(dk0):
-        raise ValueError(f"delta_k must be finite, got {dk0}")
+        _real_in(dk0, "delta_k", _FINITE)
     if dk0 == 0.0:
         return None
     sign = 1 if dk0 > 0 else -1
@@ -292,9 +286,7 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
         def probe(v: float) -> PhaseMatchInput:
             # from_vacuum_wavelengths' check and message; the bands take
             # omega_m itself, which a round trip through Hz can round.
-            if not 0 < v < math.inf:
-                raise ValueError(f"lambda_p1 must be a positive finite wavelength, got {v}")
-            w = TWO_PI_C / v
+            w = TWO_PI_C / _real_in(v, "lambda_p1", _POSITIVE)
             bands = MixingBands(w, w, b.omega_m, b.axes, b.acoustic_mode, b.strain_voigt)
             return PhaseMatchInput(bands, m, length, pm_in.poling_period, sign)
     elif variable == "poling-period":

@@ -51,7 +51,7 @@ import sys
 from itertools import combinations_with_replacement, permutations, product
 
 from ._record import Record
-from .errors import _integer, _real, _reals
+from .errors import _POSITIVE, _integer, _real, _real_in, _reals
 from .units import EPS0
 
 _EPS_MACHINE = sys.float_info.epsilon
@@ -265,8 +265,7 @@ class RelationReport(Record):
 
     def __init__(self, order1_residual: float, order2_residual: float,
                  order3_residual: float, factor2_residual: float, tol: float):
-        if not 0 < (t := _reals(tol, "tol")) < math.inf:   # an infinite tol passes anything
-            raise ValueError(f"tol must be positive and finite, got {tol}")
+        t = _real_in(tol, "tol", _POSITIVE)        # an infinite tol passes anything
         self.__dict__.update(zip(self._fields, (
             order1_residual, order2_residual, order3_residual, factor2_residual, t)))
 

@@ -124,6 +124,9 @@ CLI_CASES = {
                                            "--pump2 2600e-9 --phonon-ghz 1e-315 "
                                            "--length 100e-6",
     "error-poling-overflow": f"poling {FAST} --length 1e300",
+    # Two finite pump omegas whose sum, omega_t, overflows.
+    "error-omega-t-overflow": "estimate-q --material BaTiO3 --pump1 1.2e-299 "
+                              "--pump2 1.2e-299 --phonon-ghz 0",
     "error-unmeasured-entry": f"estimate-q --db null-entry.json {BANDS} --axes 1,2,2",
     "error-null-note": "materials --db null-note.json",
     "error-out-of-window": "estimate-q --material BaTiO3 --pump1 5e-6 --pump2 5e-6 "

@@ -338,7 +338,7 @@ class TestSweepPower:
                      "--pmin", "1e-3", "--pmax", "6", "--g0-ref", "0")
         assert cp.returncode == 1
         assert cp.stdout == ""
-        assert cp.stderr == "error: g0_ref must be positive, got 0.0\n"
+        assert cp.stderr == "error: g0_ref must be positive and finite, got 0.0\n"
 
     def test_overflowing_damage_limit_is_data_error(self):
         # The grid check against 10x an infinite limit passed, and it exited 0.
@@ -441,7 +441,7 @@ SINC_OVERFLOW = "delta_k * length overflows for delta_k=-1256541153.5592482, len
     (["phasematch", *BANDS_ARGS, "--length", "100e-6", "--poling-period", "1e-320"],
      "poling period must be finite, with a finite 2 pi / period, got 1e-320"),
     (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax", "6", "--p-nominal", "inf"],
-     "p_nominal must be positive and finite to form ratios, got inf"),
+     "p_nominal must be positive and finite, got inf"),
     (["sweep-power", *SWEEP_ARGS, "--pmin", "1e-3", "--pmax", "inf"],
      "--pmax must be finite, got inf"),
     (["sweep-power", *SWEEP_ARGS, "--pmin", "nan", "--pmax", "6"],

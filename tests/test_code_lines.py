@@ -2,9 +2,11 @@
 docstrings, the public names a module defines, not those it imports, and
 the constructor fields of its records; no module of the package binds a
 module-level name from inside a function, and none but ``errors`` decides
-whether a computed value is out of range."""
+whether a computed value is out of range or spells the range of a float
+argument."""
 
 import ast
+import re
 import runpy
 import subprocess
 import sys
@@ -122,3 +124,44 @@ def test_only_errors_decides_a_result():
     assert calls == ["phasematch._sinc2"]
     source = 'def f():\n    def g():\n        errors.result_error("x", 1.0)\n    result_error()\n'
     assert _callers(ast.parse(source), "result_error") == ["g", "f"]
+
+
+# The four ranges of a float argument.  Each may be spelled in errors alone,
+# so a range message cannot drift from the rule that decides it.
+RANGES = ("finite", "finite and >= 0", "positive and finite", "finite and >= 1")
+# A range after "must be", the longest first, that ends where the string
+# does, at ", got" or before a word that does not extend it: "finite or
+# null", "finite and > 1" and "finite, with a finite 2 pi / period" are
+# other rules.
+SPELLED = re.compile("must be (?:%s)(?=$|, got| (?!and |or ))"
+                     % "|".join(map(re.escape, sorted(RANGES, key=len, reverse=True))))
+
+
+def _spelled_ranges(tree: ast.AST) -> list[int]:
+    """The line of each string constant in ``tree``, an f-string's parts
+    included and docstrings left out, that is a range or says ``must be``
+    one."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node) is not None}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings
+                  and (node.value in RANGES or SPELLED.search(node.value)))
+
+
+def test_only_errors_spells_a_range():
+    # errors._real_in alone decides whether a float argument is in range.
+    package = SCRIPT.parents[1] / "src" / "transduce"
+    found = [f"{path.stem}:{line}" for path in sorted(package.glob("*.py"))
+             if path.stem != "errors"
+             for line in _spelled_ranges(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    source = ('"""Its docstring: x must be finite."""\n'
+              'A = f"{n} must be finite, got {v}"\n'
+              'B = "p must be positive and finite to form ratios"\n'
+              'C = ("finite", "finite and >= 1")\n'
+              'D = ("must be finite or null", "must be finite and > 1", "a finite number",\n'
+              '     "must be finite, with a finite 2 pi / period")\n')
+    assert _spelled_ranges(ast.parse(source)) == [2, 3, 4, 4]

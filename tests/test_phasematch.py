@@ -58,10 +58,14 @@ class TestWavevectors:
             wavevector_acoustic(1.0, 0.0)
 
     @pytest.mark.parametrize("fn, args, name", [
-        (wavevector_acoustic, (math.nan, 5000.0), "phonon angular frequency"),
-        (wavevector_acoustic, (1e9, math.inf), "sound speed"),
-        (wavevector_optical, (2.0, math.inf), "optical angular frequency"),
-        (wavevector_optical, (math.inf, 1e15), "refractive index")])
+        (wavevector_acoustic, (math.nan, 5000.0), "omega_m"),
+        (wavevector_acoustic, (1e9, math.inf), "v_s"),
+        (wavevector_optical, (2.0, math.inf), "omega"),
+        (wavevector_optical, (math.inf, 1e15), "n")],
+        ids=["wavevector_acoustic-args0-phonon angular frequency",
+             "wavevector_acoustic-args1-sound speed",
+             "wavevector_optical-args2-optical angular frequency",
+             "wavevector_optical-args3-refractive index"])
     def test_non_finite_input_is_named(self, fn, args, name):
         # They returned nan, 0.0, inf and inf.
         with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -17,6 +17,7 @@ gives the same bits for numpy-scalar inputs as for floats.
 import json
 import math
 import random
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,7 +26,8 @@ import pytest
 from transduce import (CouplingBenchmark, MixingBands, PhaseMatchInput, PumpGeometry,
                        default_db)
 from transduce import estimator as E, phasematch as P, thermo as TH
-from transduce.errors import MaterialFileError, RangeError, _real
+from transduce.errors import (_AT_LEAST_ONE, _FINITE, _NON_NEGATIVE, _POSITIVE,
+                              MaterialFileError, RangeError, _real, _real_in)
 from transduce.materials import DispersionModel, dumps_materials, loads_materials
 from transduce.tensors import PhotoelasticTensor
 
@@ -88,11 +90,11 @@ SITES = {
         lambda v: f"omega_m must be finite and >= 0, got {v}", lambda b: b.omega_m),
     "from_vacuum_wavelengths.lambda_p1": Site(
         lambda v: MixingBands.from_vacuum_wavelengths(v, 2.6e-6, 2e9), "lambda_p1",
-        2.6e-6, 1, 0.0, lambda v: f"lambda_p1 must be a positive finite wavelength, got {v}",
+        2.6e-6, 1, 0.0, lambda v: f"lambda_p1 must be positive and finite, got {v}",
         lambda b: b.wavelengths[0]),
     "from_vacuum_wavelengths.lambda_p2": Site(
         lambda v: MixingBands.from_vacuum_wavelengths(2.6e-6, v, 2e9), "lambda_p2",
-        2.6e-6, 1, math.inf, lambda v: f"lambda_p2 must be a positive finite wavelength, got {v}",
+        2.6e-6, 1, math.inf, lambda v: f"lambda_p2 must be positive and finite, got {v}",
         lambda b: b.wavelengths[1]),
     "from_vacuum_wavelengths.phonon_hz": Site(
         lambda v: MixingBands.from_vacuum_wavelengths(2.6e-6, 2.6e-6, v), "phonon_hz",
@@ -107,10 +109,10 @@ SITES = {
                    f"float, got {v}"), lambda g: g.mfd),
     "PumpGeometry.n_mode": Site(
         lambda v: PumpGeometry(1e-3, 1.2e-6, v), "n_mode", 2.26, 2, 0.0,
-        lambda v: f"modal index must be positive, got {v}", lambda g: g.n_mode),
+        lambda v: f"n_mode must be positive and finite, got {v}", lambda g: g.n_mode),
     "CouplingBenchmark.g0_ref": Site(
         lambda v: CouplingBenchmark(v, "ref"), "g0_ref", 2.5e3, 2500, 0.0,
-        lambda v: f"g0_ref must be positive, got {v}", lambda b: b.g0_ref),
+        lambda v: f"g0_ref must be positive and finite, got {v}", lambda b: b.g0_ref),
     "peak_intensity.power": Site(
         lambda v: E.peak_intensity(v, 1.2e-6), "power", 1e-3, 1, math.nan,
         lambda v: f"power must be finite and >= 0, got {v}"),
@@ -120,13 +122,13 @@ SITES = {
                    f"float, got {v}")),
     "eta1_rel.n": Site(
         E.eta1_rel, "n", 2.26, 2, 0.5,
-        lambda v: f"refractive index must be finite and >= 1, got {v}"),
+        lambda v: f"n must be finite and >= 1, got {v}"),
     "eta2_from_deff.d_eff": Site(
         lambda v: E.eta2_from_deff(v, 2.26, 2.26, 2.27), "d_eff", 1e-11, 0, math.inf,
-        lambda v: "d_eff must be finite"),
+        lambda v: f"d_eff must be finite, got {v}"),
     "eta2_from_deff.n1": Site(
         lambda v: E.eta2_from_deff(1e-11, v, 2.26, 2.27), "n1", 2.26, 2, 0.5,
-        lambda v: f"refractive index must be finite and >= 1, got {v}"),
+        lambda v: f"n1 must be finite and >= 1, got {v}"),
     "miller_Q.eta2": Site(
         lambda v: E.miller_Q(v, 2.26, 2.26, 2.27), "eta2", 1.9e9, 10 ** 9, math.nan,
         lambda v: f"eta2 must be finite, got {v}"),
@@ -147,16 +149,16 @@ SITES = {
         1e-11, 0, math.nan, lambda v: f"d_eff must be finite, got {v}"),
     "q_eff_from_deff.ns": Site(
         lambda v: E.q_eff_from_deff(1e-11, (2.26, v, 2.27), (0.2, 0.2, 0.77)), "ns[1]",
-        2.26, 2, 0.5, lambda v: f"refractive index must be finite and >= 1, got {v}"),
+        2.26, 2, 0.5, lambda v: f"ns[1] must be finite and >= 1, got {v}"),
     "virtual_photoelasticity.q_eff": Site(
         lambda v: E.virtual_photoelasticity(v, 5.0, 7e5), "q_eff", -0.02, -1, math.inf,
         lambda v: f"q_eff must be finite, got {v}"),
     "virtual_photoelasticity.eps_r": Site(
         lambda v: E.virtual_photoelasticity(-0.02, v, 7e5), "eps_r", 5.0, 5, math.nan,
-        lambda v: f"eps_r must be finite, got {v}"),
+        lambda v: f"eps_r must be positive and finite, got {v}"),
     "virtual_photoelasticity.field": Site(
         lambda v: E.virtual_photoelasticity(-0.02, 5.0, v), "field", 7e5, 700000, -1.0,
-        lambda v: f"field magnitude must be finite and >= 0, got {v}"),
+        lambda v: f"field must be finite and >= 0, got {v}"),
     "interaction_density_3wm.d1": Site(
         lambda v: E.interaction_density_3wm(0.3, v, 2e-3, 1e-5), "d1", 1e-3, 1, math.nan,
         lambda v: f"d1 must be finite, got {v}"),
@@ -170,23 +172,23 @@ SITES = {
     "power_sweep.p_nominal": Site(
         lambda v: E.power_sweep(BTO, BANDS, [1e-3], 1.2e-6, 2.26, p_nominal=v),
         "p_nominal", 0.77, 1, 0.0,
-        lambda v: f"p_nominal must be positive and finite to form ratios, got {v}",
+        lambda v: f"p_nominal must be positive and finite, got {v}",
         lambda r: r.p_nominal),
     "wavevector_optical.n": Site(
         lambda v: P.wavevector_optical(v, 7e14), "n", 2.26, 2, 0.5,
-        lambda v: f"refractive index must be finite and >= 1, got {v}"),
+        lambda v: f"n must be finite and >= 1, got {v}"),
     "wavevector_optical.omega": Site(
         lambda v: P.wavevector_optical(2.26, v), "omega", 7e14, 7 * 10 ** 14, 0.0,
-        lambda v: f"optical angular frequency must be positive and finite, got {v}"),
+        lambda v: f"omega must be positive and finite, got {v}"),
     "wavevector_acoustic.omega_m": Site(
         lambda v: P.wavevector_acoustic(v, 5000.0), "omega_m", 1e10, 10 ** 10, -1.0,
-        lambda v: f"phonon angular frequency must be finite and >= 0, got {v}"),
+        lambda v: f"omega_m must be finite and >= 0, got {v}"),
     "wavevector_acoustic.v_s": Site(
         lambda v: P.wavevector_acoustic(1e10, v), "v_s", 5000.0, 5000, 0.0,
-        lambda v: f"sound speed must be positive and finite, got {v}"),
+        lambda v: f"v_s must be positive and finite, got {v}"),
     "PhaseMatchInput.length": Site(
         lambda v: PhaseMatchInput(BANDS, BTO, v), "length", 100e-6, 1, 0.0,
-        lambda v: f"interaction length must be positive, got {v}", lambda p: p.length),
+        lambda v: f"length must be positive and finite, got {v}", lambda p: p.length),
     "PhaseMatchInput.poling_period": Site(
         lambda v: PhaseMatchInput(BANDS, BTO, 100e-6, v), "poling_period", 2.5e-6, 1, -1.0,
         lambda v: f"poling period must be positive, got {v}", lambda p: p.poling_period),
@@ -196,6 +198,9 @@ SITES = {
     "pm_efficiency.length": Site(
         lambda v: P.pm_efficiency(1e3, v), "length", 100e-6, 1, 0.0,
         lambda v: f"length must be positive and finite, got {v}"),
+    "phasematch.sweep.pump-wavelength": Site(
+        lambda v: P.sweep(PM, "pump-wavelength", [v]), "values[0]", 2.6e-6, 1, 0.0,
+        lambda v: f"lambda_p1 must be positive and finite, got {v}", lambda r: r[0][0]),
     "phasematch.sweep.values": Site(
         lambda v: P.sweep(PM, "poling-period", [v]), "values[0]", 2.5e-6, 1, -1.0,
         lambda v: f"poling period must be positive, got {v}", lambda r: r[0][0]),
@@ -216,7 +221,7 @@ SITES = {
     "DispersionModel.sellmeier": Site(
         lambda v: DispersionModel("sellmeier", WINDOW, sellmeier=[[[v, 1e-14]], [], []]),
         "dispersion.sellmeier[0][0][0]", 1.5, 1, math.inf,
-        lambda v: f"dispersion.sellmeier[0][0] must be finite, got [{v}, 1e-14]",
+        lambda v: f"dispersion.sellmeier[0][0][0] must be finite, got {v}",
         lambda d: d.sellmeier[0][0][0]),
     "PhotoelasticTensor.entries": Site(
         lambda v: PhotoelasticTensor([[v] + [0.0] * 5] + [[0.0] * 6] * 5),
@@ -274,6 +279,9 @@ SITES = {
     "fd_partial.point": Site(
         lambda v: TH.fd_partial(lambda x, d: x * d * d, (v, 0.5), (1, 2)), "point[0]",
         0.3, 1, math.nan, lambda v: None),
+    "RelationReport.tol": Site(
+        lambda v: TH.RelationReport(0.0, 0.0, 0.0, 0.0, v), "tol", 1e-6, 1, math.inf,
+        lambda v: f"tol must be positive and finite, got {v}", lambda r: r.tol),
     "verify_relations.tol": Site(
         lambda v: TH.verify_relations(SCALAR, v), "tol", 1e-6, 1, 0.0,
         lambda v: f"tol must be positive and finite, got {v}", lambda r: r.tol),
@@ -345,6 +353,40 @@ def test_real_reads_numbers_and_nothing_else():
         assert type(got) is float and repr(got) == repr(want)
     for v in (True, np.bool_(True), "1.0", None, 1j, 10 ** 400, [1.0], np.array(1.0)):
         assert _real(v) is None
+
+
+MAX = sys.float_info.max
+# (rule, the float at its lower bound, the float just past it): each range
+# holds its bound if it is ">=", and MAX in, inf, -inf and NaN out.
+BOUNDS = [(_FINITE, -MAX, -math.inf), (_NON_NEGATIVE, 0.0, -5e-324),
+          (_POSITIVE, 5e-324, 0.0), (_AT_LEAST_ONE, 1.0, math.nextafter(1.0, 0.0))]
+# (id, rule, value, the float it returns or the message it raises for "x").
+REAL_IN = [
+    case for rule, inside, outside in BOUNDS for case in (
+        (f"{rule}-lower", rule, inside, inside),
+        (f"{rule}-below", rule, outside, f"x must be {rule}, got {outside!r}"),
+        (f"{rule}-max", rule, MAX, MAX),
+        (f"{rule}-inf", rule, math.inf, f"x must be {rule}, got inf"),
+        (f"{rule}--inf", rule, -math.inf, f"x must be {rule}, got -inf"),
+        (f"{rule}-nan", rule, math.nan, f"x must be {rule}, got nan"),
+        (f"{rule}-int", rule, 2, 2.0),
+        # An int out of range is named as the float it reads.
+        (f"{rule}-negative-int", rule, -1,
+         -1.0 if rule == _FINITE else f"x must be {rule}, got -1.0"),
+        (f"{rule}-numpy", rule, np.float64(2.5), 2.5),
+        (f"{rule}-bool", rule, True, "x must be a number, got True"))]
+
+
+@pytest.mark.parametrize("rule, value, want", [c[1:] for c in REAL_IN],
+                         ids=[c[0] for c in REAL_IN])
+def test_real_in_holds_each_range_at_its_bounds(rule, value, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            _real_in(value, "x", rule)
+        assert str(exc.value) == want
+    else:
+        got = _real_in(value, "x", rule)
+        assert type(got) is float and repr(got) == repr(want)
 
 
 # (id, call, message): a grid that is no sequence of numbers is named.

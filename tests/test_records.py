@@ -327,10 +327,10 @@ class TestReplace:
         # AttributeError.
         ("material", "", "a Material"), ("material", None, "a Material"),
         ("bands", None, "a MixingBands"), ("bands", (1.0,), "a MixingBands"),
-        ("p_nominal", -1.0, "positive and finite to form ratios"),
-        ("p_nominal", 0.0, "positive and finite to form ratios"),
-        ("p_nominal", math.inf, "positive and finite to form ratios"),
-        ("p_nominal", math.nan, "positive and finite to form ratios"),
+        ("p_nominal", -1.0, "positive and finite"),
+        ("p_nominal", 0.0, "positive and finite"),
+        ("p_nominal", math.inf, "positive and finite"),
+        ("p_nominal", math.nan, "positive and finite"),
         ("benchmark", None, "a CouplingBenchmark"),
         ("benchmark", "ref", "a CouplingBenchmark")])
     def test_a_design_report_checks_each_field(self, field, value, rule):
@@ -363,7 +363,7 @@ class TestReplace:
             built.chain.replace(q_eff=math.nan)
         with pytest.raises(TypeError, match="chain"):
             built.replace(chain=built.chain)
-        with pytest.raises(ValueError, match="^d_eff must be finite$"):
+        with pytest.raises(ValueError, match="^d_eff must be finite, got nan$"):
             built.chain.replace(d_eff=math.nan)
 
     def test_phase_matched_follows_the_suppression(self):
@@ -438,7 +438,7 @@ class TestReplace:
 
     def test_validation_runs_again(self):
         pm = PhaseMatchInput(bands(), material(), 1e-4)
-        with pytest.raises(ValueError, match="^interaction length must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^length must be positive and finite, got 0.0$"):
             pm.replace(length=0)
 
     @pytest.mark.parametrize("build, name", [
