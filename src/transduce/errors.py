@@ -16,8 +16,12 @@ int, a float or a bool is not.  ``_real`` decides what a float argument may
 be (a frequency, a wavelength, a power, a length, a coefficient, a table
 cell): an int, a float or a numpy integer or floating scalar is read as a
 plain float, a bool, a str, None or a complex is not.  ``_reals`` reads one
-argument, a table or a grid through it and names the first value that is no
-number; every public function reads its float arguments with it.
+argument, a table or a grid through it, to the shape it is given (the
+length at each level, or None for any), and names the first item that is no
+number, no sequence (a set or a dict, with no order, is none) or not of its
+length (``<name> must hold <n> values, got <m>``); every public function
+reads its float arguments with it, and no other module checks the length of
+a sequence of them.
 ``_real_in`` reads a float argument as ``_reals`` does and decides whether it
 lies in its range, one of four: ``finite``, ``finite and >= 0``, ``positive
 and finite`` and ``finite and >= 1``.  A float out of its range raises
@@ -27,6 +31,7 @@ and finite`` and ``finite and >= 1``.  A float out of its range raises
 import math
 import operator
 import sys
+from collections.abc import Mapping, MappingView, Set
 from itertools import count, repeat
 
 _MIN_NORMAL = sys.float_info.min
@@ -166,33 +171,45 @@ def _real(value) -> float | None:
 
 
 _ROWS, _FLOATS = (tuple, list), frozenset((float,))
+# An unordered container is no sequence: its order would pick each value's place.
+_UNORDERED = (Set, Mapping, MappingView)
 
 
-def _reals(value, name: str, depth: int = 0, nulls: bool = False):
-    """``value`` read by ``_real`` if ``depth`` is 0 (None as NaN if
-    ``nulls``), else as a tuple of its items, each read ``depth - 1`` deep.
+def _reals(value, name: str, shape: tuple = (), nulls: bool = False):
+    """``value`` read by ``_real`` if ``shape`` is ``()`` (None as NaN if
+    ``nulls``), else as a tuple of ``shape[0]`` items (any number if it is
+    None), each read to ``shape[1:]``.
 
-    A ValueError names the first item that is not a number (or, above depth
-    0, not iterable) by its place in ``name``: ``power must be a number, got
-    '1'`` or ``entries[1][0] must be a number, got True``.  An item is named
-    by the pair (its container's name, its index), formatted only on failure.
-    A float, and a tuple or list of floats read 1 deep, come back with no
+    A ValueError names the first item that is not a number, not a sequence
+    (a set, a dict or a view of one is none: it has no order) or not of its
+    length by its place in ``name``: ``power must be a number, got '1'``,
+    ``entries[1][0] must be a number, got True`` or ``entries[4] must hold
+    6 values, got 5``.  An item is named by the pair (its container's name,
+    its index), formatted only on failure.  A float, and a tuple or list of
+    floats of its length read to a shape of one level, come back with no
     further call.
     """
-    if type(value) is float and not depth:
+    if type(value) is float and not shape:
         return value
-    if depth == 0:
+    if not shape:
         if (x := math.nan if value is None and nulls else _real(value)) is None:
             raise ValueError(f"{_item_name(name)} must be a number, got {value!r}")
         return x
-    if depth == 1 and type(value) in _ROWS and set(map(type, value)) <= _FLOATS:
+    n, rest = shape[0], shape[1:]
+    if (not rest and type(value) in _ROWS and set(map(type, value)) <= _FLOATS
+            and (n is None or len(value) == n)):
         return tuple(value)
     try:    # map, not a generator, so no call builds a closure over the arguments
-        return tuple(map(_reals, value, zip(repeat(name), count()),
-                         repeat(depth - 1), repeat(nulls)))
-    except TypeError:           # not iterable
+        if isinstance(value, _UNORDERED):
+            raise TypeError
+        items = tuple(map(_reals, value, zip(repeat(name), count()), repeat(rest),
+                          repeat(nulls)))
+    except TypeError:           # not iterable, or no order
         raise ValueError(f"{_item_name(name)} must be a sequence of numbers, "
                          f"got {value!r}") from None
+    if n is None or len(items) == n:
+        return items
+    raise ValueError(f"{_item_name(name)} must hold {n} values, got {len(items)}")
 
 
 def _item_name(name) -> str:

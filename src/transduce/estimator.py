@@ -146,13 +146,19 @@ class MixingBands(Record):
             raise ValueError(f"acoustic_mode must be a string, got {acoustic_mode}")
         if not (wt := w1 + w2 + wm) < math.inf:        # three finite omegas can overflow
             _result("omega_t", wt, False, omega_p1=w1, omega_p2=w2, omega_m=wm)
+        # An omega below about 1e-299 rad/s has an infinite wavelength;
+        # omega_t >= omega_p1, so its wavelength cannot overflow.
+        if not (l1 := TWO_PI_C / w1) < math.inf:
+            _result("vacuum wavelength", l1, False, omega_p1=w1)
+        if not (l2 := TWO_PI_C / w2) < math.inf:
+            _result("vacuum wavelength", l2, False, omega_p2=w2)
         # Derived: omega_t, and the vacuum wavelengths (m) of (pump1, pump2,
         # transduced); the lookups start keyed on no material and are
         # replaced in place.
         self.__dict__.update(
             omega_p1=w1, omega_p2=w2, omega_m=wm, axes=ints,
             acoustic_mode=acoustic_mode, strain_voigt=sv, omega_t=wt,
-            wavelengths=(TWO_PI_C / w1, TWO_PI_C / w2, TWO_PI_C / wt),
+            wavelengths=(l1, l2, TWO_PI_C / wt),
             _indices=(None, ()), _wavevectors=(None, ()))
 
     @classmethod
@@ -260,12 +266,9 @@ def _read_indices(n1, n2, n3) -> _PerBand:
 
 
 def _check_bands(ns, ps, names=("ns", "ps")) -> tuple[_PerBand, _PerBand]:
-    """Three indices and three photoelastic entries, one per band, read as
+    """The three band indices and the three photoelastic entries, read as
     floats and named by ``names``; the indices checked."""
-    ns, ps = _reals(ns, names[0], 1), _reals(ps, names[1], 1)
-    for name, values in zip(names, (ns, ps)):
-        if len(values) != 3:
-            raise ValueError(f"{name} must hold 3 values, one per band, got {len(values)}")
+    ns, ps = _reals(ns, names[0], (3,)), _reals(ps, names[1], (3,))
     _check_indices(ns, names[0])
     return ns, ps
 
@@ -345,9 +348,9 @@ def _eta2(d_eff: float, ns: _PerBand, name: str | None = None) -> float:
 def miller_Q(eta2: float, n1: float, n2: float, n3: float) -> float:
     """Miller proportionality constant Q = -eta2 / prod(1 - 1/n^2)."""
     ns = _read_indices(n1, n2, n3)
-    first_bad = next((n for n in ns if not 1.0 < n < math.inf), 1.0)
-    if first_bad != 1.0:        # a vacuum band first is singular (_band_terms)
-        raise ValueError(f"refractive index must be finite and > 1, got {first_bad}")
+    i, n = next(((i, n) for i, n in enumerate(ns, 1) if not 1.0 < n < math.inf), (0, 1.0))
+    if n != 1.0:        # a vacuum band first is singular (_band_terms)
+        raise ValueError(f"n{i} must be finite and > 1, got {n}")
     return _miller_Q(_reals(eta2, "eta2"), ns, _band_terms(ns, "Miller constant")[1])
 
 
@@ -551,7 +554,7 @@ class DesignReport(Record):
     def __init__(self, material: Material, bands: MixingBands, powers: tuple[float, ...],
                  mfd: float, n_mode: float, benchmark: CouplingBenchmark, p_nominal: float):
         _require(isinstance(material, Material), "material", "a Material", material)
-        if not (powers := _reals(powers, "powers", 1)):
+        if not (powers := _reals(powers, "powers", (None,))):
             raise ValueError("power grid must not be empty")
         mfd = _mfd(mfd)
         p_limit = damage_limited_power(material, mfd)

@@ -36,13 +36,14 @@ else is no number.  The loader checks no value itself: it picks the table
 the dispersion kind names and hands each raw JSON value to the record that
 stores it, ``DispersionModel``, ``PhotoelasticTensor`` or ``Material``.
 That constructor reads each number once, with ``errors._reals``, under the
-name the file gives it, and checks its range, with ``errors._real_in`` where
-the range is one of its four, so a string, a boolean, an
-infinite entry, an index below 1 or a Sellmeier pole inside the window is
-named by its place (``dispersion.points[1][2]``, ``eps_r[0]``) whether the
-record is loaded or built directly.  A record that exists is valid.  Every
-error of an entry starts with the source it was read from and names the
-entry's first defect.
+name the file gives it and to the shape of its table (``eps_r`` three long,
+``dispersion.points`` rows four wide), and checks its range, with
+``errors._real_in`` where the range is one of its four, so a string, a
+boolean, a row of the wrong length, an infinite entry, an index below 1 or a
+Sellmeier pole inside the window is named by its place
+(``dispersion.points[1][2]``, ``eps_r[0]``) whether the record is loaded or
+built directly.  A record that exists is valid.  Every error of an entry
+starts with the source it was read from and names the entry's first defect.
 """
 
 from __future__ import annotations
@@ -79,20 +80,15 @@ class DispersionModel(Record):
     def __init__(self, kind: str, valid_range_m: tuple[float, float],
                  points: tuple[tuple[float, float, float, float], ...] | None = None,
                  sellmeier: tuple[tuple[tuple[float, float], ...], ...] | None = None):
-        if len(window := _reals(valid_range_m, "dispersion.valid_range_m", 1)) != 2:
-            raise ValueError(f"dispersion.valid_range_m must be [lo, hi], got {window}")
-        lo, hi = window
+        lo, hi = window = _reals(valid_range_m, "dispersion.valid_range_m", (2,))
         _require(0 < lo < hi < math.inf, "dispersion.valid_range_m", "finite, 0 < lo < hi", window)
         # Only the table the kind names is read, so a missing one is named
         # by its place, and the other one must not be given.
+        unread = ("sellmeier", sellmeier) if kind == "tabulated-points" else ("points", points)
         if kind == "tabulated-points":
             # Rows of [lambda_m, nx, ny, nz] from any nested sequence or
             # array; a tuple is immutable, so the columns cannot go stale.
-            points, unread = _reals(points, "dispersion.points", 2), ("sellmeier", sellmeier)
-            if any(len(r) != 4 for r in points):
-                raise ValueError("dispersion.points must be rows of [lambda_m, nx, ny, nz] "
-                                 f"(got {len(points)} rows of widths "
-                                 f"{sorted(set(map(len, points)))})")
+            points = _reals(points, "dispersion.points", (None, 4))
             # _tabulated_index bisects the wavelengths (NaN is no order).
             if any(not a[0] < b[0] for a, b in zip(points, points[1:])):
                 raise ValueError("dispersion.points wavelengths must be strictly "
@@ -104,10 +100,7 @@ class DispersionModel(Record):
         elif kind == "sellmeier":
             # Tuples too, so no index of this model can change after a
             # lookup (estimator._band_indices keeps three on the bands).
-            sellmeier, unread = _reals(sellmeier, "dispersion.sellmeier", 3), ("points", points)
-            if len(sellmeier) != 3 or any(len(t) != 2 for terms in sellmeier for t in terms):
-                raise ValueError("dispersion.sellmeier must be 3 axis lists of [B, C] "
-                                 f"number pairs, got {sellmeier}")
+            sellmeier = _reals(sellmeier, "dispersion.sellmeier", (3, None, 2))
             for a, terms in enumerate(sellmeier):
                 for t, (b, c) in enumerate(terms):
                     _real_in(b, f"dispersion.sellmeier[{a}][{t}][0]", _FINITE)
@@ -213,9 +206,9 @@ class Material(Record):
         _require(isinstance(photoelastic_note, str), "photoelastic.note", "a string",
                  photoelastic_note)
         d_eff = _real_in(d_eff, "d_eff_m_per_v", _FINITE)
-        eps_r = _reals(eps_r, "eps_r", 1)
-        _require(len(eps_r) == 3 and all(0 < e < math.inf for e in eps_r), "eps_r",
-                 "three positive finite numbers", eps_r)
+        eps_r = _reals(eps_r, "eps_r", (3,))
+        for i, e in enumerate(eps_r):
+            _real_in(e, f"eps_r[{i}]", _POSITIVE)
         v_sound = FrozenDict((k, _real_in(v, f"v_sound_m_per_s.{k}", _POSITIVE))
                              for k, v in _object(v_sound, "v_sound_m_per_s").items())
         damage = _real_in(damage_threshold, "damage_threshold_w_per_m2", _POSITIVE)

@@ -295,7 +295,7 @@ def sweep(pm_in: PhaseMatchInput, variable: str, values) -> list[tuple[float, Ph
     else:
         raise ValueError(
             f"variable must be 'pump-wavelength' or 'poling-period', got {variable!r}")
-    if not (grid := _reals(values, "values", 1)):
+    if not (grid := _reals(values, "values", (None,))):
         raise ValueError("values must not be empty")
     return [(v, delta_k(probe(v))) for v in grid]
 

@@ -4,10 +4,11 @@ Rank-4 photoelastic tensors are stored 6x6, as a tuple of float rows, with
 symmetric index pairs packed in the standard crystallographic order (00, 11,
 22, 12, 02, 01).  The constructor is the one reader and the one check of the
 table: it reads it with ``errors._reals`` under the name a database file
-gives it, ``photoelastic.entries``, so a bool, a string or an infinite entry
-is named by its place, as is a row that is no sequence; None (null in a
-file) is an unmeasured entry and is stored as NaN.  The strain columns
-index tensor strain (no factor of 2 on the shear components).  Nothing here
+gives it, ``photoelastic.entries``, to the shape 6x6, so a bool, a string or
+an infinite entry is named by its place, as is a row that is no sequence or
+not six long (``photoelastic.entries[4] must hold 6 values, got 5``); None
+(null in a file) is an unmeasured entry and is stored as NaN.  The strain
+columns index tensor strain (no factor of 2 on the shear components).  Nothing here
 imports numpy, so loading a material database does not.
 """
 
@@ -30,10 +31,7 @@ class PhotoelasticTensor(Record):
     """
 
     def __init__(self, entries):
-        rows = _reals(entries, "photoelastic.entries", 2, True)     # None is NaN
-        if len(rows) != 6 or any(len(r) != 6 for r in rows):
-            raise ValueError("photoelastic.entries must be 6x6 numbers (got "
-                             f"{len(rows)} rows of widths {sorted(set(map(len, rows)))})")
+        rows = _reals(entries, "photoelastic.entries", (6, 6), True)    # None is NaN
         for v, row in enumerate(rows):
             for w, e in enumerate(row):     # NaN, a null in a file, is unmeasured
                 if math.isinf(e):

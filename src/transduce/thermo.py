@@ -38,10 +38,11 @@ terms cannot pollute an O(1) linear coefficient (the piezoelectric term in
 dX/dD).  A residual that is NaN (a difference that overflowed) fails.
 
 Every function reads its strain, displacement and tolerance arguments with
-``errors._reals``, so a numpy scalar gives the plain float a float gives, and
-each value of a callable it differentiates with ``errors._real``: one that
-is no real number (a str, None, an array, a complex) is a ValueError naming
-the callable and the point.
+``errors._reals``, a two-component D and fd_partial's point to a length of
+two (``point must hold 2 values, got 1``), so a numpy scalar gives the plain
+float a float gives, and each value of a callable it differentiates with
+``errors._real``: one that is no real number (a str, None, an array, a
+complex) is a ValueError naming the callable and the point.
 """
 
 from __future__ import annotations
@@ -126,16 +127,6 @@ def _partial(f, point: list[float], axes: tuple[int, ...],
     return d
 
 
-def _pair(value, name: str) -> tuple:
-    """``value`` unpacked into its two items; a ValueError names ``name``
-    if it is not a container of exactly two."""
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair, got {value!r}") from None
-    return a, b
-
-
 def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     """Mixed partial d^(nx+nd) f / dx^nx dD^nd of a scalar field f(x, D).
 
@@ -143,12 +134,15 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     the free-energy models here.  Within those caps the estimate is exact for
     polynomials up to rounding, independent of the step size.
     """
-    ox, od = _pair(orders, "orders")
+    try:
+        ox, od = orders
+    except (TypeError, ValueError):
+        raise ValueError(f"orders must be a pair, got {orders!r}") from None
     if (nx := _integer(ox)) is None or not 0 <= nx <= MAX_ORDER_X:
         raise ValueError(f"x-derivative order must be 0..{MAX_ORDER_X}, got {ox}")
     if (nd := _integer(od)) is None or not 0 <= nd <= MAX_ORDER_D:
         raise ValueError(f"D-derivative order must be 0..{MAX_ORDER_D}, got {od}")
-    return _partial(f, list(_reals(_pair(point, "point"), "point", 1)), (0,) * nx + (1,) * nd)
+    return _partial(f, list(_reals(point, "point", (2,))), (0,) * nx + (1,) * nd)
 
 
 def _flat(value, depth: int) -> list:
@@ -186,7 +180,7 @@ def _coefficients(values, ranks) -> dict:
     out = {}
     for name, value, rank in zip(FreeEnergyModel._fields, values, ranks):
         try:
-            flat = list(_reals(_flat(value, rank), name, 1))
+            flat = list(_reals(_flat(value, rank), name, (None,)))
         except (TypeError, ValueError):
             flat = []
         if rank > 1 and len(flat) == 2 ** rank:
@@ -370,20 +364,20 @@ class VectorFreeEnergyModel(Record):
 
 
 def eval_free_energy_vector(m: VectorFreeEnergyModel, x: float, D) -> float:
-    x, d = _reals(x, "x"), tuple(map(_reals, _pair(D, "D"), ("D[0]", "D[1]")))
+    x, d = _reals(x, "x"), _reals(D, "D", (2,))
     return (0.5 * m.c * x * x + x * _contract(m.h, d) + 0.5 * _contract(m.eta1, d)
             + _contract(m.eta2, d) / 3.0 + x * _contract(m.p, d) / (2.0 * EPS0)
             + x * _contract(m.q, d) / (3.0 * EPS0))
 
 
 def stress_of_vector(m: VectorFreeEnergyModel, x: float, D) -> float:
-    x, d = _reals(x, "x"), tuple(map(_reals, _pair(D, "D"), ("D[0]", "D[1]")))
+    x, d = _reals(x, "x"), _reals(D, "D", (2,))
     return (m.c * x + _contract(m.h, d) + _contract(m.p, d) / (2.0 * EPS0)
             + _contract(m.q, d) / (3.0 * EPS0))
 
 
 def efield_of_vector(m: VectorFreeEnergyModel, x: float, D) -> tuple[float, float]:
-    x, d = _reals(x, "x"), tuple(map(_reals, _pair(D, "D"), ("D[0]", "D[1]")))
+    x, d = _reals(x, "x"), _reals(D, "D", (2,))
     return tuple(m.h[k] * x + _contract(m.eta1[k], d) + _contract(m.eta2[k], d)
                  + x * _contract(m.p[k], d) / EPS0 + x * _contract(m.q[k], d) / EPS0
                  for k in (0, 1))

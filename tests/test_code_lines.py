@@ -2,8 +2,8 @@
 docstrings, the public names a module defines, not those it imports, and
 the constructor fields of its records; no module of the package binds a
 module-level name from inside a function, and none but ``errors`` decides
-whether a computed value is out of range or spells the range of a float
-argument."""
+whether a computed value is out of range, spells the range of a float
+argument or checks the length of a sequence argument."""
 
 import ast
 import re
@@ -165,3 +165,53 @@ def test_only_errors_spells_a_range():
               'D = ("must be finite or null", "must be finite and > 1", "a finite number",\n'
               '     "must be finite, with a finite 2 pi / period")\n')
     assert _spelled_ranges(ast.parse(source)) == [2, 3, 4, 4]
+
+
+def _length_checks(tree: ast.AST, scope: str = "<module>") -> list[str]:
+    """The function (``Class.method`` in a class) around each raising check
+    in ``tree`` that compares a ``len(...)`` call: the test of an ``if``
+    whose body raises, or an argument of ``_require``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        checks = []
+        if isinstance(node, ast.If) and any(isinstance(n, ast.Raise)
+                                            for stmt in node.body for n in ast.walk(stmt)):
+            checks = [node.test]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require":
+            checks = node.args
+        if any(isinstance(c, ast.Compare) and any(
+                isinstance(o, ast.Call) and getattr(o.func, "id", None) == "len"
+                for o in (c.left, *c.comparators))
+               for check in checks for c in ast.walk(check)):
+            found.append(scope)
+        found += _length_checks(node, inner)
+    return found
+
+
+def test_only_errors_decides_a_length():
+    # errors._reals alone decides the length of a sequence argument, from
+    # the shape it is given.  MixingBands' axes (three ints) and a free-energy
+    # coefficient's 2**rank numbers, given in any nesting, keep their rules.
+    package = SCRIPT.parents[1] / "src" / "transduce"
+    found = [f"{path.stem}.{scope}" for path in sorted(package.glob("*.py"))
+             if path.stem != "errors"
+             for scope in _length_checks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["estimator.MixingBands.__init__", "thermo._coefficients"]
+    source = ("class A:\n"
+              "    def f(self, v):\n"
+              "        if len(v) != 3:\n"
+              "            raise ValueError\n"
+              "        if 2 > len(v):\n"
+              "            v = v * 2\n"
+              "def g(v):\n"
+              "    _require(len(v) == 3 and v, 'v', 'three', v)\n"
+              "    if v and not 0 < len(v[0]) <= 4:\n"
+              "        if v:\n"
+              "            raise ValueError\n"
+              "    elif len(v) == 2:\n"
+              "        pass\n"
+              "if len(v) == 1: raise ValueError\n")
+    assert _length_checks(ast.parse(source)) == ["A.f", "g", "g", "<module>"]

@@ -108,6 +108,17 @@ class TestMixingBands:
         assert str(exc.value) == (f"omega_t overflows for omega_p1={omega}, "
                                   f"omega_p2={omega}, omega_m=0.0")
 
+    @pytest.mark.parametrize("omegas, message", [
+        ((1e-300, 1e15, 0.0), "vacuum wavelength overflows for omega_p1=1e-300"),
+        ((1e15, 5e-324, 2e9), "vacuum wavelength overflows for omega_p2=5e-324")],
+        ids=["omega_p1", "omega_p2"])
+    def test_an_infinite_wavelength_is_named(self, omegas, message):
+        # Each built with an infinite wavelength; a design then failed only
+        # at the index lookup, naming neither the omega nor the overflow.
+        with pytest.raises(ValueError) as exc:
+            MixingBands(*omegas)
+        assert str(exc.value) == message
+
     @given(st.one_of(st.floats(1e-7, 1e-4), st.sampled_from([5e-324, -1.0])),
            st.one_of(st.floats(1e-7, 1e-4), st.sampled_from([5e-324, -1.0])),
            st.one_of(st.floats(0.0, 1e11), st.sampled_from([1e308, -1.0])),
@@ -202,12 +213,12 @@ class TestEta2AndMiller:
             miller_Q(1.0, 1.0, 2.0, 2.0)
 
     @pytest.mark.parametrize("ns, error, message", [
-        ((0.5, 1.0, 2.0), ValueError, "refractive index must be finite and > 1, got 0.5"),
-        ((1.0, 0.5, 2.0), SingularityError, "Miller constant is singular"),
-        ((2.0, math.nan, 1.0), ValueError,
-         "refractive index must be finite and > 1, got nan")])
+        ((0.5, 1.0, 2.0), ValueError, "n1 must be finite and > 1, got 0.5"),
+        ((1.0, 0.5, 2.0), SingularityError,
+         "Miller constant is singular for a vacuum band (n = 1)"),
+        ((2.0, math.nan, 1.0), ValueError, "n2 must be finite and > 1, got nan")])
     def test_miller_q_first_bad_band_decides_the_error(self, ns, error, message):
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             miller_Q(1.0, *ns)
 
     def test_eta2_from_q_vacuum_band_gives_signed_zero(self):
@@ -300,8 +311,7 @@ class TestChainInputChecks:
         (lambda: eta1_rel(math.inf), "n must be finite and >= 1, got inf"),
         (lambda: eta2_from_deff(1e-11, math.inf, 2.0, 2.0),
          "n1 must be finite and >= 1, got inf"),
-        (lambda: miller_Q(1e9, math.inf, 2.0, 2.0),
-         "refractive index must be finite and > 1, got inf"),
+        (lambda: miller_Q(1e9, math.inf, 2.0, 2.0), "n1 must be finite and > 1, got inf"),
         (lambda: eta2_from_Q(1e9, math.inf, 2.0, 2.0),
          "n1 must be finite and >= 1, got inf"),
         (lambda: q_eff_from_eta2(1.9e9, (2.0, math.inf, 2.0), (0.5, 0.5, 0.5)),
@@ -324,8 +334,7 @@ class TestChainInputChecks:
         # These failed with "not enough values to unpack", naming no argument.
         kw = {"ns": (2.0, 2.0, 2.0), "ps": (0.5, 0.5, 0.5)}
         kw[arg] = kw[arg][:1] * count
-        with pytest.raises(ValueError, match=f"^{arg} must hold 3 values, "
-                                             f"one per band, got {count}$"):
+        with pytest.raises(ValueError, match=f"^{arg} must hold 3 values, got {count}$"):
             route(first, **kw)
 
 
@@ -481,10 +490,9 @@ class TestMillerChainArguments:
 
     @pytest.mark.parametrize("args, message", [
         # A bare "not enough values to unpack (expected 3, got 2)".
-        (((2.0, 2.0), PS, 1e-11), "n_bands must hold 3 values, one per band, got 2"),
-        (([2.0, 2.0], PS, 1e-11), "n_bands must hold 3 values, one per band, got 2"),
-        ((NS, (0.2, 0.2, 0.77, 0.1), 1e-11),
-         "p_entries must hold 3 values, one per band, got 4"),
+        (((2.0, 2.0), PS, 1e-11), "n_bands must hold 3 values, got 2"),
+        (([2.0, 2.0], PS, 1e-11), "n_bands must hold 3 values, got 2"),
+        ((NS, (0.2, 0.2, 0.77, 0.1), 1e-11), "p_entries must hold 3 values, got 4"),
         # A bare "must be real number, not NoneType".
         ((NS, PS, None), "d_eff must be a number, got None"),
         ((NS, (0.2, "0.2", 0.77), 1e-11), "p_entries[1] must be a number, got '0.2'"),

@@ -124,9 +124,9 @@ CONTAINERS = [
     ("fd_partial.orders-int", lambda: fd_partial(_field, (0.0, 0.0), 1),
      "orders must be a pair, got 1"),
     ("fd_partial.point-short", lambda: fd_partial(_field, (0.0,), (0, 1)),
-     "point must be a pair, got (0.0,)"),
+     "point must hold 2 values, got 1"),
     ("fd_partial.point-float", lambda: fd_partial(_field, 0.0, (0, 1)),
-     "point must be a pair, got 0.0"),
+     "point must be a sequence of numbers, got 0.0"),
 ]
 
 

@@ -386,10 +386,8 @@ OUT_OF_RANGE = {
                                     "photoelastic.entries[2][2] must be finite or null, "
                                     "got -inf"),
     "infinite d_eff": (("d_eff_m_per_v",), math.inf, "d_eff_m_per_v must be finite, got inf"),
-    "two eps_r": (("eps_r",), [2.0, 2.0],
-                  "eps_r must be three positive finite numbers, got (2.0, 2.0)"),
-    "zero eps_r": (("eps_r", 2), 0.0,
-                   "eps_r must be three positive finite numbers, got (2.0, 2.0, 0.0)"),
+    "two eps_r": (("eps_r",), [2.0, 2.0], "eps_r must hold 3 values, got 2"),
+    "zero eps_r": (("eps_r", 2), 0.0, "eps_r[2] must be positive and finite, got 0.0"),
     "negative sound speed": (("v_sound_m_per_s", "longitudinal"), -4000.0,
                              "v_sound_m_per_s.longitudinal must be positive and finite, "
                              "got -4000.0"),
@@ -489,19 +487,19 @@ def _malformed(field, value):
     return json.dumps(doc)
 
 
-POINTS_SHAPE = "dispersion.points must be rows of [lambda_m, nx, ny, nz] (got 2 rows of widths"
-TENSOR_SHAPE = "photoelastic.entries must be 6x6 numbers (got "
-SELLMEIER_SHAPE = "dispersion.sellmeier must be 3 axis lists of [B, C] number pairs, got "
 TERM = [[1.0, 1e-14]]
 
-# Each case: the table, the value put there, the start of the message after
-# "<source>: material 'demo': ".  A row that is not a list, or a table that is
-# null, is named by its place, as a cell is; each table's constructor names
-# its shape and kind by the place the file gives them.
+# Each case: the table, the value put there, the message after "<source>:
+# material 'demo': ".  A row that is not a list, or a table that is null, is
+# named by its place, as a cell is, and so is a row or a table of the wrong
+# length; the dispersion model names its kind.
 MALFORMED = {
-    "ragged points rows": ("points", [GOOD_POINTS[0], [2.0e-6, 1.4, 1.4]], POINTS_SHAPE),
-    "points rows 3 wide": ("points", [row[:3] for row in GOOD_POINTS], POINTS_SHAPE),
-    "points rows 5 wide": ("points", [row + [1.4] for row in GOOD_POINTS], POINTS_SHAPE),
+    "ragged points rows": ("points", [GOOD_POINTS[0], [2.0e-6, 1.4, 1.4]],
+                           "dispersion.points[1] must hold 4 values, got 3"),
+    "points rows 3 wide": ("points", [row[:3] for row in GOOD_POINTS],
+                           "dispersion.points[0] must hold 4 values, got 3"),
+    "points rows 5 wide": ("points", [row + [1.4] for row in GOOD_POINTS],
+                           "dispersion.points[0] must hold 4 values, got 5"),
     "points row not a list": ("points", [GOOD_POINTS[0], 2.0e-6],
                               "dispersion.points[1] must be a sequence of numbers, got 2e-06"),
     "non-numeric point": ("points", [GOOD_POINTS[0], [2.0e-6, "n", 1.4, 1.4]],
@@ -510,13 +508,15 @@ MALFORMED = {
     "empty points": ("points", [], "dispersion.kind must be 'tabulated-points', with points, "
                      "or 'sellmeier', with sellmeier terms; got 'tabulated-points'"),
     "window of one bound": ("valid_range_m", [0.9e-6],
-                            "dispersion.valid_range_m must be [lo, hi], got (9e-07,)"),
+                            "dispersion.valid_range_m must hold 2 values, got 1"),
     "null window": ("valid_range_m", None,
                     "dispersion.valid_range_m must be a sequence of numbers, got None"),
-    "photoelastic 5x6": ("entries", [[0.0] * 6 for _ in range(5)], TENSOR_SHAPE),
-    "photoelastic 6x5": ("entries", [[0.0] * 5 for _ in range(6)], TENSOR_SHAPE),
+    "photoelastic 5x6": ("entries", [[0.0] * 6 for _ in range(5)],
+                         "photoelastic.entries must hold 6 values, got 5"),
+    "photoelastic 6x5": ("entries", [[0.0] * 5 for _ in range(6)],
+                         "photoelastic.entries[0] must hold 6 values, got 5"),
     "ragged photoelastic": ("entries", [[0.0] * 6 for _ in range(5)] + [[0.0] * 7],
-                            TENSOR_SHAPE),
+                            "photoelastic.entries[5] must hold 6 values, got 7"),
     "photoelastic row not a list": (
         "entries", [[0.0] * 6 for _ in range(5)] + [0.0],
         "photoelastic.entries[5] must be a sequence of numbers, got 0.0"),
@@ -531,8 +531,10 @@ MALFORMED = {
     "Sellmeier term not a list": ("sellmeier", [TERM, TERM, TERM + [0.5]],
                                   "dispersion.sellmeier[2][1] must be a sequence of numbers, "
                                   "got 0.5"),
-    "two Sellmeier axes": ("sellmeier", [TERM, TERM], SELLMEIER_SHAPE),
-    "Sellmeier term 3 wide": ("sellmeier", [[[1.0, 1e-14, 0.0]]] * 3, SELLMEIER_SHAPE),
+    "two Sellmeier axes": ("sellmeier", [TERM, TERM],
+                           "dispersion.sellmeier must hold 3 values, got 2"),
+    "Sellmeier term 3 wide": ("sellmeier", [[[1.0, 1e-14, 0.0]]] * 3,
+                              "dispersion.sellmeier[0][0] must hold 2 values, got 3"),
     "null Sellmeier": ("sellmeier", None,
                        "dispersion.sellmeier must be a sequence of numbers, got None"),
 }
@@ -544,13 +546,13 @@ def test_malformed_table_rejected_by_material_name(case, tmp_path):
     text = _malformed(*where)
     with pytest.raises(MaterialFileError) as exc:
         loads_materials(text)
-    assert str(exc.value).startswith(f"<string>: material 'demo': {message}")
+    assert str(exc.value) == f"<string>: material 'demo': {message}"
     path = tmp_path / "bad.json"
     path.write_text(text)
     cp = subprocess.run([sys.executable, "-m", "transduce", "materials", "--db", str(path)],
                         capture_output=True, text=True)
     assert cp.returncode == 1
-    assert cp.stderr.startswith(f"error: {path}: material 'demo': {message}")
+    assert cp.stderr == f"error: {path}: material 'demo': {message}\n"
     assert "Traceback" not in cp.stderr
 
 

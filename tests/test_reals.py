@@ -134,7 +134,7 @@ SITES = {
         lambda v: f"eta2 must be finite, got {v}"),
     "miller_Q.n2": Site(
         lambda v: E.miller_Q(1.9e9, 2.26, v, 2.27), "n2", 2.26, 2, 0.5,
-        lambda v: f"refractive index must be finite and > 1, got {v}"),
+        lambda v: f"n2 must be finite and > 1, got {v}"),
     "eta2_from_Q.Q": Site(
         lambda v: E.eta2_from_Q(v, 2.26, 2.26, 2.27), "Q", -1.9e9, -10 ** 9, math.inf,
         lambda v: f"Q must be finite, got {v}"),
@@ -233,7 +233,7 @@ SITES = {
         lambda v: f"d_eff_m_per_v must be finite, got {v}", lambda m: m.d_eff),
     "Material.eps_r": Site(
         lambda v: BTO.replace(eps_r=(v, 5.0, 5.0)), "eps_r[0]", 5.0, 5, 0.0,
-        lambda v: f"eps_r must be three positive finite numbers, got ({v}, 5.0, 5.0)",
+        lambda v: f"eps_r[0] must be positive and finite, got {v}",
         lambda m: m.eps_r[0]),
     "Material.v_sound": Site(
         lambda v: BTO.replace(v_sound={"longitudinal": v}), "v_sound_m_per_s.longitudinal",
@@ -412,6 +412,42 @@ def test_bad_sweep_grid_is_named(name, grid, message):
     assert str(exc.value) == name + message
 
 
+# (id, call, name, value): an unordered container is no sequence, even of
+# numbers: its hash order would pick each value's place.  eps_r {7.0, 5.0,
+# 6.0} was stored as (5.0, 6.0, 7.0), and a set of powers was swept in hash
+# order.
+UNORDERED = [
+    ("eps_r-set", lambda v: BTO.replace(eps_r=v), "eps_r", {7.0, 5.0, 6.0}),
+    ("eps_r-dict", lambda v: BTO.replace(eps_r=v), "eps_r", {0: 5.0, 1: 6.0, 2: 7.0}),
+    ("n_bands-set", lambda v: E.MillerChain(v, (0.2, 0.2, 0.77), 1e-11), "n_bands",
+     {2.3, 2.1, 2.2}),
+    ("ns-frozenset", lambda v: E.q_eff_from_deff(1e-11, v, (0.2, 0.2, 0.77)), "ns",
+     frozenset((2.3, 2.1, 2.2))),
+    ("powers-set", lambda v: E.power_sweep(BTO, BANDS, v, 1.2e-6, 2.26), "powers",
+     {1e-3, 2e-3, 5e-4}),
+    ("powers-values", lambda v: E.power_sweep(BTO, BANDS, v, 1.2e-6, 2.26), "powers",
+     {"a": 1e-3, "b": 2e-3}.values()),
+    ("values-set", lambda v: P.sweep(PM, "poling-period", v), "values", {2.4e-6, 2.5e-6}),
+    ("values-keys", lambda v: P.sweep(PM, "poling-period", v), "values",
+     {2.4e-6: "a", 2.5e-6: "b"}.keys()),
+    ("points-set", lambda v: DispersionModel("tabulated-points", WINDOW, v),
+     "dispersion.points", {tuple(row) for row in POINTS}),
+    ("points-row-set", lambda v: DispersionModel("tabulated-points", WINDOW, [v, POINTS[1]]),
+     "dispersion.points[0]", {1.0e-6, 2.0}),
+    ("point-set", lambda v: TH.fd_partial(lambda x, d: x * d, v, (1, 1)), "point",
+     {0.0, 1.0}),
+    ("D-items", lambda v: TH.stress_of_vector(VECTOR, 0.0, v), "D", {0.0: 1.0}.items()),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [u[1:] for u in UNORDERED],
+                         ids=[u[0] for u in UNORDERED])
+def test_an_unordered_container_is_no_sequence(call, name, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be a sequence of numbers, got {value!r}"
+
+
 def test_numpy_grids_keep_their_bytes():
     grid = np.linspace(1e-3, 1.0, 5)
     rows = E.power_sweep(BTO, BANDS, grid, 1.2e-6, 2.26).to_csv()
@@ -445,9 +481,10 @@ def test_dispersion_kind_needs_its_table(call, message):
 
 
 def test_sellmeier_terms_must_be_three_axes_of_pairs():
-    with pytest.raises(ValueError, match=r"^dispersion\.sellmeier must be 3 axis lists"):
+    with pytest.raises(ValueError, match=r"^dispersion\.sellmeier must hold 3 values, got 2$"):
         DispersionModel("sellmeier", WINDOW, sellmeier=[[[1.0, 1e-14]], []])
-    with pytest.raises(ValueError, match=r"^dispersion\.sellmeier must be 3 axis lists"):
+    with pytest.raises(ValueError,
+                       match=r"^dispersion\.sellmeier\[0\]\[0\] must hold 2 values, got 3$"):
         DispersionModel("sellmeier", WINDOW, sellmeier=[[[1.0, 1e-14, 0.0]], [], []])
 
 
@@ -456,7 +493,7 @@ def test_valid_range_must_be_a_pair(window):
     # Was a bare "too many values to unpack" (or "not enough values").
     with pytest.raises(ValueError) as exc:
         DispersionModel("tabulated-points", window, POINTS)
-    assert str(exc.value) == f"dispersion.valid_range_m must be [lo, hi], got {window}"
+    assert str(exc.value) == f"dispersion.valid_range_m must hold 2 values, got {len(window)}"
 
 def _designs(n, real):
     """Reprs of every result of ``n`` seeded designs, inputs passed through
