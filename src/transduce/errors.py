@@ -15,13 +15,18 @@ the pump choice, an FD order): an int or a numpy integer is read as a plain
 int, a float or a bool is not.  ``_real`` decides what a float argument may
 be (a frequency, a wavelength, a power, a length, a coefficient, a table
 cell): an int, a float or a numpy integer or floating scalar is read as a
-plain float, a bool, a str, None or a complex is not.  ``_reals`` reads one
-argument, a table or a grid through it, to the shape it is given (the
-length at each level, or None for any), and names the first item that is no
-number, no sequence (a set or a dict, with no order, is none) or not of its
-length (``<name> must hold <n> values, got <m>``); every public function
-reads its float arguments with it, and no other module checks the length of
-a sequence of them.
+plain float, a bool, a str, None or a complex is not.  ``_sequence`` reads
+every sequence argument, of floats or of ints: it reads the items in the
+order given, refuses what has no order (a set, a dict or a view of one) or
+is not iterable (``<name> must be a sequence of numbers, got <value>``) and
+checks the length that ``shape`` gives (``<name> must hold <n> values, got
+<m>``).  ``_reals`` reads one argument, a table or a grid through it, to
+the shape it is given (the length at each level, or None for any), and
+names the first item that is no number by its place; every public function
+reads its float arguments with it.  ``MixingBands`` reads its ``axes`` with
+``_sequence`` and ``_integer`` on each item, ``fd_partial`` its ``orders``,
+and the free-energy models every level of a coefficient's nesting; no other
+module reads a sequence argument itself or checks its length.
 ``_real_in`` reads a float argument as ``_reals`` does and decides whether it
 lies in its range, one of four: ``finite``, ``finite and >= 0``, ``positive
 and finite`` and ``finite and >= 1``.  A float out of its range raises
@@ -199,15 +204,29 @@ def _reals(value, name: str, shape: tuple = (), nulls: bool = False):
     if (not rest and type(value) in _ROWS and set(map(type, value)) <= _FLOATS
             and (n is None or len(value) == n)):
         return tuple(value)
+    return _sequence(value, name, shape, _reals, zip(repeat(name), count()), repeat(rest),
+                     repeat(nulls))
+
+
+def _sequence(value, name, shape: tuple, read=None, *columns) -> tuple:
+    """``value`` as a tuple of ``shape[0]`` items (any number if it is None),
+    in order, each read by ``read(item, ...)`` with the next argument of each
+    of ``columns`` (iterables) after it, or kept as it is if ``read`` is None.
+
+    The one reader of a sequence argument: ``_reals`` reads a level of a
+    table with it, an integer site its ints with ``_integer``.  A value that
+    is not iterable, or a set, a dict or a view of one (it has no order),
+    raises ``<name> must be a sequence of numbers, got <value!r>``; a wrong
+    count ``<name> must hold <n> values, got <m>``, once every item is read.
+    """
     try:    # map, not a generator, so no call builds a closure over the arguments
         if isinstance(value, _UNORDERED):
             raise TypeError
-        items = tuple(map(_reals, value, zip(repeat(name), count()), repeat(rest),
-                          repeat(nulls)))
+        items = tuple(value if read is None else map(read, value, *columns))
     except TypeError:           # not iterable, or no order
         raise ValueError(f"{_item_name(name)} must be a sequence of numbers, "
                          f"got {value!r}") from None
-    if n is None or len(items) == n:
+    if (n := shape[0]) is None or len(items) == n:
         return items
     raise ValueError(f"{_item_name(name)} must hold {n} values, got {len(items)}")
 

@@ -94,7 +94,7 @@ import sys
 from ._record import Record
 from .errors import (_AT_LEAST_ONE, _FINITE, _MIN_NORMAL, _NON_NEGATIVE, _POSITIVE,
                      DataError, SingularityError, _integer, _real_in, _reals, _require,
-                     _result)
+                     _result, _sequence)
 from .materials import Material, refractive_index
 from .units import (C_LIGHT, EPS0, METER, Quantity, TWO_PI, TWO_PI_C, WATT,
                     WATT_PER_M2)
@@ -117,9 +117,12 @@ class MixingBands(Record):
     attributes, ``_indices`` and ``_wavevectors``, each ``(material,
     values)``, keep the lookups of the last material the bands were used with.
     ``axes`` gives the polarization axis (0..2) of each band in the order
-    (pump1, pump2, transduced); ``acoustic_mode`` keys the material's sound
-    speed table and ``strain_voigt`` selects the strain column of the
-    photoelastic tensors driven by that mode.
+    (pump1, pump2, transduced), a sequence of three ints read in the order
+    given by ``errors._sequence`` (a set or a dict, with no order, is none:
+    ``axes must be a sequence of numbers, got {0, 1, 2}``, and ``axes=(0,
+    1)`` gives ``axes must hold 3 values, got 2``); ``acoustic_mode`` keys
+    the material's sound speed table and ``strain_voigt`` selects the strain
+    column of the photoelastic tensors driven by that mode.
     """
 
     def __init__(self, omega_p1: float, omega_p2: float, omega_m: float,
@@ -128,17 +131,12 @@ class MixingBands(Record):
         w1 = _real_in(omega_p1, "omega_p1", _POSITIVE)
         w2 = _real_in(omega_p2, "omega_p2", _POSITIVE)
         wm = _real_in(omega_m, "omega_m", _NON_NEGATIVE)
-        # Indices are stored as plain ints; a float or a bool is no index,
-        # and a non-iterable is no triple of them.  A tuple of three plain
-        # ints is kept as it is.
-        if type(axes) is tuple and tuple(map(type, axes)) == _INT3:
-            ints = axes
-        else:
-            try:
-                ints = tuple(map(_integer, axes))
-            except TypeError:
-                ints = ()
-        if len(ints) != 3 or not _AXES.issuperset(ints):
+        # Indices are stored as plain ints, read in order by the sequence
+        # rule; a float or a bool is no index.  A tuple of three plain ints
+        # is kept as it is, with no call.
+        ints = (axes if type(axes) is tuple and tuple(map(type, axes)) == _INT3
+                else _sequence(axes, "axes", (3,), _integer))
+        if not _AXES.issuperset(ints):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
         if (sv := _integer(strain_voigt)) is None or not 0 <= sv <= 5:
             raise ValueError(f"strain_voigt must be in 0..5, got {strain_voigt}")

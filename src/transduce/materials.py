@@ -27,7 +27,9 @@ File schema (all numbers SI):
          "qpm_order": int (optional, default 1)}, ...]}
 
 Unit bookkeeping lives in the key names; the loader rejects unknown or
-missing keys by name, which is what "units validated on load" means here.
+missing keys by name, which is what "units validated on load" means here,
+and a key repeated in one object, whose last value JSON would keep.
+``schema`` is read by the integer rule, so ``true`` is no schema 1.
 An unknown key inside ``dispersion`` or ``photoelastic`` is rejected too,
 as is the table of the other dispersion kind.
 A null photoelastic entry means "unmeasured": it loads as NaN, and the
@@ -52,6 +54,8 @@ import json
 import math
 import os
 from bisect import bisect_right
+from functools import partial
+from itertools import repeat
 
 from ._record import FrozenDict, Record
 from .errors import (_AT_LEAST_ONE, _FINITE, _POSITIVE, MaterialFileError, RangeError,
@@ -284,7 +288,9 @@ def _parse_material(obj, source: str) -> Material:
     name = obj.get("name") if isinstance(obj, dict) else None
     if not isinstance(name, str) or not name:
         raise MaterialFileError(f"{source}: material entry without a 'name'")
-    try:        # every defect of the entry raises a ValueError, named under it
+    # Every defect of the entry raises a ValueError, named under it; a value
+    # nested to the parser's limit raises a RecursionError from its repr.
+    try:
         _known_keys(obj, _MATERIAL_KEYS, "(unit annotations are part of the key names)")
         if missing := _REQUIRED_KEYS - set(obj):
             raise ValueError(f"missing required keys {sorted(missing)}")
@@ -296,29 +302,44 @@ def _parse_material(obj, source: str) -> Material:
             photoelastic_note=pe.get("note", ""), d_eff=obj["d_eff_m_per_v"],
             eps_r=obj["eps_r"], v_sound=obj["v_sound_m_per_s"],
             damage_threshold=obj["damage_threshold_w_per_m2"], qpm_order=obj.get("qpm_order", 1))
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise MaterialFileError(f"{source}: material '{name}': {exc}") from None
 
 
+def _unique_keys(pairs, source: str, what: str = "key") -> dict:
+    """The dict of ``pairs``, read once in order; a key given twice raises
+    ``<source>: duplicate <what> '<key>'``, so the text of a file cannot pick
+    one of two values silently.  ``json.loads`` builds each object with it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MaterialFileError(f"{source}: duplicate {what} '{key}'")
+        obj[key] = value
+    return obj
+
+
 def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
-    """Parse and validate a schema-1 material database from JSON text."""
+    """Parse and validate a schema-1 material database from JSON text.
+
+    Text that is no JSON, nests too deeply for the parser or holds an
+    integer over the interpreter's digit limit is ``<source>: not valid
+    JSON: ...``; an object that repeats a key is ``<source>: duplicate key
+    '<key>'``, and a second entry of one name ``<source>: duplicate material
+    name '<name>'``.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=partial(_unique_keys, source=source))
+    except (RecursionError, ValueError) as exc:     # a JSONDecodeError is a ValueError
         raise MaterialFileError(f"{source}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
+    if not isinstance(doc, dict) or _integer(doc.get("schema")) != SCHEMA_VERSION:
         raise MaterialFileError(
             f"{source}: expected top level {{'schema': {SCHEMA_VERSION}, 'materials': [...]}}")
     entries = doc.get("materials", [])
     if not isinstance(entries, list):
         raise MaterialFileError(f"{source}: 'materials' must be a list")
-    mats: dict[str, Material] = {}
-    for obj in entries:
-        m = _parse_material(obj, source)
-        if m.name in mats:
-            raise MaterialFileError(f"{source}: duplicate material name '{m.name}'")
-        mats[m.name] = m
-    return MaterialDb(materials=mats)
+    # Each entry is parsed, then its name checked, in file order.
+    named = ((m.name, m) for m in map(_parse_material, entries, repeat(source)))
+    return MaterialDb(materials=_unique_keys(named, source, "material name"))
 
 
 def _read_text(path: str) -> str:

@@ -42,7 +42,12 @@ Every function reads its strain, displacement and tolerance arguments with
 two (``point must hold 2 values, got 1``), so a numpy scalar gives the plain
 float a float gives, and each value of a callable it differentiates with
 ``errors._real``: one that is no real number (a str, None, an array, a
-complex) is a ValueError naming the callable and the point.
+complex) is a ValueError naming the callable and the point.  fd_partial's
+``orders`` is read as a pair by the sequence rule, ``errors._sequence``, and
+each order by ``errors._integer``; every level of a free-energy coefficient's
+nesting is read by the same rule.  So a set or a dict, which has no order,
+is refused (``orders must be a sequence of numbers, got {0, 1}``) instead of
+being read in hash or key order.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import sys
 from itertools import combinations_with_replacement, permutations, product
 
 from ._record import Record
-from .errors import _POSITIVE, _integer, _real, _real_in, _reals
+from .errors import _POSITIVE, _integer, _real, _real_in, _reals, _sequence
 from .units import EPS0
 
 _EPS_MACHINE = sys.float_info.epsilon
@@ -130,14 +135,12 @@ def _partial(f, point: list[float], axes: tuple[int, ...],
 def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     """Mixed partial d^(nx+nd) f / dx^nx dD^nd of a scalar field f(x, D).
 
-    ``orders`` = (nx, nd) with nx <= 1 and nd <= 3, the degrees present in
-    the free-energy models here.  Within those caps the estimate is exact for
-    polynomials up to rounding, independent of the step size.
+    ``orders`` = (nx, nd), a sequence of two ints, with nx <= 1 and nd <= 3,
+    the degrees present in the free-energy models here.  Within those caps
+    the estimate is exact for polynomials up to rounding, independent of the
+    step size.
     """
-    try:
-        ox, od = orders
-    except (TypeError, ValueError):
-        raise ValueError(f"orders must be a pair, got {orders!r}") from None
+    ox, od = _sequence(orders, "orders", (2,))     # each read by _integer below
     if (nx := _integer(ox)) is None or not 0 <= nx <= MAX_ORDER_X:
         raise ValueError(f"x-derivative order must be 0..{MAX_ORDER_X}, got {ox}")
     if (nd := _integer(od)) is None or not 0 <= nd <= MAX_ORDER_D:
@@ -145,11 +148,13 @@ def fd_partial(f, point: tuple[float, float], orders: tuple[int, int]) -> float:
     return _partial(f, list(_reals(point, "point", (2,))), (0,) * nx + (1,) * nd)
 
 
-def _flat(value, depth: int) -> list:
+def _flat(value, depth: int, name: str) -> list:
     """The items of ``value`` nested at most ``depth`` deep, in row-major
-    order; a number is one item, as is anything at depth 0."""
+    order, each level read in order by the sequence rule under ``name``; a
+    number is one item, as is anything at depth 0."""
     return ([value] if depth == 0 or _real(value) is not None
-            else [v for item in value for v in _flat(item, depth - 1)])
+            else [v for item in _sequence(value, name, (None,))
+                  for v in _flat(item, depth - 1, name)])
 
 
 def _symmetrized(flat: list[float], rank: int) -> list[float]:
@@ -173,19 +178,20 @@ def _nested(flat: list[float]):
 def _coefficients(values, ranks) -> dict:
     """c, h, eta1, eta2, p and q of a model, from ``values`` of ``ranks``.
 
-    Each is given as any nesting of its 2**rank numbers, read in row-major
+    Each is given as any nesting of its 2**rank numbers, every level a
+    sequence (a set or a dict, with no order, is none), read in row-major
     order, and stored as nested float pairs (a float at rank 0), averaged
     over its index permutations from rank 2 on.
     """
     out = {}
     for name, value, rank in zip(FreeEnergyModel._fields, values, ranks):
         try:
-            flat = list(_reals(_flat(value, rank), name, (None,)))
-        except (TypeError, ValueError):
-            flat = []
-        if rank > 1 and len(flat) == 2 ** rank:
-            flat = _symmetrized(flat, rank)
-        if len(flat) != 2 ** rank or not all(map(math.isfinite, flat)):
+            flat = _reals(_flat(value, rank, name), name, (2 ** rank,))
+        except ValueError:
+            flat = (math.nan,)          # named below
+        else:
+            flat = _symmetrized(flat, rank) if rank > 1 else flat
+        if not all(map(math.isfinite, flat)):
             what = f"{2 ** rank} finite numbers" if rank else "a finite number"
             raise ValueError(f"coefficient {name} must be {what}, got {value!r}")
         out[name] = _nested(flat)

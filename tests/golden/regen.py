@@ -153,6 +153,9 @@ CLI_CASES = {
     "error-db-directory": "materials --db a-directory",
     "error-db-not-utf8": "materials --db not-utf8.json",
     "error-db-missing": "materials --db missing.json",
+    "error-db-deep-nesting": "materials --db deep-nesting.json",
+    "error-db-duplicate-key": f"estimate-q --db duplicate-key.json {BANDS}",
+    "error-db-schema-true": "materials --db schema-true.json",
     "usage-no-command": "",
     "usage-unknown-flag": f"estimate-q {BANDS} --frequency 1",
     "usage-missing-flag": "estimate-q --material BaTiO3",
@@ -189,6 +192,15 @@ def make_fixtures(workdir: Path) -> None:
         batio3 = json.loads(bundled)["materials"][0]
         reduce(getitem, keys, batio3)[last] = value
         (workdir / name).write_text(json.dumps({"schema": 1, "materials": [batio3]}))
+    # Files that no edit of a JSON value gives.  A 5001-digit integer has
+    # no case: its message is Python's own, and 3.10 words it differently.
+    batio3 = json.dumps({"schema": 1, "materials": [json.loads(bundled)["materials"][0]]})
+    d_eff = '"d_eff_m_per_v": 1e-11'
+    for name, text in [
+            ("deep-nesting.json", "[" * 100000 + "]" * 100000),
+            ("duplicate-key.json", batio3.replace(d_eff, f'{d_eff}, "d_eff_m_per_v": 2e-11')),
+            ("schema-true.json", batio3.replace('"schema": 1', '"schema": true'))]:
+        (workdir / name).write_text(text)
     (workdir / "not-utf8.json").write_bytes(b"\xff\xfe{}")
     (workdir / "a-directory").mkdir()
 

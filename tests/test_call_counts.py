@@ -1,4 +1,4 @@
-"""Exact counts of the Python calls two workloads make into the package.
+"""Exact counts of the Python calls four workloads make into the package.
 
 A timed benchmark cannot resolve a change of a few percent in one design,
 but the number of Python-level calls into ``src/transduce`` is exact and the
@@ -16,6 +16,7 @@ from transduce import (MixingBands, PhaseMatchInput, PumpGeometry, damage_limite
                        default_db, delta_k, peak_field_from_power, peak_intensity,
                        poling_period, power_sweep, second_order_photoelasticity,
                        three_wave_residual, virtual_photoelasticity)
+from transduce.phasematch import sweep
 
 PACKAGE = str(Path(second_order_photoelasticity.__code__.co_filename).parent)
 
@@ -82,3 +83,26 @@ def test_a_100_point_power_sweep_makes_2093_library_calls():
     m = default_db().get("BaTiO3")
     assert len(power_sweep_100(m).rows) == 100
     assert library_calls(lambda: power_sweep_100(m)) == 2093
+
+
+def phasematch_sweep_100(m, variable, lo, hi):
+    """A 100-point ``phasematch.sweep`` of ``variable`` over a grid of plain
+    floats from ``lo`` to ``hi``, on fresh worked-point bands with L = 100 um."""
+    pm_in = PhaseMatchInput(MixingBands.from_vacuum_wavelengths(2600e-9, 2600e-9, 2e9),
+                            m, 100e-6)
+    return sweep(pm_in, variable, [lo + (hi - lo) * i / 99 for i in range(100)])
+
+
+def test_a_100_point_pump_wavelength_sweep_makes_3718_library_calls():
+    # Each point builds its own MixingBands from a tuple of three plain
+    # ints, which the axes fast path reads with no call.
+    m = default_db().get("BaTiO3")
+    assert len(phasematch_sweep_100(m, "pump-wavelength", 2.5e-6, 2.65e-6)) == 100
+    assert library_calls(
+        lambda: phasematch_sweep_100(m, "pump-wavelength", 2.5e-6, 2.65e-6)) == 3718
+
+
+def test_a_100_point_poling_period_sweep_makes_1139_library_calls():
+    m = default_db().get("BaTiO3")
+    assert len(phasematch_sweep_100(m, "poling-period", 2.5e-6, 2.6e-6)) == 100
+    assert library_calls(lambda: phasematch_sweep_100(m, "poling-period", 2.5e-6, 2.6e-6)) == 1139

@@ -192,14 +192,15 @@ def _length_checks(tree: ast.AST, scope: str = "<module>") -> list[str]:
 
 
 def test_only_errors_decides_a_length():
-    # errors._reals alone decides the length of a sequence argument, from
-    # the shape it is given.  MixingBands' axes (three ints) and a free-energy
-    # coefficient's 2**rank numbers, given in any nesting, keep their rules.
+    # errors._sequence alone decides the length of a sequence argument, from
+    # the shape it is given: floats through _reals, MixingBands' axes and
+    # fd_partial's orders as ints, and a free-energy coefficient's 2**rank
+    # numbers once its nesting is read.
     package = SCRIPT.parents[1] / "src" / "transduce"
     found = [f"{path.stem}.{scope}" for path in sorted(package.glob("*.py"))
              if path.stem != "errors"
              for scope in _length_checks(ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == ["estimator.MixingBands.__init__", "thermo._coefficients"]
+    assert found == []
     source = ("class A:\n"
               "    def f(self, v):\n"
               "        if len(v) != 3:\n"

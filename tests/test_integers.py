@@ -112,17 +112,19 @@ def test_integer_argument(name, kind):
         _rejects(site, site.out_of_range)
 
 
-# (id, call, message): a malformed container raises a ValueError naming it,
-# not a bare TypeError or an unpacking error.
+# (id, call, message): a malformed container raises the sequence rule's
+# ValueError naming it, not a bare TypeError or an unpacking error.
 CONTAINERS = [
     ("MixingBands.axes-int", lambda: _bands(axes=5),
-     "axes must be three indices in 0..2, got 5"),
+     "axes must be a sequence of numbers, got 5"),
     ("MixingBands.axes-None", lambda: _bands(axes=None),
-     "axes must be three indices in 0..2, got None"),
+     "axes must be a sequence of numbers, got None"),
+    ("MixingBands.axes-short", lambda: _bands(axes=(0, 1)),
+     "axes must hold 3 values, got 2"),
     ("fd_partial.orders-short", lambda: fd_partial(_field, (0.0, 0.0), (0,)),
-     "orders must be a pair, got (0,)"),
+     "orders must hold 2 values, got 1"),
     ("fd_partial.orders-int", lambda: fd_partial(_field, (0.0, 0.0), 1),
-     "orders must be a pair, got 1"),
+     "orders must be a sequence of numbers, got 1"),
     ("fd_partial.point-short", lambda: fd_partial(_field, (0.0,), (0, 1)),
      "point must hold 2 values, got 1"),
     ("fd_partial.point-float", lambda: fd_partial(_field, 0.0, (0, 1)),

@@ -556,6 +556,78 @@ def test_malformed_table_rejected_by_material_name(case, tmp_path):
     assert "Traceback" not in cp.stderr
 
 
+def _digit_limit() -> str:
+    """The running interpreter's message for a 5001-digit integer, which
+    its JSON parser raises too (3.10 words it differently from 3.11)."""
+    with pytest.raises(ValueError) as exc:
+        int("9" * 5001)
+    return str(exc.value)
+
+
+BTO_TEXT = json.dumps({"schema": 1, "materials": [
+    next(m for m in json.loads(dumps_materials(default_db()))["materials"]
+         if m["name"] == "BaTiO3")]})
+D_EFF = '"d_eff_m_per_v": 1e-11'
+BANDS = ["--material", "BaTiO3", "--pump1", "2600e-9", "--pump2", "2600e-9",
+         "--phonon-ghz", "2"]
+# (id, file text, command, message after the source): a file that the JSON
+# layer under the material rules let through.  Deep nesting and a huge
+# integer ended in a RecursionError traceback and a bare "error: Exceeds the
+# limit ..."; a repeated key kept its last value (estimate-q printed
+# abs_q_eff = 0.04882357197752993, twice the bundled value); "schema": true
+# was read as schema 1.
+LOADER_REPROS = [
+    ("deep-nesting", "[" * 100000 + "]" * 100000, ["materials"],
+     "not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a "
+     "unicode string"),
+    ("huge-integer", BTO_TEXT.replace(D_EFF, '"d_eff_m_per_v": ' + "9" * 5001),
+     ["materials"], None),
+    ("duplicate-key", BTO_TEXT.replace(D_EFF, f'{D_EFF}, "d_eff_m_per_v": 2e-11'),
+     ["estimate-q", *BANDS], "duplicate key 'd_eff_m_per_v'"),
+    ("schema-true", BTO_TEXT.replace('"schema": 1', '"schema": true'), ["materials"],
+     "expected top level {'schema': 1, 'materials': [...]}"),
+]
+
+
+@pytest.mark.parametrize("text, command, message", [r[1:] for r in LOADER_REPROS],
+                         ids=[r[0] for r in LOADER_REPROS])
+def test_file_the_json_layer_let_through_is_named(text, command, message, tmp_path):
+    assert text != BTO_TEXT             # the row's edit took
+    message = message or f"not valid JSON: {_digit_limit()}"
+    with pytest.raises(MaterialFileError) as exc:
+        loads_materials(text)
+    assert str(exc.value) == f"<string>: {message}"
+    path = tmp_path / "db.json"
+    path.write_text(text)
+    cp = subprocess.run([sys.executable, "-m", "transduce", *command, "--db", str(path)],
+                        capture_output=True, text=True)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr == f"error: {path}: {message}\n"
+    assert "Traceback" not in cp.stderr
+
+
+def test_value_nested_to_the_parser_limit_is_named():
+    # A d_eff nested just under the depth at which json.loads gives up
+    # parsed, and then its repr in the field's message raised a bare
+    # RecursionError (depth 991 of 992 on 3.11).  That depth depends on the
+    # interpreter, so it is found first.
+    def nested(depth):
+        return "[" * depth + "1" + "]" * depth
+    parses, fails = 1, 1 << 17
+    while fails - parses > 1:
+        mid = (parses + fails) // 2
+        try:
+            json.loads(nested(mid))
+            parses = mid
+        except RecursionError:
+            fails = mid
+    for depth in range(parses - 100, parses + 10):
+        with pytest.raises(MaterialFileError) as exc:
+            loads_materials(BTO_TEXT.replace(D_EFF, f'"d_eff_m_per_v": {nested(depth)}'))
+        assert str(exc.value).startswith(("<string>: not valid JSON: ",
+                                          "<string>: material 'BaTiO3': "))
+
+
 def _set(path, value):
     doc = json.loads(json.dumps(MINIMAL))
     target = doc["materials"][0]

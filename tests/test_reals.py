@@ -437,6 +437,16 @@ UNORDERED = [
     ("point-set", lambda v: TH.fd_partial(lambda x, d: x * d, v, (1, 1)), "point",
      {0.0, 1.0}),
     ("D-items", lambda v: TH.stress_of_vector(VECTOR, 0.0, v), "D", {0.0: 1.0}.items()),
+    # Integer sequences go through the same rule: axes={2, 1, 0} was stored
+    # as (0, 1, 2), and orders={1: 0, 0: 0} differentiated with orders (1, 0).
+    ("axes-set", lambda v: MixingBands(1e15, 1e15, 1e9, axes=v), "axes", {2, 1, 0}),
+    ("axes-dict", lambda v: MixingBands(1e15, 1e15, 1e9, axes=v), "axes", {2: 0, 1: 1, 0: 2}),
+    ("axes-keys", lambda v: MixingBands(1e15, 1e15, 1e9, axes=v), "axes",
+     {2: "a", 1: "b", 0: "c"}.keys()),
+    ("orders-set", lambda v: TH.fd_partial(lambda x, d: x * d, (0.0, 1.0), v), "orders",
+     {1, 0}),
+    ("orders-dict", lambda v: TH.fd_partial(lambda x, d: x * d, (0.0, 1.0), v), "orders",
+     {1: 0, 0: 0}),
 ]
 
 
@@ -446,6 +456,26 @@ def test_an_unordered_container_is_no_sequence(call, name, value):
     with pytest.raises(ValueError) as exc:
         call(value)
     assert str(exc.value) == f"{name} must be a sequence of numbers, got {value!r}"
+
+
+# (id, coefficient, value): every level of a free-energy coefficient's
+# nesting is read by the sequence rule, so an unordered one is named with
+# the coefficient's message.  h={0: 5.0, 1: 7.0} was stored as (0.0, 1.0),
+# its keys, and a set row was read in hash order.
+UNORDERED_COEFFICIENTS = [
+    ("h-dict", "h", {0: 5.0, 1: 7.0}, "2"),
+    ("h-set", "h", {7.0, 5.0}, "2"),
+    ("eta1-row-set", "eta1", [{2.0, 1.0}, [0.0, 1.0]], "4"),
+    ("eta2-row-values", "eta2", [[[0.1, 0.1], {0: 0.1, 1: 0.1}.values()], [[0.1] * 2] * 2], "8"),
+]
+
+
+@pytest.mark.parametrize("name, value, count", [u[1:] for u in UNORDERED_COEFFICIENTS],
+                         ids=[u[0] for u in UNORDERED_COEFFICIENTS])
+def test_an_unordered_coefficient_is_named(name, value, count):
+    with pytest.raises(ValueError) as exc:
+        VECTOR.replace(**{name: value})
+    assert str(exc.value) == f"coefficient {name} must be {count} finite numbers, got {value!r}"
 
 
 def test_numpy_grids_keep_their_bytes():
