@@ -75,7 +75,9 @@ It resolves the two defaults, the piezo-optomechanical benchmark and the
 largest measured photoelastic entry as ``p_nominal``, and the report stores
 the values it resolved: ``replace(material=...)`` keeps the ``p_nominal``
 yardstick the report was built with.  A report holds a Material, so, like
-it, it is not hashable.
+it, it is not hashable.  Its ``to_csv`` and phasematch's sweep_to_csv write
+through one private writer, _csv: a header line, then each row's values as
+``repr``s joined by commas, every line ending in a newline.
 
 A user's argument is still read once.  from_vacuum_wavelengths reads and
 checks its wavelengths and phonon frequency, then passes the omegas it
@@ -133,9 +135,10 @@ class MixingBands(Record):
         wm = _real_in(omega_m, "omega_m", _NON_NEGATIVE)
         # Indices are stored as plain ints, read in order by the sequence
         # rule; a float or a bool is no index.  A tuple of three plain ints
-        # is kept as it is, with no call.
+        # is kept as it is, with no call.  Else the message shows the items
+        # as read, so an iterator shows its values, not its address.
         ints = (axes if type(axes) is tuple and tuple(map(type, axes)) == _INT3
-                else _sequence(axes, "axes", (3,), _integer))
+                else tuple(map(_integer, axes := _sequence(axes, "axes", (3,)))))
         if not _AXES.issuperset(ints):
             raise ValueError(f"axes must be three indices in 0..2, got {axes}")
         if (sv := _integer(strain_voigt)) is None or not 0 <= sv <= 5:
@@ -533,6 +536,12 @@ POWER_SWEEP_CSV_HEADER = ("power_w,peak_field_v_per_m,intensity_w_per_m2,p_virt,
                           "g_scaled_extrapolated_rad_per_s")
 
 
+def _csv(header: str, rows) -> str:
+    """The CSV text of a sweep: ``header``, then each row's values as their
+    ``repr``s joined by commas, every line ending in a newline."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 class DesignReport(Record):
     """A pump-power sweep of one design: its chain, its rows and the caveats
     that qualify them.
@@ -591,10 +600,7 @@ class DesignReport(Record):
                 "in p_virt/p_nominal; it is not a device prediction")
 
     def to_csv(self) -> str:
-        lines = [POWER_SWEEP_CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join(repr(v) for v in vars(r).values()))
-        return "\n".join(lines) + "\n"
+        return _csv(POWER_SWEEP_CSV_HEADER, (vars(r).values() for r in self.rows))
 
     def to_dict(self) -> dict:
         """JSON-ready structure carrying the chain, rows, and caveats."""

@@ -28,8 +28,12 @@ File schema (all numbers SI):
 
 Unit bookkeeping lives in the key names; the loader rejects unknown or
 missing keys by name, which is what "units validated on load" means here,
-and a key repeated in one object, whose last value JSON would keep.
-``schema`` is read by the integer rule, so ``true`` is no schema 1.
+and a key repeated in one object, whose last value JSON would keep.  The
+top level holds exactly ``schema`` and ``materials``, so a misspelt or
+missing ``materials`` is no empty database, and ``schema`` is read by the
+integer rule, so ``true`` is no schema 1.  An entry's ``dispersion``,
+``photoelastic`` and ``v_sound_m_per_s`` must each be an object, checked
+with ``errors._require`` (``photoelastic must be an object, got 5``).
 An unknown key inside ``dispersion`` or ``photoelastic`` is rejected too,
 as is the table of the other dispersion kind.
 A null photoelastic entry means "unmeasured": it loads as NaN, and the
@@ -46,6 +50,13 @@ Sellmeier pole inside the window is named by its place
 (``dispersion.points[1][2]``, ``eps_r[0]``) whether the record is loaded or
 built directly.  A record that exists is valid.  Every error of an entry
 starts with the source it was read from and names the entry's first defect.
+
+The writer, ``dumps_materials``, hands each record's own tuples and
+FrozenDict to ``json.dumps``, which writes them as lists and objects; it
+copies nothing, and changes one value only: an unmeasured photoelastic
+entry, NaN, is written as null.  ``MaterialDb``, ``dumps_materials``,
+``save_materials`` and ``refractive_index`` name an argument of the wrong
+type (``db must be a MaterialDb, got None``).
 """
 
 from __future__ import annotations
@@ -213,8 +224,9 @@ class Material(Record):
         eps_r = _reals(eps_r, "eps_r", (3,))
         for i, e in enumerate(eps_r):
             _real_in(e, f"eps_r[{i}]", _POSITIVE)
+        _require(isinstance(v_sound, dict), "v_sound_m_per_s", "an object", v_sound)
         v_sound = FrozenDict((k, _real_in(v, f"v_sound_m_per_s.{k}", _POSITIVE))
-                             for k, v in _object(v_sound, "v_sound_m_per_s").items())
+                             for k, v in v_sound.items())
         damage = _real_in(damage_threshold, "damage_threshold_w_per_m2", _POSITIVE)
         _require((qpm := _integer(qpm_order)) is not None and qpm >= 1, "qpm_order",
                  "an integer >= 1", qpm_order)
@@ -229,6 +241,7 @@ class MaterialDb(Record):
     value is a ``Material`` keyed by its name."""
 
     def __init__(self, materials: dict[str, Material]):
+        _require(isinstance(materials, dict), "materials", "a dict", materials)
         self.__dict__.update(materials=FrozenDict(materials))
         for key, m in self.materials.items():
             _require(isinstance(m, Material), f"materials[{key!r}]", "a Material", m)
@@ -248,6 +261,8 @@ class MaterialDb(Record):
 
 def refractive_index(m: Material, wavelength: float, axis: int = 2) -> float:
     """Refractive index of ``m`` at a vacuum wavelength (m), along ``axis``."""
+    if not isinstance(m, Material):     # inline: a design looks up five indices
+        _require(False, "material", "a Material", m)
     return m.dispersion.index(wavelength, axis)
 
 
@@ -261,13 +276,6 @@ _MATERIAL_KEYS = {"name", "dispersion", "photoelastic", "d_eff_m_per_v",
 _REQUIRED_KEYS = _MATERIAL_KEYS - {"qpm_order"}
 
 
-def _object(value, field: str) -> dict:
-    """``value`` if it is a JSON object; ValueError naming ``field``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be an object, got {value!r}")
-    return value
-
-
 def _known_keys(obj: dict, known: set, where: str) -> None:
     """Raise ``unknown keys [...] <where>`` if ``obj`` has a key not in ``known``."""
     if unknown := set(obj) - known:
@@ -277,7 +285,7 @@ def _known_keys(obj: dict, known: set, where: str) -> None:
 def _parse_dispersion(obj) -> DispersionModel:
     """The model of ``obj``, given the raw table its kind names; the keys of
     ``obj`` are checked once the model is built, so a bad kind is named."""
-    obj = _object(obj, "dispersion")
+    _require(isinstance(obj, dict), "dispersion", "an object", obj)
     table = "sellmeier" if (kind := obj.get("kind")) == "sellmeier" else "points"
     model = DispersionModel(kind, obj.get("valid_range_m"), **{table: obj.get(table)})
     _known_keys(obj, {"kind", "valid_range_m", table}, f"in dispersion of kind {kind!r}")
@@ -295,7 +303,7 @@ def _parse_material(obj, source: str) -> Material:
         if missing := _REQUIRED_KEYS - set(obj):
             raise ValueError(f"missing required keys {sorted(missing)}")
         dispersion = _parse_dispersion(obj["dispersion"])
-        pe = _object(obj["photoelastic"], "photoelastic")
+        _require(isinstance(pe := obj["photoelastic"], dict), "photoelastic", "an object", pe)
         _known_keys(pe, {"entries", "note"}, "in photoelastic")
         return Material(
             name=name, dispersion=dispersion, photoelastic=PhotoelasticTensor(pe.get("entries")),
@@ -331,10 +339,12 @@ def loads_materials(text: str, source: str = "<string>") -> MaterialDb:
         doc = json.loads(text, object_pairs_hook=partial(_unique_keys, source=source))
     except (RecursionError, ValueError) as exc:     # a JSONDecodeError is a ValueError
         raise MaterialFileError(f"{source}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or _integer(doc.get("schema")) != SCHEMA_VERSION:
+    # Exactly these two keys: a misspelt or missing 'materials' is no empty database.
+    if (not isinstance(doc, dict) or doc.keys() != {"schema", "materials"}
+            or _integer(doc["schema"]) != SCHEMA_VERSION):
         raise MaterialFileError(
             f"{source}: expected top level {{'schema': {SCHEMA_VERSION}, 'materials': [...]}}")
-    entries = doc.get("materials", [])
+    entries = doc["materials"]
     if not isinstance(entries, list):
         raise MaterialFileError(f"{source}: 'materials' must be a list")
     # Each entry is parsed, then its name checked, in file order.
@@ -362,24 +372,20 @@ def load_materials(path: str | os.PathLike) -> MaterialDb:
     return loads_materials(text, source=p)
 
 
-def _dispersion_to_dict(d: DispersionModel) -> dict:
-    out: dict[str, object] = {"kind": d.kind, "valid_range_m": list(d.valid_range_m)}
-    if d.kind == "tabulated-points":
-        out["points"] = [list(row) for row in d.points]
-    else:
-        out["sellmeier"] = [[[b, c] for b, c in axis] for axis in d.sellmeier]
-    return out
-
-
 def _material_to_dict(m: Material) -> dict:
+    """``m`` as its entry of a file, holding its own tuples and FrozenDict,
+    which ``json.dumps`` writes as lists and an object; only an unmeasured
+    photoelastic entry, NaN, changes, to None (null)."""
+    table = "sellmeier" if (d := m.dispersion).kind == "sellmeier" else "points"
     entries = [[None if math.isnan(e) else e for e in row] for row in m.photoelastic.entries]
     return {
         "name": m.name,
-        "dispersion": _dispersion_to_dict(m.dispersion),
+        "dispersion": {"kind": d.kind, "valid_range_m": d.valid_range_m,
+                       table: getattr(d, table)},
         "photoelastic": {"entries": entries, "note": m.photoelastic_note},
         "d_eff_m_per_v": m.d_eff,
-        "eps_r": list(m.eps_r),
-        "v_sound_m_per_s": dict(m.v_sound),
+        "eps_r": m.eps_r,
+        "v_sound_m_per_s": m.v_sound,
         "damage_threshold_w_per_m2": m.damage_threshold,
         "qpm_order": m.qpm_order,
     }
@@ -387,14 +393,16 @@ def _material_to_dict(m: Material) -> dict:
 
 def dumps_materials(db: MaterialDb) -> str:
     """Serialize a database to JSON; floats round-trip bit-exactly."""
+    _require(isinstance(db, MaterialDb), "db", "a MaterialDb", db)
     doc = {"schema": SCHEMA_VERSION,
            "materials": [_material_to_dict(m) for _, m in sorted(db.materials.items())]}
     return json.dumps(doc, indent=2)
 
 
 def save_materials(db: MaterialDb, path: str | os.PathLike) -> None:
+    text = dumps_materials(db) + "\n"     # a db that is none is named before the file opens
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write(dumps_materials(db) + "\n")
+        fh.write(text)
 
 
 def default_db() -> MaterialDb:

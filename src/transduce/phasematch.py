@@ -59,6 +59,11 @@ wavevector evaluations, also when its calls alternate with another's.
 PhaseMatchInput stores the signed grating term, poling_sign * 2 pi / Lambda
 (0.0 without a grating), from the 2 pi / Lambda it computes to check Lambda;
 both records read it, and neither computes it again.
+
+sweep_to_csv writes a sweep's (value, result) pairs through
+``estimator._csv``, the writer of the power sweep's CSV too, so both sweep
+CSVs have one format: a header line, then each row's values as ``repr``s
+joined by commas.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from operator import attrgetter
 from ._record import Record
 from .errors import (_AT_LEAST_ONE, _FINITE, _MIN_NORMAL, _NON_NEGATIVE, _POSITIVE, DataError,
                      _integer, _real_in, _reals, _require, _result, result_error)
-from .estimator import MixingBands, _band_indices
+from .estimator import MixingBands, _band_indices, _csv
 from .materials import Material, refractive_index
 from .units import C_LIGHT, TWO_PI, TWO_PI_C
 
@@ -309,7 +314,4 @@ _COLUMNS = attrgetter("k_t", "k_p1", "k_p2", "k_m", "k_poling", "delta_k", "effi
 
 
 def sweep_to_csv(rows: list[tuple[float, PhaseMatchResult]]) -> str:
-    lines = [PHASEMATCH_SWEEP_CSV_HEADER]
-    for v, r in rows:
-        lines.append(",".join(map(repr, (v, *_COLUMNS(r)))))
-    return "\n".join(lines) + "\n"
+    return _csv(PHASEMATCH_SWEEP_CSV_HEADER, ((v, *_COLUMNS(r)) for v, r in rows))

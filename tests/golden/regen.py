@@ -156,6 +156,8 @@ CLI_CASES = {
     "error-db-deep-nesting": "materials --db deep-nesting.json",
     "error-db-duplicate-key": f"estimate-q --db duplicate-key.json {BANDS}",
     "error-db-schema-true": "materials --db schema-true.json",
+    "error-db-materials-misspelt": "materials --db materials-misspelt.json",
+    "error-db-materials-missing": "materials --db materials-missing.json",
     "usage-no-command": "",
     "usage-unknown-flag": f"estimate-q {BANDS} --frequency 1",
     "usage-missing-flag": "estimate-q --material BaTiO3",
@@ -199,7 +201,9 @@ def make_fixtures(workdir: Path) -> None:
     for name, text in [
             ("deep-nesting.json", "[" * 100000 + "]" * 100000),
             ("duplicate-key.json", batio3.replace(d_eff, f'{d_eff}, "d_eff_m_per_v": 2e-11')),
-            ("schema-true.json", batio3.replace('"schema": 1', '"schema": true'))]:
+            ("schema-true.json", batio3.replace('"schema": 1', '"schema": true')),
+            ("materials-misspelt.json", batio3.replace('"materials":', '"material":')),
+            ("materials-missing.json", '{"schema": 1}')]:
         (workdir / name).write_text(text)
     (workdir / "not-utf8.json").write_bytes(b"\xff\xfe{}")
     (workdir / "a-directory").mkdir()

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -893,7 +895,8 @@ NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 def check_cli_oracle(argv):
     """Exit 0, 1 or 2 with no traceback or warning, a success prints no inf
-    or NaN, and an error prints nothing on stdout."""
+    or NaN, and an error prints nothing on stdout; returns the exit code and
+    the stdout."""
     out, err = io.StringIO(), io.StringIO()
     # Warnings are printed, as a user sees them, rather than raised.
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
@@ -910,6 +913,7 @@ def check_cli_oracle(argv):
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
     if err.getvalue().startswith("error:"):
         assert out.getvalue() == "", (argv, out.getvalue())
+    return code, out.getvalue()
 
 
 @seed(20261018)
@@ -973,3 +977,64 @@ def test_fuzzed_db_file(tmp_path_factory, path, value, argv):
     db = tmp_path_factory.mktemp("db") / "db.json"
     db.write_text(json.dumps(doc))
     check_cli_oracle([*argv, f"--db={db}"])
+
+
+# A structure-aware mutation of the bundled file, made on its text: the
+# placeholder string is replaced by raw JSON that json.dumps cannot write
+# (a repeated key, NaN, a huge integer, a deep nesting).
+PLACEHOLDER = "@raw@"
+SCALAR_PATHS = [p for p in DB_PATHS if not isinstance(reduce(getitem, p, BUNDLED_DOC),
+                                                      (dict, list, str))]
+MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(DB_PATHS), st.none()),
+    st.tuples(st.just("repeat"), st.sampled_from(DB_PATHS), st.none()),
+    st.tuples(st.just("retype"), st.sampled_from(DB_PATHS),
+              st.sampled_from([True, False, "x", "", [], [1.0], {}, {"x": 1.0}, None])),
+    st.tuples(st.just("number"), st.sampled_from(SCALAR_PATHS),
+              st.sampled_from(["NaN", "Infinity", "-Infinity", "1e308", "-0.0",
+                               str(10 ** 400), "9" * 5001])),
+    st.tuples(st.just("nest"), st.sampled_from(DB_PATHS), st.sampled_from([1, 40, 3000, 100000])),
+    st.tuples(st.just("rename"), st.sampled_from([("schema",), ("materials",)]),
+              st.sampled_from(["material", "Materials", "schema_version", ""])))
+STRUCTURE_COMMANDS = [["materials"], ["materials", "--show=BaTiO3"],
+                      ["estimate-q", *BANDS_ARGS], ["poling", *BANDS_ARGS, "--length=100e-6"]]
+
+
+def _mutated_text(kind, path, arg) -> str:
+    """The text of the bundled file with one mutation of the value at ``path``."""
+    doc = json.loads(json.dumps(BUNDLED_DOC))
+    *keys, last = path
+    parent = reduce(getitem, keys, doc)
+    raw, quoted = None, json.dumps(PLACEHOLDER)
+    if kind == "delete":
+        del parent[last]
+    elif kind == "repeat" and isinstance(parent, list):
+        parent.insert(last, parent[last])
+    elif kind == "repeat":          # the key again, with its value, after the others
+        parent[PLACEHOLDER] = PLACEHOLDER
+        quoted, raw = f"{quoted}: {quoted}", f"{json.dumps(last)}: {json.dumps(parent[last])}"
+    elif kind == "retype":
+        parent[last] = arg
+    elif kind == "rename":
+        parent[arg] = parent.pop(last)
+    else:
+        raw = arg if kind == "number" else "[" * arg + json.dumps(parent[last]) + "]" * arg
+        parent[last] = PLACEHOLDER
+    text = json.dumps(doc)
+    return text if raw is None else text.replace(quoted, raw, 1)
+
+
+@seed(20261018)
+@settings(max_examples=250, deadline=None)
+@given(MUTATIONS, st.sampled_from(STRUCTURE_COMMANDS))
+@example(("rename", ("materials",), "material"), STRUCTURE_COMMANDS[0])
+@example(("delete", ("materials",), None), STRUCTURE_COMMANDS[0])
+def test_structure_fuzzed_db_file(tmp_path_factory, mutation, argv):
+    text = _mutated_text(*mutation)
+    assert text != json.dumps(BUNDLED_DOC)      # the mutation took
+    db = tmp_path_factory.mktemp("db") / "db.json"
+    db.write_text(text)
+    code, out = check_cli_oracle([*argv, f"--db={db}"])
+    # Each command prints a line when it passes, but materials on a file
+    # whose list is empty: a file that loads as no database is no pass.
+    assert code or out or json.loads(text)["materials"] == [], (mutation, argv)

@@ -3,7 +3,8 @@ docstrings, the public names a module defines, not those it imports, and
 the constructor fields of its records; no module of the package binds a
 module-level name from inside a function, and none but ``errors`` decides
 whether a computed value is out of range, spells the range of a float
-argument or checks the length of a sequence argument."""
+argument or checks the length of a sequence argument.  ``errors`` stays
+within 90 lines of code, and one function writes comma-separated values."""
 
 import ast
 import re
@@ -216,3 +217,39 @@ def test_only_errors_decides_a_length():
               "        pass\n"
               "if len(v) == 1: raise ValueError\n")
     assert _length_checks(ast.parse(source)) == ["A.f", "g", "g", "<module>"]
+
+
+def test_errors_stays_small():
+    # The rules of errors are the design, not a backlog: a rule that needs
+    # more lines belongs to the module that uses it.
+    package = SCRIPT.parents[1] / "src" / "transduce"
+    assert code_lines((package / "errors.py").read_text(encoding="utf-8")) <= 90
+
+
+def _comma_joiners(tree: ast.AST, scope: str = "<module>") -> list[str]:
+    """The function (by name, ``<module>`` at the top level) around each
+    call of ``",".join`` in ``tree``, innermost first."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "join"
+                and isinstance(func.value, ast.Constant) and func.value.value == ","):
+            found.append(scope)
+        found += _comma_joiners(node, inner)
+    return found
+
+
+def test_one_function_writes_comma_separated_values():
+    # estimator._csv writes the rows of both sweep CSVs, so their format
+    # is spelled once.
+    package = SCRIPT.parents[1] / "src" / "transduce"
+    found = [f"{path.stem}.{scope}" for path in sorted(package.glob("*.py"))
+             for scope in _comma_joiners(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["estimator._csv"]
+    source = ('def f(rows):\n'
+              '    def g(row):\n'
+              '        return ",".join(row)\n'
+              '    return ", ".join(rows) + "\\n".join(rows) + ",".join(rows)\n'
+              'X = ",".join("ab")\n')
+    assert _comma_joiners(ast.parse(source)) == ["g", "f", "<module>"]

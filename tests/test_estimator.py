@@ -87,7 +87,10 @@ class TestMixingBands:
         ({"strain_voigt": 2.0}, "strain_voigt must be in 0..5, got 2.0"),
         ({"strain_voigt": False}, "strain_voigt must be in 0..5, got False"),
         ({"acoustic_mode": ["x"]}, "acoustic_mode must be a string, got ['x']"),
-        ({"acoustic_mode": None}, "acoustic_mode must be a string, got None")])
+        ({"acoustic_mode": None}, "acoustic_mode must be a string, got None"),
+        # An iterator showed its address, a new one on every run.
+        ({"axes": iter([0, 1, 5])}, "axes must be three indices in 0..2, got (0, 1, 5)"),
+        ({"axes": (a for a in [0, 1, 5])}, "axes must be three indices in 0..2, got (0, 1, 5)")])
     def test_float_or_bool_index_is_rejected(self, kw, message):
         # 1.0 and True compare equal to 1, so these passed, and the chain
         # then failed on a float tuple index or read the axis a bool names.

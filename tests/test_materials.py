@@ -471,6 +471,32 @@ def test_record_that_breaks_a_rule_cannot_be_built(case):
     assert str(exc.value) == message
 
 
+# (id, call on a path, message): an argument of the wrong type is named.
+# MaterialDb(5) raised a bare TypeError and the others a bare AttributeError
+# (save_materials after it had emptied the file).
+WRONG_TYPE = [
+    ("MaterialDb-int", lambda path: MaterialDb(5), "materials must be a dict, got 5"),
+    ("dumps_materials-None", lambda path: dumps_materials(None),
+     "db must be a MaterialDb, got None"),
+    ("save_materials-None", lambda path: save_materials(None, path),
+     "db must be a MaterialDb, got None"),
+    ("refractive_index-None", lambda path: refractive_index(None, 2.6e-6, 0),
+     "material must be a Material, got None"),
+    ("refractive_index-name", lambda path: refractive_index("BaTiO3", 2.6e-6, 0),
+     "material must be a Material, got 'BaTiO3'"),
+]
+
+
+@pytest.mark.parametrize("call, message", [w[1:] for w in WRONG_TYPE],
+                         ids=[w[0] for w in WRONG_TYPE])
+def test_argument_of_the_wrong_type_is_named(call, message, tmp_path):
+    path = tmp_path / "db.json"
+    with pytest.raises(ValueError) as exc:
+        call(path)
+    assert str(exc.value) == message
+    assert not path.exists()
+
+
 GOOD_POINTS = [[1.0e-6, 1.5, 1.5, 1.5], [2.0e-6, 1.4, 1.4, 1.4]]
 
 
@@ -575,7 +601,9 @@ BANDS = ["--material", "BaTiO3", "--pump1", "2600e-9", "--pump2", "2600e-9",
 # integer ended in a RecursionError traceback and a bare "error: Exceeds the
 # limit ..."; a repeated key kept its last value (estimate-q printed
 # abs_q_eff = 0.04882357197752993, twice the bundled value); "schema": true
-# was read as schema 1.
+# was read as schema 1.  A top level without "materials", or with another
+# key beside it, loaded as an empty database: materials exited 0 and
+# printed nothing, and estimate-q said the material was not in it.
 LOADER_REPROS = [
     ("deep-nesting", "[" * 100000 + "]" * 100000, ["materials"],
      "not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a "
@@ -585,6 +613,12 @@ LOADER_REPROS = [
     ("duplicate-key", BTO_TEXT.replace(D_EFF, f'{D_EFF}, "d_eff_m_per_v": 2e-11'),
      ["estimate-q", *BANDS], "duplicate key 'd_eff_m_per_v'"),
     ("schema-true", BTO_TEXT.replace('"schema": 1', '"schema": true'), ["materials"],
+     "expected top level {'schema': 1, 'materials': [...]}"),
+    ("materials-misspelt", BTO_TEXT.replace('"materials":', '"material":'), ["materials"],
+     "expected top level {'schema': 1, 'materials': [...]}"),
+    ("materials-missing", '{"schema": 1}', ["materials"],
+     "expected top level {'schema': 1, 'materials': [...]}"),
+    ("top-level-extra-key", '{"schema": 1, "materials": [], "note": ""}', ["materials"],
      "expected top level {'schema': 1, 'materials': [...]}"),
 ]
 
